@@ -25,12 +25,10 @@
 //! expected asymmetry: all-cold p99 measurably worse than paper
 //! placement, which tracks all-hot within `TIER_MARGIN`.
 //!
-//! With `--kernels` it sweeps the distance-kernel dispatch and the
-//! blocked batch scans: the paper-placement tier workload under every
-//! combination of forced-scalar vs native SIMD kernels and blocked vs
-//! query-at-a-time cluster scans (`results/serve_kernels.csv`), and
-//! asserts that the SIMD rows' p99 never exceeds the scalar rows' and
-//! that blocked SIMD beats the scalar query-at-a-time baseline.
+//! With `--kernels` it sweeps the distance-kernel dispatch: the
+//! paper-placement tier workload under forced-scalar vs native SIMD
+//! kernels (`results/serve_kernels.csv`), and asserts that the SIMD row
+//! never loses to the scalar row beyond the noise allowance.
 //!
 //! With `--trace` it runs the causal-tracing overhead A/B: the identical
 //! workload with the trace plane (span trees, stage timers, burn-rate
@@ -509,19 +507,13 @@ fn tiers_sweep() {
     println!("tier asymmetry holds: all_cold > paper, paper within {TIER_MARGIN}x of all_hot.");
 }
 
-/// One open-loop point at paper placement with the blocked batch scans
-/// toggled: the kernel/blocking A/B's shared workload. Callers force the
-/// kernel (scalar or native) around this and must clear it afterwards.
-fn run_rate_kernel(
-    corpus: &SyntheticCorpus,
-    unblocked: bool,
-    rate: f64,
-    n_requests: usize,
-) -> ServeReport {
+/// One open-loop point at paper placement: the kernel A/B's shared
+/// workload. Callers force the kernel (scalar or native) around this and
+/// must clear it afterwards.
+fn run_rate_kernel(corpus: &SyntheticCorpus, rate: f64, n_requests: usize) -> ServeReport {
     let mut config = ServeConfig::small();
     config.real = real_config();
     config.real.coverage_override = Some(PAPER_COVERAGE);
-    config.store.unblocked = unblocked;
     config.queue_capacity = 512;
     let server = RagServer::start(corpus, config).expect("server starts");
     let mut source = RotatingQuerySource::from_corpus(corpus, 11);
@@ -529,58 +521,50 @@ fn run_rate_kernel(
     server.shutdown()
 }
 
-/// The kernel/blocking sweep: forced-scalar vs native SIMD kernels, each
-/// with and without blocked (cluster-major) batch scans, on the paper
-/// placement tier workload. Writes `results/serve_kernels.csv` and
-/// asserts the dispatch's whole point: SIMD never loses to scalar, and
-/// the shipped configuration (blocked + SIMD) beats the scalar
-/// query-at-a-time baseline outright.
+/// The kernel sweep: forced-scalar vs native SIMD kernels on the paper
+/// placement tier workload (blocked batch scans, the only scan path).
+/// Writes `results/serve_kernels.csv` and asserts the dispatch's whole
+/// point: SIMD never loses to scalar.
 fn kernels_sweep() {
     banner(
         "serve-smoke --kernels",
-        "distance-kernel dispatch x blocked-scan sweep at paper placement",
+        "distance-kernel dispatch sweep at paper placement",
     );
     let corpus = tier_corpus();
     let rate = 1_000.0;
     let n = 1_200;
     let mut table = Table::new(vec![
         "kernel",
-        "scan",
         "blocked passes",
         "search p50",
         "search p99",
         "SLO attainment",
     ]);
-    // (forced scalar?, unblocked?) — the last row is the shipped default.
-    let mut p50 = std::collections::HashMap::new();
-    let mut p99 = std::collections::HashMap::new();
-    for (scalar, unblocked) in [(true, true), (true, false), (false, true), (false, false)] {
+    // Forced scalar first; the second row is the shipped default.
+    let mut p50 = [0.0; 2];
+    let mut p99 = [0.0; 2];
+    for (row, scalar) in [true, false].into_iter().enumerate() {
         if scalar {
             vlite_ann::kernel::force_scalar();
         } else {
             vlite_ann::kernel::force_native();
         }
-        let report = run_rate_kernel(&corpus, unblocked, rate, n);
+        let report = run_rate_kernel(&corpus, rate, n);
         vlite_ann::kernel::clear_force();
         let store = report
             .store
             .as_ref()
             .expect("kernel sweep runs over a tiered store");
-        if unblocked {
-            assert_eq!(store.blocked_scans, 0, "unblocked runs must never block");
-        }
         let kernel = store.kernel;
         assert_eq!(
             kernel == "scalar",
             scalar,
             "the forced kernel must be the one the report attributes"
         );
-        let scan = if unblocked { "per_query" } else { "blocked" };
-        p50.insert((scalar, unblocked), report.search.p50);
-        p99.insert((scalar, unblocked), report.search.p99);
+        p50[row] = report.search.p50;
+        p99[row] = report.search.p99;
         table.row(vec![
             kernel.to_string(),
-            scan.to_string(),
             store.blocked_scans.to_string(),
             fmt_seconds(report.search.p50),
             fmt_seconds(report.search.p99),
@@ -590,45 +574,26 @@ fn kernels_sweep() {
     println!("{}", table.render());
     write_csv("serve_kernels.csv", &table.to_csv());
 
-    let scalar_baseline = p99[&(true, true)];
-    let simd_blocked = p99[&(false, false)];
-    println!(
-        "p99: scalar/per-query {}  simd/blocked {}",
-        fmt_seconds(scalar_baseline),
-        fmt_seconds(simd_blocked)
-    );
-    for unblocked in [true, false] {
-        // Both comparisons carry a noise allowance: these are live
-        // server runs, so neither percentile is jitter-free on shared
-        // runners. p50 gets the tight allowance (scan work dominates
-        // the median; locally SIMD wins it ~2.4x), p99 the loose one
-        // (the tail also folds in queueing bursts).
-        assert!(
-            p50[&(false, unblocked)] <= p50[&(true, unblocked)] * KERNEL_P50_NOISE,
-            "SIMD p50 ({:.6}s) must not exceed scalar p50 ({:.6}s) by more than the \
-             {KERNEL_P50_NOISE}x noise allowance (unblocked={unblocked}): \
-             the dispatcher would be selecting a losing kernel",
-            p50[&(false, unblocked)],
-            p50[&(true, unblocked)]
-        );
-        assert!(
-            p99[&(false, unblocked)] <= p99[&(true, unblocked)] * KERNEL_NOISE,
-            "SIMD p99 ({:.6}s) must not exceed scalar p99 ({:.6}s) by more than the \
-             {KERNEL_NOISE}x noise allowance (unblocked={unblocked})",
-            p99[&(false, unblocked)],
-            p99[&(true, unblocked)]
-        );
-    }
-    // The shipped configuration vs the all-off baseline: the expected
-    // margin here is the largest of the sweep (both optimisations
-    // compound on the same scan bytes), so the small allowance only
-    // absorbs runner jitter, never a real loss.
+    // Both comparisons carry a noise allowance: these are live server
+    // runs, so neither percentile is jitter-free on shared runners. p50
+    // gets the tight allowance (scan work dominates the median; locally
+    // SIMD wins it ~2.4x), p99 the loose one (the tail also folds in
+    // queueing bursts).
     assert!(
-        simd_blocked <= scalar_baseline * KERNEL_P50_NOISE,
-        "blocked SIMD p99 ({simd_blocked:.6}s) must beat the scalar query-at-a-time baseline \
-         ({scalar_baseline:.6}s) up to the {KERNEL_P50_NOISE}x noise allowance"
+        p50[1] <= p50[0] * KERNEL_P50_NOISE,
+        "SIMD p50 ({:.6}s) must not exceed scalar p50 ({:.6}s) by more than the \
+         {KERNEL_P50_NOISE}x noise allowance: the dispatcher would be selecting a losing kernel",
+        p50[1],
+        p50[0]
     );
-    println!("kernel dispatch holds: simd beats scalar per mode, blocked simd beats the baseline.");
+    assert!(
+        p99[1] <= p99[0] * KERNEL_NOISE,
+        "SIMD p99 ({:.6}s) must not exceed scalar p99 ({:.6}s) by more than the \
+         {KERNEL_NOISE}x noise allowance",
+        p99[1],
+        p99[0]
+    );
+    println!("kernel dispatch holds: simd does not lose to scalar.");
 }
 
 /// One parsed baseline row: which metric, at which offered rate, under
@@ -743,7 +708,7 @@ fn gate(baseline_path: &str) {
                 } else {
                     vlite_ann::kernel::force_native();
                 }
-                let report = run_rate_kernel(&tier_corpus(), false, row.rate, 600);
+                let report = run_rate_kernel(&tier_corpus(), row.rate, 600);
                 vlite_ann::kernel::clear_force();
                 let store = report
                     .store
@@ -895,11 +860,12 @@ fn sweep() {
     println!("the batch scan, and admission control sheds load past the queue bound.");
 
     // Observability overhead: the identical workload with the telemetry
-    // plane off, then on. The plane's hot path is sharded atomics and
-    // log-bucketed histograms — the comparison documents that always-on
-    // telemetry is not a tail-latency tax (the `obs_overhead` gate row
-    // pins the obs-on p99 in CI).
-    println!("\nobservability overhead: telemetry plane off vs on at 500 req/s");
+    // plane's per-request captures (waterfall rings + journal) off, then
+    // on. The aggregates (sharded atomics, log-bucketed histograms) record
+    // either way — the report is built from them — so the comparison
+    // documents that the captures are not a tail-latency tax (the
+    // `obs_overhead` gate row pins the obs-on p99 in CI).
+    println!("\nobservability overhead: trace rings + journal off vs on at 500 req/s");
     let mut obs_table = Table::new(vec![
         "telemetry",
         "achieved (req/s)",

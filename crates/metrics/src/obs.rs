@@ -14,7 +14,8 @@
 //! - [`Counter`] — a monotonic counter sharded across cache-line-padded
 //!   atomic cells, so concurrent writers on different threads do not
 //!   contend on one line.
-//! - [`Gauge`] — a single last-write-wins `f64` cell.
+//! - [`Gauge`] — a single `f64` cell: `set` is last-write-wins, `add`
+//!   accumulates.
 //! - [`StreamingHistogram`] — log-spaced buckets
 //!   ([`SUB_BUCKETS_PER_OCTAVE`] per power of two) over
 //!   `[1ns, ~1100s]` with underflow/overflow buckets; percentile queries
@@ -99,7 +100,8 @@ impl Counter {
     }
 }
 
-/// A last-write-wins `f64` gauge (one atomic cell, bit-cast).
+/// An `f64` gauge (one atomic cell, bit-cast): [`Gauge::set`] is
+/// last-write-wins, [`Gauge::add`] accumulates a running float total.
 #[derive(Debug)]
 pub struct Gauge {
     bits: AtomicU64,
@@ -123,6 +125,18 @@ impl Gauge {
     pub fn set(&self, value: f64) {
         // relaxed: last-write-wins gauge; any published value is complete.
         self.bits.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Adds `delta` to the gauge (a CAS loop on the one cell; concurrent
+    /// adders lose nothing, float rounding follows arrival order).
+    pub fn add(&self, delta: f64) {
+        // relaxed: single-word running float total, read for reporting
+        // only; the CAS needs atomicity of this one word and nothing else.
+        let _ = self
+            .bits
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
     }
 
     /// Reads the gauge.
@@ -171,6 +185,8 @@ pub struct StreamingHistogram {
     sum_nanos: AtomicU64,
     /// Largest sample, in nanoseconds.
     max_nanos: AtomicU64,
+    /// Smallest sample, in nanoseconds (`u64::MAX` while empty).
+    min_nanos: AtomicU64,
 }
 
 impl Default for StreamingHistogram {
@@ -187,6 +203,7 @@ impl StreamingHistogram {
             count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
             max_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
         }
     }
 
@@ -259,8 +276,9 @@ impl StreamingHistogram {
                 Err(actual) => prev = actual,
             }
         }
-        // relaxed: single-word running maximum, same tally discipline.
+        // relaxed: single-word running extrema, same tally discipline.
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        self.min_nanos.fetch_min(nanos, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -291,6 +309,39 @@ impl StreamingHistogram {
         }
     }
 
+    /// Smallest recorded sample, in seconds (`0.0` when empty).
+    pub fn min_seconds(&self) -> f64 {
+        // relaxed: monotone running-min read; staleness is acceptable.
+        match self.min_nanos.load(Ordering::Relaxed) {
+            u64::MAX if self.is_empty() => 0.0,
+            u64::MAX => f64::INFINITY,
+            nanos => nanos as f64 / 1e9,
+        }
+    }
+
+    /// The histogram as a [`Summary`](crate::Summary): `count`, `mean`,
+    /// `min` and `max` are exact (to the nanosecond the sum and extrema
+    /// are kept in); the percentiles are bucket upper bounds, so each errs
+    /// high by at most [`relative_error_bound`](Self::relative_error_bound).
+    pub fn summary(&self) -> crate::Summary {
+        let count = self.count();
+        let [p50, p90, p95, p99] = self.percentiles([0.50, 0.90, 0.95, 0.99]);
+        crate::Summary {
+            count: count as usize,
+            mean: if count == 0 {
+                0.0
+            } else {
+                self.sum_seconds() / count as f64
+            },
+            min: self.min_seconds(),
+            max: self.max_seconds(),
+            p50,
+            p90,
+            p95,
+            p99,
+        }
+    }
+
     /// The `q`-quantile (`q` in `[0, 1]`) by nearest rank over a snapshot
     /// of the buckets, or `0.0` when empty. The answer is the containing
     /// bucket's upper bound (the tracked maximum for the overflow bucket),
@@ -301,10 +352,12 @@ impl StreamingHistogram {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&q),
-            "quantile must be in [0,1], got {q}"
-        );
+        self.percentiles([q])[0]
+    }
+
+    /// [`percentile`](Self::percentile) for several quantiles over one
+    /// snapshot of the buckets.
+    fn percentiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
         // relaxed: the percentile is already approximate; a snapshot that
         // tears across buckets shifts the answer by at most the in-flight
         // samples, which the error bound documents.
@@ -314,22 +367,28 @@ impl StreamingHistogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let total: u64 = snapshot.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = (q * (total as f64 - 1.0)).round() as u64;
-        let mut cumulative = 0u64;
-        for (i, &n) in snapshot.iter().enumerate() {
-            cumulative += n;
-            if cumulative > rank {
-                return if i == N_BUCKETS - 1 {
-                    self.max_seconds()
-                } else {
-                    Self::bucket_bound(i)
-                };
+        qs.map(|q| {
+            assert!(
+                (0.0..=1.0).contains(&q),
+                "quantile must be in [0,1], got {q}"
+            );
+            if total == 0 {
+                return 0.0;
             }
-        }
-        self.max_seconds()
+            let rank = (q * (total as f64 - 1.0)).round() as u64;
+            let mut cumulative = 0u64;
+            for (i, &n) in snapshot.iter().enumerate() {
+                cumulative += n;
+                if cumulative > rank {
+                    return if i == N_BUCKETS - 1 {
+                        self.max_seconds()
+                    } else {
+                        Self::bucket_bound(i)
+                    };
+                }
+            }
+            self.max_seconds()
+        })
     }
 
     /// Folds another histogram into this one (bucket-wise addition).
@@ -362,9 +421,11 @@ impl StreamingHistogram {
                 Err(actual) => prev = actual,
             }
         }
-        // relaxed: single-word running maximum, same tally discipline.
+        // relaxed: single-word running extrema, same tally discipline.
         self.max_nanos
             .fetch_max(other.max_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.min_nanos
+            .fetch_min(other.min_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// Snapshot of the non-empty buckets as `(upper_bound_seconds,
@@ -400,12 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn gauge_is_last_write_wins() {
+    fn gauge_sets_and_accumulates() {
         let g = Gauge::new();
         assert_eq!(g.get(), 0.0);
         g.set(2.5);
         g.set(-1.25);
         assert_eq!(g.get(), -1.25);
+        g.add(0.75);
+        assert_eq!(g.get(), -0.5);
     }
 
     #[test]
@@ -415,6 +478,8 @@ mod tests {
         assert_eq!(h.percentile(0.99), 0.0);
         assert_eq!(h.sum_seconds(), 0.0);
         assert_eq!(h.max_seconds(), 0.0);
+        assert_eq!(h.min_seconds(), 0.0);
+        assert_eq!(h.summary(), crate::Summary::default());
         assert!(h.cumulative_buckets().is_empty());
     }
 
@@ -479,6 +544,7 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert!((a.sum_seconds() - 0.301).abs() < 1e-9);
         assert!((a.max_seconds() - 0.2).abs() < 1e-12);
+        assert!((a.min_seconds() - 0.001).abs() < 1e-12);
         let p0 = a.percentile(0.0);
         assert!((0.001..=0.001 * 1.1).contains(&p0));
     }

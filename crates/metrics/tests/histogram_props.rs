@@ -6,6 +6,8 @@
 //!   pick the same underlying sample);
 //! - sharded histograms merge associatively, so per-thread shards can be
 //!   folded in any grouping;
+//! - the tracked minimum is the exact smallest sample (to the nanosecond
+//!   it is kept in), and a merge keeps the smaller side's;
 //! - concurrent recording from many threads loses no samples (the
 //!   lock-free claim, pinned at the instrument level).
 
@@ -64,6 +66,28 @@ proptest! {
         // Sum is kept in integer nanoseconds: half an ns of round-off per
         // sample.
         prop_assert!((hist.sum_seconds() - truth).abs() <= samples.len() as f64 * 1e-9);
+    }
+
+    #[test]
+    fn min_is_the_exact_smallest_sample_and_survives_merges(
+        a in prop::collection::vec(0.000_001f64..10.0, 1..100),
+        b in prop::collection::vec(0.000_001f64..10.0, 1..100),
+    ) {
+        let (hist_a, exact_a) = build(&a);
+        let (hist_b, exact_b) = build(&b);
+        // Kept in integer nanoseconds: half an ns of round-off.
+        prop_assert!((hist_a.min_seconds() - exact_a.min()).abs() <= 0.5e-9);
+        for &sample in &a {
+            prop_assert!(hist_a.min_seconds() <= sample + 0.5e-9);
+        }
+        prop_assert!(hist_a.min_seconds() <= hist_a.percentile(0.0) + 0.5e-9);
+        let (min_a, min_b) = (hist_a.min_seconds(), hist_b.min_seconds());
+        hist_a.merge_from(&hist_b);
+        prop_assert_eq!(hist_a.min_seconds(), min_a.min(min_b));
+        prop_assert!((hist_a.min_seconds() - exact_a.min().min(exact_b.min())).abs() <= 0.5e-9);
+        // Merging an empty shard must not drag the minimum to zero.
+        hist_a.merge_from(&StreamingHistogram::new());
+        prop_assert_eq!(hist_a.min_seconds(), min_a.min(min_b));
     }
 
     #[test]

@@ -264,11 +264,6 @@ pub struct StoreConfig {
     /// and the only option for PQ/fast-scan list storage, which the
     /// runtime falls back to automatically).
     pub disabled: bool,
-    /// Disables blocked (cluster-major) batch scans, reverting the shard
-    /// and CPU workers to query-at-a-time scanning. Results are
-    /// identical either way; the flag exists for A/B measurement
-    /// (`serve_smoke` sweeps it) and as an escape hatch.
-    pub unblocked: bool,
 }
 
 impl StoreConfig {
@@ -441,9 +436,10 @@ pub struct ServeConfig {
     /// enforce it (shed/degrade) or only measure burn, and the cost
     /// estimates the degradation ladder scales against.
     pub deadline: DeadlinePolicy,
-    /// Telemetry-plane configuration (on by default): live lock-free
-    /// metrics, trace rings, and the unified event journal behind
-    /// `GET /v1/metrics`, `/v1/traces` and `/v1/events`.
+    /// Telemetry-plane configuration: ring capacities, and the switch (on
+    /// by default) for the per-request captures behind `/v1/traces` and
+    /// `/v1/events`. The lock-free aggregates behind `/v1/report` and
+    /// `/v1/metrics` always record.
     pub obs: crate::obs::ObsConfig,
     /// Causal-tracing configuration (on by default): span trees behind
     /// `GET /v1/trace/{id}`, the per-stage sampling profiler behind

@@ -299,9 +299,9 @@ mod tests {
     use crate::obs::{BoundedRing, ObsConfig, ObsPlane};
     use crate::queue::AdmissionQueue;
     use crate::request::Job;
-    use crate::server::{PlacementState, ServeMetrics, Shared};
+    use crate::server::{PlacementState, Shared};
     use std::sync::atomic::AtomicU64;
-    use std::sync::{Mutex, RwLock};
+    use std::sync::RwLock;
     use vlite_core::{RealConfig, RealDeployment, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
@@ -370,14 +370,12 @@ mod tests {
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
-            metrics: Mutex::new(ServeMetrics::new(real.slo_search, None, &tenants)),
             worker_panics: AtomicU64::new(0),
+            obs: Arc::new(ObsPlane::new(&ObsConfig::default(), tenants.len())),
             tenants,
             repartitions: BoundedRing::new(1024),
             migrations: BoundedRing::new(1024),
-            obs: Arc::new(ObsPlane::new(&ObsConfig::default())),
             store: None,
-            blocked_scans: true,
             nprobe: real.nprobe,
             top_k: real.top_k,
             n_shards: 2,
@@ -587,7 +585,7 @@ mod tests {
 
         // A budget below the estimated wait sheds, with full accounting.
         let err = shared
-            .shed_if_unmeetable(TenantId(0), Some(wait / 2.0), t0)
+            .shed_if_unmeetable(0, TenantId(0), None, Some(wait / 2.0), t0)
             .expect_err("unmeetable budget must shed at admission");
         match err {
             crate::request::AdmissionError::DeadlineUnmeetable {
@@ -602,8 +600,7 @@ mod tests {
             other => panic!("wrong admission error: {other:?}"),
         }
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1
         );
         assert!(
@@ -617,15 +614,14 @@ mod tests {
 
         // A budget above the estimated wait is feasible and admits.
         shared
-            .shed_if_unmeetable(TenantId(0), Some(wait * 2.0), t0)
+            .shed_if_unmeetable(0, TenantId(0), None, Some(wait * 2.0), t0)
             .expect("feasible budget must admit");
         // Unbudgeted submissions never shed at admission.
         shared
-            .shed_if_unmeetable(TenantId(0), None, t0)
+            .shed_if_unmeetable(0, TenantId(0), None, None, t0)
             .expect("unbudgeted submissions always admit");
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1,
             "only the unmeetable budget shed"
         );
@@ -646,11 +642,10 @@ mod tests {
             .expect("rate and depth both measured");
         // Even a budget far below the wait admits when `enforce` is off.
         shared
-            .shed_if_unmeetable(TenantId(0), Some(wait / 100.0), t0)
+            .shed_if_unmeetable(0, TenantId(0), None, Some(wait / 100.0), t0)
             .expect("measure-only policies never shed");
         assert_eq!(
-            crate::sync::lock_recover(&shared.metrics).deadline_sheds
-                [crate::obs::DEADLINE_STAGE_ADMISSION],
+            shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             0
         );
     }

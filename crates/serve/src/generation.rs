@@ -26,12 +26,9 @@ use vlite_sim::{SimDuration, SimTime};
 
 use crate::config::GenerationConfig;
 use crate::control::Observation;
-use crate::obs::Severity;
 use crate::request::{GenerationTimings, RequestTimings, SearchResponse};
-use crate::server::Shared;
-use crate::trace::{
-    GenSpans, RequestSpanTimes, TraceId, SIG_DEADLINE, SIG_SEARCH, SIG_TTFT, STAGE_GENERATION,
-};
+use crate::server::{RequestOutcome, Shared, ShedCause};
+use crate::trace::{TraceId, STAGE_GENERATION};
 
 /// One request entering the generation stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,21 +357,41 @@ pub(crate) struct GenWork {
 }
 
 impl GenWork {
-    /// The request's whole budget in seconds, when it carries one.
-    fn budget_secs(&self) -> Option<f64> {
-        self.deadline
-            .map(|d| (d - self.enqueued).as_secs_f64().max(1e-12))
+    /// Records the request's outcome — `timings` and the instant `end` it
+    /// left the runtime — then sends the reply (the ticket may have been
+    /// dropped: fire-and-forget submission).
+    fn conclude(
+        self,
+        shared: &Shared,
+        timings: RequestTimings,
+        end: SimTime,
+        shed: Option<ShedCause>,
+    ) {
+        shared.record_outcome(&RequestOutcome {
+            id: self.id,
+            tenant: self.tenant,
+            trace: Some(self.trace),
+            batch_trace: self.batch_trace,
+            enqueued: self.enqueued,
+            end,
+            timings,
+            hit_rate: self.hit_rate,
+            deadline: self.deadline,
+            gen_busy: timings
+                .generation
+                .map(|_| (end - self.merged_at).as_secs_f64()),
+            shed,
+        });
+        let _ = self.reply.send(SearchResponse {
+            id: self.id,
+            tenant: self.tenant,
+            neighbors: self.neighbors,
+            timings,
+            hit_rate: self.hit_rate,
+            generation: self.generation,
+            trace: self.trace,
+        });
     }
-}
-
-/// Why the generation stage refused a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ShedCause {
-    /// KV-aware admission: estimated TTFT past `slo_ttft`.
-    Kv,
-    /// Deadline enforcement: estimated first token past the request's own
-    /// end-to-end deadline.
-    Deadline,
 }
 
 /// In-flight per-request state the worker joins engine events against.
@@ -384,8 +401,8 @@ struct PendingGen {
 }
 
 /// The generation worker thread: drives a [`GenerationStage`] against the
-/// server's clock, records TTFT metrics, streams TTFT-keyed observations
-/// to the control loop, and delivers the final response at the last token.
+/// server's clock, streams TTFT-keyed observations to the control loop,
+/// and concludes each request (outcome + final response) at its last token.
 pub(crate) fn generation_worker(
     shared: &Shared,
     config: &GenerationConfig,
@@ -483,14 +500,14 @@ fn admit(
         if let Some(deadline) = work.deadline {
             let prompt = stage.prompt_tokens(work.neighbors.len());
             if stage.estimate_first_token(prompt, work.merged_at) > deadline {
-                shed(shared, control_tx, work, ShedCause::Deadline);
+                shed(shared, control_tx, work, ShedCause::GenDeadline);
                 return;
             }
         }
     }
     if config.kv_admission {
         if stage.submit_or_shed(req, work.merged_at).is_err() {
-            shed(shared, control_tx, work, ShedCause::Kv);
+            shed(shared, control_tx, work, ShedCause::GenKv);
             return;
         }
     } else {
@@ -519,101 +536,6 @@ fn shed(shared: &Shared, control_tx: &Sender<Observation>, mut work: GenWork, ca
         e2e: work.queue + work.search,
         generation: None,
     };
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.queue_lat.record(timings.queue);
-        metrics.search_lat.record(timings.search);
-        metrics.e2e_lat.record(timings.e2e);
-        metrics.slo.observe(timings.search);
-        // A shed never produces a first token: an infinite TTFT keeps the
-        // attainment denominator honest without a latency sample.
-        metrics.ttft_slo.observe(f64::INFINITY);
-        metrics.gen_sheds += 1;
-        if cause == ShedCause::Deadline {
-            metrics.deadline_sheds[crate::obs::DEADLINE_STAGE_GENERATION] += 1;
-        }
-        if let Some(budget) = work.budget_secs() {
-            metrics.burn_queue.record(timings.queue / budget);
-            metrics.burn_search.record(timings.search / budget);
-            // The retrieval-only reply leaves at the merge instant.
-            if work.merged_at <= work.deadline.expect("budget implies deadline") {
-                metrics.deadline_met += 1;
-            } else {
-                metrics.deadline_missed += 1;
-            }
-        }
-        metrics.hit_sum += work.hit_rate;
-        metrics.completed += 1;
-        let tenant = &mut metrics.tenants[work.tenant.index()];
-        tenant.queue_lat.record(timings.queue);
-        tenant.search_lat.record(timings.search);
-        tenant.e2e_lat.record(timings.e2e);
-        tenant.slo.observe(timings.search);
-        tenant.ttft_slo.observe(f64::INFINITY);
-        tenant.gen_sheds += 1;
-        tenant.hit_sum += work.hit_rate;
-        tenant.completed += 1;
-    }
-    if cause == ShedCause::Deadline {
-        shared
-            .obs
-            .on_deadline_shed(crate::obs::DEADLINE_STAGE_GENERATION);
-    }
-    if let Some(budget) = work.budget_secs() {
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, timings.queue / budget);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_SEARCH, timings.search / budget);
-    }
-    shared.obs.on_request(
-        work.id,
-        work.tenant,
-        work.enqueued.as_nanos(),
-        &timings,
-        timings.search <= shared.slo_search,
-        Some(false),
-        true,
-    );
-    let (kind, why) = match cause {
-        ShedCause::Kv => ("shed", "KV-aware admission"),
-        ShedCause::Deadline => ("deadline-shed", "deadline-aware generation admission"),
-    };
-    shared.obs.journal(
-        work.merged_at.as_nanos(),
-        Severity::Warn,
-        kind,
-        format!(
-            "request {} ({}) shed by {why} after {:.4}s of retrieval",
-            work.id, work.tenant, timings.e2e
-        ),
-    );
-    let end_s = work.merged_at.as_nanos() as f64 / 1e9;
-    shared.trace.record_request(
-        work.trace,
-        work.batch_trace,
-        RequestSpanTimes {
-            enqueued_s: work.enqueued.as_nanos() as f64 / 1e9,
-            search_start_s: end_s - timings.search,
-            search_end_s: end_s,
-            end_s,
-        },
-        None,
-        Some(match cause {
-            ShedCause::Kv => "kv-admission",
-            ShedCause::Deadline => "gen-deadline",
-        }),
-    );
-    shared.watch_slo(
-        SIG_SEARCH,
-        timings.search <= shared.slo_search,
-        work.merged_at,
-    );
-    shared.watch_slo(SIG_TTFT, false, work.merged_at);
-    if let Some(deadline) = work.deadline {
-        shared.watch_slo(SIG_DEADLINE, work.merged_at <= deadline, work.merged_at);
-    }
     // TTFT-keyed control observations treat a shed as the SLO miss it is.
     if let Some(probes) = work.probes.take() {
         let _ = control_tx.send(Observation {
@@ -623,127 +545,25 @@ fn shed(shared: &Shared, control_tx: &Sender<Observation>, mut work: GenWork, ca
             probes,
         });
     }
-    let _ = work.reply.send(SearchResponse {
-        id: work.id,
-        tenant: work.tenant,
-        neighbors: work.neighbors,
-        timings,
-        hit_rate: work.hit_rate,
-        generation: work.generation,
-        trace: work.trace,
-    });
+    let end = work.merged_at;
+    work.conclude(shared, timings, end, Some(cause));
 }
 
-/// Deliver one finished request: record every per-request metric and send
-/// the final response.
+/// Deliver one finished request: record its outcome and send the final
+/// response.
 fn finish(shared: &Shared, entry: PendingGen, at: SimTime) {
     let PendingGen { work, first_token } = entry;
     let (first_at, phases) = first_token.expect("completed without first token");
-    let ttft = (first_at - work.enqueued).as_secs_f64();
-    let gen = GenerationTimings {
-        gen_queue: phases.queued.as_secs_f64(),
-        prefill: phases.prefill.as_secs_f64(),
-        decode: (at - first_at).as_secs_f64(),
-        ttft,
-    };
     let timings = RequestTimings {
         queue: work.queue,
         search: work.search,
         e2e: (at - work.enqueued).as_secs_f64(),
-        generation: Some(gen),
-    };
-
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.queue_lat.record(timings.queue);
-        metrics.search_lat.record(timings.search);
-        metrics.e2e_lat.record(timings.e2e);
-        metrics.slo.observe(timings.search);
-        metrics.ttft_lat.record(gen.ttft);
-        metrics.ttft_slo.observe(gen.ttft);
-        metrics.gen_queue_lat.record(gen.gen_queue);
-        metrics.prefill_lat.record(gen.prefill);
-        metrics.decode_lat.record(gen.decode);
-        if let Some(budget) = work.budget_secs() {
-            metrics.burn_queue.record(timings.queue / budget);
-            metrics.burn_search.record(timings.search / budget);
-            metrics
-                .burn_gen
-                .record((at - work.merged_at).as_secs_f64() / budget);
-            if at <= work.deadline.expect("budget implies deadline") {
-                metrics.deadline_met += 1;
-            } else {
-                metrics.deadline_missed += 1;
-            }
-        }
-        metrics.hit_sum += work.hit_rate;
-        metrics.completed += 1;
-        let tenant = &mut metrics.tenants[work.tenant.index()];
-        tenant.queue_lat.record(timings.queue);
-        tenant.search_lat.record(timings.search);
-        tenant.e2e_lat.record(timings.e2e);
-        tenant.slo.observe(timings.search);
-        tenant.ttft_lat.record(gen.ttft);
-        tenant.ttft_slo.observe(gen.ttft);
-        tenant.hit_sum += work.hit_rate;
-        tenant.completed += 1;
-    }
-
-    if let Some(budget) = work.budget_secs() {
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, timings.queue / budget);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_SEARCH, timings.search / budget);
-        shared.obs.on_budget_burn(
-            crate::obs::BURN_STAGE_GENERATION,
-            (at - work.merged_at).as_secs_f64() / budget,
-        );
-    }
-
-    let ttft_met = shared.generation.as_ref().map(|g| gen.ttft <= g.slo_ttft);
-    shared.obs.on_request(
-        work.id,
-        work.tenant,
-        work.enqueued.as_nanos(),
-        &timings,
-        timings.search <= shared.slo_search,
-        ttft_met,
-        false,
-    );
-
-    let search_end_s = (work.enqueued.as_nanos() as f64 / 1e9) + timings.queue + timings.search;
-    shared.trace.record_request(
-        work.trace,
-        work.batch_trace,
-        RequestSpanTimes {
-            enqueued_s: work.enqueued.as_nanos() as f64 / 1e9,
-            search_start_s: search_end_s - timings.search,
-            search_end_s,
-            end_s: at.as_nanos() as f64 / 1e9,
-        },
-        Some(GenSpans {
-            queue_s: gen.gen_queue,
-            prefill_s: gen.prefill,
-            decode_s: gen.decode,
+        generation: Some(GenerationTimings {
+            gen_queue: phases.queued.as_secs_f64(),
+            prefill: phases.prefill.as_secs_f64(),
+            decode: (at - first_at).as_secs_f64(),
+            ttft: (first_at - work.enqueued).as_secs_f64(),
         }),
-        None,
-    );
-    shared.watch_slo(SIG_SEARCH, timings.search <= shared.slo_search, at);
-    shared.watch_slo(SIG_TTFT, ttft_met.unwrap_or(true), at);
-    if let Some(deadline) = work.deadline {
-        shared.watch_slo(SIG_DEADLINE, at <= deadline, at);
-    }
-
-    // The ticket may have been dropped (fire-and-forget submission).
-    let _ = work.reply.send(SearchResponse {
-        id: work.id,
-        tenant: work.tenant,
-        neighbors: work.neighbors,
-        timings,
-        hit_rate: work.hit_rate,
-        generation: work.generation,
-        trace: work.trace,
-    });
+    };
+    work.conclude(shared, timings, at, None);
 }

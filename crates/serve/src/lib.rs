@@ -63,14 +63,17 @@
 //!   `GET /v1/traces`, `GET /v1/events`, `GET /v1/tenants` and
 //!   `GET /healthz` over `std::net::TcpListener`, thread-per-connection
 //!   with keep-alive.
-//! - [`obs`] — the always-on telemetry plane ([`ObsPlane`]): lock-free
-//!   live counters and stage histograms, per-request trace timelines
-//!   ([`RequestTrace`]), and the bounded unified event journal behind the
-//!   three observability endpoints.
+//! - [`obs`] — the telemetry plane ([`ObsPlane`]), the one store of
+//!   per-request measurements: every request that ends is recorded once,
+//!   lock-free, into counters and stage histograms (global and per
+//!   tenant) that both [`ServeReport`] and the `/v1/metrics` scrape are
+//!   read from; plus per-request trace timelines ([`RequestTrace`]) and
+//!   the bounded unified event journal.
 //! - [`loadgen`] — open-loop Poisson load generation with a rotating-hot-set
 //!   query source for drift experiments, single- and multi-tenant, in
 //!   process or over the HTTP frontend's socket.
-//! - [`ServeReport`] — percentile latencies, SLO attainment, admission and
+//! - [`ServeReport`] — latency summaries (exact count/mean/min/max,
+//!   percentiles at most ≈ 9.05 % high), SLO attainment, admission and
 //!   repartition accounting for benches and figures, with a per-tenant
 //!   breakdown ([`TenantReport`]).
 //!

@@ -77,9 +77,9 @@ pub(crate) fn migrator_worker(shared: &Arc<Shared>, rx: &Receiver<MigrationOrder
     while let Ok(order) = rx.recv() {
         let started = shared.clock.now();
         let timer = shared.trace.stage_start(STAGE_MIGRATE, started);
-        let batches_before = crate::sync::lock_recover(&shared.metrics).batches;
+        let batches_before = shared.obs.batches.get();
         let shift = store.apply_placement(&order.hot);
-        let batches_after = crate::sync::lock_recover(&shared.metrics).batches;
+        let batches_after = shared.obs.batches.get();
         let finished = shared.clock.now();
         shared.trace.stage_end(timer, finished);
         // The migration span lives in its own trace, linked both ways to

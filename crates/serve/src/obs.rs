@@ -1,19 +1,22 @@
-//! The always-on telemetry plane (`vlite-obs`).
+//! The telemetry plane (`vlite-obs`): the runtime's one store of
+//! per-request measurements.
 //!
-//! Every per-request measurement the runtime takes also funnels through
-//! one `Mutex<ServeMetrics>` — exact, but a global lock on the hot path
-//! and only queryable as an end-of-run [`ServeReport`](crate::ServeReport)
-//! snapshot. This module is the *live* counterpart, built from the
-//! lock-free instruments in [`vlite_metrics::obs`]:
+//! Every request that reaches its end is recorded exactly once, by
+//! `Shared::record_outcome`, into the lock-free instruments of
+//! [`vlite_metrics::obs`] held here. Both read paths answer from this one
+//! store — [`ServeReport`](crate::ServeReport) (`GET /v1/report`) and the
+//! Prometheus exposition (`GET /v1/metrics`) — so they cannot disagree,
+//! memory stays flat for any uptime, and neither read blocks serving:
 //!
 //! - [`ObsPlane`] — sharded atomic counters and log-bucketed streaming
-//!   histograms for every pipeline stage, recorded by the dispatcher,
-//!   generation worker and admission path without taking any global lock,
-//!   and readable at any moment (the `GET /v1/metrics` Prometheus
-//!   exposition) while the runtime keeps serving.
+//!   histograms for every pipeline stage (plus a per-tenant slice of the
+//!   retrieval stages and TTFT), recorded by the dispatcher, generation
+//!   worker and admission path without taking any lock. Counts, sums,
+//!   minima and maxima are exact; percentiles are bucket upper bounds
+//!   (at most [`StreamingHistogram::relative_error_bound`] high).
 //! - [`RequestTrace`] — a per-request timeline of stage spans (queue →
 //!   search → gen-queue → prefill → first token → decode) assembled from
-//!   the existing [`RequestTimings`], kept in a bounded ring of recent
+//!   the request's [`RequestTimings`], kept in a bounded ring of recent
 //!   traces plus a separate always-captured slow-trace ring
 //!   ([`ObsConfig::slow_threshold_s`]), served as JSON by `GET /v1/traces`.
 //! - [`ObsEvent`] + a bounded journal — one ordered stream for the
@@ -23,16 +26,16 @@
 //!   the trace and journal stores, also capping the repartition/migration
 //!   histories that previously grew without bound.
 //!
-//! The plane is deliberately *additive*: the exact mutex-guarded metrics
-//! remain the source of truth for [`ServeReport`](crate::ServeReport)
-//! (tests pin its exact values), while the plane answers the same totals
-//! lock-free — and a test asserts the two agree.
+//! [`ObsConfig::enabled`] gates only the parts that cost a ring push: the
+//! waterfall rings and the journal. Counters and histograms always record
+//! — the report is built from them.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use vlite_metrics::obs::{Counter, StreamingHistogram};
+use vlite_metrics::obs::{Counter, Gauge, StreamingHistogram};
 
 use crate::http::json::Json;
 use crate::request::{RequestTimings, TenantId};
@@ -40,9 +43,11 @@ use crate::request::{RequestTimings, TenantId};
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Master switch. Disabled, every hook is an early return (the
-    /// `serve_smoke` obs-on-vs-off comparison measures the difference) and
-    /// the endpoints serve empty/zero data.
+    /// Switch for the per-request captures that cost a ring push: the
+    /// waterfall rings and the event journal (the `serve_smoke`
+    /// obs-on-vs-off comparison measures the difference). Disabled,
+    /// `/v1/traces` and `/v1/events` serve empty bodies; counters and
+    /// histograms record regardless — the report is built from them.
     pub enabled: bool,
     /// Capacity of the recent-trace ring.
     pub recent_traces: usize,
@@ -339,6 +344,16 @@ const STAGES: [&str; 7] = [
     "decode",
 ];
 
+// Indexes into `ObsPlane::stage_hist`, ordered like `STAGES`: the record
+// path indexes by constant instead of searching the names per request.
+const HIST_QUEUE: usize = 0;
+const HIST_SEARCH: usize = 1;
+const HIST_E2E: usize = 2;
+const HIST_TTFT: usize = 3;
+const HIST_GEN_QUEUE: usize = 4;
+const HIST_PREFILL: usize = 5;
+const HIST_DECODE: usize = 6;
+
 /// Index into the deadline-shed counters: shed at admission (rung 1 of
 /// the degradation ladder — the estimated queue wait already exceeds the
 /// whole budget).
@@ -366,21 +381,40 @@ pub const BURN_STAGE_GENERATION: usize = 2;
 /// constants.
 pub const BURN_STAGES: [&str; 3] = ["queue", "search", "generation"];
 
-/// The live telemetry plane: one instance per server, shared by every
-/// runtime thread. All counter/histogram recording is lock-free
-/// ([`vlite_metrics::obs`]); only trace/journal capture takes a (short,
-/// dedicated) ring mutex. Every hook is an early return when the plane is
+/// One tenant's slice of the plane, behind the per-tenant rows of
+/// [`ServeReport`](crate::ServeReport) (not part of the exposition).
+#[derive(Debug, Default)]
+pub(crate) struct TenantSlice {
+    pub completed: Counter,
+    /// Search-stage misses against this tenant's *own* `slo_search`.
+    pub search_slo_breaches: Counter,
+    /// TTFT misses against the global `slo_ttft` (sheds included).
+    pub ttft_slo_breaches: Counter,
+    pub gen_sheds: Counter,
+    /// Sum of served requests' hit rates (mean = sum / completed).
+    pub hit_sum: Gauge,
+    pub queue: StreamingHistogram,
+    pub search: StreamingHistogram,
+    pub e2e: StreamingHistogram,
+    pub ttft: StreamingHistogram,
+}
+
+/// The telemetry plane: one instance per server, shared by every runtime
+/// thread. All counter/histogram recording is lock-free
+/// ([`vlite_metrics::obs`]) and always on; trace/journal capture takes a
+/// (short, dedicated) ring mutex and is skipped when the plane is
 /// disabled.
 #[derive(Debug)]
 pub struct ObsPlane {
     enabled: bool,
     slow_threshold_s: f64,
-    /// Requests admitted into a queue (mirrors `QueueStats::admitted`).
+    /// Requests admitted into a queue (equals `QueueStats::admitted`).
     pub admitted: Counter,
-    /// Requests rejected by a full tenant queue (mirrors
+    /// Requests rejected by a full tenant queue (equals
     /// `QueueStats::rejected`).
     pub rejected: Counter,
-    /// Requests whose lifecycle ended (mirrors `ServeMetrics::completed`).
+    /// Requests whose lifecycle ended with a reply (delivered, or shed by
+    /// generation admission with retrieval results).
     pub completed: Counter,
     /// Requests shed by KV-aware generation admission.
     pub gen_sheds: Counter,
@@ -401,19 +435,30 @@ pub struct ObsPlane {
     /// Requests whose cold-tier (CPU) probes were skipped because only the
     /// fast tier fit the remaining budget (rung 4).
     pub cold_skips: Counter,
+    /// Budgeted replies that left on or before their deadline.
+    pub deadline_met: Counter,
+    /// Budgeted replies that left past their deadline.
+    pub deadline_missed: Counter,
+    /// Largest batch absorbed in one launch.
+    max_batch: AtomicU64,
+    /// Sum of served requests' hit rates (mean = sum / completed).
+    pub(crate) hit_sum: Gauge,
     /// Stage latency histograms, indexed like [`STAGES`].
     stage_hist: [StreamingHistogram; 7],
     /// Budget-burn ratio histograms (stage seconds over budget seconds),
     /// indexed like [`BURN_STAGES`].
     burn_hist: [StreamingHistogram; 3],
+    /// Per-tenant slices, indexed by [`TenantId`].
+    pub(crate) tenants: Vec<TenantSlice>,
     recent: BoundedRing<RequestTrace>,
     slow: BoundedRing<RequestTrace>,
     journal: BoundedRing<ObsEvent>,
 }
 
 impl ObsPlane {
-    /// Builds the plane from its config.
-    pub fn new(config: &ObsConfig) -> Self {
+    /// Builds the plane from its config, with one per-tenant slice for
+    /// each of `n_tenants` tenants.
+    pub fn new(config: &ObsConfig, n_tenants: usize) -> Self {
         Self {
             enabled: config.enabled,
             slow_threshold_s: config.slow_threshold_s,
@@ -428,15 +473,20 @@ impl ObsPlane {
             deadline_sheds: std::array::from_fn(|_| Counter::new()),
             degraded_probes: Counter::new(),
             cold_skips: Counter::new(),
+            deadline_met: Counter::new(),
+            deadline_missed: Counter::new(),
+            max_batch: AtomicU64::new(0),
+            hit_sum: Gauge::new(),
             stage_hist: std::array::from_fn(|_| StreamingHistogram::new()),
             burn_hist: std::array::from_fn(|_| StreamingHistogram::new()),
+            tenants: (0..n_tenants).map(|_| TenantSlice::default()).collect(),
             recent: BoundedRing::new(config.recent_traces),
             slow: BoundedRing::new(config.slow_traces),
             journal: BoundedRing::new(config.journal_capacity),
         }
     }
 
-    /// Whether the plane records anything.
+    /// Whether the waterfall rings and the journal capture anything.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -450,55 +500,41 @@ impl ObsPlane {
             .map(|i| &self.stage_hist[i])
     }
 
-    /// [`ObsPlane::stage`] for the fixed stage names used internally.
-    fn hist(&self, stage: &str) -> &StreamingHistogram {
-        self.stage(stage).expect("known stage name")
+    /// The budget-burn histogram for `stage` (one of [`BURN_STAGES`]).
+    pub fn burn(&self, stage: &str) -> Option<&StreamingHistogram> {
+        BURN_STAGES
+            .iter()
+            .position(|&s| s == stage)
+            .map(|i| &self.burn_hist[i])
     }
 
-    /// One request admitted.
-    pub fn on_admit(&self) {
-        if self.enabled {
-            self.admitted.inc();
-        }
-    }
-
-    /// One request rejected by its tenant's full queue.
-    pub fn on_reject(&self) {
-        if self.enabled {
-            self.rejected.inc();
-        }
+    /// Largest batch absorbed in one launch so far.
+    pub fn max_batch(&self) -> usize {
+        // relaxed: running-maximum stat read for reporting only.
+        self.max_batch.load(Ordering::Relaxed) as usize
     }
 
     /// One batch of `n` requests completed.
     pub fn on_batch(&self, n: usize) {
-        if self.enabled {
-            self.batches.inc();
-            self.batched_requests.add(n as u64);
-        }
-    }
-
-    /// One request shed on deadline grounds at `stage` (a
-    /// `DEADLINE_STAGE_*` index).
-    pub fn on_deadline_shed(&self, stage: usize) {
-        if self.enabled {
-            self.deadline_sheds[stage].inc();
-        }
+        self.batches.inc();
+        self.batched_requests.add(n as u64);
+        // relaxed: single-word running maximum; a lone stat, ordered with
+        // nothing else.
+        self.max_batch.fetch_max(n as u64, Ordering::Relaxed);
     }
 
     /// One budgeted request burned `ratio` of its budget in `stage` (a
     /// `BURN_STAGE_*` index). Ratios above 1.0 mean the stage alone
     /// overran the whole budget.
     pub fn on_budget_burn(&self, stage: usize, ratio: f64) {
-        if self.enabled {
-            self.burn_hist[stage].record(ratio);
-        }
+        self.burn_hist[stage].record(ratio);
     }
 
     /// One request's probe list was shrunk from `full` to `kept` lists to
     /// fit its remaining budget, at `at_ns` on the server's clock.
     pub fn on_degraded_probes(&self, at_ns: u64, id: u64, kept: usize, full: usize) {
+        self.degraded_probes.inc();
         if self.enabled {
-            self.degraded_probes.inc();
             self.journal(
                 at_ns,
                 Severity::Warn,
@@ -508,25 +544,12 @@ impl ObsPlane {
         }
     }
 
-    /// One request's cold-tier probes were skipped because only the fast
-    /// tier fit its remaining budget.
-    pub fn on_cold_skip(&self) {
-        if self.enabled {
-            self.cold_skips.inc();
-        }
-    }
-
-    /// The budget-burn histogram for `stage` (one of [`BURN_STAGES`]).
-    pub fn burn(&self, stage: &str) -> Option<&StreamingHistogram> {
-        BURN_STAGES
-            .iter()
-            .position(|&s| s == stage)
-            .map(|i| &self.burn_hist[i])
-    }
-
-    /// One request's lifecycle ended: record every stage histogram, the
-    /// breach counters, and capture the trace. `ttft_met` is `None` on
-    /// retrieval-only servers, `Some(false)` for sheds.
+    /// One request's lifecycle ended with a reply: record every stage
+    /// histogram (global and the tenant's slice), the completion, breach
+    /// and shed counters, and capture the waterfall. `search_met` is the
+    /// verdict against the global search SLO, `tenant_search_met` against
+    /// the tenant's own; `ttft_met` is `None` on retrieval-only servers,
+    /// `Some(false)` for sheds.
     #[allow(clippy::too_many_arguments)]
     pub fn on_request(
         &self,
@@ -534,41 +557,54 @@ impl ObsPlane {
         tenant: TenantId,
         admitted_ns: u64,
         timings: &RequestTimings,
+        hit_rate: f64,
         search_met: bool,
+        tenant_search_met: bool,
         ttft_met: Option<bool>,
         shed: bool,
     ) {
-        if !self.enabled {
-            return;
-        }
+        let slice = &self.tenants[tenant.index()];
         self.completed.inc();
-        self.hist("queue").record(timings.queue);
-        self.hist("search").record(timings.search);
-        self.hist("e2e").record(timings.e2e);
+        slice.completed.inc();
+        self.hit_sum.add(hit_rate);
+        slice.hit_sum.add(hit_rate);
+        self.stage_hist[HIST_QUEUE].record(timings.queue);
+        slice.queue.record(timings.queue);
+        self.stage_hist[HIST_SEARCH].record(timings.search);
+        slice.search.record(timings.search);
+        self.stage_hist[HIST_E2E].record(timings.e2e);
+        slice.e2e.record(timings.e2e);
         if let Some(gen) = &timings.generation {
-            self.hist("ttft").record(gen.ttft);
-            self.hist("gen_queue").record(gen.gen_queue);
-            self.hist("prefill").record(gen.prefill);
-            self.hist("decode").record(gen.decode);
+            self.stage_hist[HIST_TTFT].record(gen.ttft);
+            slice.ttft.record(gen.ttft);
+            self.stage_hist[HIST_GEN_QUEUE].record(gen.gen_queue);
+            self.stage_hist[HIST_PREFILL].record(gen.prefill);
+            self.stage_hist[HIST_DECODE].record(gen.decode);
         }
         // Breach timestamps are derived (admission + e2e): the hooks run
         // on hot paths and must not take an extra clock read per request.
         let finished_ns = admitted_ns.saturating_add((timings.e2e * 1e9) as u64);
+        if !tenant_search_met {
+            slice.search_slo_breaches.inc();
+        }
         if !search_met {
             self.search_slo_breaches.inc();
-            self.journal(
-                finished_ns,
-                Severity::Warn,
-                "slo_breach",
-                format!(
-                    "request {id} ({tenant}) search stage took {:.4}s",
-                    timings.search
-                ),
-            );
+            if self.enabled {
+                self.journal(
+                    finished_ns,
+                    Severity::Warn,
+                    "slo_breach",
+                    format!(
+                        "request {id} ({tenant}) search stage took {:.4}s",
+                        timings.search
+                    ),
+                );
+            }
         }
         if ttft_met == Some(false) {
             self.ttft_slo_breaches.inc();
-            if let Some(gen) = &timings.generation {
+            slice.ttft_slo_breaches.inc();
+            if let (true, Some(gen)) = (self.enabled, &timings.generation) {
                 self.journal(
                     finished_ns,
                     Severity::Warn,
@@ -579,12 +615,15 @@ impl ObsPlane {
         }
         if shed {
             self.gen_sheds.inc();
+            slice.gen_sheds.inc();
         }
-        let trace = RequestTrace::from_timings(id, tenant, admitted_ns, timings, shed);
-        if shed || timings.e2e >= self.slow_threshold_s {
-            self.slow.push(trace.clone());
+        if self.enabled {
+            let trace = RequestTrace::from_timings(id, tenant, admitted_ns, timings, shed);
+            if shed || timings.e2e >= self.slow_threshold_s {
+                self.slow.push(trace.clone());
+            }
+            self.recent.push(trace);
         }
-        self.recent.push(trace);
     }
 
     /// Appends one event to the unified journal.
@@ -671,6 +710,11 @@ impl ObsPlane {
     /// appends scrape-time gauges (queue depth, placement generation,
     /// store residency, uptime) before serving.
     pub fn prometheus_into(&self, out: &mut String) {
+        // `fmt::Write` for `String` is infallible.
+        let _ = self.write_prometheus(out);
+    }
+
+    fn write_prometheus(&self, out: &mut String) -> std::fmt::Result {
         for (name, help, counter) in [
             (
                 "vlite_admitted_total",
@@ -719,11 +763,12 @@ impl ObsPlane {
             "# HELP vlite_deadline_sheds_total Requests shed on deadline grounds, by pipeline stage\n\
              # TYPE vlite_deadline_sheds_total counter\n",
         );
-        for (i, stage) in DEADLINE_STAGES.iter().enumerate() {
-            out.push_str(&format!(
-                "vlite_deadline_sheds_total{{stage=\"{stage}\"}} {}\n",
-                self.deadline_sheds[i].get()
-            ));
+        for (stage, counter) in DEADLINE_STAGES.iter().zip(&self.deadline_sheds) {
+            writeln!(
+                out,
+                "vlite_deadline_sheds_total{{stage=\"{stage}\"}} {}",
+                counter.get()
+            )?;
         }
         prom_counter(
             out,
@@ -741,68 +786,65 @@ impl ObsPlane {
             "# HELP vlite_budget_burn Per-stage budget-burn ratio distributions (stage seconds / budget seconds)\n\
              # TYPE vlite_budget_burn histogram\n",
         );
-        for (i, stage) in BURN_STAGES.iter().enumerate() {
-            let hist = &self.burn_hist[i];
-            for (bound, cumulative) in hist.cumulative_buckets() {
-                out.push_str(&format!(
-                    "vlite_budget_burn_bucket{{stage=\"{stage}\",le=\"{bound:e}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "vlite_budget_burn_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {}\n",
-                hist.count()
-            ));
-            out.push_str(&format!(
-                "vlite_budget_burn_sum{{stage=\"{stage}\"}} {}\n",
-                hist.sum_seconds()
-            ));
-            out.push_str(&format!(
-                "vlite_budget_burn_count{{stage=\"{stage}\"}} {}\n",
-                hist.count()
-            ));
+        for (stage, hist) in BURN_STAGES.iter().zip(&self.burn_hist) {
+            prom_histogram(out, "vlite_budget_burn", stage, hist)?;
         }
         out.push_str(
             "# HELP vlite_stage_seconds Per-stage latency distributions (log-bucketed)\n\
              # TYPE vlite_stage_seconds histogram\n",
         );
-        for (i, stage) in STAGES.iter().enumerate() {
-            let hist = &self.stage_hist[i];
-            // Only materialized buckets are emitted — with log-spaced
-            // bounds every emitted `le` is still a valid cumulative row,
-            // and ~320 mostly-empty rows per stage would drown the scrape.
-            for (bound, cumulative) in hist.cumulative_buckets() {
-                out.push_str(&format!(
-                    "vlite_stage_seconds_bucket{{stage=\"{stage}\",le=\"{bound:e}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "vlite_stage_seconds_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {}\n",
-                hist.count()
-            ));
-            out.push_str(&format!(
-                "vlite_stage_seconds_sum{{stage=\"{stage}\"}} {}\n",
-                hist.sum_seconds()
-            ));
-            out.push_str(&format!(
-                "vlite_stage_seconds_count{{stage=\"{stage}\"}} {}\n",
-                hist.count()
-            ));
+        for (stage, hist) in STAGES.iter().zip(&self.stage_hist) {
+            prom_histogram(out, "vlite_stage_seconds", stage, hist)?;
         }
+        Ok(())
     }
+}
+
+/// Writes one `stage`-labelled histogram of `family`: bucket rows, then
+/// `_sum` and `_count`. Only materialized buckets are emitted — with
+/// log-spaced bounds every emitted `le` is still a valid cumulative row,
+/// and ~320 mostly-empty rows per stage would drown the scrape.
+fn prom_histogram(
+    out: &mut String,
+    family: &str,
+    stage: &str,
+    hist: &StreamingHistogram,
+) -> std::fmt::Result {
+    for (bound, cumulative) in hist.cumulative_buckets() {
+        writeln!(
+            out,
+            "{family}_bucket{{stage=\"{stage}\",le=\"{bound:e}\"}} {cumulative}"
+        )?;
+    }
+    let count = hist.count();
+    writeln!(
+        out,
+        "{family}_bucket{{stage=\"{stage}\",le=\"+Inf\"}} {count}"
+    )?;
+    writeln!(
+        out,
+        "{family}_sum{{stage=\"{stage}\"}} {}",
+        hist.sum_seconds()
+    )?;
+    writeln!(out, "{family}_count{{stage=\"{stage}\"}} {count}")
 }
 
 /// Writes one counter family in exposition format.
 pub(crate) fn prom_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-    ));
+    // `fmt::Write` for `String` is infallible.
+    let _ = writeln!(
+        out,
+        "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
+    );
 }
 
 /// Writes one gauge family in exposition format.
 pub(crate) fn prom_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"
-    ));
+    // `fmt::Write` for `String` is infallible.
+    let _ = writeln!(
+        out,
+        "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}"
+    );
 }
 
 /// Escapes a label value per the Prometheus text-format spec: backslash,
@@ -898,10 +940,40 @@ mod tests {
             slow_threshold_s: 0.01,
             ..ObsConfig::default()
         };
-        let plane = ObsPlane::new(&config);
-        plane.on_request(0, TenantId(0), 0, &timings(0.003), true, None, false);
-        plane.on_request(1, TenantId(0), 0, &timings(0.5), false, None, false);
-        plane.on_request(2, TenantId(0), 0, &timings(0.004), true, Some(false), true);
+        let plane = ObsPlane::new(&config, 2);
+        plane.on_request(
+            0,
+            TenantId(0),
+            0,
+            &timings(0.003),
+            0.5,
+            true,
+            true,
+            None,
+            false,
+        );
+        plane.on_request(
+            1,
+            TenantId(1),
+            0,
+            &timings(0.5),
+            1.0,
+            false,
+            true,
+            None,
+            false,
+        );
+        plane.on_request(
+            2,
+            TenantId(0),
+            0,
+            &timings(0.004),
+            0.25,
+            true,
+            false,
+            Some(false),
+            true,
+        );
         assert_eq!(plane.recent.len(), 3);
         let slow: Vec<u64> = plane.slow.snapshot().iter().map(|t| t.id).collect();
         assert_eq!(slow, vec![1, 2], "the slow request and the shed");
@@ -909,33 +981,64 @@ mod tests {
         assert_eq!(plane.gen_sheds.get(), 1);
         assert_eq!(plane.search_slo_breaches.get(), 1);
         assert_eq!(plane.ttft_slo_breaches.get(), 1);
+        assert_eq!(plane.hit_sum.get(), 1.75);
+        // Each tenant's slice saw only its own requests, judged against
+        // its own search verdict.
+        let (a, b) = (&plane.tenants[0], &plane.tenants[1]);
+        assert_eq!((a.completed.get(), b.completed.get()), (2, 1));
+        assert_eq!(a.search_slo_breaches.get(), 1, "request 2, tenant verdict");
+        assert_eq!(b.search_slo_breaches.get(), 0, "global-only breach");
+        assert_eq!((a.gen_sheds.get(), a.ttft_slo_breaches.get()), (1, 1));
+        assert_eq!((a.hit_sum.get(), b.hit_sum.get()), (0.75, 1.0));
+        assert_eq!((a.e2e.count(), b.e2e.count()), (2, 1));
     }
 
     #[test]
-    fn disabled_plane_records_nothing() {
+    fn disabled_plane_keeps_aggregates_but_captures_nothing() {
         let config = ObsConfig {
             enabled: false,
             ..ObsConfig::default()
         };
-        let plane = ObsPlane::new(&config);
-        plane.on_admit();
+        let plane = ObsPlane::new(&config, 1);
         plane.on_batch(4);
-        plane.on_request(0, TenantId(0), 0, &timings(9.0), false, None, true);
+        plane.on_request(
+            0,
+            TenantId(0),
+            0,
+            &timings(9.0),
+            0.0,
+            false,
+            false,
+            None,
+            true,
+        );
+        plane.on_degraded_probes(0, 1, 1, 2);
         plane.journal(0, Severity::Warn, "shed", "x".into());
-        assert_eq!(plane.admitted.get(), 0);
-        assert_eq!(plane.completed.get(), 0);
+        assert_eq!(plane.completed.get(), 1);
+        assert_eq!(plane.search_slo_breaches.get(), 1);
+        assert_eq!(plane.degraded_probes.get(), 1);
+        assert_eq!((plane.batches.get(), plane.max_batch()), (1, 4));
         assert!(plane.recent.is_empty() && plane.slow.is_empty());
         assert!(plane.journal.is_empty());
     }
 
     #[test]
     fn exposition_counts_agree_with_the_counters() {
-        let plane = ObsPlane::new(&ObsConfig::default());
-        plane.on_admit();
-        plane.on_admit();
-        plane.on_reject();
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
+        plane.admitted.add(2);
+        plane.rejected.inc();
         plane.on_batch(2);
-        plane.on_request(0, TenantId(0), 0, &timings(0.003), true, None, false);
+        plane.on_request(
+            0,
+            TenantId(0),
+            0,
+            &timings(0.003),
+            1.0,
+            true,
+            true,
+            None,
+            false,
+        );
         let mut text = String::new();
         plane.prometheus_into(&mut text);
         assert!(text.contains("vlite_admitted_total 2\n"));
@@ -950,13 +1053,12 @@ mod tests {
 
     #[test]
     fn deadline_hooks_count_and_expose() {
-        let plane = ObsPlane::new(&ObsConfig::default());
-        plane.on_deadline_shed(DEADLINE_STAGE_ADMISSION);
-        plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
-        plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
-        plane.on_deadline_shed(DEADLINE_STAGE_GENERATION);
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
+        plane.deadline_sheds[DEADLINE_STAGE_ADMISSION].inc();
+        plane.deadline_sheds[DEADLINE_STAGE_QUEUE].add(2);
+        plane.deadline_sheds[DEADLINE_STAGE_GENERATION].inc();
         plane.on_degraded_probes(42, 7, 4, 16);
-        plane.on_cold_skip();
+        plane.cold_skips.inc();
         plane.on_budget_burn(BURN_STAGE_QUEUE, 0.5);
         plane.on_budget_burn(BURN_STAGE_SEARCH, 0.25);
         let mut text = String::new();
@@ -975,25 +1077,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_plane_ignores_deadline_hooks() {
-        let config = ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        };
-        let plane = ObsPlane::new(&config);
-        plane.on_deadline_shed(DEADLINE_STAGE_QUEUE);
-        plane.on_degraded_probes(0, 1, 1, 2);
-        plane.on_cold_skip();
-        plane.on_budget_burn(BURN_STAGE_GENERATION, 1.5);
-        assert_eq!(plane.deadline_sheds[DEADLINE_STAGE_QUEUE].get(), 0);
-        assert_eq!(plane.degraded_probes.get(), 0);
-        assert_eq!(plane.cold_skips.get(), 0);
-        assert_eq!(plane.burn_hist[BURN_STAGE_GENERATION].count(), 0);
-    }
-
-    #[test]
     fn journal_severity_renders_and_filters() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         plane.journal(1, Severity::Info, "repartition", "routine".into());
         plane.journal(2, Severity::Warn, "shed", "degraded".into());
         plane.journal(3, Severity::Critical, "panic", "bad".into());
@@ -1015,7 +1100,7 @@ mod tests {
 
     #[test]
     fn stage_lookup_knows_every_stage() {
-        let plane = ObsPlane::new(&ObsConfig::default());
+        let plane = ObsPlane::new(&ObsConfig::default(), 1);
         for stage in STAGES {
             assert!(plane.stage(stage).is_some());
         }

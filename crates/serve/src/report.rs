@@ -2,6 +2,12 @@
 //! `RunResult`, feeding the same figure harnesses (latency variance, SLO
 //! attainment, dispatcher behaviour), with a per-tenant breakdown for
 //! multi-tenant runs.
+//!
+//! Every latency [`Summary`] here is read from the telemetry plane's
+//! streaming histograms: `count`, `mean`, `min` and `max` are exact (to
+//! the nanosecond), while `p50`/`p90`/`p95`/`p99` are the containing
+//! bucket's upper bound — never below the exact sample at that rank and at
+//! most `StreamingHistogram::relative_error_bound()` (≈ 9.05 %) above it.
 
 use vlite_metrics::{fmt_seconds, Summary, Table};
 use vlite_store::TieredStore;
@@ -10,9 +16,9 @@ use crate::config::TenantSpec;
 use crate::control::RepartitionEvent;
 use crate::http::json::Json;
 use crate::migrate::MigrationEvent;
+use crate::obs::ObsPlane;
 use crate::queue::QueueStats;
 use crate::request::TenantId;
-use crate::server::ServeMetrics;
 use crate::trace::StageProfile;
 
 /// One tenant's slice of a serving run.
@@ -32,7 +38,9 @@ pub struct TenantReport {
     pub completed: u64,
     /// Deepest backlog this tenant's queue reached.
     pub peak_queue_depth: usize,
-    /// Queueing delay (admission → batch launch).
+    /// Queueing delay (admission → batch launch). Like every `Summary`
+    /// below: exact `count`/`mean`/`min`/`max`, percentiles at most
+    /// ≈ 9.05 % high (see the module docs).
     pub queue: Summary,
     /// Search execution (batch launch → merged top-k).
     pub search: Summary,
@@ -141,7 +149,9 @@ pub struct ServeReport {
     pub completed: u64,
     /// Deepest total queue backlog observed (summed over tenants).
     pub peak_queue_depth: usize,
-    /// Queueing delay (admission → batch launch).
+    /// Queueing delay (admission → batch launch). Like every `Summary`
+    /// below: exact `count`/`mean`/`min`/`max`, percentiles at most
+    /// ≈ 9.05 % high (see the module docs).
     pub queue: Summary,
     /// Search execution (batch launch → merged top-k).
     pub search: Summary,
@@ -195,13 +205,16 @@ pub struct ServeReport {
     /// Requests whose cold-tier probes were skipped to fit the remaining
     /// budget.
     pub cold_skips: u64,
-    /// Budgeted requests that finished (or were shed) on or before their
-    /// deadline.
+    /// Budgeted requests whose reply left on or before their deadline.
+    /// Only replies count: a generation shed still delivers its retrieval
+    /// results and is judged at that instant, while admission and queue
+    /// sheds never reply and appear only in `deadline_sheds`.
     pub deadline_met: u64,
-    /// Budgeted requests that finished (or were shed) past their deadline.
+    /// Budgeted requests whose reply left past their deadline (same
+    /// population as `deadline_met`).
     pub deadline_missed: u64,
-    /// `met / (met + missed)` over budgeted requests; `None` when the run
-    /// carried no deadlines.
+    /// `met / (met + missed)` over budgeted replies; `None` when the run
+    /// delivered no budgeted reply.
     pub deadline_attainment: Option<f64>,
     /// Budget-burn ratio (queue seconds / budget seconds) over budgeted
     /// requests.
@@ -216,9 +229,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Builds the report from the telemetry plane (every per-request
+    /// aggregate), the admission queue's counters and the event rings.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
-        metrics: &ServeMetrics,
+        obs: &ObsPlane,
         queue_stats: QueueStats,
         specs: &[TenantSpec],
         repartitions: Vec<RepartitionEvent>,
@@ -229,86 +244,92 @@ impl ServeReport {
         worker_panics: u64,
         profile: Vec<StageProfile>,
     ) -> ServeReport {
-        let mut queue_lat = metrics.queue_lat.clone();
-        let mut search_lat = metrics.search_lat.clone();
-        let mut e2e_lat = metrics.e2e_lat.clone();
-        let completed = metrics.completed;
+        // Writers bump several independent counters per request, so a live
+        // snapshot can catch one mid-update: ratios saturate instead of
+        // under/overflowing, and settle once the writer finishes.
+        let attainment = |completed: u64, breaches: u64| {
+            if completed == 0 {
+                0.0
+            } else {
+                completed.saturating_sub(breaches) as f64 / completed as f64
+            }
+        };
+        let mean = |sum: f64, n: u64| if n == 0 { 0.0 } else { sum / n as f64 };
+        let stage = |name: &str| obs.stage(name).expect("known stage name").summary();
+        let burn = |name: &str| obs.burn(name).expect("known burn stage").summary();
+        // Generation-disabled servers never observe TTFT: attainment 0.0.
+        let ttft_attainment = |completed: u64, breaches: u64| {
+            slo_ttft.map_or(0.0, |_| attainment(completed, breaches))
+        };
+
+        let completed = obs.completed.get();
         let tenants = specs
             .iter()
+            .zip(&obs.tenants)
+            .zip(&queue_stats.tenants)
             .enumerate()
-            .map(|(i, spec)| {
-                let m = &metrics.tenants[i];
-                let q = &queue_stats.tenants[i];
+            .map(|(i, ((spec, m), q))| {
+                let completed = m.completed.get();
                 TenantReport {
                     tenant: TenantId(i as u16),
                     weight: spec.weight,
                     queue_capacity: spec.queue_capacity,
                     admitted: q.admitted,
                     rejected: q.rejected,
-                    completed: m.completed,
+                    completed,
                     peak_queue_depth: q.peak_depth,
-                    queue: m.queue_lat.clone().summary(),
-                    search: m.search_lat.clone().summary(),
-                    e2e: m.e2e_lat.clone().summary(),
+                    queue: m.queue.summary(),
+                    search: m.search.summary(),
+                    e2e: m.e2e.summary(),
                     slo_target: spec.slo_search,
-                    slo_attainment: m.slo.attainment(),
-                    ttft: m.ttft_lat.clone().summary(),
-                    ttft_attainment: m.ttft_slo.attainment(),
-                    gen_sheds: m.gen_sheds,
-                    mean_hit_rate: if m.completed == 0 {
-                        0.0
-                    } else {
-                        m.hit_sum / m.completed as f64
-                    },
+                    slo_attainment: attainment(completed, m.search_slo_breaches.get()),
+                    ttft: m.ttft.summary(),
+                    ttft_attainment: ttft_attainment(completed, m.ttft_slo_breaches.get()),
+                    gen_sheds: m.gen_sheds.get(),
+                    mean_hit_rate: mean(m.hit_sum.get(), completed),
                 }
             })
             .collect();
+        let batches = obs.batches.get();
+        let (deadline_met, deadline_missed) = (obs.deadline_met.get(), obs.deadline_missed.get());
         ServeReport {
             admitted: queue_stats.admitted,
             rejected: queue_stats.rejected,
             completed,
             peak_queue_depth: queue_stats.peak_depth,
-            queue: queue_lat.summary(),
-            search: search_lat.summary(),
-            e2e: e2e_lat.summary(),
+            queue: stage("queue"),
+            search: stage("search"),
+            e2e: stage("e2e"),
             slo_target,
-            slo_attainment: metrics.slo.attainment(),
-            ttft: metrics.ttft_lat.clone().summary(),
-            gen_queue: metrics.gen_queue_lat.clone().summary(),
-            prefill: metrics.prefill_lat.clone().summary(),
-            decode: metrics.decode_lat.clone().summary(),
+            slo_attainment: attainment(completed, obs.search_slo_breaches.get()),
+            ttft: stage("ttft"),
+            gen_queue: stage("gen_queue"),
+            prefill: stage("prefill"),
+            decode: stage("decode"),
             slo_ttft,
-            ttft_attainment: metrics.ttft_slo.attainment(),
-            gen_sheds: metrics.gen_sheds,
-            batches: metrics.batches,
-            mean_batch: if metrics.batches == 0 {
-                0.0
-            } else {
-                metrics.batched_requests as f64 / metrics.batches as f64
-            },
-            max_batch: metrics.max_batch,
-            mean_hit_rate: if completed == 0 {
-                0.0
-            } else {
-                metrics.hit_sum / completed as f64
-            },
+            ttft_attainment: ttft_attainment(completed, obs.ttft_slo_breaches.get()),
+            gen_sheds: obs.gen_sheds.get(),
+            batches,
+            mean_batch: mean(obs.batched_requests.get() as f64, batches),
+            max_batch: obs.max_batch(),
+            mean_hit_rate: mean(obs.hit_sum.get(), completed),
             tenants,
             repartitions,
             store,
             generation,
             worker_panics,
-            deadline_sheds: metrics.deadline_sheds,
-            degraded_probes: metrics.degraded_probes,
-            cold_skips: metrics.cold_skips,
-            deadline_met: metrics.deadline_met,
-            deadline_missed: metrics.deadline_missed,
+            deadline_sheds: std::array::from_fn(|i| obs.deadline_sheds[i].get()),
+            degraded_probes: obs.degraded_probes.get(),
+            cold_skips: obs.cold_skips.get(),
+            deadline_met,
+            deadline_missed,
             deadline_attainment: {
-                let budgeted = metrics.deadline_met + metrics.deadline_missed;
-                (budgeted > 0).then(|| metrics.deadline_met as f64 / budgeted as f64)
+                let budgeted = deadline_met + deadline_missed;
+                (budgeted > 0).then(|| deadline_met as f64 / budgeted as f64)
             },
-            burn_queue: metrics.burn_queue.clone().summary(),
-            burn_search: metrics.burn_search.clone().summary(),
-            burn_gen: metrics.burn_gen.clone().summary(),
+            burn_queue: burn("queue"),
+            burn_search: burn("search"),
+            burn_gen: burn("generation"),
             profile,
         }
     }

@@ -241,12 +241,3 @@ pub(crate) struct Job {
     pub trace: TraceId,
     pub reply: Sender<SearchResponse>,
 }
-
-impl Job {
-    /// The request's total budget in seconds (`deadline - enqueued`), when
-    /// it carries one.
-    pub(crate) fn budget_secs(&self) -> Option<f64> {
-        self.deadline
-            .map(|d| d.duration_since(self.enqueued).as_secs_f64())
-    }
-}

@@ -14,16 +14,16 @@
 //! fills (and sheds from) its own queue while other tenants keep their
 //! weighted share of every batch.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
 use vlite_ann::{merge_sorted, BatchQuery, IvfIndex, Neighbor};
 use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
-use vlite_metrics::{LatencyRecorder, SloTracker};
-use vlite_sim::SimTime;
+use vlite_sim::{SimDuration, SimTime};
 use vlite_store::{StoreError, StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
@@ -37,8 +37,9 @@ use crate::queue::AdmissionQueue;
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
-    AlertLevel, BatchCtx, RequestSpanTimes, TraceId, TracePlane, SIG_DEADLINE, SIG_SEARCH,
-    STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
+    AlertLevel, BatchCtx, GenSpans, RequestSpanTimes, TraceId, TracePlane, SIG_DEADLINE,
+    SIG_SEARCH, SIG_TTFT, STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH,
+    STAGE_SHARD_SCAN,
 };
 
 /// One batch travelling from the batcher to the workers and dispatcher.
@@ -68,121 +69,72 @@ enum DispatchMsg {
     CpuDone { qi: usize, partial: Vec<Neighbor> },
 }
 
-/// One tenant's slice of the dispatcher's measurements.
-#[derive(Debug)]
-pub(crate) struct TenantMetrics {
-    pub queue_lat: LatencyRecorder,
-    pub search_lat: LatencyRecorder,
-    pub e2e_lat: LatencyRecorder,
-    pub slo: SloTracker,
-    /// Admission → first token (empty on retrieval-only servers).
-    pub ttft_lat: LatencyRecorder,
-    /// TTFT against the global `slo_ttft` target.
-    pub ttft_slo: SloTracker,
-    /// Requests shed by KV-aware generation admission (each also counted
-    /// as a TTFT miss in `ttft_slo`).
-    pub gen_sheds: u64,
-    pub hit_sum: f64,
-    pub completed: u64,
+/// Why a request ended without full service — one rung of the deadline
+/// degradation ladder, or KV-aware generation admission.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ShedCause {
+    /// Rung 1: the estimated queue wait (seconds) already exceeded the
+    /// whole budget, so the submission was refused.
+    Admission { estimated_wait: f64 },
+    /// Rung 2: the deadline passed while the request queued.
+    QueueExpired,
+    /// KV-aware generation admission: estimated TTFT past `slo_ttft`.
+    GenKv,
+    /// Rung 5: estimated first token past the request's own deadline.
+    GenDeadline,
 }
 
-impl TenantMetrics {
-    fn new(slo_search: f64, slo_ttft: Option<f64>) -> Self {
-        Self {
-            queue_lat: LatencyRecorder::new(),
-            search_lat: LatencyRecorder::new(),
-            e2e_lat: LatencyRecorder::new(),
-            slo: SloTracker::new(slo_search),
-            ttft_lat: LatencyRecorder::new(),
-            // Disabled generation never observes TTFT; the placeholder
-            // target keeps the tracker inert (attainment 0.0 at count 0).
-            ttft_slo: SloTracker::new(slo_ttft.unwrap_or(f64::MAX)),
-            gen_sheds: 0,
-            hit_sum: 0.0,
-            completed: 0,
+impl ShedCause {
+    /// Generation sheds still deliver the retrieval results, so they count
+    /// as completed replies; admission and queue sheds never reply.
+    fn replies(self) -> bool {
+        matches!(self, ShedCause::GenKv | ShedCause::GenDeadline)
+    }
+
+    /// The `DEADLINE_STAGE_*` counter this shed ticks (KV sheds are not
+    /// deadline sheds).
+    fn deadline_stage(self) -> Option<usize> {
+        match self {
+            ShedCause::Admission { .. } => Some(crate::obs::DEADLINE_STAGE_ADMISSION),
+            ShedCause::QueueExpired => Some(crate::obs::DEADLINE_STAGE_QUEUE),
+            ShedCause::GenKv => None,
+            ShedCause::GenDeadline => Some(crate::obs::DEADLINE_STAGE_GENERATION),
+        }
+    }
+
+    /// The `shed:{reason}` marker name in the request's span tree.
+    fn span_reason(self) -> &'static str {
+        match self {
+            ShedCause::Admission { .. } => "admission",
+            ShedCause::QueueExpired => "queue-expired",
+            ShedCause::GenKv => "kv-admission",
+            ShedCause::GenDeadline => "gen-deadline",
         }
     }
 }
 
-/// Aggregate measurements owned by the dispatcher (and, for co-scheduled
-/// servers, the generation worker), snapshotted by [`RagServer::report`].
+/// Everything the runtime knows about one request at the instant its
+/// lifecycle ends. The five terminal sites build one and hand it to
+/// [`Shared::record_outcome`]; nothing else records per-request telemetry.
 #[derive(Debug)]
-pub(crate) struct ServeMetrics {
-    pub queue_lat: LatencyRecorder,
-    pub search_lat: LatencyRecorder,
-    pub e2e_lat: LatencyRecorder,
-    pub slo: SloTracker,
-    /// Admission → first token (empty on retrieval-only servers).
-    pub ttft_lat: LatencyRecorder,
-    /// TTFT against `slo_ttft`.
-    pub ttft_slo: SloTracker,
-    /// Generation-stage phase recorders (empty on retrieval-only servers).
-    pub gen_queue_lat: LatencyRecorder,
-    pub prefill_lat: LatencyRecorder,
-    pub decode_lat: LatencyRecorder,
-    /// Requests shed by KV-aware generation admission.
-    pub gen_sheds: u64,
-    /// Requests shed on deadline grounds, by stage:
-    /// `[admission, queue-expiry, generation]` (see
-    /// [`crate::obs::DEADLINE_STAGES`]).
-    pub deadline_sheds: [u64; 3],
-    /// Requests that probed a truncated (budget-scaled) prefix of their
-    /// probe list.
-    pub degraded_probes: u64,
-    /// Requests whose cold-tier (CPU) probes were skipped because only the
-    /// fast tier fit the remaining budget.
-    pub cold_skips: u64,
-    /// Completed budgeted responses that landed within their deadline.
-    pub deadline_met: u64,
-    /// Completed budgeted responses that landed past their deadline.
-    pub deadline_missed: u64,
-    /// Per-stage budget burn of budgeted requests, as fractions of the
-    /// request's whole budget (`stage_seconds / budget_seconds`).
-    pub burn_queue: LatencyRecorder,
-    pub burn_search: LatencyRecorder,
-    pub burn_gen: LatencyRecorder,
-    pub hit_sum: f64,
-    pub completed: u64,
-    pub batches: u64,
-    pub batched_requests: u64,
-    pub max_batch: usize,
-    /// Per-tenant slices, indexed by [`TenantId`]. Each tenant's SLO
-    /// tracker runs against that tenant's own `slo_search` target.
-    pub tenants: Vec<TenantMetrics>,
-}
-
-impl ServeMetrics {
-    pub(crate) fn new(slo_search: f64, slo_ttft: Option<f64>, tenants: &[TenantSpec]) -> Self {
-        Self {
-            queue_lat: LatencyRecorder::new(),
-            search_lat: LatencyRecorder::new(),
-            e2e_lat: LatencyRecorder::new(),
-            slo: SloTracker::new(slo_search),
-            ttft_lat: LatencyRecorder::new(),
-            ttft_slo: SloTracker::new(slo_ttft.unwrap_or(f64::MAX)),
-            gen_queue_lat: LatencyRecorder::new(),
-            prefill_lat: LatencyRecorder::new(),
-            decode_lat: LatencyRecorder::new(),
-            gen_sheds: 0,
-            deadline_sheds: [0; 3],
-            degraded_probes: 0,
-            cold_skips: 0,
-            deadline_met: 0,
-            deadline_missed: 0,
-            burn_queue: LatencyRecorder::new(),
-            burn_search: LatencyRecorder::new(),
-            burn_gen: LatencyRecorder::new(),
-            hit_sum: 0.0,
-            completed: 0,
-            batches: 0,
-            batched_requests: 0,
-            max_batch: 0,
-            tenants: tenants
-                .iter()
-                .map(|spec| TenantMetrics::new(spec.slo_search, slo_ttft))
-                .collect(),
-        }
-    }
+pub(crate) struct RequestOutcome {
+    pub id: u64,
+    pub tenant: TenantId,
+    /// `None` only for an admission shed whose caller sent no trace id
+    /// (nothing derives one for a request that never became a job).
+    pub trace: Option<TraceId>,
+    /// The batch trace the request's search rode, when it reached a batch.
+    pub batch_trace: Option<u128>,
+    pub enqueued: SimTime,
+    /// The instant the reply (or the shed) left the runtime.
+    pub end: SimTime,
+    pub timings: RequestTimings,
+    pub hit_rate: f64,
+    pub deadline: Option<SimTime>,
+    /// Seconds spent in the generation stage (merge → last token), for
+    /// requests that ran it.
+    pub gen_busy: Option<f64>,
+    pub shed: Option<ShedCause>,
 }
 
 /// The installed placement: router plus its generation, swapped together
@@ -198,7 +150,6 @@ pub(crate) struct Shared {
     pub(crate) index: IvfIndex,
     pub(crate) placement: RwLock<PlacementState>,
     pub(crate) queue: AdmissionQueue,
-    pub(crate) metrics: Mutex<ServeMetrics>,
     /// Worker scans that panicked and were degraded to empty partials
     /// (availability over exactness; surfaced in the report).
     pub(crate) worker_panics: AtomicU64,
@@ -210,8 +161,8 @@ pub(crate) struct Shared {
     /// Tier migrations applied by the migrator, in order, same cap
     /// discipline as `repartitions`.
     pub(crate) migrations: BoundedRing<MigrationEvent>,
-    /// The always-on telemetry plane (lock-free counters/histograms,
-    /// trace rings, event journal).
+    /// The telemetry plane: every per-request aggregate (lock-free
+    /// counters/histograms), the trace rings and the event journal.
     pub(crate) obs: Arc<ObsPlane>,
     /// Causal tracing, per-stage CPU profiling and the SLO burn-rate
     /// watchdog (cheap no-ops when disabled by config).
@@ -220,11 +171,6 @@ pub(crate) struct Shared {
     /// keeps the pre-store behaviour (in-index lists, routing-only
     /// placement) — disabled by config or non-flat list storage.
     pub(crate) store: Option<Arc<TieredStore>>,
-    /// Whether shard/CPU workers hand whole batches to the store's
-    /// blocked (cluster-major) scan path instead of scanning
-    /// query-at-a-time (`!StoreConfig::unblocked`; no effect without a
-    /// store).
-    pub(crate) blocked_scans: bool,
     pub(crate) nprobe: usize,
     pub(crate) top_k: usize,
     pub(crate) n_shards: usize,
@@ -243,12 +189,14 @@ impl Shared {
     /// Admission feasibility (rung 1 of the degradation ladder): when the
     /// estimated queue wait alone already exceeds the whole budget,
     /// queueing the request would only burn a batch slot on a guaranteed
-    /// miss — shed it now so the client can retry elsewhere. Full
-    /// accounting (shed counter, obs hook, journal) happens here; callers
+    /// miss — shed it now so the client can retry elsewhere. The shed is
+    /// fully accounted here (through [`Shared::record_outcome`]); callers
     /// just propagate the error. Measure-only policies never shed.
     pub fn shed_if_unmeetable(
         &self,
+        id: u64,
         tenant: TenantId,
+        trace: Option<TraceId>,
         budget: Option<f64>,
         now: SimTime,
     ) -> Result<(), AdmissionError> {
@@ -261,22 +209,26 @@ impl Shared {
         if wait <= budget {
             return Ok(());
         }
-        crate::sync::lock_recover(&self.metrics).deadline_sheds
-            [crate::obs::DEADLINE_STAGE_ADMISSION] += 1;
-        self.obs
-            .on_deadline_shed(crate::obs::DEADLINE_STAGE_ADMISSION);
-        self.obs.journal(
-            now.as_nanos(),
-            Severity::Warn,
-            "deadline-shed",
-            format!(
-                "{tenant} submission shed at admission: budget {:.1} ms < \
-                 estimated queue wait {:.1} ms",
-                budget * 1e3,
-                wait * 1e3
-            ),
-        );
-        self.watch_slo(SIG_DEADLINE, false, now);
+        self.record_outcome(&RequestOutcome {
+            id,
+            tenant,
+            trace,
+            batch_trace: None,
+            enqueued: now,
+            end: now,
+            timings: RequestTimings {
+                queue: 0.0,
+                search: 0.0,
+                e2e: 0.0,
+                generation: None,
+            },
+            hit_rate: 0.0,
+            deadline: Some(now + SimDuration::from_secs_f64(budget.max(0.0))),
+            gen_busy: None,
+            shed: Some(ShedCause::Admission {
+                estimated_wait: wait,
+            }),
+        });
         Err(AdmissionError::DeadlineUnmeetable {
             tenant,
             budget,
@@ -284,10 +236,134 @@ impl Shared {
         })
     }
 
+    /// Records one request that has reached its end — the *only* code that
+    /// touches per-request aggregates, budget burn, the shed/SLO-breach
+    /// journal, the waterfall rings, the span tree and the burn-rate
+    /// watchdog. Callers record before sending the reply, so a
+    /// `ticket.wait()` followed by `report()` always sees the request.
+    pub(crate) fn record_outcome(&self, o: &RequestOutcome) {
+        let obs = &self.obs;
+        let t = &o.timings;
+        let replied = o.shed.is_none_or(ShedCause::replies);
+        let budget = o
+            .deadline
+            .map(|d| d.duration_since(o.enqueued).as_secs_f64().max(1e-12));
+        // A request shed without a reply missed its deadline by definition,
+        // whatever the instant of the shed.
+        let on_time = o.deadline.map(|d| replied && o.end <= d);
+
+        if let Some(stage) = o.shed.and_then(ShedCause::deadline_stage) {
+            obs.deadline_sheds[stage].inc();
+        }
+        // An admission shed never queued: it has no burn to record.
+        let queued = !matches!(o.shed, Some(ShedCause::Admission { .. }));
+        if let Some(budget) = budget.filter(|_| queued) {
+            obs.on_budget_burn(crate::obs::BURN_STAGE_QUEUE, t.queue / budget);
+            if replied {
+                obs.on_budget_burn(crate::obs::BURN_STAGE_SEARCH, t.search / budget);
+            }
+            if let Some(busy) = o.gen_busy {
+                obs.on_budget_burn(crate::obs::BURN_STAGE_GENERATION, busy / budget);
+            }
+        }
+
+        if replied {
+            let search_met = t.search <= self.slo_search;
+            // Sheds never produce a first token: they count as TTFT misses.
+            let ttft_met = self
+                .generation
+                .as_ref()
+                .map(|g| t.generation.is_some_and(|gen| gen.ttft <= g.slo_ttft));
+            match on_time {
+                Some(true) => obs.deadline_met.inc(),
+                Some(false) => obs.deadline_missed.inc(),
+                None => {}
+            }
+            obs.on_request(
+                o.id,
+                o.tenant,
+                o.enqueued.as_nanos(),
+                t,
+                o.hit_rate,
+                search_met,
+                t.search <= self.tenants[o.tenant.index()].slo_search,
+                ttft_met,
+                o.shed.is_some(),
+            );
+            self.watch_slo(SIG_SEARCH, search_met, o.end);
+            if let Some(ttft_met) = ttft_met {
+                self.watch_slo(SIG_TTFT, ttft_met, o.end);
+            }
+        }
+
+        // Skipped with the journal off: a shed flood should not pay for
+        // formatting lines nobody keeps.
+        if let Some(cause) = o.shed.filter(|_| obs.enabled()) {
+            let budget_ms = budget.unwrap_or(0.0) * 1e3;
+            let gen_shed = |why: &str| {
+                format!(
+                    "request {} ({}) shed by {why} after {:.4}s of retrieval",
+                    o.id, o.tenant, t.e2e
+                )
+            };
+            let (kind, detail) = match cause {
+                ShedCause::Admission { estimated_wait } => (
+                    "deadline-shed",
+                    format!(
+                        "{} submission shed at admission: budget {budget_ms:.1} ms < \
+                         estimated queue wait {:.1} ms",
+                        o.tenant,
+                        estimated_wait * 1e3
+                    ),
+                ),
+                ShedCause::QueueExpired => (
+                    "deadline-shed",
+                    format!(
+                        "request {} ({}) expired in queue: {:.1} ms queued of a \
+                         {budget_ms:.1} ms budget",
+                        o.id,
+                        o.tenant,
+                        t.queue * 1e3
+                    ),
+                ),
+                ShedCause::GenKv => ("shed", gen_shed("KV-aware admission")),
+                ShedCause::GenDeadline => (
+                    "deadline-shed",
+                    gen_shed("deadline-aware generation admission"),
+                ),
+            };
+            obs.journal(o.end.as_nanos(), Severity::Warn, kind, detail);
+        }
+
+        if let Some(trace) = o.trace {
+            let search_start = o.enqueued + SimDuration::from_secs_f64(t.queue);
+            let search_end = search_start + SimDuration::from_secs_f64(t.search);
+            self.trace.record_request(
+                trace,
+                o.batch_trace,
+                RequestSpanTimes {
+                    enqueued_s: o.enqueued.as_secs_f64(),
+                    search_start_s: search_start.as_secs_f64(),
+                    search_end_s: search_end.as_secs_f64(),
+                    end_s: o.end.as_secs_f64(),
+                },
+                t.generation.map(|gen| GenSpans {
+                    queue_s: gen.gen_queue,
+                    prefill_s: gen.prefill,
+                    decode_s: gen.decode,
+                }),
+                o.shed.map(ShedCause::span_reason),
+            );
+        }
+        if let Some(on_time) = on_time {
+            self.watch_slo(SIG_DEADLINE, on_time, o.end);
+        }
+    }
+
     /// Feeds one SLO attainment observation into the burn-rate watchdog,
     /// journaling any alert-level transition with the matching severity so
     /// `/v1/events` carries the escalation/recovery timeline.
-    pub(crate) fn watch_slo(&self, signal: usize, ok: bool, now: SimTime) {
+    fn watch_slo(&self, signal: usize, ok: bool, now: SimTime) {
         if let Some(tr) = self.trace.observe_slo(signal, ok, now) {
             let severity = match tr.to {
                 AlertLevel::Critical => Severity::Critical,
@@ -480,7 +556,6 @@ impl RagServer {
             config.control.slo_signal == SloSignal::Search || config.generation.is_some(),
             "TTFT-keyed control observations require a generation stage"
         );
-        let slo_ttft = config.generation.as_ref().map(|g| g.slo_ttft);
         // Expected mean hit rate, measured with the *same statistic* the
         // dispatcher will observe (per-query GPU-probe fraction over the
         // calibration probe sets) — the estimator's modeled mean is
@@ -500,19 +575,13 @@ impl RagServer {
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
-            metrics: Mutex::new(ServeMetrics::new(
-                config.real.slo_search,
-                slo_ttft,
-                &tenants,
-            )),
             worker_panics: AtomicU64::new(0),
+            obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
             tenants,
             repartitions: BoundedRing::new(config.obs.repartition_capacity),
             migrations: BoundedRing::new(config.obs.migration_capacity),
-            obs: Arc::new(ObsPlane::new(&config.obs)),
             trace,
             store,
-            blocked_scans: !config.store.unblocked,
             nprobe: config.real.nprobe,
             top_k: config.real.top_k,
             n_shards,
@@ -792,11 +861,12 @@ impl RagServer {
         let budget = deadline
             .map(|d| d.as_secs_f64())
             .or(self.shared.deadline.default_deadline);
-        let abs_deadline = budget.map(|b| now + vlite_sim::SimDuration::from_secs_f64(b.max(0.0)));
-        self.shared.shed_if_unmeetable(tenant, budget, now)?;
+        let abs_deadline = budget.map(|b| now + SimDuration::from_secs_f64(b.max(0.0)));
         // relaxed: a fresh-id counter — uniqueness needs atomicity only,
         // no ordering with any other memory.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.shared
+            .shed_if_unmeetable(id, tenant, trace, budget, now)?;
         let trace = trace.unwrap_or_else(|| self.shared.trace.derive_trace_id(id));
         // vlite-allow(bounded-queues): a per-request reply channel carries
         // exactly one response before it is dropped.
@@ -812,7 +882,7 @@ impl RagServer {
         };
         match self.shared.queue.try_push(job) {
             Ok(()) => {
-                self.shared.obs.on_admit();
+                self.shared.obs.admitted.inc();
                 Ok(Ticket {
                     id,
                     tenant,
@@ -829,7 +899,7 @@ impl RagServer {
                 // Mirrors QueueStats exactly: only a QueueFull rejection
                 // counts (closed-queue and unknown-tenant refusals don't),
                 // so /v1/metrics totals equal the report's.
-                self.shared.obs.on_reject();
+                self.shared.obs.rejected.inc();
                 Err(AdmissionError::QueueFull {
                     tenant,
                     capacity: self.shared.tenants[tenant.index()].queue_capacity,
@@ -899,9 +969,9 @@ impl RagServer {
         self.shared.store.as_ref()
     }
 
-    /// The live telemetry plane: lock-free counters/histograms, trace
-    /// rings and the event journal, readable at any moment without
-    /// touching the exact (mutex-guarded) report metrics.
+    /// The telemetry plane: the lock-free counters/histograms the report
+    /// and the scrape are both built from, the trace rings and the event
+    /// journal, readable at any moment without blocking serving.
     pub fn obs(&self) -> &ObsPlane {
         &self.shared.obs
     }
@@ -969,179 +1039,181 @@ impl RagServer {
     /// the telemetry plane's counters and stage histograms plus
     /// scrape-time gauges (queue depth, placement generation, ring
     /// occupancy, store residency). Every value is read lock-free or
-    /// under a short dedicated lock — never the global metrics mutex.
+    /// under a short dedicated lock, so a scrape never stalls serving.
     pub fn prometheus_text(&self) -> String {
         let mut out = String::with_capacity(8 * 1024);
-        out.push_str(&format!(
+        // `fmt::Write` for `String` is infallible.
+        let _ = self.write_prometheus(&mut out);
+        out
+    }
+
+    fn write_prometheus(&self, out: &mut String) -> std::fmt::Result {
+        let shared = &self.shared;
+        writeln!(
+            out,
             "# HELP vlite_build_info Build metadata of the serving crate (value is always 1)\n\
              # TYPE vlite_build_info gauge\n\
-             vlite_build_info{{version=\"{}\"}} 1\n",
+             vlite_build_info{{version=\"{}\"}} 1",
             prom_label_escape(env!("CARGO_PKG_VERSION"))
-        ));
-        self.shared.obs.prometheus_into(&mut out);
+        )?;
+        shared.obs.prometheus_into(out);
         prom_gauge(
-            &mut out,
+            out,
             "vlite_traces_held",
             "Distinct span traces currently retained by the trace plane",
-            self.shared.trace.traces_held() as f64,
+            shared.trace.traces_held() as f64,
         );
         prom_counter(
-            &mut out,
+            out,
             "vlite_trace_evictions_total",
             "Whole traces evicted from the bounded trace store",
-            self.shared.trace.traces_evicted(),
+            shared.trace.traces_evicted(),
         );
         prom_counter(
-            &mut out,
+            out,
             "vlite_worker_panics_total",
             "Worker scans that panicked and were degraded to empty partials",
-            // relaxed: monotonic stat counter read for reporting only.
-            self.shared.worker_panics.load(Ordering::Relaxed),
+            self.worker_panics(),
         );
         // Lifetime totals = retained ring entries + evictions.
         prom_counter(
-            &mut out,
+            out,
             "vlite_repartitions_total",
             "Online repartitions performed by the control loop",
-            self.shared.repartitions.len() as u64 + self.shared.repartitions.evicted(),
+            shared.repartitions.len() as u64 + shared.repartitions.evicted(),
         );
         prom_counter(
-            &mut out,
+            out,
             "vlite_migrations_total",
             "Tier migrations applied by the background migrator",
-            self.shared.migrations.len() as u64 + self.shared.migrations.evicted(),
+            shared.migrations.len() as u64 + shared.migrations.evicted(),
         );
         prom_gauge(
-            &mut out,
+            out,
             "vlite_queue_depth",
             "Requests waiting for a batch, summed over tenants",
             self.queue_depth() as f64,
         );
         prom_gauge(
-            &mut out,
+            out,
             "vlite_placement_generation",
             "Current placement generation (0 until the first repartition)",
             self.placement_generation() as f64,
         );
+        let rings = shared.obs.ring_stats();
         out.push_str(
             "# HELP vlite_obs_ring_items Entries currently retained per bounded ring\n\
              # TYPE vlite_obs_ring_items gauge\n",
         );
-        for (ring, len, _) in self.shared.obs.ring_stats() {
-            out.push_str(&format!("vlite_obs_ring_items{{ring=\"{ring}\"}} {len}\n"));
+        for (ring, len, _) in rings {
+            writeln!(out, "vlite_obs_ring_items{{ring=\"{ring}\"}} {len}")?;
         }
         out.push_str(
             "# HELP vlite_obs_ring_evictions_total Entries evicted per bounded ring\n\
              # TYPE vlite_obs_ring_evictions_total counter\n",
         );
-        for (ring, _, evicted) in self.shared.obs.ring_stats() {
-            out.push_str(&format!(
-                "vlite_obs_ring_evictions_total{{ring=\"{ring}\"}} {evicted}\n"
-            ));
+        for (ring, _, evicted) in rings {
+            writeln!(
+                out,
+                "vlite_obs_ring_evictions_total{{ring=\"{ring}\"}} {evicted}"
+            )?;
         }
-        if let Some(store) = &self.shared.store {
+        if let Some(store) = &shared.store {
             let residency = store.residency();
             let stats = store.stats();
-            prom_gauge(
-                &mut out,
-                "vlite_store_fast_clusters",
-                "Clusters resident in the fast tier",
-                residency.hot_clusters as f64,
-            );
-            prom_gauge(
-                &mut out,
-                "vlite_store_total_clusters",
-                "Total clusters in the tiered store",
-                residency.total_clusters as f64,
-            );
-            prom_gauge(
-                &mut out,
-                "vlite_store_fast_bytes",
-                "Bytes resident in fast-tier arenas",
-                residency.hot_bytes as f64,
-            );
-            prom_gauge(
-                &mut out,
-                "vlite_store_cold_bytes",
-                "Bytes covered by the slow tier's mmap'd SQ8 extents",
-                residency.cold_bytes as f64,
-            );
-            prom_gauge(
-                &mut out,
-                "vlite_store_fast_residency",
-                "Fast-tier share of total stored bytes",
-                residency.byte_fraction(),
-            );
-            prom_gauge(
-                &mut out,
-                "vlite_store_generation",
-                "Store generation (bumped by every applied migration)",
-                store.generation() as f64,
-            );
-            prom_counter(
-                &mut out,
-                "vlite_store_hot_probes_total",
-                "Probes scanned against fast-tier clusters",
-                stats.hot_probes,
-            );
-            prom_counter(
-                &mut out,
-                "vlite_store_cold_probes_total",
-                "Probes scanned against slow-tier clusters",
-                stats.cold_probes,
-            );
-            prom_counter(
-                &mut out,
-                "vlite_store_bytes_promoted_total",
-                "Bytes materialized into resident arenas by promotions",
-                stats.bytes_promoted,
-            );
-            prom_counter(
-                &mut out,
-                "vlite_store_bytes_demoted_total",
-                "Resident bytes released back to the cold tier by demotions",
-                stats.bytes_demoted,
-            );
-            prom_counter(
-                &mut out,
-                "vlite_store_blocked_scans_total",
-                "Blocked (cluster-major) passes scoring >= 2 batched queries in one sweep",
-                stats.blocked_scans,
-            );
+            for (name, help, value) in [
+                (
+                    "vlite_store_fast_clusters",
+                    "Clusters resident in the fast tier",
+                    residency.hot_clusters as f64,
+                ),
+                (
+                    "vlite_store_total_clusters",
+                    "Total clusters in the tiered store",
+                    residency.total_clusters as f64,
+                ),
+                (
+                    "vlite_store_fast_bytes",
+                    "Bytes resident in fast-tier arenas",
+                    residency.hot_bytes as f64,
+                ),
+                (
+                    "vlite_store_cold_bytes",
+                    "Bytes covered by the slow tier's mmap'd SQ8 extents",
+                    residency.cold_bytes as f64,
+                ),
+                (
+                    "vlite_store_fast_residency",
+                    "Fast-tier share of total stored bytes",
+                    residency.byte_fraction(),
+                ),
+                (
+                    "vlite_store_generation",
+                    "Store generation (bumped by every applied migration)",
+                    store.generation() as f64,
+                ),
+            ] {
+                prom_gauge(out, name, help, value);
+            }
+            for (name, help, value) in [
+                (
+                    "vlite_store_hot_probes_total",
+                    "Probes scanned against fast-tier clusters",
+                    stats.hot_probes,
+                ),
+                (
+                    "vlite_store_cold_probes_total",
+                    "Probes scanned against slow-tier clusters",
+                    stats.cold_probes,
+                ),
+                (
+                    "vlite_store_bytes_promoted_total",
+                    "Bytes materialized into resident arenas by promotions",
+                    stats.bytes_promoted,
+                ),
+                (
+                    "vlite_store_bytes_demoted_total",
+                    "Resident bytes released back to the cold tier by demotions",
+                    stats.bytes_demoted,
+                ),
+                (
+                    "vlite_store_blocked_scans_total",
+                    "Blocked (cluster-major) passes scoring >= 2 batched queries in one sweep",
+                    stats.blocked_scans,
+                ),
+            ] {
+                prom_counter(out, name, help, value);
+            }
         }
-        out.push_str(&format!(
+        writeln!(
+            out,
             "# HELP vlite_kernel_active Distance-kernel implementation dispatch selects \
              (1 for the active kernel)\n\
              # TYPE vlite_kernel_active gauge\n\
-             vlite_kernel_active{{kernel=\"{}\"}} 1\n",
+             vlite_kernel_active{{kernel=\"{}\"}} 1",
             vlite_ann::kernel::active().name()
-        ));
-        out
+        )
     }
 
-    /// Snapshot of the runtime's measurements so far.
+    /// Snapshot of the runtime's measurements so far, assembled from the
+    /// telemetry plane in O(buckets) without blocking any serving thread.
     pub fn report(&self) -> ServeReport {
-        let metrics = crate::sync::lock_recover(&self.shared.metrics);
-        let queue_stats = self.shared.queue.stats();
-        let repartitions = self.shared.repartitions.snapshot();
-        let store = self
-            .shared
-            .store
-            .as_ref()
-            .map(|store| StoreReport::capture(store, self.shared.migrations.snapshot()));
+        let shared = &self.shared;
         ServeReport::assemble(
-            &metrics,
-            queue_stats,
-            &self.shared.tenants,
-            repartitions,
-            store,
-            self.shared.slo_search,
-            self.shared.generation.as_ref().map(|g| g.slo_ttft),
-            self.shared.placement_snapshot().1,
-            // relaxed: monotonic stat counter read for reporting only.
-            self.shared.worker_panics.load(Ordering::Relaxed),
-            if self.shared.trace.enabled() {
-                self.shared.trace.profile()
+            &shared.obs,
+            shared.queue.stats(),
+            &shared.tenants,
+            shared.repartitions.snapshot(),
+            shared
+                .store
+                .as_ref()
+                .map(|store| StoreReport::capture(store, shared.migrations.snapshot())),
+            shared.slo_search,
+            shared.generation.as_ref().map(|g| g.slo_ttft),
+            shared.placement_snapshot().1,
+            self.worker_panics(),
+            if shared.trace.enabled() {
+                shared.trace.profile()
             } else {
                 Vec::new()
             },
@@ -1229,8 +1301,6 @@ fn batcher(
             shared.trace.stage_end(stage, shared.clock.now());
             continue;
         }
-        let mut degraded = 0u64;
-        let mut cold_skips = 0u64;
         let routed: Vec<RoutedQuery> = jobs
             .iter()
             .map(|job| {
@@ -1248,7 +1318,6 @@ fn batcher(
                     .collect();
                 let mut routed = router.route(&probes);
                 if nprobe < shared.nprobe {
-                    degraded += 1;
                     shared.obs.on_degraded_probes(
                         started.as_nanos(),
                         job.id,
@@ -1258,17 +1327,11 @@ fn batcher(
                 }
                 if fast_only && !routed.cpu_probes.is_empty() {
                     routed.cpu_probes.clear();
-                    cold_skips += 1;
-                    shared.obs.on_cold_skip();
+                    shared.obs.cold_skips.inc();
                 }
                 routed
             })
             .collect();
-        if degraded + cold_skips > 0 {
-            let mut metrics = crate::sync::lock_recover(&shared.metrics);
-            metrics.degraded_probes += degraded;
-            metrics.cold_skips += cold_skips;
-        }
         let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
         let batch = Arc::new(BatchWork {
             jobs,
@@ -1301,50 +1364,29 @@ fn batcher(
     }
 }
 
-/// Sheds one queue-expired job at batch formation: full accounting
-/// (deadline-shed counter, queue-stage budget burn, journal), then the job
-/// is dropped — its reply sender goes with it, so the ticket's waiter sees
-/// a disconnect instead of hanging.
+/// Sheds one queue-expired job at batch formation: the outcome is fully
+/// accounted, then the job is dropped — its reply sender goes with it, so
+/// the ticket's waiter sees a disconnect instead of hanging.
 fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
     let queue = (now - job.enqueued).as_secs_f64();
-    let burn = job.budget_secs().map_or(0.0, |b| queue / b.max(1e-12));
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.deadline_sheds[crate::obs::DEADLINE_STAGE_QUEUE] += 1;
-        metrics.burn_queue.record(burn);
-    }
-    shared
-        .obs
-        .on_deadline_shed(crate::obs::DEADLINE_STAGE_QUEUE);
-    shared
-        .obs
-        .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, burn);
-    shared.obs.journal(
-        now.as_nanos(),
-        Severity::Warn,
-        "deadline-shed",
-        format!(
-            "request {} ({}) expired in queue: {:.1} ms queued of a {:.1} ms budget",
-            job.id,
-            job.tenant,
-            queue * 1e3,
-            job.budget_secs().unwrap_or(0.0) * 1e3
-        ),
-    );
-    let end_s = now.as_nanos() as f64 / 1e9;
-    shared.trace.record_request(
-        job.trace,
-        None,
-        RequestSpanTimes {
-            enqueued_s: job.enqueued.as_nanos() as f64 / 1e9,
-            search_start_s: end_s,
-            search_end_s: end_s,
-            end_s,
+    shared.record_outcome(&RequestOutcome {
+        id: job.id,
+        tenant: job.tenant,
+        trace: Some(job.trace),
+        batch_trace: None,
+        enqueued: job.enqueued,
+        end: now,
+        timings: RequestTimings {
+            queue,
+            search: 0.0,
+            e2e: queue,
+            generation: None,
         },
-        None,
-        Some("queue-expired"),
-    );
-    shared.watch_slo(SIG_DEADLINE, false, now);
+        hit_rate: 0.0,
+        deadline: job.deadline,
+        gen_busy: None,
+        shed: Some(ShedCause::QueueExpired),
+    });
 }
 
 /// Budget-scaled probe selection for one job at batch formation. Returns
@@ -1410,9 +1452,9 @@ fn shard_worker(
 }
 
 /// Scans one worker's share of a batch — `per_query[qi]` being query
-/// `qi`'s probe lists for this worker — through the blocked
-/// (cluster-major) store path when enabled, falling back to
-/// query-at-a-time [`degraded_scan`]s otherwise.
+/// `qi`'s probe lists for this worker — through the store's blocked
+/// (cluster-major) path when at least two queries have work, falling back
+/// to query-at-a-time [`degraded_scan`]s otherwise (or without a store).
 ///
 /// Panic containment matches [`degraded_scan`]: a panicking blocked pass
 /// degrades the *whole worker share* to empty partials (one
@@ -1425,7 +1467,7 @@ fn scan_batch_or_queries(
 ) -> Vec<Vec<Neighbor>> {
     let blockable =
         batch.jobs.len() >= 2 && per_query.iter().filter(|l| !l.is_empty()).count() >= 2;
-    if let (Some(snapshot), true, true) = (snapshot, shared.blocked_scans, blockable) {
+    if let (Some(snapshot), true) = (snapshot, blockable) {
         let queries: Vec<BatchQuery<'_>> = (0..batch.jobs.len())
             .map(|qi| BatchQuery {
                 query: &batch.jobs[qi].query,
@@ -1488,45 +1530,24 @@ fn degraded_scan(
     })
 }
 
-/// CPU worker: scan the batch's cold probes and fire the per-query
-/// completion callback. With blocked scans the whole batch is scanned in
-/// one cluster-major pass first (cheapest total bytes) and the per-query
-/// `CpuDone` messages fire as the results are scattered back; unblocked,
-/// it scans query-by-query so early finishers leave the batch sooner.
+/// CPU worker: scan the batch's cold probes — the whole batch in one
+/// cluster-major pass when it can block (cheapest total bytes) — then fire
+/// the per-query completion callbacks as the results are scattered back.
 fn cpu_worker(shared: &Shared, rx: &Receiver<Arc<BatchWork>>, dispatch: &Sender<DispatchMsg>) {
     shared.trace.register_worker(STAGE_CPU_SCAN);
     while let Ok(batch) = rx.recv() {
         let scan_start = shared.clock.now();
         let stage = shared.trace.stage_start(STAGE_CPU_SCAN, scan_start);
         let snapshot = shared.store.as_ref().map(|store| store.snapshot());
-        if shared.blocked_scans && snapshot.is_some() {
-            let per_query: Vec<&[u32]> = batch
-                .routed
-                .iter()
-                .map(|r| r.cpu_probes.as_slice())
-                .collect();
-            let partials = scan_batch_or_queries(shared, snapshot.as_ref(), &batch, &per_query);
-            for (qi, partial) in partials.into_iter().enumerate() {
-                if dispatch.send(DispatchMsg::CpuDone { qi, partial }).is_err() {
-                    return;
-                }
-            }
-        } else {
-            for (qi, routed) in batch.routed.iter().enumerate() {
-                let partial = if routed.cpu_probes.is_empty() {
-                    Vec::new()
-                } else {
-                    degraded_scan(
-                        shared,
-                        snapshot.as_ref(),
-                        &batch.jobs[qi].query,
-                        &routed.cpu_probes,
-                        batch.k,
-                    )
-                };
-                if dispatch.send(DispatchMsg::CpuDone { qi, partial }).is_err() {
-                    return;
-                }
+        let per_query: Vec<&[u32]> = batch
+            .routed
+            .iter()
+            .map(|r| r.cpu_probes.as_slice())
+            .collect();
+        let partials = scan_batch_or_queries(shared, snapshot.as_ref(), &batch, &per_query);
+        for (qi, partial) in partials.into_iter().enumerate() {
+            if dispatch.send(DispatchMsg::CpuDone { qi, partial }).is_err() {
+                return;
             }
         }
         let scan_end = shared.clock.now();
@@ -1573,7 +1594,7 @@ fn dispatcher(
                 // Hard assert, not debug_assert: in release a duplicate
                 // Launch would silently drop the in-flight batch, orphaning
                 // its tickets with no accounting. A protocol violation is a
-                // harness bug (same policy as `LatencyRecorder::record`).
+                // harness bug.
                 assert!(inflight.is_none(), "one batch in flight at a time");
                 inflight = Some(InFlight {
                     shard_partials: vec![None; shared.n_shards],
@@ -1610,13 +1631,7 @@ fn dispatcher(
         }
         if let Some(state) = &inflight {
             if state.completed == state.batch.jobs.len() {
-                let batch_size = state.batch.jobs.len();
-                let mut metrics = crate::sync::lock_recover(&shared.metrics);
-                metrics.batches += 1;
-                metrics.batched_requests += batch_size as u64;
-                metrics.max_batch = metrics.max_batch.max(batch_size);
-                drop(metrics);
-                shared.obs.on_batch(batch_size);
+                shared.obs.on_batch(state.batch.jobs.len());
                 if let Some(ctx) = &state.batch.trace {
                     shared
                         .trace
@@ -1685,8 +1700,8 @@ fn complete_query(
                 probes: probes(),
             });
         }
-        // Per-request metrics are recorded by the generation worker when
-        // the request actually finishes; the dispatcher only counts
+        // The request's outcome is recorded by the generation worker when
+        // its lifecycle actually ends; the dispatcher only counts
         // batch-level statistics for co-scheduled servers.
         let _ = gen_tx.send(GenWork {
             id: job.id,
@@ -1713,70 +1728,19 @@ fn complete_query(
         e2e: (now - job.enqueued).as_secs_f64(),
         generation: None,
     };
-
-    {
-        let mut metrics = crate::sync::lock_recover(&shared.metrics);
-        metrics.queue_lat.record(timings.queue);
-        metrics.search_lat.record(timings.search);
-        metrics.e2e_lat.record(timings.e2e);
-        metrics.slo.observe(timings.search);
-        metrics.hit_sum += hit_rate;
-        metrics.completed += 1;
-        if let Some(budget) = job.budget_secs() {
-            let budget = budget.max(1e-12);
-            metrics.burn_queue.record(timings.queue / budget);
-            metrics.burn_search.record(timings.search / budget);
-            if now <= job.deadline.expect("budget implies deadline") {
-                metrics.deadline_met += 1;
-            } else {
-                metrics.deadline_missed += 1;
-            }
-        }
-        let tenant = &mut metrics.tenants[job.tenant.index()];
-        tenant.queue_lat.record(timings.queue);
-        tenant.search_lat.record(timings.search);
-        tenant.e2e_lat.record(timings.e2e);
-        tenant.slo.observe(timings.search);
-        tenant.hit_sum += hit_rate;
-        tenant.completed += 1;
-    }
-
-    if let Some(budget) = job.budget_secs() {
-        let budget = budget.max(1e-12);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_QUEUE, timings.queue / budget);
-        shared
-            .obs
-            .on_budget_burn(crate::obs::BURN_STAGE_SEARCH, timings.search / budget);
-    }
-
-    shared.obs.on_request(
-        job.id,
-        job.tenant,
-        job.enqueued.as_nanos(),
-        &timings,
-        met_slo,
-        None,
-        false,
-    );
-
-    shared.trace.record_request(
-        job.trace,
-        batch.trace.as_ref().map(|c| c.trace_id),
-        RequestSpanTimes {
-            enqueued_s: job.enqueued.as_nanos() as f64 / 1e9,
-            search_start_s: batch.started.as_nanos() as f64 / 1e9,
-            search_end_s: now.as_nanos() as f64 / 1e9,
-            end_s: now.as_nanos() as f64 / 1e9,
-        },
-        None,
-        None,
-    );
-    shared.watch_slo(SIG_SEARCH, met_slo, now);
-    if let Some(deadline) = job.deadline {
-        shared.watch_slo(SIG_DEADLINE, now <= deadline, now);
-    }
+    shared.record_outcome(&RequestOutcome {
+        id: job.id,
+        tenant: job.tenant,
+        trace: Some(job.trace),
+        batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
+        enqueued: job.enqueued,
+        end: now,
+        timings,
+        hit_rate,
+        deadline: job.deadline,
+        gen_busy: None,
+        shed: None,
+    });
 
     let _ = control_tx.send(Observation {
         tenant: job.tenant,

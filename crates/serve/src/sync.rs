@@ -4,8 +4,8 @@
 //! every thread that later touches the same lock — including the
 //! admission path and the HTTP frontend — panics too, and the runtime
 //! falls over instead of degrading. Every structure the runtime guards
-//! (admission lanes, dispatcher metrics, trace rings, the placement
-//! snapshot, connection tables) is kept consistent *within* each critical
+//! (admission lanes, trace rings, the placement snapshot, connection
+//! tables) is kept consistent *within* each critical
 //! section by construction: updates are small, straight-line, and never
 //! leave a partially-linked state behind, so the data a panicking holder
 //! abandons is still well-formed — at worst a counter misses one bump.

@@ -10,6 +10,9 @@
 //!   exact tick it was submitted: the ticket's reply channel disconnects,
 //!   the shed is attributed to the queue stage, and the journal event is
 //!   stamped at the submission tick to the nanosecond.
+//! - A request shed at admission (rung 1) under a caller-supplied trace id
+//!   leaves a `request` root and a `shed:admission` marker, so
+//!   `/v1/trace/{id}` answers for the client that got `DeadlineUnmeetable`.
 //! - A measure-only policy (enforce off) records budget burn and deadline
 //!   attainment without shedding or degrading anything.
 //! - A budget worth half the search estimate shrinks the probe list to
@@ -35,7 +38,9 @@ use proptest::prelude::*;
 use vectorlite_rag::ann::{IvfConfig, IvfIndex, VecSet};
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
-use vectorlite_rag::serve::{RagServer, ServeConfig, TenantId, VirtualClock};
+use vectorlite_rag::serve::{
+    AdmissionError, RagServer, ServeConfig, TenantId, TraceId, VirtualClock,
+};
 use vectorlite_rag::sim::SimDuration;
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
@@ -109,6 +114,81 @@ fn zero_budget_request_is_shed_in_queue_at_the_exact_tick() {
         "unexpected detail: {}",
         shed.detail
     );
+}
+
+#[test]
+fn admission_shed_is_traceable_under_the_callers_trace_id() {
+    let corpus = corpus();
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, enforcing_config(), clock.clone())
+        .expect("server starts");
+    let query = corpus.vectors.get(0).to_vec();
+
+    // Two drains 10 ms apart give the queue a drain rate (100 jobs/s), the
+    // first ingredient of a wait estimate.
+    for _ in 0..2 {
+        server
+            .submit(query.clone())
+            .expect("admitted")
+            .wait()
+            .expect("served");
+        clock.advance(SimDuration::from_millis(10.0));
+    }
+
+    // The second ingredient is a backlog. Keep the lane fed with
+    // unbudgeted work and offer a 1 ns budget under the caller's trace id
+    // until a submission observes a non-empty lane: its estimated wait
+    // (>= 10 ms at depth 1) dwarfs the budget and admission refuses it.
+    let caller = TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c);
+    let mut backlog = Vec::new();
+    let refusal = (0..100_000)
+        .find_map(|_| {
+            backlog.push(
+                server
+                    .submit(query.clone())
+                    .expect("unbudgeted work admits"),
+            );
+            server
+                .submit_with_trace(
+                    TenantId(0),
+                    query.clone(),
+                    Some(Duration::from_nanos(1)),
+                    Some(caller),
+                )
+                .err()
+        })
+        .expect("a fed lane must eventually refuse a 1 ns budget");
+    assert!(
+        matches!(refusal, AdmissionError::DeadlineUnmeetable { .. }),
+        "unexpected refusal: {refusal}"
+    );
+    for ticket in backlog {
+        ticket.wait().expect("unbudgeted work is served");
+    }
+
+    // Earlier offers that found the lane empty were admitted and expired
+    // in the queue under the same trace id; the refusal adds one more
+    // zero-width request root, carrying the admission marker.
+    let spans = server
+        .trace_plane()
+        .trace_spans(caller.0)
+        .expect("the caller's trace id must resolve after an admission shed");
+    let marker = spans
+        .iter()
+        .find(|s| s.name == "shed:admission")
+        .expect("admission sheds leave a marker span");
+    let root = spans
+        .iter()
+        .find(|s| Some(s.span_id) == marker.parent_id)
+        .expect("the marker hangs off a request root");
+    assert_eq!(root.name, "request");
+    assert_eq!(root.parent_id, None);
+    assert_eq!(
+        (root.start_s, root.end_s, marker.start_s),
+        (marker.end_s, marker.end_s, marker.end_s),
+        "a request refused at admission has zero width"
+    );
+    assert_eq!(server.report().deadline_sheds[0], 1);
 }
 
 #[test]

@@ -1,25 +1,37 @@
-//! Integration: the always-on telemetry plane against the exact report.
+//! Integration: the telemetry plane — the one store behind both
+//! `ServeReport` and the Prometheus exposition.
 //!
-//! The obs plane is *additive*: the mutex-guarded `ServeMetrics` stays the
-//! source of truth for `ServeReport`, and the lock-free counters/histograms
-//! mirror it. These tests pin the contract from the outside:
+//! Every request that ends is recorded once into the plane's lock-free
+//! counters and histograms; the report and the scrape are two views of
+//! that store. These tests pin the contract from the outside:
 //!
-//! 1. After a run, every Prometheus-scraped counter equals the exact
-//!    report's total, and the stage histograms saw exactly one sample per
-//!    completed request (retrieval-only and co-scheduled).
-//! 2. The trace rings capture per-request waterfalls whose span boundaries
+//! 1. Conservation from one source: after a deadline flood (retrieval
+//!    only) and a co-scheduled run with KV sheds, every admitted request
+//!    is accounted for exactly once, the per-tenant slices sum to the
+//!    totals, every stage histogram saw one sample per completion, and the
+//!    scrape reads the same totals as the report.
+//! 2. The report accuracy contract: `count`/`mean`/`min`/`max` are exact,
+//!    percentiles err high by at most the histogram's documented bound.
+//! 3. The trace rings capture per-request waterfalls whose span boundaries
 //!    reproduce the delivered timings, and a zero slow-threshold routes
 //!    every trace into the slow ring.
-//! 3. A disabled plane records nothing while leaving the exact report
-//!    untouched.
-//! 4. Hot-path recording is lock-free: writers hammering one plane from
+//! 4. A disabled plane captures no waterfalls and no journal, while the
+//!    report and the scrape keep counting.
+//! 5. Hot-path recording is lock-free: writers hammering one plane from
 //!    many threads lose no samples even while a scraper renders the
 //!    exposition concurrently (no global lock to convoy on).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use vectorlite_rag::core::RealConfig;
-use vectorlite_rag::serve::{GenerationConfig, ObsConfig, ObsPlane, RagServer, ServeConfig};
+use vectorlite_rag::metrics::obs::StreamingHistogram;
+use vectorlite_rag::metrics::{LatencyRecorder, Summary};
+use vectorlite_rag::serve::{
+    AdmissionError, GenerationConfig, ObsConfig, ObsPlane, RagServer, ServeConfig, ServeReport,
+    TenantId, TenantReport, TenantSpec, VirtualClock,
+};
+use vectorlite_rag::sim::SimDuration;
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn corpus() -> SyntheticCorpus {
@@ -69,82 +81,281 @@ fn prom_value(text: &str, name: &str) -> f64 {
     panic!("metric {name} not found in exposition");
 }
 
-#[test]
-fn scraped_counters_match_the_exact_report() {
-    let corpus = corpus();
-    let server = RagServer::start(&corpus, config()).expect("server starts");
-    let queries = corpus.queries(48, 17);
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| server.submit(q.to_vec()).expect("admitted"))
-        .collect();
-    for ticket in tickets {
-        ticket.wait().expect("server alive");
-    }
+fn two_tenants() -> Vec<TenantSpec> {
+    vec![
+        TenantSpec {
+            weight: 1,
+            queue_capacity: 512,
+            slo_search: 0.050,
+        };
+        2
+    ]
+}
 
-    // Counters that settle before the ticket reply is sent (the obs hook
-    // runs first in `complete_query`) are exact the moment every wait
-    // returns — scrape and compare against the live report.
-    let text = server.prometheus_text();
-    let report = server.report();
+/// The conservation invariants, checked on one report and a scrape taken
+/// at the same quiescent moment (every ticket resolved). `budgeted` is the
+/// number of replies the caller received for requests that carried a
+/// deadline.
+fn assert_conserved(report: &ServeReport, scrape: &str, budgeted: u64) {
+    let completed = report.completed;
     assert_eq!(
-        prom_value(&text, "vlite_admitted_total") as u64,
+        report.admitted,
+        completed + report.deadline_sheds[1],
+        "every admitted request either replied or expired in the queue"
+    );
+    assert_eq!(
+        report.tenants.iter().map(|t| t.completed).sum::<u64>(),
+        completed
+    );
+    assert_eq!(
+        report.tenants.iter().map(|t| t.admitted).sum::<u64>(),
         report.admitted
     );
     assert_eq!(
-        prom_value(&text, "vlite_rejected_total") as u64,
-        report.rejected
+        report.tenants.iter().map(|t| t.gen_sheds).sum::<u64>(),
+        report.gen_sheds
     );
+    // Generation stages sample once per request that actually generated.
+    let generated = report.slo_ttft.map_or(0, |_| completed - report.gen_sheds);
+    for (stage, summary) in report.stages() {
+        let expected = match stage {
+            "queue" | "search" | "e2e" => completed,
+            _ => generated,
+        };
+        assert_eq!(summary.count as u64, expected, "report stage {stage}");
+        assert_eq!(
+            prom_value(
+                scrape,
+                &format!("vlite_stage_seconds_count{{stage=\"{stage}\"}}")
+            ) as u64,
+            expected,
+            "scraped stage {stage}"
+        );
+    }
+    let tenant_samples = |pick: fn(&TenantReport) -> &Summary| {
+        report
+            .tenants
+            .iter()
+            .map(|t| pick(t).count as u64)
+            .sum::<u64>()
+    };
+    assert_eq!(tenant_samples(|t| &t.queue), completed);
+    assert_eq!(tenant_samples(|t| &t.search), completed);
+    assert_eq!(tenant_samples(|t| &t.e2e), completed);
+    assert_eq!(tenant_samples(|t| &t.ttft), generated);
+    assert_eq!(report.deadline_met + report.deadline_missed, budgeted);
+    assert_eq!(report.burn_search.count as u64, budgeted);
     assert_eq!(
-        prom_value(&text, "vlite_completed_total") as u64,
-        report.completed
+        report.burn_queue.count as u64,
+        budgeted + report.deadline_sheds[1],
+        "queue-expired requests burned queue budget too"
     );
-    assert_eq!(report.completed, 48);
-    assert_eq!(
-        prom_value(&text, "vlite_stage_seconds_count{stage=\"search\"}") as u64,
-        report.completed,
-        "one search sample per completed request"
-    );
-    assert_eq!(
-        prom_value(&text, "vlite_stage_seconds_count{stage=\"queue\"}") as u64,
-        report.completed
-    );
-    assert_eq!(
-        prom_value(&text, "vlite_stage_seconds_count{stage=\"e2e\"}") as u64,
-        report.completed
-    );
-    // Retrieval-only server: no generation stages recorded.
-    assert_eq!(
-        prom_value(&text, "vlite_stage_seconds_count{stage=\"ttft\"}"),
-        0.0
-    );
-    assert_eq!(prom_value(&text, "vlite_gen_sheds_total"), 0.0);
 
-    // Batch counters are finalized by the dispatcher after the last reply,
-    // so compare them post-shutdown (every worker joined) via the handle
-    // that outlives the server.
+    for (family, value) in [
+        ("vlite_admitted_total", report.admitted),
+        ("vlite_rejected_total", report.rejected),
+        ("vlite_completed_total", completed),
+        ("vlite_gen_sheds_total", report.gen_sheds),
+        ("vlite_degraded_probes_total", report.degraded_probes),
+        ("vlite_cold_skips_total", report.cold_skips),
+        (
+            "vlite_deadline_sheds_total{stage=\"admission\"}",
+            report.deadline_sheds[0],
+        ),
+        (
+            "vlite_deadline_sheds_total{stage=\"queue\"}",
+            report.deadline_sheds[1],
+        ),
+        (
+            "vlite_deadline_sheds_total{stage=\"generation\"}",
+            report.deadline_sheds[2],
+        ),
+        (
+            "vlite_budget_burn_count{stage=\"search\"}",
+            report.burn_search.count as u64,
+        ),
+    ] {
+        assert_eq!(prom_value(scrape, family) as u64, value, "{family}");
+    }
+}
+
+#[test]
+fn retrieval_only_deadline_flood_conserves_every_request() {
+    let corpus = corpus();
+    let mut config = config();
+    config.tenants = two_tenants();
+    config.deadline.enforce = true;
+    let clock = Arc::new(VirtualClock::new());
+    let server =
+        RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+
+    // Four budget classes per wave: already expired (shed in the queue, or
+    // at admission once a drain rate is known), generous, unbudgeted, and
+    // 1 ns (degraded to the fast tier, still answered). The clock advances
+    // only between waves, so which rung fires never depends on timing —
+    // and the invariants hold whichever rung it was.
+    let budgets = [
+        Some(Duration::ZERO),
+        Some(Duration::from_secs(10)),
+        None,
+        Some(Duration::from_nanos(1)),
+    ];
+    let queries = corpus.queries(40, 17);
+    let (mut admission_sheds, mut replies, mut budgeted_replies) = (0u64, 0u64, 0u64);
+    for _wave in 0..3 {
+        let mut tickets = Vec::new();
+        for (i, query) in queries.iter().enumerate() {
+            let budget = budgets[i % budgets.len()];
+            match server.submit_with_deadline(TenantId((i % 2) as u16), query.to_vec(), budget) {
+                Ok(ticket) => tickets.push((ticket, budget.is_some())),
+                Err(AdmissionError::DeadlineUnmeetable { .. }) => admission_sheds += 1,
+                Err(other) => panic!("unexpected refusal: {other}"),
+            }
+        }
+        for (ticket, budgeted) in tickets {
+            if ticket.wait().is_some() {
+                replies += 1;
+                budgeted_replies += u64::from(budgeted);
+            }
+        }
+        clock.advance(SimDuration::from_millis(2.0));
+    }
+
+    let scrape = server.prometheus_text();
+    let report = server.report();
+    assert_eq!(report.completed, replies);
+    assert_eq!(report.deadline_sheds[0], admission_sheds);
+    assert!(report.deadline_sheds[1] > 0, "expired budgets must shed");
+    assert!(report.degraded_probes > 0, "1 ns budgets must degrade");
+    assert_conserved(&report, &scrape, budgeted_replies);
+
+    // Shutdown changes nothing: the live report was already complete.
+    let last = server.shutdown();
+    assert_eq!(last.admitted, last.completed + last.deadline_sheds[1]);
+    assert_eq!(last.completed, replies);
+}
+
+#[test]
+fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
+    let corpus = corpus();
+    let mut config = config();
+    config.tenants = two_tenants();
+    // Measure-only budgets: every reply is judged against a deadline.
+    config.deadline.default_deadline = Some(10.0);
+    let mut generation = GenerationConfig::tiny();
+    generation.kv_admission = true;
+    generation.output_tokens = 32;
+    // An idle prefill fits the TTFT bar comfortably, a backlog of them
+    // does not — so the flood both serves and sheds.
+    let base_prefill = generation
+        .cost
+        .prefill_time(generation.prompt_tokens(config.real.top_k), 1.0);
+    generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
+    config.generation = Some(generation);
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+
+    let n = 240;
+    let tickets: Vec<_> = corpus
+        .queries(n, 29)
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            server
+                .submit_for(TenantId((i % 2) as u16), q.to_vec())
+                .expect("admitted")
+        })
+        .collect();
+    let mut shed_replies = 0u64;
+    for ticket in tickets {
+        let response = ticket.wait().expect("every request gets a reply");
+        shed_replies += u64::from(response.timings.generation.is_none());
+    }
+
+    let scrape = server.prometheus_text();
+    let report = server.report();
+    assert_eq!(report.completed, n as u64);
+    assert_eq!(report.gen_sheds, shed_replies);
+    assert!(report.gen_sheds > 0, "the flood must shed");
+    assert!(report.gen_sheds < n as u64, "the flood must also serve");
+    assert_eq!(report.burn_gen.count as u64, n as u64 - report.gen_sheds);
+    assert_conserved(&report, &scrape, n as u64);
+
     let obs = server.obs_handle();
-    let report = server.shutdown();
-    assert_eq!(obs.admitted.get(), report.admitted);
-    assert_eq!(obs.completed.get(), report.completed);
-    assert_eq!(obs.rejected.get(), report.rejected);
-    assert_eq!(obs.batches.get(), report.batches);
+    let last = server.shutdown();
+    assert_eq!(last.admitted, last.completed);
+    assert_eq!(obs.batches.get(), last.batches);
     assert_eq!(
         obs.batched_requests.get(),
-        (report.mean_batch * report.batches as f64).round() as u64,
+        (last.mean_batch * last.batches as f64).round() as u64,
         "mean batch size is batched_requests / batches"
     );
-    // Histogram sums track the exact recorders (sums are exact up to
-    // nanosecond truncation — only the *positions* are bucketed).
-    let search = obs.stage("search").expect("known stage");
-    assert_eq!(search.count(), report.completed);
-    let exact_sum = report.search.mean * report.completed as f64;
+}
+
+/// `summary` (read from the plane) against the exact digest of the same
+/// samples: exact count/min/max, mean within a nanosecond, percentiles in
+/// `[exact, exact * (1 + bound)]` (plus the histogram's 1 ns floor).
+fn assert_within_contract(stage: &str, summary: &Summary, samples: &[f64]) {
+    let mut exact: LatencyRecorder = samples.iter().copied().collect();
+    let exact = exact.summary();
+    assert_eq!(summary.count, exact.count, "{stage} count");
+    assert_eq!(summary.min, exact.min, "{stage} min");
+    assert_eq!(summary.max, exact.max, "{stage} max");
     assert!(
-        (search.sum_seconds() - exact_sum).abs() <= 1e-6 * exact_sum.max(1.0),
-        "histogram sum {} vs exact {}",
-        search.sum_seconds(),
-        exact_sum
+        (summary.mean - exact.mean).abs() <= 1e-9,
+        "{stage} mean {} vs exact {}",
+        summary.mean,
+        exact.mean
     );
+    let bound = StreamingHistogram::relative_error_bound();
+    for (q, got, want) in [
+        ("p50", summary.p50, exact.p50),
+        ("p90", summary.p90, exact.p90),
+        ("p95", summary.p95, exact.p95),
+        ("p99", summary.p99, exact.p99),
+    ] {
+        assert!(
+            got >= want && got <= want * (1.0 + bound) + 1e-9,
+            "{stage} {q}: reported {got}, exact {want}, bound {bound:.4}"
+        );
+    }
+}
+
+#[test]
+fn report_summaries_honour_the_accuracy_contract() {
+    let corpus = corpus();
+    let mut config = config();
+    config.generation = Some(GenerationConfig::tiny());
+    let clock = Arc::new(VirtualClock::new());
+    let server =
+        RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+
+    // Script the timeline: each request ticks the clock by its own step
+    // while it is in flight, so queue/search/TTFT take a spread of distinct
+    // values. Wherever a tick lands, the delivered timings are the exact
+    // samples — the oracle the report is held to.
+    let (mut search, mut ttft, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, query) in corpus.queries(48, 41).iter().enumerate() {
+        let step = SimDuration::from_micros(37 * (i as u64 + 1));
+        let mut ticket = server.submit(query.to_vec()).expect("admitted");
+        let response = loop {
+            clock.advance(step);
+            match ticket.wait_timeout(Duration::from_micros(20)) {
+                Ok(response) => break response.expect("server alive"),
+                Err(pending) => ticket = pending,
+            }
+        };
+        search.push(response.timings.search);
+        e2e.push(response.timings.e2e);
+        ttft.push(response.timings.generation.expect("co-scheduled").ttft);
+    }
+
+    let report = server.shutdown();
+    assert_within_contract("search", &report.search, &search);
+    assert_within_contract("ttft", &report.ttft, &ttft);
+    assert_within_contract("e2e", &report.e2e, &e2e);
+    assert_within_contract("tenant search", &report.tenants[0].search, &search);
+    assert_within_contract("tenant ttft", &report.tenants[0].ttft, &ttft);
 }
 
 #[test]
@@ -218,10 +429,12 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
 }
 
 #[test]
-fn disabled_plane_records_nothing_and_report_is_unaffected() {
+fn disabled_plane_captures_nothing_while_report_and_scrape_keep_counting() {
     let corpus = corpus();
     let mut config = config();
     config.obs.enabled = false;
+    // Every request breaches, so an enabled journal would fill up.
+    config.real.slo_search = 1e-12;
     let server = RagServer::start(&corpus, config).expect("server starts");
     let queries = corpus.queries(16, 31);
     let tickets: Vec<_> = queries
@@ -232,21 +445,22 @@ fn disabled_plane_records_nothing_and_report_is_unaffected() {
         ticket.wait().expect("server alive");
     }
 
-    // The exposition still renders (scrape-time gauges stay live), but
-    // every plane-recorded family reads zero.
+    // The switch gates only the per-request captures; both views of the
+    // aggregates still see every request.
     let text = server.prometheus_text();
-    assert_eq!(prom_value(&text, "vlite_admitted_total"), 0.0);
-    assert_eq!(prom_value(&text, "vlite_completed_total"), 0.0);
+    assert_eq!(prom_value(&text, "vlite_admitted_total"), 16.0);
+    assert_eq!(prom_value(&text, "vlite_completed_total"), 16.0);
+    assert_eq!(prom_value(&text, "vlite_search_slo_breaches_total"), 16.0);
 
     let obs = server.obs_handle();
     let report = server.shutdown();
     assert!(!obs.enabled());
-    assert_eq!(obs.completed.get(), 0);
     assert!(obs.recent_traces().is_empty());
     assert!(obs.slow_traces().is_empty());
     assert!(obs.journal_snapshot().is_empty());
-    // The exact report never depended on the plane.
     assert_eq!(report.completed, 16);
+    assert_eq!(report.search.count, 16);
+    assert_eq!(report.slo_attainment, 0.0);
 }
 
 // The lock-freedom pin: concurrent writers plus a concurrent scraper, no
@@ -258,12 +472,13 @@ fn disabled_plane_records_nothing_and_report_is_unaffected() {
 // proptest); together they pin "recording never serializes on a lock".
 #[test]
 fn concurrent_recording_with_live_scrapes_loses_nothing() {
-    use vectorlite_rag::serve::TenantId;
-
-    let plane = Arc::new(ObsPlane::new(&ObsConfig {
-        slow_threshold_s: 0.5,
-        ..ObsConfig::default()
-    }));
+    let plane = Arc::new(ObsPlane::new(
+        &ObsConfig {
+            slow_threshold_s: 0.5,
+            ..ObsConfig::default()
+        },
+        1,
+    ));
     let writers = 8;
     let per_writer: u64 = 20_000;
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -288,7 +503,7 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
             let plane = Arc::clone(&plane);
             std::thread::spawn(move || {
                 for i in 0..per_writer {
-                    plane.on_admit();
+                    plane.admitted.inc();
                     let timings = vectorlite_rag::serve::RequestTimings {
                         queue: 1e-4,
                         search: 1e-3 * (1.0 + (i % 7) as f64),
@@ -300,6 +515,8 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
                         TenantId(0),
                         i,
                         &timings,
+                        0.5,
+                        true,
                         true,
                         None,
                         false,
@@ -319,5 +536,6 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
     assert_eq!(plane.completed.get(), total);
     assert_eq!(plane.stage("search").expect("stage").count(), total);
     assert_eq!(plane.stage("e2e").expect("stage").count(), total);
+    assert_eq!(plane.stage("e2e").expect("stage").min_seconds(), 1.1e-3);
     assert!(scrapes > 0, "scraper ran concurrently with the writers");
 }
