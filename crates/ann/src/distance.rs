@@ -4,12 +4,13 @@
 //! `std::arch` SIMD (AVX2+FMA / NEON) with the portable unrolled-scalar
 //! loops as the always-tested fallback. The entry points here are the
 //! crate's stable public API; they pay one relaxed atomic load of
-//! dispatch state per call. Scan loops that want zero per-call dispatch
-//! resolve a [`crate::kernel::Kernels`] table once per pass instead.
+//! dispatch state per call. Scan loops resolve a
+//! [`crate::kernel::Kernels`] table once per pass instead and score a
+//! block of stored vectors per call through [`Metric::score_block`].
 
 use serde::{Deserialize, Serialize};
 
-use crate::kernel;
+use crate::kernel::{self, Kernels};
 
 /// Squared Euclidean (L2²) distance.
 ///
@@ -53,12 +54,17 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// ```
 #[inline]
 pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let num = dot(a, b);
-    let den = (dot(a, a) * dot(b, b)).sqrt();
+    cosine_from_dots(dot(a, b), dot(a, a), dot(b, b))
+}
+
+/// `1 − a·b / √(a·a · b·b)` from the three dot products.
+#[inline]
+fn cosine_from_dots(ab: f32, aa: f32, bb: f32) -> f32 {
+    let den = (aa * bb).sqrt();
     if den <= 0.0 {
         1.0
     } else {
-        1.0 - num / den
+        1.0 - ab / den
     }
 }
 
@@ -87,6 +93,36 @@ impl Metric {
             Metric::L2 => l2_sq(a, b),
             Metric::InnerProduct => -dot(a, b),
             Metric::Cosine => cosine_distance(a, b),
+        }
+    }
+
+    /// Block counterpart of [`Metric::score`] for scan loops: scores
+    /// `query` against the `out.len()` row-major vectors of `block`
+    /// through `kern`'s block kernels, with `out[i]` bit-identical to
+    /// `self.score(query, block[i])` under the same kernel kind. The
+    /// metric branch runs once per block, not per vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block.len() != out.len() * query.len()`.
+    pub fn score_block(self, kern: &Kernels, query: &[f32], block: &[f32], out: &mut [f32]) {
+        match self {
+            Metric::L2 => (kern.l2_sq_block)(query, block, out),
+            Metric::InnerProduct => {
+                (kern.dot_block)(query, block, out);
+                for d in out.iter_mut() {
+                    *d = -*d;
+                }
+            }
+            Metric::Cosine => {
+                (kern.dot_block)(query, block, out);
+                let dim = query.len();
+                let qq = (kern.dot)(query, query);
+                for (i, d) in out.iter_mut().enumerate() {
+                    let v = &block[i * dim..(i + 1) * dim];
+                    *d = cosine_from_dots(*d, qq, (kern.dot)(v, v));
+                }
+            }
         }
     }
 }

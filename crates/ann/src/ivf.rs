@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
 
+use crate::kernel::{self, Kernels};
 use crate::{
     AnnError, BatchQuery, ClusterStore, FastScanList, Hnsw, HnswConfig, KMeans, KMeansConfig,
     Metric, Neighbor, PqConfig, ProductQuantizer, QuantizedLut, Result, TopK, VecSet,
@@ -424,9 +425,21 @@ impl IvfIndex {
                 })
                 .collect(),
             None => {
+                // Centroid ids are positions, so the id run of each block
+                // is written beside the distances instead of stored.
+                let (kern, metric) = (kernel::kernels(), self.config.metric);
+                let step = kernel::block_len(self.dim);
+                let mut ids = [0u64; kernel::MAX_BLOCK];
+                let mut dist = [0.0f32; kernel::MAX_BLOCK];
                 let mut top = TopK::new(nprobe);
-                for (c, centroid) in self.centroids.centroids().iter().enumerate() {
-                    top.push(c as u64, self.config.metric.score(query, centroid));
+                let centroids = self.centroids.centroids().as_flat();
+                for (b, block) in centroids.chunks(step * self.dim).enumerate() {
+                    let n = block.len() / self.dim;
+                    for (i, id) in ids[..n].iter_mut().enumerate() {
+                        *id = (b * step + i) as u64;
+                    }
+                    metric.score_block(&kern, query, block, &mut dist[..n]);
+                    top.offer(&ids[..n], &dist[..n]);
                 }
                 top.into_sorted()
                     .into_iter()
@@ -453,12 +466,11 @@ impl IvfIndex {
         let mut top = TopK::new(k);
         match &self.config.storage {
             ListStorage::Flat => {
+                let kern = kernel::kernels();
                 for &l in lists {
                     let list = &self.lists[l as usize];
                     if let ListData::Flat(store) = &list.data {
-                        for (i, v) in store.iter().enumerate() {
-                            top.push(list.ids[i], self.config.metric.score(query, v));
-                        }
+                        scan_flat(self.config.metric, &kern, query, &list.ids, store, &mut top);
                     }
                 }
             }
@@ -641,6 +653,26 @@ impl IvfIndex {
             }
         });
         out
+    }
+}
+
+/// Flat scan of one inverted list: the block kernel fills a stack buffer
+/// one L1-sized run of vectors at a time, [`TopK::offer`] admits.
+fn scan_flat(
+    metric: Metric,
+    kern: &Kernels,
+    query: &[f32],
+    ids: &[u64],
+    vectors: &VecSet,
+    top: &mut TopK,
+) {
+    let step = kernel::block_len(vectors.dim());
+    let mut dist = [0.0f32; kernel::MAX_BLOCK];
+    let blocks = vectors.as_flat().chunks(step * vectors.dim());
+    for (ids, block) in ids.chunks(step).zip(blocks) {
+        let dist = &mut dist[..ids.len()];
+        metric.score_block(kern, query, block, dist);
+        top.offer(ids, dist);
     }
 }
 
@@ -931,6 +963,63 @@ mod tests {
         let index = IvfIndex::train(&data, &IvfConfig::new(4)).unwrap();
         assert_eq!(index.probe(data.get(0), 100).len(), 4);
         assert_eq!(index.probe(data.get(0), 2).len(), 2);
+    }
+
+    /// The block-kernel probe and flat scan against the loops they
+    /// replaced (one `Metric::score` + `TopK::push` per vector): the same
+    /// `(list, distance)` / `(id, distance)` sequences, bit for bit, under
+    /// every metric, with list and centroid counts on both sides of the
+    /// sub-block size.
+    #[test]
+    fn probe_and_flat_scan_equal_the_per_pair_loops() {
+        let data = clustered_data(1500, 24, 11);
+        let metrics = [Metric::L2, Metric::InnerProduct, Metric::Cosine];
+        // 70 centroids of ~20 vectors, then 3 of ~500.
+        for (metric, nlist) in metrics.into_iter().flat_map(|m| [(m, 70u32), (m, 3)]) {
+            let cfg = IvfConfig::new(nlist as usize).metric(metric);
+            let index = IvfIndex::train(&data, &cfg).unwrap();
+            for q in [0usize, 17, 400, 1499] {
+                let query = data.get(q);
+                for nprobe in [1usize, 2, nlist as usize] {
+                    let mut top = TopK::new(nprobe);
+                    for (c, centroid) in index.centroids().iter().enumerate() {
+                        top.push(c as u64, metric.score(query, centroid));
+                    }
+                    let want: Vec<(u32, u32)> = top
+                        .into_sorted()
+                        .iter()
+                        .map(|n| (n.id as u32, n.distance.to_bits()))
+                        .collect();
+                    let got: Vec<(u32, u32)> = index
+                        .probe(query, nprobe)
+                        .iter()
+                        .map(|p| (p.list, p.distance.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "{metric:?} query {q} nprobe {nprobe}");
+                }
+                let lists: Vec<u32> = (0..nlist).rev().collect();
+                let mut top = TopK::new(10);
+                for &l in &lists {
+                    let list = &index.lists[l as usize];
+                    if let ListData::Flat(store) = &list.data {
+                        for (i, v) in store.iter().enumerate() {
+                            top.push(list.ids[i], metric.score(query, v));
+                        }
+                    }
+                }
+                let want: Vec<(u64, u32)> = top
+                    .into_sorted()
+                    .iter()
+                    .map(|n| (n.id, n.distance.to_bits()))
+                    .collect();
+                let got: Vec<(u64, u32)> = index
+                    .scan_lists(query, &lists, 10)
+                    .iter()
+                    .map(|n| (n.id, n.distance.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{metric:?} query {q}");
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,28 @@
 //! via [`kernels`] and loop over plain function pointers, so the inner
 //! loop carries no dispatch branching at all.
 //!
+//! # Block entries
+//!
+//! A flat scan does not call a kernel per stored vector. Beside the pair
+//! kernels the table carries **block** entries — [`Kernels::l2_sq_block`]
+//! and [`Kernels::dot_block`], `fn(query, block, out)` with
+//! `block.len() == out.len() * query.len()` — that score one query
+//! against a row-major run of stored vectors and write one distance per
+//! vector. The AVX2+FMA implementation scores four stored vectors per
+//! iteration (each query chunk is loaded once per four vectors, and the
+//! four 8-lane sums are reduced together by a transposed `hadd` tree);
+//! scalar and NEON loop over their pair kernel. The contract is **bit
+//! identity**: `out[i]` equals the same table's pair kernel on
+//! `(query, block[i])` `to_bits()` for `to_bits()`, so switching a scan
+//! loop from pairs to blocks moves no oracle, golden or recall figure.
+//!
+//! Scan loops fill a stack buffer of at most [`MAX_BLOCK`] distances
+//! ([`block_len`] vectors at a time, sized so the sub-block stays in L1
+//! across the queries of a batch) and hand it to
+//! [`TopK::offer`](crate::TopK::offer), which rejects everything past the
+//! current k-th distance with one compare and lets `push` decide the
+//! rest.
+//!
 //! Setting `VLITE_FORCE_SCALAR=1` in the environment pins dispatch to
 //! the scalar kernels (read once, at first dispatch); CI's kernel
 //! equivalence matrix runs the whole test suite under both settings.
@@ -190,6 +212,25 @@ pub struct Kernels {
     /// SQ8 LUT sum: `Σⱼ table[j·256 + codes[j]]` with
     /// `table.len() == codes.len() · 256`.
     pub sq8_lut_sum: fn(&[f32], &[u8]) -> f32,
+    /// Block dot: `out[i] = dot(query, block[i·dim..(i+1)·dim])`, bit
+    /// identical to [`Kernels::dot`]; panics unless
+    /// `block.len() == out.len() · query.len()`.
+    pub dot_block: fn(&[f32], &[f32], &mut [f32]),
+    /// Block squared-L2, bit identical to [`Kernels::l2_sq`]; same shape
+    /// contract as [`Kernels::dot_block`].
+    pub l2_sq_block: fn(&[f32], &[f32], &mut [f32]),
+}
+
+/// The most distances a scan loop asks a block kernel for at once — the
+/// size of the callers' stack buffers.
+pub const MAX_BLOCK: usize = 64;
+
+/// Stored vectors per sub-block at dimensionality `dim`: as many as fit
+/// 16 KiB (half of a 32 KiB L1d, leaving room for the queries), at least
+/// the 4 the AVX2 block kernel consumes per iteration, at most
+/// [`MAX_BLOCK`].
+pub fn block_len(dim: usize) -> usize {
+    (16 * 1024 / (4 * dim.max(1))).clamp(4, MAX_BLOCK)
 }
 
 impl std::fmt::Debug for Kernels {
@@ -198,15 +239,35 @@ impl std::fmt::Debug for Kernels {
     }
 }
 
-const SCALAR_KERNELS: Kernels = Kernels {
+/// The portable table: always available, and the reference the property
+/// tests hold the dispatched table against.
+pub const SCALAR_KERNELS: Kernels = Kernels {
     kind: KernelKind::Scalar,
     dot: scalar::dot,
     l2_sq: scalar::l2_sq,
     sq8_lut_sum: scalar::sq8_lut_sum,
+    dot_block: |query, block, out| block_by_pairs(scalar::dot, query, block, out),
+    l2_sq_block: |query, block, out| block_by_pairs(scalar::l2_sq, query, block, out),
 };
 
+/// A block entry as a loop over a pair kernel — how the scalar and NEON
+/// tables implement [`Kernels::dot_block`] / [`Kernels::l2_sq_block`]
+/// (bit identity with the pair kernel is then by construction).
+fn block_by_pairs(
+    pair: impl Fn(&[f32], &[f32]) -> f32,
+    query: &[f32],
+    block: &[f32],
+    out: &mut [f32],
+) {
+    let dim = query.len();
+    assert_eq!(block.len(), out.len() * dim);
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = pair(query, &block[i * dim..(i + 1) * dim]);
+    }
+}
+
 /// Resolves the active kernel table. Call once per scan pass, not per
-/// vector: the table itself is two words and `Copy`.
+/// vector: the table is a few words and `Copy`.
 pub fn kernels() -> Kernels {
     let kind = active();
     // relaxed: monotone telemetry counter (see `resolution_count`).
@@ -219,6 +280,8 @@ pub fn kernels() -> Kernels {
             dot: x86::dot,
             l2_sq: x86::l2_sq,
             sq8_lut_sum: x86::sq8_lut_sum,
+            dot_block: x86::dot_block,
+            l2_sq_block: x86::l2_sq_block,
         },
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => Kernels {
@@ -227,6 +290,8 @@ pub fn kernels() -> Kernels {
             l2_sq: neon::l2_sq,
             // NEON has no gather; the LUT walk stays scalar.
             sq8_lut_sum: scalar::sq8_lut_sum,
+            dot_block: |query, block, out| block_by_pairs(neon::dot, query, block, out),
+            l2_sq_block: |query, block, out| block_by_pairs(neon::l2_sq, query, block, out),
         },
         // A kind whose arch is compiled out can never be detected here.
         #[allow(unreachable_patterns)]

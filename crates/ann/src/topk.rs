@@ -104,13 +104,43 @@ impl TopK {
         let candidate = Neighbor::new(id, distance);
         if self.heap.len() < self.k {
             self.heap.push(candidate);
-            true
-        } else if candidate < *self.heap.peek().expect("heap is non-empty at capacity") {
-            self.heap.pop();
-            self.heap.push(candidate);
-            true
-        } else {
-            false
+            return true;
+        }
+        // Rejections (most calls outside `offer`) stay one `peek` compare.
+        match self.heap.peek() {
+            Some(worst) if candidate < *worst => {}
+            _ => return false,
+        }
+        // Replace the worst in place: one sift-down when the guard drops,
+        // instead of a pop and a push.
+        if let Some(mut worst) = self.heap.peek_mut() {
+            *worst = candidate;
+        }
+        true
+    }
+
+    /// Offers a buffer of candidates — the admission filter of the block
+    /// scan loops (a kernel fills `distances`, this admits). A candidate
+    /// farther than the current [`TopK::threshold`] costs one compare;
+    /// everything else goes through [`TopK::push`], which still decides
+    /// ties, NaN and ±0 under the total order, so the outcome equals
+    /// pushing every element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn offer(&mut self, ids: &[u64], distances: &[f32]) {
+        assert_eq!(ids.len(), distances.len());
+        let mut threshold = self.threshold();
+        for (&id, &distance) in ids.iter().zip(distances) {
+            // `>` is false for NaN on either side, so NaN falls through
+            // to `push`: the skip is a strict subset of what it rejects.
+            if distance > threshold {
+                continue;
+            }
+            if self.push(id, distance) {
+                threshold = self.threshold();
+            }
         }
     }
 
@@ -205,6 +235,48 @@ mod tests {
         let merged = merge_sorted(&[l1, l2], 3);
         let ids: Vec<u64> = merged.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 3, 4]);
+    }
+
+    /// Distances the filter must not mishandle: both zeros, both
+    /// infinities, both NaN signs, and repeats (ties broken by id).
+    const PALETTE: [f32; 10] = [
+        f32::NAN,
+        -f32::NAN,
+        -0.0,
+        0.0,
+        1.0,
+        1.0,
+        2.5,
+        -3.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+
+    proptest::proptest! {
+        /// `offer` over a buffer ≡ `push` of every element, in chunks of
+        /// any size: equal distances with a smaller id arriving later,
+        /// NaN, ±0.0 and k larger than the buffer included.
+        #[test]
+        fn offer_equals_pushing_every_element(
+            picks in proptest::prop::collection::vec((0usize..PALETTE.len(), 0u64..6), 0..40),
+            k in 1usize..48,
+            chunk in 1usize..9,
+        ) {
+            let ids: Vec<u64> = picks.iter().map(|p| p.1).collect();
+            let distances: Vec<f32> = picks.iter().map(|p| PALETTE[p.0]).collect();
+            let mut pushed = TopK::new(k);
+            for (&id, &d) in ids.iter().zip(&distances) {
+                pushed.push(id, d);
+            }
+            let mut offered = TopK::new(k);
+            for (ids, distances) in ids.chunks(chunk).zip(distances.chunks(chunk)) {
+                offered.offer(ids, distances);
+            }
+            let bits = |top: TopK| -> Vec<(u64, u32)> {
+                top.into_sorted().iter().map(|n| (n.id, n.distance.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(offered), bits(pushed));
+        }
     }
 
     #[test]

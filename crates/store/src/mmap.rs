@@ -3,7 +3,8 @@
 //! The offline workspace has no crates.io access, so the usual `memmap2`
 //! crate is unavailable. On Linux x86_64/aarch64 this module issues the raw
 //! `mmap(2)`/`munmap(2)` syscalls directly (the only `unsafe` in the
-//! crate); every other target — and any mapping failure — falls back to
+//! crate, together with the `madvise(2)` behind [`Mmap::release`]); every
+//! other target — and any mapping failure — falls back to
 //! reading the file into a heap buffer behind the same API, so callers are
 //! portable and infallible-by-construction once the file is readable.
 //!
@@ -123,6 +124,44 @@ impl Mmap {
         }
     }
 
+    /// Drops the pages lying wholly inside `[off, off + len)` from this
+    /// process's resident set (`madvise(MADV_DONTNEED)`). The bytes are
+    /// unchanged — the mapping is read-only over an immutable file, so
+    /// the next read faults them back in from it — which makes this the
+    /// call for a range whose contents were just copied elsewhere. Advice
+    /// only: a no-op on the heap-copy fallback, for a range that covers
+    /// no whole page, and if the syscall fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is not inside the mapping.
+    #[allow(unsafe_code)]
+    pub fn release(&self, off: usize, len: usize) {
+        let end = off.checked_add(len);
+        assert!(
+            end.is_some_and(|end| end <= self.len()),
+            "release range [{off}, {off}+{len}) exceeds the mapping"
+        );
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        if let Backing::Mapped { ptr, .. } = self.backing {
+            // The mapping's base is page-aligned, so offsets align like
+            // addresses do.
+            let first = off.next_multiple_of(sys::PAGE);
+            let last = (off + len) / sys::PAGE * sys::PAGE;
+            if first < last {
+                // SAFETY: `[first, last)` lies inside `[off, off + len)`,
+                // asserted above to lie inside this live PROT_READ /
+                // MAP_PRIVATE file mapping, and `ptr + first` is
+                // page-aligned; MADV_DONTNEED on such a range only unmaps
+                // clean file pages, which refault with the same contents.
+                unsafe { sys::advise_dontneed(ptr.wrapping_add(first), last - first) };
+            }
+        }
+    }
+
     /// Number of mapped bytes.
     pub fn len(&self) -> usize {
         self.as_slice().len()
@@ -168,15 +207,28 @@ mod sys {
 
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
+    const MADV_DONTNEED: usize = 4;
+
+    /// Alignment `madvise` ranges are cut to: the page size on x86_64,
+    /// the largest page size the kernel can be built with on aarch64 (a
+    /// multiple of the smaller ones).
+    #[cfg(target_arch = "x86_64")]
+    pub const PAGE: usize = 4096;
+    #[cfg(target_arch = "aarch64")]
+    pub const PAGE: usize = 65536;
 
     #[cfg(target_arch = "x86_64")]
     const SYS_MMAP: usize = 9;
     #[cfg(target_arch = "x86_64")]
     const SYS_MUNMAP: usize = 11;
+    #[cfg(target_arch = "x86_64")]
+    const SYS_MADVISE: usize = 28;
     #[cfg(target_arch = "aarch64")]
     const SYS_MMAP: usize = 222;
     #[cfg(target_arch = "aarch64")]
     const SYS_MUNMAP: usize = 215;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_MADVISE: usize = 233;
 
     /// Maps `len` bytes of `file` read-only/private. `None` on any syscall
     /// failure (caller falls back to a heap copy).
@@ -206,6 +258,18 @@ mod sys {
     pub unsafe fn unmap(ptr: *const u8, len: usize) {
         // SAFETY: delegated to the caller's contract above.
         let _ = unsafe { syscall6(SYS_MUNMAP, ptr as usize, len, 0, 0, 0, 0) };
+    }
+
+    /// `madvise(ptr, len, MADV_DONTNEED)`; the result is ignored (advice).
+    ///
+    /// # Safety
+    ///
+    /// `[ptr, ptr + len)` must lie inside one live mapping from
+    /// [`map_readonly`] and `ptr` must be page-aligned: on any other
+    /// memory MADV_DONTNEED discards data.
+    pub unsafe fn advise_dontneed(ptr: *const u8, len: usize) {
+        // SAFETY: delegated to the caller's contract above.
+        let _ = unsafe { syscall6(SYS_MADVISE, ptr as usize, len, MADV_DONTNEED, 0, 0, 0) };
     }
 
     /// One six-argument Linux syscall.
@@ -315,6 +379,20 @@ mod tests {
         let (path, file) = temp_file(&[]);
         let map = Mmap::map(&file).expect("maps");
         assert!(map.is_empty());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn released_pages_read_back_unchanged() {
+        let payload: Vec<u8> = (0..=255).cycle().take(5 * 4096 + 123).collect();
+        let (path, file) = temp_file(&payload);
+        let map = Mmap::map(&file).expect("maps");
+        assert_eq!(&map[..], &payload[..]);
+        map.release(100, 4 * 4096); // whole pages 1..=3, ragged edges kept
+        map.release(0, payload.len());
+        map.release(7, 0);
+        assert_eq!(&map[..], &payload[..], "released pages refault intact");
+        drop(map);
         let _ = std::fs::remove_file(path);
     }
 

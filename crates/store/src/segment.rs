@@ -529,18 +529,25 @@ impl Segment {
         n * (8 + 4 * self.dim as u64)
     }
 
-    /// The `i`-th vector id of cluster `c`, decoded from the mapped ids
-    /// extent.
+    /// Decodes `out.len()` vector ids of cluster `c`, starting at its
+    /// `start`-th, from the mapped ids extent.
     ///
     /// # Panics
     ///
-    /// Panics if `c` or `i` is out of range.
-    pub fn id_at(&self, c: u32, i: usize) -> u64 {
+    /// Panics if `c` is out of range or the run exceeds the cluster.
+    pub fn ids_into(&self, c: u32, start: usize, out: &mut [u64]) {
         let e = &self.clusters[c as usize];
-        assert!(i < e.n, "id index {i} out of range (cluster holds {})", e.n);
-        let off = e.ids_off + 8 * i;
-        let b = &self.map[off..off + 8];
-        u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+        assert!(
+            start + out.len() <= e.n,
+            "id run {start}+{} out of range (cluster holds {})",
+            out.len(),
+            e.n
+        );
+        let off = e.ids_off + 8 * start;
+        let bytes = &self.map[off..off + 8 * out.len()];
+        for (id, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+            *id = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        }
     }
 
     /// Cluster `c`'s SQ8 codes, row-major `n × dim`, straight from the
@@ -555,19 +562,25 @@ impl Segment {
     }
 
     /// Materializes cluster `c`'s ids and full-precision vectors from the
-    /// f32 extent — the promotion path.
+    /// f32 extent — the promotion path. The extent's file pages are then
+    /// released from the resident set ([`Mmap::release`]): the arena is
+    /// the resident copy from here on, and without this a fully hot store
+    /// holds the corpus twice.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
     pub fn load_cluster_f32(&self, c: u32) -> (Vec<u64>, VecSet) {
         let e = &self.clusters[c as usize];
-        let ids: Vec<u64> = (0..e.n).map(|i| self.id_at(c, i)).collect();
-        let floats = &self.map[e.f32_off..e.f32_off + e.n * self.dim * 4];
+        let mut ids = vec![0u64; e.n];
+        self.ids_into(c, 0, &mut ids);
+        let f32_len = e.n * self.dim * 4;
+        let floats = &self.map[e.f32_off..e.f32_off + f32_len];
         let mut flat = Vec::with_capacity(e.n * self.dim);
         for chunk in floats.chunks_exact(4) {
             flat.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
         }
+        self.map.release(e.f32_off, f32_len);
         (ids, VecSet::from_flat(self.dim.max(1), flat))
     }
 

@@ -20,7 +20,6 @@
 //!   per-query lookup table built over the segment's quantizer — cheaper
 //!   in bytes, pricier in recall-per-probe.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -493,21 +492,24 @@ impl SqLut {
     fn new(sq: &ScalarQuantizer, metric: Metric, query: &[f32]) -> SqLut {
         let dim = sq.dim();
         debug_assert_eq!(query.len(), dim);
-        let mut table = Vec::with_capacity(dim * 256);
-        for (j, &q) in query.iter().enumerate() {
-            let (min, scale) = (sq.mins()[j], sq.scales()[j]);
-            for code in 0..256u32 {
-                let decoded = min + (code as f32) * scale;
-                table.push(match metric {
-                    Metric::L2 => {
-                        let d = q - decoded;
-                        d * d
-                    }
-                    Metric::InnerProduct => -(q * decoded),
-                    Metric::Cosine => unreachable!("cosine rejected at segment write"),
-                });
+        // One row per dimension; `term(q, decoded)` is that dimension's
+        // share of the metric. Generic so each metric gets its own
+        // vectorizable fill loop, matched once per table.
+        fn fill(sq: &ScalarQuantizer, query: &[f32], term: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+            let mut table = vec![0.0f32; query.len() * 256];
+            for (j, row) in table.chunks_exact_mut(256).enumerate() {
+                let (q, min, scale) = (query[j], sq.mins()[j], sq.scales()[j]);
+                for (code, slot) in row.iter_mut().enumerate() {
+                    *slot = term(q, min + (code as f32) * scale);
+                }
             }
+            table
         }
+        let table = match metric {
+            Metric::L2 => fill(sq, query, |q, x| (q - x) * (q - x)),
+            Metric::InnerProduct => fill(sq, query, |q, x| -(q * x)),
+            Metric::Cosine => unreachable!("cosine rejected at segment write"),
+        };
         SqLut { dim, table }
     }
 
@@ -547,58 +549,9 @@ impl StoreSnapshot {
         matches!(self.map.entries[cluster as usize], TierEntry::Hot(_))
     }
 
-    /// Scores `query` against one hot vector via the resolved kernel
-    /// table — metric branch outside the caller's vector loop would be
-    /// better still, but the fn-pointer call is branch-predictable and
-    /// the arms stay in one place.
-    #[inline]
-    fn score_hot(kern: &Kernels, metric: Metric, query: &[f32], v: &[f32]) -> f32 {
-        match metric {
-            Metric::L2 => (kern.l2_sq)(query, v),
-            Metric::InnerProduct => -(kern.dot)(query, v),
-            // Cosine never reaches a tiered scan (rejected at segment
-            // write); score it portably if it somehow does.
-            Metric::Cosine => metric.score(query, v),
-        }
-    }
-
-    fn scan_hot(
-        &self,
-        cluster: u32,
-        arena: &HotCluster,
-        query: &[f32],
-        top: &mut TopK,
-        kern: &Kernels,
-    ) {
-        // relaxed: hot-path probe tally; only read by stats(), never used
-        // to order memory.
-        self.counters.hot_probes.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .hot_bytes_scanned
-            .fetch_add(self.segment.hot_bytes(cluster), Ordering::Relaxed);
-        let metric = self.segment.metric();
-        for (i, v) in arena.vectors.iter().enumerate() {
-            top.push(arena.ids[i], Self::score_hot(kern, metric, query, v));
-        }
-    }
-
-    fn scan_cold(&self, cluster: u32, lut: &SqLut, top: &mut TopK, kern: &Kernels) {
-        // relaxed: cold-path probe tally; only read by stats(), never used
-        // to order memory.
-        self.counters.cold_probes.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .cold_bytes_scanned
-            .fetch_add(self.segment.cold_bytes(cluster), Ordering::Relaxed);
-        let dim = self.segment.dim();
-        let codes = self.segment.sq8_codes(cluster);
-        for (i, code) in codes.chunks_exact(dim).enumerate() {
-            top.push(self.segment.id_at(cluster, i), lut.distance(kern, code));
-        }
-    }
-
-    /// Whether a blocked pass's query list names ≥ 2 *distinct* queries
-    /// — the `blocked_scans` counter's documented semantics. A query
-    /// whose probe list repeats a cluster id occurs in `qis` once per
+    /// Whether a pass's query list names ≥ 2 *distinct* queries — the
+    /// `blocked_scans` counter's documented semantics. A query whose
+    /// probe list repeats a cluster id occurs in `qis` once per
     /// occurrence (kept that way so blocked scoring stays exactly
     /// equivalent to the per-query path, which also re-scores the
     /// duplicate), but such repeats are not a batching win and must not
@@ -609,49 +562,10 @@ impl StoreSnapshot {
         qis.windows(2).any(|w| w[0] != w[1])
     }
 
-    /// One blocked pass over a hot cluster: every vector is streamed
-    /// once and scored against all `qis` queries (batch-major loop).
-    fn scan_hot_blocked(
-        &self,
-        cluster: u32,
-        arena: &HotCluster,
-        queries: &[BatchQuery<'_>],
-        qis: &[usize],
-        tops: &mut [TopK],
-        kern: &Kernels,
-    ) {
-        // relaxed: probe tally; only read by stats(). Each query of the
-        // pass counts as a probe.
-        self.counters
-            .hot_probes
-            .fetch_add(qis.len() as u64, Ordering::Relaxed);
-        // relaxed: byte tally; only read by stats(). The payload bytes
-        // count once per blocked pass — that saving is the point.
-        self.counters
-            .hot_bytes_scanned
-            .fetch_add(self.segment.hot_bytes(cluster), Ordering::Relaxed);
-        if Self::is_multi_query(qis) {
-            // relaxed: same stats-only tally as the probe counters above.
-            self.counters.blocked_scans.fetch_add(1, Ordering::Relaxed);
-        }
-        let metric = self.segment.metric();
-        for (i, v) in arena.vectors.iter().enumerate() {
-            let id = arena.ids[i];
-            for &qi in qis {
-                tops[qi].push(id, Self::score_hot(kern, metric, queries[qi].query, v));
-            }
-        }
-    }
-
-    /// One blocked pass over a cold cluster: the cluster's code bytes are
-    /// streamed from the segment once (the first query's walk) and every
-    /// further probing query re-reads them from cache, query-major so
-    /// each query's LUT stays hot in L1/L2 through its walk. (The
-    /// code-major orientation loses badly here: it switches between the
-    /// per-query 64 KiB LUTs on every vector, and the SIMD gather path
-    /// amplifies those misses.) Missing LUTs are built here, on the
-    /// query's first cold probe of the batch.
-    fn scan_cold_blocked(
+    /// One pass over `cluster` for the queries `qis` of a batch, in
+    /// whichever tier the snapshot holds it. The query-at-a-time path is
+    /// this same pass with a batch of one.
+    fn scan_pass(
         &self,
         cluster: u32,
         queries: &[BatchQuery<'_>],
@@ -660,36 +574,94 @@ impl StoreSnapshot {
         tops: &mut [TopK],
         kern: &Kernels,
     ) {
-        // relaxed: probe tally; only read by stats(). Each query of the
-        // pass counts as a probe.
-        self.counters
-            .cold_probes
-            .fetch_add(qis.len() as u64, Ordering::Relaxed);
-        // relaxed: byte tally; only read by stats(). The payload bytes
-        // count once per blocked pass — that saving is the point.
-        self.counters
-            .cold_bytes_scanned
-            .fetch_add(self.segment.cold_bytes(cluster), Ordering::Relaxed);
+        let entry = &self.map.entries[cluster as usize];
+        let (c, segment) = (&self.counters, &self.segment);
+        let (probes, bytes_scanned, payload) = match entry {
+            TierEntry::Hot(_) => (
+                &c.hot_probes,
+                &c.hot_bytes_scanned,
+                segment.hot_bytes(cluster),
+            ),
+            TierEntry::Cold => (
+                &c.cold_probes,
+                &c.cold_bytes_scanned,
+                segment.cold_bytes(cluster),
+            ),
+        };
+        // relaxed: stats-only tallies, never used to order memory. Every
+        // query of the pass counts as a probe; the payload bytes count
+        // once per pass — that saving is the point of blocking.
+        probes.fetch_add(qis.len() as u64, Ordering::Relaxed);
+        bytes_scanned.fetch_add(payload, Ordering::Relaxed);
         if Self::is_multi_query(qis) {
             // relaxed: same stats-only tally as the probe counters above.
-            self.counters.blocked_scans.fetch_add(1, Ordering::Relaxed);
+            c.blocked_scans.fetch_add(1, Ordering::Relaxed);
         }
-        for &qi in qis {
-            if luts[qi].is_none() {
-                luts[qi] = Some(SqLut::new(
-                    self.segment.sq(),
-                    self.segment.metric(),
-                    queries[qi].query,
-                ));
+        match entry {
+            TierEntry::Hot(arena) => self.scan_hot(arena, queries, qis, tops, kern),
+            TierEntry::Cold => self.scan_cold(cluster, queries, qis, luts, tops, kern),
+        }
+    }
+
+    /// One pass over a hot cluster, sub-block-major: each run of
+    /// [`kernel::block_len`] vectors is scored against every probing
+    /// query before the next run is touched, so the run comes from memory
+    /// once and from L1 for the rest of the batch. The block kernel
+    /// fills a stack buffer; [`TopK::offer`] admits.
+    fn scan_hot(
+        &self,
+        arena: &HotCluster,
+        queries: &[BatchQuery<'_>],
+        qis: &[usize],
+        tops: &mut [TopK],
+        kern: &Kernels,
+    ) {
+        let (metric, dim) = (self.segment.metric(), self.segment.dim());
+        let step = kernel::block_len(dim);
+        let mut dist = [0.0f32; kernel::MAX_BLOCK];
+        let blocks = arena.vectors.as_flat().chunks(step * dim);
+        for (ids, block) in arena.ids.chunks(step).zip(blocks) {
+            let dist = &mut dist[..ids.len()];
+            for &qi in qis {
+                metric.score_block(kern, queries[qi].query, block, dist);
+                tops[qi].offer(ids, dist);
             }
         }
-        let dim = self.segment.dim();
+    }
+
+    /// One pass over a cold cluster: the cluster's code bytes are
+    /// streamed from the segment once (the first query's walk) and every
+    /// further probing query re-reads them from cache, query-major so
+    /// each query's LUT stays hot in L1/L2 through its walk. (The
+    /// code-major orientation loses badly here: it switches between the
+    /// per-query 64 KiB LUTs on every vector, and the SIMD gather path
+    /// amplifies those misses.) Distances go through the same stack
+    /// buffer and [`TopK::offer`] as the hot tier. Missing LUTs are built
+    /// here, on the query's first cold probe of the batch.
+    fn scan_cold(
+        &self,
+        cluster: u32,
+        queries: &[BatchQuery<'_>],
+        qis: &[usize],
+        luts: &mut [Option<SqLut>],
+        tops: &mut [TopK],
+        kern: &Kernels,
+    ) {
+        let (metric, dim) = (self.segment.metric(), self.segment.dim());
         let codes = self.segment.sq8_codes(cluster);
+        let mut ids = [0u64; kernel::MAX_BLOCK];
+        let mut dist = [0.0f32; kernel::MAX_BLOCK];
         for &qi in qis {
-            if let Some(lut) = luts[qi].as_ref() {
-                for (i, code) in codes.chunks_exact(dim).enumerate() {
-                    tops[qi].push(self.segment.id_at(cluster, i), lut.distance(kern, code));
+            let lut = luts[qi]
+                .get_or_insert_with(|| SqLut::new(self.segment.sq(), metric, queries[qi].query));
+            for (b, block) in codes.chunks(kernel::MAX_BLOCK * dim).enumerate() {
+                let n = block.len() / dim;
+                for (d, code) in dist.iter_mut().zip(block.chunks_exact(dim)) {
+                    *d = lut.distance(kern, code);
                 }
+                self.segment
+                    .ids_into(cluster, b * kernel::MAX_BLOCK, &mut ids[..n]);
+                tops[qi].offer(&ids[..n], &dist[..n]);
             }
         }
     }
@@ -713,38 +685,26 @@ impl ClusterStore for StoreSnapshot {
     }
 
     fn scan_cluster(&self, cluster: u32, query: &[f32], top: &mut TopK) {
-        assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
-        // Kernel dispatch resolves once per pass; the scan loops below
-        // run over plain function pointers.
-        let kern = kernel::kernels();
-        match &self.map.entries[cluster as usize] {
-            TierEntry::Hot(arena) => self.scan_hot(cluster, arena, query, top, &kern),
-            TierEntry::Cold => {
-                let lut = SqLut::new(self.segment.sq(), self.segment.metric(), query);
-                self.scan_cold(cluster, &lut, top, &kern);
-            }
-        }
+        self.scan_clusters(&[cluster], query, top);
     }
 
+    /// Query-at-a-time: a batch of one, clusters visited in probe order.
     /// The LUT depends only on the query and the segment's quantizer, so
     /// one table serves every cold probe of the scan — built lazily on
     /// the first cold cluster (an all-hot probe set never pays for it).
     fn scan_clusters(&self, clusters: &[u32], query: &[f32], top: &mut TopK) {
         assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
-        // Kernel dispatch resolves once per pass; the scan loops below
-        // run over plain function pointers.
+        // Kernel dispatch resolves once per call; the scan loops run over
+        // plain function pointers.
         let kern = kernel::kernels();
-        let mut lut: Option<SqLut> = None;
+        let queries = [BatchQuery {
+            query,
+            lists: clusters,
+        }];
+        let mut lut = [None];
+        let tops = std::slice::from_mut(top);
         for &cluster in clusters {
-            match &self.map.entries[cluster as usize] {
-                TierEntry::Hot(arena) => self.scan_hot(cluster, arena, query, top, &kern),
-                TierEntry::Cold => {
-                    let lut = lut.get_or_insert_with(|| {
-                        SqLut::new(self.segment.sq(), self.segment.metric(), query)
-                    });
-                    self.scan_cold(cluster, lut, top, &kern);
-                }
-            }
+            self.scan_pass(cluster, &queries, &[0], &mut lut, tops, &kern);
         }
     }
 
@@ -762,25 +722,38 @@ impl ClusterStore for StoreSnapshot {
         }
         // Kernel dispatch resolves once for the whole batch.
         let kern = kernel::kernels();
-        // BTreeMap: clusters are visited in ascending id order, so the
-        // traversal (and every counter) is deterministic for a batch.
-        let mut by_cluster: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        // Counting-sort inversion into CSR form: cluster `c` is probed by
+        // `qis[offsets[c]..offsets[c + 1]]`. Counts land two slots up so
+        // that, after the prefix sum, `offsets[c + 1]` is cluster `c`'s
+        // write cursor and ends the fill as its end offset. Queries are
+        // walked in index order, so each run is nondecreasing with
+        // duplicates kept; clusters are then visited in ascending id, so
+        // the traversal (and every counter) is deterministic for a batch.
+        let n_clusters = self.map.entries.len();
+        let mut offsets = vec![0usize; n_clusters + 2];
+        for q in queries {
+            for &c in q.lists {
+                offsets[c as usize + 2] += 1;
+            }
+        }
+        for c in 2..offsets.len() {
+            offsets[c] += offsets[c - 1];
+        }
+        let mut qis = vec![0usize; offsets[n_clusters + 1]];
         for (qi, q) in queries.iter().enumerate() {
             for &c in q.lists {
-                by_cluster.entry(c).or_default().push(qi);
+                let cursor = &mut offsets[c as usize + 1];
+                qis[*cursor] = qi;
+                *cursor += 1;
             }
         }
         // Per-query SQ8 LUTs, built lazily on the query's first cold
         // probe and shared across all its cold clusters of the batch.
         let mut luts: Vec<Option<SqLut>> = queries.iter().map(|_| None).collect();
-        for (&cluster, qis) in &by_cluster {
-            match &self.map.entries[cluster as usize] {
-                TierEntry::Hot(arena) => {
-                    self.scan_hot_blocked(cluster, arena, queries, qis, tops, &kern);
-                }
-                TierEntry::Cold => {
-                    self.scan_cold_blocked(cluster, queries, qis, &mut luts, tops, &kern);
-                }
+        for cluster in 0..n_clusters {
+            let qis = &qis[offsets[cluster]..offsets[cluster + 1]];
+            if !qis.is_empty() {
+                self.scan_pass(cluster as u32, queries, qis, &mut luts, tops, &kern);
             }
         }
     }

@@ -142,3 +142,127 @@ fn blocked_pass_counts_bytes_once_and_probes_per_query() {
         "solo scans never block"
     );
 }
+
+/// Cluster sizes around the block kernel's four-row step, the 64-entry
+/// scan buffer and a second sub-block; one cluster per size.
+const SIZES: [usize; 9] = [0, 1, 3, 4, 5, 63, 64, 65, 129];
+
+fn sized_clusters(dim: usize, seed: u64) -> Vec<(Vec<u64>, VecSet)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    SIZES
+        .iter()
+        .enumerate()
+        .map(|(c, &n)| {
+            let ids: Vec<u64> = (0..n as u64).map(|i| ((c as u64) << 20) | i).collect();
+            let vectors = VecSet::from_fn(n, dim, |_, _| rng.random::<f32>() * 4.0 - 2.0);
+            (ids, vectors)
+        })
+        .collect()
+}
+
+fn bits(hits: &[vlite_ann::Neighbor]) -> Vec<(u64, u32)> {
+    hits.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+}
+
+/// The block scan loops against their oracles at every size boundary:
+/// blocked batch ≡ query-at-a-time ≡ (all-hot) a per-vector brute force,
+/// bit for bit, with a duplicate cluster id inside one probe list, an
+/// empty probe list, both metrics, and dims whose sub-block is the full
+/// 64 entries (6, 64) and shorter (100 → 40). On a mixed hot/cold store
+/// the counters tick exactly as the per-pair loops ticked them.
+#[test]
+fn block_scans_match_their_oracles_at_every_size_boundary() {
+    let all: Vec<u32> = (0..SIZES.len() as u32).collect();
+    let lists: Vec<Vec<u32>> = vec![
+        all.clone(),
+        all.iter().rev().copied().chain([7, 7]).collect(),
+        vec![8, 2, 2, 5],
+        vec![],
+        vec![6],
+    ];
+    let k = 7;
+    for (dim, metric) in [
+        (6, Metric::L2),
+        (64, Metric::L2),
+        (64, Metric::InnerProduct),
+        (100, Metric::L2),
+    ] {
+        let clusters = sized_clusters(dim, 0xb10c + dim as u64);
+        let mut rng = StdRng::seed_from_u64(dim as u64);
+        let queries: Vec<Vec<f32>> = (0..lists.len())
+            .map(|_| (0..dim).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
+            .collect();
+        let batch: Vec<BatchQuery<'_>> = queries
+            .iter()
+            .zip(&lists)
+            .map(|(query, lists)| BatchQuery { query, lists })
+            .collect();
+        let mixed: Vec<bool> = (0..SIZES.len()).map(|c| c % 2 == 1).collect();
+        for hot in [vec![true; SIZES.len()], mixed] {
+            let all_hot = hot.iter().all(|&h| h);
+            let path = temp_path(&format!("sizes-{dim}-{metric:?}-{all_hot}"));
+            let mut store =
+                TieredStore::create(&path, dim, metric, &clusters, &hot).expect("creates");
+            store.set_ephemeral(true);
+            let snap = store.snapshot();
+
+            let blocked = scan_lists_store_batch(&snap, &batch, k);
+            let after_batch = store.stats();
+            for (qi, q) in batch.iter().enumerate() {
+                let solo = scan_lists_store(&snap, q.query, q.lists, k);
+                assert_eq!(bits(&blocked[qi]), bits(&solo), "dim {dim} query {qi}");
+                if all_hot {
+                    let mut top = vlite_ann::TopK::new(k);
+                    for &c in q.lists {
+                        let (ids, vectors) = &clusters[c as usize];
+                        for (i, v) in vectors.iter().enumerate() {
+                            top.push(ids[i], metric.score(q.query, v));
+                        }
+                    }
+                    let brute = top.into_sorted();
+                    assert_eq!(bits(&solo), bits(&brute), "dim {dim} query {qi}");
+                }
+            }
+            let after_solo = store.stats();
+
+            // What one probe of cluster c costs, per tier.
+            let bytes = |c: u32| {
+                let n = SIZES[c as usize] as u64;
+                let per = if hot[c as usize] { 4 * dim } else { dim };
+                n * (8 + per as u64)
+            };
+            let mut want_batch = vlite_store::StoreStats::default();
+            let mut want_solo = vlite_store::StoreStats::default();
+            for &c in &all {
+                let probers: Vec<usize> = (0..lists.len())
+                    .flat_map(|qi| lists[qi].iter().filter(move |&&l| l == c).map(move |_| qi))
+                    .collect();
+                if probers.is_empty() {
+                    continue;
+                }
+                let occurrences = probers.len() as u64;
+                let multi = probers.iter().any(|&qi| qi != probers[0]);
+                let (batch_bytes, solo_bytes) = (bytes(c), occurrences * bytes(c));
+                if hot[c as usize] {
+                    want_batch.hot_probes += occurrences;
+                    want_batch.hot_bytes_scanned += batch_bytes;
+                    want_solo.hot_bytes_scanned += solo_bytes;
+                } else {
+                    want_batch.cold_probes += occurrences;
+                    want_batch.cold_bytes_scanned += batch_bytes;
+                    want_solo.cold_bytes_scanned += solo_bytes;
+                }
+                want_batch.blocked_scans += u64::from(multi);
+            }
+            assert_eq!(after_batch, want_batch, "dim {dim}: one blocked batch");
+            // The solo reruns probe as often, stream bytes per probe, and
+            // never block.
+            want_solo.hot_probes = 2 * want_batch.hot_probes;
+            want_solo.cold_probes = 2 * want_batch.cold_probes;
+            want_solo.hot_bytes_scanned += want_batch.hot_bytes_scanned;
+            want_solo.cold_bytes_scanned += want_batch.cold_bytes_scanned;
+            want_solo.blocked_scans = want_batch.blocked_scans;
+            assert_eq!(after_solo, want_solo, "dim {dim}: plus the solo reruns");
+        }
+    }
+}

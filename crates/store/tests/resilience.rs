@@ -157,6 +157,59 @@ fn tiered_store_surfaces_corruption_as_errors_not_panics() {
     let _ = std::fs::remove_file(path);
 }
 
+/// File-backed resident bytes of this process (`RssFile`), where the
+/// kernel reports it.
+fn rss_file_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("RssFile:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// A promotion copies the f32 extent out of the mapping and then releases
+/// the extent's file pages (`madvise(MADV_DONTNEED)`). The bytes must
+/// still be there for the next promotion: a second load re-reads the
+/// extent through fresh page faults and must match the first copy and the
+/// extent's stored CRC. Where the kernel reports `RssFile`, the release
+/// must also be real — most of a 4 MiB extent leaves the resident set.
+#[test]
+fn promoted_extent_pages_are_released_and_read_back_intact() {
+    let (n, dim) = (16_384usize, 64usize);
+    let mut rng = StdRng::seed_from_u64(0xd047_eed0);
+    let ids: Vec<u64> = (0..n as u64).collect();
+    let vectors = VecSet::from_fn(n, dim, |_, _| rng.random::<f32>());
+    let path = temp_path("release");
+    write_segment(&path, dim, Metric::L2, &[(ids.clone(), vectors.clone())]).expect("writes");
+    let seg = Segment::open(&path).expect("opens"); // CRC pass: every page resident
+
+    let before = rss_file_bytes();
+    let first = seg.load_cluster_f32(0);
+    let after = rss_file_bytes();
+    if let (true, Some(before), Some(after)) = (seg.is_mapped(), before, after) {
+        let extent = (n * dim * 4) as u64;
+        assert!(
+            before.saturating_sub(after) >= extent / 2,
+            "RssFile {before} -> {after}: a {extent}-byte extent was not released"
+        );
+    }
+
+    let second = seg.load_cluster_f32(0);
+    assert_eq!(first.0, ids);
+    assert_eq!(first.1, vectors, "first copy bit-identical to the source");
+    assert_eq!(second, first, "re-read after release");
+    let mut crc = vlite_store::Crc32::new();
+    for x in second.1.as_flat() {
+        crc.update(&x.to_le_bytes());
+    }
+    assert_eq!(
+        crc.finish(),
+        seg.cluster_crcs(0).1,
+        "extent CRC after release"
+    );
+    drop(seg);
+    let _ = std::fs::remove_file(path);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
