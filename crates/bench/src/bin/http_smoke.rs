@@ -260,15 +260,36 @@ fn main() {
     let recent = traces_json
         .get("recent")
         .and_then(Json::as_array)
-        .expect("recent trace ring");
-    assert!(!recent.is_empty(), "the run must leave recent traces");
+        .expect("recent request listing");
+    // Drill-down: the newest listed request's `trace_id` resolves to a span
+    // tree with a `request` root.
+    let newest = recent.last().expect("the run must leave recent traces");
+    let trace_id = newest
+        .get("trace_id")
+        .and_then(Json::as_str)
+        .expect("listed requests carry their trace id");
+    let tree = client
+        .get(&format!("/v1/trace/{trace_id}"))
+        .expect("trace exchange");
+    assert_eq!(tree.status, 200, "/v1/trace/{trace_id} must be 200");
+    let tree_json = tree.json().expect("trace tree is JSON");
+    let has_root = tree_json
+        .get("spans")
+        .and_then(Json::as_array)
+        .is_some_and(|spans| {
+            spans
+                .iter()
+                .any(|s| s.get("name").and_then(Json::as_str) == Some("request"))
+        });
+    assert!(has_root, "trace {trace_id} has no `request` root span");
 
     let events = client.get("/v1/events").expect("events exchange");
     assert_eq!(events.status, 200, "/v1/events must be 200");
     let events_json = events.json().expect("events are JSON");
     assert!(events_json.get("events").is_some(), "journal renders");
     println!(
-        "/v1/traces holds {} recent timelines; /v1/events renders the journal",
+        "/v1/traces lists {} recent requests, the newest drills down to its span tree; \
+         /v1/events renders the journal",
         recent.len()
     );
 

@@ -860,12 +860,12 @@ fn sweep() {
     println!("the batch scan, and admission control sheds load past the queue bound.");
 
     // Observability overhead: the identical workload with the telemetry
-    // plane's per-request captures (waterfall rings + journal) off, then
-    // on. The aggregates (sharded atomics, log-bucketed histograms) record
-    // either way — the report is built from them — so the comparison
-    // documents that the captures are not a tail-latency tax (the
-    // `obs_overhead` gate row pins the obs-on p99 in CI).
-    println!("\nobservability overhead: trace rings + journal off vs on at 500 req/s");
+    // plane's event journal off, then on. The aggregates (sharded atomics,
+    // log-bucketed histograms) record either way — the report is built
+    // from them — so the comparison documents that the journal is not a
+    // tail-latency tax (the `obs_overhead` gate row pins the obs-on p99 in
+    // CI).
+    println!("\nobservability overhead: event journal off vs on at 500 req/s");
     let mut obs_table = Table::new(vec![
         "telemetry",
         "achieved (req/s)",

@@ -1,21 +1,35 @@
-//! Span-tree primitives for causal request tracing.
+//! Span-tree primitives for causal request tracing — the runtime's only
+//! per-request store.
 //!
 //! A *trace* is identified by a 128-bit id and holds a list of spans; each
 //! span names a stage of work with `[start_s, end_s]` boundaries, an
 //! optional parent span (forming a tree), and zero or more *links* to other
 //! trace ids that causally interacted with it — the batch a request rode
-//! in, the requests a migration stalled. The store is bounded: once more
-//! than `capacity` distinct traces are held, whole oldest traces are
-//! evicted (a trace is only useful complete — evicting individual spans
-//! would leave dangling parents).
+//! in, the requests a migration stalled. The store is bounded three ways:
+//!
+//! - once more than `capacity` ordinary traces are held, whole oldest
+//!   traces are evicted (a trace is only useful complete — evicting
+//!   individual spans would leave dangling parents);
+//! - traces recorded as *kept* (slow or shed requests, and the batch traces
+//!   they link) sit in their own `kept_capacity`-sized eviction queue, so a
+//!   flood of fast requests never evicts an outlier or its cause;
+//! - one trace holds at most [`MAX_SPANS_PER_TRACE`] spans: the key is a
+//!   client-supplied id, and a client reusing one id must not grow a single
+//!   trace without limit. A tree that would cross the cap is dropped whole
+//!   and its spans counted.
 //!
 //! The recording side lives in `vlite-serve`; this module owns the data
 //! model, the bounded store, and the well-formedness checker that the
 //! property tests drive.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Most spans one trace may hold. A request tree is 3–7 spans and a batch
+/// trace a handful, so only a client replaying one `traceparent` id for
+/// dozens of requests ever reaches it.
+pub const MAX_SPANS_PER_TRACE: usize = 256;
 
 /// One recorded span of work inside a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +40,9 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// Parent span id within the same trace; `None` for a root span.
     pub parent_id: Option<u64>,
-    /// Stage name, e.g. `request`, `queue`, `batch`, `scan:shard0`.
-    pub name: String,
+    /// Stage name, e.g. `request`, `queue`, `batch`, `scan:shard0`. Every
+    /// per-request name is static, so recording a request allocates none.
+    pub name: Cow<'static, str>,
     /// Start boundary in seconds since the serving epoch.
     pub start_s: f64,
     /// End boundary in seconds since the serving epoch (`>= start_s`).
@@ -35,96 +50,183 @@ pub struct SpanRecord {
     /// Trace ids causally linked to this span (co-batched requests, the
     /// batch a migration stalled, ...).
     pub links: Vec<u128>,
+    /// On a `request` root span: the request id and tenant index it served
+    /// (what a listing of requests shows). `None` on every other span.
+    pub request: Option<(u64, u16)>,
 }
 
+struct Held {
+    spans: Vec<SpanRecord>,
+    kept: bool,
+}
+
+#[derive(Default)]
 struct Inner {
-    traces: HashMap<u128, Vec<SpanRecord>>,
-    /// Trace ids in first-recorded order; the eviction queue.
-    order: VecDeque<u128>,
+    traces: HashMap<u128, Held>,
+    /// Ordinary trace ids in first-recorded order; the eviction queue.
+    recent: VecDeque<u128>,
+    /// Kept trace ids in the order they were kept; evicted only by newer
+    /// kept traces.
+    kept: VecDeque<u128>,
+    stats: StoreStats,
+}
+
+/// Occupancy and loss counters of a [`SpanStore`], read under one lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Ordinary traces currently held.
+    pub recent: usize,
+    /// Kept traces currently held.
+    pub kept: usize,
+    /// Whole ordinary traces evicted (or dropped at capacity 0) so far.
+    pub recent_evicted: u64,
+    /// Whole kept traces evicted by newer kept traces so far.
+    pub kept_evicted: u64,
+    /// Spans dropped because their trace was at [`MAX_SPANS_PER_TRACE`].
+    pub dropped_spans: u64,
 }
 
 /// Bounded, thread-safe store of span trees keyed by trace id.
 pub struct SpanStore {
     inner: Mutex<Inner>,
     capacity: usize,
-    evicted: AtomicU64,
+    kept_capacity: usize,
 }
 
-/// Local poisoned-lock recovery: span recording must keep working after an
-/// unrelated panic, and the data is append-mostly so a poisoned snapshot is
-/// still internally consistent.
-fn lock_recover<'a>(mutex: &'a Mutex<Inner>) -> MutexGuard<'a, Inner> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+impl Inner {
+    /// Appends `trace_id` to the chosen eviction queue, evicting whole
+    /// oldest traces of that kind to make room. Returns `false` (counting
+    /// an eviction) when the queue's capacity is zero.
+    fn enqueue(&mut self, trace_id: u128, kept: bool, capacity: usize) -> bool {
+        let (queue, evicted) = if kept {
+            (&mut self.kept, &mut self.stats.kept_evicted)
+        } else {
+            (&mut self.recent, &mut self.stats.recent_evicted)
+        };
+        while queue.len() >= capacity {
+            *evicted += 1;
+            let Some(oldest) = queue.pop_front() else {
+                return false; // capacity 0: the new trace itself is the loss
+            };
+            self.traces.remove(&oldest);
+        }
+        queue.push_back(trace_id);
+        true
+    }
+
+    /// Moves a held trace to the back of the kept queue: an ordinary trace
+    /// is promoted, an already-kept one is refreshed — so a batch trace
+    /// outlives every kept request that links it. Unknown ids are ignored.
+    fn keep(&mut self, trace_id: u128, kept_capacity: usize) {
+        let Some(held) = self.traces.get_mut(&trace_id) else {
+            return;
+        };
+        let queue = if held.kept {
+            &mut self.kept
+        } else {
+            &mut self.recent
+        };
+        queue.retain(|id| *id != trace_id);
+        held.kept = true;
+        if !self.enqueue(trace_id, true, kept_capacity) {
+            self.traces.remove(&trace_id);
+        }
+    }
 }
 
 impl SpanStore {
-    /// A store holding at most `capacity` distinct traces. Capacity `0`
-    /// drops every span (counting each dropped trace as an eviction).
-    pub fn new(capacity: usize) -> Self {
+    /// Poison-recovering lock: span recording must keep working after an
+    /// unrelated panic, and every critical section leaves `Inner` whole.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A store holding at most `capacity` ordinary traces plus
+    /// `kept_capacity` kept ones. A capacity of `0` drops every trace of
+    /// that kind (counting each as an eviction).
+    pub fn new(capacity: usize, kept_capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                traces: HashMap::new(),
-                order: VecDeque::new(),
-            }),
+            inner: Mutex::new(Inner::default()),
             capacity,
-            evicted: AtomicU64::new(0),
+            kept_capacity,
         }
     }
 
-    /// Records one span, evicting the oldest whole trace if `span` starts a
-    /// new trace beyond capacity.
+    /// Records one span into its trace (ordinary unless already kept).
     pub fn record(&self, span: SpanRecord) {
-        if self.capacity == 0 {
-            // relaxed: a monotonically increasing diagnostics-only counter;
-            // no other memory depends on its ordering.
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut inner = lock_recover(&self.inner);
-        if !inner.traces.contains_key(&span.trace_id) {
-            while inner.order.len() >= self.capacity {
-                if let Some(oldest) = inner.order.pop_front() {
-                    inner.traces.remove(&oldest);
-                    // relaxed: same diagnostics-only counter as above.
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+        self.record_tree(span.trace_id, vec![span], false);
+    }
+
+    /// Records `spans` — one whole tree of trace `trace_id` — under one
+    /// lock acquisition, so a reader sees all of the tree or none of it.
+    /// A new trace beyond capacity evicts the oldest whole trace of its
+    /// kind. With `keep`, the trace and every held trace its spans link
+    /// move to the kept queue. A tree that would push the trace past
+    /// [`MAX_SPANS_PER_TRACE`] is dropped whole and counted.
+    pub fn record_tree(&self, trace_id: u128, spans: Vec<SpanRecord>, keep: bool) {
+        // Only a kept tree (rare: slow or shed) walks its links.
+        let links: Vec<u128> = if keep {
+            spans.iter().flat_map(|s| &s.links).copied().collect()
+        } else {
+            Vec::new()
+        };
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if let Some(held) = inner.traces.get_mut(&trace_id) {
+            if held.spans.len() + spans.len() > MAX_SPANS_PER_TRACE {
+                inner.stats.dropped_spans += spans.len() as u64;
+                return;
             }
-            inner.order.push_back(span.trace_id);
+            held.spans.extend(spans);
+            if keep {
+                inner.keep(trace_id, self.kept_capacity);
+            }
+        } else {
+            let capacity = if keep {
+                self.kept_capacity
+            } else {
+                self.capacity
+            };
+            if !inner.enqueue(trace_id, keep, capacity) {
+                return;
+            }
+            // The caller's Vec becomes the trace: a fresh request costs no
+            // copy and no second allocation.
+            inner.traces.insert(trace_id, Held { spans, kept: keep });
         }
-        inner.traces.entry(span.trace_id).or_default().push(span);
+        for link in links {
+            inner.keep(link, self.kept_capacity);
+        }
     }
 
     /// All spans recorded for `trace_id`, in recording order.
     pub fn get(&self, trace_id: u128) -> Option<Vec<SpanRecord>> {
-        lock_recover(&self.inner).traces.get(&trace_id).cloned()
+        self.lock()
+            .traces
+            .get(&trace_id)
+            .map(|held| held.spans.clone())
     }
 
-    /// Number of distinct traces currently held.
-    pub fn len(&self) -> usize {
-        lock_recover(&self.inner).order.len()
+    /// Calls `visit(spans, kept)` on every held trace — ordinary traces
+    /// oldest first, then kept ones — under the store lock, so `visit`
+    /// should copy what it needs and return.
+    pub fn for_each(&self, mut visit: impl FnMut(&[SpanRecord], bool)) {
+        let inner = self.lock();
+        for id in inner.recent.iter().chain(&inner.kept) {
+            if let Some(held) = inner.traces.get(id) {
+                visit(&held.spans, held.kept);
+            }
+        }
     }
 
-    /// Whether no traces are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total whole traces evicted (or dropped at capacity 0) so far.
-    pub fn evicted(&self) -> u64 {
-        // relaxed: reading a diagnostics-only counter.
-        self.evicted.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for SpanStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanStore")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .field("evicted", &self.evicted())
-            .finish()
+    /// Occupancy and loss counters.
+    pub fn stats(&self) -> StoreStats {
+        let inner = self.lock();
+        StoreStats {
+            recent: inner.recent.len(),
+            kept: inner.kept.len(),
+            ..inner.stats
+        }
     }
 }
 
@@ -226,42 +328,101 @@ mod tests {
             trace_id: trace,
             span_id: id,
             parent_id: parent,
-            name: format!("s{id}"),
+            name: format!("s{id}").into(),
             start_s: start,
             end_s: end,
             links: Vec::new(),
+            request: None,
         }
     }
 
     #[test]
     fn store_keeps_whole_traces_and_evicts_oldest() {
-        let store = SpanStore::new(2);
+        let store = SpanStore::new(2, 1);
         store.record(span(1, 10, None, 0.0, 1.0));
         store.record(span(1, 11, Some(10), 0.2, 0.8));
         store.record(span(2, 20, None, 0.0, 1.0));
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.evicted(), 0);
+        assert_eq!((store.stats().recent, store.stats().recent_evicted), (2, 0));
 
         store.record(span(3, 30, None, 0.0, 1.0));
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.evicted(), 1);
+        assert_eq!((store.stats().recent, store.stats().recent_evicted), (2, 1));
         assert!(store.get(1).is_none(), "oldest trace evicted whole");
         assert_eq!(store.get(2).expect("trace 2 kept").len(), 1);
         assert_eq!(store.get(3).expect("trace 3 kept").len(), 1);
 
         // Appending to a *held* trace never evicts.
         store.record(span(2, 21, Some(20), 0.1, 0.9));
-        assert_eq!(store.evicted(), 1);
+        assert_eq!(store.stats().recent_evicted, 1);
         assert_eq!(store.get(2).expect("trace 2 kept").len(), 2);
     }
 
     #[test]
     fn zero_capacity_drops_everything() {
-        let store = SpanStore::new(0);
+        let store = SpanStore::new(0, 0);
         store.record(span(1, 1, None, 0.0, 1.0));
-        assert!(store.is_empty());
-        assert_eq!(store.evicted(), 1);
-        assert!(store.get(1).is_none());
+        store.record_tree(2, vec![span(2, 2, None, 0.0, 1.0)], true);
+        let stats = store.stats();
+        assert_eq!((stats.recent, stats.kept), (0, 0));
+        assert_eq!((stats.recent_evicted, stats.kept_evicted), (1, 1));
+        assert!(store.get(1).is_none() && store.get(2).is_none());
+    }
+
+    #[test]
+    fn kept_trees_and_the_traces_they_link_survive_a_flood() {
+        let store = SpanStore::new(4, 2);
+        let root = |trace: u128| span(trace, trace as u64, None, 0.0, 1.0);
+        let linking = |trace: u128, link: u128| SpanRecord {
+            links: vec![link],
+            ..span(trace, 1_000 + trace as u64, Some(trace as u64), 0.0, 1.0)
+        };
+        // A batch trace recorded as ordinary, then a kept request linking it.
+        store.record(root(100));
+        store.record_tree(7, vec![root(7), linking(7, 100)], true);
+        assert_eq!((store.stats().recent, store.stats().kept), (0, 2));
+
+        // Twice the ordinary capacity of newer traces evicts neither, and
+        // an ordinary write to a kept trace appends without demoting it.
+        for id in 10..18 {
+            store.record(root(id));
+        }
+        store.record(span(100, 1, Some(100), 0.2, 0.4));
+        assert_eq!(store.get(7).expect("kept request").len(), 2);
+        assert_eq!(store.get(100).expect("its batch").len(), 2);
+        assert_eq!(store.stats().recent_evicted, 4);
+
+        // Only newer kept traces evict kept ones, oldest first — and a
+        // second kept request linking the same batch refreshes it, so the
+        // batch outlives every request that points at it.
+        store.record_tree(8, vec![root(8), linking(8, 100)], true);
+        assert_eq!(store.stats().kept_evicted, 1);
+        let mut kept_ids = Vec::new();
+        store.for_each(|spans, kept| kept_ids.extend(kept.then_some(spans[0].trace_id)));
+        assert_eq!(kept_ids, vec![8, 100], "request 7 was the oldest");
+
+        // An ordinary trace becomes kept when a later tree says so.
+        store.record_tree(17, vec![linking(17, 0)], true);
+        assert_eq!(store.get(17).expect("promoted").len(), 2);
+        assert_eq!((store.stats().recent, store.stats().kept), (3, 2));
+    }
+
+    #[test]
+    fn a_trace_at_the_span_cap_drops_whole_trees_and_counts_them() {
+        let store = SpanStore::new(2, 1);
+        let tree = |n: u64| {
+            vec![
+                span(9, n, None, 0.0, 1.0),
+                span(9, n + 1, Some(n), 0.0, 1.0),
+            ]
+        };
+        for n in 0..(MAX_SPANS_PER_TRACE as u64 / 2) {
+            store.record_tree(9, tree(2 * n), false);
+        }
+        store.record_tree(9, tree(10_000), false);
+        store.record(span(9, 20_000, None, 0.0, 1.0));
+        let spans = store.get(9).expect("still held");
+        assert_eq!(spans.len(), MAX_SPANS_PER_TRACE, "nothing past the cap");
+        assert!(tree_violations(&spans).is_empty(), "no half-recorded tree");
+        assert_eq!(store.stats().dropped_spans, 3);
     }
 
     #[test]

@@ -159,8 +159,7 @@ impl GenerationConfig {
 ///    is dropped at batch formation instead of wasting a batch slot.
 /// 3. **Probe shrinking**: a request that burned queue budget probes a
 ///    prefix of its closeness-ordered probe list, scaled to the remaining
-///    budget (never below
-///    [`min_probe_fraction`](DeadlinePolicy::min_probe_fraction)).
+///    budget (never below a quarter of the list).
 /// 4. **Cold-tier skip**: when the remaining budget cannot absorb a
 ///    cold-tier (CPU) scan, the query keeps only its fast-tier probes.
 /// 5. **Generation shed**: a request whose estimated first token lands
@@ -190,14 +189,6 @@ pub struct DeadlinePolicy {
     /// the fast tier. When the remaining budget is below
     /// `est_search + est_cold`, the query skips its cold-tier probes.
     pub est_cold: f64,
-    /// Floor on the fraction of the configured probe list a degraded
-    /// query keeps (always at least one probe).
-    pub min_probe_fraction: f64,
-    /// Upper bound in seconds the HTTP handler waits on an *unbudgeted*
-    /// request before answering `504 Gateway Timeout` — the backstop that
-    /// keeps a wedged pipeline from pinning connection threads forever.
-    /// Budgeted requests wait until their own deadline instead.
-    pub max_http_wait: f64,
 }
 
 impl Default for DeadlinePolicy {
@@ -207,15 +198,13 @@ impl Default for DeadlinePolicy {
             enforce: false,
             est_search: 0.005,
             est_cold: 0.050,
-            min_probe_fraction: 0.25,
-            max_http_wait: 30.0,
         }
     }
 }
 
 impl DeadlinePolicy {
-    /// Panics unless the policy is servable: positive finite estimates, a
-    /// probe floor in `(0, 1]`, and a positive default deadline when set.
+    /// Panics unless the policy is servable: positive finite estimates and
+    /// a positive default deadline when set.
     pub(crate) fn validate(&self) {
         if let Some(d) = self.default_deadline {
             assert!(
@@ -230,14 +219,6 @@ impl DeadlinePolicy {
         assert!(
             self.est_cold.is_finite() && self.est_cold >= 0.0,
             "est_cold must be non-negative and finite"
-        );
-        assert!(
-            self.min_probe_fraction > 0.0 && self.min_probe_fraction <= 1.0,
-            "min_probe_fraction must be in (0, 1]"
-        );
-        assert!(
-            self.max_http_wait.is_finite() && self.max_http_wait > 0.0,
-            "max_http_wait must be positive and finite"
         );
     }
 }
@@ -286,75 +267,36 @@ impl StoreConfig {
 }
 
 /// Causal-tracing, profiling and alerting knobs
-/// ([`TracePlane`](crate::trace::TracePlane)).
+/// ([`TracePlane`](crate::trace::TracePlane)). Store capacities, the
+/// sampler period and the watchdog's windows and thresholds are constants
+/// in [`crate::trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
-    /// Master switch. When `false` no spans are recorded, no profiler
-    /// thread is spawned and the watchdog never fires; the trace/profile/
-    /// alerts endpoints answer with empty bodies.
+    /// Master switch, and the gate on per-request capture. When `false` no
+    /// spans are recorded (`/v1/traces` lists nothing), no profiler thread
+    /// is spawned and the watchdog never fires; the trace/profile/alerts
+    /// endpoints answer with empty bodies.
     pub enabled: bool,
-    /// Distinct traces retained before whole oldest traces are evicted.
-    pub trace_capacity: usize,
-    /// Sampling-profiler period in seconds (real clocks only; virtual-
-    /// clock runs sample explicitly via
-    /// [`TracePlane::sample_now`](crate::trace::TracePlane::sample_now)).
-    pub sample_interval_s: f64,
     /// Attainment target the burn-rate watchdog holds every SLO signal
     /// (search / TTFT / deadline) to, e.g. `0.95` = 5% error budget.
     pub slo_target: f64,
-    /// Fast burn-rate window in seconds (catches sharp regressions).
-    pub fast_window_s: f64,
-    /// Slow burn-rate window in seconds (confirms sustained burn).
-    pub slow_window_s: f64,
-    /// Burn rate (budget consumption multiple) at which a signal enters
-    /// `warn` — both windows must exceed it.
-    pub warn_burn: f64,
-    /// Burn rate at which a signal enters `critical`.
-    pub critical_burn: f64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            trace_capacity: 512,
-            sample_interval_s: 0.050,
             slo_target: 0.95,
-            fast_window_s: 60.0,
-            slow_window_s: 600.0,
-            warn_burn: 2.0,
-            critical_burn: 10.0,
         }
     }
 }
 
 impl TraceConfig {
-    /// Panics unless the config is servable: positive finite windows and
-    /// interval, a target in `(0, 1)`, and ordered burn thresholds.
+    /// Panics unless the attainment target is in `(0, 1)`.
     pub(crate) fn validate(&self) {
-        assert!(
-            self.sample_interval_s.is_finite() && self.sample_interval_s > 0.0,
-            "sample_interval_s must be positive and finite"
-        );
         assert!(
             self.slo_target > 0.0 && self.slo_target < 1.0,
             "slo_target must be in (0, 1)"
-        );
-        assert!(
-            self.fast_window_s.is_finite() && self.fast_window_s > 0.0,
-            "fast_window_s must be positive and finite"
-        );
-        assert!(
-            self.slow_window_s >= self.fast_window_s,
-            "slow_window_s must be >= fast_window_s"
-        );
-        assert!(
-            self.warn_burn.is_finite() && self.warn_burn > 0.0,
-            "warn_burn must be positive and finite"
-        );
-        assert!(
-            self.critical_burn >= self.warn_burn,
-            "critical_burn must be >= warn_burn"
         );
     }
 }
@@ -390,9 +332,6 @@ pub struct HttpConfig {
     /// Largest request body accepted; bigger ones are rejected with
     /// `413 Payload Too Large`.
     pub max_body: usize,
-    /// Whether connections persist across requests (HTTP/1.1 keep-alive).
-    /// `false` forces `Connection: close` after every response.
-    pub keep_alive: bool,
 }
 
 impl Default for HttpConfig {
@@ -400,7 +339,6 @@ impl Default for HttpConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             max_body: 1 << 20,
-            keep_alive: true,
         }
     }
 }
@@ -436,15 +374,15 @@ pub struct ServeConfig {
     /// enforce it (shed/degrade) or only measure burn, and the cost
     /// estimates the degradation ladder scales against.
     pub deadline: DeadlinePolicy,
-    /// Telemetry-plane configuration: ring capacities, and the switch (on
-    /// by default) for the per-request captures behind `/v1/traces` and
-    /// `/v1/events`. The lock-free aggregates behind `/v1/report` and
-    /// `/v1/metrics` always record.
+    /// Telemetry-plane configuration: the switch (on by default) for the
+    /// event journal behind `/v1/events`, and the latency at which a
+    /// request's trace is kept as slow. The lock-free aggregates behind
+    /// `/v1/report` and `/v1/metrics` always record.
     pub obs: crate::obs::ObsConfig,
-    /// Causal-tracing configuration (on by default): span trees behind
-    /// `GET /v1/trace/{id}`, the per-stage sampling profiler behind
-    /// `GET /v1/profile`, and the SLO burn-rate watchdog behind
-    /// `GET /v1/alerts`.
+    /// Causal-tracing configuration (on by default): the per-request span
+    /// trees behind `GET /v1/traces` and `GET /v1/trace/{id}`, the
+    /// per-stage sampling profiler behind `GET /v1/profile`, and the SLO
+    /// burn-rate watchdog behind `GET /v1/alerts`.
     pub trace: TraceConfig,
 }
 

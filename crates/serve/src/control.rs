@@ -386,6 +386,7 @@ mod tests {
             deadline,
             trace: Arc::new(crate::trace::TracePlane::new(
                 &crate::config::TraceConfig::default(),
+                ObsConfig::default().slow_threshold_s,
                 7,
             )),
         });

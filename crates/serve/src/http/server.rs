@@ -6,8 +6,8 @@
 //! | `POST /v1/search` (+ `X-Tenant`, `traceparent`) | [`RagServer::submit_with_trace`], blocks on the [`Ticket`](crate::Ticket), streams the merged result back with a `traceparent` response header |
 //! | `GET /v1/report` | [`RagServer::report`] as JSON |
 //! | `GET /v1/metrics` | [`RagServer::prometheus_text`] + frontend uptime, as Prometheus text exposition |
-//! | `GET /v1/traces` | the recent + slow request-trace rings as JSON |
-//! | `GET /v1/trace/{id}` | one trace's causal span tree (`?format=chrome` for a `chrome://tracing` export) |
+//! | `GET /v1/traces` | the recent + slow finished requests, listed from the span store's `request` roots (each entry carries its `trace_id`) |
+//! | `GET /v1/trace/{id}` | drill-down: one trace's causal span tree plus the traces it links (`?format=chrome` for a `chrome://tracing` export) |
 //! | `GET /v1/profile` | per-stage wall vs CPU profile + collapsed sampler stacks |
 //! | `GET /v1/alerts` | SLO burn-rate watchdog states per signal |
 //! | `GET /v1/events` | the unified event journal as JSON (`?severity=` to filter) |
@@ -46,6 +46,13 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Upper bound on writing one response to a stalled client.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Upper bound in seconds the handler waits on an *unbudgeted* request
+/// before answering `504 Gateway Timeout` — the backstop that keeps a
+/// wedged pipeline from pinning connection threads forever. Budgeted
+/// requests wait until their own deadline instead. Froze
+/// `DeadlinePolicy::max_http_wait` at its default.
+const MAX_HTTP_WAIT_S: f64 = 30.0;
 
 /// State shared between the acceptor and every connection thread.
 struct FrontendInner {
@@ -323,9 +330,7 @@ fn try_serve_one(
                 return Ok(Step::NeedMore);
             }
             let body = &buf[head_len..head_len + body_len];
-            let keep = head.keep_alive()
-                && inner.config.keep_alive
-                && !inner.shutting_down.load(Ordering::SeqCst);
+            let keep = head.keep_alive() && !inner.shutting_down.load(Ordering::SeqCst);
             let reply = route(inner, &head, body);
             (
                 encode_response(
@@ -392,7 +397,7 @@ fn route(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
             headers: Vec::new(),
             content_type: PROM_CT,
         },
-        ("GET", "/v1/traces") => Reply::json(OK, inner.server.obs().traces_json().render()),
+        ("GET", "/v1/traces") => Reply::json(OK, inner.server.trace_plane().traces_json().render()),
         ("GET", "/v1/events") => events(inner, head),
         ("GET", "/v1/profile") => {
             Reply::json(OK, inner.server.trace_plane().profile_json().render())
@@ -588,7 +593,7 @@ fn search(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
 /// unboundedly: the wait is sliced into [`POLL_INTERVAL`] chunks, and every
 /// slice re-checks shutdown, the request's deadline (on the server's own
 /// clock, so VirtualClock tests drive it deterministically), and — for
-/// unbudgeted requests — the policy's `max_http_wait` cap. A stalled
+/// unbudgeted requests — the [`MAX_HTTP_WAIT_S`] cap. A stalled
 /// pipeline therefore answers 504 instead of hanging the connection
 /// forever, and shutdown no longer waits on abandoned tickets.
 fn wait_for_ticket(inner: &FrontendInner, ticket: Ticket, waited_from: SimTime) -> Reply {
@@ -597,7 +602,6 @@ fn wait_for_ticket(inner: &FrontendInner, ticket: Ticket, waited_from: SimTime) 
         Reply::json((504, "Gateway Timeout"), wire::error_body(message))
     };
     let clock = inner.server.clock();
-    let max_wait = inner.server.deadline_policy().max_http_wait;
     let mut ticket = ticket;
     loop {
         match ticket.wait_timeout(POLL_INTERVAL) {
@@ -637,7 +641,7 @@ fn wait_for_ticket(inner: &FrontendInner, ticket: Ticket, waited_from: SimTime) 
                             "deadline exceeded while the request was in flight",
                         );
                     }
-                    None if (now - waited_from).as_secs_f64() >= max_wait => {
+                    None if (now - waited_from).as_secs_f64() >= MAX_HTTP_WAIT_S => {
                         return gateway_timeout("request exceeded the frontend's maximum wait");
                     }
                     _ => {}
@@ -752,8 +756,7 @@ mod tests {
         let (inner, clock) = frontend_inner();
         let waited_from = clock.now();
         let (ticket, _keep_alive) = stalled_ticket(None);
-        let max_wait = inner.server.deadline_policy().max_http_wait;
-        clock.advance(SimDuration::from_secs_f64(max_wait));
+        clock.advance(SimDuration::from_secs_f64(MAX_HTTP_WAIT_S));
         let reply = wait_for_ticket(&inner, ticket, waited_from);
         assert_eq!(reply.status.0, 504, "uncapped waits must not hang");
         assert!(

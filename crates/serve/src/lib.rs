@@ -67,8 +67,12 @@
 //!   per-request measurements: every request that ends is recorded once,
 //!   lock-free, into counters and stage histograms (global and per
 //!   tenant) that both [`ServeReport`] and the `/v1/metrics` scrape are
-//!   read from; plus per-request trace timelines ([`RequestTrace`]) and
-//!   the bounded unified event journal.
+//!   read from; plus the bounded unified event journal.
+//! - [`trace`] — the trace plane ([`TracePlane`]): the span store, the one
+//!   place a finished request's timeline lives (written once per request,
+//!   from its [`RequestOutcome`]) — `GET /v1/traces` lists its `request`
+//!   roots, `GET /v1/trace/{id}` drills into one tree and the batch it
+//!   links — plus per-stage CPU profiling and the SLO burn-rate watchdog.
 //! - [`loadgen`] — open-loop Poisson load generation with a rotating-hot-set
 //!   query source for drift experiments, single- and multi-tenant, in
 //!   process or over the HTTP frontend's socket.
@@ -127,10 +131,10 @@ pub use control::RepartitionEvent;
 pub use dispatch::{hybrid_search_batch, run_dispatcher, DispatchOutcome};
 pub use http::HttpFrontend;
 pub use migrate::MigrationEvent;
-pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, RequestTrace, Severity, TraceSpan};
+pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, Severity};
 pub use report::{ServeReport, StoreReport, TenantReport};
 pub use request::{
     AdmissionError, GenerationTimings, RequestTimings, SearchResponse, TenantId, Ticket,
 };
-pub use server::RagServer;
+pub use server::{RagServer, RequestOutcome, ShedCause};
 pub use trace::{AlertLevel, AlertState, AlertTransition, StageProfile, TraceId, TracePlane};

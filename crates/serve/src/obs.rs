@@ -1,5 +1,5 @@
 //! The telemetry plane (`vlite-obs`): the runtime's one store of
-//! per-request measurements.
+//! per-request *aggregates*, plus the event journal.
 //!
 //! Every request that reaches its end is recorded exactly once, by
 //! `Shared::record_outcome`, into the lock-free instruments of
@@ -14,21 +14,17 @@
 //!   worker and admission path without taking any lock. Counts, sums,
 //!   minima and maxima are exact; percentiles are bucket upper bounds
 //!   (at most [`StreamingHistogram::relative_error_bound`] high).
-//! - [`RequestTrace`] — a per-request timeline of stage spans (queue →
-//!   search → gen-queue → prefill → first token → decode) assembled from
-//!   the request's [`RequestTimings`], kept in a bounded ring of recent
-//!   traces plus a separate always-captured slow-trace ring
-//!   ([`ObsConfig::slow_threshold_s`]), served as JSON by `GET /v1/traces`.
 //! - [`ObsEvent`] + a bounded journal — one ordered stream for the
 //!   runtime's discrete events (repartitions, tier migrations, sheds, SLO
 //!   breaches), served by `GET /v1/events`.
 //! - [`BoundedRing`] — the fixed-capacity, eviction-counting ring behind
-//!   the trace and journal stores, also capping the repartition/migration
-//!   histories that previously grew without bound.
+//!   the journal and the repartition/migration histories.
 //!
-//! [`ObsConfig::enabled`] gates only the parts that cost a ring push: the
-//! waterfall rings and the journal. Counters and histograms always record
-//! — the report is built from them.
+//! The plane holds no per-request record: each finished request's timeline
+//! lives once, as a span tree, in the trace plane's store
+//! ([`crate::trace`]), and `GET /v1/traces` is a view over it.
+//! [`ObsConfig::enabled`] gates only the journal. Counters and histograms
+//! always record — the report is built from them.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -38,54 +34,46 @@ use std::sync::Mutex;
 use vlite_metrics::obs::{Counter, Gauge, StreamingHistogram};
 
 use crate::http::json::Json;
-use crate::request::{RequestTimings, TenantId};
+use crate::server::RequestOutcome;
 
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Switch for the per-request captures that cost a ring push: the
-    /// waterfall rings and the event journal (the `serve_smoke`
-    /// obs-on-vs-off comparison measures the difference). Disabled,
-    /// `/v1/traces` and `/v1/events` serve empty bodies; counters and
-    /// histograms record regardless — the report is built from them.
+    /// Switch for the event journal (the `serve_smoke` obs-on-vs-off
+    /// comparison measures the difference). Disabled, `/v1/events` serves
+    /// an empty body; counters and histograms record regardless — the
+    /// report is built from them — and per-request traces are gated by
+    /// [`TraceConfig::enabled`](crate::TraceConfig) instead.
     pub enabled: bool,
-    /// Capacity of the recent-trace ring.
-    pub recent_traces: usize,
-    /// Capacity of the slow-trace ring (kept separately so a flood of
-    /// fast requests can never evict the interesting outliers).
-    pub slow_traces: usize,
     /// End-to-end latency (seconds) at or above which a request's trace is
-    /// always captured into the slow ring. Sheds are always slow.
+    /// *kept*: listed under `slow` by `/v1/traces` and, with the batch
+    /// trace it links, out of reach of eviction by fast requests. Sheds
+    /// are always kept.
     pub slow_threshold_s: f64,
-    /// Capacity of the unified event journal.
-    pub journal_capacity: usize,
-    /// Capacity of the repartition-history ring (the previously unbounded
-    /// `Vec<RepartitionEvent>`).
-    pub repartition_capacity: usize,
-    /// Capacity of the migration-history ring (the previously unbounded
-    /// `Vec<MigrationEvent>`).
-    pub migration_capacity: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            recent_traces: 256,
-            slow_traces: 64,
             slow_threshold_s: 0.25,
-            journal_capacity: 1024,
-            repartition_capacity: 1024,
-            migration_capacity: 1024,
         }
     }
 }
+
+/// Capacity of the unified event journal. Froze
+/// `ObsConfig::journal_capacity` at its default.
+pub const JOURNAL_CAPACITY: usize = 1024;
+/// Capacity of each of the repartition- and migration-history rings. Froze
+/// `ObsConfig::repartition_capacity` / `migration_capacity` at their
+/// (shared) default.
+pub const HISTORY_CAPACITY: usize = 1024;
 
 /// A fixed-capacity ring that counts what it evicts.
 ///
 /// This is *not* a hot-path instrument — pushes take a (short, dedicated)
 /// mutex — it is the bounded replacement for the runtime's grow-forever
-/// event vectors, and the store behind the trace rings and journal.
+/// event vectors, and the store behind the journal.
 #[derive(Debug)]
 pub struct BoundedRing<T> {
     items: Mutex<VecDeque<T>>,
@@ -143,126 +131,6 @@ impl<T: Clone> BoundedRing<T> {
     pub fn evicted(&self) -> u64 {
         // relaxed: stat counter read for reporting only.
         self.evicted.load(Ordering::Relaxed)
-    }
-}
-
-/// One stage span of a [`RequestTrace`], in seconds relative to the
-/// request's admission. A zero-length span is an instant marker (the
-/// `first_token` event).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Stage name (`queue`, `search`, `gen_queue`, `prefill`,
-    /// `first_token`, `decode`).
-    pub stage: &'static str,
-    /// Span start, seconds after admission.
-    pub start_s: f64,
-    /// Span end, seconds after admission.
-    pub end_s: f64,
-}
-
-/// The timeline of one served request, assembled from its
-/// [`RequestTimings`] at the moment its lifecycle ends.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RequestTrace {
-    /// Request id (assigned at admission).
-    pub id: u64,
-    /// The submitting tenant.
-    pub tenant: TenantId,
-    /// Admission instant, nanoseconds on the server's clock.
-    pub admitted_ns: u64,
-    /// Admission → final delivery, seconds.
-    pub e2e_s: f64,
-    /// Whether KV-aware admission shed the request (retrieval-only reply,
-    /// no generation spans).
-    pub shed: bool,
-    /// Stage spans in timeline order.
-    pub spans: Vec<TraceSpan>,
-}
-
-impl RequestTrace {
-    /// Builds the timeline from one request's timings. Span boundaries are
-    /// cumulative offsets from admission, so the trace renders directly as
-    /// a waterfall.
-    pub fn from_timings(
-        id: u64,
-        tenant: TenantId,
-        admitted_ns: u64,
-        timings: &RequestTimings,
-        shed: bool,
-    ) -> Self {
-        let mut spans = Vec::with_capacity(6);
-        let queue_end = timings.queue;
-        let search_end = queue_end + timings.search;
-        spans.push(TraceSpan {
-            stage: "queue",
-            start_s: 0.0,
-            end_s: queue_end,
-        });
-        spans.push(TraceSpan {
-            stage: "search",
-            start_s: queue_end,
-            end_s: search_end,
-        });
-        if let Some(gen) = &timings.generation {
-            let gen_queue_end = search_end + gen.gen_queue;
-            let prefill_end = gen_queue_end + gen.prefill;
-            spans.push(TraceSpan {
-                stage: "gen_queue",
-                start_s: search_end,
-                end_s: gen_queue_end,
-            });
-            spans.push(TraceSpan {
-                stage: "prefill",
-                start_s: gen_queue_end,
-                end_s: prefill_end,
-            });
-            // The instant the user first saw output — by construction
-            // ttft = queue + search + gen_queue + prefill.
-            spans.push(TraceSpan {
-                stage: "first_token",
-                start_s: gen.ttft,
-                end_s: gen.ttft,
-            });
-            spans.push(TraceSpan {
-                stage: "decode",
-                start_s: prefill_end,
-                end_s: prefill_end + gen.decode,
-            });
-        }
-        Self {
-            id,
-            tenant,
-            admitted_ns,
-            e2e_s: timings.e2e,
-            shed,
-            spans,
-        }
-    }
-
-    /// The trace as a JSON value (what `GET /v1/traces` serves per entry).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("id".into(), Json::Num(self.id as f64)),
-            ("tenant".into(), Json::Num(f64::from(self.tenant.0))),
-            ("admitted_ns".into(), Json::Num(self.admitted_ns as f64)),
-            ("e2e_s".into(), Json::Num(self.e2e_s)),
-            ("shed".into(), Json::Bool(self.shed)),
-            (
-                "spans".into(),
-                Json::Arr(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("stage".into(), Json::Str(s.stage.into())),
-                                ("start_s".into(), Json::Num(s.start_s)),
-                                ("end_s".into(), Json::Num(s.end_s)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -401,13 +269,11 @@ pub(crate) struct TenantSlice {
 
 /// The telemetry plane: one instance per server, shared by every runtime
 /// thread. All counter/histogram recording is lock-free
-/// ([`vlite_metrics::obs`]) and always on; trace/journal capture takes a
-/// (short, dedicated) ring mutex and is skipped when the plane is
-/// disabled.
+/// ([`vlite_metrics::obs`]) and always on; journal capture takes a (short,
+/// dedicated) ring mutex and is skipped when the plane is disabled.
 #[derive(Debug)]
 pub struct ObsPlane {
     enabled: bool,
-    slow_threshold_s: f64,
     /// Requests admitted into a queue (equals `QueueStats::admitted`).
     pub admitted: Counter,
     /// Requests rejected by a full tenant queue (equals
@@ -448,10 +314,8 @@ pub struct ObsPlane {
     /// Budget-burn ratio histograms (stage seconds over budget seconds),
     /// indexed like [`BURN_STAGES`].
     burn_hist: [StreamingHistogram; 3],
-    /// Per-tenant slices, indexed by [`TenantId`].
+    /// Per-tenant slices, indexed by [`TenantId`](crate::TenantId).
     pub(crate) tenants: Vec<TenantSlice>,
-    recent: BoundedRing<RequestTrace>,
-    slow: BoundedRing<RequestTrace>,
     journal: BoundedRing<ObsEvent>,
 }
 
@@ -461,7 +325,6 @@ impl ObsPlane {
     pub fn new(config: &ObsConfig, n_tenants: usize) -> Self {
         Self {
             enabled: config.enabled,
-            slow_threshold_s: config.slow_threshold_s,
             admitted: Counter::new(),
             rejected: Counter::new(),
             completed: Counter::new(),
@@ -480,13 +343,11 @@ impl ObsPlane {
             stage_hist: std::array::from_fn(|_| StreamingHistogram::new()),
             burn_hist: std::array::from_fn(|_| StreamingHistogram::new()),
             tenants: (0..n_tenants).map(|_| TenantSlice::default()).collect(),
-            recent: BoundedRing::new(config.recent_traces),
-            slow: BoundedRing::new(config.slow_traces),
-            journal: BoundedRing::new(config.journal_capacity),
+            journal: BoundedRing::new(JOURNAL_CAPACITY),
         }
     }
 
-    /// Whether the waterfall rings and the journal capture anything.
+    /// Whether the journal captures anything.
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -545,29 +406,24 @@ impl ObsPlane {
     }
 
     /// One request's lifecycle ended with a reply: record every stage
-    /// histogram (global and the tenant's slice), the completion, breach
-    /// and shed counters, and capture the waterfall. `search_met` is the
-    /// verdict against the global search SLO, `tenant_search_met` against
-    /// the tenant's own; `ttft_met` is `None` on retrieval-only servers,
-    /// `Some(false)` for sheds.
-    #[allow(clippy::too_many_arguments)]
+    /// histogram (global and the tenant's slice) and the completion, breach
+    /// and shed counters (the request's timeline itself goes to the trace
+    /// plane). `search_met` is the verdict against the global search SLO,
+    /// `tenant_search_met` against the tenant's own; `ttft_met` is `None`
+    /// on retrieval-only servers, `Some(false)` for sheds.
     pub fn on_request(
         &self,
-        id: u64,
-        tenant: TenantId,
-        admitted_ns: u64,
-        timings: &RequestTimings,
-        hit_rate: f64,
+        o: &RequestOutcome,
         search_met: bool,
         tenant_search_met: bool,
         ttft_met: Option<bool>,
-        shed: bool,
     ) {
+        let (id, tenant, timings) = (o.id, o.tenant, &o.timings);
         let slice = &self.tenants[tenant.index()];
         self.completed.inc();
         slice.completed.inc();
-        self.hit_sum.add(hit_rate);
-        slice.hit_sum.add(hit_rate);
+        self.hit_sum.add(o.hit_rate);
+        slice.hit_sum.add(o.hit_rate);
         self.stage_hist[HIST_QUEUE].record(timings.queue);
         slice.queue.record(timings.queue);
         self.stage_hist[HIST_SEARCH].record(timings.search);
@@ -581,9 +437,6 @@ impl ObsPlane {
             self.stage_hist[HIST_PREFILL].record(gen.prefill);
             self.stage_hist[HIST_DECODE].record(gen.decode);
         }
-        // Breach timestamps are derived (admission + e2e): the hooks run
-        // on hot paths and must not take an extra clock read per request.
-        let finished_ns = admitted_ns.saturating_add((timings.e2e * 1e9) as u64);
         if !tenant_search_met {
             slice.search_slo_breaches.inc();
         }
@@ -591,7 +444,7 @@ impl ObsPlane {
             self.search_slo_breaches.inc();
             if self.enabled {
                 self.journal(
-                    finished_ns,
+                    o.end.as_nanos(),
                     Severity::Warn,
                     "slo_breach",
                     format!(
@@ -606,23 +459,16 @@ impl ObsPlane {
             slice.ttft_slo_breaches.inc();
             if let (true, Some(gen)) = (self.enabled, &timings.generation) {
                 self.journal(
-                    finished_ns,
+                    o.end.as_nanos(),
                     Severity::Warn,
                     "slo_breach",
                     format!("request {id} ({tenant}) TTFT was {:.4}s", gen.ttft),
                 );
             }
         }
-        if shed {
+        if o.shed.is_some() {
             self.gen_sheds.inc();
             slice.gen_sheds.inc();
-        }
-        if self.enabled {
-            let trace = RequestTrace::from_timings(id, tenant, admitted_ns, timings, shed);
-            if shed || timings.e2e >= self.slow_threshold_s {
-                self.slow.push(trace.clone());
-            }
-            self.recent.push(trace);
         }
     }
 
@@ -638,36 +484,9 @@ impl ObsPlane {
         }
     }
 
-    /// The recent-trace ring, oldest first.
-    pub fn recent_traces(&self) -> Vec<RequestTrace> {
-        self.recent.snapshot()
-    }
-
-    /// The slow-trace ring (threshold breaches and sheds), oldest first.
-    pub fn slow_traces(&self) -> Vec<RequestTrace> {
-        self.slow.snapshot()
-    }
-
     /// The unified event journal, oldest first.
     pub fn journal_snapshot(&self) -> Vec<ObsEvent> {
         self.journal.snapshot()
-    }
-
-    /// The recent- and slow-trace rings as the `/v1/traces` JSON body.
-    pub fn traces_json(&self) -> Json {
-        let ring = |r: &BoundedRing<RequestTrace>| {
-            Json::Arr(r.snapshot().iter().map(RequestTrace::to_json).collect())
-        };
-        Json::Obj(vec![
-            ("recent".into(), ring(&self.recent)),
-            ("slow".into(), ring(&self.slow)),
-            ("slow_threshold_s".into(), Json::Num(self.slow_threshold_s)),
-            (
-                "recent_evicted".into(),
-                Json::Num(self.recent.evicted() as f64),
-            ),
-            ("slow_evicted".into(), Json::Num(self.slow.evicted() as f64)),
-        ])
     }
 
     /// The journal as the `/v1/events` JSON body.
@@ -695,14 +514,10 @@ impl ObsPlane {
         ])
     }
 
-    /// Trace/journal ring occupancy and evictions, for the exposition's
-    /// bookkeeping gauges.
-    pub fn ring_stats(&self) -> [(&'static str, usize, u64); 3] {
-        [
-            ("recent_traces", self.recent.len(), self.recent.evicted()),
-            ("slow_traces", self.slow.len(), self.slow.evicted()),
-            ("journal", self.journal.len(), self.journal.evicted()),
-        ]
+    /// Journal occupancy and evictions, for the exposition's bookkeeping
+    /// gauges.
+    pub fn journal_stats(&self) -> (usize, u64) {
+        (self.journal.len(), self.journal.evicted())
     }
 
     /// Writes the plane's own metric families (counters + stage
@@ -865,14 +680,30 @@ pub(crate) fn prom_label_escape(value: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::GenerationTimings;
+    use crate::request::{RequestTimings, TenantId};
+    use crate::server::ShedCause;
+    use vlite_sim::SimTime;
 
-    fn timings(e2e: f64) -> RequestTimings {
-        RequestTimings {
-            queue: 0.001,
-            search: 0.002,
-            e2e,
-            generation: None,
+    /// A retrieval-only reply (or, with `shed`, a generation shed) that
+    /// took `e2e` seconds.
+    fn outcome(id: u64, tenant: u16, e2e: f64, hit_rate: f64, shed: bool) -> RequestOutcome {
+        RequestOutcome {
+            id,
+            tenant: TenantId(tenant),
+            trace: None,
+            batch_trace: None,
+            enqueued: SimTime::ZERO,
+            end: SimTime::from_secs_f64(e2e),
+            timings: RequestTimings {
+                queue: 0.001,
+                search: 0.002,
+                e2e,
+                generation: None,
+            },
+            hit_rate,
+            deadline: None,
+            gen_busy: None,
+            shed: shed.then_some(ShedCause::GenKv),
         }
     }
 
@@ -896,87 +727,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_spans_are_cumulative_offsets() {
-        let t = RequestTimings {
-            queue: 0.001,
-            search: 0.002,
-            e2e: 0.020,
-            generation: Some(GenerationTimings {
-                gen_queue: 0.003,
-                prefill: 0.004,
-                decode: 0.010,
-                ttft: 0.010,
-            }),
-        };
-        let trace = RequestTrace::from_timings(7, TenantId(1), 42, &t, false);
-        let stages: Vec<&str> = trace.spans.iter().map(|s| s.stage).collect();
-        assert_eq!(
-            stages,
-            [
-                "queue",
-                "search",
-                "gen_queue",
-                "prefill",
-                "first_token",
-                "decode"
-            ]
-        );
-        // queue + search + gen_queue + prefill == ttft == the marker.
-        assert!((trace.spans[3].end_s - 0.010).abs() < 1e-12);
-        assert_eq!(trace.spans[4].start_s, trace.spans[4].end_s);
-        // decode ends at e2e.
-        assert!((trace.spans[5].end_s - 0.020).abs() < 1e-12);
-    }
-
-    #[test]
-    fn retrieval_only_trace_has_no_generation_spans() {
-        let trace = RequestTrace::from_timings(1, TenantId(0), 0, &timings(0.003), false);
-        assert_eq!(trace.spans.len(), 2);
-    }
-
-    #[test]
-    fn slow_and_shed_traces_land_in_the_slow_ring() {
-        let config = ObsConfig {
-            slow_threshold_s: 0.01,
-            ..ObsConfig::default()
-        };
-        let plane = ObsPlane::new(&config, 2);
-        plane.on_request(
-            0,
-            TenantId(0),
-            0,
-            &timings(0.003),
-            0.5,
-            true,
-            true,
-            None,
-            false,
-        );
-        plane.on_request(
-            1,
-            TenantId(1),
-            0,
-            &timings(0.5),
-            1.0,
-            false,
-            true,
-            None,
-            false,
-        );
-        plane.on_request(
-            2,
-            TenantId(0),
-            0,
-            &timings(0.004),
-            0.25,
-            true,
-            false,
-            Some(false),
-            true,
-        );
-        assert_eq!(plane.recent.len(), 3);
-        let slow: Vec<u64> = plane.slow.snapshot().iter().map(|t| t.id).collect();
-        assert_eq!(slow, vec![1, 2], "the slow request and the shed");
+    fn requests_land_in_the_global_and_tenant_aggregates() {
+        let plane = ObsPlane::new(&ObsConfig::default(), 2);
+        plane.on_request(&outcome(0, 0, 0.003, 0.5, false), true, true, None);
+        plane.on_request(&outcome(1, 1, 0.5, 1.0, false), false, true, None);
+        plane.on_request(&outcome(2, 0, 0.004, 0.25, true), true, false, Some(false));
         assert_eq!(plane.completed.get(), 3);
         assert_eq!(plane.gen_sheds.get(), 1);
         assert_eq!(plane.search_slo_breaches.get(), 1);
@@ -1001,24 +756,13 @@ mod tests {
         };
         let plane = ObsPlane::new(&config, 1);
         plane.on_batch(4);
-        plane.on_request(
-            0,
-            TenantId(0),
-            0,
-            &timings(9.0),
-            0.0,
-            false,
-            false,
-            None,
-            true,
-        );
+        plane.on_request(&outcome(0, 0, 9.0, 0.0, true), false, false, None);
         plane.on_degraded_probes(0, 1, 1, 2);
         plane.journal(0, Severity::Warn, "shed", "x".into());
         assert_eq!(plane.completed.get(), 1);
         assert_eq!(plane.search_slo_breaches.get(), 1);
         assert_eq!(plane.degraded_probes.get(), 1);
         assert_eq!((plane.batches.get(), plane.max_batch()), (1, 4));
-        assert!(plane.recent.is_empty() && plane.slow.is_empty());
         assert!(plane.journal.is_empty());
     }
 
@@ -1028,17 +772,7 @@ mod tests {
         plane.admitted.add(2);
         plane.rejected.inc();
         plane.on_batch(2);
-        plane.on_request(
-            0,
-            TenantId(0),
-            0,
-            &timings(0.003),
-            1.0,
-            true,
-            true,
-            None,
-            false,
-        );
+        plane.on_request(&outcome(0, 0, 0.003, 1.0, false), true, true, None);
         let mut text = String::new();
         plane.prometheus_into(&mut text);
         assert!(text.contains("vlite_admitted_total 2\n"));

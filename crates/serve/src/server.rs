@@ -32,14 +32,15 @@ use crate::config::{DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, Te
 use crate::control::{ControlLoop, Observation, RepartitionEvent};
 use crate::generation::{generation_worker, GenWork};
 use crate::migrate::{migrator_worker, MigrationEvent, MigrationOrder};
-use crate::obs::{prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity};
+use crate::obs::{
+    prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
+};
 use crate::queue::AdmissionQueue;
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
-    AlertLevel, BatchCtx, GenSpans, RequestSpanTimes, TraceId, TracePlane, SIG_DEADLINE,
-    SIG_SEARCH, SIG_TTFT, STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH,
-    STAGE_SHARD_SCAN,
+    AlertLevel, BatchCtx, TraceId, TracePlane, SAMPLE_INTERVAL_S, SIG_DEADLINE, SIG_SEARCH,
+    SIG_TTFT, STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
 };
 
 /// One batch travelling from the batcher to the workers and dispatcher.
@@ -72,10 +73,13 @@ enum DispatchMsg {
 /// Why a request ended without full service — one rung of the deadline
 /// degradation ladder, or KV-aware generation admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ShedCause {
-    /// Rung 1: the estimated queue wait (seconds) already exceeded the
-    /// whole budget, so the submission was refused.
-    Admission { estimated_wait: f64 },
+pub enum ShedCause {
+    /// Rung 1: the estimated queue wait already exceeded the whole budget,
+    /// so the submission was refused.
+    Admission {
+        /// The estimated queue wait in seconds.
+        estimated_wait: f64,
+    },
     /// Rung 2: the deadline passed while the request queued.
     QueueExpired,
     /// KV-aware generation admission: estimated TTFT past `slo_ttft`.
@@ -103,37 +107,46 @@ impl ShedCause {
     }
 
     /// The `shed:{reason}` marker name in the request's span tree.
-    fn span_reason(self) -> &'static str {
+    pub(crate) fn span_name(self) -> &'static str {
         match self {
-            ShedCause::Admission { .. } => "admission",
-            ShedCause::QueueExpired => "queue-expired",
-            ShedCause::GenKv => "kv-admission",
-            ShedCause::GenDeadline => "gen-deadline",
+            ShedCause::Admission { .. } => "shed:admission",
+            ShedCause::QueueExpired => "shed:queue-expired",
+            ShedCause::GenKv => "shed:kv-admission",
+            ShedCause::GenDeadline => "shed:gen-deadline",
         }
     }
 }
 
 /// Everything the runtime knows about one request at the instant its
 /// lifecycle ends. The five terminal sites build one and hand it to
-/// [`Shared::record_outcome`]; nothing else records per-request telemetry.
+/// `Shared::record_outcome`, which feeds the aggregates and passes it whole
+/// to [`TracePlane::record_request`]; nothing else records per-request
+/// telemetry.
 #[derive(Debug)]
-pub(crate) struct RequestOutcome {
+pub struct RequestOutcome {
+    /// Request id (assigned at admission).
     pub id: u64,
+    /// The submitting tenant.
     pub tenant: TenantId,
     /// `None` only for an admission shed whose caller sent no trace id
     /// (nothing derives one for a request that never became a job).
     pub trace: Option<TraceId>,
     /// The batch trace the request's search rode, when it reached a batch.
     pub batch_trace: Option<u128>,
+    /// Admission instant on the server's clock.
     pub enqueued: SimTime,
     /// The instant the reply (or the shed) left the runtime.
     pub end: SimTime,
+    /// The request's stage timings (what its reply carries).
     pub timings: RequestTimings,
+    /// The request's cache hit rate under the placement that served it.
     pub hit_rate: f64,
+    /// Absolute end-to-end deadline, when the request carried a budget.
     pub deadline: Option<SimTime>,
     /// Seconds spent in the generation stage (merge → last token), for
     /// requests that ran it.
     pub gen_busy: Option<f64>,
+    /// Why the request ended without full service, if it did.
     pub shed: Option<ShedCause>,
 }
 
@@ -155,17 +168,18 @@ pub(crate) struct Shared {
     pub(crate) worker_panics: AtomicU64,
     pub(crate) tenants: Vec<TenantSpec>,
     /// Online repartitions, newest-capped: a long-lived server keeps the
-    /// most recent [`ObsConfig::repartition_capacity`](crate::ObsConfig)
-    /// events instead of growing without bound (evictions counted).
+    /// most recent [`HISTORY_CAPACITY`] events instead of growing without
+    /// bound (evictions counted).
     pub(crate) repartitions: BoundedRing<RepartitionEvent>,
     /// Tier migrations applied by the migrator, in order, same cap
     /// discipline as `repartitions`.
     pub(crate) migrations: BoundedRing<MigrationEvent>,
     /// The telemetry plane: every per-request aggregate (lock-free
-    /// counters/histograms), the trace rings and the event journal.
+    /// counters/histograms) and the event journal.
     pub(crate) obs: Arc<ObsPlane>,
-    /// Causal tracing, per-stage CPU profiling and the SLO burn-rate
-    /// watchdog (cheap no-ops when disabled by config).
+    /// The span store (every finished request's tree, batch and migration
+    /// traces), per-stage CPU profiling and the SLO burn-rate watchdog
+    /// (cheap no-ops when disabled by config).
     pub(crate) trace: Arc<TracePlane>,
     /// The tiered storage engine the scan path reads through; `None`
     /// keeps the pre-store behaviour (in-index lists, routing-only
@@ -238,9 +252,9 @@ impl Shared {
 
     /// Records one request that has reached its end — the *only* code that
     /// touches per-request aggregates, budget burn, the shed/SLO-breach
-    /// journal, the waterfall rings, the span tree and the burn-rate
-    /// watchdog. Callers record before sending the reply, so a
-    /// `ticket.wait()` followed by `report()` always sees the request.
+    /// journal, the span tree and the burn-rate watchdog. Callers record
+    /// before sending the reply, so a `ticket.wait()` followed by
+    /// `report()` always sees the request.
     pub(crate) fn record_outcome(&self, o: &RequestOutcome) {
         let obs = &self.obs;
         let t = &o.timings;
@@ -279,17 +293,8 @@ impl Shared {
                 Some(false) => obs.deadline_missed.inc(),
                 None => {}
             }
-            obs.on_request(
-                o.id,
-                o.tenant,
-                o.enqueued.as_nanos(),
-                t,
-                o.hit_rate,
-                search_met,
-                t.search <= self.tenants[o.tenant.index()].slo_search,
-                ttft_met,
-                o.shed.is_some(),
-            );
+            let tenant_search_met = t.search <= self.tenants[o.tenant.index()].slo_search;
+            obs.on_request(o, search_met, tenant_search_met, ttft_met);
             self.watch_slo(SIG_SEARCH, search_met, o.end);
             if let Some(ttft_met) = ttft_met {
                 self.watch_slo(SIG_TTFT, ttft_met, o.end);
@@ -335,26 +340,7 @@ impl Shared {
             obs.journal(o.end.as_nanos(), Severity::Warn, kind, detail);
         }
 
-        if let Some(trace) = o.trace {
-            let search_start = o.enqueued + SimDuration::from_secs_f64(t.queue);
-            let search_end = search_start + SimDuration::from_secs_f64(t.search);
-            self.trace.record_request(
-                trace,
-                o.batch_trace,
-                RequestSpanTimes {
-                    enqueued_s: o.enqueued.as_secs_f64(),
-                    search_start_s: search_start.as_secs_f64(),
-                    search_end_s: search_end.as_secs_f64(),
-                    end_s: o.end.as_secs_f64(),
-                },
-                t.generation.map(|gen| GenSpans {
-                    queue_s: gen.gen_queue,
-                    prefill_s: gen.prefill,
-                    decode_s: gen.decode,
-                }),
-                o.shed.map(ShedCause::span_reason),
-            );
-        }
+        self.trace.record_request(o);
         if let Some(on_time) = on_time {
             self.watch_slo(SIG_DEADLINE, on_time, o.end);
         }
@@ -566,7 +552,11 @@ impl RagServer {
         // Trace-id derivation is seeded by a constant so a given server
         // replays the same ids for the same request sequence (deterministic
         // virtual-clock tests); uniqueness only matters within one server.
-        let trace = Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531));
+        let trace = Arc::new(TracePlane::new(
+            &config.trace,
+            config.obs.slow_threshold_s,
+            0x766c_6974_6531,
+        ));
 
         let shared = Arc::new(Shared {
             index,
@@ -578,8 +568,8 @@ impl RagServer {
             worker_panics: AtomicU64::new(0),
             obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
             tenants,
-            repartitions: BoundedRing::new(config.obs.repartition_capacity),
-            migrations: BoundedRing::new(config.obs.migration_capacity),
+            repartitions: BoundedRing::new(HISTORY_CAPACITY),
+            migrations: BoundedRing::new(HISTORY_CAPACITY),
             trace,
             store,
             nprobe: config.real.nprobe,
@@ -752,7 +742,7 @@ impl RagServer {
                 std::thread::Builder::new()
                     .name("vlite-profiler".into())
                     .spawn(move || {
-                        let interval = trace_.sample_interval();
+                        let interval = SimDuration::from_secs_f64(SAMPLE_INTERVAL_S);
                         while !trace_.sampler_stopped() {
                             trace_.sample_now();
                             let now = clock_.now();
@@ -970,14 +960,14 @@ impl RagServer {
     }
 
     /// The telemetry plane: the lock-free counters/histograms the report
-    /// and the scrape are both built from, the trace rings and the event
-    /// journal, readable at any moment without blocking serving.
+    /// and the scrape are both built from, and the event journal, readable
+    /// at any moment without blocking serving.
     pub fn obs(&self) -> &ObsPlane {
         &self.shared.obs
     }
 
     /// A clone of the telemetry plane's `Arc`, letting callers keep
-    /// scraping counters, traces and the journal after
+    /// scraping counters and the journal after
     /// [`RagServer::shutdown`] has consumed the server (by then every
     /// worker has joined, so the values are final).
     pub fn obs_handle(&self) -> Arc<ObsPlane> {
@@ -985,8 +975,8 @@ impl RagServer {
     }
 
     /// The causal-tracing plane: span trees, per-stage CPU profile rows,
-    /// and the SLO burn-rate watchdog behind `/v1/trace/{id}`,
-    /// `/v1/profile` and `/v1/alerts`.
+    /// and the SLO burn-rate watchdog behind `/v1/traces`,
+    /// `/v1/trace/{id}`, `/v1/profile` and `/v1/alerts`.
     pub fn trace_plane(&self) -> &TracePlane {
         &self.shared.trace
     }
@@ -1002,11 +992,6 @@ impl RagServer {
     pub fn worker_panics(&self) -> u64 {
         // relaxed: monotonic stat counter read for reporting only.
         self.shared.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// The deadline-budget policy the server runs under.
-    pub fn deadline_policy(&self) -> &DeadlinePolicy {
-        &self.shared.deadline
     }
 
     /// Backoff hint in whole seconds for a rejected submission by
@@ -1057,17 +1042,18 @@ impl RagServer {
             prom_label_escape(env!("CARGO_PKG_VERSION"))
         )?;
         shared.obs.prometheus_into(out);
+        let traces = shared.trace.store_stats();
         prom_gauge(
             out,
             "vlite_traces_held",
             "Distinct span traces currently retained by the trace plane",
-            shared.trace.traces_held() as f64,
+            (traces.recent + traces.kept) as f64,
         );
         prom_counter(
             out,
             "vlite_trace_evictions_total",
             "Whole traces evicted from the bounded trace store",
-            shared.trace.traces_evicted(),
+            traces.recent_evicted + traces.kept_evicted,
         );
         prom_counter(
             out,
@@ -1100,7 +1086,14 @@ impl RagServer {
             "Current placement generation (0 until the first repartition)",
             self.placement_generation() as f64,
         );
-        let rings = shared.obs.ring_stats();
+        // The store's two eviction queues and the journal; the spans
+        // dropped by the per-trace cap ride the evictions family.
+        let (journal_len, journal_evicted) = shared.obs.journal_stats();
+        let rings = [
+            ("recent_traces", traces.recent, traces.recent_evicted),
+            ("slow_traces", traces.kept, traces.kept_evicted),
+            ("journal", journal_len, journal_evicted),
+        ];
         out.push_str(
             "# HELP vlite_obs_ring_items Entries currently retained per bounded ring\n\
              # TYPE vlite_obs_ring_items gauge\n",
@@ -1118,6 +1111,11 @@ impl RagServer {
                 "vlite_obs_ring_evictions_total{{ring=\"{ring}\"}} {evicted}"
             )?;
         }
+        writeln!(
+            out,
+            "vlite_obs_ring_evictions_total{{ring=\"trace_spans\"}} {}",
+            traces.dropped_spans
+        )?;
         if let Some(store) = &shared.store {
             let residency = store.residency();
             let stats = store.stats();
@@ -1389,6 +1387,11 @@ fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
     });
 }
 
+/// Floor on the fraction of the configured probe list a degraded query
+/// keeps (always at least one probe). Froze
+/// `DeadlinePolicy::min_probe_fraction` at its default.
+const MIN_PROBE_FRACTION: f64 = 0.25;
+
 /// Budget-scaled probe selection for one job at batch formation. Returns
 /// the probe count to use and whether the query should keep only its
 /// fast-tier probes. Unbudgeted jobs (or a measure-only policy) always
@@ -1404,7 +1407,7 @@ fn probe_budget(shared: &Shared, job: &Job, now: SimTime) -> (usize, bool) {
     // Expired jobs were shed before routing, so `deadline > now` here.
     let remaining = deadline.duration_since(now).as_secs_f64();
     let nprobe = if remaining < policy.est_search {
-        let frac = (remaining / policy.est_search).max(policy.min_probe_fraction);
+        let frac = (remaining / policy.est_search).max(MIN_PROBE_FRACTION);
         ((shared.nprobe as f64 * frac).ceil() as usize).clamp(1, shared.nprobe)
     } else {
         shared.nprobe
@@ -1555,7 +1558,7 @@ fn cpu_worker(shared: &Shared, rx: &Receiver<Arc<BatchWork>>, dispatch: &Sender<
         if let Some(ctx) = &batch.trace {
             shared
                 .trace
-                .record_scan(ctx, "scan:cpu".to_string(), scan_start, scan_end);
+                .record_scan(ctx, "scan:cpu", scan_start, scan_end);
         }
     }
 }

@@ -4,7 +4,7 @@
 //! every thread that later touches the same lock — including the
 //! admission path and the HTTP frontend — panics too, and the runtime
 //! falls over instead of degrading. Every structure the runtime guards
-//! (admission lanes, trace rings, the placement snapshot, connection
+//! (admission lanes, the journal ring, the placement snapshot, connection
 //! tables) is kept consistent *within* each critical
 //! section by construction: updates are small, straight-line, and never
 //! leave a partially-linked state behind, so the data a panicking holder

@@ -65,7 +65,8 @@ fn main() {
     println!("  GET  /v1/tenants   the tenant table");
     println!("  GET  /v1/report    full ServeReport as JSON");
     println!("  GET  /v1/metrics   live Prometheus text exposition (lock-free scrape)");
-    println!("  GET  /v1/traces    recent + slow per-request trace timelines");
+    println!("  GET  /v1/traces    recent + slow requests, each with its trace_id");
+    println!("  GET  /v1/trace/ID  one request's span tree and the batch it rode");
     println!("  GET  /v1/events    the unified runtime event journal");
     println!("  POST /v1/search    body {{\"query\":[...]}}, X-Tenant header picks the tenant");
     println!("\ntry it:");

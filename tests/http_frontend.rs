@@ -144,18 +144,54 @@ fn observability_endpoints_over_the_socket() {
         Some(value("vlite_completed_total") as u64)
     );
 
-    // Trace timelines: every search of this run is in the recent ring.
+    // Trace timelines: every search of this run is listed, and the listing
+    // is a view over the span store — each entry's `trace_id` resolves at
+    // `/v1/trace/{id}`, and its spans are the `request` root's children
+    // rebased to the root's start.
     let traces = client.get("/v1/traces").expect("traces");
     assert_eq!(traces.status, 200);
     let traces_json = traces.json().expect("traces are JSON");
-    let recent = traces_json
-        .get("recent")
-        .and_then(Json::as_array)
-        .expect("recent ring");
+    for key in ["slow", "slow_threshold_s", "recent_evicted", "slow_evicted"] {
+        assert!(traces_json.get(key).is_some(), "listing lost `{key}`");
+    }
+    let recent = traces_json.get("recent").and_then(Json::as_array);
+    let recent = recent.expect("recent ring");
     assert_eq!(recent.len(), n);
-    for trace in recent {
-        let spans = trace.get("spans").and_then(Json::as_array).expect("spans");
-        assert!(spans.len() >= 2, "queue and search spans at minimum");
+    let num = |span: &Json, key: &str| span.get(key).and_then(Json::as_f64).expect("number");
+    let array = |doc: &Json| {
+        doc.get("spans")
+            .and_then(Json::as_array)
+            .expect("spans")
+            .to_vec()
+    };
+    for (qi, entry) in recent.iter().enumerate() {
+        assert_eq!(num(entry, "id"), qi as f64);
+        assert_eq!(num(entry, "tenant"), 0.0);
+        assert_eq!(entry.get("shed"), Some(&Json::Bool(false)));
+        let trace_id = entry.get("trace_id").and_then(Json::as_str).expect("id");
+        let tree = client
+            .get(&format!("/v1/trace/{trace_id}"))
+            .expect("drill-down");
+        assert_eq!(tree.status, 200, "listed trace {trace_id} must resolve");
+        let spans = array(&tree.json().expect("tree is JSON"));
+        let name = |span: &Json| span.get("name").and_then(Json::as_str).map(str::to_owned);
+        let root = spans.iter().find(|s| name(s).as_deref() == Some("request"));
+        let root = root.expect("request root");
+        let t0 = num(root, "start_s");
+        assert_eq!(num(entry, "admitted_ns"), (t0 * 1e9).round());
+        assert_eq!(num(entry, "e2e_s"), num(root, "end_s") - t0);
+        let children: Vec<_> = spans
+            .iter()
+            .filter(|s| s.get("parent_id") == root.get("span_id"))
+            .map(|s| (name(s), num(s, "start_s") - t0, num(s, "end_s") - t0))
+            .collect();
+        let stage = |s: &Json| s.get("stage").and_then(Json::as_str).map(str::to_owned);
+        let listed: Vec<_> = array(entry)
+            .iter()
+            .map(|s| (stage(s), num(s, "start_s"), num(s, "end_s")))
+            .collect();
+        assert_eq!(listed, children);
+        assert_eq!(listed.len(), 2, "queue and search");
     }
 
     // The event journal renders (possibly empty on an undisturbed run).

@@ -12,11 +12,12 @@
 //!    scrape reads the same totals as the report.
 //! 2. The report accuracy contract: `count`/`mean`/`min`/`max` are exact,
 //!    percentiles err high by at most the histogram's documented bound.
-//! 3. The trace rings capture per-request waterfalls whose span boundaries
-//!    reproduce the delivered timings, and a zero slow-threshold routes
-//!    every trace into the slow ring.
-//! 4. A disabled plane captures no waterfalls and no journal, while the
-//!    report and the scrape keep counting.
+//! 3. Every reply's span tree (looked up by `SearchResponse.trace`)
+//!    reproduces the delivered timings — the TTFT identity — and a zero
+//!    slow-threshold keeps every trace.
+//! 4. The two switches gate different captures: `obs.enabled` the journal,
+//!    `trace.enabled` the per-request trees; the report and the scrape keep
+//!    counting under either.
 //! 5. Hot-path recording is lock-free: writers hammering one plane from
 //!    many threads lose no samples even while a scraper renders the
 //!    exposition concurrently (no global lock to convoy on).
@@ -26,12 +27,14 @@ use std::time::Duration;
 
 use vectorlite_rag::core::RealConfig;
 use vectorlite_rag::metrics::obs::StreamingHistogram;
+use vectorlite_rag::metrics::spans::tree_violations;
 use vectorlite_rag::metrics::{LatencyRecorder, Summary};
+use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::{
-    AdmissionError, GenerationConfig, ObsConfig, ObsPlane, RagServer, ServeConfig, ServeReport,
-    TenantId, TenantReport, TenantSpec, VirtualClock,
+    AdmissionError, GenerationConfig, ObsConfig, ObsPlane, RagServer, RequestOutcome,
+    RequestTimings, ServeConfig, ServeReport, TenantId, TenantReport, TenantSpec, VirtualClock,
 };
-use vectorlite_rag::sim::SimDuration;
+use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn corpus() -> SyntheticCorpus {
@@ -363,7 +366,7 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
     let corpus = corpus();
     let mut config = config();
     config.generation = Some(GenerationConfig::tiny());
-    // Capture every request in the slow ring regardless of latency.
+    // Keep every request's trace regardless of latency.
     config.obs.slow_threshold_s = 0.0;
     let n = 32;
     let server = RagServer::start(&corpus, config).expect("server starts");
@@ -372,12 +375,13 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
         .iter()
         .map(|q| server.submit(q.to_vec()).expect("admitted"))
         .collect();
-    for ticket in tickets {
-        let response = ticket.wait().expect("server alive");
-        assert!(response.timings.generation.is_some(), "co-scheduled reply");
-    }
+    let responses: Vec<_> = tickets
+        .into_iter()
+        .map(|ticket| ticket.wait().expect("server alive"))
+        .collect();
 
     let obs = server.obs_handle();
+    let traces = server.trace_handle();
     let report = server.shutdown();
     assert_eq!(report.completed, n as u64);
     assert_eq!(obs.completed.get(), report.completed);
@@ -393,36 +397,38 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
         );
     }
 
-    // Every trace landed in both rings (threshold 0.0), with a waterfall
-    // whose boundaries reproduce the TTFT identity.
-    let recent = obs.recent_traces();
-    let slow = obs.slow_traces();
-    assert_eq!(recent.len(), n);
-    assert_eq!(slow.len(), n);
-    for trace in &recent {
-        if trace.shed {
-            continue;
-        }
-        let span = |stage: &str| {
-            trace
-                .spans
+    // Every request is listed, and kept (threshold 0.0).
+    let listing = traces.traces_json();
+    for ring in ["recent", "slow"] {
+        let entries = listing.get(ring).and_then(Json::as_array).expect(ring);
+        assert_eq!(entries.len(), n, "{ring}");
+    }
+    // Each reply's tree reproduces the TTFT identity.
+    for response in &responses {
+        let generation = response.timings.generation.expect("co-scheduled reply");
+        let spans = traces
+            .trace_spans(response.trace.0)
+            .expect("a kept trace resolves by the reply's trace id");
+        assert!(tree_violations(&spans).is_empty(), "{spans:?}");
+        let span = |name: &str| {
+            spans
                 .iter()
-                .find(|s| s.stage == stage)
-                .unwrap_or_else(|| panic!("trace {} missing span {stage}", trace.id))
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("request {} missing span {name}", response.id))
         };
-        // Cumulative offsets: each stage starts where the previous ended.
-        assert_eq!(span("queue").start_s, 0.0);
+        let root = span("request");
+        assert_eq!(root.request, Some((response.id, response.tenant.0)));
+        // Each stage starts where the previous ended.
+        assert_eq!(span("queue").start_s, root.start_s);
         assert_eq!(span("queue").end_s, span("search").start_s);
         assert_eq!(span("search").end_s, span("gen_queue").start_s);
-        assert_eq!(span("gen_queue").end_s, span("prefill").start_s);
-        assert_eq!(span("prefill").end_s, span("decode").start_s);
-        // first_token is a zero-length marker at the prefill boundary:
+        assert_eq!(span("gen_queue").end_s, span("gen_prefill").start_s);
+        assert_eq!(span("gen_prefill").end_s, span("gen_decode").start_s);
+        // The first token is gen_prefill's end:
         // ttft = queue + search + gen_queue + prefill.
-        let first = span("first_token");
-        assert_eq!(first.start_s, first.end_s);
-        assert!((first.start_s - span("prefill").end_s).abs() < 1e-9);
+        assert!((span("gen_prefill").end_s - root.start_s - generation.ttft).abs() < 1e-9);
         assert!(
-            span("decode").end_s <= trace.e2e_s + 1e-9,
+            span("gen_decode").end_s <= root.end_s + 1e-9,
             "decode must end by e2e"
         );
     }
@@ -431,36 +437,48 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
 #[test]
 fn disabled_plane_captures_nothing_while_report_and_scrape_keep_counting() {
     let corpus = corpus();
-    let mut config = config();
-    config.obs.enabled = false;
-    // Every request breaches, so an enabled journal would fill up.
-    config.real.slo_search = 1e-12;
-    let server = RagServer::start(&corpus, config).expect("server starts");
-    let queries = corpus.queries(16, 31);
-    let tickets: Vec<_> = queries
-        .iter()
-        .map(|q| server.submit(q.to_vec()).expect("admitted"))
-        .collect();
-    for ticket in tickets {
-        ticket.wait().expect("server alive");
+    // (obs.enabled, trace.enabled): each switch gates its own capture —
+    // the journal and the per-request trees — and neither the aggregates.
+    for (obs_on, trace_on) in [(false, true), (true, false)] {
+        let mut config = config();
+        config.obs.enabled = obs_on;
+        config.trace.enabled = trace_on;
+        // Every request breaches, so an enabled journal fills up.
+        config.real.slo_search = 1e-12;
+        let server = RagServer::start(&corpus, config).expect("server starts");
+        let queries = corpus.queries(16, 31);
+        let tickets: Vec<_> = queries
+            .iter()
+            .map(|q| server.submit(q.to_vec()).expect("admitted"))
+            .collect();
+        for ticket in tickets {
+            ticket.wait().expect("server alive");
+        }
+
+        // Both views of the aggregates still see every request.
+        let text = server.prometheus_text();
+        assert_eq!(prom_value(&text, "vlite_admitted_total"), 16.0);
+        assert_eq!(prom_value(&text, "vlite_completed_total"), 16.0);
+        assert_eq!(prom_value(&text, "vlite_search_slo_breaches_total"), 16.0);
+
+        let obs = server.obs_handle();
+        let traces = server.trace_handle();
+        let report = server.shutdown();
+        assert_eq!(obs.enabled(), obs_on);
+        assert_eq!(obs.journal_snapshot().is_empty(), !obs_on);
+        let listing = traces.traces_json();
+        let listed = |ring: &str| {
+            listing
+                .get(ring)
+                .and_then(Json::as_array)
+                .expect("ring")
+                .len()
+        };
+        assert_eq!(listed("recent"), if trace_on { 16 } else { 0 });
+        assert_eq!(report.completed, 16);
+        assert_eq!(report.search.count, 16);
+        assert_eq!(report.slo_attainment, 0.0);
     }
-
-    // The switch gates only the per-request captures; both views of the
-    // aggregates still see every request.
-    let text = server.prometheus_text();
-    assert_eq!(prom_value(&text, "vlite_admitted_total"), 16.0);
-    assert_eq!(prom_value(&text, "vlite_completed_total"), 16.0);
-    assert_eq!(prom_value(&text, "vlite_search_slo_breaches_total"), 16.0);
-
-    let obs = server.obs_handle();
-    let report = server.shutdown();
-    assert!(!obs.enabled());
-    assert!(obs.recent_traces().is_empty());
-    assert!(obs.slow_traces().is_empty());
-    assert!(obs.journal_snapshot().is_empty());
-    assert_eq!(report.completed, 16);
-    assert_eq!(report.search.count, 16);
-    assert_eq!(report.slo_attainment, 0.0);
 }
 
 // The lock-freedom pin: concurrent writers plus a concurrent scraper, no
@@ -472,13 +490,7 @@ fn disabled_plane_captures_nothing_while_report_and_scrape_keep_counting() {
 // proptest); together they pin "recording never serializes on a lock".
 #[test]
 fn concurrent_recording_with_live_scrapes_loses_nothing() {
-    let plane = Arc::new(ObsPlane::new(
-        &ObsConfig {
-            slow_threshold_s: 0.5,
-            ..ObsConfig::default()
-        },
-        1,
-    ));
+    let plane = Arc::new(ObsPlane::new(&ObsConfig::default(), 1));
     let writers = 8;
     let per_writer: u64 = 20_000;
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -504,23 +516,26 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
             std::thread::spawn(move || {
                 for i in 0..per_writer {
                     plane.admitted.inc();
-                    let timings = vectorlite_rag::serve::RequestTimings {
-                        queue: 1e-4,
-                        search: 1e-3 * (1.0 + (i % 7) as f64),
-                        e2e: 1e-4 + 1e-3 * (1.0 + (i % 7) as f64),
-                        generation: None,
+                    let e2e = 1e-4 + 1e-3 * (1.0 + (i % 7) as f64);
+                    let outcome = RequestOutcome {
+                        id: w * per_writer + i,
+                        tenant: TenantId(0),
+                        trace: None,
+                        batch_trace: None,
+                        enqueued: SimTime::ZERO,
+                        end: SimTime::from_secs_f64(e2e),
+                        timings: RequestTimings {
+                            queue: 1e-4,
+                            search: e2e - 1e-4,
+                            e2e,
+                            generation: None,
+                        },
+                        hit_rate: 0.5,
+                        deadline: None,
+                        gen_busy: None,
+                        shed: None,
                     };
-                    plane.on_request(
-                        w * per_writer + i,
-                        TenantId(0),
-                        i,
-                        &timings,
-                        0.5,
-                        true,
-                        true,
-                        None,
-                        false,
-                    );
+                    plane.on_request(&outcome, true, true, None);
                 }
             })
         })

@@ -14,22 +14,29 @@
 //! 3. Span trees emitted by the plane are well-formed under proptest:
 //!    children nest within their parents and the batch span covers every
 //!    member's search span (the `tree_violations` checker is the oracle).
-//! 4. The Prometheus exposition is validated line by line — HELP/TYPE
+//! 4. One store, three guarantees: a slow request keeps its tree *and* the
+//!    batch trace it links through a flood of twice the store's capacity;
+//!    a client replaying one `traceparent` cannot grow a trace past the
+//!    span cap; a reader never sees a half-recorded request tree.
+//! 5. The Prometheus exposition is validated line by line — HELP/TYPE
 //!    precede every family's samples, counters end in `_total`, label
 //!    values parse under the escaping rules — and its HELP/TYPE skeleton
 //!    is pinned by a golden file (`VLITE_UPDATE_GOLDEN=1` regenerates).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use vectorlite_rag::core::RealConfig;
 use vectorlite_rag::metrics::spans::tree_violations;
+use vectorlite_rag::metrics::spans::MAX_SPANS_PER_TRACE;
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
-use vectorlite_rag::serve::trace::{GenSpans, RequestSpanTimes};
+use vectorlite_rag::serve::trace::TRACE_CAPACITY;
 use vectorlite_rag::serve::{
-    RagServer, ServeConfig, TraceConfig, TraceId, TracePlane, VirtualClock,
+    GenerationConfig, GenerationTimings, RagServer, RequestOutcome, RequestTimings, ServeConfig,
+    TenantId, TraceConfig, TraceId, TracePlane, VirtualClock,
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -453,7 +460,7 @@ proptest! {
             1..8,
         ),
     ) {
-        let plane = TracePlane::new(&TraceConfig::default(), 0x5eed);
+        let plane = TracePlane::new(&TraceConfig::default(), 0.25, 0x5eed);
         let mut batches: Vec<(Vec<TraceId>, u128)> = Vec::new();
         let mut uid = 0u128;
         for (n_members, t0, (widths, with_gen, with_migration)) in rounds {
@@ -485,28 +492,36 @@ proptest! {
                 );
             }
             plane.end_batch(&ctx, SimTime::from_secs_f64(t1), SimTime::from_secs_f64(t2));
+            // Stage widths as the server derives them: differences of
+            // clock stamps.
+            let [enqueued, launched, merged, end] = [t0, t1, t2, t3].map(SimTime::from_secs_f64);
+            let queue = (launched - enqueued).as_secs_f64();
+            let search = (merged - launched).as_secs_f64();
             for &member in &members {
-                let gen = if with_gen {
-                    Some(GenSpans {
-                        queue_s: widths[2] * 0.25,
-                        prefill_s: widths[2] * 0.25,
-                        decode_s: widths[2] * 0.25,
-                    })
-                } else {
-                    None
-                };
-                plane.record_request(
-                    member,
-                    Some(ctx.trace_id),
-                    RequestSpanTimes {
-                        enqueued_s: t0,
-                        search_start_s: t1,
-                        search_end_s: t2,
-                        end_s: t3,
+                let phase = widths[2] * 0.25;
+                plane.record_request(&RequestOutcome {
+                    id: member.0 as u64,
+                    tenant: TenantId(0),
+                    trace: Some(member),
+                    batch_trace: Some(ctx.trace_id),
+                    enqueued,
+                    end,
+                    timings: RequestTimings {
+                        queue,
+                        search,
+                        e2e: (end - enqueued).as_secs_f64(),
+                        generation: with_gen.then_some(GenerationTimings {
+                            gen_queue: phase,
+                            prefill: phase,
+                            decode: phase,
+                            ttft: queue + search + 2.0 * phase,
+                        }),
                     },
-                    gen,
-                    None,
-                );
+                    hit_rate: 1.0,
+                    deadline: None,
+                    gen_busy: None,
+                    shed: None,
+                });
             }
             batches.push((members, ctx.trace_id));
         }
@@ -543,6 +558,167 @@ proptest! {
             }
         }
     }
+}
+
+/// The entries of one ring (`recent` / `slow`) of a `/v1/traces` body.
+fn listed<'a>(listing: &'a Json, ring: &str) -> &'a [Json] {
+    listing.get(ring).and_then(Json::as_array).expect("ring")
+}
+
+#[test]
+fn slow_request_keeps_its_tree_and_its_batch_through_a_flood() {
+    let corpus = corpus();
+    let mut config = config();
+    config.obs.slow_threshold_s = 0.001;
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config, clock.clone()).expect("starts");
+    let query = corpus.vectors.get(0).to_vec();
+
+    // One request over the threshold: the clock jumps 5 ms right after
+    // admission, so the batcher launches it 5 ms late. Should the batcher
+    // win the race and launch before the jump, the request is just one
+    // more fast one; try again.
+    let mut fast = 0usize;
+    let slow = loop {
+        let ticket = server.submit(query.clone()).expect("admitted");
+        clock.advance(SimDuration::from_millis(5.0));
+        let response = ticket.wait().expect("served");
+        if response.timings.e2e >= 0.001 {
+            break response;
+        }
+        fast += 1;
+        assert!(
+            fast < 100,
+            "the batcher beat a clock jump 100 times running"
+        );
+    };
+    // Then twice the store's capacity of fast ones, each alone in its
+    // batch: a request trace and a batch trace apiece.
+    for _ in 0..2 * TRACE_CAPACITY {
+        let response = server.submit(query.clone()).expect("admitted").wait();
+        assert_eq!(response.expect("served").timings.e2e, 0.0);
+        fast += 1;
+    }
+
+    let plane = server.trace_plane();
+    let listing = plane.traces_json();
+    let [entry] = listed(&listing, "slow") else {
+        panic!("exactly the slow request is kept: {}", listing.render());
+    };
+    let slow_hex = slow.trace.to_string();
+    assert_eq!(entry.get("id").and_then(Json::as_u64), Some(slow.id));
+    assert_eq!(
+        entry.get("trace_id").and_then(Json::as_str),
+        Some(slow_hex.as_str())
+    );
+    // Every ordinary trace but the newest TRACE_CAPACITY was evicted.
+    assert_eq!(
+        listing.get("recent_evicted").and_then(Json::as_u64),
+        Some((2 * fast - TRACE_CAPACITY) as u64)
+    );
+    assert_eq!(listing.get("slow_evicted").and_then(Json::as_u64), Some(0));
+
+    // Its tree is whole, and the batch its search span links still resolves.
+    let spans = plane.trace_spans(slow.trace.0).expect("kept");
+    assert!(tree_violations(&spans).is_empty(), "{spans:?}");
+    assert!(spans
+        .iter()
+        .any(|s| s.name == "request" && s.parent_id.is_none()));
+    let doc = plane.trace_json(slow.trace.0).expect("kept");
+    let [batch_doc] = listed(&doc, "linked") else {
+        panic!("the batch trace must still be held: {}", doc.render());
+    };
+    let batch = find_span(batch_doc, "batch").expect("batch root span");
+    assert_eq!(listed(batch, "links")[0].as_str(), Some(slow_hex.as_str()));
+    server.shutdown();
+}
+
+#[test]
+fn a_replayed_traceparent_lists_every_request_but_cannot_outgrow_the_span_cap() {
+    let corpus = corpus();
+    let config = config();
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config.clone(), clock).expect("starts");
+    let frontend = HttpFrontend::bind(server, &config.http).expect("frontend binds");
+    let mut client = HttpClient::connect(frontend.addr()).expect("client connects");
+    let body = wire::search_request_to_json(corpus.vectors.get(0)).render();
+
+    // A retrieval-only tree is three spans; send a dozen more requests
+    // under one trace id than the cap has room for.
+    let id_hex = format!("{:032x}", 0xC0FFEE_u128);
+    let parent = format!("00-{id_hex}-00000000000000aa-01");
+    let fit = MAX_SPANS_PER_TRACE / 3;
+    for _ in 0..fit + 12 {
+        let response = client
+            .post_json("/v1/search", &[("traceparent", &parent)], &body)
+            .expect("exchange");
+        assert_eq!(response.status, 200);
+    }
+
+    // The requests that fit list as separate entries sharing the id.
+    let listing = get_json(&mut client, "/v1/traces", 200);
+    let sharing: Vec<u64> = listed(&listing, "recent")
+        .iter()
+        .filter(|e| e.get("trace_id").and_then(Json::as_str) == Some(id_hex.as_str()))
+        .map(|e| e.get("id").and_then(Json::as_u64).expect("id"))
+        .collect();
+    assert_eq!(sharing, (0..fit as u64).collect::<Vec<_>>());
+    // The trace stopped at the cap with whole trees only; the rest were
+    // dropped and counted on the ring-evictions family.
+    let doc = get_json(&mut client, &format!("/v1/trace/{id_hex}"), 200);
+    assert_eq!(spans_of(&doc).len(), 3 * fit);
+    let scrape = client.get("/v1/metrics").expect("scrape");
+    let text = String::from_utf8(scrape.body).expect("UTF-8 exposition");
+    let dropped = "vlite_obs_ring_evictions_total{ring=\"trace_spans\"} 36";
+    assert!(text.lines().any(|l| l == dropped), "missing `{dropped}`");
+    frontend.shutdown();
+}
+
+#[test]
+fn a_reader_never_sees_a_half_recorded_request_tree() {
+    let corpus = corpus();
+    let mut config = config();
+    config.generation = Some(GenerationConfig::tiny());
+    // Nothing is kept, so every trace stays in the 512-slot ordinary queue
+    // and the reader's last pass must find all of them.
+    config.obs.slow_threshold_s = f64::INFINITY;
+    let server = RagServer::start(&corpus, config).expect("starts");
+    let ids: Vec<TraceId> = (1..=128u128).map(|n| TraceId((0xD00D << 64) | n)).collect();
+
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (plane, ids, done) = (server.trace_handle(), ids.clone(), Arc::clone(&done));
+        std::thread::spawn(move || loop {
+            // Read the flag first: the pass after the last reply still
+            // checks every tree.
+            let last_pass = done.load(Ordering::Acquire);
+            let held = ids.iter().filter_map(|id| plane.trace_spans(id.0));
+            let seen = held
+                .inspect(|spans| {
+                    assert_eq!(spans[0].name, "request", "no root: {spans:?}");
+                    assert_eq!(spans.len(), 6, "partial tree: {spans:?}");
+                    assert_eq!(tree_violations(spans), Vec::<String>::new());
+                })
+                .count();
+            if last_pass {
+                return seen;
+            }
+        })
+    };
+
+    let queries = corpus.queries(ids.len(), 5);
+    let tickets: Vec<_> = ids
+        .iter()
+        .zip(queries.iter())
+        .map(|(&id, q)| server.submit_with_trace(TenantId(0), q.to_vec(), None, Some(id)))
+        .collect();
+    for ticket in tickets {
+        ticket.expect("admitted").wait().expect("served");
+    }
+    done.store(true, Ordering::Release);
+    let seen = reader.join().expect("reader saw only whole trees");
+    assert_eq!(seen, ids.len(), "the last pass sees every tree");
+    server.shutdown();
 }
 
 /// Splits a Prometheus sample key into name and parsed labels, enforcing
