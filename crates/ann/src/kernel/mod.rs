@@ -1,17 +1,24 @@
 //! Runtime-dispatched SIMD distance kernels.
 //!
-//! Every distance computed by this workspace funnels through three
-//! primitives — f32 dot product, f32 squared-L2, and the SQ8
-//! asymmetric-distance LUT sum — and all three were scalar loops until
-//! this module. Here they get hand-written `std::arch` implementations:
+//! Every distance computed by this workspace funnels through two f32
+//! primitives — dot product and squared-L2 — and their SQ8 counterparts,
+//! which score a row of 8-bit codes directly against a query with the
+//! quantizer folded in. All were scalar loops until this module; here
+//! they get hand-written `std::arch` implementations:
 //!
 //! - **AVX2 + FMA** on `x86_64` ([`x86`]): 8-lane `f32` with fused
-//!   multiply-add, two independent accumulators for ILP, and
-//!   `vgatherdps` for the SQ8 table walk.
+//!   multiply-add, two independent accumulators for ILP; SQ8 codes are
+//!   widened in registers (`vpmovzxbd` + `vcvtdq2ps`), four rows per
+//!   iteration.
 //! - **NEON** on `aarch64` ([`neon`]): 4-lane `f32` with `vfmaq_f32`
-//!   (the SQ8 LUT walk stays scalar — NEON has no gather).
+//!   (the SQ8 entries point at the scalar reference).
 //! - **Scalar** ([`scalar`]): the portable fallback, kept permanently as
 //!   the reference the property tests compare the SIMD paths against.
+//!
+//! [`Kernels::sq8_lut_sum`] — the asymmetric-distance walk over a
+//! per-query `dim × 256` table (`vgatherdps` on AVX2) that cold scans
+//! used before the direct-decode entries — remains for the benchmark
+//! ledger's kernel pass only; nothing that serves a query calls it.
 //!
 //! # Dispatch
 //!
@@ -38,9 +45,19 @@
 //! `(query, block[i])` `to_bits()` for `to_bits()`, so switching a scan
 //! loop from pairs to blocks moves no oracle, golden or recall figure.
 //!
+//! The SQ8 block entries have the same shape over code rows —
+//! [`Kernels::sq8_l2_block`] `fn(a, scale, codes, out)` and
+//! [`Kernels::sq8_dot_block`] `fn(w, codes, out)`, with
+//! `codes.len() == out.len() * dim` — where `a = query − mins` and
+//! `w = query · scales` are built once per (query, batch) by
+//! [`ScalarQuantizer::fold_query`](crate::ScalarQuantizer::fold_query).
+//! Their contract is bit identity with *themselves*: a block call equals
+//! one call per row, so a run boundary never moves a result.
+//!
 //! Scan loops fill a stack buffer of at most [`MAX_BLOCK`] distances
-//! ([`block_len`] vectors at a time, sized so the sub-block stays in L1
-//! across the queries of a batch) and hand it to
+//! ([`block_len`] vectors or [`sq8_block_len`] code rows at a time, sized
+//! so the sub-block stays in L1 across the queries of a batch) and hand
+//! it to
 //! [`TopK::offer`](crate::TopK::offer), which rejects everything past the
 //! current k-th distance with one compare and lets `push` decide the
 //! rest.
@@ -58,8 +75,13 @@
 //! kernels. The documented bound, asserted by the property tests in
 //! `tests/kernel_props.rs`: each of the `n` accumulation steps may
 //! contribute at most one unit of rounding at the running magnitude,
-//! i.e. `|simd − scalar| ≤ n · ε_f32 · Σ|termᵢ|` (for L2 and SQ8 the
-//! terms are non-negative, so the envelope is `n · ε · result`).
+//! i.e. `|simd − scalar| ≤ n · ε_f32 · Σ|termᵢ|` (for L2 and the SQ8
+//! LUT sum the terms are non-negative, so the envelope is
+//! `n · ε · result`; for [`Kernels::sq8_dot_block`] the terms are
+//! `w[j]·c[j]`). [`Kernels::sq8_l2_block`] on AVX2 also fuses the decode
+//! `a − c·scale` (one rounding where the scalar reference takes two), so
+//! each difference moves by up to `ε · c·scale` before it is squared; its
+//! envelope is `(n + 2) · ε · Σ(|a[j]| + c[j]·scale[j])²`.
 //! Where the operation order allows no reassociation (length ≤ 1 blocks,
 //! the scalar tail) results are bit-exact.
 
@@ -84,9 +106,11 @@ mod x86;
 pub enum KernelKind {
     /// Portable scalar loops (always available, always tested).
     Scalar,
-    /// AVX2 + FMA on `x86_64` (8-lane f32, gather-based SQ8).
+    /// AVX2 + FMA on `x86_64` (8-lane f32; SQ8 codes widened in
+    /// registers, four rows per iteration).
     Avx2Fma,
-    /// NEON on `aarch64` (4-lane f32; SQ8 stays scalar).
+    /// NEON on `aarch64` (4-lane f32; SQ8 entries are the scalar
+    /// reference).
     Neon,
 }
 
@@ -199,6 +223,9 @@ pub fn resolution_count(kind: KernelKind) -> u64 {
     RESOLUTIONS[kind.index()].load(Ordering::Relaxed)
 }
 
+/// [`Kernels::sq8_l2_block`]'s signature: `fn(a, scale, codes, out)`.
+pub type Sq8L2Block = fn(&[f32], &[f32], &[u8], &mut [f32]);
+
 /// A resolved kernel table: plain function pointers, so a scan loop pays
 /// dispatch exactly once per pass and zero branches per vector.
 #[derive(Clone, Copy)]
@@ -210,7 +237,8 @@ pub struct Kernels {
     /// Squared Euclidean distance over equal-length slices.
     pub l2_sq: fn(&[f32], &[f32]) -> f32,
     /// SQ8 LUT sum: `Σⱼ table[j·256 + codes[j]]` with
-    /// `table.len() == codes.len() · 256`.
+    /// `table.len() == codes.len() · 256`. Kept for the benchmark
+    /// ledger's kernel pass; scans use the two SQ8 block entries.
     pub sq8_lut_sum: fn(&[f32], &[u8]) -> f32,
     /// Block dot: `out[i] = dot(query, block[i·dim..(i+1)·dim])`, bit
     /// identical to [`Kernels::dot`]; panics unless
@@ -219,18 +247,38 @@ pub struct Kernels {
     /// Block squared-L2, bit identical to [`Kernels::l2_sq`]; same shape
     /// contract as [`Kernels::dot_block`].
     pub l2_sq_block: fn(&[f32], &[f32], &mut [f32]),
+    /// SQ8 block squared-L2 over code rows, `fn(a, scale, codes, out)`:
+    /// `out[i] = Σⱼ (a[j] − codes[i·dim + j]·scale[j])²`, bit identical to
+    /// one call per row; panics unless `scale.len() == a.len()` and
+    /// `codes.len() == out.len() · a.len()`.
+    pub sq8_l2_block: Sq8L2Block,
+    /// SQ8 block weighted sum over code rows, `fn(w, codes, out)`:
+    /// `out[i] = Σⱼ w[j]·codes[i·dim + j]`, bit identical to one call per
+    /// row; panics unless `codes.len() == out.len() · w.len()`.
+    pub sq8_dot_block: fn(&[f32], &[u8], &mut [f32]),
 }
 
 /// The most distances a scan loop asks a block kernel for at once — the
 /// size of the callers' stack buffers.
 pub const MAX_BLOCK: usize = 64;
 
-/// Stored vectors per sub-block at dimensionality `dim`: as many as fit
-/// 16 KiB (half of a 32 KiB L1d, leaving room for the queries), at least
-/// the 4 the AVX2 block kernel consumes per iteration, at most
-/// [`MAX_BLOCK`].
+/// Rows of `row_bytes` each per sub-block: as many as fit 16 KiB (half
+/// of a 32 KiB L1d, leaving room for the queries), at least the 4 the
+/// AVX2 block kernels consume per iteration, at most [`MAX_BLOCK`].
+fn rows_in_half_l1(row_bytes: usize) -> usize {
+    (16 * 1024 / row_bytes.max(1)).clamp(4, MAX_BLOCK)
+}
+
+/// Stored f32 vectors per sub-block at dimensionality `dim`.
 pub fn block_len(dim: usize) -> usize {
-    (16 * 1024 / (4 * dim.max(1))).clamp(4, MAX_BLOCK)
+    rows_in_half_l1(dim.saturating_mul(4))
+}
+
+/// SQ8 code rows (one byte per dimension) per sub-block at dimensionality
+/// `dim` — [`MAX_BLOCK`] up to dim 256, where [`block_len`] would already
+/// have shrunk to 16.
+pub fn sq8_block_len(dim: usize) -> usize {
+    rows_in_half_l1(dim)
 }
 
 impl std::fmt::Debug for Kernels {
@@ -248,6 +296,8 @@ pub const SCALAR_KERNELS: Kernels = Kernels {
     sq8_lut_sum: scalar::sq8_lut_sum,
     dot_block: |query, block, out| block_by_pairs(scalar::dot, query, block, out),
     l2_sq_block: |query, block, out| block_by_pairs(scalar::l2_sq, query, block, out),
+    sq8_l2_block: scalar::sq8_l2_block,
+    sq8_dot_block: scalar::sq8_dot_block,
 };
 
 /// A block entry as a loop over a pair kernel — how the scalar and NEON
@@ -282,16 +332,20 @@ pub fn kernels() -> Kernels {
             sq8_lut_sum: x86::sq8_lut_sum,
             dot_block: x86::dot_block,
             l2_sq_block: x86::l2_sq_block,
+            sq8_l2_block: x86::sq8_l2_block,
+            sq8_dot_block: x86::sq8_dot_block,
         },
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => Kernels {
             kind,
             dot: neon::dot,
             l2_sq: neon::l2_sq,
-            // NEON has no gather; the LUT walk stays scalar.
+            // Every SQ8 entry is the scalar reference on NEON.
             sq8_lut_sum: scalar::sq8_lut_sum,
             dot_block: |query, block, out| block_by_pairs(neon::dot, query, block, out),
             l2_sq_block: |query, block, out| block_by_pairs(neon::l2_sq, query, block, out),
+            sq8_l2_block: scalar::sq8_l2_block,
+            sq8_dot_block: scalar::sq8_dot_block,
         },
         // A kind whose arch is compiled out can never be detected here.
         #[allow(unreachable_patterns)]

@@ -3,9 +3,10 @@
 //! Safe wrappers over `#[target_feature(enable = "neon")]` inner
 //! functions, reachable only through the dispatcher in [`super`] after
 //! one-time feature detection. 4-lane f32 with `vfmaq_f32`, two
-//! independent accumulators for ILP. NEON has no gather instruction, so
-//! the SQ8 LUT walk stays on [`super::scalar`] (see the dispatch table
-//! in [`super::kernels`]).
+//! independent accumulators for ILP. The SQ8 entries — the direct-decode
+//! block kernels and the LUT walk kept for the benchmark ledger — are
+//! the [`super::scalar`] reference (see the dispatch table in
+//! [`super::kernels`]).
 //!
 //! Accuracy: same reassociation envelope as the AVX2 kernels, documented
 //! in [`super`]; scalar tails and length ≤ 1 inputs are bit-exact.

@@ -72,6 +72,68 @@ pub fn sq8_lut_sum(table: &[f32], codes: &[u8]) -> f32 {
     sum
 }
 
+/// Scalar SQ8 block squared-L2, scoring codes directly:
+/// `out[i] = Σⱼ (a[j] − codes[i·dim + j]·scale[j])²` with `dim = a.len()`,
+/// `a` being the query with the quantizer's offsets folded in
+/// (`query − mins`) and `scale` the quantizer's step sizes. The reference
+/// the SIMD entry is held against; four lane accumulators per row, like
+/// [`l2_sq`].
+///
+/// # Panics
+///
+/// Panics unless `scale.len() == a.len()` and
+/// `codes.len() == out.len() · a.len()`.
+pub fn sq8_l2_block(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
+    sq8_block(a, scale, codes, out, |a, s, c| {
+        let d = a - c * s;
+        d * d
+    });
+}
+
+/// Scalar SQ8 block weighted sum: `out[i] = Σⱼ w[j]·codes[i·dim + j]` with
+/// `dim = w.len()`, `w` being the query with the quantizer's step sizes
+/// folded in (`query · scales`) — the code-dependent part of an inner
+/// product against the decoded vector.
+///
+/// # Panics
+///
+/// Panics unless `codes.len() == out.len() · w.len()`.
+pub fn sq8_dot_block(w: &[f32], codes: &[u8], out: &mut [f32]) {
+    sq8_block(w, w, codes, out, |w, _, c| w * c);
+}
+
+/// Both SQ8 block entries: `out[i] = Σⱼ term(ctx[j], scale[j], code)` over
+/// row `i`, four lane accumulators then the tail, like [`l2_sq`].
+#[inline]
+fn sq8_block(
+    ctx: &[f32],
+    scale: &[f32],
+    codes: &[u8],
+    out: &mut [f32],
+    term: impl Fn(f32, f32, f32) -> f32,
+) {
+    let dim = ctx.len();
+    assert_eq!(scale.len(), dim);
+    assert_eq!(Some(codes.len()), out.len().checked_mul(dim));
+    let (head_x, head_s) = (ctx.chunks_exact(4), scale.chunks_exact(4));
+    let (tail_x, tail_s) = (head_x.remainder(), head_s.remainder());
+    for (i, o) in out.iter_mut().enumerate() {
+        let row = codes[i * dim..(i + 1) * dim].chunks_exact(4);
+        let tail_c = row.remainder();
+        let mut acc = [0.0f32; 4];
+        for ((x4, s4), c4) in head_x.clone().zip(head_s.clone()).zip(row) {
+            for lane in 0..4 {
+                acc[lane] += term(x4[lane], s4[lane], f32::from(c4[lane]));
+            }
+        }
+        let mut sum = acc[0] + acc[1] + acc[2] + acc[3];
+        for ((&x, &s), &c) in tail_x.iter().zip(tail_s).zip(tail_c) {
+            sum += term(x, s, f32::from(c));
+        }
+        *o = sum;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,5 +161,27 @@ mod tests {
             .map(|(j, &c)| table[j * 256 + usize::from(c)])
             .sum();
         assert_eq!(sq8_lut_sum(&table, &codes), naive);
+    }
+
+    #[test]
+    fn sq8_blocks_match_naive_on_odd_dims() {
+        for dim in [1, 3, 4, 5, 9, 33] {
+            let n = 3;
+            let a: Vec<f32> = (0..dim).map(|j| j as f32 * 0.5 - 2.0).collect();
+            let scale: Vec<f32> = (0..dim).map(|j| 0.01 + j as f32 * 0.002).collect();
+            let codes: Vec<u8> = (0..n * dim).map(|i| (i * 37 % 256) as u8).collect();
+            let (mut l2, mut dot) = (vec![0.0f32; n], vec![0.0f32; n]);
+            sq8_l2_block(&a, &scale, &codes, &mut l2);
+            sq8_dot_block(&a, &codes, &mut dot);
+            for (i, row) in codes.chunks_exact(dim).enumerate() {
+                let terms = |f: fn(f32, f32, f32) -> f32| -> f32 {
+                    (0..dim).map(|j| f(a[j], scale[j], f32::from(row[j]))).sum()
+                };
+                let naive_l2 = terms(|a, s, c| (a - c * s) * (a - c * s));
+                let naive_dot = terms(|w, _, c| w * c);
+                assert!((l2[i] - naive_l2).abs() <= 1e-4 * naive_l2.abs().max(1.0));
+                assert!((dot[i] - naive_dot).abs() <= 1e-4 * naive_dot.abs().max(1.0));
+            }
+        }
     }
 }

@@ -4,9 +4,7 @@
 //! function; the wrappers are only reachable through the dispatcher in
 //! [`super`], which routes here strictly after one-time CPUID detection
 //! confirmed `avx2` and `fma`. The f32 reductions run two independent
-//! 8-lane FMA accumulators (breaking the dependency chain for ILP); the
-//! SQ8 LUT walk widens 8 codes to `u32` lanes and fetches all 8 table
-//! entries with one `vgatherdps`.
+//! 8-lane FMA accumulators (breaking the dependency chain for ILP).
 //!
 //! The block entries ([`dot_block`], [`l2_sq_block`]) score **four**
 //! stored vectors per iteration against one query: each 8-lane query
@@ -17,6 +15,17 @@
 //! is bit-identical to the pair kernel, per vector; the `n % 4` leftover
 //! vectors go through the pair kernel itself.
 //!
+//! The SQ8 block entries ([`sq8_l2_block`], [`sq8_dot_block`]) score code
+//! rows directly, no table: 8 codes are widened to f32 lanes
+//! (`vpmovzxbd` + `vcvtdq2ps`) and fed to one FMA (dot) or a fused decode
+//! `a − c·scale` and one FMA (L2), four rows per iteration so each chunk
+//! of the query context is loaded once per four rows, reduced by the same
+//! [`hsum8x4`]. A ragged last group re-scores its last row in the spare
+//! lanes, so a row's sum never depends on where in a run it sits: the
+//! block call is bit-identical to one call per row. [`sq8_lut_sum`], the
+//! `vgatherdps` walk over a per-query table these entries replaced, stays
+//! for the benchmark ledger's kernel pass; no scan calls it.
+//!
 //! Accuracy: lane-parallel partial sums + FMA contraction reassociate
 //! the reduction, bounded by the envelope documented in [`super`]
 //! (`n · ε · Σ|termᵢ|`); scalar tails and length ≤ 1 inputs are
@@ -24,9 +33,10 @@
 
 use std::arch::x86_64::{
     __m128, __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
-    _mm256_cvtepu8_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps, _mm256_i32gather_ps,
-    _mm256_loadu_ps, _mm256_set_epi32, _mm256_setzero_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss,
-    _mm_cvtss_f32, _mm_hadd_ps, _mm_loadl_epi64, _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
+    _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps,
+    _mm256_fnmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_set_epi32, _mm256_setzero_ps,
+    _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_hadd_ps, _mm_loadl_epi64,
+    _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
 };
 
 /// AVX2+FMA inner (dot) product; dispatch-only entry.
@@ -103,6 +113,117 @@ pub fn l2_sq_block(query: &[f32], block: &[f32], out: &mut [f32]) {
     // SAFETY: same argument as `dot_block` — CPUID-gated dispatch for
     // the target features, the just-asserted shape for the load bounds.
     unsafe { block_avx2::<true>(query, block, out) }
+}
+
+/// AVX2+FMA SQ8 block squared-L2 over code rows
+/// (`out[i] = Σⱼ (a[j] − codes[i·dim + j]·scale[j])²`); dispatch-only
+/// entry.
+///
+/// # Panics
+///
+/// Panics unless `scale.len() == a.len()` and
+/// `codes.len() == out.len() * a.len()` (the asserts are load-bearing:
+/// they are what makes the unchecked 8-byte code loads and 8-lane context
+/// loads sound).
+pub fn sq8_l2_block(a: &[f32], scale: &[f32], codes: &[u8], out: &mut [f32]) {
+    assert_eq!(scale.len(), a.len());
+    assert_eq!(Some(codes.len()), out.len().checked_mul(a.len()));
+    // SAFETY: CPUID-gated dispatch guarantees the avx2+fma
+    // target-feature precondition of `sq8_block_avx2`; the two shape
+    // relations its load bounds are argued from were just asserted
+    // (overflow-checked, in all build profiles).
+    unsafe { sq8_block_avx2::<true>(a, scale, codes, out) }
+}
+
+/// AVX2+FMA SQ8 block weighted sum over code rows
+/// (`out[i] = Σⱼ w[j]·codes[i·dim + j]`); dispatch-only entry.
+///
+/// # Panics
+///
+/// Panics unless `codes.len() == out.len() * w.len()` (load-bearing, as
+/// for [`sq8_l2_block`]).
+pub fn sq8_dot_block(w: &[f32], codes: &[u8], out: &mut [f32]) {
+    assert_eq!(Some(codes.len()), out.len().checked_mul(w.len()));
+    // SAFETY: same argument as `sq8_l2_block` — CPUID-gated dispatch for
+    // the target features, the just-asserted shape for the load bounds;
+    // the dot instantiation never reads `scale`, so the empty slice is
+    // sound.
+    unsafe { sq8_block_avx2::<false>(w, &[], codes, out) }
+}
+
+// SAFETY: `unsafe` is the target-feature contract plus one raw 8-byte
+// load at `codes`, which the caller bounds (`j + 8 <= dim` inside a code
+// row that lies wholly inside the block). Widens 8 codes to f32 lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn widen8(codes: *const u8) -> __m256 {
+    _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(_mm_loadl_epi64(
+        codes.cast::<__m128i>(),
+    )))
+}
+
+// Four code rows per iteration, one accumulator per row (four independent
+// FMA chains already cover the latency). `ctx` is `a` (L2) or `w` (dot).
+//
+// SAFETY: `unsafe` is the target-feature contract (callers checked CPUID)
+// plus `codes.len() == out.len() * ctx.len()` and, when `L2`,
+// `scale.len() == ctx.len()`, asserted by both callers. Load bounds: a
+// group's row pointers are `(i + r') * dim` with `r' <= rows - 1` and
+// `i + rows <= n`, so each row ends at or before `n * dim == codes.len()`;
+// within a row every 8-byte code load, and the 8-lane `ctx` / `scale`
+// loads beside it, sit at `j` under `j + 8 <= dim`.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn sq8_block_avx2<const L2: bool>(
+    ctx: &[f32],
+    scale: &[f32],
+    codes: &[u8],
+    out: &mut [f32],
+) {
+    let dim = ctx.len();
+    let n = out.len();
+    let mut i = 0usize;
+    while i < n {
+        let rows = (n - i).min(4);
+        // A ragged group's spare lanes alias its last row: one code path
+        // for whole and partial groups, the spare sums are dropped.
+        let mut v = [codes.as_ptr(); 4];
+        for (r, p) in v.iter_mut().enumerate() {
+            *p = codes.as_ptr().add((i + r.min(rows - 1)) * dim);
+        }
+        let mut acc = [_mm256_setzero_ps(); 4];
+        let mut j = 0usize;
+        while j + 8 <= dim {
+            let c = _mm256_loadu_ps(ctx.as_ptr().add(j));
+            if L2 {
+                let s = _mm256_loadu_ps(scale.as_ptr().add(j));
+                for r in 0..4 {
+                    let d = _mm256_fnmadd_ps(widen8(v[r].add(j)), s, c);
+                    acc[r] = _mm256_fmadd_ps(d, d, acc[r]);
+                }
+            } else {
+                for r in 0..4 {
+                    acc[r] = _mm256_fmadd_ps(c, widen8(v[r].add(j)), acc[r]);
+                }
+            }
+            j += 8;
+        }
+        let mut sums = [0.0f32; 4];
+        _mm_storeu_ps(sums.as_mut_ptr(), hsum8x4(acc[0], acc[1], acc[2], acc[3]));
+        // The scalar reference's tail arithmetic, per row.
+        for (r, sum) in sums.iter_mut().enumerate().take(rows) {
+            let row = &codes[(i + r) * dim..(i + r + 1) * dim];
+            for t in j..dim {
+                if L2 {
+                    let d = ctx[t] - f32::from(row[t]) * scale[t];
+                    *sum += d * d;
+                } else {
+                    *sum += ctx[t] * f32::from(row[t]);
+                }
+            }
+        }
+        out[i..i + rows].copy_from_slice(&sums[..rows]);
+        i += rows;
+    }
 }
 
 // SAFETY: `unsafe` is the target-feature contract plus one raw 8-lane
@@ -306,9 +427,10 @@ unsafe fn hsum8(v: __m256) -> f32 {
 }
 
 // SAFETY: `unsafe` is the target-feature contract only (pure register
-// shuffles and adds, no memory access); only called from `block_avx2`,
-// itself CPUID-gated. Lane r of the result is `hsum8` of the r-th
-// argument, bit for bit: the same low-half + high-half add per vector,
+// shuffles and adds, no memory access); only called from the block
+// kernels above, themselves CPUID-gated. Lane r of the result is `hsum8`
+// of the r-th argument, bit for bit: the same low-half + high-half add
+// per vector,
 // then `hadd` forms `hsum8`'s (s0+s1), (s2+s3) and, applied again, their
 // sum — four vectors per instruction instead of one.
 #[target_feature(enable = "avx2")]

@@ -70,7 +70,7 @@ pub use ivf::{CoarseKind, IvfConfig, IvfIndex, ListStorage, Probe};
 pub use kernel::{KernelKind, Kernels};
 pub use kmeans::{KMeans, KMeansConfig, KMeansInit};
 pub use pq::{Lut, PqConfig, ProductQuantizer};
-pub use sq::ScalarQuantizer;
+pub use sq::{ScalarQuantizer, Sq8Query};
 pub use store::{scan_lists_store, scan_lists_store_batch, BatchQuery, ClusterStore};
 pub use topk::{merge_sorted, Neighbor, TopK};
 pub use vecset::VecSet;

@@ -5,7 +5,8 @@
 //! per-dimension [min, max] range. It offers 4× compression (vs PQ's
 //! typically 32–64×) but trivial encode/decode cost.
 
-use crate::{AnnError, Result, VecSet};
+use crate::kernel::Kernels;
+use crate::{AnnError, Metric, Result, VecSet};
 
 /// A trained per-dimension scalar quantizer.
 ///
@@ -113,14 +114,25 @@ impl ScalarQuantizer {
     ///
     /// Panics if `v.len() != dim`.
     pub fn encode(&self, v: &[f32]) -> Vec<u8> {
+        let mut codes = vec![0u8; self.dim()];
+        self.encode_into(v, &mut codes);
+        codes
+    }
+
+    /// [`ScalarQuantizer::encode`] into a caller-owned row buffer — the
+    /// bulk path (a segment write encodes every vector through one
+    /// buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim` or `out.len() != dim`.
+    pub fn encode_into(&self, v: &[f32], out: &mut [u8]) {
         assert_eq!(v.len(), self.dim(), "encode: wrong dimensionality");
-        v.iter()
-            .enumerate()
-            .map(|(j, &x)| {
-                let q = (x - self.mins[j]) / self.scales[j];
-                q.round().clamp(0.0, 255.0) as u8
-            })
-            .collect()
+        assert_eq!(out.len(), self.dim(), "encode: wrong code length");
+        for (j, (code, &x)) in out.iter_mut().zip(v).enumerate() {
+            let q = (x - self.mins[j]) / self.scales[j];
+            *code = q.round().clamp(0.0, 255.0) as u8;
+        }
     }
 
     /// Decodes `codes` back to approximate floats.
@@ -135,6 +147,74 @@ impl ScalarQuantizer {
             .enumerate()
             .map(|(j, &c)| self.mins[j] + f32::from(c) * self.scales[j])
             .collect()
+    }
+
+    /// Folds this quantizer into `query` once, so code rows can then be
+    /// scored directly — no decode buffer, no lookup table, the query
+    /// stays f32. Under L2 the fold is `a = query − mins`, leaving
+    /// `Σ (a − c·scale)²` per row; under inner product it is
+    /// `w = query · scales` and `bias = Σ query·mins`, leaving
+    /// `−(bias + Σ w·c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != dim`, or for [`Metric::Cosine`], whose
+    /// norm term does not decompose over codes.
+    pub fn fold_query(&self, metric: Metric, query: &[f32]) -> Sq8Query<'_> {
+        assert_eq!(query.len(), self.dim(), "fold_query: wrong dimensionality");
+        let (folded, bias) = match metric {
+            Metric::L2 => (
+                query.iter().zip(&self.mins).map(|(q, m)| q - m).collect(),
+                0.0,
+            ),
+            Metric::InnerProduct => (
+                query.iter().zip(&self.scales).map(|(q, s)| q * s).collect(),
+                query.iter().zip(&self.mins).map(|(q, m)| q * m).sum(),
+            ),
+            Metric::Cosine => panic!("cosine does not decompose over SQ8 codes"),
+        };
+        Sq8Query {
+            metric,
+            folded,
+            scales: &self.scales,
+            bias,
+        }
+    }
+}
+
+/// A query with a [`ScalarQuantizer`] folded in
+/// ([`ScalarQuantizer::fold_query`]): `dim` floats that score SQ8 code
+/// rows through the kernel table's SQ8 block entries — to code rows what
+/// [`Metric::score_block`] is to f32 rows.
+#[derive(Debug, Clone)]
+pub struct Sq8Query<'a> {
+    metric: Metric,
+    /// L2: `query − mins`. Inner product: `query · scales`.
+    folded: Vec<f32>,
+    scales: &'a [f32],
+    /// Inner product's code-independent share, `Σ query·mins`.
+    bias: f32,
+}
+
+impl Sq8Query<'_> {
+    /// Scores the `out.len()` row-major code rows of `codes`
+    /// ("smaller is closer", like [`Metric::score`] on the decoded
+    /// vectors). `out[i]` is bit-identical to scoring row `i` alone
+    /// through the same `kern`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes.len() != out.len() * dim`.
+    pub fn score_block(&self, kern: &Kernels, codes: &[u8], out: &mut [f32]) {
+        match self.metric {
+            Metric::L2 => (kern.sq8_l2_block)(&self.folded, self.scales, codes, out),
+            _ => {
+                (kern.sq8_dot_block)(&self.folded, codes, out);
+                for d in out.iter_mut() {
+                    *d = -(self.bias + *d);
+                }
+            }
+        }
     }
 }
 

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use vlite_ann::kernel::{self, KernelKind};
-use vlite_ann::Metric;
+use vlite_ann::{Metric, ScalarQuantizer};
 
 /// The documented reassociation envelope, plus an absolute whisker so
 /// all-zero inputs don't demand exact-zero agreement of `-0.0` vs `0.0`.
@@ -88,6 +88,45 @@ proptest! {
             (simd - scalar).abs() <= envelope(dim, abs_sum),
             "kind={:?} dim={dim} simd={simd} scalar={scalar}", kern.kind
         );
+    }
+
+    /// The dispatched SQ8 block entries match the scalar reference within
+    /// their documented envelopes on random shapes, folds and codes: the
+    /// dot entry within `n · ε · Σ|w·c|`, the L2 entry — whose AVX2 form
+    /// fuses the decode — within `(n + 2) · ε · Σ(|a| + c·scale)²`.
+    #[test]
+    fn sq8_blocks_match_scalar_within_envelope(
+        raw_codes in prop::collection::vec(0u16..256, 0..400),
+        dim in 1usize..80,
+        spread in 0.01f32..50.0,
+        step in 0.0005f32..0.5,
+    ) {
+        let n = raw_codes.len() / dim;
+        let codes: Vec<u8> = raw_codes[..n * dim].iter().map(|&c| c as u8).collect();
+        let fold: Vec<f32> = (0..dim).map(|j| (j as f32 * 0.91).sin() * spread).collect();
+        let scale: Vec<f32> = (0..dim).map(|j| step * (1.0 + (j % 7) as f32)).collect();
+        let kern = kernel::kernels();
+        let (mut l2, mut l2_ref) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        let (mut dot, mut dot_ref) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+        (kern.sq8_l2_block)(&fold, &scale, &codes, &mut l2);
+        (kern.sq8_dot_block)(&fold, &codes, &mut dot);
+        kernel::scalar::sq8_l2_block(&fold, &scale, &codes, &mut l2_ref);
+        kernel::scalar::sq8_dot_block(&fold, &codes, &mut dot_ref);
+        for (i, row) in codes.chunks_exact(dim).enumerate() {
+            let terms = |term: fn(f32, f32, f32) -> f32| -> f32 {
+                (0..dim).map(|j| term(fold[j], scale[j], f32::from(row[j]))).sum()
+            };
+            let l2_terms = terms(|a, s, c| (a.abs() + c * s) * (a.abs() + c * s));
+            let dot_terms = terms(|w, _, c| (w * c).abs());
+            prop_assert!(
+                (l2[i] - l2_ref[i]).abs() <= envelope(dim + 2, l2_terms),
+                "l2 kind={:?} dim={dim} row={i} simd={} scalar={}", kern.kind, l2[i], l2_ref[i]
+            );
+            prop_assert!(
+                (dot[i] - dot_ref[i]).abs() <= envelope(dim, dot_terms),
+                "dot kind={:?} dim={dim} row={i} simd={} scalar={}", kern.kind, dot[i], dot_ref[i]
+            );
+        }
     }
 
     /// Where the op order admits no reassociation — length ≤ 1 — every
@@ -176,6 +215,109 @@ fn block_kernels_are_bit_identical_to_the_pair_kernels() {
     }
 }
 
+/// A deterministic code fill that hits 0, 255 and everything between.
+fn code_wave(len: usize, stride: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * stride % 256) as u8).collect()
+}
+
+/// The SQ8 block contract: a block call equals one call per row through
+/// the same table, bit for bit — whole four-row groups, ragged last
+/// groups and every dim tail — on the dispatched and the scalar table,
+/// for both entries and for `Sq8Query::score_block` under both metrics.
+#[test]
+fn sq8_block_kernels_are_bit_identical_to_one_row_calls() {
+    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+        for dim in BLOCK_DIMS {
+            let fold = wave(dim, 0.5);
+            let scale: Vec<f32> = wave(dim, 3.0)
+                .iter()
+                .map(|x| x.abs() * 0.01 + 1e-3)
+                .collect();
+            let sq = ScalarQuantizer::from_params(wave(dim, 1.75), scale.clone());
+            for n in BLOCK_ROWS {
+                let codes = code_wave(n * dim, 37);
+                let mut l2s = vec![f32::NAN; n];
+                let mut dots = vec![f32::NAN; n];
+                (table.sq8_l2_block)(&fold, &scale, &codes, &mut l2s);
+                (table.sq8_dot_block)(&fold, &codes, &mut dots);
+                let mut one = [f32::NAN];
+                for (i, row) in codes.chunks_exact(dim).enumerate() {
+                    let what = format!("kind={:?} dim={dim} n={n} row={i}", table.kind);
+                    (table.sq8_l2_block)(&fold, &scale, row, &mut one);
+                    assert_eq!(l2s[i].to_bits(), one[0].to_bits(), "sq8 l2 {what}");
+                    (table.sq8_dot_block)(&fold, row, &mut one);
+                    assert_eq!(dots[i].to_bits(), one[0].to_bits(), "sq8 dot {what}");
+                }
+                for metric in [Metric::L2, Metric::InnerProduct] {
+                    let query = sq.fold_query(metric, &fold);
+                    let mut out = vec![f32::NAN; n];
+                    query.score_block(&table, &codes, &mut out);
+                    for (i, row) in codes.chunks_exact(dim).enumerate() {
+                        query.score_block(&table, row, &mut one);
+                        assert_eq!(
+                            out[i].to_bits(),
+                            one[0].to_bits(),
+                            "{metric:?} kind={:?} dim={dim} n={n} row={i}",
+                            table.kind
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Codes 0 and 255 in every lane (the widening must be unsigned, and a
+/// zero code must contribute exactly the folded term): each row of all-0
+/// or all-255 codes equals the closed form over the same folds, within
+/// the envelope, and the two tables agree.
+#[test]
+fn sq8_block_kernels_handle_extreme_codes_in_every_lane() {
+    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+        for dim in BLOCK_DIMS {
+            let fold = wave(dim, 0.25);
+            let scale: Vec<f32> = wave(dim, 2.0)
+                .iter()
+                .map(|x| x.abs() * 0.02 + 1e-3)
+                .collect();
+            // Rows: all 0, all 255, alternating, and 255 in one lane only
+            // (a fifth row, so the ragged group path sees extremes too).
+            let mut codes = vec![0u8; dim];
+            codes.extend(vec![255u8; dim]);
+            codes.extend((0..dim).map(|j| if j % 2 == 0 { 0 } else { 255 }));
+            codes.extend((0..dim).map(|j| if j % 2 == 0 { 255 } else { 0 }));
+            codes.extend((0..dim).map(|j| if j == dim - 1 { 255 } else { 0 }));
+            let n = codes.len() / dim;
+            let (mut l2s, mut dots) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+            (table.sq8_l2_block)(&fold, &scale, &codes, &mut l2s);
+            (table.sq8_dot_block)(&fold, &codes, &mut dots);
+            for (i, row) in codes.chunks_exact(dim).enumerate() {
+                let (mut l2, mut l2_terms, mut dot, mut dot_terms) =
+                    (0.0f64, 0.0f32, 0.0f64, 0.0f32);
+                for j in 0..dim {
+                    let c = f32::from(row[j]);
+                    let d = f64::from(fold[j]) - f64::from(c) * f64::from(scale[j]);
+                    l2 += d * d;
+                    l2_terms += (fold[j].abs() + c * scale[j]) * (fold[j].abs() + c * scale[j]);
+                    dot += f64::from(fold[j]) * f64::from(c);
+                    dot_terms += (fold[j] * c).abs();
+                }
+                let what = format!("kind={:?} dim={dim} row={i}", table.kind);
+                assert!(
+                    (f64::from(l2s[i]) - l2).abs() <= f64::from(envelope(dim + 2, l2_terms)),
+                    "sq8 l2 {what}: {} vs {l2}",
+                    l2s[i]
+                );
+                assert!(
+                    (f64::from(dots[i]) - dot).abs() <= f64::from(envelope(dim, dot_terms)),
+                    "sq8 dot {what}: {} vs {dot}",
+                    dots[i]
+                );
+            }
+        }
+    }
+}
+
 /// `Metric::score_block` is `Metric::score` per row, bit for bit, under
 /// every metric (negation and the cosine normalisation included). The
 /// per-row oracle is spelled out over the *same* table rather than
@@ -225,6 +367,54 @@ fn score_block_is_bit_identical_to_score() {
 fn block_kernel_rejects_a_ragged_block() {
     let mut out = [0.0f32; 4];
     (kernel::kernels().l2_sq_block)(&[0.0; 8], &[0.0; 31], &mut out);
+}
+
+/// Code rows whose total disagrees with `out` are refused before any
+/// load, by every SQ8 entry of the dispatched table...
+#[test]
+#[should_panic]
+fn sq8_l2_block_rejects_ragged_codes() {
+    let mut out = [0.0f32; 4];
+    (kernel::kernels().sq8_l2_block)(&[0.0; 8], &[1.0; 8], &[0u8; 31], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn sq8_dot_block_rejects_ragged_codes() {
+    let mut out = [0.0f32; 4];
+    (kernel::kernels().sq8_dot_block)(&[0.0; 8], &[0u8; 33], &mut out);
+}
+
+/// ...as is an `out` too long for the codes, and a `scale` that does not
+/// cover the fold.
+#[test]
+#[should_panic]
+fn sq8_dot_block_rejects_a_long_out() {
+    let mut out = [0.0f32; 5];
+    (kernel::kernels().sq8_dot_block)(&[0.0; 8], &[0u8; 32], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn sq8_l2_block_rejects_a_short_scale() {
+    let mut out = [0.0f32; 4];
+    (kernel::kernels().sq8_l2_block)(&[0.0; 8], &[1.0; 7], &[0u8; 32], &mut out);
+}
+
+/// The scalar table refuses the same shapes (it is the NEON table's SQ8
+/// entry too).
+#[test]
+#[should_panic]
+fn scalar_sq8_l2_block_rejects_ragged_codes() {
+    let mut out = [0.0f32; 4];
+    (kernel::SCALAR_KERNELS.sq8_l2_block)(&[0.0; 8], &[1.0; 8], &[0u8; 31], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn scalar_sq8_dot_block_rejects_ragged_codes() {
+    let mut out = [0.0f32; 4];
+    (kernel::SCALAR_KERNELS.sq8_dot_block)(&[0.0; 8], &[0u8; 31], &mut out);
 }
 
 /// The only test that touches the process-global dispatch override: it

@@ -11,9 +11,10 @@
 //!   list.
 //! - **Cold clusters** (the slow tier) persist in an on-disk segment file
 //!   (checksummed header, per-cluster extents; see [`Segment`]) accessed
-//!   through a read-only `mmap` and scanned as SQ8 codes against a
-//!   per-query lookup table — genuinely cheaper in bytes and slower in
-//!   recall-per-probe, the paper's asymmetric tiers.
+//!   through a read-only `mmap` and scanned as SQ8 codes, scored
+//!   directly against the query with the quantizer folded in — genuinely
+//!   cheaper in bytes and slower in recall-per-probe, the paper's
+//!   asymmetric tiers.
 //!
 //! [`TieredStore`] implements `vlite-ann`'s `ClusterStore` trait through
 //! generation-counted [`StoreSnapshot`]s, so the IVF scan path reads

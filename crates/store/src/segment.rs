@@ -96,7 +96,7 @@ impl From<std::io::Error> for StoreError {
 pub type Result<T> = std::result::Result<T, StoreError>;
 
 /// Whether the segment format can score payloads under `metric` (cosine
-/// does not decompose over SQ8 lookup tables). Callers that *move* data
+/// does not decompose over SQ8 codes). Callers that *move* data
 /// into a store should check this **before** detaching anything.
 pub fn supports_metric(metric: Metric) -> bool {
     metric_code(metric).is_ok()
@@ -107,7 +107,7 @@ fn metric_code(metric: Metric) -> Result<u32> {
         Metric::L2 => Ok(0),
         Metric::InnerProduct => Ok(1),
         Metric::Cosine => Err(StoreError::Unsupported(
-            "cosine does not decompose over SQ8 lookup tables; use L2 or inner product".into(),
+            "cosine does not decompose over SQ8 codes; use L2 or inner product".into(),
         )),
     }
 }
@@ -157,6 +157,20 @@ fn train_sq(dim: usize, clusters: &[(Vec<u64>, VecSet)]) -> ScalarQuantizer {
         })
         .unzip();
     ScalarQuantizer::from_params(mins, scales)
+}
+
+/// Refills `buf` with `values` as little-endian bytes — one extent row
+/// (or a cluster's id run) at a time, so the checksum and the file see
+/// whole buffers rather than a value per call.
+pub(crate) fn fill_le<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    buf.resize(values.len() * N, 0);
+    for (bytes, &v) in buf.chunks_exact_mut(N).zip(values) {
+        bytes.copy_from_slice(&to_le(v));
+    }
 }
 
 /// Serializes `clusters` into a segment file at `path` (written to a
@@ -218,26 +232,22 @@ pub fn write_segment(
 
     let mut table: Vec<u8> = Vec::with_capacity(TABLE_ENTRY * n_clusters);
     let mut offset = header_len;
+    let mut buf: Vec<u8> = Vec::new();
+    let mut codes = vec![0u8; dim];
     for (ids, vectors) in clusters {
         let n = ids.len();
         let ids_off = offset;
-        let mut crc = Crc32::new();
-        for &id in ids {
-            let bytes = id.to_le_bytes();
-            crc.update(&bytes);
-            file.write_all(&bytes)?;
-        }
-        let ids_crc = crc.finish();
+        fill_le(&mut buf, ids, u64::to_le_bytes);
+        let ids_crc = crc32(&buf);
+        file.write_all(&buf)?;
         offset += n * 8;
 
         let f32_off = offset;
         let mut crc = Crc32::new();
         for v in vectors.iter() {
-            for &x in v {
-                let bytes = x.to_le_bytes();
-                crc.update(&bytes);
-                file.write_all(&bytes)?;
-            }
+            fill_le(&mut buf, v, f32::to_le_bytes);
+            crc.update(&buf);
+            file.write_all(&buf)?;
         }
         let f32_crc = crc.finish();
         offset += n * dim * 4;
@@ -245,7 +255,7 @@ pub fn write_segment(
         let sq8_off = offset;
         let mut crc = Crc32::new();
         for v in vectors.iter() {
-            let codes = sq.encode(v);
+            sq.encode_into(v, &mut codes);
             crc.update(&codes);
             file.write_all(&codes)?;
         }

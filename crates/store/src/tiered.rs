@@ -16,19 +16,19 @@
 //!   (`ids + n × dim × f32`), scanned exactly as an in-memory IVF-Flat
 //!   list would be.
 //! - **Cold** clusters stay on disk in the segment's SQ8 extents
-//!   (`ids + n × dim × u8`, 4× fewer payload bytes), scanned through a
-//!   per-query lookup table built over the segment's quantizer — cheaper
-//!   in bytes, pricier in recall-per-probe.
+//!   (`ids + n × dim × u8`, 4× fewer payload bytes), scored code by
+//!   code against the query with the segment's quantizer folded in —
+//!   cheaper in bytes, pricier in recall-per-probe.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use vlite_ann::kernel::{self, Kernels};
-use vlite_ann::{BatchQuery, ClusterStore, Metric, ScalarQuantizer, TopK, VecSet};
+use vlite_ann::{BatchQuery, ClusterStore, Metric, ScalarQuantizer, Sq8Query, TopK, VecSet};
 
-use crate::checksum::Crc32;
-use crate::segment::{write_segment, Segment, StoreError};
+use crate::checksum::{crc32, Crc32};
+use crate::segment::{fill_le, write_segment, Segment, StoreError};
 
 /// Result alias re-used from the segment layer.
 pub type Result<T> = std::result::Result<T, StoreError>;
@@ -254,22 +254,19 @@ impl TieredStore {
                 clusters.len()
             )));
         }
+        let mut buf = Vec::new();
         for (c, (ids, vectors)) in clusters.iter().enumerate() {
             let (ids_crc, f32_crc) = segment.cluster_crcs(c as u32);
-            let mut h = Crc32::new();
-            for &id in ids {
-                h.update(&id.to_le_bytes());
-            }
-            if h.finish() != ids_crc {
+            fill_le(&mut buf, ids, u64::to_le_bytes);
+            if crc32(&buf) != ids_crc {
                 return Err(StoreError::Mismatch(format!(
                     "cluster {c}: existing segment holds different vector ids"
                 )));
             }
             let mut h = Crc32::new();
             for v in vectors.iter() {
-                for &x in v {
-                    h.update(&x.to_le_bytes());
-                }
+                fill_le(&mut buf, v, f32::to_le_bytes);
+                h.update(&buf);
             }
             if h.finish() != f32_crc {
                 return Err(StoreError::Mismatch(format!(
@@ -481,47 +478,6 @@ impl Drop for TieredStore {
     }
 }
 
-/// Per-query SQ8 asymmetric-distance lookup table: `dim × 256` partial
-/// scores, so a cold scan is `dim` table lookups and adds per vector.
-struct SqLut {
-    dim: usize,
-    table: Vec<f32>,
-}
-
-impl SqLut {
-    fn new(sq: &ScalarQuantizer, metric: Metric, query: &[f32]) -> SqLut {
-        let dim = sq.dim();
-        debug_assert_eq!(query.len(), dim);
-        // One row per dimension; `term(q, decoded)` is that dimension's
-        // share of the metric. Generic so each metric gets its own
-        // vectorizable fill loop, matched once per table.
-        fn fill(sq: &ScalarQuantizer, query: &[f32], term: impl Fn(f32, f32) -> f32) -> Vec<f32> {
-            let mut table = vec![0.0f32; query.len() * 256];
-            for (j, row) in table.chunks_exact_mut(256).enumerate() {
-                let (q, min, scale) = (query[j], sq.mins()[j], sq.scales()[j]);
-                for (code, slot) in row.iter_mut().enumerate() {
-                    *slot = term(q, min + (code as f32) * scale);
-                }
-            }
-            table
-        }
-        let table = match metric {
-            Metric::L2 => fill(sq, query, |q, x| (q - x) * (q - x)),
-            Metric::InnerProduct => fill(sq, query, |q, x| -(q * x)),
-            Metric::Cosine => unreachable!("cosine rejected at segment write"),
-        };
-        SqLut { dim, table }
-    }
-
-    /// Scores one stored vector's codes through `kern`'s SQ8 kernel
-    /// (AVX2 gather on supporting CPUs, scalar otherwise).
-    #[inline]
-    fn distance(&self, kern: &Kernels, code: &[u8]) -> f32 {
-        debug_assert_eq!(code.len(), self.dim);
-        (kern.sq8_lut_sum)(&self.table, code)
-    }
-}
-
 /// A consistent view of the tier map for one scan batch.
 ///
 /// Holding a snapshot pins the arenas it references: a migration that
@@ -565,12 +521,12 @@ impl StoreSnapshot {
     /// One pass over `cluster` for the queries `qis` of a batch, in
     /// whichever tier the snapshot holds it. The query-at-a-time path is
     /// this same pass with a batch of one.
-    fn scan_pass(
-        &self,
+    fn scan_pass<'a>(
+        &'a self,
         cluster: u32,
         queries: &[BatchQuery<'_>],
         qis: &[usize],
-        luts: &mut [Option<SqLut>],
+        folded: &mut [Option<Sq8Query<'a>>],
         tops: &mut [TopK],
         kern: &Kernels,
     ) {
@@ -599,7 +555,7 @@ impl StoreSnapshot {
         }
         match entry {
             TierEntry::Hot(arena) => self.scan_hot(arena, queries, qis, tops, kern),
-            TierEntry::Cold => self.scan_cold(cluster, queries, qis, luts, tops, kern),
+            TierEntry::Cold => self.scan_cold(cluster, queries, qis, folded, tops, kern),
         }
     }
 
@@ -629,39 +585,40 @@ impl StoreSnapshot {
         }
     }
 
-    /// One pass over a cold cluster: the cluster's code bytes are
-    /// streamed from the segment once (the first query's walk) and every
-    /// further probing query re-reads them from cache, query-major so
-    /// each query's LUT stays hot in L1/L2 through its walk. (The
-    /// code-major orientation loses badly here: it switches between the
-    /// per-query 64 KiB LUTs on every vector, and the SIMD gather path
-    /// amplifies those misses.) Distances go through the same stack
-    /// buffer and [`TopK::offer`] as the hot tier. Missing LUTs are built
-    /// here, on the query's first cold probe of the batch.
-    fn scan_cold(
-        &self,
+    /// One pass over a cold cluster, sub-block-major like
+    /// [`StoreSnapshot::scan_hot`]: each run of
+    /// [`kernel::sq8_block_len`] code rows is scored against every
+    /// probing query before the next run is touched, its ids decoded
+    /// once for all of them. Codes are scored directly — widened and
+    /// FMA'd against the query with the segment's quantizer folded in
+    /// ([`ScalarQuantizer::fold_query`], `dim` floats, built here on the
+    /// query's first cold probe of the batch) — through the same stack
+    /// buffer and [`TopK::offer`] as the hot tier. There is no per-query
+    /// table; the kernel table's LUT-sum entry remains for the benchmark
+    /// ledger only.
+    fn scan_cold<'a>(
+        &'a self,
         cluster: u32,
         queries: &[BatchQuery<'_>],
         qis: &[usize],
-        luts: &mut [Option<SqLut>],
+        folded: &mut [Option<Sq8Query<'a>>],
         tops: &mut [TopK],
         kern: &Kernels,
     ) {
-        let (metric, dim) = (self.segment.metric(), self.segment.dim());
-        let codes = self.segment.sq8_codes(cluster);
+        let (metric, dim, sq) = (self.segment.metric(), self.segment.dim(), self.segment.sq());
+        let step = kernel::sq8_block_len(dim);
         let mut ids = [0u64; kernel::MAX_BLOCK];
         let mut dist = [0.0f32; kernel::MAX_BLOCK];
-        for &qi in qis {
-            let lut = luts[qi]
-                .get_or_insert_with(|| SqLut::new(self.segment.sq(), metric, queries[qi].query));
-            for (b, block) in codes.chunks(kernel::MAX_BLOCK * dim).enumerate() {
-                let n = block.len() / dim;
-                for (d, code) in dist.iter_mut().zip(block.chunks_exact(dim)) {
-                    *d = lut.distance(kern, code);
-                }
-                self.segment
-                    .ids_into(cluster, b * kernel::MAX_BLOCK, &mut ids[..n]);
-                tops[qi].offer(&ids[..n], &dist[..n]);
+        let runs = self.segment.sq8_codes(cluster).chunks(step * dim);
+        for (r, run) in runs.enumerate() {
+            let n = run.len() / dim;
+            let (ids, dist) = (&mut ids[..n], &mut dist[..n]);
+            self.segment.ids_into(cluster, r * step, ids);
+            for &qi in qis {
+                let query =
+                    folded[qi].get_or_insert_with(|| sq.fold_query(metric, queries[qi].query));
+                query.score_block(kern, run, dist);
+                tops[qi].offer(ids, dist);
             }
         }
     }
@@ -689,9 +646,10 @@ impl ClusterStore for StoreSnapshot {
     }
 
     /// Query-at-a-time: a batch of one, clusters visited in probe order.
-    /// The LUT depends only on the query and the segment's quantizer, so
-    /// one table serves every cold probe of the scan — built lazily on
-    /// the first cold cluster (an all-hot probe set never pays for it).
+    /// The folded query depends only on the query and the segment's
+    /// quantizer, so one serves every cold probe of the scan — built
+    /// lazily on the first cold cluster (an all-hot probe set never pays
+    /// for it).
     fn scan_clusters(&self, clusters: &[u32], query: &[f32], top: &mut TopK) {
         assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
         // Kernel dispatch resolves once per call; the scan loops run over
@@ -701,10 +659,10 @@ impl ClusterStore for StoreSnapshot {
             query,
             lists: clusters,
         }];
-        let mut lut = [None];
+        let mut folded = [None];
         let tops = std::slice::from_mut(top);
         for &cluster in clusters {
-            self.scan_pass(cluster, &queries, &[0], &mut lut, tops, &kern);
+            self.scan_pass(cluster, &queries, &[0], &mut folded, tops, &kern);
         }
     }
 
@@ -747,13 +705,13 @@ impl ClusterStore for StoreSnapshot {
                 *cursor += 1;
             }
         }
-        // Per-query SQ8 LUTs, built lazily on the query's first cold
-        // probe and shared across all its cold clusters of the batch.
-        let mut luts: Vec<Option<SqLut>> = queries.iter().map(|_| None).collect();
+        // Per-query folded queries, built lazily on the query's first
+        // cold probe and shared across all its cold clusters of the batch.
+        let mut folded: Vec<Option<Sq8Query<'_>>> = queries.iter().map(|_| None).collect();
         for cluster in 0..n_clusters {
             let qis = &qis[offsets[cluster]..offsets[cluster + 1]];
             if !qis.is_empty() {
-                self.scan_pass(cluster as u32, queries, qis, &mut luts, tops, &kern);
+                self.scan_pass(cluster as u32, queries, qis, &mut folded, tops, &kern);
             }
         }
     }
@@ -809,40 +767,55 @@ mod tests {
 
     #[test]
     fn cold_scan_equals_scanning_the_decoded_vectors() {
-        let clusters = sample_clusters(3, 25, 6, 11);
-        let path = temp_path("cold");
-        let store =
-            TieredStore::create(&path, 6, Metric::L2, &clusters, &[false; 3]).expect("creates");
-        let snap = store.snapshot();
-        let query: Vec<f32> = clusters[1].1.get(3).to_vec();
-        let hits = scan_lists_store(&snap, &query, &[0, 1, 2], 5);
+        // Dims below, at and past the kernels' 8-lane step (6 is all
+        // tail lanes, 100 leaves four), both metrics the format admits.
+        for (dim, metric) in [
+            (6, Metric::L2),
+            (6, Metric::InnerProduct),
+            (64, Metric::L2),
+            (64, Metric::InnerProduct),
+            (100, Metric::L2),
+            (100, Metric::InnerProduct),
+        ] {
+            let clusters = sample_clusters(3, 25, dim, 11);
+            let path = temp_path(&format!("cold-{dim}-{metric:?}"));
+            let store =
+                TieredStore::create(&path, dim, metric, &clusters, &[false; 3]).expect("creates");
+            let snap = store.snapshot();
+            let query: Vec<f32> = clusters[1].1.get(3).to_vec();
+            let hits = scan_lists_store(&snap, &query, &[0, 1, 2], 5);
 
-        // Reference: decode every vector's SQ8 code at full precision with
-        // the segment's own quantizer and scan flat.
-        let sq = store.sq().clone();
-        let mut top = TopK::new(5);
-        for (ids, vectors) in &clusters {
-            for (i, v) in vectors.iter().enumerate() {
-                let decoded = sq.decode(&sq.encode(v));
-                let mut d = 0.0f32;
-                for (q, x) in query.iter().zip(&decoded) {
-                    d += (q - x) * (q - x);
+            // Reference: decode every vector's SQ8 code at full precision
+            // with the segment's own quantizer and scan flat.
+            let sq = store.sq().clone();
+            let mut top = TopK::new(5);
+            for (ids, vectors) in &clusters {
+                for (i, v) in vectors.iter().enumerate() {
+                    let decoded = sq.decode(&sq.encode(v));
+                    let mut d = 0.0f32;
+                    for (q, x) in query.iter().zip(&decoded) {
+                        d += match metric {
+                            Metric::L2 => (q - x) * (q - x),
+                            _ => -(q * x),
+                        };
+                    }
+                    top.push(ids[i], d);
                 }
-                top.push(ids[i], d);
             }
+            let want = top.into_sorted();
+            assert_eq!(
+                hits.iter().map(|n| n.id).collect::<Vec<_>>(),
+                want.iter().map(|n| n.id).collect::<Vec<_>>(),
+                "dim {dim} {metric:?}"
+            );
+            for (a, b) in hits.iter().zip(&want) {
+                assert!((a.distance - b.distance).abs() < 1e-3, "{a:?} vs {b:?}");
+            }
+            assert!(store.stats().cold_probes == 3 && store.stats().hot_probes == 0);
+            drop(snap);
+            drop(store);
+            let _ = std::fs::remove_file(path);
         }
-        let want = top.into_sorted();
-        assert_eq!(
-            hits.iter().map(|n| n.id).collect::<Vec<_>>(),
-            want.iter().map(|n| n.id).collect::<Vec<_>>()
-        );
-        for (a, b) in hits.iter().zip(&want) {
-            assert!((a.distance - b.distance).abs() < 1e-3, "{a:?} vs {b:?}");
-        }
-        assert!(store.stats().cold_probes == 3 && store.stats().hot_probes == 0);
-        drop(snap);
-        drop(store);
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -40,8 +40,9 @@ proptest! {
     /// For random tiers, batches, and (overlapping) probe lists, the
     /// blocked batch scan ≡ the query-at-a-time scan, per query, bit for
     /// bit. Holds because both paths score through the same kernels and
-    /// per-query LUT construction, and `TopK`'s `(distance, id)` total
-    /// order makes the winner set independent of push order.
+    /// the same folded query, a row's score does not depend on the run it
+    /// sits in, and `TopK`'s `(distance, id)` total order makes the winner
+    /// set independent of push order.
     #[test]
     fn blocked_batch_equals_query_at_a_time(
         seed in 0u64..1_000_000,
@@ -165,11 +166,14 @@ fn bits(hits: &[vlite_ann::Neighbor]) -> Vec<(u64, u32)> {
 }
 
 /// The block scan loops against their oracles at every size boundary:
-/// blocked batch ≡ query-at-a-time ≡ (all-hot) a per-vector brute force,
-/// bit for bit, with a duplicate cluster id inside one probe list, an
-/// empty probe list, both metrics, and dims whose sub-block is the full
-/// 64 entries (6, 64) and shorter (100 → 40). On a mixed hot/cold store
-/// the counters tick exactly as the per-pair loops ticked them.
+/// blocked batch ≡ query-at-a-time ≡ a per-row brute force, bit for bit —
+/// per vector through `Metric::score` on an all-hot store, per code row
+/// through the same kernel table's one-row SQ8 entry on an all-cold one —
+/// with a duplicate cluster id inside one probe list, an empty probe
+/// list, both metrics, and dims whose f32 sub-block is the full 64
+/// entries (6, 64) and shorter (100 → 40). On every store, the mixed
+/// hot/cold one included, the counters tick exactly as the per-pair
+/// loops ticked them.
 #[test]
 fn block_scans_match_their_oracles_at_every_size_boundary() {
     let all: Vec<u32> = (0..SIZES.len() as u32).collect();
@@ -198,9 +202,11 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
             .map(|(query, lists)| BatchQuery { query, lists })
             .collect();
         let mixed: Vec<bool> = (0..SIZES.len()).map(|c| c % 2 == 1).collect();
-        for hot in [vec![true; SIZES.len()], mixed] {
+        let kern = vlite_ann::kernel::kernels();
+        for hot in [vec![true; SIZES.len()], mixed, vec![false; SIZES.len()]] {
             let all_hot = hot.iter().all(|&h| h);
-            let path = temp_path(&format!("sizes-{dim}-{metric:?}-{all_hot}"));
+            let all_cold = hot.iter().all(|&h| !h);
+            let path = temp_path(&format!("sizes-{dim}-{metric:?}-{all_hot}-{all_cold}"));
             let mut store =
                 TieredStore::create(&path, dim, metric, &clusters, &hot).expect("creates");
             store.set_ephemeral(true);
@@ -221,6 +227,20 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                     }
                     let brute = top.into_sorted();
                     assert_eq!(bits(&solo), bits(&brute), "dim {dim} query {qi}");
+                }
+                if all_cold {
+                    let folded = store.sq().fold_query(metric, q.query);
+                    let mut top = vlite_ann::TopK::new(k);
+                    let mut one = [0.0f32];
+                    for &c in q.lists {
+                        let (ids, vectors) = &clusters[c as usize];
+                        for (i, v) in vectors.iter().enumerate() {
+                            folded.score_block(&kern, &store.sq().encode(v), &mut one);
+                            top.push(ids[i], one[0]);
+                        }
+                    }
+                    let brute = top.into_sorted();
+                    assert_eq!(bits(&solo), bits(&brute), "cold dim {dim} query {qi}");
                 }
             }
             let after_solo = store.stats();

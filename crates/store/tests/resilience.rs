@@ -32,6 +32,11 @@ fn sample_clusters(
         .collect()
 }
 
+/// Length and FNV-1a hash of the pinned segment, taken from the writer
+/// as it stood before row buffers and slicing-by-8.
+const PINNED_LEN: usize = 847;
+const PINNED_HASH: u64 = 0x6f1a_6489_f7e0_077e;
+
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("vlite-resilience-{}-{tag}.seg", std::process::id()))
 }
@@ -73,6 +78,42 @@ fn truncated_files_fail_cleanly_at_every_length() {
         expect_corrupt(&path, &format!("truncated to {cut} bytes"));
     }
     let _ = std::fs::remove_file(path);
+}
+
+/// The segment format, pinned byte for byte: a fixed small segment
+/// (closed-form contents, an empty cluster, extents whose lengths are and
+/// are not multiples of the checksum's eight-byte step) hashes to the
+/// value the byte-at-a-time writer and CRC produced. Any change to the
+/// layout, the SQ8 encoding, an extent CRC or the header CRC moves it.
+#[test]
+fn a_fixed_segment_is_byte_identical_to_the_pinned_format() {
+    let clusters: Vec<(Vec<u64>, VecSet)> = [7usize, 0, 12]
+        .iter()
+        .enumerate()
+        .map(|(c, &n)| {
+            let ids = (0..n as u64)
+                .map(|i| ((c as u64) << 32) | (i * 3))
+                .collect();
+            let vectors = VecSet::from_fn(n, 5, |i, j| {
+                (c as f32) * 1.5 - (i as f32) * 0.25 + (j as f32) * 0.125
+            });
+            (ids, vectors)
+        })
+        .collect();
+    let path = temp_path("pinned");
+    write_segment(&path, 5, Metric::InnerProduct, &clusters).expect("writes");
+    let bytes = std::fs::read(&path).expect("readable");
+    let _ = std::fs::remove_file(&path);
+    // FNV-1a 64 — deliberately not the file's own checksum.
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), hash),
+        (PINNED_LEN, PINNED_HASH),
+        "segment bytes moved: {} bytes, hash {hash:#018x}",
+        bytes.len()
+    );
 }
 
 #[test]
@@ -255,7 +296,8 @@ proptest! {
             let original = clusters[c].1.get(i);
             let decoded = sq.decode(&sq.encode(original));
             // 1) The cold distance is the full-precision distance to the
-            //    decoded vector (the LUT introduces only fp-sum error).
+            //    decoded vector (scoring codes directly introduces only
+            //    fp rounding error).
             let reference = l2_sq(&query, &decoded);
             prop_assert!(
                 (n.distance - reference).abs() <= 1e-3 * (1.0 + reference.abs()),
