@@ -6,7 +6,9 @@
 //! crate's stable public API; they pay one relaxed atomic load of
 //! dispatch state per call. Scan loops resolve a
 //! [`crate::kernel::Kernels`] table once per pass instead and score a
-//! block of stored vectors per call through [`Metric::score_block`].
+//! block of stored vectors per call: row-major through
+//! [`Metric::score_block`], 8-row panels (the hot tier's layout) through
+//! [`Metric::score_panels`].
 
 use serde::{Deserialize, Serialize};
 
@@ -124,6 +126,61 @@ impl Metric {
                 }
             }
         }
+    }
+
+    /// Panel counterpart of [`Metric::score_block`]: scores `query`
+    /// against whole 8-row groups in the
+    /// [`kernel::to_panels`](crate::kernel::to_panels) layout through
+    /// `kern`'s panel entries, one distance per row, pad rows included.
+    /// Inner product negates; cosine divides by `norms`, the rows'
+    /// squared norms from [`Metric::panel_norms`] (ignored, and empty,
+    /// under the other metrics), so no row's norm is recomputed per
+    /// query.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a panel shape the kernels refuse, or under cosine if
+    /// `norms.len() != out.len()`.
+    pub fn score_panels(
+        self,
+        kern: &Kernels,
+        query: &[f32],
+        panels: &[f32],
+        norms: &[f32],
+        out: &mut [f32],
+    ) {
+        match self {
+            Metric::L2 => (kern.l2_sq_panels)(query, panels, out),
+            Metric::InnerProduct => {
+                (kern.dot_panels)(query, panels, out);
+                for d in out.iter_mut() {
+                    *d = -*d;
+                }
+            }
+            Metric::Cosine => {
+                assert_eq!(norms.len(), out.len(), "one norm per panel row");
+                (kern.dot_panels)(query, panels, out);
+                let qq = (kern.dot)(query, query);
+                for (d, &vv) in out.iter_mut().zip(norms) {
+                    *d = cosine_from_dots(*d, qq, vv);
+                }
+            }
+        }
+    }
+
+    /// The per-row state [`Metric::score_panels`] needs beside `panels`:
+    /// under cosine, each row's squared norm (pad rows included), in the
+    /// panel entries' own accumulation order — computed once, when the
+    /// panels are built; under L2 and inner product, nothing.
+    pub fn panel_norms(self, kern: &Kernels, dim: usize, panels: &[f32]) -> Vec<f32> {
+        if self != Metric::Cosine || dim == 0 {
+            return Vec::new();
+        }
+        // `(0 − x)²` is `x·x` exactly, so L2 against the origin is each
+        // row's self dot product, FMA for FMA.
+        let mut norms = vec![0.0f32; panels.len() / dim];
+        (kern.l2_sq_panels)(&vec![0.0f32; dim], panels, &mut norms);
+        norms
     }
 }
 

@@ -9,9 +9,9 @@
 //! - **AVX2 + FMA** on `x86_64` ([`x86`]): 8-lane `f32` with fused
 //!   multiply-add, two independent accumulators for ILP; SQ8 codes are
 //!   widened in registers (`vpmovzxbd` + `vcvtdq2ps`), four rows per
-//!   iteration.
+//!   iteration; panels eight rows per register, eight registers deep.
 //! - **NEON** on `aarch64` ([`neon`]): 4-lane `f32` with `vfmaq_f32`
-//!   (the SQ8 entries point at the scalar reference).
+//!   (the SQ8 and panel entries point at the scalar reference).
 //! - **Scalar** ([`scalar`]): the portable fallback, kept permanently as
 //!   the reference the property tests compare the SIMD paths against.
 //!
@@ -54,10 +54,31 @@
 //! Their contract is bit identity with *themselves*: a block call equals
 //! one call per row, so a run boundary never moves a result.
 //!
+//! # Panel entries
+//!
+//! The hot tier does not store its vectors row-major. A resident cluster
+//! is packed by [`to_panels`] into **8-row panels**: rows in groups of
+//! [`PANEL_ROWS`], each group dim-major
+//! (`panels[(g·dim + d)·8 + lane]` is dimension `d` of row `8g + lane`),
+//! the last group zero-padded. [`Kernels::l2_sq_panels`] and
+//! [`Kernels::dot_panels`], `fn(query, panels, out)` with
+//! `panels.len() == out.len() · dim` and `out.len() % 8 == 0`, score one
+//! query against whole groups and write one distance per row, pad rows
+//! included (callers drop those). One 8-lane register holds eight stored
+//! vectors, so the AVX2 form broadcasts `query[d]` and runs one subtract
+//! and one FMA (L2) or one FMA (dot) per group per dimension, eight groups
+//! at a time for eight independent accumulator chains, and stores the
+//! lanes as they are: no horizontal sum at all. The scalar reference
+//! accumulates each lane in the same dimension order with `f32::mul_add`,
+//! so the contract is **bit identity across every table**: the dispatched
+//! and scalar panel entries agree `to_bits()` for `to_bits()` (NEON points
+//! at the scalar reference), and a row's distance does not depend on which
+//! run of groups it was scored in.
+//!
 //! Scan loops fill a stack buffer of at most [`MAX_BLOCK`] distances
 //! ([`block_len`] vectors or [`sq8_block_len`] code rows at a time, sized
-//! so the sub-block stays in L1 across the queries of a batch) and hand
-//! it to
+//! so the sub-block stays in L1 across the queries of a batch; panel rows
+//! in [`panel_runs`] of up to eight groups) and hand it to
 //! [`TopK::offer`](crate::TopK::offer), which rejects everything past the
 //! current k-th distance with one compare and lets `push` decide the
 //! rest.
@@ -83,8 +104,11 @@
 //! each difference moves by up to `ε · c·scale` before it is squared; its
 //! envelope is `(n + 2) · ε · Σ(|a[j]| + c[j]·scale[j])²`.
 //! Where the operation order allows no reassociation (length ≤ 1 blocks,
-//! the scalar tail) results are bit-exact.
+//! the scalar tail) results are bit-exact. The panel entries differ from
+//! the pair kernels by the same envelope (they accumulate sequentially,
+//! with FMA, per row), and from each other across tables not at all.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -256,11 +280,55 @@ pub struct Kernels {
     /// `out[i] = Σⱼ w[j]·codes[i·dim + j]`, bit identical to one call per
     /// row; panics unless `codes.len() == out.len() · w.len()`.
     pub sq8_dot_block: fn(&[f32], &[u8], &mut [f32]),
+    /// Panel squared-L2 over whole 8-row groups ([`to_panels`] layout):
+    /// `out[r] = Σ_d (query[d] − row_r[d])²`, accumulated per row in
+    /// dimension order with one FMA per term, bit identical across
+    /// tables; panics unless `out.len() % 8 == 0` and
+    /// `panels.len() == out.len() · query.len()`.
+    pub l2_sq_panels: fn(&[f32], &[f32], &mut [f32]),
+    /// Panel dot, `out[r] = Σ_d query[d]·row_r[d]` in the same order and
+    /// under the same shape contract as [`Kernels::l2_sq_panels`].
+    pub dot_panels: fn(&[f32], &[f32], &mut [f32]),
 }
 
 /// The most distances a scan loop asks a block kernel for at once — the
 /// size of the callers' stack buffers.
 pub const MAX_BLOCK: usize = 64;
+
+/// Rows per panel group: one 8-lane f32 register's worth.
+pub const PANEL_ROWS: usize = 8;
+
+/// The panel entries' shape contract, checked in every build profile (the
+/// AVX2 form's unchecked loads and stores are argued from it).
+fn assert_panel_shape(dim: usize, panels: usize, out: usize) {
+    assert_eq!(out % PANEL_ROWS, 0, "panel rows come in whole groups of 8");
+    assert_eq!(
+        Some(panels),
+        out.checked_mul(dim),
+        "panels must hold out.len() × dim floats"
+    );
+}
+
+/// Packs `n` row-major vectors of `dim` floats, read in order from
+/// `values`, into the panel layout the panel entries score: groups of
+/// [`PANEL_ROWS`] rows, each group dim-major
+/// (`panels[(g·dim + d)·8 + lane]`), the last group zero-padded. One
+/// allocation, written in place as the values stream past.
+///
+/// # Panics
+///
+/// Panics if `values` yields fewer than `n · dim` floats.
+pub fn to_panels(n: usize, dim: usize, values: impl IntoIterator<Item = f32>) -> Vec<f32> {
+    let mut panels = vec![0.0f32; n.div_ceil(PANEL_ROWS) * PANEL_ROWS * dim];
+    let mut values = values.into_iter();
+    for r in 0..n {
+        let first = (r / PANEL_ROWS) * PANEL_ROWS * dim + r % PANEL_ROWS;
+        for slot in panels.iter_mut().skip(first).step_by(PANEL_ROWS).take(dim) {
+            *slot = values.next().expect("to_panels needs n × dim values");
+        }
+    }
+    panels
+}
 
 /// Rows of `row_bytes` each per sub-block: as many as fit 16 KiB (half
 /// of a 32 KiB L1d, leaving room for the queries), at least the 4 the
@@ -272,6 +340,29 @@ fn rows_in_half_l1(row_bytes: usize) -> usize {
 /// Stored f32 vectors per sub-block at dimensionality `dim`.
 pub fn block_len(dim: usize) -> usize {
     rows_in_half_l1(dim.saturating_mul(4))
+}
+
+/// `0..total` cut into `total.div_ceil(max)` consecutive runs whose
+/// lengths differ by at most one (none longer than `max`).
+fn balanced_runs(total: usize, max: usize) -> impl Iterator<Item = Range<usize>> {
+    let runs = total.div_ceil(max);
+    (0..runs).map(move |r| r * total / runs..(r + 1) * total / runs)
+}
+
+/// The row runs a panel scan over `n` stored vectors scores against
+/// every query in turn: whole groups of [`PANEL_ROWS`] covering the
+/// padded rows `0..n.div_ceil(8)·8`, at most [`MAX_BLOCK`] rows (eight
+/// groups, the panel kernels' eight accumulator chains) each, and
+/// balanced — 49 groups run as 7 × 7, not 6 × 8 + 1, so no run is one
+/// latency-bound group.
+///
+/// At dim 64 a run is 16 KiB, the [`block_len`] budget. Above it the
+/// chains win over L1 residency: a cluster scan at dims 128, 256 and 768
+/// with runs cut to 16 KiB (4, 2 and 1 chains) measured 1.3×, 2× and
+/// 3.5× slower than with eight-group runs streaming from L2.
+pub fn panel_runs(n: usize) -> impl Iterator<Item = Range<usize>> {
+    balanced_runs(n.div_ceil(PANEL_ROWS), MAX_BLOCK / PANEL_ROWS)
+        .map(|g| g.start * PANEL_ROWS..g.end * PANEL_ROWS)
 }
 
 /// SQ8 code rows (one byte per dimension) per sub-block at dimensionality
@@ -298,6 +389,8 @@ pub const SCALAR_KERNELS: Kernels = Kernels {
     l2_sq_block: |query, block, out| block_by_pairs(scalar::l2_sq, query, block, out),
     sq8_l2_block: scalar::sq8_l2_block,
     sq8_dot_block: scalar::sq8_dot_block,
+    l2_sq_panels: scalar::l2_sq_panels,
+    dot_panels: scalar::dot_panels,
 };
 
 /// A block entry as a loop over a pair kernel — how the scalar and NEON
@@ -334,18 +427,22 @@ pub fn kernels() -> Kernels {
             l2_sq_block: x86::l2_sq_block,
             sq8_l2_block: x86::sq8_l2_block,
             sq8_dot_block: x86::sq8_dot_block,
+            l2_sq_panels: x86::l2_sq_panels,
+            dot_panels: x86::dot_panels,
         },
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => Kernels {
             kind,
             dot: neon::dot,
             l2_sq: neon::l2_sq,
-            // Every SQ8 entry is the scalar reference on NEON.
+            // Every SQ8 and panel entry is the scalar reference on NEON.
             sq8_lut_sum: scalar::sq8_lut_sum,
             dot_block: |query, block, out| block_by_pairs(neon::dot, query, block, out),
             l2_sq_block: |query, block, out| block_by_pairs(neon::l2_sq, query, block, out),
             sq8_l2_block: scalar::sq8_l2_block,
             sq8_dot_block: scalar::sq8_dot_block,
+            l2_sq_panels: scalar::l2_sq_panels,
+            dot_panels: scalar::dot_panels,
         },
         // A kind whose arch is compiled out can never be detected here.
         #[allow(unreachable_patterns)]

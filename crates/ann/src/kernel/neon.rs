@@ -4,9 +4,9 @@
 //! functions, reachable only through the dispatcher in [`super`] after
 //! one-time feature detection. 4-lane f32 with `vfmaq_f32`, two
 //! independent accumulators for ILP. The SQ8 entries — the direct-decode
-//! block kernels and the LUT walk kept for the benchmark ledger — are
-//! the [`super::scalar`] reference (see the dispatch table in
-//! [`super::kernels`]).
+//! block kernels and the LUT walk kept for the benchmark ledger — and the
+//! panel entries are the [`super::scalar`] reference (see the dispatch
+//! table in [`super::kernels`]).
 //!
 //! Accuracy: same reassociation envelope as the AVX2 kernels, documented
 //! in [`super`]; scalar tails and length ≤ 1 inputs are bit-exact.

@@ -134,6 +134,51 @@ fn sq8_block(
     }
 }
 
+/// Scalar panel squared-L2 over whole 8-row groups
+/// ([`to_panels`](super::to_panels) layout): each row accumulates
+/// `(query[d] − x)²` in dimension order through `f32::mul_add` — the
+/// exact operation sequence of the AVX2 entry's `sub` + `fmadd`, so the
+/// two agree bit for bit. That identity has a price on x86_64 builds
+/// without `fma`: each `mul_add` is a libm call, about ten times the
+/// AVX2 entry's cost per row. Dispatch never picks this table on FMA
+/// hardware; on aarch64 `mul_add` is one `fmadd`.
+///
+/// # Panics
+///
+/// Panics unless `out.len() % 8 == 0` and
+/// `panels.len() == out.len() · query.len()`.
+pub fn l2_sq_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    panels_by(query, panels, out, |q, x, acc| {
+        let d = q - x;
+        d.mul_add(d, acc)
+    });
+}
+
+/// Scalar panel dot, `query[d]·x` accumulated per row in dimension order
+/// through `f32::mul_add`; same shape contract as [`l2_sq_panels`].
+pub fn dot_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    panels_by(query, panels, out, |q, x, acc| q.mul_add(x, acc));
+}
+
+/// Both panel entries: eight lane accumulators per group, one `step` per
+/// (dimension, lane).
+#[inline]
+fn panels_by(query: &[f32], panels: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32) {
+    let dim = query.len();
+    super::assert_panel_shape(dim, panels.len(), out.len());
+    let group_len = super::PANEL_ROWS * dim;
+    for (g, out) in out.chunks_exact_mut(super::PANEL_ROWS).enumerate() {
+        let group = &panels[g * group_len..(g + 1) * group_len];
+        let mut acc = [0.0f32; super::PANEL_ROWS];
+        for (&q, lanes) in query.iter().zip(group.chunks_exact(super::PANEL_ROWS)) {
+            for (a, &x) in acc.iter_mut().zip(lanes) {
+                *a = step(q, x, *a);
+            }
+        }
+        out.copy_from_slice(&acc);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,6 +26,14 @@
 //! `vgatherdps` walk over a per-query table these entries replaced, stays
 //! for the benchmark ledger's kernel pass; no scan calls it.
 //!
+//! The panel entries ([`l2_sq_panels`], [`dot_panels`]) score 8-row
+//! dim-major groups: `query[d]` is broadcast once per dimension and fed,
+//! with one `sub` + `fmadd` (L2) or one `fmadd` (dot), to up to eight
+//! groups' accumulators — eight independent chains, enough to cover the
+//! FMA latency on two ports — whose lanes are the eight rows' distances,
+//! stored as they stand. Each lane's operation sequence is the scalar
+//! reference's `mul_add` chain, so the result is bit-identical to it.
+//!
 //! Accuracy: lane-parallel partial sums + FMA contraction reassociate
 //! the reduction, bounded by the envelope documented in [`super`]
 //! (`n · ε · Σ|termᵢ|`); scalar tails and length ≤ 1 inputs are
@@ -34,9 +42,9 @@
 use std::arch::x86_64::{
     __m128, __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
     _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps,
-    _mm256_fnmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_set_epi32, _mm256_setzero_ps,
-    _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_hadd_ps, _mm_loadl_epi64,
-    _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
+    _mm256_fnmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_set_epi32,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
+    _mm_hadd_ps, _mm_loadl_epi64, _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
 };
 
 /// AVX2+FMA inner (dot) product; dispatch-only entry.
@@ -149,6 +157,126 @@ pub fn sq8_dot_block(w: &[f32], codes: &[u8], out: &mut [f32]) {
     // the dot instantiation never reads `scale`, so the empty slice is
     // sound.
     unsafe { sq8_block_avx2::<false>(w, &[], codes, out) }
+}
+
+/// AVX2+FMA panel squared-L2 over whole 8-row groups (bit-identical to
+/// the scalar reference); dispatch-only entry.
+///
+/// # Panics
+///
+/// Panics unless `out.len() % 8 == 0` and
+/// `panels.len() == out.len() * query.len()` (the asserts are
+/// load-bearing: they are what makes the unchecked 8-lane loads and
+/// stores sound).
+pub fn l2_sq_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    super::assert_panel_shape(query.len(), panels.len(), out.len());
+    // SAFETY: CPUID-gated dispatch guarantees the avx2+fma target-feature
+    // precondition of `panels_avx2`; the shape relation its load and
+    // store bounds are argued from was just asserted (overflow-checked,
+    // in all build profiles).
+    unsafe { panels_avx2::<true>(query, panels, out) }
+}
+
+/// AVX2+FMA panel dot over whole 8-row groups; dispatch-only entry.
+///
+/// # Panics
+///
+/// As [`l2_sq_panels`] (load-bearing there too).
+pub fn dot_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    super::assert_panel_shape(query.len(), panels.len(), out.len());
+    // SAFETY: same argument as `l2_sq_panels` — CPUID-gated dispatch for
+    // the target features, the just-asserted shape for the bounds.
+    unsafe { panels_avx2::<false>(query, panels, out) }
+}
+
+// Groups in balanced runs of at most 8 ([`super::balanced_runs`]): nine
+// groups run as 5 + 4, not 8 + 1, so no run is left with too few chains
+// to hide the FMA latency.
+//
+// SAFETY: `unsafe` is the target-feature contract (callers checked CPUID)
+// plus `out.len() % 8 == 0` and `panels.len() == out.len() * dim`,
+// asserted by both callers. Bounds: every run `g..end` lies in
+// `0..groups` with `groups = out.len() / 8`, so its panels span
+// `[g * 8 * dim, end * 8 * dim) ⊆ [0, panels.len())` and its outputs
+// `[g * 8, end * 8) ⊆ [0, out.len())` — `end - g` whole groups each,
+// which is what `panel_run` requires.
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn panels_avx2<const L2: bool>(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    let dim = query.len();
+    for run in super::balanced_runs(out.len() / 8, 8) {
+        let src = panels.as_ptr().add(run.start * 8 * dim);
+        let dst = out.as_mut_ptr().add(run.start * 8);
+        match run.len() {
+            8 => panel_run::<L2, 8>(query, src, dst),
+            7 => panel_run::<L2, 7>(query, src, dst),
+            6 => panel_run::<L2, 6>(query, src, dst),
+            5 => panel_run::<L2, 5>(query, src, dst),
+            4 => panel_run::<L2, 4>(query, src, dst),
+            3 => panel_run::<L2, 3>(query, src, dst),
+            2 => panel_run::<L2, 2>(query, src, dst),
+            _ => panel_run::<L2, 1>(query, src, dst),
+        }
+    }
+}
+
+// `G` groups at once, one accumulator each. Each group is walked by its
+// own pointer, four dimensions per step at constant offsets: the loads
+// then use base + displacement addressing, which issues as one fused uop
+// where base + index × scale (what one shared induction variable
+// compiles to) splits in two and makes the loop front-end bound.
+//
+// SAFETY: target features plus raw 8-lane access: the caller guarantees
+// `src` starts `G` whole groups (`G * 8 * dim` readable floats) and `dst`
+// `G * 8` writable ones. Group `k`'s pointer starts at `src + k * 8 * dim`
+// and advances 8 floats per dimension, so dimension `d < dim` is read at
+// `src + (k * dim + d) * 8 .. + 8`, inside group `k`; `dst + k * 8 .. + 8`
+// lies inside the caller's outputs.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn panel_run<const L2: bool, const G: usize>(query: &[f32], src: *const f32, dst: *mut f32) {
+    let mut acc = [_mm256_setzero_ps(); G];
+    let mut lanes: [*const f32; G] = std::array::from_fn(|k| src.add(k * 8 * query.len()));
+    let mut quads = query.chunks_exact(4);
+    for quad in &mut quads {
+        for (u, &q) in quad.iter().enumerate() {
+            panel_step::<L2, G>(q, &lanes, u * 8, &mut acc);
+        }
+        for lanes in &mut lanes {
+            *lanes = lanes.add(32);
+        }
+    }
+    for (u, &q) in quads.remainder().iter().enumerate() {
+        panel_step::<L2, G>(q, &lanes, u * 8, &mut acc);
+    }
+    for (k, acc) in acc.iter().enumerate() {
+        _mm256_storeu_ps(dst.add(k * 8), *acc);
+    }
+}
+
+// One dimension of `panel_run`: `q` against the 8 lanes at
+// `lanes[k] + offset` of every group.
+//
+// SAFETY: `unsafe` is the target-feature contract plus one raw 8-lane
+// load per group, which `panel_run` bounds (`lanes[k] + offset` is the
+// current dimension's lanes inside group `k`).
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn panel_step<const L2: bool, const G: usize>(
+    q: f32,
+    lanes: &[*const f32; G],
+    offset: usize,
+    acc: &mut [__m256; G],
+) {
+    let q = _mm256_set1_ps(q);
+    for (acc, lanes) in acc.iter_mut().zip(lanes) {
+        let x = _mm256_loadu_ps(lanes.add(offset));
+        *acc = if L2 {
+            let diff = _mm256_sub_ps(q, x);
+            _mm256_fmadd_ps(diff, diff, *acc)
+        } else {
+            _mm256_fmadd_ps(q, x, *acc)
+        };
+    }
 }
 
 // SAFETY: `unsafe` is the target-feature contract plus one raw 8-byte

@@ -361,6 +361,236 @@ fn score_block_is_bit_identical_to_score() {
     }
 }
 
+/// Panel row counts: empty, a lone ragged group, whole groups ± 1, the
+/// 64-row run ± 1 and a multi-run cluster.
+const PANEL_ROWS: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 129];
+
+/// The panel entries' per-row oracle: one `mul_add` per dimension, in
+/// dimension order, from +0.0.
+fn mul_add_oracle(l2: bool, query: &[f32], row: &[f32]) -> f32 {
+    query.iter().zip(row).fold(0.0f32, |acc, (&q, &x)| {
+        if l2 {
+            (q - x).mul_add(q - x, acc)
+        } else {
+            q.mul_add(x, acc)
+        }
+    })
+}
+
+/// `n` rows of `rows` packed into panels, and the padded row count.
+fn panels_of(rows: &[f32], n: usize, dim: usize) -> (Vec<f32>, usize) {
+    (
+        kernel::to_panels(n, dim, rows.iter().copied()),
+        n.div_ceil(kernel::PANEL_ROWS) * kernel::PANEL_ROWS,
+    )
+}
+
+/// The layout `to_panels` writes: `panels[(g·dim + d)·8 + lane]` is
+/// dimension `d` of row `8g + lane`, pad lanes +0.0.
+#[test]
+fn to_panels_writes_the_documented_layout() {
+    for dim in BLOCK_DIMS {
+        for n in PANEL_ROWS {
+            let rows = wave(n * dim, 0.3);
+            let (panels, padded) = panels_of(&rows, n, dim);
+            assert_eq!(panels.len(), padded * dim);
+            for r in 0..padded {
+                for d in 0..dim {
+                    let want = if r < n { rows[r * dim + d] } else { 0.0 };
+                    let got = panels[((r / 8) * dim + d) * 8 + r % 8];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "dim {dim} n {n} row {r} d {d}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The panel contract: every row's distance, pad rows included (scored
+/// as the zero vector), equals the `mul_add` oracle `to_bits()` for
+/// `to_bits()` — on the dispatched table (AVX2/NEON on the native leg,
+/// scalar on the forced-scalar leg) and on the scalar table, so the two
+/// are bit-identical to each other. `Metric::score_panels` is the same
+/// oracle under L2 and, negated, under inner product.
+#[test]
+fn panel_kernels_equal_the_mul_add_oracle_on_every_table() {
+    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+        for dim in BLOCK_DIMS {
+            let zero = vec![0.0f32; dim];
+            for n in PANEL_ROWS {
+                let query = wave(dim, 0.5);
+                let rows = wave(n * dim, 1.25);
+                let (panels, padded) = panels_of(&rows, n, dim);
+                let (mut l2s, mut dots) = (vec![f32::NAN; padded], vec![f32::NAN; padded]);
+                let (mut l2_scores, mut ip_scores) =
+                    (vec![f32::NAN; padded], vec![f32::NAN; padded]);
+                (table.l2_sq_panels)(&query, &panels, &mut l2s);
+                (table.dot_panels)(&query, &panels, &mut dots);
+                Metric::L2.score_panels(&table, &query, &panels, &[], &mut l2_scores);
+                Metric::InnerProduct.score_panels(&table, &query, &panels, &[], &mut ip_scores);
+                for i in 0..padded {
+                    let row = rows.get(i * dim..(i + 1) * dim).unwrap_or(&zero);
+                    let what = format!("kind={:?} dim={dim} n={n} row={i}", table.kind);
+                    let (l2, dot) = (
+                        mul_add_oracle(true, &query, row),
+                        mul_add_oracle(false, &query, row),
+                    );
+                    assert_eq!(l2s[i].to_bits(), l2.to_bits(), "l2 {what}");
+                    assert_eq!(dots[i].to_bits(), dot.to_bits(), "dot {what}");
+                    assert_eq!(l2_scores[i].to_bits(), l2.to_bits(), "L2 score {what}");
+                    assert_eq!(ip_scores[i].to_bits(), (-dot).to_bits(), "IP score {what}");
+                }
+            }
+        }
+    }
+}
+
+/// A run split never moves a result: scoring the groups in two calls,
+/// split at any group boundary, writes the bits one call writes.
+#[test]
+fn a_run_split_never_moves_a_panel_distance() {
+    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+        for dim in [1, 7, 64, 67] {
+            let n = 129;
+            let query = wave(dim, 0.9);
+            let (panels, padded) = panels_of(&wave(n * dim, 0.1), n, dim);
+            for entry in [table.l2_sq_panels, table.dot_panels] {
+                let mut whole = vec![f32::NAN; padded];
+                entry(&query, &panels, &mut whole);
+                for split in (0..=padded).step_by(kernel::PANEL_ROWS) {
+                    let mut parts = vec![f32::NAN; padded];
+                    let (head, tail) = parts.split_at_mut(split);
+                    entry(&query, &panels[..split * dim], head);
+                    entry(&query, &panels[split * dim..], tail);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&parts), bits(&whole), "dim {dim} split {split}");
+                }
+            }
+        }
+    }
+}
+
+/// `panel_runs` covers the padded rows exactly, in whole groups of at
+/// most 64 rows whose lengths differ by at most one group.
+#[test]
+fn panel_runs_tile_the_padded_rows_in_balanced_groups() {
+    for n in 0..400 {
+        let runs: Vec<_> = kernel::panel_runs(n).collect();
+        let padded = n.div_ceil(8) * 8;
+        assert_eq!(runs.first().map_or(0, |r| r.start), 0, "n {n}");
+        assert_eq!(runs.last().map_or(0, |r| r.end), padded, "n {n}");
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start, "n {n}: contiguous");
+        }
+        let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
+        assert!(lens
+            .iter()
+            .all(|&l| l % 8 == 0 && (8..=kernel::MAX_BLOCK).contains(&l)));
+        let (lo, hi) = (lens.iter().min(), lens.iter().max());
+        assert!(
+            hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 8),
+            "n {n}: {lens:?}"
+        );
+    }
+}
+
+/// Cosine on panels divides by norms computed once, when the panels are
+/// built (`Metric::panel_norms`), not per query. A run-by-run panel scan
+/// (the hot tier's loop: `panel_runs`, `score_panels`, `TopK::offer` of
+/// the real rows only) returns the brute-force `cosine_distance` top-k:
+/// the same ids, each distance within the kernels' envelope — a zero row
+/// (cosine's zero-vector arm) included.
+#[test]
+fn cosine_panel_scan_top_k_equals_brute_force() {
+    let table = kernel::kernels();
+    let k = 10;
+    for dim in BLOCK_DIMS {
+        let n = 129;
+        let mut rows = wave(n * dim, 0.75);
+        rows[dim..2 * dim].fill(0.0);
+        let (panels, padded) = panels_of(&rows, n, dim);
+        let norms = Metric::Cosine.panel_norms(&table, dim, &panels);
+        assert_eq!(norms.len(), padded);
+        assert!(Metric::L2.panel_norms(&table, dim, &panels).is_empty());
+        let ids: Vec<u64> = (0..n as u64).collect();
+        for phase in [2.0f32, 3.1, 4.7] {
+            let query = wave(dim, phase);
+            let mut scanned = vlite_ann::TopK::new(k);
+            let mut dist = [0.0f32; kernel::MAX_BLOCK];
+            for run in kernel::panel_runs(n) {
+                let dist = &mut dist[..run.len()];
+                let (panels, norms) =
+                    (&panels[run.start * dim..run.end * dim], &norms[run.clone()]);
+                Metric::Cosine.score_panels(&table, &query, panels, norms, dist);
+                let real = &ids[run.start..run.end.min(n)];
+                scanned.offer(real, &dist[..real.len()]);
+            }
+            let mut brute = vlite_ann::TopK::new(k);
+            for (i, row) in rows.chunks_exact(dim).enumerate() {
+                brute.push(i as u64, vlite_ann::cosine_distance(&query, row));
+            }
+            let (scanned, brute) = (scanned.into_sorted(), brute.into_sorted());
+            let ids_of = |v: &[vlite_ann::Neighbor]| v.iter().map(|n| n.id).collect::<Vec<_>>();
+            assert_eq!(ids_of(&scanned), ids_of(&brute), "dim {dim} phase {phase}");
+            for (s, b) in scanned.iter().zip(&brute) {
+                let row = &rows[b.id as usize * dim..(b.id as usize + 1) * dim];
+                let (qq, vv) = (
+                    mul_add_oracle(false, &query, &query),
+                    mul_add_oracle(false, row, row),
+                );
+                let abs: f32 = query.iter().zip(row).map(|(q, x)| (q * x).abs()).sum();
+                // Three dot products, each within the envelope, then one
+                // division and one square root.
+                let tol = envelope(
+                    3 * dim + 4,
+                    1.0 + abs / (qq * vv).sqrt().max(f32::MIN_POSITIVE),
+                );
+                assert!(
+                    (s.distance - b.distance).abs() <= tol,
+                    "dim {dim} id {}: {} vs {}",
+                    b.id,
+                    s.distance,
+                    b.distance
+                );
+            }
+        }
+    }
+}
+
+/// A panel buffer whose shape disagrees with `out` — or an `out` that is
+/// not whole groups — is refused before any load, by the dispatched and
+/// the scalar table (the NEON table's panel entries).
+#[test]
+#[should_panic]
+fn panel_kernel_rejects_a_ragged_out() {
+    let mut out = [0.0f32; 7];
+    (kernel::kernels().l2_sq_panels)(&[0.0; 4], &[0.0; 28], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn panel_kernel_rejects_short_panels() {
+    let mut out = [0.0f32; 8];
+    (kernel::kernels().dot_panels)(&[0.0; 4], &[0.0; 31], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn scalar_panel_kernel_rejects_a_ragged_out() {
+    let mut out = [0.0f32; 9];
+    (kernel::SCALAR_KERNELS.dot_panels)(&[0.0; 4], &[0.0; 36], &mut out);
+}
+
+#[test]
+#[should_panic]
+fn scalar_panel_kernel_rejects_long_panels() {
+    let mut out = [0.0f32; 8];
+    (kernel::SCALAR_KERNELS.l2_sq_panels)(&[0.0; 4], &[0.0; 33], &mut out);
+}
+
 /// A block whose shape disagrees with `out` is refused before any load.
 #[test]
 #[should_panic]

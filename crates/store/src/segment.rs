@@ -38,7 +38,7 @@ use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use vlite_ann::{Metric, ScalarQuantizer, VecSet};
+use vlite_ann::{kernel, Metric, ScalarQuantizer, VecSet};
 
 use crate::checksum::{crc32, Crc32};
 use crate::mmap::Mmap;
@@ -529,7 +529,8 @@ impl Segment {
     }
 
     /// Bytes cluster `c` occupies when promoted to a resident hot arena
-    /// (ids + full-precision vectors).
+    /// (ids + full-precision vectors: the payload, not the < 8 pad rows
+    /// of its panels).
     ///
     /// # Panics
     ///
@@ -571,27 +572,33 @@ impl Segment {
         &self.map[e.sq8_off..e.sq8_off + e.n * self.dim]
     }
 
-    /// Materializes cluster `c`'s ids and full-precision vectors from the
-    /// f32 extent — the promotion path. The extent's file pages are then
-    /// released from the resident set ([`Mmap::release`]): the arena is
-    /// the resident copy from here on, and without this a fully hot store
-    /// holds the corpus twice.
+    /// Materializes cluster `c`'s ids and its full-precision vectors as
+    /// 8-row panels ([`kernel::to_panels`]: groups of 8 rows, dim-major,
+    /// the last group zero-padded) — the promotion path. The panels are
+    /// transposed straight out of the mapped f32 extent into their one
+    /// allocation. All three of the cluster's extents are then released
+    /// from the resident set ([`Mmap::release`]): the arena is the
+    /// resident copy of the ids and vectors from here on (without this a
+    /// fully hot store holds the corpus twice), and cold scans, the only
+    /// readers of the SQ8 codes, skip a hot cluster. A later demotion
+    /// faults the id and code pages back in from the file.
     ///
     /// # Panics
     ///
     /// Panics if `c` is out of range.
-    pub fn load_cluster_f32(&self, c: u32) -> (Vec<u64>, VecSet) {
+    pub fn load_cluster_panels(&self, c: u32) -> (Vec<u64>, Vec<f32>) {
         let e = &self.clusters[c as usize];
         let mut ids = vec![0u64; e.n];
         self.ids_into(c, 0, &mut ids);
         let f32_len = e.n * self.dim * 4;
-        let floats = &self.map[e.f32_off..e.f32_off + f32_len];
-        let mut flat = Vec::with_capacity(e.n * self.dim);
-        for chunk in floats.chunks_exact(4) {
-            flat.push(f32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]));
-        }
+        let floats = self.map[e.f32_off..e.f32_off + f32_len]
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        let panels = kernel::to_panels(e.n, self.dim, floats);
+        self.map.release(e.ids_off, e.n * 8);
         self.map.release(e.f32_off, f32_len);
-        (ids, VecSet::from_flat(self.dim.max(1), flat))
+        self.map.release(e.sq8_off, e.n * self.dim);
+        (ids, panels)
     }
 
     /// The stored `(ids, f32)` extent CRCs of cluster `c`, for verifying a
@@ -652,9 +659,11 @@ mod tests {
         for (c, (ids, vectors)) in clusters.iter().enumerate() {
             let c = c as u32;
             assert_eq!(seg.cluster_len(c), ids.len());
-            let (got_ids, got_vecs) = seg.load_cluster_f32(c);
+            let (got_ids, got_panels) = seg.load_cluster_panels(c);
             assert_eq!(&got_ids, ids, "ids round-trip");
-            assert_eq!(&got_vecs, vectors, "f32 vectors bit-identical");
+            let want = kernel::to_panels(vectors.len(), 8, vectors.as_flat().iter().copied());
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got_panels), bits(&want), "f32 panels bit-identical");
             // SQ8 codes match a fresh encode under the stored params.
             let codes = seg.sq8_codes(c);
             for (i, v) in vectors.iter().enumerate() {

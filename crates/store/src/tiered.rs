@@ -13,7 +13,9 @@
 //! Tier asymmetry is physical, exactly the paper's fast/slow split:
 //!
 //! - **Hot** clusters are full-precision arenas in memory
-//!   (`ids + n × dim × f32`), scanned exactly as an in-memory IVF-Flat
+//!   (`ids + n × dim × f32`), stored as 8-row dim-major panels — the
+//!   layout the panel kernels score eight vectors per register in, with
+//!   no per-vector reduction — and scanned exhaustively, as an IVF-Flat
 //!   list would be.
 //! - **Cold** clusters stay on disk in the segment's SQ8 extents
 //!   (`ids + n × dim × u8`, 4× fewer payload bytes), scored code by
@@ -33,11 +35,25 @@ use crate::segment::{fill_le, write_segment, Segment, StoreError};
 /// Result alias re-used from the segment layer.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// One resident full-precision cluster.
+/// One resident full-precision cluster: its ids, its vectors as 8-row
+/// panels ([`kernel::to_panels`]; the last group zero-padded), and what
+/// the metric needs per row beside them ([`Metric::panel_norms`]).
 #[derive(Debug)]
 struct HotCluster {
     ids: Vec<u64>,
-    vectors: VecSet,
+    panels: Vec<f32>,
+    norms: Vec<f32>,
+}
+
+impl HotCluster {
+    /// Promotes cluster `c` out of the segment's f32 extent.
+    fn load(segment: &Segment, c: u32) -> HotCluster {
+        let (ids, panels) = segment.load_cluster_panels(c);
+        let norms = segment
+            .metric()
+            .panel_norms(&kernel::kernels(), segment.dim(), &panels);
+        HotCluster { ids, panels, norms }
+    }
 }
 
 /// Where one cluster currently lives.
@@ -205,8 +221,7 @@ impl TieredStore {
             .enumerate()
             .map(|(c, &is_hot)| {
                 if is_hot {
-                    let (ids, vectors) = segment.load_cluster_f32(c as u32);
-                    TierEntry::Hot(Arc::new(HotCluster { ids, vectors }))
+                    TierEntry::Hot(Arc::new(HotCluster::load(&segment, c as u32)))
                 } else {
                     TierEntry::Cold
                 }
@@ -428,10 +443,9 @@ impl TieredStore {
                 (TierEntry::Hot(arena), true) => TierEntry::Hot(arena.clone()),
                 (TierEntry::Cold, false) => TierEntry::Cold,
                 (TierEntry::Cold, true) => {
-                    let (ids, vectors) = self.segment.load_cluster_f32(c as u32);
                     shift.promoted += 1;
                     shift.bytes_promoted += self.segment.hot_bytes(c as u32);
-                    TierEntry::Hot(Arc::new(HotCluster { ids, vectors }))
+                    TierEntry::Hot(Arc::new(HotCluster::load(&self.segment, c as u32)))
                 }
                 (TierEntry::Hot(_), false) => {
                     shift.demoted += 1;
@@ -559,11 +573,12 @@ impl StoreSnapshot {
         }
     }
 
-    /// One pass over a hot cluster, sub-block-major: each run of
-    /// [`kernel::block_len`] vectors is scored against every probing
-    /// query before the next run is touched, so the run comes from memory
-    /// once and from L1 for the rest of the batch. The block kernel
-    /// fills a stack buffer; [`TopK::offer`] admits.
+    /// One pass over a hot cluster, sub-block-major: each
+    /// [`kernel::panel_runs`] run (≤ 8 whole 8-row groups, 16 KiB at dim
+    /// 64) is scored against every probing query before the next run is
+    /// touched, so the run comes from memory once and from cache for the
+    /// rest of the batch. The panel kernel fills a stack buffer, pad rows
+    /// included; [`TopK::offer`] sees only the run's real rows.
     fn scan_hot(
         &self,
         arena: &HotCluster,
@@ -573,14 +588,15 @@ impl StoreSnapshot {
         kern: &Kernels,
     ) {
         let (metric, dim) = (self.segment.metric(), self.segment.dim());
-        let step = kernel::block_len(dim);
         let mut dist = [0.0f32; kernel::MAX_BLOCK];
-        let blocks = arena.vectors.as_flat().chunks(step * dim);
-        for (ids, block) in arena.ids.chunks(step).zip(blocks) {
-            let dist = &mut dist[..ids.len()];
+        for rows in kernel::panel_runs(arena.ids.len()) {
+            let panels = &arena.panels[rows.start * dim..rows.end * dim];
+            let ids = &arena.ids[rows.start..rows.end.min(arena.ids.len())];
+            let norms = arena.norms.get(rows.clone()).unwrap_or_default();
+            let dist = &mut dist[..rows.len()];
             for &qi in qis {
-                metric.score_block(kern, queries[qi].query, block, dist);
-                tops[qi].offer(ids, dist);
+                metric.score_panels(kern, queries[qi].query, panels, norms, dist);
+                tops[qi].offer(ids, &dist[..ids.len()]);
             }
         }
     }

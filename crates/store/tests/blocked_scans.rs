@@ -144,9 +144,10 @@ fn blocked_pass_counts_bytes_once_and_probes_per_query() {
     );
 }
 
-/// Cluster sizes around the block kernel's four-row step, the 64-entry
-/// scan buffer and a second sub-block; one cluster per size.
-const SIZES: [usize; 9] = [0, 1, 3, 4, 5, 63, 64, 65, 129];
+/// Cluster sizes around the SQ8 block kernel's four-row step, the hot
+/// panels' 8-row groups (a ragged last group pads), the 64-entry scan
+/// buffer and a multi-run cluster; one cluster per size.
+const SIZES: [usize; 12] = [0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 129];
 
 fn sized_clusters(dim: usize, seed: u64) -> Vec<(Vec<u64>, VecSet)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -165,24 +166,36 @@ fn bits(hits: &[vlite_ann::Neighbor]) -> Vec<(u64, u32)> {
     hits.iter().map(|n| (n.id, n.distance.to_bits())).collect()
 }
 
+/// The hot tier's per-row reference: the panel kernels' operation order,
+/// one `mul_add` per dimension in dimension order, inner product negated.
+fn panel_order_score(metric: Metric, query: &[f32], v: &[f32]) -> f32 {
+    let terms = query.iter().zip(v);
+    match metric {
+        Metric::L2 => terms.fold(0.0f32, |acc, (q, x)| (q - x).mul_add(q - x, acc)),
+        Metric::InnerProduct => -terms.fold(0.0f32, |acc, (q, x)| q.mul_add(*x, acc)),
+        Metric::Cosine => unreachable!("segments do not store cosine"),
+    }
+}
+
 /// The block scan loops against their oracles at every size boundary:
 /// blocked batch ≡ query-at-a-time ≡ a per-row brute force, bit for bit —
-/// per vector through `Metric::score` on an all-hot store, per code row
-/// through the same kernel table's one-row SQ8 entry on an all-cold one —
-/// with a duplicate cluster id inside one probe list, an empty probe
-/// list, both metrics, and dims whose f32 sub-block is the full 64
-/// entries (6, 64) and shorter (100 → 40). On every store, the mixed
-/// hot/cold one included, the counters tick exactly as the per-pair
-/// loops ticked them.
+/// per vector in the panel kernels' order on an all-hot store (whatever
+/// run of groups a row lands in), per code row through the same kernel
+/// table's one-row SQ8 entry on an all-cold one — with a duplicate
+/// cluster id inside one probe list, an empty probe list, both metrics,
+/// and dims below, at and past the kernels' 8-lane steps (6, 64, 100).
+/// On every store, the mixed hot/cold one included, the counters tick
+/// exactly as the per-pair loops ticked them: hot bytes are the payload
+/// `n · (8 + 4·dim)`, never the padded panels.
 #[test]
 fn block_scans_match_their_oracles_at_every_size_boundary() {
     let all: Vec<u32> = (0..SIZES.len() as u32).collect();
     let lists: Vec<Vec<u32>> = vec![
         all.clone(),
-        all.iter().rev().copied().chain([7, 7]).collect(),
-        vec![8, 2, 2, 5],
+        all.iter().rev().copied().chain([10, 10]).collect(),
+        vec![11, 2, 2, 7],
         vec![],
-        vec![6],
+        vec![9],
     ];
     let k = 7;
     for (dim, metric) in [
@@ -222,7 +235,7 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                     for &c in q.lists {
                         let (ids, vectors) = &clusters[c as usize];
                         for (i, v) in vectors.iter().enumerate() {
-                            top.push(ids[i], metric.score(q.query, v));
+                            top.push(ids[i], panel_order_score(metric, q.query, v));
                         }
                     }
                     let brute = top.into_sorted();
@@ -283,6 +296,54 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
             want_solo.cold_bytes_scanned += want_batch.cold_bytes_scanned;
             want_solo.blocked_scans = want_batch.blocked_scans;
             assert_eq!(after_solo, want_solo, "dim {dim}: plus the solo reruns");
+        }
+    }
+}
+
+/// Pad rows never reach `TopK`. A ragged last group is zero-padded, so
+/// against the zero query every pad scores L2 distance 0 — closer than
+/// any real row — and inner product −0, tying the real rows. With `k`
+/// past the cluster sizes, every hot scan (blocked and solo) must return
+/// exactly the probed clusters' real ids, each once, at the real rows'
+/// own distances.
+#[test]
+fn zero_query_never_admits_a_pad_row() {
+    let dim = 5;
+    let clusters = sized_clusters(dim, 0x9ad);
+    let all: Vec<u32> = (0..SIZES.len() as u32).collect();
+    let zero = vec![0.0f32; dim];
+    let k = SIZES.iter().sum::<usize>() + 8;
+    for metric in [Metric::L2, Metric::InnerProduct] {
+        let path = temp_path(&format!("pads-{metric:?}"));
+        let mut store = TieredStore::create(&path, dim, metric, &clusters, &[true; SIZES.len()])
+            .expect("creates");
+        store.set_ephemeral(true);
+        let snap = store.snapshot();
+        let mut want: Vec<(u64, u32)> = clusters
+            .iter()
+            .flat_map(|(ids, vectors)| ids.iter().zip(vectors.iter()))
+            .map(|(&id, v)| (id, panel_order_score(metric, &zero, v).to_bits()))
+            .collect();
+        want.sort_unstable_by_key(|&(id, _)| id);
+        let batch = [
+            BatchQuery {
+                query: &zero,
+                lists: &all,
+            },
+            BatchQuery {
+                query: &zero,
+                lists: &all,
+            },
+        ];
+        let blocked = scan_lists_store_batch(&snap, &batch, k);
+        let solo = scan_lists_store(&snap, &zero, &all, k);
+        for hits in [&blocked[0], &blocked[1], &solo] {
+            let mut got = bits(hits);
+            got.sort_unstable_by_key(|&(id, _)| id);
+            assert_eq!(got, want, "{metric:?}: exactly the real rows");
+        }
+        if metric == Metric::L2 {
+            assert!(solo[0].distance > 0.0, "a zero-distance pad was admitted");
         }
     }
 }

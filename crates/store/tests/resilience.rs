@@ -207,15 +207,30 @@ fn rss_file_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// A promotion copies the f32 extent out of the mapping and then releases
-/// the extent's file pages (`madvise(MADV_DONTNEED)`). The bytes must
-/// still be there for the next promotion: a second load re-reads the
-/// extent through fresh page faults and must match the first copy and the
-/// extent's stored CRC. Where the kernel reports `RssFile`, the release
-/// must also be real — most of a 4 MiB extent leaves the resident set.
+/// Panels back to row-major (`panels[(g·dim + d)·8 + lane]` is dimension
+/// `d` of row `8g + lane`), plus the pad lanes of the last group.
+fn untranspose(panels: &[f32], n: usize, dim: usize) -> (VecSet, Vec<f32>) {
+    let at = |r: usize, d: usize| panels[((r / 8) * dim + d) * 8 + r % 8];
+    let rows = VecSet::from_fn(n, dim, at);
+    let pads = (n..n.div_ceil(8) * 8)
+        .flat_map(|r| (0..dim).map(move |d| at(r, d)))
+        .collect();
+    (rows, pads)
+}
+
+/// A promotion transposes the f32 extent out of the mapping into panels
+/// and then releases the cluster's id, f32 and SQ8 file pages
+/// (`madvise(MADV_DONTNEED)`). The bytes must still be there for the next
+/// promotion and for a cold scan after a demotion: a second load re-reads
+/// the extents through fresh page faults and must match the first copy
+/// and the f32 extent's stored CRC, and the SQ8 codes must still encode
+/// the source. Both copies, un-transposed, are the source vectors bit for
+/// bit, with zero pad lanes (the cluster ends in a ragged group). Where
+/// the kernel reports `RssFile`, the release must also be real — most of
+/// the 5 MiB of extents leaves the resident set.
 #[test]
 fn promoted_extent_pages_are_released_and_read_back_intact() {
-    let (n, dim) = (16_384usize, 64usize);
+    let (n, dim) = (16_381usize, 64usize);
     let mut rng = StdRng::seed_from_u64(0xd047_eed0);
     let ids: Vec<u64> = (0..n as u64).collect();
     let vectors = VecSet::from_fn(n, dim, |_, _| rng.random::<f32>());
@@ -224,22 +239,25 @@ fn promoted_extent_pages_are_released_and_read_back_intact() {
     let seg = Segment::open(&path).expect("opens"); // CRC pass: every page resident
 
     let before = rss_file_bytes();
-    let first = seg.load_cluster_f32(0);
+    let first = seg.load_cluster_panels(0);
     let after = rss_file_bytes();
     if let (true, Some(before), Some(after)) = (seg.is_mapped(), before, after) {
-        let extent = (n * dim * 4) as u64;
+        let extents = (n * (8 + dim * 4 + dim)) as u64;
         assert!(
-            before.saturating_sub(after) >= extent / 2,
-            "RssFile {before} -> {after}: a {extent}-byte extent was not released"
+            before.saturating_sub(after) >= extents * 3 / 4,
+            "RssFile {before} -> {after}: {extents} bytes of extents were not released"
         );
     }
 
-    let second = seg.load_cluster_f32(0);
+    let second = seg.load_cluster_panels(0);
     assert_eq!(first.0, ids);
-    assert_eq!(first.1, vectors, "first copy bit-identical to the source");
+    let (rows, pads) = untranspose(&first.1, n, dim);
+    assert_eq!(rows, vectors, "first copy bit-identical to the source");
+    assert!(pads.iter().all(|&p| p.to_bits() == 0), "pad lanes are +0.0");
     assert_eq!(second, first, "re-read after release");
+    let (rows, _) = untranspose(&second.1, n, dim);
     let mut crc = vlite_store::Crc32::new();
-    for x in second.1.as_flat() {
+    for x in rows.as_flat() {
         crc.update(&x.to_le_bytes());
     }
     assert_eq!(
@@ -247,6 +265,13 @@ fn promoted_extent_pages_are_released_and_read_back_intact() {
         seg.cluster_crcs(0).1,
         "extent CRC after release"
     );
+    for (row, codes) in vectors.iter().zip(seg.sq8_codes(0).chunks_exact(dim)) {
+        assert_eq!(
+            codes,
+            seg.sq().encode(row).as_slice(),
+            "SQ8 codes after release"
+        );
+    }
     drop(seg);
     let _ = std::fs::remove_file(path);
 }

@@ -106,7 +106,9 @@ fn heavy_tenant_flood_cannot_steal_the_light_tenants_slo() {
 
     // Contended run: same light stream, plus the heavy tenant offered far
     // beyond the server's total capacity (≫ 5× its weighted share) for the
-    // whole window the light tenant is active.
+    // whole window the light tenant is active. This small index serves
+    // tens of thousands of searches a second, so the flood is sized well
+    // past that; the generator submits back to back once behind schedule.
     let server = RagServer::start(&corpus, config()).expect("server starts");
     let mut loads = vec![
         light_load(&corpus),
@@ -114,8 +116,8 @@ fn heavy_tenant_flood_cannot_steal_the_light_tenants_slo() {
             tenant: HEAVY,
             source: vectorlite_rag::serve::loadgen::RotatingQuerySource::from_corpus(&corpus, 7),
             phases: vec![LoadPhase {
-                rate: 40_000.0,
-                n: 42_000,
+                rate: 160_000.0,
+                n: 168_000,
             }],
         },
     ];
