@@ -132,23 +132,14 @@ impl Metric {
     /// against whole 8-row groups in the
     /// [`kernel::to_panels`](crate::kernel::to_panels) layout through
     /// `kern`'s panel entries, one distance per row, pad rows included.
-    /// Inner product negates; cosine divides by `norms`, the rows'
-    /// squared norms from [`Metric::panel_norms`] (ignored, and empty,
-    /// under the other metrics), so no row's norm is recomputed per
-    /// query.
+    /// Inner product negates.
     ///
     /// # Panics
     ///
-    /// Panics on a panel shape the kernels refuse, or under cosine if
-    /// `norms.len() != out.len()`.
-    pub fn score_panels(
-        self,
-        kern: &Kernels,
-        query: &[f32],
-        panels: &[f32],
-        norms: &[f32],
-        out: &mut [f32],
-    ) {
+    /// Panics on a panel shape the kernels refuse, or under cosine, which
+    /// no panel-holding store serves (its norms do not fold into the
+    /// panel kernels).
+    pub fn score_panels(self, kern: &Kernels, query: &[f32], panels: &[f32], out: &mut [f32]) {
         match self {
             Metric::L2 => (kern.l2_sq_panels)(query, panels, out),
             Metric::InnerProduct => {
@@ -157,30 +148,8 @@ impl Metric {
                     *d = -*d;
                 }
             }
-            Metric::Cosine => {
-                assert_eq!(norms.len(), out.len(), "one norm per panel row");
-                (kern.dot_panels)(query, panels, out);
-                let qq = (kern.dot)(query, query);
-                for (d, &vv) in out.iter_mut().zip(norms) {
-                    *d = cosine_from_dots(*d, qq, vv);
-                }
-            }
+            Metric::Cosine => panic!("panel scoring does not serve cosine"),
         }
-    }
-
-    /// The per-row state [`Metric::score_panels`] needs beside `panels`:
-    /// under cosine, each row's squared norm (pad rows included), in the
-    /// panel entries' own accumulation order — computed once, when the
-    /// panels are built; under L2 and inner product, nothing.
-    pub fn panel_norms(self, kern: &Kernels, dim: usize, panels: &[f32]) -> Vec<f32> {
-        if self != Metric::Cosine || dim == 0 {
-            return Vec::new();
-        }
-        // `(0 − x)²` is `x·x` exactly, so L2 against the origin is each
-        // row's self dot product, FMA for FMA.
-        let mut norms = vec![0.0f32; panels.len() / dim];
-        (kern.l2_sq_panels)(&vec![0.0f32; dim], panels, &mut norms);
-        norms
     }
 }
 

@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 use crate::kernel::{self, Kernels};
 use crate::{
-    AnnError, BatchQuery, ClusterStore, FastScanList, Hnsw, HnswConfig, KMeans, KMeansConfig,
-    Metric, Neighbor, PqConfig, ProductQuantizer, QuantizedLut, Result, TopK, VecSet,
+    AnnError, FastScanList, Hnsw, HnswConfig, KMeans, KMeansConfig, Metric, Neighbor, PqConfig,
+    ProductQuantizer, QuantizedLut, Result, TopK, VecSet,
 };
 
 /// How inverted lists store their vectors.
@@ -505,74 +505,17 @@ impl IvfIndex {
         top.into_sorted()
     }
 
-    /// Stages 2+3 over an external [`ClusterStore`] instead of this index's
-    /// own lists: the scan path of a *physically tiered* deployment, where
-    /// hot clusters are resident arenas and cold clusters are quantized
-    /// on-disk extents. The index still owns coarse quantization
-    /// ([`IvfIndex::probe`]); the store owns every payload byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store disagrees with the index on dimensionality,
-    /// cluster count, or metric, or if a list id is out of range.
-    pub fn scan_lists_with(
-        &self,
-        store: &dyn ClusterStore,
-        query: &[f32],
-        lists: &[u32],
-        k: usize,
-    ) -> Vec<Neighbor> {
-        assert_eq!(store.dim(), self.dim, "store has wrong dimensionality");
-        assert_eq!(
-            store.n_clusters(),
-            self.nlist(),
-            "store has wrong cluster count"
-        );
-        assert_eq!(
-            store.metric(),
-            self.config.metric,
-            "store scores under a different metric"
-        );
-        crate::scan_lists_store(store, query, lists, k)
-    }
-
-    /// Batched counterpart of [`IvfIndex::scan_lists_with`]: scans every
-    /// query of a batch through the store in one call, letting tiered
-    /// stores run blocked (cluster-major) passes when queries share
-    /// probes. Returns each query's top-`k`, in batch order.
-    ///
-    /// # Panics
-    ///
-    /// As [`IvfIndex::scan_lists_with`], for any query in the batch.
-    pub fn scan_lists_batch_with(
-        &self,
-        store: &dyn ClusterStore,
-        queries: &[BatchQuery<'_>],
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(store.dim(), self.dim, "store has wrong dimensionality");
-        assert_eq!(
-            store.n_clusters(),
-            self.nlist(),
-            "store has wrong cluster count"
-        );
-        assert_eq!(
-            store.metric(),
-            self.config.metric,
-            "store scores under a different metric"
-        );
-        crate::scan_lists_store_batch(store, queries, k)
-    }
-
     /// Detaches every inverted list's payload (ids + full-precision
     /// vectors), leaving the lists empty — the handoff that moves list
-    /// bytes out of the index and into an external [`ClusterStore`].
+    /// bytes out of the index and into an external
+    /// [`ClusterStore`](crate::ClusterStore).
     /// Returns `None` (index untouched) unless the storage scheme is
     /// [`ListStorage::Flat`].
     ///
     /// After detaching, [`IvfIndex::probe`] and the centroids are
     /// unaffected, but [`IvfIndex::scan_lists`] sees empty lists: all
-    /// scanning must go through [`IvfIndex::scan_lists_with`].
+    /// scanning must go through
+    /// [`scan_lists_store`](crate::scan_lists_store).
     pub fn take_flat_lists(&mut self) -> Option<Vec<(Vec<u64>, VecSet)>> {
         if !matches!(self.config.storage, ListStorage::Flat) {
             return None;

@@ -429,8 +429,8 @@ fn panel_kernels_equal_the_mul_add_oracle_on_every_table() {
                     (vec![f32::NAN; padded], vec![f32::NAN; padded]);
                 (table.l2_sq_panels)(&query, &panels, &mut l2s);
                 (table.dot_panels)(&query, &panels, &mut dots);
-                Metric::L2.score_panels(&table, &query, &panels, &[], &mut l2_scores);
-                Metric::InnerProduct.score_panels(&table, &query, &panels, &[], &mut ip_scores);
+                Metric::L2.score_panels(&table, &query, &panels, &mut l2_scores);
+                Metric::InnerProduct.score_panels(&table, &query, &panels, &mut ip_scores);
                 for i in 0..padded {
                     let row = rows.get(i * dim..(i + 1) * dim).unwrap_or(&zero);
                     let what = format!("kind={:?} dim={dim} n={n} row={i}", table.kind);
@@ -494,69 +494,6 @@ fn panel_runs_tile_the_padded_rows_in_balanced_groups() {
             hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 8),
             "n {n}: {lens:?}"
         );
-    }
-}
-
-/// Cosine on panels divides by norms computed once, when the panels are
-/// built (`Metric::panel_norms`), not per query. A run-by-run panel scan
-/// (the hot tier's loop: `panel_runs`, `score_panels`, `TopK::offer` of
-/// the real rows only) returns the brute-force `cosine_distance` top-k:
-/// the same ids, each distance within the kernels' envelope — a zero row
-/// (cosine's zero-vector arm) included.
-#[test]
-fn cosine_panel_scan_top_k_equals_brute_force() {
-    let table = kernel::kernels();
-    let k = 10;
-    for dim in BLOCK_DIMS {
-        let n = 129;
-        let mut rows = wave(n * dim, 0.75);
-        rows[dim..2 * dim].fill(0.0);
-        let (panels, padded) = panels_of(&rows, n, dim);
-        let norms = Metric::Cosine.panel_norms(&table, dim, &panels);
-        assert_eq!(norms.len(), padded);
-        assert!(Metric::L2.panel_norms(&table, dim, &panels).is_empty());
-        let ids: Vec<u64> = (0..n as u64).collect();
-        for phase in [2.0f32, 3.1, 4.7] {
-            let query = wave(dim, phase);
-            let mut scanned = vlite_ann::TopK::new(k);
-            let mut dist = [0.0f32; kernel::MAX_BLOCK];
-            for run in kernel::panel_runs(n) {
-                let dist = &mut dist[..run.len()];
-                let (panels, norms) =
-                    (&panels[run.start * dim..run.end * dim], &norms[run.clone()]);
-                Metric::Cosine.score_panels(&table, &query, panels, norms, dist);
-                let real = &ids[run.start..run.end.min(n)];
-                scanned.offer(real, &dist[..real.len()]);
-            }
-            let mut brute = vlite_ann::TopK::new(k);
-            for (i, row) in rows.chunks_exact(dim).enumerate() {
-                brute.push(i as u64, vlite_ann::cosine_distance(&query, row));
-            }
-            let (scanned, brute) = (scanned.into_sorted(), brute.into_sorted());
-            let ids_of = |v: &[vlite_ann::Neighbor]| v.iter().map(|n| n.id).collect::<Vec<_>>();
-            assert_eq!(ids_of(&scanned), ids_of(&brute), "dim {dim} phase {phase}");
-            for (s, b) in scanned.iter().zip(&brute) {
-                let row = &rows[b.id as usize * dim..(b.id as usize + 1) * dim];
-                let (qq, vv) = (
-                    mul_add_oracle(false, &query, &query),
-                    mul_add_oracle(false, row, row),
-                );
-                let abs: f32 = query.iter().zip(row).map(|(q, x)| (q * x).abs()).sum();
-                // Three dot products, each within the envelope, then one
-                // division and one square root.
-                let tol = envelope(
-                    3 * dim + 4,
-                    1.0 + abs / (qq * vv).sqrt().max(f32::MIN_POSITIVE),
-                );
-                assert!(
-                    (s.distance - b.distance).abs() <= tol,
-                    "dim {dim} id {}: {} vs {}",
-                    b.id,
-                    s.distance,
-                    b.distance
-                );
-            }
-        }
     }
 }
 

@@ -189,7 +189,7 @@ impl RealDeployment {
     /// flat list payloads are *detached* into the store — after this call
     /// the deployment's bytes genuinely live where the placement says, and
     /// all scanning must go through
-    /// [`IvfIndex::scan_lists_with`](vlite_ann::IvfIndex::scan_lists_with).
+    /// [`scan_lists_store`](vlite_ann::scan_lists_store).
     ///
     /// If a segment file already exists at `segment_path` it is reopened
     /// and verified (per-cluster content checksums against the freshly
@@ -341,7 +341,7 @@ mod tests {
         // exactly, cold ones within SQ8 bounds).
         let probes = d.probe_global(&[0.5; 16]);
         let snapshot = store.snapshot();
-        let hits = d.index.scan_lists_with(&snapshot, &[0.5; 16], &probes, 10);
+        let hits = vlite_ann::scan_lists_store(&snapshot, &[0.5; 16], &probes, 10);
         assert_eq!(hits.len(), 10);
         let full_ids: Vec<u64> = full_path.iter().map(|n| n.id).collect();
         let overlap = hits.iter().filter(|n| full_ids.contains(&n.id)).count();

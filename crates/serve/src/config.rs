@@ -225,13 +225,15 @@ impl DeadlinePolicy {
 
 /// Tiered-storage (vlite-store) knobs.
 ///
-/// When enabled (the default) and the index uses flat list storage, the
-/// runtime detaches the index's list payloads into a
-/// [`TieredStore`](vlite_store::TieredStore): clusters the placement marks
-/// hot become resident full-precision arenas, cold clusters live in the
-/// segment file's mmap'd SQ8 extents, and a background migrator moves
+/// Every server scans through a
+/// [`TieredStore`](vlite_store::TieredStore): at start-up the runtime
+/// detaches the index's flat list payloads into it, clusters the placement
+/// marks hot become resident full-precision arenas, cold clusters live in
+/// the segment file's mmap'd SQ8 extents, and a background migrator moves
 /// cluster extents between tiers on every online repartition without
-/// stalling the dispatcher.
+/// stalling the dispatcher. The index therefore needs flat list storage
+/// under L2 or inner product ([`RagServer::start`](crate::RagServer::start)
+/// refuses anything else).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreConfig {
     /// Directory holding the segment file (`vlite-store.seg`). `None`
@@ -240,11 +242,6 @@ pub struct StoreConfig {
     /// an existing file is reopened and verified instead of rewritten
     /// (save → load → serve).
     pub dir: Option<PathBuf>,
-    /// Disables tiered storage entirely: the index keeps its in-memory
-    /// lists and placement stays routing-only (the pre-store behaviour,
-    /// and the only option for PQ/fast-scan list storage, which the
-    /// runtime falls back to automatically).
-    pub disabled: bool,
 }
 
 impl StoreConfig {

@@ -10,9 +10,9 @@
 //! recent probe sets, re-runs Algorithm 1 ([`partition`]), re-splits, and
 //! hot-swaps the router — the admission queue keeps accepting and batches
 //! keep launching throughout, exactly the paper's "service never stops"
-//! full-shard update. When the runtime scans through a tiered store, the
-//! loop also emits a [`MigrationOrder`](crate::migrate::MigrationOrder)
-//! after each swap so the background migrator moves cluster extents to
+//! full-shard update. The loop also emits a
+//! [`MigrationOrder`](crate::migrate::MigrationOrder) after each swap so
+//! the background migrator moves the tiered store's cluster extents to
 //! match the new placement.
 
 use std::collections::VecDeque;
@@ -97,8 +97,7 @@ pub(crate) struct ControlLoop {
     /// Observations per tenant since the last repartition.
     observed_by_tenant: Vec<u64>,
     last_repartition: u64,
-    /// Where tier-migration orders go after each swap (inert when the
-    /// runtime has no tiered store).
+    /// Where tier-migration orders go after each swap.
     migrate_tx: Sender<MigrationOrder>,
 }
 
@@ -238,13 +237,11 @@ impl ControlLoop {
             retained as f64 / old_hot.len() as f64
         };
         let new_coverage = split.coverage();
-        // Tiered runtimes also need the new hot set (for the migrator);
-        // read it off the split in hand before the router consumes it.
-        let hot_flags: Option<Vec<bool>> = self.shared.store.is_some().then(|| {
-            (0..self.sizes.len() as u32)
-                .map(|c| split.is_hot(c))
-                .collect()
-        });
+        // The migrator needs the new hot set; read it off the split in
+        // hand before the router consumes it.
+        let hot: Vec<bool> = (0..self.sizes.len() as u32)
+            .map(|c| split.is_hot(c))
+            .collect();
         let new_router = Router::new(split);
         // Refresh the expectation with the runtime's observable statistic:
         // the recent probe sets routed through the *new* placement.
@@ -259,16 +256,14 @@ impl ControlLoop {
         let queue_depth_at_swap = self.shared.queue.depth();
         let generation = self.shared.install_placement(new_router);
 
-        // Stage 5 (tiered runtimes): hand the new hot set to the migrator,
-        // which promotes/demotes cluster extents in the background while
-        // batches keep launching against whatever tier each cluster is on.
-        if let Some(hot) = hot_flags {
-            let _ = self.migrate_tx.send(MigrationOrder {
-                placement_generation: generation,
-                triggered_by,
-                hot,
-            });
-        }
+        // Stage 5: hand the new hot set to the migrator, which
+        // promotes/demotes cluster extents in the background while batches
+        // keep launching against whatever tier each cluster is on.
+        let _ = self.migrate_tx.send(MigrationOrder {
+            placement_generation: generation,
+            triggered_by,
+            hot,
+        });
 
         self.shared.record_repartition(RepartitionEvent {
             generation,
@@ -293,9 +288,9 @@ impl ControlLoop {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::config::{ServeConfig, TenantSpec};
+    use crate::config::{ServeConfig, StoreConfig, TenantSpec};
     use crate::obs::{BoundedRing, ObsConfig, ObsPlane};
     use crate::queue::AdmissionQueue;
     use crate::request::Job;
@@ -305,10 +300,10 @@ mod tests {
     use vlite_core::{RealConfig, RealDeployment, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
-    /// Builds a minimal `Shared` + `ControlLoop` over a tiny real
-    /// deployment, so `observe`/`repartition` can be driven synchronously
-    /// without spawning the runtime threads.
-    fn harness(
+    /// Builds a minimal `Shared` (with a real ephemeral tiered store) +
+    /// `ControlLoop` over a tiny real deployment, so `observe`/`repartition`
+    /// can be driven synchronously without spawning the runtime threads.
+    pub(crate) fn harness(
         cooldown: usize,
         window: usize,
         n_tenants: usize,
@@ -341,7 +336,8 @@ mod tests {
         real.ivf = vlite_ann::IvfConfig::new(32);
         real.n_shards = 2;
         real.coverage_override = Some(0.3);
-        let deployment = RealDeployment::build(&corpus, real.clone()).expect("builds");
+        let mut deployment = RealDeployment::build(&corpus, real.clone()).expect("builds");
+        let store = crate::server::open_store(&mut deployment, &StoreConfig::default());
         let RealDeployment {
             index,
             profile,
@@ -375,7 +371,7 @@ mod tests {
             tenants,
             repartitions: BoundedRing::new(1024),
             migrations: BoundedRing::new(1024),
-            store: None,
+            store,
             nprobe: real.nprobe,
             top_k: real.top_k,
             n_shards: 2,

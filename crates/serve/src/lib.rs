@@ -19,7 +19,8 @@
 //!        │ shard workers│   │ CPU scan pool│  (per-query completion
 //!        │ ("GPUs")     │   │              │   callbacks)
 //!        └──────┬───────┘   └──────┬───────┘
-//!               │ scans read through a vlite-store StoreSnapshot:
+//!               │ every scan reads through a vlite-store StoreSnapshot,
+//!               │ one blocked batch call per worker per batch:
 //!               │ hot = resident f32 arenas, cold = mmap'd SQ8 extents,
 //!               │ tiers moved live by the migrator thread on repartition
 //!               ▼                  ▼
@@ -46,7 +47,9 @@
 //! tests — so the whole co-scheduled pipeline can be driven and asserted
 //! to the exact tick without sleeping.
 //!
-//! - [`RagServer`] — owns the partitioned index and all runtime threads.
+//! - [`RagServer`] — owns the index's centroids, the tiered store that
+//!   holds every list payload (flat L2 / inner-product indexes only; the
+//!   server has no other scan path), and all runtime threads.
 //! - [`ServeConfig`] / [`ControlConfig`] / [`TenantSpec`] — queueing,
 //!   batching, online repartitioning, and per-tenant (weight, quota, SLO)
 //!   knobs; [`TenantId`] names a tenant throughout the pipeline.

@@ -1,10 +1,9 @@
 //! The background tier migrator.
 //!
-//! Online repartitioning used to end at the router hot-swap: the placement
-//! changed where probes were *routed*, but every cluster's bytes stayed
-//! where they were. With a [`TieredStore`] behind the scan path, the
-//! control loop also emits a [`MigrationOrder`] after each swap, and this
-//! worker applies it: newly hot clusters are promoted (their
+//! A router hot-swap only changes where probes are *routed*; the bytes
+//! live in the [`TieredStore`](vlite_store::TieredStore) behind the scan
+//! path. So the control loop also emits a [`MigrationOrder`] after each
+//! swap, and this worker applies it: newly hot clusters are promoted (their
 //! full-precision extents materialized from the segment file into
 //! resident arenas), newly cold ones demoted (arenas released, scans fall
 //! back to the mmap'd SQ8 extents).
@@ -69,11 +68,7 @@ pub struct MigrationEvent {
 /// placements. Exits when the control loop drops its order sender.
 pub(crate) fn migrator_worker(shared: &Arc<Shared>, rx: &Receiver<MigrationOrder>) {
     shared.trace.register_worker(STAGE_MIGRATE);
-    let Some(store) = shared.store.as_ref() else {
-        // No tiered store: drain orders (none should arrive) until close.
-        while rx.recv().is_ok() {}
-        return;
-    };
+    let store = &shared.store;
     while let Ok(order) = rx.recv() {
         let started = shared.clock.now();
         let timer = shared.trace.stage_start(STAGE_MIGRATE, started);

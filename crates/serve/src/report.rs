@@ -189,8 +189,8 @@ pub struct ServeReport {
     pub tenants: Vec<TenantReport>,
     /// Online repartitions performed by the control loop, in order.
     pub repartitions: Vec<RepartitionEvent>,
-    /// Physical-tiering snapshot; `None` when the runtime scans the
-    /// index's own in-memory lists.
+    /// Physical-tiering snapshot — always `Some` for a report taken from
+    /// a running server (`None` only in a hand-built or decoded report).
     pub store: Option<StoreReport>,
     /// Placement generation at snapshot time.
     pub generation: u64,
@@ -869,7 +869,7 @@ impl ServeReport {
     }
 
     /// The physical-tiering snapshot as CSV: one header plus one row
-    /// (empty string when the runtime has no tiered store).
+    /// (empty string when [`ServeReport::store`] is `None`).
     pub fn store_to_csv(&self) -> String {
         let Some(s) = &self.store else {
             return String::new();

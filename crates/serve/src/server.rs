@@ -21,14 +21,18 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use vlite_ann::{merge_sorted, BatchQuery, IvfIndex, Neighbor};
+use vlite_ann::{
+    merge_sorted, scan_lists_store_batch, AnnError, BatchQuery, IvfIndex, ListStorage, Neighbor,
+};
 use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
 use vlite_sim::{SimDuration, SimTime};
-use vlite_store::{StoreError, StoreSnapshot, TieredStore};
+use vlite_store::{StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
 use crate::clock::{Clock, RealClock};
-use crate::config::{DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, TenantSpec};
+use crate::config::{
+    DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, StoreConfig, TenantSpec,
+};
 use crate::control::{ControlLoop, Observation, RepartitionEvent};
 use crate::generation::{generation_worker, GenWork};
 use crate::migrate::{migrator_worker, MigrationEvent, MigrationOrder};
@@ -181,10 +185,9 @@ pub(crate) struct Shared {
     /// traces), per-stage CPU profiling and the SLO burn-rate watchdog
     /// (cheap no-ops when disabled by config).
     pub(crate) trace: Arc<TracePlane>,
-    /// The tiered storage engine the scan path reads through; `None`
-    /// keeps the pre-store behaviour (in-index lists, routing-only
-    /// placement) — disabled by config or non-flat list storage.
-    pub(crate) store: Option<Arc<TieredStore>>,
+    /// The tiered storage engine every scan reads through; the index
+    /// keeps only the centroids.
+    pub(crate) store: Arc<TieredStore>,
     pub(crate) nprobe: usize,
     pub(crate) top_k: usize,
     pub(crate) n_shards: usize,
@@ -469,12 +472,29 @@ impl RagServer {
     ///
     /// # Errors
     ///
-    /// Propagates index-training errors.
+    /// [`AnnError::InvalidConfig`] — before any training — when
+    /// `config.real.ivf` is not flat list storage under L2 or inner
+    /// product, the only indexes the tiered store can hold; otherwise
+    /// propagates index-training errors.
     pub fn start_with_clock(
         corpus: &SyntheticCorpus,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> vlite_ann::Result<RagServer> {
+        let ivf = &config.real.ivf;
+        if !vlite_store::supports_metric(ivf.metric) {
+            return Err(AnnError::InvalidConfig(format!(
+                "the tiered store cannot score under {:?}; for cosine, normalise the \
+                 vectors and use Metric::InnerProduct",
+                ivf.metric
+            )));
+        }
+        if !matches!(ivf.storage, ListStorage::Flat) {
+            return Err(AnnError::InvalidConfig(format!(
+                "the tiered store needs flat list storage, not {:?}",
+                ivf.storage
+            )));
+        }
         let deployment = RealDeployment::build(corpus, config.real.clone())?;
         Ok(Self::from_deployment_with_clock(deployment, config, clock))
     }
@@ -484,8 +504,7 @@ impl RagServer {
     ///
     /// # Panics
     ///
-    /// Panics if the deployment and config disagree on shard count zero, or
-    /// if the tenant table is invalid (zero weight or capacity).
+    /// As [`RagServer::from_deployment_with_clock`].
     pub fn from_deployment(deployment: RealDeployment, config: ServeConfig) -> RagServer {
         Self::from_deployment_with_clock(deployment, config, Arc::new(RealClock::new()))
     }
@@ -495,34 +514,19 @@ impl RagServer {
     ///
     /// # Panics
     ///
-    /// Panics if the deployment and config disagree on shard count zero,
-    /// if the tenant table is invalid (zero weight or capacity), if the
-    /// generation config cannot fit its worst-case request in KV, or if
-    /// the control loop is keyed off TTFT without a generation stage.
+    /// Panics if the tiered store cannot be built or reopened — including
+    /// an index that is not flat list storage under L2 or inner product,
+    /// which [`RagServer::start`] refuses up front — if the deployment has
+    /// no shards, if the tenant table is invalid (zero weight or
+    /// capacity), if the generation config cannot fit its worst-case
+    /// request in KV, or if the control loop is keyed off TTFT without a
+    /// generation stage.
     pub fn from_deployment_with_clock(
         mut deployment: RealDeployment,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> RagServer {
-        // Physical tiering: detach the index's flat lists into a
-        // TieredStore whose tiers mirror the placement — hot clusters
-        // resident at full precision, cold ones in the segment file's
-        // mmap'd SQ8 extents. Non-flat list storage (PQ/fast-scan) keeps
-        // the in-index scan path; any other store failure is fatal (a
-        // half-built store would silently serve wrong bytes).
-        let store = if config.store.disabled {
-            None
-        } else {
-            let (segment_path, ephemeral) = config.store.segment_path();
-            match deployment.build_tiered_store(&segment_path) {
-                Ok(mut store) => {
-                    store.set_ephemeral(ephemeral);
-                    Some(Arc::new(store))
-                }
-                Err(StoreError::Unsupported(_)) => None,
-                Err(err) => panic!("tiered store build failed: {err}"),
-            }
-        };
+        let store = open_store(&mut deployment, &config.store);
         let RealDeployment {
             index,
             profile,
@@ -951,12 +955,12 @@ impl RagServer {
             .collect()
     }
 
-    /// The tiered storage engine the scan path reads through, when
-    /// physical tiering is enabled. The `Arc` can be cloned to inspect the
+    /// The tiered storage engine the scan path reads through — always
+    /// `Some` for a running server. The `Arc` can be cloned to inspect the
     /// store after [`RagServer::shutdown`] (every migration is applied by
     /// then: shutdown joins the migrator).
     pub fn store(&self) -> Option<&Arc<TieredStore>> {
-        self.shared.store.as_ref()
+        Some(&self.shared.store)
     }
 
     /// The telemetry plane: the lock-free counters/histograms the report
@@ -1116,72 +1120,71 @@ impl RagServer {
             "vlite_obs_ring_evictions_total{{ring=\"trace_spans\"}} {}",
             traces.dropped_spans
         )?;
-        if let Some(store) = &shared.store {
-            let residency = store.residency();
-            let stats = store.stats();
-            for (name, help, value) in [
-                (
-                    "vlite_store_fast_clusters",
-                    "Clusters resident in the fast tier",
-                    residency.hot_clusters as f64,
-                ),
-                (
-                    "vlite_store_total_clusters",
-                    "Total clusters in the tiered store",
-                    residency.total_clusters as f64,
-                ),
-                (
-                    "vlite_store_fast_bytes",
-                    "Bytes resident in fast-tier arenas",
-                    residency.hot_bytes as f64,
-                ),
-                (
-                    "vlite_store_cold_bytes",
-                    "Bytes covered by the slow tier's mmap'd SQ8 extents",
-                    residency.cold_bytes as f64,
-                ),
-                (
-                    "vlite_store_fast_residency",
-                    "Fast-tier share of total stored bytes",
-                    residency.byte_fraction(),
-                ),
-                (
-                    "vlite_store_generation",
-                    "Store generation (bumped by every applied migration)",
-                    store.generation() as f64,
-                ),
-            ] {
-                prom_gauge(out, name, help, value);
-            }
-            for (name, help, value) in [
-                (
-                    "vlite_store_hot_probes_total",
-                    "Probes scanned against fast-tier clusters",
-                    stats.hot_probes,
-                ),
-                (
-                    "vlite_store_cold_probes_total",
-                    "Probes scanned against slow-tier clusters",
-                    stats.cold_probes,
-                ),
-                (
-                    "vlite_store_bytes_promoted_total",
-                    "Bytes materialized into resident arenas by promotions",
-                    stats.bytes_promoted,
-                ),
-                (
-                    "vlite_store_bytes_demoted_total",
-                    "Resident bytes released back to the cold tier by demotions",
-                    stats.bytes_demoted,
-                ),
-                (
-                    "vlite_store_blocked_scans_total",
-                    "Blocked (cluster-major) passes scoring >= 2 batched queries in one sweep",
-                    stats.blocked_scans,
-                ),
-            ] {
-                prom_counter(out, name, help, value);
-            }
+        let store = &shared.store;
+        let residency = store.residency();
+        let stats = store.stats();
+        for (name, help, value) in [
+            (
+                "vlite_store_fast_clusters",
+                "Clusters resident in the fast tier",
+                residency.hot_clusters as f64,
+            ),
+            (
+                "vlite_store_total_clusters",
+                "Total clusters in the tiered store",
+                residency.total_clusters as f64,
+            ),
+            (
+                "vlite_store_fast_bytes",
+                "Bytes resident in fast-tier arenas",
+                residency.hot_bytes as f64,
+            ),
+            (
+                "vlite_store_cold_bytes",
+                "Bytes covered by the slow tier's mmap'd SQ8 extents",
+                residency.cold_bytes as f64,
+            ),
+            (
+                "vlite_store_fast_residency",
+                "Fast-tier share of total stored bytes",
+                residency.byte_fraction(),
+            ),
+            (
+                "vlite_store_generation",
+                "Store generation (bumped by every applied migration)",
+                store.generation() as f64,
+            ),
+        ] {
+            prom_gauge(out, name, help, value);
+        }
+        for (name, help, value) in [
+            (
+                "vlite_store_hot_probes_total",
+                "Probes scanned against fast-tier clusters",
+                stats.hot_probes,
+            ),
+            (
+                "vlite_store_cold_probes_total",
+                "Probes scanned against slow-tier clusters",
+                stats.cold_probes,
+            ),
+            (
+                "vlite_store_bytes_promoted_total",
+                "Bytes materialized into resident arenas by promotions",
+                stats.bytes_promoted,
+            ),
+            (
+                "vlite_store_bytes_demoted_total",
+                "Resident bytes released back to the cold tier by demotions",
+                stats.bytes_demoted,
+            ),
+            (
+                "vlite_store_blocked_scans_total",
+                "Blocked (cluster-major) passes scoring >= 2 batched queries in one sweep",
+                stats.blocked_scans,
+            ),
+        ] {
+            prom_counter(out, name, help, value);
         }
         writeln!(
             out,
@@ -1202,10 +1205,10 @@ impl RagServer {
             shared.queue.stats(),
             &shared.tenants,
             shared.repartitions.snapshot(),
-            shared
-                .store
-                .as_ref()
-                .map(|store| StoreReport::capture(store, shared.migrations.snapshot())),
+            Some(StoreReport::capture(
+                &shared.store,
+                shared.migrations.snapshot(),
+            )),
             shared.slo_search,
             shared.generation.as_ref().map(|g| g.slo_ttft),
             shared.placement_snapshot().1,
@@ -1257,6 +1260,39 @@ pub(crate) fn empirical_mean_hit<'a>(
     } else {
         sum / n as f64
     }
+}
+
+/// Physical tiering: detaches the deployment index's flat lists into a
+/// [`TieredStore`] whose tiers mirror the placement — hot clusters resident
+/// at full precision, cold ones in the segment file's mmap'd SQ8 extents —
+/// and checks once that it scores what the index probes.
+///
+/// # Panics
+///
+/// Panics on any store failure: a half-built store would silently serve
+/// wrong bytes.
+pub(crate) fn open_store(
+    deployment: &mut RealDeployment,
+    config: &StoreConfig,
+) -> Arc<TieredStore> {
+    let (segment_path, ephemeral) = config.segment_path();
+    let mut store = deployment
+        .build_tiered_store(&segment_path)
+        .unwrap_or_else(|err| panic!("tiered store build failed: {err}"));
+    store.set_ephemeral(ephemeral);
+    let index = &deployment.index;
+    assert_eq!(store.dim(), index.dim(), "store has wrong dimensionality");
+    assert_eq!(
+        store.n_clusters(),
+        index.nlist(),
+        "store has wrong cluster count"
+    );
+    assert_eq!(
+        store.metric(),
+        deployment.config.ivf.metric,
+        "store scores under a different metric"
+    );
+    Arc::new(store)
 }
 
 /// Batcher: drain the per-tenant queues (weighted-fair) when the engine is
@@ -1431,13 +1467,13 @@ fn shard_worker(
         // One store snapshot per batch: the whole batch scans a consistent
         // tier map, and a concurrent migration swaps tiers for the *next*
         // batch without stalling this one.
-        let snapshot = shared.store.as_ref().map(|store| store.snapshot());
+        let snapshot = shared.store.snapshot();
         // Global ids: correctness is placement-independent, so batches
         // routed just before a hot swap still scan the right lists.
         let per_query: Vec<&[u32]> = (0..batch.jobs.len())
             .map(|qi| batch.routed[qi].shard_probes_global[shard].as_slice())
             .collect();
-        let partials = scan_batch_or_queries(shared, snapshot.as_ref(), &batch, &per_query);
+        let partials = scan_share(shared, &snapshot, &batch, &per_query);
         let scan_end = shared.clock.now();
         shared.trace.stage_end(stage, scan_end);
         if let Some(ctx) = &batch.trace {
@@ -1455,99 +1491,54 @@ fn shard_worker(
 }
 
 /// Scans one worker's share of a batch — `per_query[qi]` being query
-/// `qi`'s probe lists for this worker — through the store's blocked
-/// (cluster-major) path when at least two queries have work, falling back
-/// to query-at-a-time [`degraded_scan`]s otherwise (or without a store).
+/// `qi`'s probe lists for this worker — in one blocked (cluster-major)
+/// pass through the store snapshot.
 ///
-/// Panic containment matches [`degraded_scan`]: a panicking blocked pass
-/// degrades the *whole worker share* to empty partials (one
-/// [`Shared::worker_panics`] tick) rather than killing the worker thread.
-fn scan_batch_or_queries(
+/// A panicking scan degrades the *whole worker share* to empty partials
+/// (one [`Shared::worker_panics`] tick) instead of killing the worker
+/// thread: a dead worker would never send its completion message and the
+/// batcher would block on the batch-done signal forever.
+fn scan_share(
     shared: &Shared,
-    snapshot: Option<&StoreSnapshot>,
+    snapshot: &StoreSnapshot,
     batch: &BatchWork,
     per_query: &[&[u32]],
 ) -> Vec<Vec<Neighbor>> {
-    let blockable =
-        batch.jobs.len() >= 2 && per_query.iter().filter(|l| !l.is_empty()).count() >= 2;
-    if let (Some(snapshot), true) = (snapshot, blockable) {
-        let queries: Vec<BatchQuery<'_>> = (0..batch.jobs.len())
-            .map(|qi| BatchQuery {
-                query: &batch.jobs[qi].query,
-                lists: per_query[qi],
-            })
-            .collect();
-        let scanned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared
-                .index
-                .scan_lists_batch_with(snapshot, &queries, batch.k)
-        }));
-        match scanned {
-            Ok(partials) => partials,
-            Err(_) => {
-                // relaxed: stat counter bump; the degraded partials flow
-                // through the dispatch channel, which orders the handoff.
-                shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-                vec![Vec::new(); batch.jobs.len()]
-            }
-        }
-    } else {
-        per_query
-            .iter()
-            .enumerate()
-            .map(|(qi, lists)| {
-                if lists.is_empty() {
-                    Vec::new()
-                } else {
-                    degraded_scan(shared, snapshot, &batch.jobs[qi].query, lists, batch.k)
-                }
-            })
-            .collect()
-    }
-}
-
-/// One scan with panic containment: a panicking scan degrades to an empty
-/// partial (counted in [`Shared::worker_panics`]) instead of killing the
-/// worker thread — a dead worker would never send its completion message
-/// and the batcher would block on the batch-done signal forever.
-///
-/// With a tiered store the scan reads cluster payloads through the
-/// snapshot (resident arenas for hot clusters, mmap'd SQ8 extents for
-/// cold ones); without one it scans the index's own lists.
-fn degraded_scan(
-    shared: &Shared,
-    snapshot: Option<&StoreSnapshot>,
-    query: &[f32],
-    lists: &[u32],
-    k: usize,
-) -> Vec<Neighbor> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match snapshot {
-        Some(snapshot) => shared.index.scan_lists_with(snapshot, query, lists, k),
-        None => shared.index.scan_lists(query, lists, k),
+    let queries: Vec<BatchQuery<'_>> = batch
+        .jobs
+        .iter()
+        .zip(per_query)
+        .map(|(job, &lists)| BatchQuery {
+            query: &job.query,
+            lists,
+        })
+        .collect();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        scan_lists_store_batch(snapshot, &queries, batch.k)
     }))
     .unwrap_or_else(|_| {
-        // relaxed: stat counter bump; the degraded partial itself flows
-        // through the dispatch channel, which orders the handoff.
+        // relaxed: stat counter bump; the degraded partials flow through
+        // the dispatch channel, which orders the handoff.
         shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-        Vec::new()
+        vec![Vec::new(); batch.jobs.len()]
     })
 }
 
-/// CPU worker: scan the batch's cold probes — the whole batch in one
-/// cluster-major pass when it can block (cheapest total bytes) — then fire
+/// CPU worker: scan the batch's cold probes in one cluster-major pass
+/// (cheapest total bytes), then fire
 /// the per-query completion callbacks as the results are scattered back.
 fn cpu_worker(shared: &Shared, rx: &Receiver<Arc<BatchWork>>, dispatch: &Sender<DispatchMsg>) {
     shared.trace.register_worker(STAGE_CPU_SCAN);
     while let Ok(batch) = rx.recv() {
         let scan_start = shared.clock.now();
         let stage = shared.trace.stage_start(STAGE_CPU_SCAN, scan_start);
-        let snapshot = shared.store.as_ref().map(|store| store.snapshot());
+        let snapshot = shared.store.snapshot();
         let per_query: Vec<&[u32]> = batch
             .routed
             .iter()
             .map(|r| r.cpu_probes.as_slice())
             .collect();
-        let partials = scan_batch_or_queries(shared, snapshot.as_ref(), &batch, &per_query);
+        let partials = scan_share(shared, &snapshot, &batch, &per_query);
         for (qi, partial) in partials.into_iter().enumerate() {
             if dispatch.send(DispatchMsg::CpuDone { qi, partial }).is_err() {
                 return;
@@ -1762,4 +1753,88 @@ fn complete_query(
         generation: batch.generation,
         trace: job.trace,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_scan_empties_its_share_once_and_the_worker_keeps_serving() {
+        let (shared, _control, _probe_sets) = crate::control::tests::harness(100, 80, 1);
+        let good = vec![0.25f32; shared.index.dim()];
+        // Every cluster probed, so both shards have work for the query.
+        let probes: Vec<u32> = shared
+            .index
+            .probe(&good, shared.index.nlist())
+            .iter()
+            .map(|p| p.list)
+            .collect();
+        let routed = shared.placement_snapshot().0.route(&probes);
+        let shard = (0..shared.n_shards)
+            .find(|&s| !routed.shard_probes_global[s].is_empty())
+            .expect("some shard holds a hot probe");
+        let batch = |queries: Vec<Vec<f32>>| {
+            let jobs: Vec<Job> = queries
+                .into_iter()
+                .enumerate()
+                .map(|(id, query)| Job {
+                    id: id as u64,
+                    tenant: TenantId(0),
+                    query,
+                    enqueued: SimTime::ZERO,
+                    deadline: None,
+                    trace: TraceId(id as u128 + 1),
+                    reply: channel::unbounded().0,
+                })
+                .collect();
+            Arc::new(BatchWork {
+                routed: vec![routed.clone(); jobs.len()],
+                jobs,
+                k: shared.top_k,
+                started: SimTime::ZERO,
+                generation: 0,
+                trace: None,
+            })
+        };
+
+        let (tx, rx) = channel::unbounded::<Arc<BatchWork>>();
+        let (dispatch_tx, dispatch_rx) = channel::unbounded::<DispatchMsg>();
+        let worker = {
+            let shared = shared.clone();
+            std::thread::spawn(move || shard_worker(&shared, shard, &rx, &dispatch_tx))
+        };
+        let share_of = |batch: Arc<BatchWork>| {
+            assert!(tx.send(batch).is_ok(), "worker alive");
+            match dispatch_rx.recv().expect("worker replies") {
+                DispatchMsg::ShardDone { shard: s, partials } => {
+                    assert_eq!(s, shard);
+                    partials
+                }
+                _ => panic!("a shard worker only sends ShardDone"),
+            }
+        };
+
+        // A wrong-dimension query (admission refuses these; the worker is
+        // the last line) makes the store's kernels panic mid-batch.
+        let wrong_dim = vec![0.25f32; shared.index.dim() / 2];
+        let partials = share_of(batch(vec![good.clone(), wrong_dim]));
+        assert_eq!(partials, vec![Vec::<Neighbor>::new(); 2]);
+        assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 1);
+
+        // The same thread serves the next batch, exactly.
+        let partials = share_of(batch(vec![good.clone()]));
+        let expected = vlite_ann::scan_lists_store(
+            &shared.store.snapshot(),
+            &good,
+            &routed.shard_probes_global[shard],
+            shared.top_k,
+        );
+        assert!(!expected.is_empty());
+        assert_eq!(partials, vec![expected]);
+        assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 1);
+
+        drop(tx);
+        worker.join().expect("worker exits cleanly on close");
+    }
 }

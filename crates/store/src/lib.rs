@@ -17,8 +17,10 @@
 //!   asymmetric tiers.
 //!
 //! [`TieredStore`] implements `vlite-ann`'s `ClusterStore` trait through
-//! generation-counted [`StoreSnapshot`]s, so the IVF scan path reads
-//! through it without knowing which tier a cluster is on, and a live
+//! generation-counted [`StoreSnapshot`]s, so `vlite_ann::scan_lists_store`
+//! (and its batch form) reads through it without knowing which tier a
+//! cluster is on. Segments hold L2 and inner-product payloads only
+//! ([`supports_metric`]). A live
 //! migration ([`TieredStore::apply_placement`]) never blocks readers: all
 //! promotion I/O happens outside the lock, the swap is one pointer store,
 //! and in-flight scans keep their snapshot's arenas alive by `Arc`.

@@ -35,24 +35,19 @@ use crate::segment::{fill_le, write_segment, Segment, StoreError};
 /// Result alias re-used from the segment layer.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// One resident full-precision cluster: its ids, its vectors as 8-row
-/// panels ([`kernel::to_panels`]; the last group zero-padded), and what
-/// the metric needs per row beside them ([`Metric::panel_norms`]).
+/// One resident full-precision cluster: its ids and its vectors as 8-row
+/// panels ([`kernel::to_panels`]; the last group zero-padded).
 #[derive(Debug)]
 struct HotCluster {
     ids: Vec<u64>,
     panels: Vec<f32>,
-    norms: Vec<f32>,
 }
 
 impl HotCluster {
     /// Promotes cluster `c` out of the segment's f32 extent.
     fn load(segment: &Segment, c: u32) -> HotCluster {
         let (ids, panels) = segment.load_cluster_panels(c);
-        let norms = segment
-            .metric()
-            .panel_norms(&kernel::kernels(), segment.dim(), &panels);
-        HotCluster { ids, panels, norms }
+        HotCluster { ids, panels }
     }
 }
 
@@ -592,10 +587,9 @@ impl StoreSnapshot {
         for rows in kernel::panel_runs(arena.ids.len()) {
             let panels = &arena.panels[rows.start * dim..rows.end * dim];
             let ids = &arena.ids[rows.start..rows.end.min(arena.ids.len())];
-            let norms = arena.norms.get(rows.clone()).unwrap_or_default();
             let dist = &mut dist[..rows.len()];
             for &qi in qis {
-                metric.score_panels(kern, queries[qi].query, panels, norms, dist);
+                metric.score_panels(kern, queries[qi].query, panels, dist);
                 tops[qi].offer(ids, &dist[..ids.len()]);
             }
         }

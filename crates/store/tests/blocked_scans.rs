@@ -49,7 +49,7 @@ proptest! {
         n_clusters in 2usize..7,
         per in 4usize..32,
         dim in 2usize..24,
-        n_queries in 2usize..6,
+        n_queries in 1usize..6,
         k in 1usize..8,
     ) {
         let clusters = sample_clusters(n_clusters, per, dim, seed);
@@ -61,12 +61,18 @@ proptest! {
         store.set_ephemeral(true);
 
         // Random per-query probe lists, deliberately overlapping (every
-        // query probes cluster 0) so blocked passes actually block.
+        // busy query probes cluster 0) so blocked passes actually block.
+        // About a third of the queries have no probes for this store, so
+        // batches of one and batches with a single busy query are covered:
+        // a server scans those through the same batch call.
         let queries: Vec<Vec<f32>> = (0..n_queries)
             .map(|_| (0..dim).map(|_| rng.random::<f32>() * 8.0).collect())
             .collect();
         let lists: Vec<Vec<u32>> = (0..n_queries)
             .map(|_| {
+                if rng.random_range(0..3) == 0 {
+                    return Vec::new();
+                }
                 let mut l: Vec<u32> = vec![0];
                 for c in 1..n_clusters as u32 {
                     if rng.random::<bool>() {
@@ -81,7 +87,13 @@ proptest! {
         let batch: Vec<BatchQuery<'_>> = (0..n_queries)
             .map(|qi| BatchQuery { query: &queries[qi], lists: &lists[qi] })
             .collect();
+        let before = store.stats().blocked_scans;
         let blocked = scan_lists_store_batch(&snap, &batch, k);
+        // A pass ticks `blocked_scans` only when ≥ 2 queries share it.
+        let shared_passes = (0..n_clusters as u32)
+            .filter(|c| lists.iter().filter(|l| l.contains(c)).count() >= 2)
+            .count() as u64;
+        prop_assert_eq!(store.stats().blocked_scans - before, shared_passes);
         for qi in 0..n_queries {
             let solo = scan_lists_store(&snap, &queries[qi], &lists[qi], k);
             prop_assert_eq!(blocked[qi].len(), solo.len(), "query {}", qi);

@@ -3,9 +3,10 @@
 //! Two scenarios on a tiny corpus:
 //! 1. Steady load meets the search SLO and serves every admitted request
 //!    through the persistent shard-worker/dispatcher pipeline, with results
-//!    identical to the single-path scan. This is the file's one *real-time*
-//!    smoke: its SLO assertions are about wall-clock behaviour, so it keeps
-//!    the wall clock and the Poisson sleeps.
+//!    identical to a single-path scan over the server's tiered store. This
+//!    is the file's one *real-time* smoke: its SLO assertions are about
+//!    wall-clock behaviour, so it keeps the wall clock and the Poisson
+//!    sleeps.
 //! 2. Rotating the workload's Zipf hot set mid-run makes observed hit
 //!    rates diverge from the estimator's expectation, which must trigger at
 //!    least one `DriftMonitor`-driven online repartition — placement
@@ -99,14 +100,17 @@ fn steady_poisson_load_meets_search_slo() {
 
 #[test]
 fn responses_match_single_path_search_exactly() {
+    // The hybrid merge (shard partials + CPU partial) must equal one
+    // single-path scan over the same tiers: every response is compared,
+    // bit for bit, with `scan_lists_store` over the server's own store and
+    // the probe list a same-seed offline deployment computes.
     let corpus = corpus();
-    // Tiering disabled: this test pins the hybrid *merge* against the
-    // full-precision single-path scan, which only holds when cold
-    // clusters are not SQ8-quantized. The tiered scan path has its own
-    // equivalence and round-trip suite in tests/tiered_serve.rs.
-    let mut storeless = config();
-    storeless.store.disabled = true;
-    let server = RagServer::start(&corpus, storeless).expect("server starts");
+    let server = RagServer::start(&corpus, config()).expect("server starts");
+    let store = server
+        .store()
+        .expect("a running server has a store")
+        .clone();
+    let generation = store.generation();
     let queries = corpus.queries(24, 41);
 
     let tickets: Vec<_> = queries
@@ -117,23 +121,33 @@ fn responses_match_single_path_search_exactly() {
         .into_iter()
         .map(|t| t.wait().expect("server alive"))
         .collect();
+    server.shutdown();
+    assert_eq!(
+        store.generation(),
+        generation,
+        "no migration may move the tiers under the comparison"
+    );
 
-    // Reconstruct the ground truth from a fresh offline deployment with the
-    // same seed/config: the hybrid merge must equal the single-path scan.
-    let deployment = vectorlite_rag::core::RealDeployment::build(&corpus, {
-        let mut real = config().real.clone();
-        real.seed = 0x7ea1;
-        real
-    })
-    .expect("builds");
+    let deployment =
+        vectorlite_rag::core::RealDeployment::build(&corpus, config().real).expect("builds");
+    let snapshot = store.snapshot();
+    let k = config().real.top_k;
+    let bits = |v: &[vectorlite_rag::ann::Neighbor]| {
+        v.iter()
+            .map(|n| (n.id, n.distance.to_bits()))
+            .collect::<Vec<_>>()
+    };
     for (qi, response) in responses.iter().enumerate() {
-        let plain = deployment.search_flat_path(queries.get(qi));
+        let q = queries.get(qi);
+        let plain =
+            vectorlite_rag::ann::scan_lists_store(&snapshot, q, &deployment.probe_global(q), k);
+        assert_eq!(plain.len(), k);
         assert_eq!(
-            response.neighbors, plain,
-            "request {qi} diverged from single-path scan"
+            bits(&response.neighbors),
+            bits(&plain),
+            "request {qi} diverged from the single-path store scan"
         );
     }
-    server.shutdown();
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Integration: the serving runtime over the physical storage tiers of
 //! `vlite-store`.
 //!
-//! Three contracts, all on the deterministic [`VirtualClock`]:
+//! Four contracts, all on the deterministic [`VirtualClock`]:
 //!
 //! 1. **Save → load → serve is bit-identical.** A server started against
 //!    an existing segment file (same corpus, same seeds, pinned coverage)
@@ -12,13 +12,15 @@
 //!    hot-swaps the router *and* orders a tier migration; the migrator
 //!    promotes/demotes cluster extents while batches keep completing —
 //!    zero snapshot waits, every request served.
-//! 3. **Tier accounting is physical.** Fast/cold probe counters and
+//! 3. **Only tierable indexes serve.** Cosine and PQ list storage are
+//!    refused at start-up instead of falling back to another scan path.
+//! 4. **Tier accounting is physical.** Fast/cold probe counters and
 //!    fast-tier residency in the report reflect where bytes actually
 //!    live, end to end through render/CSV/JSON.
 
 use std::sync::Arc;
 
-use vectorlite_rag::ann::Neighbor;
+use vectorlite_rag::ann::{AnnError, IvfConfig, ListStorage, Metric, Neighbor, PqConfig};
 use vectorlite_rag::core::{RealConfig, UpdateConfig};
 use vectorlite_rag::serve::loadgen::{run_open_loop, RotatingQuerySource};
 use vectorlite_rag::serve::{ControlConfig, RagServer, ServeConfig, VirtualClock};
@@ -179,29 +181,34 @@ fn repartition_migration_completes_while_the_dispatcher_keeps_draining() {
 }
 
 #[test]
-fn unsupported_metric_falls_back_to_in_index_lists_with_real_results() {
-    // Cosine (flat lists) cannot be SQ8-tiered: the runtime must fall
-    // back to the in-index scan path — with the index's lists intact —
-    // and still serve correct neighbors, not silently empty ones.
-    let corpus = corpus();
-    let mut config = config();
-    config.real.ivf =
-        vectorlite_rag::ann::IvfConfig::new(64).metric(vectorlite_rag::ann::Metric::Cosine);
-    let server = RagServer::start_with_clock(&corpus, config, Arc::new(VirtualClock::new()))
-        .expect("cosine server starts");
-    assert!(server.store().is_none(), "cosine cannot build a store");
-    let response = server
-        .submit(corpus.vectors.get(7).to_vec())
-        .expect("admitted")
-        .wait()
-        .expect("served");
-    assert_eq!(
-        response.neighbors.first().map(|n| n.id),
-        Some(7),
-        "a vector must still be its own nearest neighbor"
-    );
-    let report = server.shutdown();
-    assert!(report.store.is_none());
+fn non_tierable_indexes_are_refused_before_training() {
+    // Every server scans through the tiered store, which holds flat lists
+    // under L2 or inner product only. Anything else is a config error at
+    // start-up, not a second scan path. The corpus is smaller than `nlist`,
+    // so an error from training (instead of this check) would show up as
+    // `InsufficientTrainingData`.
+    let tiny = SyntheticCorpus::generate(&CorpusConfig {
+        n_vectors: 16,
+        dim: 16,
+        n_centers: 4,
+        zipf_exponent: 1.2,
+        noise: 0.25,
+        seed: 9,
+    });
+    let cosine = IvfConfig::new(64).metric(Metric::Cosine);
+    let pq = IvfConfig::new(64).storage(ListStorage::Pq(PqConfig::new(4)));
+    for (ivf, names) in [(cosine, ["Cosine", "InnerProduct"]), (pq, ["Pq", "flat"])] {
+        let mut config = config();
+        config.real.ivf = ivf;
+        let err = RagServer::start_with_clock(&tiny, config, Arc::new(VirtualClock::new()))
+            .expect_err("a non-tierable index must not start");
+        let AnnError::InvalidConfig(msg) = err else {
+            panic!("expected InvalidConfig, got {err:?}");
+        };
+        for name in names {
+            assert!(msg.contains(name), "{msg:?} does not name {name}");
+        }
+    }
 }
 
 #[test]
