@@ -135,7 +135,7 @@ pub fn rules() -> &'static [Rule] {
                 ),
                 (
                     "crates/metrics/src/cputime.rs",
-                    "the profiler's audited unsafe surface: raw clock_gettime/gettid syscalls \
+                    "the profiler's audited unsafe surface: the raw clock_gettime syscall \
                      behind a safe facade, mirroring the mmap shim",
                 ),
             ],

@@ -484,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_lets_early_queries_finish_before_batch_end() {
+    fn dynamic_dispatcher_lets_early_queries_finish_before_batch_end() {
         // Zero coverage exercises the dispatcher's CPU loop in isolation:
         // every query completes at its own prefix offset, with no shared
         // GPU completion flag to ride on. (With substantial coverage all
@@ -518,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_improves_mean_completion() {
+    fn dynamic_dispatcher_improves_mean_completion() {
         let mut on = engine_for(SystemKind::VectorLite, true);
         let mut off = engine_for(SystemKind::VectorLite, false);
         let mean = |plan: &BatchPlan| {

@@ -1,13 +1,13 @@
-//! Per-thread CPU-time clocks without `libc`: raw `clock_gettime(2)`.
+//! The calling thread's CPU-time clock without `libc`: raw
+//! `clock_gettime(2)`.
 //!
-//! The profiler needs two readings the standard library does not expose:
-//! the calling thread's own CPU time (`CLOCK_THREAD_CPUTIME_ID`) and the
-//! CPU time of *another* thread identified by its kernel tid (Linux's
-//! dynamic per-thread clockids). The offline workspace has no crates.io
-//! access, so — exactly like the mmap shim in `vlite-store` — this module
-//! issues the raw syscalls itself on Linux x86_64/aarch64 and degrades to
-//! "no reading" everywhere else. Callers treat a zero/`None` reading as
-//! "CPU time unavailable", never as an error.
+//! The profiler needs one reading the standard library does not expose:
+//! the calling thread's own CPU time (`CLOCK_THREAD_CPUTIME_ID`). The
+//! offline workspace has no crates.io access, so — exactly like the mmap
+//! shim in `vlite-store` — this module issues the raw syscall itself on
+//! Linux x86_64/aarch64 and degrades to "no reading" everywhere else.
+//! Callers treat a zero reading as "CPU time unavailable", never as an
+//! error.
 //!
 //! CPU-time clocks are *real* even when the serving runtime runs on a
 //! `VirtualClock`: virtual time pins wall-clock determinism while the CPU
@@ -34,46 +34,6 @@ pub fn self_cpu_nanos() -> u64 {
     }
 }
 
-/// The calling thread's kernel thread id, for registering with a sampler
-/// that reads its CPU clock from outside. `None` where unsupported.
-pub fn current_tid() -> Option<u32> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        sys::current_tid()
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        None
-    }
-}
-
-/// CPU time consumed by the thread with kernel id `tid`, in nanoseconds.
-/// `None` where unsupported or once the thread has exited (the dynamic
-/// clockid stops resolving) — samplers skip such workers.
-pub fn thread_cpu_nanos(tid: u32) -> Option<u64> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        sys::thread_cpu_nanos(tid)
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = tid;
-        None
-    }
-}
-
 /// Whether this platform reports thread CPU time at all.
 pub fn supported() -> bool {
     cfg!(all(
@@ -82,7 +42,7 @@ pub fn supported() -> bool {
     ))
 }
 
-/// Raw Linux syscalls — this crate's entire unsafe surface.
+/// The raw Linux syscall — this crate's entire unsafe surface.
 #[cfg(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
@@ -91,12 +51,8 @@ pub fn supported() -> bool {
 mod sys {
     #[cfg(target_arch = "x86_64")]
     const SYS_CLOCK_GETTIME: usize = 228;
-    #[cfg(target_arch = "x86_64")]
-    const SYS_GETTID: usize = 186;
     #[cfg(target_arch = "aarch64")]
     const SYS_CLOCK_GETTIME: usize = 113;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_GETTID: usize = 178;
 
     /// The calling thread's own CPU-time clock (`<time.h>`'s
     /// `CLOCK_THREAD_CPUTIME_ID`).
@@ -110,29 +66,6 @@ mod sys {
     }
 
     pub fn self_cpu_nanos() -> Option<u64> {
-        clock_nanos(CLOCK_THREAD_CPUTIME_ID)
-    }
-
-    pub fn thread_cpu_nanos(tid: u32) -> Option<u64> {
-        // Linux encodes "thread `tid`'s scheduler CPU clock" as a dynamic
-        // clockid: ((~tid) << 3) | CPUCLOCK_SCHED(2) | CPUCLOCK_PERTHREAD(4).
-        #[allow(clippy::cast_possible_wrap)]
-        let clockid = (!(tid as i32) << 3) | 6;
-        clock_nanos(clockid)
-    }
-
-    pub fn current_tid() -> Option<u32> {
-        // SAFETY: gettid(2) takes no arguments, writes nothing, and cannot
-        // fault; it only returns the caller's kernel thread id.
-        let ret = unsafe { syscall2(SYS_GETTID, 0, 0) };
-        let signed = ret as isize;
-        if signed < 0 {
-            return None;
-        }
-        u32::try_from(ret).ok()
-    }
-
-    fn clock_nanos(clockid: i32) -> Option<u64> {
         let mut ts = Timespec {
             tv_sec: 0,
             tv_nsec: 0,
@@ -143,14 +76,12 @@ mod sys {
         let ret = unsafe {
             syscall2(
                 SYS_CLOCK_GETTIME,
-                clockid as isize as usize,
+                CLOCK_THREAD_CPUTIME_ID as isize as usize,
                 std::ptr::addr_of_mut!(ts) as usize,
             )
         };
         let signed = ret as isize;
-        // The kernel reports errors as -errno in [-4095, -1] (e.g. EINVAL
-        // once the target thread has exited and its clockid stops
-        // resolving).
+        // The kernel reports errors as -errno in [-4095, -1].
         if (-4095..0).contains(&signed) {
             return None;
         }
@@ -236,46 +167,5 @@ mod tests {
             after > before,
             "2M multiply-adds must consume measurable CPU time ({before} -> {after})"
         );
-    }
-
-    #[test]
-    fn own_tid_resolves_through_the_dynamic_clockid() {
-        if !supported() {
-            assert!(current_tid().is_none());
-            return;
-        }
-        let tid = current_tid().expect("linux reports a tid");
-        let sink = burn(500_000);
-        assert!(sink != 0);
-        let via_tid = thread_cpu_nanos(tid).expect("own tid resolves");
-        let direct = self_cpu_nanos();
-        // Both clocks observe the same thread; the direct reading was taken
-        // after, so it can only be ahead.
-        assert!(
-            direct + 1_000_000 >= via_tid,
-            "direct {direct} vs via-tid {via_tid}"
-        );
-        assert!(via_tid > 0, "the dynamic clockid must report consumed CPU");
-    }
-
-    #[test]
-    fn another_threads_clock_is_readable_while_it_runs() {
-        if !supported() {
-            return;
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            tx.send(current_tid().expect("worker tid")).expect("send");
-            let sink = burn(2_000_000);
-            done_rx.recv().expect("release");
-            sink
-        });
-        let tid = rx.recv().expect("worker reports its tid");
-        // The worker is alive (blocked on done_rx), so its clock resolves.
-        let reading = thread_cpu_nanos(tid);
-        assert!(reading.is_some(), "a live thread's CPU clock must resolve");
-        done_tx.send(()).expect("release worker");
-        assert!(worker.join().expect("worker joins") != 0);
     }
 }

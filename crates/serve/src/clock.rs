@@ -26,14 +26,6 @@ pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Returns once the clock has reached `deadline`: blocks on the wall
     /// clock, or advances virtual time immediately.
     fn sleep_until(&self, deadline: SimTime);
-
-    /// Whether `sleep_until` advances time instead of blocking. Periodic
-    /// background work that paces itself by sleeping (the sampling
-    /// profiler) must not run on a virtual clock — its sleeps would fast-
-    /// forward the scripted timeline out from under the test.
-    fn is_virtual(&self) -> bool {
-        false
-    }
 }
 
 /// Wall-clock [`Clock`]: `now` is the time since construction, and
@@ -123,10 +115,6 @@ impl Clock for VirtualClock {
         // Monotonic step: never move backwards when another thread has
         // already advanced past the deadline.
         self.nanos.fetch_max(deadline.as_nanos(), Ordering::SeqCst);
-    }
-
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 

@@ -119,8 +119,9 @@ impl GenerationConfig {
     }
 
     /// Panics unless the config is servable: positive token counts, a
-    /// finite positive TTFT SLO, and a KV pool that fits the worst-case
-    /// request (`top_k` retrieved docs plus the full output).
+    /// finite positive TTFT SLO, a positive running-batch cap, and a KV
+    /// pool that fits the worst-case request (`top_k` retrieved docs plus
+    /// the full output).
     pub(crate) fn validate(&self, top_k: usize) {
         assert!(self.output_tokens > 0, "output_tokens must be positive");
         assert!(
@@ -128,6 +129,7 @@ impl GenerationConfig {
             "slo_ttft must be positive and finite"
         );
         assert!(self.interference >= 1.0, "interference must be >= 1.0");
+        assert!(self.max_batch > 0, "max_batch must be positive");
         let worst = self.prompt_tokens(top_k).max(1) + self.output_tokens;
         // Size the check with the engine's own allocator so this start-time
         // assert can never drift from the submit-time one inside the worker.
@@ -231,7 +233,7 @@ impl DeadlinePolicy {
 /// marks hot become resident full-precision arenas, cold clusters live in
 /// the segment file's mmap'd SQ8 extents, and a background migrator moves
 /// cluster extents between tiers on every online repartition without
-/// stalling the dispatcher. The index therefore needs flat list storage
+/// stalling the scans. The index therefore needs flat list storage
 /// under L2 or inner product ([`RagServer::start`](crate::RagServer::start)
 /// refuses anything else).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -264,14 +266,13 @@ impl StoreConfig {
 }
 
 /// Causal-tracing, profiling and alerting knobs
-/// ([`TracePlane`](crate::trace::TracePlane)). Store capacities, the
-/// sampler period and the watchdog's windows and thresholds are constants
-/// in [`crate::trace`].
+/// ([`TracePlane`](crate::trace::TracePlane)). Store capacities and the
+/// watchdog's windows and thresholds are constants in [`crate::trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Master switch, and the gate on per-request capture. When `false` no
-    /// spans are recorded (`/v1/traces` lists nothing), no profiler thread
-    /// is spawned and the watchdog never fires; the trace/profile/alerts
+    /// spans are recorded (`/v1/traces` lists nothing), no stage section
+    /// is timed and the watchdog never fires; the trace/profile/alerts
     /// endpoints answer with empty bodies.
     pub enabled: bool,
     /// Attainment target the burn-rate watchdog holds every SLO signal
@@ -378,7 +379,7 @@ pub struct ServeConfig {
     pub obs: crate::obs::ObsConfig,
     /// Causal-tracing configuration (on by default): the per-request span
     /// trees behind `GET /v1/traces` and `GET /v1/trace/{id}`, the
-    /// per-stage sampling profiler behind `GET /v1/profile`, and the SLO
+    /// per-stage section profile behind `GET /v1/profile`, and the SLO
     /// burn-rate watchdog behind `GET /v1/alerts`.
     pub trace: TraceConfig,
 }

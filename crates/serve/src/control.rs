@@ -1,6 +1,6 @@
 //! The online control loop (§IV-B3 at runtime).
 //!
-//! The dispatcher streams one [`Observation`] per completed request into
+//! The batcher streams one [`Observation`] per completed request into
 //! this loop: the request's cache hit rate under the placement that served
 //! it, whether the search stage met its SLO, and the query's global probe
 //! set. One windowed [`DriftMonitor`] *per tenant* watches attainment and
@@ -136,7 +136,8 @@ impl ControlLoop {
         }
     }
 
-    /// Consumes observations until every dispatcher-side sender is gone.
+    /// Consumes observations until every sender (the batcher and the
+    /// generation worker) is gone.
     pub fn run(mut self, rx: Receiver<Observation>) {
         while let Ok(obs) = rx.recv() {
             self.observe(obs);
@@ -316,14 +317,9 @@ pub(crate) mod tests {
         )
     }
 
-    /// [`harness`] with an explicit deadline policy — the admission-shed
-    /// tests need `enforce` on, which the default policy keeps off.
-    fn harness_with_deadline(
-        cooldown: usize,
-        window: usize,
-        n_tenants: usize,
-        deadline: crate::config::DeadlinePolicy,
-    ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
+    /// A tiny two-shard deployment at 30 % coverage (32 lists over 2 000
+    /// eight-dimensional vectors).
+    pub(crate) fn tiny_deployment() -> RealDeployment {
         let corpus = SyntheticCorpus::generate(&CorpusConfig {
             n_vectors: 2_000,
             dim: 8,
@@ -336,7 +332,19 @@ pub(crate) mod tests {
         real.ivf = vlite_ann::IvfConfig::new(32);
         real.n_shards = 2;
         real.coverage_override = Some(0.3);
-        let mut deployment = RealDeployment::build(&corpus, real.clone()).expect("builds");
+        RealDeployment::build(&corpus, real).expect("builds")
+    }
+
+    /// [`harness`] with an explicit deadline policy — the admission-shed
+    /// tests need `enforce` on, which the default policy keeps off.
+    fn harness_with_deadline(
+        cooldown: usize,
+        window: usize,
+        n_tenants: usize,
+        deadline: crate::config::DeadlinePolicy,
+    ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
+        let mut deployment = tiny_deployment();
+        let real = deployment.config.clone();
         let store = crate::server::open_store(&mut deployment, &StoreConfig::default());
         let RealDeployment {
             index,

@@ -1,18 +1,12 @@
-//! The threaded dynamic dispatcher (§IV-B2), one-shot form.
+//! The hybrid dispatcher (§IV-B2), one-shot form.
 //!
-//! Moved here from `vlite-core`'s `real.rs` prototype: shard ("GPU")
-//! workers scan their pruned probe lists for the whole batch and raise
-//! completion flags; the CPU worker scans cold probes query-by-query and
-//! pushes each finished query into a channel; the dispatcher waits for all
-//! shard flags, then merges and re-ranks each query as it arrives,
-//! recording completion order. [`RagServer`](crate::RagServer) runs the
-//! same structure with *persistent* workers; this free-standing form serves
-//! ad-hoc batches against a [`RealDeployment`] without spinning up the full
-//! runtime.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crossbeam::channel;
+//! Moved here from `vlite-core`'s `real.rs` prototype: one scoped worker
+//! per shard ("GPU") scans its pruned probe lists for the whole batch, one
+//! more scans the cold probes, each returns its partials through its join
+//! handle, and the caller merges and re-ranks every query.
+//! [`RagServer`](crate::RagServer) runs the same fan-out and gather with
+//! *persistent* workers; this free-standing form serves ad-hoc batches
+//! against a [`RealDeployment`] without spinning up the full runtime.
 
 use vlite_ann::{merge_sorted, Neighbor, VecSet};
 use vlite_core::{RealDeployment, RoutedQuery};
@@ -22,17 +16,14 @@ use vlite_core::{RealDeployment, RoutedQuery};
 pub struct DispatchOutcome {
     /// Final merged top-k per query (input order).
     pub results: Vec<Vec<Neighbor>>,
-    /// Query indices in dispatcher completion order.
-    pub completion_order: Vec<usize>,
 }
 
-/// Hybrid batched search through the threaded dispatcher against a built
-/// deployment. Returns the final top-k per query plus the completion order
-/// observed by the dispatcher.
+/// Hybrid batched search through the one-shot dispatcher against a built
+/// deployment. Returns the final top-k per query.
 ///
 /// # Panics
 ///
-/// Panics if `queries` is empty.
+/// Panics if `queries` is empty, and as [`run_dispatcher`].
 pub fn hybrid_search_batch(deployment: &RealDeployment, queries: &VecSet) -> DispatchOutcome {
     assert!(!queries.is_empty(), "batch must be non-empty");
     let routed: Vec<RoutedQuery> = queries
@@ -42,93 +33,64 @@ pub fn hybrid_search_batch(deployment: &RealDeployment, queries: &VecSet) -> Dis
     run_dispatcher(&deployment.index, queries, &routed, deployment.config.top_k)
 }
 
-/// Runs one batch through shard workers + CPU worker + dispatcher thread.
+/// Runs one batch through `n_shards + 1` scoped scan workers — one per
+/// shard, then one for the cold probes — and merges their partials.
 ///
 /// Scans use *global* cluster ids (`shard_probes_global`), so the result is
 /// identical to a single-path scan of the union probe list — routing only
 /// changes who scans what, never what is scanned.
+///
+/// # Panics
+///
+/// Re-raises the panic of a worker whose scan panicked, once every worker
+/// has finished.
 pub fn run_dispatcher(
     index: &vlite_ann::IvfIndex,
     queries: &VecSet,
     routed: &[RoutedQuery],
     k: usize,
 ) -> DispatchOutcome {
-    let n_queries = queries.len();
     let n_shards = routed.first().map_or(0, |r| r.shard_probes.len());
-    let shard_flags: Vec<AtomicBool> = (0..n_shards).map(|_| AtomicBool::new(false)).collect();
-    // vlite-allow(bounded-queues): one message per shard per batch; the
-    // fan-in is bounded by the shard count.
-    let (shard_tx, shard_rx) = channel::unbounded::<(usize, Vec<Vec<Neighbor>>)>();
-    // vlite-allow(bounded-queues): one message per query in the batch.
-    let (cpu_tx, cpu_rx) = channel::unbounded::<(usize, Vec<Neighbor>)>();
-
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n_queries];
-    let mut completion_order: Vec<usize> = Vec::with_capacity(n_queries);
-
-    std::thread::scope(|scope| {
-        // Shard ("GPU") workers: scan all queries' pruned lists, publish the
-        // partials, raise the completion flag.
-        for shard in 0..n_shards {
-            let tx = shard_tx.clone();
-            let flags = &shard_flags;
-            scope.spawn(move || {
-                let mut partials: Vec<Vec<Neighbor>> = vec![Vec::new(); n_queries];
-                for (qi, out) in partials.iter_mut().enumerate() {
-                    let lists = &routed[qi].shard_probes_global[shard];
-                    if !lists.is_empty() {
-                        *out = index.scan_lists(queries.get(qi), lists, k);
-                    }
-                }
-                flags[shard].store(true, Ordering::Release);
-                // A closed channel means the dispatcher is gone; exiting
-                // quietly beats panicking a scoped worker.
-                let _ = tx.send((shard, partials));
-            });
-        }
-        drop(shard_tx);
-        // CPU worker: query-by-query cold scan with completion callback.
-        scope.spawn(move || {
-            for (qi, r) in routed.iter().enumerate() {
-                let partial = if r.cpu_probes.is_empty() {
-                    Vec::new()
-                } else {
-                    index.scan_lists(queries.get(qi), &r.cpu_probes, k)
-                };
-                // The callback: the query has scanned all assigned clusters.
-                if cpu_tx.send((qi, partial)).is_err() {
-                    return; // dispatcher gone; nothing left to report to
-                }
-            }
-            drop(cpu_tx);
-        });
-        // Dispatcher: wait for all GPU flags (collecting the partials), then
-        // poll the CPU completion queue, merging and re-ranking per query.
-        let mut shard_partials: Vec<Vec<Vec<Neighbor>>> =
-            vec![vec![Vec::new(); n_queries]; n_shards];
-        for _ in 0..n_shards {
-            // A worker that died without sending surfaces as Err here; the
-            // batch degrades to the partials that did arrive, and the
-            // scope join below still propagates the worker's panic.
-            let Ok((shard, partials)) = shard_rx.recv() else {
-                break;
-            };
-            debug_assert!(shard_flags[shard].load(Ordering::Acquire));
-            shard_partials[shard] = partials;
-        }
-        while let Ok((qi, cpu_partial)) = cpu_rx.recv() {
-            let mut lists: Vec<Vec<Neighbor>> = vec![cpu_partial];
-            for partials in &shard_partials {
-                lists.push(partials[qi].clone());
-            }
-            results[qi] = merge_sorted(&lists, k);
-            completion_order.push(qi);
-        }
+    let mut shares: Vec<Vec<Vec<Neighbor>>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..=n_shards)
+            .map(|worker| {
+                scope.spawn(move || {
+                    (0..queries.len())
+                        .map(|qi| {
+                            let lists = if worker < n_shards {
+                                &routed[qi].shard_probes_global[worker]
+                            } else {
+                                &routed[qi].cpu_probes
+                            };
+                            if lists.is_empty() {
+                                Vec::new()
+                            } else {
+                                index.scan_lists(queries.get(qi), lists, k)
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-
-    DispatchOutcome {
-        results,
-        completion_order,
-    }
+    let results = (0..queries.len())
+        .map(|qi| {
+            let lists: Vec<Vec<Neighbor>> = shares
+                .iter_mut()
+                .map(|share| std::mem::take(&mut share[qi]))
+                .collect();
+            merge_sorted(&lists, k)
+        })
+        .collect();
+    DispatchOutcome { results }
 }
 
 #[cfg(test)]
@@ -160,6 +122,7 @@ mod tests {
         let d = deployment();
         let queries = corpus().queries(12, 77);
         let outcome = hybrid_search_batch(&d, &queries);
+        assert_eq!(outcome.results.len(), queries.len());
         for (qi, q) in queries.iter().enumerate() {
             let plain = d.search_flat_path(q);
             assert_eq!(outcome.results[qi], plain, "query {qi} diverged");
@@ -167,12 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn dispatcher_completes_every_query_exactly_once() {
+    #[should_panic(expected = "wrong dimensionality")]
+    fn a_panicking_worker_propagates_out_of_the_dispatcher() {
         let d = deployment();
-        let queries = corpus().queries(9, 31);
-        let outcome = hybrid_search_batch(&d, &queries);
-        let mut order = outcome.completion_order.clone();
-        order.sort_unstable();
-        assert_eq!(order, (0..9).collect::<Vec<_>>());
+        let good = corpus().queries(1, 31);
+        let routed = vec![d.router.route(&d.probe_global(good.get(0)))];
+        let mut wrong_dim = VecSet::with_capacity(d.index.dim() / 2, 1);
+        wrong_dim.push(&good.get(0)[..d.index.dim() / 2]);
+        run_dispatcher(&d.index, &wrong_dim, &routed, d.config.top_k);
     }
 }

@@ -1,7 +1,7 @@
 //! The retrieval → generation bridge (end-to-end co-scheduling).
 //!
 //! When a [`GenerationConfig`](crate::GenerationConfig) is set, the
-//! dispatcher forwards every merged retrieval result to a dedicated
+//! batcher forwards every merged retrieval result to a dedicated
 //! generation worker thread instead of replying directly. The worker
 //! assembles the prompt (base tokens plus a per-retrieved-document token
 //! cost), submits it to a [`LlmEngine`] and steps the engine against the
@@ -328,7 +328,7 @@ impl GenerationStage {
     }
 }
 
-/// One merged retrieval travelling from the dispatcher to the generation
+/// One merged retrieval travelling from the batcher to the generation
 /// worker.
 pub(crate) struct GenWork {
     pub id: u64,
@@ -344,7 +344,7 @@ pub(crate) struct GenWork {
     /// The trace id of the batch span the request's search rode, when
     /// tracing is enabled.
     pub batch_trace: Option<u128>,
-    /// Queue/search phases measured by the dispatcher, in seconds.
+    /// Queue/search phases measured by the batcher, in seconds.
     pub queue: f64,
     pub search: f64,
     /// Merge instant (generation-stage arrival).
@@ -352,7 +352,7 @@ pub(crate) struct GenWork {
     pub reply: Sender<SearchResponse>,
     /// Global probe set, forwarded with the TTFT-keyed observation when
     /// the control loop is keyed off TTFT (`None` otherwise — the
-    /// dispatcher already sent the search-keyed observation).
+    /// batcher already sent the search-keyed observation).
     pub probes: Option<Vec<u32>>,
 }
 
@@ -409,7 +409,6 @@ pub(crate) fn generation_worker(
     rx: &Receiver<GenWork>,
     control_tx: &Sender<Observation>,
 ) {
-    shared.trace.register_worker(STAGE_GENERATION);
     let mut stage = GenerationStage::new(config);
     let mut pending: HashMap<u64, PendingGen> = HashMap::new();
     let mut closed = false;
@@ -526,7 +525,7 @@ fn admit(
 /// deadline-aware): serve its retrieval results immediately (no generation
 /// phases) and account it as a TTFT miss — a shed — against its tenant.
 ///
-/// The shed instant is the merge instant the dispatcher stamped, so the
+/// The shed instant is the merge instant the batcher stamped, so the
 /// response's timings are deterministic under a virtual clock regardless
 /// of when this worker thread got scheduled.
 fn shed(shared: &Shared, control_tx: &Sender<Observation>, mut work: GenWork, cause: ShedCause) {

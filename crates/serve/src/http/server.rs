@@ -8,7 +8,7 @@
 //! | `GET /v1/metrics` | [`RagServer::prometheus_text`] + frontend uptime, as Prometheus text exposition |
 //! | `GET /v1/traces` | the recent + slow finished requests, listed from the span store's `request` roots (each entry carries its `trace_id`) |
 //! | `GET /v1/trace/{id}` | drill-down: one trace's causal span tree plus the traces it links (`?format=chrome` for a `chrome://tracing` export) |
-//! | `GET /v1/profile` | per-stage wall vs CPU profile + collapsed sampler stacks |
+//! | `GET /v1/profile` | per-stage wall vs CPU profile + collapsed stacks weighted by section CPU |
 //! | `GET /v1/alerts` | SLO burn-rate watchdog states per signal |
 //! | `GET /v1/events` | the unified event journal as JSON (`?severity=` to filter) |
 //! | `GET /v1/tenants` | the tenant table |
@@ -39,7 +39,7 @@ use crate::obs::Severity;
 use crate::report::ServeReport;
 use crate::request::{AdmissionError, TenantId, Ticket};
 use crate::server::RagServer;
-use crate::trace::{format_traceparent, parse_traceparent, STAGE_ACCEPTOR};
+use crate::trace::{format_traceparent, parse_traceparent};
 
 /// How often a blocked connection read re-checks the shutdown flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
@@ -174,7 +174,6 @@ impl Drop for HttpFrontend {
 }
 
 fn acceptor(listener: &TcpListener, inner: &Arc<FrontendInner>) {
-    inner.server.trace_plane().register_worker(STAGE_ACCEPTOR);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {

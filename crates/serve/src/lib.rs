@@ -16,17 +16,17 @@
 //!                 └──┬─────────────┬───────┘
 //!          pruned    ▼             ▼  cold probes
 //!        ┌──────────────┐   ┌──────────────┐
-//!        │ shard workers│   │ CPU scan pool│  (per-query completion
-//!        │ ("GPUs")     │   │              │   callbacks)
+//!        │ shard workers│   │ CPU scan     │
+//!        │ ("GPUs")     │   │ worker       │
 //!        └──────┬───────┘   └──────┬───────┘
 //!               │ every scan reads through a vlite-store StoreSnapshot,
 //!               │ one blocked batch call per worker per batch:
 //!               │ hot = resident f32 arenas, cold = mmap'd SQ8 extents,
 //!               │ tiers moved live by the migrator thread on repartition
-//!               ▼                  ▼
+//!               ▼ one share per worker per batch
 //!        ┌────────────────────────────────┐
-//!        │ dispatcher: merge partials,    │──▶ per-request latencies,
-//!        │ forward early finishers        │    SLO bookkeeping
+//!        │ batcher: gather every share,   │──▶ per-request latencies,
+//!        │ merge + deliver each query     │    SLO bookkeeping
 //!        └──────┬───────┬─────────────────┘
 //!               │       ▼ merged retrievals (co-scheduled servers)
 //!               │  ┌────────────────────────────────┐
@@ -58,8 +58,10 @@
 //!   TTFT SLO, and the [`GenerationStage`](generation::GenerationStage)
 //!   state machine the worker thread drives.
 //! - [`run_dispatcher`] / [`hybrid_search_batch`] — the one-shot batch
-//!   dispatcher (moved here from `vlite-core`'s prototype in `real.rs`),
-//!   reused by the persistent runtime.
+//!   dispatcher (moved here from `vlite-core`'s prototype in `real.rs`):
+//!   one scoped thread per shard plus one for the cold probes, merged by
+//!   the caller — the same fan-out and gather the runtime's batcher runs
+//!   over persistent workers.
 //! - [`http`] — the hand-rolled HTTP/1.1 network frontend
 //!   ([`HttpFrontend`]): `POST /v1/search` (with an `X-Tenant` header),
 //!   `GET /v1/report`, `GET /v1/metrics` (Prometheus text exposition),

@@ -55,10 +55,10 @@ pub struct MigrationEvent {
     pub bytes_promoted: u64,
     /// Resident bytes released back to the cold tier.
     pub bytes_demoted: u64,
-    /// Dispatcher batches completed when the migration began.
+    /// Batches the batcher had completed when the migration began.
     pub batches_before: u64,
-    /// Dispatcher batches completed when the migration finished — the gap
-    /// to `batches_before` shows the engine kept draining throughout.
+    /// Batches the batcher had completed when the migration finished — the
+    /// gap to `batches_before` shows the engine kept draining throughout.
     pub batches_after: u64,
     /// Clock duration of the promotion I/O + swap.
     pub duration: Duration,
@@ -67,7 +67,6 @@ pub struct MigrationEvent {
 /// The migrator thread: applies tier shifts as repartitions install new
 /// placements. Exits when the control loop drops its order sender.
 pub(crate) fn migrator_worker(shared: &Arc<Shared>, rx: &Receiver<MigrationOrder>) {
-    shared.trace.register_worker(STAGE_MIGRATE);
     let store = &shared.store;
     while let Ok(order) = rx.recv() {
         let started = shared.clock.now();

@@ -10,7 +10,7 @@
 //!
 //! - [`ObsPlane`] — sharded atomic counters and log-bucketed streaming
 //!   histograms for every pipeline stage (plus a per-tenant slice of the
-//!   retrieval stages and TTFT), recorded by the dispatcher, generation
+//!   retrieval stages and TTFT), recorded by the batcher, generation
 //!   worker and admission path without taking any lock. Counts, sums,
 //!   minima and maxima are exact; percentiles are bucket upper bounds
 //!   (at most [`StreamingHistogram::relative_error_bound`] high).

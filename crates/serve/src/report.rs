@@ -224,7 +224,7 @@ pub struct ServeReport {
     /// Budget-burn ratio (generation seconds / budget seconds).
     pub burn_gen: Summary,
     /// Per-stage wall vs CPU profile from the trace plane's stage timers
-    /// and sampling profiler (empty when tracing is disabled).
+    /// (empty when tracing is disabled).
     pub profile: Vec<StageProfile>,
 }
 
@@ -407,15 +407,10 @@ impl ServeReport {
         }
         out.push_str(&latencies.render());
 
-        let active_stages: Vec<&StageProfile> = self
-            .profile
-            .iter()
-            .filter(|p| p.sections > 0 || p.samples > 0)
-            .collect();
+        let active_stages: Vec<&StageProfile> =
+            self.profile.iter().filter(|p| p.sections > 0).collect();
         if !active_stages.is_empty() {
-            let mut prof = Table::new(vec![
-                "stage", "wall", "cpu", "stall", "sections", "sampled", "samples",
-            ]);
+            let mut prof = Table::new(vec!["stage", "wall", "cpu", "stall", "sections"]);
             for p in active_stages {
                 prof.row(vec![
                     p.stage.to_string(),
@@ -423,8 +418,6 @@ impl ServeReport {
                     fmt_seconds(p.cpu_s),
                     fmt_seconds(p.stall_s),
                     p.sections.to_string(),
-                    fmt_seconds(p.sampled_cpu_s),
-                    p.samples.to_string(),
                 ]);
             }
             out.push('\n');
@@ -812,8 +805,6 @@ impl ServeReport {
                                 ("cpu_s".into(), Json::Num(p.cpu_s)),
                                 ("stall_s".into(), Json::Num(p.stall_s)),
                                 ("sections".into(), Json::Num(p.sections as f64)),
-                                ("sampled_cpu_s".into(), Json::Num(p.sampled_cpu_s)),
-                                ("samples".into(), Json::Num(p.samples as f64)),
                             ])
                         })
                         .collect(),

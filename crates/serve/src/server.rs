@@ -1,12 +1,16 @@
-//! The long-lived serving runtime: admission → batcher → shard workers +
-//! CPU scan worker → dispatcher → control loop.
+//! The long-lived serving runtime: admission → batcher → scan workers (one
+//! per shard plus the CPU worker) → batcher merge → control loop.
 //!
-//! This generalizes the one-shot dispatcher prototype (`dispatch.rs`,
-//! formerly `vlite-core`'s `real.rs`) into persistent threads coordinated
-//! through channels. One batch is in flight at a time — the paper's
-//! on-demand batching: the batcher launches the moment the engine goes
-//! idle, absorbing everything queued (§VI-B) — while admission, response
-//! delivery and the control loop all run concurrently with the scan.
+//! This generalizes the one-shot dispatcher (`dispatch.rs`, formerly
+//! `vlite-core`'s `real.rs`) into persistent threads coordinated through
+//! channels. One batch is in flight at a time — the paper's on-demand
+//! batching: the batcher launches the moment the engine goes idle,
+//! absorbing everything queued (§VI-B). It fans the batch out, gathers
+//! exactly one share from each scan worker, then merges, records and
+//! replies for every query in batch order. A batch's queries therefore
+//! finish together: the cold scan is one blocked pass over the whole
+//! batch, so no query's CPU share is done before another's. Admission,
+//! generation and the control loop run concurrently with the scan.
 //!
 //! Admission is multi-tenant: each tenant owns a bounded queue
 //! ([`TenantSpec::queue_capacity`](crate::TenantSpec)) and the batcher
@@ -14,6 +18,7 @@
 //! fills (and sheds from) its own queue while other tenants keep their
 //! weighted share of every batch.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -26,7 +31,7 @@ use vlite_ann::{
 };
 use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
 use vlite_sim::{SimDuration, SimTime};
-use vlite_store::{StoreSnapshot, TieredStore};
+use vlite_store::TieredStore;
 use vlite_workload::SyntheticCorpus;
 
 use crate::clock::{Clock, RealClock};
@@ -43,15 +48,14 @@ use crate::queue::AdmissionQueue;
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
-    AlertLevel, BatchCtx, TraceId, TracePlane, SAMPLE_INTERVAL_S, SIG_DEADLINE, SIG_SEARCH,
-    SIG_TTFT, STAGE_BATCHER, STAGE_CONTROL, STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
+    AlertLevel, BatchCtx, TraceId, TracePlane, SIG_DEADLINE, SIG_SEARCH, SIG_TTFT, STAGE_BATCHER,
+    STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
 };
 
-/// One batch travelling from the batcher to the workers and dispatcher.
+/// One batch travelling from the batcher to the scan workers.
 struct BatchWork {
     jobs: Vec<Job>,
     routed: Vec<RoutedQuery>,
-    k: usize,
     started: SimTime,
     generation: u64,
     /// The shared batch span every member's trace links to (`None` when
@@ -59,19 +63,16 @@ struct BatchWork {
     trace: Option<BatchCtx>,
 }
 
-/// Everything the worker threads see through the dispatcher channel.
-enum DispatchMsg {
-    /// A new batch was launched (always arrives before any completion for
-    /// that batch: the batcher enqueues it before handing work out).
-    Launch(Arc<BatchWork>),
-    /// One shard worker finished its pruned scans for the whole batch.
-    ShardDone {
-        shard: usize,
-        partials: Vec<Vec<Neighbor>>,
-    },
-    /// The CPU worker finished one query's cold probes (per-query
-    /// completion callback).
-    CpuDone { qi: usize, partial: Vec<Neighbor> },
+/// One scan worker's share of a batch: the worker's index and one partial
+/// top-k per query, in batch order.
+type Share = (usize, Vec<Vec<Neighbor>>);
+
+/// The batcher's handles on the scan workers: one work channel per worker
+/// (shards first, the CPU worker last) and the channel their shares come
+/// back on.
+struct ScanPool {
+    work: Vec<Sender<Arc<BatchWork>>>,
+    done: Receiver<Share>,
 }
 
 /// Why a request ended without full service — one rung of the deadline
@@ -518,9 +519,9 @@ impl RagServer {
     /// an index that is not flat list storage under L2 or inner product,
     /// which [`RagServer::start`] refuses up front — if the deployment has
     /// no shards, if the tenant table is invalid (zero weight or
-    /// capacity), if the generation config cannot fit its worst-case
-    /// request in KV, or if the control loop is keyed off TTFT without a
-    /// generation stage.
+    /// capacity), if the generation config has a zero batch cap or cannot
+    /// fit its worst-case request in KV, or if the control loop is keyed
+    /// off TTFT without a generation stage.
     pub fn from_deployment_with_clock(
         mut deployment: RealDeployment,
         config: ServeConfig,
@@ -547,7 +548,7 @@ impl RagServer {
             "TTFT-keyed control observations require a generation stage"
         );
         // Expected mean hit rate, measured with the *same statistic* the
-        // dispatcher will observe (per-query GPU-probe fraction over the
+        // batcher will observe (per-query GPU-probe fraction over the
         // calibration probe sets) — the estimator's modeled mean is
         // access-weighted and systematically biased against it, which would
         // make the drift monitor's divergence trigger fire without drift.
@@ -586,51 +587,12 @@ impl RagServer {
             deadline: config.deadline.clone(),
         });
 
-        // Channel topology. Dispatcher ingress is shared by the batcher
-        // (Launch) and every worker (completions); per-worker work channels
-        // carry Arc'd batches.
-        // vlite-allow(bounded-queues): depth is capped by the admission
-        // queue's per-tenant lanes — only admitted jobs generate messages.
-        let (dispatch_tx, dispatch_rx) = channel::unbounded::<DispatchMsg>();
-        // vlite-allow(bounded-queues): carries exactly one unit per
-        // dispatcher-batch completion; bounded by in-flight batches.
-        let (done_tx, done_rx) = channel::unbounded::<()>();
         // vlite-allow(bounded-queues): one observation per completed
         // request; bounded by the admission queue upstream.
         let (control_tx, control_rx) = channel::unbounded::<Observation>();
-        let mut shard_channels = Vec::with_capacity(n_shards);
-        let mut threads = Vec::new();
+        let (pool, mut threads) = spawn_scan_workers(&shared);
 
-        for shard in 0..n_shards {
-            // vlite-allow(bounded-queues): at most one in-flight batch per
-            // shard; the dispatcher launches the next only after completion.
-            let (tx, rx) = channel::unbounded::<Arc<BatchWork>>();
-            shard_channels.push(tx);
-            let shared_ = shared.clone();
-            let dispatch = dispatch_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("vlite-shard-{shard}"))
-                    .spawn(move || shard_worker(&shared_, shard, &rx, &dispatch))
-                    .expect("spawn shard worker"),
-            );
-        }
-
-        // vlite-allow(bounded-queues): same one-in-flight-batch protocol as
-        // the shard workers above.
-        let (cpu_tx, cpu_rx) = channel::unbounded::<Arc<BatchWork>>();
-        {
-            let shared_ = shared.clone();
-            let dispatch = dispatch_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-cpu".into())
-                    .spawn(move || cpu_worker(&shared_, &cpu_rx, &dispatch))
-                    .expect("spawn cpu worker"),
-            );
-        }
-
-        // Generation stage (optional): the dispatcher forwards merged
+        // Generation stage (optional): the batcher forwards merged
         // retrievals to this worker, which runs the LLM engine against the
         // clock and delivers the final (post-decode) responses.
         let gen_tx = config.generation.as_ref().map(|generation| {
@@ -640,48 +602,17 @@ impl RagServer {
             let shared_ = shared.clone();
             let generation = generation.clone();
             let gen_control_tx = control_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-generate".into())
-                    .spawn(move || {
-                        generation_worker(&shared_, &generation, &gen_rx, &gen_control_tx);
-                    })
-                    .expect("spawn generation worker"),
-            );
+            threads.push(spawn_named("vlite-generate", move || {
+                generation_worker(&shared_, &generation, &gen_rx, &gen_control_tx);
+            }));
             gen_tx
         });
 
-        {
-            let shared_ = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-dispatch".into())
-                    .spawn(move || {
-                        dispatcher(&shared_, &dispatch_rx, &done_tx, &control_tx, gen_tx)
-                    })
-                    .expect("spawn dispatcher"),
-            );
-        }
-
-        {
-            let shared_ = shared.clone();
-            let max_batch = config.max_batch;
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-batcher".into())
-                    .spawn(move || {
-                        batcher(
-                            &shared_,
-                            max_batch,
-                            &shard_channels,
-                            &cpu_tx,
-                            &dispatch_tx,
-                            &done_rx,
-                        )
-                    })
-                    .expect("spawn batcher"),
-            );
-        }
+        let shared_ = shared.clone();
+        let max_batch = config.max_batch;
+        threads.push(spawn_named("vlite-batcher", move || {
+            batcher(&shared_, max_batch, &pool, &control_tx, gen_tx.as_ref());
+        }));
 
         // Tier migrator: subscribes to the control loop's post-swap
         // orders and moves cluster extents between tiers without ever
@@ -689,15 +620,10 @@ impl RagServer {
         // vlite-allow(bounded-queues): at most one order per repartition,
         // and the control loop's cooldown spaces repartitions out.
         let (migrate_tx, migrate_rx) = channel::unbounded::<MigrationOrder>();
-        {
-            let shared_ = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-migrate".into())
-                    .spawn(move || migrator_worker(&shared_, &migrate_rx))
-                    .expect("spawn migrator"),
-            );
-        }
+        let shared_ = shared.clone();
+        threads.push(spawn_named("vlite-migrate", move || {
+            migrator_worker(&shared_, &migrate_rx);
+        }));
 
         {
             let input = PartitionInput::new(
@@ -722,39 +648,9 @@ impl RagServer {
                 bytes,
                 migrate_tx,
             );
-            let shared_ = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-control".into())
-                    .spawn(move || {
-                        shared_.trace.register_worker(STAGE_CONTROL);
-                        control.run(control_rx)
-                    })
-                    .expect("spawn control loop"),
-            );
-        }
-
-        // Continuous sampling profiler: reads every registered worker's
-        // CPU clock on a period. Real clocks only — a VirtualClock's
-        // `sleep_until` *advances* scripted time, so a background sampler
-        // would fast-forward deterministic tests; those pump
-        // [`TracePlane::sample_now`] explicitly instead.
-        if shared.trace.enabled() && !shared.clock.is_virtual() {
-            let trace_ = shared.trace.clone();
-            let clock_ = shared.clock.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("vlite-profiler".into())
-                    .spawn(move || {
-                        let interval = SimDuration::from_secs_f64(SAMPLE_INTERVAL_S);
-                        while !trace_.sampler_stopped() {
-                            trace_.sample_now();
-                            let now = clock_.now();
-                            clock_.sleep_until(now + interval);
-                        }
-                    })
-                    .expect("spawn profiler"),
-            );
+            threads.push(spawn_named("vlite-control", move || {
+                control.run(control_rx)
+            }));
         }
 
         RagServer {
@@ -1225,7 +1121,6 @@ impl RagServer {
     /// thread, and returns the final report.
     pub fn shutdown(mut self) -> ServeReport {
         self.shared.queue.close();
-        self.shared.trace.stop_sampler();
         for handle in self.threads.drain(..) {
             handle.join().expect("runtime thread panicked");
         }
@@ -1236,7 +1131,6 @@ impl RagServer {
 impl Drop for RagServer {
     fn drop(&mut self) {
         self.shared.queue.close();
-        self.shared.trace.stop_sampler();
         for handle in self.threads.drain(..) {
             // Avoid double-panicking in unwind paths.
             let _ = handle.join();
@@ -1297,16 +1191,14 @@ pub(crate) fn open_store(
 
 /// Batcher: drain the per-tenant queues (weighted-fair) when the engine is
 /// idle, coarse-quantize and route under the current placement snapshot,
-/// launch, wait for the dispatcher's batch-done signal.
+/// run the batch through the scan workers ([`run_batch`]).
 fn batcher(
     shared: &Shared,
     max_batch: usize,
-    shard_channels: &[Sender<Arc<BatchWork>>],
-    cpu_tx: &Sender<Arc<BatchWork>>,
-    dispatch_tx: &Sender<DispatchMsg>,
-    done_rx: &Receiver<()>,
+    pool: &ScanPool,
+    control_tx: &Sender<Observation>,
+    gen_tx: Option<&Sender<GenWork>>,
 ) {
-    shared.trace.register_worker(STAGE_BATCHER);
     while let Some(jobs) = shared.queue.take_batch(max_batch) {
         let (router, generation) = shared.placement_snapshot();
         let started = shared.clock.now();
@@ -1330,8 +1222,7 @@ fn batcher(
             jobs
         };
         if jobs.is_empty() {
-            // The whole drain expired: nothing was launched, so there is
-            // no batch-done signal to wait for.
+            // The whole drain expired: there is nothing to launch.
             shared.trace.stage_end(stage, shared.clock.now());
             continue;
         }
@@ -1370,32 +1261,59 @@ fn batcher(
         let batch = Arc::new(BatchWork {
             jobs,
             routed,
-            k: shared.top_k,
             started,
             generation,
             trace: shared.trace.begin_batch(&members),
         });
         shared.trace.stage_end(stage, shared.clock.now());
-        if dispatch_tx
-            .send(DispatchMsg::Launch(batch.clone()))
-            .is_err()
-        {
-            return; // dispatcher gone: runtime is tearing down
-        }
-        for tx in shard_channels {
-            if tx.send(batch.clone()).is_err() {
-                return;
-            }
-        }
-        if cpu_tx.send(batch.clone()).is_err() {
-            return;
-        }
-        drop(batch);
-        // Engine busy until the dispatcher reports the batch complete.
-        if done_rx.recv().is_err() {
-            return;
+        if !run_batch(shared, pool, &batch, control_tx, gen_tx) {
+            return; // a scan worker is gone: the runtime is tearing down
         }
     }
+}
+
+/// Runs one formed batch: hands it to every scan worker, gathers exactly
+/// one share from each (the engine is busy until then), then merges,
+/// records and delivers every query in batch order inside one `dispatch`
+/// section. Returns `false` when a scan worker is gone.
+fn run_batch(
+    shared: &Shared,
+    pool: &ScanPool,
+    batch: &Arc<BatchWork>,
+    control_tx: &Sender<Observation>,
+    gen_tx: Option<&Sender<GenWork>>,
+) -> bool {
+    for tx in &pool.work {
+        if tx.send(Arc::clone(batch)).is_err() {
+            return false;
+        }
+    }
+    let mut shares = vec![Vec::new(); pool.work.len()];
+    for _ in 0..pool.work.len() {
+        let Ok((worker, partials)) = pool.done.recv() else {
+            return false;
+        };
+        shares[worker] = partials;
+    }
+    let stage = shared.trace.stage_start(STAGE_DISPATCH, shared.clock.now());
+    for qi in 0..batch.jobs.len() {
+        // Each query is merged once, so its slot in every share is moved
+        // out instead of cloned.
+        let lists: Vec<Vec<Neighbor>> = shares
+            .iter_mut()
+            .map(|share| std::mem::take(&mut share[qi]))
+            .collect();
+        let neighbors = merge_sorted(&lists, shared.top_k);
+        complete_query(shared, batch, qi, neighbors, control_tx, gen_tx);
+    }
+    shared.obs.on_batch(batch.jobs.len());
+    if let Some(ctx) = &batch.trace {
+        shared
+            .trace
+            .end_batch(ctx, batch.started, shared.clock.now());
+    }
+    shared.trace.stage_end(stage, shared.clock.now());
+    true
 }
 
 /// Sheds one queue-expired job at batch formation: the outcome is fully
@@ -1452,225 +1370,141 @@ fn probe_budget(shared: &Shared, job: &Job, now: SimTime) -> (usize, bool) {
     (nprobe, fast_only)
 }
 
-/// Shard ("GPU") worker: scan the batch's pruned probe lists for this
-/// shard, publish partials in one completion message.
-fn shard_worker(
+/// Spawns one named runtime thread.
+fn spawn_named(name: impl Into<String>, body: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(body)
+        .expect("spawn runtime thread")
+}
+
+/// Spawns the `n_shards + 1` scan workers — one per shard, then the CPU
+/// worker — and returns the batcher's handles on them plus their threads.
+fn spawn_scan_workers(shared: &Arc<Shared>) -> (ScanPool, Vec<JoinHandle<()>>) {
+    // vlite-allow(bounded-queues): each worker returns one share per batch,
+    // and the batcher launches the next batch only after gathering them.
+    let (done_tx, done) = channel::unbounded::<Share>();
+    let mut threads = Vec::with_capacity(shared.n_shards + 1);
+    let work = (0..=shared.n_shards)
+        .map(|worker| {
+            // vlite-allow(bounded-queues): at most one batch in flight per
+            // worker, for the same reason.
+            let (tx, rx) = channel::unbounded::<Arc<BatchWork>>();
+            let name = if worker == shared.n_shards {
+                "vlite-cpu".to_string()
+            } else {
+                format!("vlite-shard-{worker}")
+            };
+            let shared = Arc::clone(shared);
+            let done_tx = done_tx.clone();
+            threads.push(spawn_named(name, move || {
+                scan_worker(&shared, worker, &rx, &done_tx);
+            }));
+            tx
+        })
+        .collect();
+    (ScanPool { work, done }, threads)
+}
+
+/// Scan worker `worker`: shard `worker` ("GPU") while `worker < n_shards`,
+/// the cold-tier CPU worker at `worker == n_shards`. Scans its share of
+/// each batch and returns it to the batcher in one message.
+fn scan_worker(
     shared: &Shared,
-    shard: usize,
+    worker: usize,
     rx: &Receiver<Arc<BatchWork>>,
-    dispatch: &Sender<DispatchMsg>,
+    done: &Sender<Share>,
 ) {
-    shared.trace.register_worker(STAGE_SHARD_SCAN);
+    let (stage_id, span): (usize, Cow<'static, str>) = if worker == shared.n_shards {
+        (STAGE_CPU_SCAN, "scan:cpu".into())
+    } else {
+        (STAGE_SHARD_SCAN, format!("scan:shard{worker}").into())
+    };
     while let Ok(batch) = rx.recv() {
         let scan_start = shared.clock.now();
-        let stage = shared.trace.stage_start(STAGE_SHARD_SCAN, scan_start);
-        // One store snapshot per batch: the whole batch scans a consistent
-        // tier map, and a concurrent migration swaps tiers for the *next*
-        // batch without stalling this one.
-        let snapshot = shared.store.snapshot();
-        // Global ids: correctness is placement-independent, so batches
-        // routed just before a hot swap still scan the right lists.
-        let per_query: Vec<&[u32]> = (0..batch.jobs.len())
-            .map(|qi| batch.routed[qi].shard_probes_global[shard].as_slice())
-            .collect();
-        let partials = scan_share(shared, &snapshot, &batch, &per_query);
+        let stage = shared.trace.stage_start(stage_id, scan_start);
+        let partials = scan_share(shared, &batch, worker);
         let scan_end = shared.clock.now();
         shared.trace.stage_end(stage, scan_end);
         if let Some(ctx) = &batch.trace {
             shared
                 .trace
-                .record_scan(ctx, format!("scan:shard{shard}"), scan_start, scan_end);
+                .record_scan(ctx, span.clone(), scan_start, scan_end);
         }
-        if dispatch
-            .send(DispatchMsg::ShardDone { shard, partials })
-            .is_err()
-        {
+        if done.send((worker, partials)).is_err() {
             return;
         }
     }
 }
 
-/// Scans one worker's share of a batch — `per_query[qi]` being query
-/// `qi`'s probe lists for this worker — in one blocked (cluster-major)
-/// pass through the store snapshot.
+/// Scans worker `worker`'s share of a batch in one blocked (cluster-major)
+/// pass through one store snapshot: the whole batch scans a consistent
+/// tier map, and a concurrent migration swaps tiers for the *next* batch
+/// without stalling this one. A shard scans its hot lists by global id, so
+/// a batch routed just before a hot swap still scans the right lists.
+/// Queries with no lists in the share never reach the store, so a
+/// malformed query degrades only the workers that had to scan it.
 ///
 /// A panicking scan degrades the *whole worker share* to empty partials
 /// (one [`Shared::worker_panics`] tick) instead of killing the worker
-/// thread: a dead worker would never send its completion message and the
-/// batcher would block on the batch-done signal forever.
-fn scan_share(
-    shared: &Shared,
-    snapshot: &StoreSnapshot,
-    batch: &BatchWork,
-    per_query: &[&[u32]],
-) -> Vec<Vec<Neighbor>> {
-    let queries: Vec<BatchQuery<'_>> = batch
+/// thread: a dead worker would never return its share and the batcher
+/// would wait for it forever.
+fn scan_share(shared: &Shared, batch: &BatchWork, worker: usize) -> Vec<Vec<Neighbor>> {
+    let (qis, queries): (Vec<usize>, Vec<BatchQuery<'_>>) = batch
         .jobs
         .iter()
-        .zip(per_query)
-        .map(|(job, &lists)| BatchQuery {
-            query: &job.query,
-            lists,
+        .zip(&batch.routed)
+        .enumerate()
+        .filter_map(|(qi, (job, routed))| {
+            let lists = if worker < shared.n_shards {
+                &routed.shard_probes_global[worker]
+            } else {
+                &routed.cpu_probes
+            };
+            let query = BatchQuery {
+                query: &job.query,
+                lists,
+            };
+            (!lists.is_empty()).then_some((qi, query))
         })
-        .collect();
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scan_lists_store_batch(snapshot, &queries, batch.k)
-    }))
-    .unwrap_or_else(|_| {
-        // relaxed: stat counter bump; the degraded partials flow through
-        // the dispatch channel, which orders the handoff.
-        shared.worker_panics.fetch_add(1, Ordering::Relaxed);
-        vec![Vec::new(); batch.jobs.len()]
-    })
-}
-
-/// CPU worker: scan the batch's cold probes in one cluster-major pass
-/// (cheapest total bytes), then fire
-/// the per-query completion callbacks as the results are scattered back.
-fn cpu_worker(shared: &Shared, rx: &Receiver<Arc<BatchWork>>, dispatch: &Sender<DispatchMsg>) {
-    shared.trace.register_worker(STAGE_CPU_SCAN);
-    while let Ok(batch) = rx.recv() {
-        let scan_start = shared.clock.now();
-        let stage = shared.trace.stage_start(STAGE_CPU_SCAN, scan_start);
-        let snapshot = shared.store.snapshot();
-        let per_query: Vec<&[u32]> = batch
-            .routed
-            .iter()
-            .map(|r| r.cpu_probes.as_slice())
-            .collect();
-        let partials = scan_share(shared, &snapshot, &batch, &per_query);
-        for (qi, partial) in partials.into_iter().enumerate() {
-            if dispatch.send(DispatchMsg::CpuDone { qi, partial }).is_err() {
-                return;
+        .unzip();
+    let mut partials = vec![Vec::new(); batch.jobs.len()];
+    let snapshot = shared.store.snapshot();
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        scan_lists_store_batch(&snapshot, &queries, shared.top_k)
+    })) {
+        Ok(tops) => {
+            for (qi, top) in qis.into_iter().zip(tops) {
+                partials[qi] = top;
             }
         }
-        let scan_end = shared.clock.now();
-        shared.trace.stage_end(stage, scan_end);
-        if let Some(ctx) = &batch.trace {
-            shared
-                .trace
-                .record_scan(ctx, "scan:cpu", scan_start, scan_end);
+        Err(_) => {
+            // relaxed: stat counter bump; the degraded partials flow
+            // through the share channel, which orders the handoff.
+            shared.worker_panics.fetch_add(1, Ordering::Relaxed);
         }
     }
+    partials
 }
 
-/// Per-batch dispatcher state.
-struct InFlight {
-    batch: Arc<BatchWork>,
-    shard_partials: Vec<Option<Vec<Vec<Neighbor>>>>,
-    shards_ready: usize,
-    /// CPU completions that arrived before every shard flag was up.
-    pending_cpu: Vec<(usize, Vec<Neighbor>)>,
-    /// Exactly-once guard per query: `complete_query` consumes each query's
-    /// shard partials by `mem::take`, which is only sound if a query
-    /// completes once.
-    delivered: Vec<bool>,
-    completed: usize,
-}
-
-/// Dispatcher: merge shard/CPU partials per query, forward early
-/// finishers (to the caller, or to the generation worker on co-scheduled
-/// servers), record latencies and stream observations to the control
-/// loop.
-fn dispatcher(
-    shared: &Shared,
-    rx: &Receiver<DispatchMsg>,
-    done_tx: &Sender<()>,
-    control_tx: &Sender<Observation>,
-    gen_tx: Option<Sender<GenWork>>,
-) {
-    shared.trace.register_worker(STAGE_DISPATCH);
-    let mut inflight: Option<InFlight> = None;
-    while let Ok(msg) = rx.recv() {
-        let stage = shared.trace.stage_start(STAGE_DISPATCH, shared.clock.now());
-        match msg {
-            DispatchMsg::Launch(batch) => {
-                // Hard assert, not debug_assert: in release a duplicate
-                // Launch would silently drop the in-flight batch, orphaning
-                // its tickets with no accounting. A protocol violation is a
-                // harness bug.
-                assert!(inflight.is_none(), "one batch in flight at a time");
-                inflight = Some(InFlight {
-                    shard_partials: vec![None; shared.n_shards],
-                    shards_ready: 0,
-                    pending_cpu: Vec::new(),
-                    delivered: vec![false; batch.jobs.len()],
-                    completed: 0,
-                    batch,
-                });
-            }
-            DispatchMsg::ShardDone { shard, partials } => {
-                let state = inflight.as_mut().expect("completion without a launch");
-                assert!(
-                    state.shard_partials[shard].is_none(),
-                    "duplicate shard completion"
-                );
-                state.shard_partials[shard] = Some(partials);
-                state.shards_ready += 1;
-                if state.shards_ready == shared.n_shards {
-                    // All GPU flags up: flush every buffered CPU finisher.
-                    for (qi, partial) in std::mem::take(&mut state.pending_cpu) {
-                        complete_query(shared, state, qi, partial, control_tx, &gen_tx);
-                    }
-                }
-            }
-            DispatchMsg::CpuDone { qi, partial } => {
-                let state = inflight.as_mut().expect("completion without a launch");
-                if state.shards_ready == shared.n_shards {
-                    complete_query(shared, state, qi, partial, control_tx, &gen_tx);
-                } else {
-                    state.pending_cpu.push((qi, partial));
-                }
-            }
-        }
-        if let Some(state) = &inflight {
-            if state.completed == state.batch.jobs.len() {
-                shared.obs.on_batch(state.batch.jobs.len());
-                if let Some(ctx) = &state.batch.trace {
-                    shared
-                        .trace
-                        .end_batch(ctx, state.batch.started, shared.clock.now());
-                }
-                inflight = None;
-                if done_tx.send(()).is_err() {
-                    return;
-                }
-            }
-        }
-        shared.trace.stage_end(stage, shared.clock.now());
-    }
-}
-
-/// Merge one query's partials, then either deliver the response (retrieval
-/// only) or hand it to the generation stage (co-scheduled), recording
-/// measurements at whichever point the request's lifecycle actually ends.
+/// Delivers one merged query: either the response (retrieval only) or a
+/// hand-off to the generation stage (co-scheduled), recording measurements
+/// at whichever point the request's lifecycle actually ends.
 fn complete_query(
     shared: &Shared,
-    state: &mut InFlight,
+    batch: &BatchWork,
     qi: usize,
-    cpu_partial: Vec<Neighbor>,
+    neighbors: Vec<Neighbor>,
     control_tx: &Sender<Observation>,
-    gen_tx: &Option<Sender<GenWork>>,
+    gen_tx: Option<&Sender<GenWork>>,
 ) {
-    assert!(!state.delivered[qi], "query {qi} completed twice");
-    state.delivered[qi] = true;
-    let batch = Arc::clone(&state.batch);
     let job = &batch.jobs[qi];
     let routed = &batch.routed[qi];
-    let mut lists: Vec<Vec<Neighbor>> = vec![cpu_partial];
-    for partials in state.shard_partials.iter_mut().flatten() {
-        // Each query completes exactly once (asserted above), so its slot
-        // in every shard's partials can be moved out instead of cloned —
-        // this is the dispatcher's hot path.
-        lists.push(std::mem::take(&mut partials[qi]));
-    }
-    let neighbors = merge_sorted(&lists, batch.k);
     let now = shared.clock.now();
     let queue = (batch.started - job.enqueued).as_secs_f64();
     let search = (now - batch.started).as_secs_f64();
     let hit_rate = routed.hit_rate();
     let met_slo = search <= shared.slo_search;
-    state.completed += 1;
 
     // The query's global probe set (the control loop's re-profiling
     // sample). With search-keyed control the observation leaves here; with
@@ -1695,7 +1529,7 @@ fn complete_query(
             });
         }
         // The request's outcome is recorded by the generation worker when
-        // its lifecycle actually ends; the dispatcher only counts
+        // its lifecycle actually ends; the batcher only counts
         // batch-level statistics for co-scheduled servers.
         let _ = gen_tx.send(GenWork {
             id: job.id,
@@ -1758,83 +1592,148 @@ fn complete_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::tests::{harness, tiny_deployment};
 
-    #[test]
-    fn a_panicking_scan_empties_its_share_once_and_the_worker_keeps_serving() {
-        let (shared, _control, _probe_sets) = crate::control::tests::harness(100, 80, 1);
+    /// Runs a batch through a live scan pool in which the second query has
+    /// the wrong dimension (admission refuses these; the workers are the
+    /// last line) and probes only the lists of one scan worker — a shard,
+    /// or the CPU worker when `cpu` — so exactly that worker's share
+    /// panics. Every job must still get one reply carrying the other
+    /// workers' partials, `worker_panics` must tick once, and the same
+    /// threads must serve the next batch exactly.
+    fn a_panicking_share_degrades_once(cpu: bool) {
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        let n_shards = shared.n_shards;
         let good = vec![0.25f32; shared.index.dim()];
-        // Every cluster probed, so both shards have work for the query.
-        let probes: Vec<u32> = shared
-            .index
-            .probe(&good, shared.index.nlist())
-            .iter()
-            .map(|p| p.list)
-            .collect();
+        // Every cluster probed, so the query has hot and cold work.
+        let all = shared.index.probe(&good, shared.index.nlist());
+        let probes: Vec<u32> = all.iter().map(|p| p.list).collect();
         let routed = shared.placement_snapshot().0.route(&probes);
-        let shard = (0..shared.n_shards)
-            .find(|&s| !routed.shard_probes_global[s].is_empty())
-            .expect("some shard holds a hot probe");
-        let batch = |queries: Vec<Vec<f32>>| {
-            let jobs: Vec<Job> = queries
-                .into_iter()
-                .enumerate()
-                .map(|(id, query)| Job {
-                    id: id as u64,
-                    tenant: TenantId(0),
-                    query,
-                    enqueued: SimTime::ZERO,
-                    deadline: None,
-                    trace: TraceId(id as u128 + 1),
-                    reply: channel::unbounded().0,
+        let lists_of = |w: usize| match routed.shard_probes_global.get(w) {
+            Some(lists) => lists.clone(),
+            None => routed.cpu_probes.clone(),
+        };
+        let faulty = if cpu {
+            n_shards
+        } else {
+            (0..n_shards)
+                .find(|&s| !lists_of(s).is_empty())
+                .expect("a hot probe")
+        };
+        assert!(!lists_of(faulty).is_empty(), "the faulty worker has work");
+        let keep = |w: usize| if w == faulty { lists_of(w) } else { Vec::new() };
+        let only_faulty = RoutedQuery {
+            shard_probes: routed.shard_probes.clone(),
+            shard_probes_global: (0..n_shards).map(keep).collect(),
+            cpu_probes: keep(n_shards),
+        };
+
+        let (pool, workers) = spawn_scan_workers(&shared);
+        let (control_tx, _control_rx) = channel::unbounded();
+        let (reply_tx, replies) = channel::unbounded();
+        let run = |queries: Vec<(Vec<f32>, RoutedQuery)>| -> Vec<SearchResponse> {
+            let (jobs, routed) = (queries.into_iter().enumerate())
+                .map(|(id, (query, routed))| {
+                    let job = Job {
+                        id: id as u64,
+                        tenant: TenantId(0),
+                        query,
+                        enqueued: SimTime::ZERO,
+                        deadline: None,
+                        trace: TraceId(id as u128 + 1),
+                        reply: reply_tx.clone(),
+                    };
+                    (job, routed)
                 })
-                .collect();
-            Arc::new(BatchWork {
-                routed: vec![routed.clone(); jobs.len()],
+                .unzip();
+            let batch = Arc::new(BatchWork {
                 jobs,
-                k: shared.top_k,
+                routed,
                 started: SimTime::ZERO,
                 generation: 0,
                 trace: None,
-            })
+            });
+            assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+            std::iter::from_fn(|| replies.try_recv().ok()).collect()
+        };
+        let scan = |lists: &[u32]| {
+            vlite_ann::scan_lists_store(&shared.store.snapshot(), &good, lists, shared.top_k)
         };
 
-        let (tx, rx) = channel::unbounded::<Arc<BatchWork>>();
-        let (dispatch_tx, dispatch_rx) = channel::unbounded::<DispatchMsg>();
-        let worker = {
-            let shared = shared.clone();
-            std::thread::spawn(move || shard_worker(&shared, shard, &rx, &dispatch_tx))
-        };
-        let share_of = |batch: Arc<BatchWork>| {
-            assert!(tx.send(batch).is_ok(), "worker alive");
-            match dispatch_rx.recv().expect("worker replies") {
-                DispatchMsg::ShardDone { shard: s, partials } => {
-                    assert_eq!(s, shard);
-                    partials
-                }
-                _ => panic!("a shard worker only sends ShardDone"),
-            }
-        };
-
-        // A wrong-dimension query (admission refuses these; the worker is
-        // the last line) makes the store's kernels panic mid-batch.
         let wrong_dim = vec![0.25f32; shared.index.dim() / 2];
-        let partials = share_of(batch(vec![good.clone(), wrong_dim]));
-        assert_eq!(partials, vec![Vec::<Neighbor>::new(); 2]);
+        let got = run(vec![
+            (good.clone(), routed.clone()),
+            (wrong_dim, only_faulty),
+        ]);
+        let ids: Vec<u64> = got.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1], "one reply per job, in batch order");
         assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 1);
-
-        // The same thread serves the next batch, exactly.
-        let partials = share_of(batch(vec![good.clone()]));
-        let expected = vlite_ann::scan_lists_store(
-            &shared.store.snapshot(),
-            &good,
-            &routed.shard_probes_global[shard],
-            shared.top_k,
+        let healthy: Vec<u32> = (0..=n_shards)
+            .filter(|&w| w != faulty)
+            .flat_map(lists_of)
+            .collect();
+        assert!(!healthy.is_empty());
+        assert_eq!(
+            got[0].neighbors,
+            scan(&healthy),
+            "the other workers' partials"
         );
-        assert!(!expected.is_empty());
-        assert_eq!(partials, vec![expected]);
+        assert!(got[1].neighbors.is_empty());
+
+        let got = run(vec![(good.clone(), routed.clone())]);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].neighbors, scan(&probes));
         assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 1);
 
-        drop(tx);
-        worker.join().expect("worker exits cleanly on close");
+        drop(pool);
+        for worker in workers {
+            worker.join().expect("scan worker exits cleanly on close");
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_share_empties_once_and_the_worker_keeps_serving() {
+        a_panicking_share_degrades_once(false);
+    }
+
+    #[test]
+    fn a_panicking_cpu_share_still_replies_with_the_shard_partials() {
+        a_panicking_share_degrades_once(true);
+    }
+
+    #[test]
+    fn the_runtime_runs_n_shards_plus_four_threads_and_one_more_to_generate() {
+        for generation in [None, Some(GenerationConfig::tiny())] {
+            let generates = generation.is_some();
+            let config = ServeConfig {
+                generation,
+                ..ServeConfig::small()
+            };
+            let server = RagServer::from_deployment(tiny_deployment(), config);
+            let threads = server.threads.iter().map(|h| h.thread().name());
+            let mut names: Vec<&str> = threads.map(Option::unwrap_or_default).collect();
+            names.sort_unstable();
+            let mut expected = vec!["vlite-batcher", "vlite-control", "vlite-cpu"];
+            expected.extend(generates.then_some("vlite-generate"));
+            expected.extend(["vlite-migrate", "vlite-shard-0", "vlite-shard-1"]);
+            assert_eq!(names, expected);
+            let extra = usize::from(generates);
+            assert_eq!(names.len(), server.shared.n_shards + 4 + extra);
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_batch must be positive")]
+    fn a_zero_generation_batch_cap_is_refused_at_start() {
+        let generation = GenerationConfig {
+            max_batch: 0,
+            ..GenerationConfig::tiny()
+        };
+        let config = ServeConfig {
+            generation: Some(generation),
+            ..ServeConfig::small()
+        };
+        drop(RagServer::from_deployment(tiny_deployment(), config));
     }
 }

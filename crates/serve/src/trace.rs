@@ -22,11 +22,9 @@
 //! - **Per-stage profiling** ([`TracePlane::profile`], `GET /v1/profile`):
 //!   pipeline workers time their work sections against both the runtime
 //!   [`Clock`](crate::Clock) (wall) and `CLOCK_THREAD_CPUTIME_ID` (CPU),
-//!   so wall−CPU exposes stall time per stage; a sampling thread
-//!   additionally reads every registered worker's CPU clock on a period,
-//!   feeding collapsed-stack output. On a [`VirtualClock`](crate::VirtualClock)
-//!   the sampler never spawns (its sleeps would fast-forward scripted
-//!   time); tests pump [`TracePlane::sample_now`] explicitly.
+//!   so wall−CPU exposes stall time per stage; the section CPU also weighs
+//!   the collapsed-stack output. A stage is a kind of work, not a thread:
+//!   the batcher's thread runs both `batcher` and `dispatch` sections.
 //! - **Burn-rate watchdog** ([`TracePlane::alerts`], `GET /v1/alerts`):
 //!   search / TTFT / deadline attainment feed multi-window burn rates
 //!   (fast window catches sharp regressions, slow window confirms
@@ -35,7 +33,7 @@
 //!   matching severity.
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use vlite_metrics::cputime;
@@ -55,10 +53,6 @@ pub const TRACE_CAPACITY: usize = 512;
 /// the store holds in their own eviction queue. Froze
 /// `ObsConfig::slow_traces` at its default.
 pub const KEPT_CAPACITY: usize = 64;
-/// Sampling-profiler period in seconds (real clocks only; virtual-clock
-/// runs sample explicitly via [`TracePlane::sample_now`]). Froze
-/// `TraceConfig::sample_interval_s` at its default.
-pub const SAMPLE_INTERVAL_S: f64 = 0.050;
 /// Fast burn-rate window in seconds (catches sharp regressions). Froze
 /// `TraceConfig::fast_window_s` at its default.
 pub const FAST_WINDOW_S: f64 = 60.0;
@@ -152,8 +146,7 @@ fn is_hex(s: &str) -> bool {
 }
 
 /// Profiled pipeline stages, indexed by the `STAGE_*` constants.
-pub const PROFILE_STAGES: [&str; 8] = [
-    "acceptor",
+pub const PROFILE_STAGES: [&str; 7] = [
     "batcher",
     "shard_scan",
     "cpu_scan",
@@ -163,22 +156,21 @@ pub const PROFILE_STAGES: [&str; 8] = [
     "control",
 ];
 
-/// Stage index: the HTTP frontend's connection acceptor.
-pub const STAGE_ACCEPTOR: usize = 0;
 /// Stage index: batch formation (queue drain + routing).
-pub const STAGE_BATCHER: usize = 1;
+pub const STAGE_BATCHER: usize = 0;
 /// Stage index: hot-tier shard scan workers.
-pub const STAGE_SHARD_SCAN: usize = 2;
+pub const STAGE_SHARD_SCAN: usize = 1;
 /// Stage index: the cold-tier CPU scan worker.
-pub const STAGE_CPU_SCAN: usize = 3;
-/// Stage index: the dispatcher merging partials.
-pub const STAGE_DISPATCH: usize = 4;
+pub const STAGE_CPU_SCAN: usize = 2;
+/// Stage index: the batcher merging the scan workers' partials and
+/// delivering each query.
+pub const STAGE_DISPATCH: usize = 3;
 /// Stage index: the generation (LLM) worker.
-pub const STAGE_GENERATION: usize = 5;
+pub const STAGE_GENERATION: usize = 4;
 /// Stage index: the background tier migrator.
-pub const STAGE_MIGRATE: usize = 6;
+pub const STAGE_MIGRATE: usize = 5;
 /// Stage index: the online-repartitioning control loop.
-pub const STAGE_CONTROL: usize = 7;
+pub const STAGE_CONTROL: usize = 6;
 
 /// SLO signals the burn-rate watchdog tracks, indexed by the `SIG_*`
 /// constants.
@@ -199,11 +191,6 @@ struct StageCell {
     cpu_nanos: AtomicU64,
     /// Completed work sections.
     sections: AtomicU64,
-    /// Thread CPU nanoseconds attributed by the sampling profiler (total
-    /// per-thread CPU growth between samples, sections or not).
-    sampled_cpu_nanos: AtomicU64,
-    /// Samples taken of this stage's workers.
-    samples: AtomicU64,
 }
 
 /// One stage's row of the `/v1/profile` breakdown.
@@ -220,10 +207,6 @@ pub struct StageProfile {
     pub stall_s: f64,
     /// Completed work sections.
     pub sections: u64,
-    /// CPU seconds attributed by the sampling profiler.
-    pub sampled_cpu_s: f64,
-    /// Samples taken of this stage's workers.
-    pub samples: u64,
 }
 
 /// An in-flight stage work section returned by [`TracePlane::stage_start`].
@@ -372,11 +355,8 @@ pub struct TracePlane {
     next_batch: AtomicU64,
     next_migration: AtomicU64,
     stages: [StageCell; PROFILE_STAGES.len()],
-    /// (stage, tid, last observed CPU nanos) per registered worker.
-    registry: Mutex<Vec<(usize, u32, u64)>>,
     current_batch: Mutex<Option<BatchCtx>>,
     watchdog: Mutex<Watchdog>,
-    sampler_stop: AtomicBool,
     slo_target: f64,
     /// End-to-end seconds at or above which a request's trace is kept.
     slow_threshold_s: f64,
@@ -409,7 +389,6 @@ impl TracePlane {
             next_batch: AtomicU64::new(1),
             next_migration: AtomicU64::new(1),
             stages: Default::default(),
-            registry: Mutex::new(Vec::new()),
             current_batch: Mutex::new(None),
             watchdog: Mutex::new(Watchdog {
                 rings: (0..SLO_SIGNALS.len())
@@ -417,7 +396,6 @@ impl TracePlane {
                     .collect(),
                 levels: vec![AlertLevel::Ok; SLO_SIGNALS.len()],
             }),
-            sampler_stop: AtomicBool::new(false),
             slo_target: config.slo_target,
             slow_threshold_s,
         }
@@ -426,19 +404,6 @@ impl TracePlane {
     /// Whether tracing is on at all.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Tells the profiler thread to exit at its next wake.
-    pub fn stop_sampler(&self) {
-        // relaxed: a one-way stop flag polled each sampler wake; no data
-        // is published through it.
-        self.sampler_stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`TracePlane::stop_sampler`] has been called.
-    pub fn sampler_stopped(&self) -> bool {
-        // relaxed: same one-way stop flag as above.
-        self.sampler_stop.load(Ordering::Relaxed)
     }
 
     /// A fresh trace id for request `request_id` (used when the client
@@ -768,41 +733,6 @@ impl TracePlane {
         cell.sections.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Registers the calling thread as a `stage` worker for the sampling
-    /// profiler. Call once from each worker thread after spawn.
-    pub fn register_worker(&self, stage: usize) {
-        if !self.enabled {
-            return;
-        }
-        let Some(tid) = cputime::current_tid() else {
-            return;
-        };
-        let initial = cputime::thread_cpu_nanos(tid).unwrap_or(0);
-        lock_recover(&self.registry).push((stage.min(PROFILE_STAGES.len() - 1), tid, initial));
-    }
-
-    /// Takes one profiler sample: reads every registered worker's CPU
-    /// clock and attributes the growth since the previous sample to its
-    /// stage. The background sampler calls this on a period (real clocks
-    /// only); virtual-clock tests call it explicitly.
-    pub fn sample_now(&self) {
-        if !self.enabled {
-            return;
-        }
-        let mut registry = lock_recover(&self.registry);
-        for (stage, tid, last) in registry.iter_mut() {
-            let Some(cpu) = cputime::thread_cpu_nanos(*tid) else {
-                continue; // thread exited; its clockid no longer resolves
-            };
-            let delta = cpu.saturating_sub(*last);
-            *last = cpu;
-            let cell = &self.stages[*stage];
-            // relaxed: same snapshot-only accumulators as stage_end.
-            cell.sampled_cpu_nanos.fetch_add(delta, Ordering::Relaxed);
-            cell.samples.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Per-stage wall/CPU/stall breakdown, one row per
     /// [`PROFILE_STAGES`] entry.
     pub fn profile(&self) -> Vec<StageProfile> {
@@ -815,29 +745,24 @@ impl TracePlane {
                 let cpu = cell.cpu_nanos.load(Ordering::Relaxed) as f64 / 1e9;
                 // relaxed: same snapshot-only accumulators as above.
                 let sections = cell.sections.load(Ordering::Relaxed);
-                let sampled = cell.sampled_cpu_nanos.load(Ordering::Relaxed) as f64 / 1e9;
-                let samples = cell.samples.load(Ordering::Relaxed);
                 StageProfile {
                     stage: name,
                     wall_s: wall,
                     cpu_s: cpu,
                     stall_s: (wall - cpu).max(0.0),
                     sections,
-                    sampled_cpu_s: sampled,
-                    samples,
                 }
             })
             .collect()
     }
 
     /// Collapsed-stack ("folded") output for flamegraph tooling: one
-    /// `vlite;{stage} {weight}` line per stage with observed CPU time,
-    /// weighted in microseconds (sampled CPU when the sampler ran,
-    /// section CPU otherwise).
+    /// `vlite;{stage} {weight}` line per stage with section CPU time,
+    /// weighted in microseconds.
     pub fn collapsed_stacks(&self) -> String {
         let mut out = String::new();
         for row in self.profile() {
-            let weight_us = (row.sampled_cpu_s.max(row.cpu_s) * 1e6) as u64;
+            let weight_us = (row.cpu_s * 1e6) as u64;
             if weight_us > 0 {
                 out.push_str(&format!("vlite;{} {}\n", row.stage, weight_us));
             }
@@ -857,8 +782,6 @@ impl TracePlane {
                     ("cpu_s".into(), Json::Num(row.cpu_s)),
                     ("stall_s".into(), Json::Num(row.stall_s)),
                     ("sections".into(), Json::Num(row.sections as f64)),
-                    ("sampled_cpu_s".into(), Json::Num(row.sampled_cpu_s)),
-                    ("samples".into(), Json::Num(row.samples as f64)),
                 ])
             })
             .collect();
@@ -1280,22 +1203,22 @@ mod tests {
     }
 
     #[test]
-    fn sampler_attributes_cpu_growth_to_the_registered_stage() {
+    fn section_cpu_weighs_the_collapsed_stacks() {
         if !cputime::supported() {
             return;
         }
         let plane = plane();
-        plane.register_worker(STAGE_DISPATCH);
-        // Burn CPU on this thread, then sample: the delta lands on dispatch.
+        // Burn CPU inside a dispatch section: the CPU lands on dispatch.
+        let timer = plane.stage_start(STAGE_DISPATCH, SimTime::ZERO);
         let mut acc = 1u64;
         for i in 0..3_000_000u64 {
             acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
         }
         assert!(acc != 0);
-        plane.sample_now();
+        plane.stage_end(timer, SimTime::ZERO);
         let profile = plane.profile();
-        assert!(profile[STAGE_DISPATCH].samples >= 1);
-        assert!(profile[STAGE_DISPATCH].sampled_cpu_s > 0.0);
+        assert_eq!(profile[STAGE_DISPATCH].sections, 1);
+        assert!(profile[STAGE_DISPATCH].cpu_s > 0.0);
         let collapsed = plane.collapsed_stacks();
         assert!(collapsed.contains("vlite;dispatch "), "{collapsed:?}");
     }

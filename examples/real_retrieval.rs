@@ -1,9 +1,9 @@
 //! Real-tier retrieval: the full offline + runtime path over an actual
-//! IVF index with the threaded dynamic dispatcher — no cost models.
+//! IVF index with the one-shot hybrid dispatcher — no cost models.
 //!
 //! Builds a synthetic Gaussian-mixture corpus, trains a real IVF index,
 //! profiles it with wall-clock measurements, partitions it, and serves
-//! batches through shard workers + CPU worker + dispatcher thread,
+//! a batch through one scan worker per shard plus one for the cold probes,
 //! verifying that the hybrid path returns exactly what a single-path scan
 //! would, and reporting retrieval quality against exhaustive search.
 //!
@@ -59,11 +59,10 @@ fn main() {
         deployment.profile.total_bytes() as f64 / (1 << 20) as f64
     );
 
-    // Serve a batch through the threaded dispatcher.
+    // Serve a batch through the one-shot dispatcher.
     let queries = corpus.queries(16, 99);
     let outcome = hybrid_search_batch(&deployment, &queries);
     println!("\n=== hybrid batch of 16 queries ===");
-    println!("completion order: {:?}", outcome.completion_order);
 
     // Verify hybrid == plain, and measure quality vs exhaustive search.
     let flat = FlatIndex::new(corpus.vectors.clone(), Metric::L2);

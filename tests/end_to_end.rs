@@ -78,7 +78,7 @@ fn memory_never_oversubscribed_in_any_system() {
 }
 
 #[test]
-fn dispatcher_ablation_improves_mean_search_latency() {
+fn dynamic_dispatcher_ablation_improves_mean_search_latency() {
     let mut on_cfg = RagConfig::tiny(SystemKind::VectorLite);
     on_cfg.dispatcher = true;
     let mut off_cfg = RagConfig::tiny(SystemKind::VectorLite);

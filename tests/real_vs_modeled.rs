@@ -1,4 +1,4 @@
-//! Integration: the real tier (actual IVF index + threaded dispatcher) and
+//! Integration: the real tier (actual IVF index + one-shot dispatcher) and
 //! its consistency with the modeled tier's abstractions.
 
 use vectorlite_rag::ann::{eval, FlatIndex, IvfConfig, ListStorage, Metric};
@@ -33,16 +33,13 @@ fn real_deployment_full_stack() {
     );
     assert!(deployment.estimator.sigma2_max() > 0.0);
 
-    // Hybrid serving equals the single-path scan exactly.
+    // Hybrid serving equals the single-path scan exactly, for every query.
     let queries = corpus.queries(10, 33);
     let outcome = hybrid_search_batch(&deployment, &queries);
+    assert_eq!(outcome.results.len(), 10);
     for (qi, q) in queries.iter().enumerate() {
         assert_eq!(outcome.results[qi], deployment.search_flat_path(q));
     }
-    // All queries dispatched exactly once.
-    let mut order = outcome.completion_order.clone();
-    order.sort_unstable();
-    assert_eq!(order, (0..10).collect::<Vec<_>>());
 }
 
 #[test]

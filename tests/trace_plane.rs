@@ -331,11 +331,6 @@ fn profile_reports_scan_stage_cpu_and_watchdog_surfaces_render() {
     for ticket in tickets {
         ticket.wait().expect("completed");
     }
-    // The background sampler never spawns on a virtual clock (a real-time
-    // poller would break determinism); tick it explicitly instead.
-    for _ in 0..4 {
-        frontend.server().trace_plane().sample_now();
-    }
 
     let mut client = HttpClient::connect(frontend.addr()).expect("client connects");
     let profile = get_json(&mut client, "/v1/profile", 200);
@@ -784,8 +779,8 @@ fn parse_sample_key(key: &str) -> Result<(String, Vec<(String, String)>), String
 fn prometheus_exposition_is_well_formed_and_matches_golden() {
     let corpus = corpus();
     let config = config();
-    // A virtual clock keeps the scrape deterministic: the control loop and
-    // sampler stay quiescent, so the family skeleton is a pure function of
+    // A virtual clock keeps the scrape deterministic: the control loop
+    // stays quiescent, so the family skeleton is a pure function of
     // the configuration and golden-file comparison cannot flake.
     let clock = Arc::new(VirtualClock::new());
     let server =
