@@ -87,7 +87,7 @@
 //! the scalar kernels (read once, at first dispatch); CI's kernel
 //! equivalence matrix runs the whole test suite under both settings.
 //! [`force_scalar`] / [`clear_force`] override the choice at runtime for
-//! in-process A/B benchmarks (`serve_smoke --kernels`).
+//! in-process A/B runs (the perf gate's `kernel_scalar_p99` row).
 //!
 //! # Accuracy contract
 //!

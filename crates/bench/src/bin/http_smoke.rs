@@ -1,5 +1,5 @@
-//! End-to-end smoke test of the HTTP/1.1 frontend over real TCP sockets —
-//! the network-facing counterpart of `serve_smoke`, run in CI's e2e job.
+//! End-to-end smoke test of the HTTP/1.1 frontend over real TCP sockets,
+//! run in CI's e2e job beside the `serve_smoke` perf gate.
 //!
 //! Starts a two-tenant `RagServer` behind an `HttpFrontend` on a loopback
 //! port, then:
@@ -17,10 +17,10 @@
 //!    and `GET /v1/events` and checks the telemetry plane captured the
 //!    run.
 //!
-//! Artifacts: `results/http_smoke.csv` (per-tenant rows) and
-//! `results/http_report.json` (the `/v1/report` body, verbatim).
+//! Artifact: `results/http_report.json` (the `/v1/report` body, verbatim,
+//! per-tenant rows included).
 
-use vlite_bench::{banner, results_dir, write_csv};
+use vlite_bench::{banner, results_dir};
 use vlite_core::RealConfig;
 use vlite_serve::http::json::Json;
 use vlite_serve::http::{HttpClient, HttpFrontend};
@@ -225,9 +225,9 @@ fn main() {
             })
             .unwrap_or_else(|| panic!("metric {name} missing from scrape"))
     };
-    // The scrape happened after every reply was delivered, so the
-    // lock-free counters agree exactly with the mutex-guarded report
-    // fetched moments earlier.
+    // The scrape happened after every reply was delivered, so it agrees
+    // exactly with the report fetched moments earlier: both read the same
+    // counters.
     let expected_completed = get_num(&report_json, "completed") as u64;
     assert_eq!(
         scraped("vlite_admitted_total") as u64,
@@ -322,7 +322,6 @@ fn main() {
     );
 
     println!("\n{}", final_report.tenant_table().render());
-    write_csv("http_smoke.csv", &final_report.tenants_to_csv());
     let json_path = results_dir().join("http_report.json");
     std::fs::write(&json_path, &report_body).expect("can write report JSON");
     println!("[json] {}", json_path.display());

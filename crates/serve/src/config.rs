@@ -172,7 +172,8 @@ impl GenerationConfig {
 /// `cold_skips`) and per-stage budget burn is reported, so degradation is
 /// observable, never silent. With `enforce == false` the budget is still
 /// threaded and *measured* (burn + goodput accounting) but never acted on
-/// — the measure-only baseline `serve_smoke --deadlines` compares against.
+/// — the measure-only baseline the perf gate's `deadline_goodput` row
+/// compares against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadlinePolicy {
     /// Default end-to-end deadline in seconds stamped on requests that do
@@ -365,8 +366,7 @@ pub struct ServeConfig {
     /// pre-co-scheduling behaviour); `Some` bridges every merged retrieval
     /// into the LLM engine and reports TTFT end to end.
     pub generation: Option<GenerationConfig>,
-    /// Tiered-storage configuration: where the segment file lives and
-    /// whether physical tiering is enabled at all.
+    /// Tiered-storage configuration: where the segment file lives.
     pub store: StoreConfig,
     /// Deadline-budget policy: default per-request budget, whether stages
     /// enforce it (shed/degrade) or only measure burn, and the cost

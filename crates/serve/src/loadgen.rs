@@ -20,7 +20,6 @@
 //!   persistent keep-alive connections.
 
 use std::net::SocketAddr;
-use std::time::Duration;
 
 use crossbeam::channel;
 use rand::rngs::StdRng;
@@ -91,37 +90,10 @@ pub struct OpenLoopResult {
     pub submitted: usize,
     /// Requests rejected by admission control.
     pub rejected: usize,
-    /// Completed responses, in completion-collection order.
+    /// Completed responses, in submission order. Under an enforcing
+    /// [`DeadlinePolicy`](crate::DeadlinePolicy) a request shed
+    /// mid-pipeline resolves without a response and is absent here.
     pub responses: Vec<SearchResponse>,
-    /// Wall-clock duration of the submission phase.
-    pub offered_for: Duration,
-    /// Wall-clock duration from first submission until the last admitted
-    /// request completed (submission + queue drain) — the honest
-    /// denominator for achieved throughput.
-    pub served_for: Duration,
-}
-
-impl OpenLoopResult {
-    /// Offered arrival rate actually achieved (submissions per second).
-    pub fn offered_rate(&self) -> f64 {
-        let secs = self.offered_for.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.submitted as f64 / secs
-        }
-    }
-
-    /// Completions per second over the full run including the drain phase
-    /// — at overload this is the service capacity, not the offered rate.
-    pub fn achieved_rate(&self) -> f64 {
-        let secs = self.served_for.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            self.responses.len() as f64 / secs
-        }
-    }
 }
 
 /// Submits `n` requests at Poisson `rate` (requests/second) as tenant 0,
@@ -138,29 +110,6 @@ pub fn run_open_loop(
     rate: f64,
     n: usize,
     seed: u64,
-    before_submit: impl FnMut(usize, &mut RotatingQuerySource),
-) -> OpenLoopResult {
-    run_open_loop_deadline(server, source, rate, n, seed, None, before_submit)
-}
-
-/// [`run_open_loop`] with every request stamped with the same end-to-end
-/// `deadline` budget (via
-/// [`RagServer::submit_with_deadline`](crate::RagServer::submit_with_deadline)).
-/// Under an enforcing [`DeadlinePolicy`](crate::DeadlinePolicy) requests
-/// may be shed at admission (counted as rejections) or mid-pipeline (their
-/// tickets resolve without a response), so `responses` holds only the
-/// requests that were actually served.
-///
-/// # Panics
-///
-/// Panics if `rate` is not finite and positive or `n == 0`.
-pub fn run_open_loop_deadline(
-    server: &RagServer,
-    source: &mut RotatingQuerySource,
-    rate: f64,
-    n: usize,
-    seed: u64,
-    deadline: Option<Duration>,
     mut before_submit: impl FnMut(usize, &mut RotatingQuerySource),
 ) -> OpenLoopResult {
     assert!(
@@ -185,25 +134,17 @@ pub fn run_open_loop_deadline(
         let u: f64 = rng.random();
         next_at += -(1.0 - u).ln() / rate;
         clock.sleep_until(started + SimDuration::from_secs_f64(next_at));
-        match server.submit_with_deadline(TenantId(0), source.next_query(), deadline) {
+        match server.submit(source.next_query()) {
             Ok(ticket) => tickets.push(ticket),
             Err(_) => rejected += 1,
         }
     }
-    let offered_for = (clock.now() - started).to_std();
 
-    let mut responses = Vec::with_capacity(tickets.len());
-    for ticket in tickets {
-        if let Some(response) = ticket.wait() {
-            responses.push(response);
-        }
-    }
+    let responses = tickets.into_iter().filter_map(Ticket::wait).collect();
     OpenLoopResult {
         submitted: n,
         rejected,
         responses,
-        offered_for,
-        served_for: (clock.now() - started).to_std(),
     }
 }
 
@@ -250,10 +191,6 @@ pub struct TenantLoopResult {
 pub struct MultiTenantResult {
     /// Per-tenant outcomes, in the order the loads were given.
     pub tenants: Vec<TenantLoopResult>,
-    /// Wall-clock duration of the submission phase (all tenants).
-    pub offered_for: Duration,
-    /// Wall-clock duration until the last admitted request completed.
-    pub served_for: Duration,
 }
 
 /// Drives several tenants' open-loop Poisson streams against one server.
@@ -303,7 +240,6 @@ pub fn run_open_loop_tenants(
             Err(err) => panic!("open-loop submission failed: {err}"),
         }
     }
-    let offered_for = (clock.now() - started).to_std();
 
     for (li, tenant_tickets) in tickets.into_iter().enumerate() {
         for ticket in tenant_tickets {
@@ -312,11 +248,7 @@ pub fn run_open_loop_tenants(
             }
         }
     }
-    MultiTenantResult {
-        tenants: outcomes,
-        offered_for,
-        served_for: (clock.now() - started).to_std(),
-    }
+    MultiTenantResult { tenants: outcomes }
 }
 
 /// Precomputes every tenant's Poisson arrival offsets (seconds from start)
@@ -459,7 +391,6 @@ pub fn run_open_loop_http(
             .send((li, load.tenant, query))
             .expect("worker pool alive");
     }
-    let offered_for = (clock.now() - started).to_std();
 
     drop(job_tx); // workers drain the backlog, then exit
     for worker in workers {
@@ -472,9 +403,5 @@ pub fn run_open_loop_http(
             HttpOutcome::DeadlineMiss => outcomes[li].deadline_misses += 1,
         }
     }
-    MultiTenantResult {
-        tenants: outcomes,
-        offered_for,
-        served_for: (clock.now() - started).to_std(),
-    }
+    MultiTenantResult { tenants: outcomes }
 }

@@ -39,8 +39,7 @@ use crate::server::RequestOutcome;
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Switch for the event journal (the `serve_smoke` obs-on-vs-off
-    /// comparison measures the difference). Disabled, `/v1/events` serves
+    /// Switch for the event journal. Disabled, `/v1/events` serves
     /// an empty body; counters and histograms record regardless — the
     /// report is built from them — and per-request traces are gated by
     /// [`TraceConfig::enabled`](crate::TraceConfig) instead.
@@ -274,15 +273,11 @@ pub(crate) struct TenantSlice {
 #[derive(Debug)]
 pub struct ObsPlane {
     enabled: bool,
-    /// Requests admitted into a queue (equals `QueueStats::admitted`).
-    pub admitted: Counter,
-    /// Requests rejected by a full tenant queue (equals
-    /// `QueueStats::rejected`).
-    pub rejected: Counter,
     /// Requests whose lifecycle ended with a reply (delivered, or shed by
     /// generation admission with retrieval results).
     pub completed: Counter,
-    /// Requests shed by KV-aware generation admission.
+    /// Requests shed at generation admission, KV-aware or deadline-aware
+    /// (rung 5 also ticks `deadline_sheds`).
     pub gen_sheds: Counter,
     /// Batches launched.
     pub batches: Counter,
@@ -325,8 +320,6 @@ impl ObsPlane {
     pub fn new(config: &ObsConfig, n_tenants: usize) -> Self {
         Self {
             enabled: config.enabled,
-            admitted: Counter::new(),
-            rejected: Counter::new(),
             completed: Counter::new(),
             gen_sheds: Counter::new(),
             batches: Counter::new(),
@@ -532,23 +525,13 @@ impl ObsPlane {
     fn write_prometheus(&self, out: &mut String) -> std::fmt::Result {
         for (name, help, counter) in [
             (
-                "vlite_admitted_total",
-                "Requests admitted into a tenant queue",
-                &self.admitted,
-            ),
-            (
-                "vlite_rejected_total",
-                "Requests rejected by a full tenant queue",
-                &self.rejected,
-            ),
-            (
                 "vlite_completed_total",
                 "Requests whose lifecycle ended (delivered or shed)",
                 &self.completed,
             ),
             (
                 "vlite_gen_sheds_total",
-                "Requests shed by KV-aware generation admission",
+                "Requests shed at generation admission (KV-aware or deadline-aware)",
                 &self.gen_sheds,
             ),
             (
@@ -769,14 +752,10 @@ mod tests {
     #[test]
     fn exposition_counts_agree_with_the_counters() {
         let plane = ObsPlane::new(&ObsConfig::default(), 1);
-        plane.admitted.add(2);
-        plane.rejected.inc();
         plane.on_batch(2);
         plane.on_request(&outcome(0, 0, 0.003, 1.0, false), true, true, None);
         let mut text = String::new();
         plane.prometheus_into(&mut text);
-        assert!(text.contains("vlite_admitted_total 2\n"));
-        assert!(text.contains("vlite_rejected_total 1\n"));
         assert!(text.contains("vlite_completed_total 1\n"));
         assert!(text.contains("vlite_batches_total 1\n"));
         assert!(text.contains("vlite_stage_seconds_count{stage=\"search\"} 1\n"));

@@ -57,8 +57,8 @@ pub struct TenantReport {
     /// `slo_ttft` target (`0.0` when generation is disabled). Sheds count
     /// as misses.
     pub ttft_attainment: f64,
-    /// This tenant's requests shed by KV-aware generation admission
-    /// (served retrieval-only, counted as TTFT misses).
+    /// This tenant's requests shed at generation admission, KV-aware or
+    /// deadline-aware (served retrieval-only, counted as TTFT misses).
     pub gen_sheds: u64,
     /// Mean cache hit rate across this tenant's served requests.
     pub mean_hit_rate: f64,
@@ -66,8 +66,8 @@ pub struct TenantReport {
 
 /// Physical-tiering snapshot of one serving run: fast-tier residency,
 /// per-tier probe/byte counters, and the tier migrations the background
-/// migrator applied. Present only when the runtime scans through a
-/// [`TieredStore`].
+/// migrator applied, captured from the [`TieredStore`] every server scans
+/// through.
 #[derive(Debug, Clone)]
 pub struct StoreReport {
     /// Clusters resident in the fast tier at snapshot time.
@@ -174,8 +174,9 @@ pub struct ServeReport {
     /// Fraction of requests whose TTFT met `slo_ttft` (`0.0` when
     /// generation is disabled). Sheds count as misses.
     pub ttft_attainment: f64,
-    /// Requests shed by KV-aware generation admission (served
-    /// retrieval-only, counted as TTFT misses).
+    /// Requests shed at generation admission, KV-aware or deadline-aware
+    /// (served retrieval-only, counted as TTFT misses; the deadline-aware
+    /// ones also count in `deadline_sheds[2]`).
     pub gen_sheds: u64,
     /// Batches launched.
     pub batches: u64,
@@ -356,7 +357,7 @@ impl ServeReport {
                 fmt_seconds(slo_ttft),
                 100.0 * self.ttft_attainment,
                 if self.gen_sheds > 0 {
-                    format!(", {} KV-admission sheds", self.gen_sheds)
+                    format!(", {} generation-admission sheds", self.gen_sheds)
                 } else {
                     String::new()
                 }
@@ -520,7 +521,7 @@ impl ServeReport {
                         fmt_seconds(m.duration.as_secs_f64()),
                     ]);
                 }
-                out.push_str("  tier migrations (dispatcher never stalled):\n");
+                out.push_str("  tier migrations (scans never stalled):\n");
                 out.push_str(&table.render());
             }
         }
@@ -529,7 +530,7 @@ impl ServeReport {
 
     /// The report's latency stages in fixed order: the retrieval stages,
     /// then the generation stages (all-zero summaries when generation is
-    /// disabled). The render/CSV row set, stable for parsers.
+    /// disabled). The render row set, stable for parsers.
     pub fn stages(&self) -> [(&'static str, &Summary); 7] {
         [
             ("queue", &self.queue),
@@ -811,84 +812,5 @@ impl ServeReport {
                 ),
             ),
         ])
-    }
-
-    /// The report's latency rows as CSV (stage, p50, p95, p99, mean, max):
-    /// the three retrieval stages plus the four generation stages (all-zero
-    /// rows when generation is disabled, so the arity is stable). The
-    /// per-tenant breakdown is a differently-shaped table and gets its own
-    /// file: see [`ServeReport::tenants_to_csv`].
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("stage,p50,p95,p99,mean,max\n");
-        for (stage, s) in self.stages() {
-            out.push_str(&format!(
-                "{stage},{:.6},{:.6},{:.6},{:.6},{:.6}\n",
-                s.p50, s.p95, s.p99, s.mean, s.max
-            ));
-        }
-        out
-    }
-
-    /// The per-tenant breakdown as CSV, one row per tenant.
-    pub fn tenants_to_csv(&self) -> String {
-        let mut out = String::from(
-            "tenant,weight,admitted,rejected,completed,queue_p99,search_p50,search_p99,\
-             e2e_p99,slo,attainment,ttft_p50,ttft_p99,ttft_attainment,gen_sheds,hit_rate\n",
-        );
-        for t in &self.tenants {
-            out.push_str(&format!(
-                "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.4},{:.6},{:.6},{:.4},{},{:.4}\n",
-                t.tenant.0,
-                t.weight,
-                t.admitted,
-                t.rejected,
-                t.completed,
-                t.queue.p99,
-                t.search.p50,
-                t.search.p99,
-                t.e2e.p99,
-                t.slo_target,
-                t.slo_attainment,
-                t.ttft.p50,
-                t.ttft.p99,
-                t.ttft_attainment,
-                t.gen_sheds,
-                t.mean_hit_rate
-            ));
-        }
-        out
-    }
-
-    /// The physical-tiering snapshot as CSV: one header plus one row
-    /// (empty string when [`ServeReport::store`] is `None`).
-    pub fn store_to_csv(&self) -> String {
-        let Some(s) = &self.store else {
-            return String::new();
-        };
-        let mut out = String::from(
-            "fast_clusters,total_clusters,fast_bytes,cold_bytes,fast_residency,\
-             hot_probes,cold_probes,hot_bytes_scanned,cold_bytes_scanned,\
-             bytes_promoted,bytes_demoted,store_generation,snapshot_waits,\
-             opened_existing,migrations\n",
-        );
-        out.push_str(&format!(
-            "{},{},{},{},{:.4},{},{},{},{},{},{},{},{},{},{}\n",
-            s.fast_clusters,
-            s.total_clusters,
-            s.fast_bytes,
-            s.cold_bytes,
-            s.fast_residency,
-            s.hot_probes,
-            s.cold_probes,
-            s.hot_bytes_scanned,
-            s.cold_bytes_scanned,
-            s.bytes_promoted,
-            s.bytes_demoted,
-            s.store_generation,
-            s.snapshot_waits,
-            s.opened_existing,
-            s.migrations.len()
-        ));
-        out
     }
 }

@@ -771,30 +771,21 @@ impl RagServer {
             reply,
         };
         match self.shared.queue.try_push(job) {
-            Ok(()) => {
-                self.shared.obs.admitted.inc();
-                Ok(Ticket {
-                    id,
-                    tenant,
-                    deadline: abs_deadline,
-                    trace,
-                    rx,
-                })
-            }
+            Ok(()) => Ok(Ticket {
+                id,
+                tenant,
+                deadline: abs_deadline,
+                trace,
+                rx,
+            }),
             Err((_, true)) => Err(AdmissionError::ShuttingDown),
             // Capacity comes from the immutable tenant table, not the
             // queue: re-taking the admission lock just to echo a config
             // value would contend with the batcher on the overload path.
-            Err((_, false)) => {
-                // Mirrors QueueStats exactly: only a QueueFull rejection
-                // counts (closed-queue and unknown-tenant refusals don't),
-                // so /v1/metrics totals equal the report's.
-                self.shared.obs.rejected.inc();
-                Err(AdmissionError::QueueFull {
-                    tenant,
-                    capacity: self.shared.tenants[tenant.index()].queue_capacity,
-                })
-            }
+            Err((_, false)) => Err(AdmissionError::QueueFull {
+                tenant,
+                capacity: self.shared.tenants[tenant.index()].queue_capacity,
+            }),
         }
     }
 
@@ -941,6 +932,21 @@ impl RagServer {
              vlite_build_info{{version=\"{}\"}} 1",
             prom_label_escape(env!("CARGO_PKG_VERSION"))
         )?;
+        // The admission queue counts both under the lock it already holds;
+        // the report reads the same numbers.
+        let queue = shared.queue.stats();
+        prom_counter(
+            out,
+            "vlite_admitted_total",
+            "Requests admitted into a tenant queue",
+            queue.admitted,
+        );
+        prom_counter(
+            out,
+            "vlite_rejected_total",
+            "Requests rejected by a full tenant queue",
+            queue.rejected,
+        );
         shared.obs.prometheus_into(out);
         let traces = shared.trace.store_stats();
         prom_gauge(

@@ -20,6 +20,10 @@
 //!   degraded, attributed, and on time.
 //! - A budget that fits the fast tier but not a cold scan drops the
 //!   request's cold-tier probes (rung 4) and still answers.
+//! - On a co-scheduled server, a budget that survives retrieval but not
+//!   the estimated first token is shed at generation admission (rung 5):
+//!   the reply carries the retrieval results without generation, and the
+//!   shed counts as both a deadline shed and a generation shed.
 //! - Over the HTTP frontend: `X-Deadline-Ms` is validated (400 on garbage),
 //!   a generous budget answers 200, an impossible budget answers 504 with
 //!   a JSON error body, and the shed shows up in `/v1/metrics` and the
@@ -39,7 +43,7 @@ use vectorlite_rag::ann::{IvfConfig, IvfIndex, VecSet};
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::{
-    AdmissionError, RagServer, ServeConfig, TenantId, TraceId, VirtualClock,
+    AdmissionError, GenerationConfig, RagServer, ServeConfig, TenantId, TraceId, VirtualClock,
 };
 use vectorlite_rag::sim::SimDuration;
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -292,6 +296,74 @@ fn fast_tier_only_budget_skips_cold_probes_and_still_answers() {
     assert_eq!(report.degraded_probes, 0, "the probe count itself was kept");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 1);
+}
+
+#[test]
+fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results() {
+    let corpus = corpus();
+    let mut config = enforcing_config();
+    let generation = GenerationConfig::tiny();
+    // Even a prompt with no documents prefills for longer than this
+    // budget, so on an idle engine the estimated first token lands past
+    // the deadline whatever the retrieval returns.
+    let min_prefill = generation
+        .cost
+        .prefill_time(generation.prompt_tokens(0), 1.0)
+        .as_secs_f64();
+    let budget = 0.5 * min_prefill;
+    // Rungs 3 and 4 keep the full probe list: the whole budget remains at
+    // batch formation (the clock never advances) and exceeds both
+    // estimates.
+    config.deadline.est_search = 0.5 * budget;
+    config.deadline.est_cold = 0.0;
+    config.generation = Some(generation);
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+
+    let response = server
+        .submit_with_deadline(
+            TenantId(0),
+            corpus.vectors.get(0).to_vec(),
+            Some(Duration::from_secs_f64(budget)),
+        )
+        .expect("an idle queue has no wait estimate, so admission admits")
+        .wait()
+        .expect("a generation shed still replies");
+    assert_eq!(response.neighbors[0].id, 0, "full-probe retrieval results");
+    assert_eq!(response.timings.generation, None, "retrieval-only reply");
+
+    let report = server.report();
+    assert_eq!(
+        report.deadline_sheds,
+        [0, 0, 1],
+        "exactly one shed, attributed to the generation stage"
+    );
+    assert_eq!(report.gen_sheds, 1, "a deadline-aware generation shed");
+    assert_eq!((report.degraded_probes, report.cold_skips), (0, 0));
+    assert_eq!(
+        report.deadline_met, 1,
+        "the reply left at the merge tick, inside its budget"
+    );
+
+    let spans = server
+        .trace_plane()
+        .trace_spans(response.trace.0)
+        .expect("the reply's trace id resolves");
+    assert!(
+        spans.iter().any(|s| s.name == "shed:gen-deadline"),
+        "missing rung-5 marker: {spans:?}"
+    );
+    let journal = server.obs().journal_snapshot();
+    let shed = journal
+        .iter()
+        .find(|e| e.kind == "deadline-shed")
+        .expect("generation deadline sheds are journaled");
+    assert!(
+        shed.detail
+            .contains("shed by deadline-aware generation admission"),
+        "unexpected detail: {}",
+        shed.detail
+    );
 }
 
 #[test]

@@ -532,7 +532,7 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
     }
     let rendered = report.render();
     assert!(
-        rendered.contains("KV-admission sheds"),
+        rendered.contains("generation-admission sheds"),
         "render must surface sheds: {rendered}"
     );
 }

@@ -1,6 +1,7 @@
-//! Round-trip tests for `ServeReport::to_csv` / `to_json`, including the
-//! TTFT columns added with the generation stage: header/row arity, and
-//! parse-back equality of every numeric cell.
+//! Round-trip tests for `ServeReport::to_json` (the `/v1/report` body),
+//! including the TTFT, deadline, profile and tiered-store sections:
+//! parse-back equality of every numeric field, `null` for absent ones,
+//! and the text render's deadline section.
 
 use std::time::Duration;
 
@@ -132,91 +133,6 @@ fn co_scheduled_report() -> ServeReport {
 }
 
 #[test]
-fn csv_has_stable_arity_and_round_trips_every_cell() {
-    let report = co_scheduled_report();
-    let csv = report.to_csv();
-    let mut lines = csv.lines();
-    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-    assert_eq!(header, vec!["stage", "p50", "p95", "p99", "mean", "max"]);
-
-    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
-    // Three retrieval stages + four generation stages, always.
-    assert_eq!(rows.len(), 7, "stage rows: {csv}");
-    let stages: Vec<&str> = rows.iter().map(|r| r[0]).collect();
-    assert_eq!(
-        stages,
-        vec![
-            "queue",
-            "search",
-            "e2e",
-            "gen_queue",
-            "prefill",
-            "decode",
-            "ttft"
-        ]
-    );
-    for row in &rows {
-        assert_eq!(row.len(), header.len(), "row arity: {row:?}");
-    }
-    // Parse back every numeric cell and compare against the source summary
-    // at the CSV's 6-decimal precision.
-    for (row, (_, s)) in rows.iter().zip(report.stages()) {
-        for (cell, want) in row[1..].iter().zip([s.p50, s.p95, s.p99, s.mean, s.max]) {
-            let parsed: f64 = cell.parse().expect("numeric cell");
-            assert!(
-                (parsed - want).abs() < 5e-7,
-                "cell {cell} drifted from {want}"
-            );
-        }
-    }
-}
-
-#[test]
-fn retrieval_only_csv_keeps_the_same_shape_with_zero_generation_rows() {
-    let mut report = co_scheduled_report();
-    report.slo_ttft = None;
-    report.ttft = Summary::default();
-    report.gen_queue = Summary::default();
-    report.prefill = Summary::default();
-    report.decode = Summary::default();
-    let csv = report.to_csv();
-    assert_eq!(csv.lines().count(), 8, "header + 7 stage rows");
-    let ttft_row = csv.lines().last().unwrap();
-    assert_eq!(
-        ttft_row,
-        "ttft,0.000000,0.000000,0.000000,0.000000,0.000000"
-    );
-}
-
-#[test]
-fn tenants_csv_header_matches_row_arity_and_round_trips() {
-    let report = co_scheduled_report();
-    let csv = report.tenants_to_csv();
-    let mut lines = csv.lines();
-    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-    assert!(header.contains(&"ttft_p50"));
-    assert!(header.contains(&"ttft_p99"));
-    assert!(header.contains(&"ttft_attainment"));
-    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
-    assert_eq!(rows.len(), report.tenants.len());
-    for (row, t) in rows.iter().zip(&report.tenants) {
-        assert_eq!(row.len(), header.len(), "row arity: {row:?}");
-        let cell = |name: &str| -> f64 {
-            let i = header.iter().position(|h| h.trim() == name).unwrap();
-            row[i].parse().expect("numeric cell")
-        };
-        assert_eq!(cell("tenant") as u16, t.tenant.0);
-        assert_eq!(cell("admitted") as u64, t.admitted);
-        assert_eq!(cell("rejected") as u64, t.rejected);
-        assert_eq!(cell("completed") as u64, t.completed);
-        assert!((cell("ttft_p50") - t.ttft.p50).abs() < 5e-7);
-        assert!((cell("ttft_p99") - t.ttft.p99).abs() < 5e-7);
-        assert!((cell("ttft_attainment") - t.ttft_attainment).abs() < 5e-5);
-        assert!((cell("attainment") - t.slo_attainment).abs() < 5e-5);
-    }
-}
-
-#[test]
 fn json_round_trips_exactly_including_ttft_fields() {
     let report = co_scheduled_report();
     let text = report.to_json().render();
@@ -308,31 +224,12 @@ fn json_round_trips_exactly_including_ttft_fields() {
 }
 
 #[test]
-fn storeless_json_encodes_store_as_null_and_csv_as_empty() {
+fn storeless_json_encodes_store_as_null() {
     let mut report = co_scheduled_report();
     report.store = None;
     let text = report.to_json().render();
     let json = Json::parse(&text).unwrap();
     assert_eq!(json.get("store"), Some(&Json::Null));
-    assert_eq!(report.store_to_csv(), "");
-}
-
-#[test]
-fn store_csv_has_matching_header_and_row_arity() {
-    let report = co_scheduled_report();
-    let csv = report.store_to_csv();
-    let mut lines = csv.lines();
-    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
-    let row: Vec<&str> = lines.next().expect("row").split(',').collect();
-    assert_eq!(header.len(), row.len());
-    let cell = |name: &str| -> &str {
-        let i = header.iter().position(|h| h.trim() == name).unwrap();
-        row[i]
-    };
-    assert_eq!(cell("fast_clusters"), "34");
-    assert_eq!(cell("bytes_promoted"), "2000000");
-    assert_eq!(cell("opened_existing"), "true");
-    assert_eq!(cell("migrations"), "1");
 }
 
 #[test]
