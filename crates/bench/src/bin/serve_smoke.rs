@@ -24,7 +24,7 @@
 //! still trips them.
 //!
 //! Relations between rows are checked when the baseline lists both sides
-//! at the same rate: all-cold spends longer in the CPU worker's scan stage
+//! at the same rate: all-cold spends longer in the `cpu_scan` stage
 //! than paper placement, whose p50 tracks all-hot within [`TIER_MARGIN`];
 //! the native kernels (the paper tier row) are no slower than forced
 //! scalar beyond [`KERNEL_P50_NOISE`] / [`KERNEL_NOISE`]; and the deadline
@@ -81,7 +81,7 @@ fn corpus() -> SyntheticCorpus {
 /// The tier rows' corpus: big enough that scan work (not thread
 /// coordination) dominates per-query latency, so the tiers' physical
 /// asymmetry — parallel full-precision arenas vs serial SQ8 scans on the
-/// one CPU worker — is what the percentiles measure.
+/// batcher's one CPU share — is what the percentiles measure.
 fn tier_corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
         n_vectors: 60_000,
@@ -388,7 +388,7 @@ fn gate(baseline_path: &str) {
 }
 
 /// Wall seconds the run spent inside the cold tier's scan stage (the one
-/// CPU worker's serial SQ8 scans).
+/// batcher's serial SQ8 scans of the CPU share).
 fn cpu_scan_wall(report: &ServeReport) -> f64 {
     report
         .profile

@@ -82,9 +82,6 @@ pub struct GenerationConfig {
     /// End-to-end TTFT SLO in seconds (admission → first token), the
     /// target of the report's TTFT attainment rows.
     pub slo_ttft: f64,
-    /// Retrieval-interference multiplier on iteration times (`>= 1.0`; see
-    /// [`LlmCostModel::interference`]).
-    pub interference: f64,
     /// KV-aware admission: shed a request at generation enqueue when its
     /// prompt could not be KV-resident (and prefilled) within `slo_ttft`,
     /// instead of letting it queue into a guaranteed SLO miss. A shed
@@ -107,7 +104,6 @@ impl GenerationConfig {
             tokens_per_doc: 32,
             output_tokens: 8,
             slo_ttft: 0.25,
-            interference: 1.0,
             kv_admission: false,
         }
     }
@@ -128,7 +124,6 @@ impl GenerationConfig {
             self.slo_ttft.is_finite() && self.slo_ttft > 0.0,
             "slo_ttft must be positive and finite"
         );
-        assert!(self.interference >= 1.0, "interference must be >= 1.0");
         assert!(self.max_batch > 0, "max_batch must be positive");
         let worst = self.prompt_tokens(top_k).max(1) + self.output_tokens;
         // Size the check with the engine's own allocator so this start-time
@@ -232,9 +227,9 @@ impl DeadlinePolicy {
 /// [`TieredStore`](vlite_store::TieredStore): at start-up the runtime
 /// detaches the index's flat list payloads into it, clusters the placement
 /// marks hot become resident full-precision arenas, cold clusters live in
-/// the segment file's mmap'd SQ8 extents, and a background migrator moves
-/// cluster extents between tiers on every online repartition without
-/// stalling the scans. The index therefore needs flat list storage
+/// the segment file's mmap'd SQ8 extents, and the control loop moves
+/// cluster extents between tiers right after every online repartition
+/// without stalling the scans. The index therefore needs flat list storage
 /// under L2 or inner product ([`RagServer::start`](crate::RagServer::start)
 /// refuses anything else).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

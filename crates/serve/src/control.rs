@@ -10,16 +10,34 @@
 //! recent probe sets, re-runs Algorithm 1 ([`partition`]), re-splits, and
 //! hot-swaps the router — the admission queue keeps accepting and batches
 //! keep launching throughout, exactly the paper's "service never stops"
-//! full-shard update. The loop also emits a
-//! [`MigrationOrder`](crate::migrate::MigrationOrder) after each swap so
-//! the background migrator moves the tiered store's cluster extents to
-//! match the new placement.
+//! full-shard update.
+//!
+//! A router swap only changes where probes are *routed*; the bytes live in
+//! the [`TieredStore`](vlite_store::TieredStore) behind the scan path. So
+//! right after the swap the loop migrates the tiers itself: newly hot
+//! clusters are promoted (their full-precision extents materialized from
+//! the segment file into resident arenas), newly cold ones demoted (arenas
+//! released, scans fall back to the mmap'd SQ8 extents). The migration
+//! never blocks a scan: all promotion I/O happens outside the tier map's
+//! lock, the tier swap is one pointer store, and scans already running
+//! keep their snapshot's arenas alive through `Arc`s. Between the two
+//! swaps a newly hot cluster may still scan cold for a batch or two — which
+//! is correct (both tiers return the cluster's vectors, at different
+//! precision). The migration runs inside the post-repartition cooldown, so
+//! no observation it delays could have triggered anything, and when a
+//! repartition returns the store's tiers equal the installed router's hot
+//! set.
+//!
+//! The loop times its work as two disjoint profile stages: `control`
+//! (re-profile → Algorithm 1 → re-split → swap) and `migrate` (the tier
+//! move). Observations themselves stay unsectioned: a pair of clock reads
+//! per observation would cost too much at saturating request rates.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 
 use vlite_core::{
     partition, AccessProfile, DriftMonitor, HitRateEstimator, IndexSplit, PartitionInput,
@@ -27,9 +45,9 @@ use vlite_core::{
 };
 
 use crate::config::ControlConfig;
-use crate::migrate::MigrationOrder;
 use crate::request::TenantId;
 use crate::server::Shared;
+use crate::trace::{STAGE_CONTROL, STAGE_MIGRATE};
 
 /// One completed request, as seen by the control loop.
 #[derive(Debug)]
@@ -75,6 +93,33 @@ pub struct RepartitionEvent {
     pub duration: Duration,
 }
 
+/// One tier migration the control loop applied right after a router swap,
+/// as reported in [`ServeReport`](crate::ServeReport).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MigrationEvent {
+    /// The placement generation this migration realized.
+    pub placement_generation: u64,
+    /// The store generation installed by this migration.
+    pub store_generation: u64,
+    /// The tenant whose drift monitor tripped the repartition behind it.
+    pub triggered_by: TenantId,
+    /// Clusters promoted cold → hot.
+    pub promoted: usize,
+    /// Clusters demoted hot → cold.
+    pub demoted: usize,
+    /// Bytes materialized into resident arenas.
+    pub bytes_promoted: u64,
+    /// Resident bytes released back to the cold tier.
+    pub bytes_demoted: u64,
+    /// Batches the batcher had completed when the migration began.
+    pub batches_before: u64,
+    /// Batches the batcher had completed when the migration finished — the
+    /// gap to `batches_before` shows the engine kept draining throughout.
+    pub batches_after: u64,
+    /// Clock duration of the promotion I/O + swap.
+    pub duration: Duration,
+}
+
 /// State owned by the control thread.
 pub(crate) struct ControlLoop {
     shared: Arc<Shared>,
@@ -97,8 +142,6 @@ pub(crate) struct ControlLoop {
     /// Observations per tenant since the last repartition.
     observed_by_tenant: Vec<u64>,
     last_repartition: u64,
-    /// Where tier-migration orders go after each swap.
-    migrate_tx: Sender<MigrationOrder>,
 }
 
 impl ControlLoop {
@@ -112,7 +155,6 @@ impl ControlLoop {
         coverage_override: Option<f64>,
         sizes: Vec<u64>,
         bytes: Vec<u64>,
-        migrate_tx: Sender<MigrationOrder>,
     ) -> Self {
         let n_tenants = shared.tenants.len();
         let monitors = (0..n_tenants)
@@ -132,7 +174,6 @@ impl ControlLoop {
             observed: 0,
             observed_by_tenant: vec![0; n_tenants],
             last_repartition: 0,
-            migrate_tx,
         }
     }
 
@@ -202,10 +243,11 @@ impl ControlLoop {
         None
     }
 
-    /// Re-profile → Algorithm 1 → re-split → hot-swap, without touching the
-    /// admission queue.
+    /// Re-profile → Algorithm 1 → re-split → hot-swap → tier migration,
+    /// without touching the admission queue.
     fn repartition(&mut self, triggered_by: TenantId) {
         let started = self.shared.clock.now();
+        let control = self.shared.trace.stage_start(STAGE_CONTROL, started);
 
         // Stage 1: re-profile from the observed probe ring.
         let mut counts = vec![0u64; self.sizes.len()];
@@ -238,7 +280,7 @@ impl ControlLoop {
             retained as f64 / old_hot.len() as f64
         };
         let new_coverage = split.coverage();
-        // The migrator needs the new hot set; read it off the split in
+        // The tier move needs the new hot set; read it off the split in
         // hand before the router consumes it.
         let hot: Vec<bool> = (0..self.sizes.len() as u32)
             .map(|c| split.is_hot(c))
@@ -256,16 +298,8 @@ impl ControlLoop {
         // the swap*, not at trigger time.
         let queue_depth_at_swap = self.shared.queue.depth();
         let generation = self.shared.install_placement(new_router);
-
-        // Stage 5: hand the new hot set to the migrator, which
-        // promotes/demotes cluster extents in the background while batches
-        // keep launching against whatever tier each cluster is on.
-        let _ = self.migrate_tx.send(MigrationOrder {
-            placement_generation: generation,
-            triggered_by,
-            hot,
-        });
-
+        let swapped = self.shared.clock.now();
+        self.shared.trace.stage_end(control, swapped);
         self.shared.record_repartition(RepartitionEvent {
             generation,
             at_request: self.observed,
@@ -278,13 +312,48 @@ impl ControlLoop {
             new_coverage,
             hot_overlap,
             queue_depth_at_swap,
-            duration: (self.shared.clock.now() - started).to_std(),
+            duration: (swapped - started).to_std(),
         });
+
+        // Stage 5: move the tiers to the new hot set while batches keep
+        // launching against whatever tier each cluster is on.
+        self.migrate(generation, triggered_by, &hot);
+
         for monitor in &mut self.monitors {
             monitor.reset(Some(expected_mean_hit));
         }
         self.expected_mean_hit = expected_mean_hit;
         self.last_repartition = self.observed;
+    }
+
+    /// Promotes/demotes cluster extents so the store's tiers equal `hot`,
+    /// timed as one `migrate` section, and records the migration (event,
+    /// journal line, and a span linked to whatever batch was in flight
+    /// while the tiers moved).
+    fn migrate(&self, placement_generation: u64, triggered_by: TenantId, hot: &[bool]) {
+        let shared = &self.shared;
+        let started = shared.clock.now();
+        let timer = shared.trace.stage_start(STAGE_MIGRATE, started);
+        let batches_before = shared.obs.batches.get();
+        let shift = shared.store.apply_placement(hot);
+        let batches_after = shared.obs.batches.get();
+        let finished = shared.clock.now();
+        shared.trace.stage_end(timer, finished);
+        shared
+            .trace
+            .record_migration("migration", started, finished);
+        shared.record_migration(MigrationEvent {
+            placement_generation,
+            store_generation: shift.generation,
+            triggered_by,
+            promoted: shift.promoted,
+            demoted: shift.demoted,
+            bytes_promoted: shift.bytes_promoted,
+            bytes_demoted: shift.bytes_demoted,
+            batches_before,
+            batches_after,
+            duration: (finished - started).to_std(),
+        });
     }
 }
 
@@ -404,7 +473,6 @@ pub(crate) mod tests {
         config.profile_window = 512;
         config.require_slo_breach = true;
         let input = PartitionInput::new(real.slo_search, real.mu_llm0, real.kv_bytes_full);
-        let (migrate_tx, _migrate_rx) = crossbeam::channel::unbounded();
         let control = ControlLoop::new(
             shared.clone(),
             config,
@@ -416,7 +484,6 @@ pub(crate) mod tests {
             Some(0.3),
             sizes,
             bytes,
-            migrate_tx,
         );
         (shared, control, probe_sets)
     }
@@ -449,6 +516,41 @@ pub(crate) mod tests {
             "repartition must fire the moment cooldown expires, not after \
              re-accumulating a window (old behavior: request 480)"
         );
+    }
+
+    #[test]
+    fn a_repartition_returns_with_tiers_and_profile_consistent() {
+        let (shared, mut control, probe_sets) = harness(100, 80, 1);
+        let nlist = shared.index.nlist() as u32;
+        let old_flags = shared.store.hot_flags();
+        // Traffic drifts onto other clusters: every probe shifts by half
+        // the lists, so the re-profiled hot set moves.
+        let mut i = 0;
+        while shared.repartitions.is_empty() && i < 1_000 {
+            let mut obs = drifted(&probe_sets, i);
+            for c in &mut obs.probes {
+                *c = (*c + nlist / 2) % nlist;
+            }
+            control.observe(obs);
+            i += 1;
+        }
+        assert_eq!(shared.repartitions.len(), 1, "drift must repartition");
+
+        // No thread ran and nothing shut down: the tiers already match.
+        let (router, generation) = shared.placement_snapshot();
+        let router_hot: Vec<bool> = (0..nlist).map(|c| router.split().is_hot(c)).collect();
+        let flags = shared.store.hot_flags();
+        assert_eq!(flags, router_hot, "tiers equal the installed hot set");
+        assert_ne!(flags, old_flags, "the drifted hot set moved clusters");
+        let migrations = shared.migrations.snapshot();
+        assert_eq!(migrations.len(), 1);
+        assert_eq!(migrations[0].placement_generation, generation);
+
+        let profile = shared.trace.profile();
+        for stage in ["control", "migrate"] {
+            let row = profile.iter().find(|r| r.stage == stage).expect("row");
+            assert_eq!(row.sections, 1, "{stage} sections");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! per shard ("GPU") scans its pruned probe lists for the whole batch, one
 //! more scans the cold probes, each returns its partials through its join
 //! handle, and the caller merges and re-ranks every query.
-//! [`RagServer`](crate::RagServer) runs the same fan-out and gather with
-//! *persistent* workers; this free-standing form serves ad-hoc batches
+//! [`RagServer`](crate::RagServer) splits a batch into the same shares,
+//! but over *persistent* shard workers, with the batcher scanning the cold
+//! share on its own thread; this free-standing form serves ad-hoc batches
 //! against a [`RealDeployment`] without spinning up the full runtime.
 
 use vlite_ann::{merge_sorted, Neighbor, VecSet};

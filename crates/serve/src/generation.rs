@@ -129,7 +129,6 @@ impl GenerationStage {
         let mut engine = LlmEngine::new(config.cost.clone(), config.kv_bytes);
         engine.set_max_batch(config.max_batch);
         engine.set_max_prefill_tokens(config.max_prefill_tokens);
-        engine.set_interference(config.interference);
         Self {
             config: config.clone(),
             engine,
@@ -206,18 +205,17 @@ impl GenerationStage {
                 .map(|(req, generated)| req.output_tokens.saturating_sub(generated))
                 .max()
                 .unwrap_or(0);
-            let step = self.config.cost.decode_step_time(
-                batch,
-                kv.resident_tokens().max(1),
-                self.config.interference,
-            );
+            let step = self
+                .config
+                .cost
+                .decode_step_time(batch, kv.resident_tokens().max(1), 1.0);
             at += SimDuration::from_secs_f64(step.as_secs_f64() * max_remaining as f64);
         }
         let queued_prompts: u64 = self.engine.waiting().map(|r| r.input_tokens).sum();
         at + self
             .config
             .cost
-            .prefill_time(queued_prompts + prompt_tokens, self.config.interference)
+            .prefill_time(queued_prompts + prompt_tokens, 1.0)
     }
 
     /// KV-aware admission ([`GenerationConfig::kv_admission`]): submits the

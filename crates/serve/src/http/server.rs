@@ -540,8 +540,13 @@ fn search(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
     };
     let deadline = match head.header("x-deadline-ms") {
         None => None,
+        // `try_from_secs_f64` refuses non-finite budgets and ones past
+        // `Duration::MAX` (e.g. `1e300`), which `from_secs_f64` panics on.
         Some(raw) => match raw.trim().parse::<f64>() {
-            Ok(ms) if ms.is_finite() && ms > 0.0 => Some(Duration::from_secs_f64(ms / 1e3)),
+            Ok(ms) if ms > 0.0 => match Duration::try_from_secs_f64(ms / 1e3) {
+                Ok(budget) => Some(budget),
+                Err(_) => return bad_request("X-Deadline-Ms is out of range"),
+            },
             _ => return bad_request("X-Deadline-Ms must be a positive number of milliseconds"),
         },
     };

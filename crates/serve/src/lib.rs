@@ -16,14 +16,14 @@
 //!                 └──┬─────────────┬───────┘
 //!          pruned    ▼             ▼  cold probes
 //!        ┌──────────────┐   ┌──────────────┐
-//!        │ shard workers│   │ CPU scan     │
-//!        │ ("GPUs")     │   │ worker       │
+//!        │ shard workers│   │ batcher scans│
+//!        │ ("GPUs")     │   │ the CPU share│
 //!        └──────┬───────┘   └──────┬───────┘
 //!               │ every scan reads through a vlite-store StoreSnapshot,
-//!               │ one blocked batch call per worker per batch:
+//!               │ one blocked batch call per share per batch:
 //!               │ hot = resident f32 arenas, cold = mmap'd SQ8 extents,
-//!               │ tiers moved live by the migrator thread on repartition
-//!               ▼ one share per worker per batch
+//!               │ tiers moved live by the control loop on repartition
+//!               ▼ one share per shard per batch, plus the CPU share
 //!        ┌────────────────────────────────┐
 //!        │ batcher: gather every share,   │──▶ per-request latencies,
 //!        │ merge + deliver each query     │    SLO bookkeeping
@@ -36,8 +36,8 @@
 //!               │  └───────────────┬────────────────┘
 //!               ▼ observations     ▼ (hit rate, SLO: search- or TTFT-keyed)
 //!        ┌────────────────────────────────┐
-//!        │ control loop: per-tenant       │──▶ hot-swap new Router +
-//!        │ DriftMonitors → re-profile →   │    order tier migration
+//!        │ control loop: per-tenant       │──▶ hot-swap new Router,
+//!        │ DriftMonitors → re-profile →   │    then migrate the tiers
 //!        │ Algorithm 1 → re-split         │    (queue never drained)
 //!        └────────────────────────────────┘
 //! ```
@@ -60,8 +60,9 @@
 //! - [`run_dispatcher`] / [`hybrid_search_batch`] — the one-shot batch
 //!   dispatcher (moved here from `vlite-core`'s prototype in `real.rs`):
 //!   one scoped thread per shard plus one for the cold probes, merged by
-//!   the caller — the same fan-out and gather the runtime's batcher runs
-//!   over persistent workers.
+//!   the caller. The runtime splits a batch into the same shares, but its
+//!   batcher scans the cold share on its own thread beside persistent
+//!   shard workers.
 //! - [`http`] — the hand-rolled HTTP/1.1 network frontend
 //!   ([`HttpFrontend`]): `POST /v1/search` (with an `X-Tenant` header),
 //!   `GET /v1/report`, `GET /v1/metrics` (Prometheus text exposition),
@@ -118,7 +119,6 @@ mod dispatch;
 pub mod generation;
 pub mod http;
 pub mod loadgen;
-mod migrate;
 pub mod obs;
 mod queue;
 mod report;
@@ -132,10 +132,9 @@ pub use config::{
     ControlConfig, DeadlinePolicy, GenerationConfig, HttpConfig, ServeConfig, SloSignal,
     StoreConfig, TenantSpec, TraceConfig,
 };
-pub use control::RepartitionEvent;
+pub use control::{MigrationEvent, RepartitionEvent};
 pub use dispatch::{hybrid_search_batch, run_dispatcher, DispatchOutcome};
 pub use http::HttpFrontend;
-pub use migrate::MigrationEvent;
 pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, Severity};
 pub use report::{ServeReport, StoreReport, TenantReport};
 pub use request::{

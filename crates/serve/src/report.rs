@@ -13,9 +13,8 @@ use vlite_metrics::{fmt_seconds, Summary, Table};
 use vlite_store::TieredStore;
 
 use crate::config::TenantSpec;
-use crate::control::RepartitionEvent;
+use crate::control::{MigrationEvent, RepartitionEvent};
 use crate::http::json::Json;
-use crate::migrate::MigrationEvent;
 use crate::obs::ObsPlane;
 use crate::queue::QueueStats;
 use crate::request::TenantId;
@@ -65,9 +64,9 @@ pub struct TenantReport {
 }
 
 /// Physical-tiering snapshot of one serving run: fast-tier residency,
-/// per-tier probe/byte counters, and the tier migrations the background
-/// migrator applied, captured from the [`TieredStore`] every server scans
-/// through.
+/// per-tier probe/byte counters, and the tier migrations the control loop
+/// applied after its router swaps, captured from the [`TieredStore`] every
+/// server scans through.
 #[derive(Debug, Clone)]
 pub struct StoreReport {
     /// Clusters resident in the fast tier at snapshot time.
@@ -107,7 +106,7 @@ pub struct StoreReport {
     /// Whether the segment file was reopened from disk (save → load →
     /// serve) rather than freshly written.
     pub opened_existing: bool,
-    /// Tier migrations applied by the background migrator, in order.
+    /// Tier migrations applied by the control loop, in order.
     pub migrations: Vec<MigrationEvent>,
 }
 

@@ -1,16 +1,20 @@
-//! The long-lived serving runtime: admission → batcher → scan workers (one
-//! per shard plus the CPU worker) → batcher merge → control loop.
+//! The long-lived serving runtime: admission → batcher → shard workers (the
+//! batcher scans the CPU share itself) → batcher merge → control loop.
 //!
 //! This generalizes the one-shot dispatcher (`dispatch.rs`, formerly
 //! `vlite-core`'s `real.rs`) into persistent threads coordinated through
-//! channels. One batch is in flight at a time — the paper's on-demand
+//! channels: the batcher, one worker per shard and the control loop
+//! (`n_shards + 2` threads), plus the generation worker when generation is
+//! configured. One batch is in flight at a time — the paper's on-demand
 //! batching: the batcher launches the moment the engine goes idle,
-//! absorbing everything queued (§VI-B). It fans the batch out, gathers
-//! exactly one share from each scan worker, then merges, records and
-//! replies for every query in batch order. A batch's queries therefore
-//! finish together: the cold scan is one blocked pass over the whole
-//! batch, so no query's CPU share is done before another's. Admission,
-//! generation and the control loop run concurrently with the scan.
+//! absorbing everything queued (§VI-B). It hands the batch to every shard
+//! worker, scans the cold (CPU) share on its own thread meanwhile, gathers
+//! exactly one share from each shard, then merges, records and replies for
+//! every query in batch order. A batch's queries therefore finish
+//! together: the cold scan is one blocked pass over the whole batch, so no
+//! query's CPU share is done before another's. Admission, generation and
+//! the control loop — which also moves the store's tiers after each
+//! repartition — run concurrently with the scan.
 //!
 //! Admission is multi-tenant: each tenant owns a bounded queue
 //! ([`TenantSpec::queue_capacity`](crate::TenantSpec)) and the batcher
@@ -38,9 +42,8 @@ use crate::clock::{Clock, RealClock};
 use crate::config::{
     DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, StoreConfig, TenantSpec,
 };
-use crate::control::{ControlLoop, Observation, RepartitionEvent};
+use crate::control::{ControlLoop, MigrationEvent, Observation, RepartitionEvent};
 use crate::generation::{generation_worker, GenWork};
-use crate::migrate::{migrator_worker, MigrationEvent, MigrationOrder};
 use crate::obs::{
     prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
 };
@@ -52,7 +55,7 @@ use crate::trace::{
     STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
 };
 
-/// One batch travelling from the batcher to the scan workers.
+/// One batch travelling from the batcher to the shard workers.
 struct BatchWork {
     jobs: Vec<Job>,
     routed: Vec<RoutedQuery>,
@@ -63,13 +66,12 @@ struct BatchWork {
     trace: Option<BatchCtx>,
 }
 
-/// One scan worker's share of a batch: the worker's index and one partial
+/// One shard worker's share of a batch: the shard's index and one partial
 /// top-k per query, in batch order.
 type Share = (usize, Vec<Vec<Neighbor>>);
 
-/// The batcher's handles on the scan workers: one work channel per worker
-/// (shards first, the CPU worker last) and the channel their shares come
-/// back on.
+/// The batcher's handles on the shard workers: one work channel per shard
+/// and the channel their shares come back on.
 struct ScanPool {
     work: Vec<Sender<Arc<BatchWork>>>,
     done: Receiver<Share>,
@@ -176,7 +178,7 @@ pub(crate) struct Shared {
     /// most recent [`HISTORY_CAPACITY`] events instead of growing without
     /// bound (evictions counted).
     pub(crate) repartitions: BoundedRing<RepartitionEvent>,
-    /// Tier migrations applied by the migrator, in order, same cap
+    /// Tier migrations applied by the control loop, in order, same cap
     /// discipline as `repartitions`.
     pub(crate) migrations: BoundedRing<MigrationEvent>,
     /// The telemetry plane: every per-request aggregate (lock-free
@@ -241,7 +243,7 @@ impl Shared {
                 generation: None,
             },
             hit_rate: 0.0,
-            deadline: Some(now + SimDuration::from_secs_f64(budget.max(0.0))),
+            deadline: Some(deadline_after(now, budget)),
             gen_busy: None,
             shed: Some(ShedCause::Admission {
                 estimated_wait: wait,
@@ -614,17 +616,6 @@ impl RagServer {
             batcher(&shared_, max_batch, &pool, &control_tx, gen_tx.as_ref());
         }));
 
-        // Tier migrator: subscribes to the control loop's post-swap
-        // orders and moves cluster extents between tiers without ever
-        // blocking the scan path (see `migrate.rs`).
-        // vlite-allow(bounded-queues): at most one order per repartition,
-        // and the control loop's cooldown spaces repartitions out.
-        let (migrate_tx, migrate_rx) = channel::unbounded::<MigrationOrder>();
-        let shared_ = shared.clone();
-        threads.push(spawn_named("vlite-migrate", move || {
-            migrator_worker(&shared_, &migrate_rx);
-        }));
-
         {
             let input = PartitionInput::new(
                 config.real.slo_search,
@@ -646,7 +637,6 @@ impl RagServer {
                 config.real.coverage_override,
                 sizes,
                 bytes,
-                migrate_tx,
             );
             threads.push(spawn_named("vlite-control", move || {
                 control.run(control_rx)
@@ -751,7 +741,7 @@ impl RagServer {
         let budget = deadline
             .map(|d| d.as_secs_f64())
             .or(self.shared.deadline.default_deadline);
-        let abs_deadline = budget.map(|b| now + SimDuration::from_secs_f64(b.max(0.0)));
+        let abs_deadline = budget.map(|b| deadline_after(now, b));
         // relaxed: a fresh-id counter — uniqueness needs atomicity only,
         // no ordering with any other memory.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -844,8 +834,8 @@ impl RagServer {
 
     /// The tiered storage engine the scan path reads through — always
     /// `Some` for a running server. The `Arc` can be cloned to inspect the
-    /// store after [`RagServer::shutdown`] (every migration is applied by
-    /// then: shutdown joins the migrator).
+    /// store after [`RagServer::shutdown`] (every repartition applies its
+    /// migration before the control loop reads the next observation).
     pub fn store(&self) -> Option<&Arc<TieredStore>> {
         Some(&self.shared.store)
     }
@@ -977,7 +967,7 @@ impl RagServer {
         prom_counter(
             out,
             "vlite_migrations_total",
-            "Tier migrations applied by the background migrator",
+            "Tier migrations applied by the control loop",
             shared.migrations.len() as u64 + shared.migrations.evicted(),
         );
         prom_gauge(
@@ -1144,6 +1134,14 @@ impl Drop for RagServer {
     }
 }
 
+/// The absolute deadline `budget` seconds after `now`. The add saturates:
+/// a budget past the end of the clock's range means "no deadline in
+/// practice", never a wrap into the past.
+fn deadline_after(now: SimTime, budget: f64) -> SimTime {
+    let budget = SimDuration::from_secs_f64(budget.max(0.0));
+    SimTime::from_nanos(now.as_nanos().saturating_add(budget.as_nanos()))
+}
+
 /// Mean per-query hit rate of `probe_sets` under `router` — the runtime's
 /// observable statistic, used as the drift monitor's expectation.
 pub(crate) fn empirical_mean_hit<'a>(
@@ -1197,7 +1195,7 @@ pub(crate) fn open_store(
 
 /// Batcher: drain the per-tenant queues (weighted-fair) when the engine is
 /// idle, coarse-quantize and route under the current placement snapshot,
-/// run the batch through the scan workers ([`run_batch`]).
+/// run the batch ([`run_batch`]).
 fn batcher(
     shared: &Shared,
     max_batch: usize,
@@ -1273,15 +1271,16 @@ fn batcher(
         });
         shared.trace.stage_end(stage, shared.clock.now());
         if !run_batch(shared, pool, &batch, control_tx, gen_tx) {
-            return; // a scan worker is gone: the runtime is tearing down
+            return; // a shard worker is gone: the runtime is tearing down
         }
     }
 }
 
-/// Runs one formed batch: hands it to every scan worker, gathers exactly
-/// one share from each (the engine is busy until then), then merges,
-/// records and delivers every query in batch order inside one `dispatch`
-/// section. Returns `false` when a scan worker is gone.
+/// Runs one formed batch: hands it to every shard worker, scans the CPU
+/// share on this thread meanwhile, gathers exactly one share from each
+/// shard (the engine is busy until then), then merges, records and
+/// delivers every query in batch order inside one `dispatch` section.
+/// Returns `false` when a shard worker is gone.
 fn run_batch(
     shared: &Shared,
     pool: &ScanPool,
@@ -1294,7 +1293,9 @@ fn run_batch(
             return false;
         }
     }
-    let mut shares = vec![Vec::new(); pool.work.len()];
+    let cpu = shared.n_shards;
+    let mut shares = vec![Vec::new(); cpu + 1];
+    shares[cpu] = scan_share(shared, batch, cpu);
     for _ in 0..pool.work.len() {
         let Ok((worker, partials)) = pool.done.recv() else {
             return false;
@@ -1384,27 +1385,22 @@ fn spawn_named(name: impl Into<String>, body: impl FnOnce() + Send + 'static) ->
         .expect("spawn runtime thread")
 }
 
-/// Spawns the `n_shards + 1` scan workers — one per shard, then the CPU
-/// worker — and returns the batcher's handles on them plus their threads.
+/// Spawns one worker per shard and returns the batcher's handles on them
+/// plus their threads. The CPU share has no worker: the batcher scans it.
 fn spawn_scan_workers(shared: &Arc<Shared>) -> (ScanPool, Vec<JoinHandle<()>>) {
     // vlite-allow(bounded-queues): each worker returns one share per batch,
     // and the batcher launches the next batch only after gathering them.
     let (done_tx, done) = channel::unbounded::<Share>();
-    let mut threads = Vec::with_capacity(shared.n_shards + 1);
-    let work = (0..=shared.n_shards)
-        .map(|worker| {
+    let mut threads = Vec::with_capacity(shared.n_shards);
+    let work = (0..shared.n_shards)
+        .map(|shard| {
             // vlite-allow(bounded-queues): at most one batch in flight per
             // worker, for the same reason.
             let (tx, rx) = channel::unbounded::<Arc<BatchWork>>();
-            let name = if worker == shared.n_shards {
-                "vlite-cpu".to_string()
-            } else {
-                format!("vlite-shard-{worker}")
-            };
             let shared = Arc::clone(shared);
             let done_tx = done_tx.clone();
-            threads.push(spawn_named(name, move || {
-                scan_worker(&shared, worker, &rx, &done_tx);
+            threads.push(spawn_named(format!("vlite-shard-{shard}"), move || {
+                shard_worker(&shared, shard, &rx, &done_tx);
             }));
             tx
         })
@@ -1412,60 +1408,58 @@ fn spawn_scan_workers(shared: &Arc<Shared>) -> (ScanPool, Vec<JoinHandle<()>>) {
     (ScanPool { work, done }, threads)
 }
 
-/// Scan worker `worker`: shard `worker` ("GPU") while `worker < n_shards`,
-/// the cold-tier CPU worker at `worker == n_shards`. Scans its share of
-/// each batch and returns it to the batcher in one message.
-fn scan_worker(
+/// Shard worker `shard` ("GPU"): scans its share of each batch and returns
+/// it to the batcher in one message.
+fn shard_worker(
     shared: &Shared,
-    worker: usize,
+    shard: usize,
     rx: &Receiver<Arc<BatchWork>>,
     done: &Sender<Share>,
 ) {
-    let (stage_id, span): (usize, Cow<'static, str>) = if worker == shared.n_shards {
-        (STAGE_CPU_SCAN, "scan:cpu".into())
-    } else {
-        (STAGE_SHARD_SCAN, format!("scan:shard{worker}").into())
-    };
     while let Ok(batch) = rx.recv() {
-        let scan_start = shared.clock.now();
-        let stage = shared.trace.stage_start(stage_id, scan_start);
-        let partials = scan_share(shared, &batch, worker);
-        let scan_end = shared.clock.now();
-        shared.trace.stage_end(stage, scan_end);
-        if let Some(ctx) = &batch.trace {
-            shared
-                .trace
-                .record_scan(ctx, span.clone(), scan_start, scan_end);
-        }
-        if done.send((worker, partials)).is_err() {
+        let partials = scan_share(shared, &batch, shard);
+        if done.send((shard, partials)).is_err() {
             return;
         }
     }
 }
 
-/// Scans worker `worker`'s share of a batch in one blocked (cluster-major)
-/// pass through one store snapshot: the whole batch scans a consistent
-/// tier map, and a concurrent migration swaps tiers for the *next* batch
-/// without stalling this one. A shard scans its hot lists by global id, so
-/// a batch routed just before a hot swap still scans the right lists.
-/// Queries with no lists in the share never reach the store, so a
-/// malformed query degrades only the workers that had to scan it.
+/// Scans share `share` of a batch — shard `share` while `share < n_shards`,
+/// the cold (CPU) share at `share == n_shards` — as one profiled section
+/// (`shard_scan` or `cpu_scan`) with one `scan:*` span under the batch
+/// trace. Shard workers and the batcher both scan through here.
 ///
-/// A panicking scan degrades the *whole worker share* to empty partials
-/// (one [`Shared::worker_panics`] tick) instead of killing the worker
-/// thread: a dead worker would never return its share and the batcher
-/// would wait for it forever.
-fn scan_share(shared: &Shared, batch: &BatchWork, worker: usize) -> Vec<Vec<Neighbor>> {
+/// The share is one blocked (cluster-major) pass through one store
+/// snapshot: the whole batch scans a consistent tier map, and a concurrent
+/// migration swaps tiers for the *next* batch without stalling this one. A
+/// shard scans its hot lists by global id, so a batch routed just before a
+/// hot swap still scans the right lists. Queries with no lists in the
+/// share never reach the store, so a malformed query degrades only the
+/// shares that had to scan it.
+///
+/// A panicking scan degrades the *whole share* to empty partials (one
+/// [`Shared::worker_panics`] tick) instead of killing the thread: a dead
+/// shard worker would never return its share and the batcher would wait
+/// for it forever, and a dead batcher would stop serving.
+fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neighbor>> {
+    let cpu = share == shared.n_shards;
+    let scan_start = shared.clock.now();
+    let stage_id = if cpu {
+        STAGE_CPU_SCAN
+    } else {
+        STAGE_SHARD_SCAN
+    };
+    let stage = shared.trace.stage_start(stage_id, scan_start);
     let (qis, queries): (Vec<usize>, Vec<BatchQuery<'_>>) = batch
         .jobs
         .iter()
         .zip(&batch.routed)
         .enumerate()
         .filter_map(|(qi, (job, routed))| {
-            let lists = if worker < shared.n_shards {
-                &routed.shard_probes_global[worker]
-            } else {
+            let lists = if cpu {
                 &routed.cpu_probes
+            } else {
+                &routed.shard_probes_global[share]
             };
             let query = BatchQuery {
                 query: &job.query,
@@ -1485,10 +1479,21 @@ fn scan_share(shared: &Shared, batch: &BatchWork, worker: usize) -> Vec<Vec<Neig
             }
         }
         Err(_) => {
-            // relaxed: stat counter bump; the degraded partials flow
-            // through the share channel, which orders the handoff.
+            // relaxed: stat counter bump; the degraded partials travel
+            // through the share channel (or stay on the batcher's thread),
+            // which orders the handoff.
             shared.worker_panics.fetch_add(1, Ordering::Relaxed);
         }
+    }
+    let scan_end = shared.clock.now();
+    shared.trace.stage_end(stage, scan_end);
+    if let Some(ctx) = &batch.trace {
+        let span: Cow<'static, str> = if cpu {
+            "scan:cpu".into()
+        } else {
+            format!("scan:shard{share}").into()
+        };
+        shared.trace.record_scan(ctx, span, scan_start, scan_end);
     }
     partials
 }
@@ -1600,13 +1605,13 @@ mod tests {
     use super::*;
     use crate::control::tests::{harness, tiny_deployment};
 
-    /// Runs a batch through a live scan pool in which the second query has
-    /// the wrong dimension (admission refuses these; the workers are the
-    /// last line) and probes only the lists of one scan worker — a shard,
-    /// or the CPU worker when `cpu` — so exactly that worker's share
-    /// panics. Every job must still get one reply carrying the other
-    /// workers' partials, `worker_panics` must tick once, and the same
-    /// threads must serve the next batch exactly.
+    /// Runs a batch through live shard workers in which the second query
+    /// has the wrong dimension (admission refuses these; the scans are the
+    /// last line) and probes only the lists of one share — a shard's, or
+    /// the CPU share the batcher (here, the test thread) scans when `cpu` —
+    /// so exactly that share panics. Every job must still get one reply
+    /// carrying the other shares' partials, `worker_panics` must tick once,
+    /// and the same threads must serve the next batch exactly.
     fn a_panicking_share_degrades_once(cpu: bool) {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
         let n_shards = shared.n_shards;
@@ -1626,7 +1631,7 @@ mod tests {
                 .find(|&s| !lists_of(s).is_empty())
                 .expect("a hot probe")
         };
-        assert!(!lists_of(faulty).is_empty(), "the faulty worker has work");
+        assert!(!lists_of(faulty).is_empty(), "the faulty share has work");
         let keep = |w: usize| if w == faulty { lists_of(w) } else { Vec::new() };
         let only_faulty = RoutedQuery {
             shard_probes: routed.shard_probes.clone(),
@@ -1682,7 +1687,7 @@ mod tests {
         assert_eq!(
             got[0].neighbors,
             scan(&healthy),
-            "the other workers' partials"
+            "the other shares' partials"
         );
         assert!(got[1].neighbors.is_empty());
 
@@ -1693,7 +1698,7 @@ mod tests {
 
         drop(pool);
         for worker in workers {
-            worker.join().expect("scan worker exits cleanly on close");
+            worker.join().expect("shard worker exits cleanly on close");
         }
     }
 
@@ -1708,7 +1713,7 @@ mod tests {
     }
 
     #[test]
-    fn the_runtime_runs_n_shards_plus_four_threads_and_one_more_to_generate() {
+    fn the_runtime_runs_n_shards_plus_two_threads_and_one_more_to_generate() {
         for generation in [None, Some(GenerationConfig::tiny())] {
             let generates = generation.is_some();
             let config = ServeConfig {
@@ -1719,12 +1724,12 @@ mod tests {
             let threads = server.threads.iter().map(|h| h.thread().name());
             let mut names: Vec<&str> = threads.map(Option::unwrap_or_default).collect();
             names.sort_unstable();
-            let mut expected = vec!["vlite-batcher", "vlite-control", "vlite-cpu"];
+            let mut expected = vec!["vlite-batcher", "vlite-control"];
             expected.extend(generates.then_some("vlite-generate"));
-            expected.extend(["vlite-migrate", "vlite-shard-0", "vlite-shard-1"]);
+            expected.extend(["vlite-shard-0", "vlite-shard-1"]);
             assert_eq!(names, expected);
             let extra = usize::from(generates);
-            assert_eq!(names.len(), server.shared.n_shards + 4 + extra);
+            assert_eq!(names.len(), server.shared.n_shards + 2 + extra);
             server.shutdown();
         }
     }

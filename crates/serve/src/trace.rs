@@ -24,7 +24,9 @@
 //!   [`Clock`](crate::Clock) (wall) and `CLOCK_THREAD_CPUTIME_ID` (CPU),
 //!   so wall−CPU exposes stall time per stage; the section CPU also weighs
 //!   the collapsed-stack output. A stage is a kind of work, not a thread:
-//!   the batcher's thread runs both `batcher` and `dispatch` sections.
+//!   the batcher's thread runs `batcher`, `cpu_scan` and `dispatch`
+//!   sections, the control thread runs `control` and `migrate` sections,
+//!   and no two sections on one thread overlap.
 //! - **Burn-rate watchdog** ([`TracePlane::alerts`], `GET /v1/alerts`):
 //!   search / TTFT / deadline attainment feed multi-window burn rates
 //!   (fast window catches sharp regressions, slow window confirms
@@ -160,16 +162,19 @@ pub const PROFILE_STAGES: [&str; 7] = [
 pub const STAGE_BATCHER: usize = 0;
 /// Stage index: hot-tier shard scan workers.
 pub const STAGE_SHARD_SCAN: usize = 1;
-/// Stage index: the cold-tier CPU scan worker.
+/// Stage index: the cold-tier (CPU) share of a batch, which the batcher
+/// scans while the shard workers scan theirs.
 pub const STAGE_CPU_SCAN: usize = 2;
-/// Stage index: the batcher merging the scan workers' partials and
+/// Stage index: the batcher merging the scan shares' partials and
 /// delivering each query.
 pub const STAGE_DISPATCH: usize = 3;
 /// Stage index: the generation (LLM) worker.
 pub const STAGE_GENERATION: usize = 4;
-/// Stage index: the background tier migrator.
+/// Stage index: the control loop moving the store's tiers to a new hot
+/// set right after a router swap.
 pub const STAGE_MIGRATE: usize = 5;
-/// Stage index: the online-repartitioning control loop.
+/// Stage index: one online repartition on the control loop, re-profile
+/// to router swap (the tier move is `migrate`, not part of it).
 pub const STAGE_CONTROL: usize = 6;
 
 /// SLO signals the burn-rate watchdog tracks, indexed by the `SIG_*`

@@ -24,10 +24,12 @@
 //!   the estimated first token is shed at generation admission (rung 5):
 //!   the reply carries the retrieval results without generation, and the
 //!   shed counts as both a deadline shed and a generation shed.
-//! - Over the HTTP frontend: `X-Deadline-Ms` is validated (400 on garbage),
-//!   a generous budget answers 200, an impossible budget answers 504 with
-//!   a JSON error body, and the shed shows up in `/v1/metrics` and the
-//!   report.
+//! - Over the HTTP frontend: `X-Deadline-Ms` is validated (400 on garbage
+//!   or a budget past `Duration::MAX`), a generous or huge budget answers
+//!   200, an impossible budget answers 504 with a JSON error body, and the
+//!   shed shows up in `/v1/metrics` and the report.
+//! - In process, a `Duration::MAX` budget saturates the absolute deadline
+//!   instead of overflowing the clock, and the request meets it.
 //! - Property: truncating the probe list (what rung 3 does) degrades
 //!   gracefully — probe lists are prefix-consistent and recall against
 //!   brute force is monotone in `nprobe`, so a degraded response is a
@@ -45,7 +47,7 @@ use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::{
     AdmissionError, GenerationConfig, RagServer, ServeConfig, TenantId, TraceId, VirtualClock,
 };
-use vectorlite_rag::sim::SimDuration;
+use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn corpus() -> SyntheticCorpus {
@@ -376,19 +378,24 @@ fn http_deadline_header_is_validated_and_enforced() {
     let mut client = HttpClient::connect(addr).expect("client connects");
     let body = wire::search_request_to_json(corpus.vectors.get(0)).render();
 
-    // Garbage budgets are rejected before admission.
-    for bad in ["banana", "-5", "0", "inf", "NaN"] {
+    // Garbage budgets — including one past `Duration::MAX` — are rejected
+    // before admission.
+    for bad in ["banana", "-5", "0", "inf", "NaN", "1e300"] {
         let response = client
             .post_json("/v1/search", &[("X-Deadline-Ms", bad)], &body)
             .expect("exchange");
         assert_eq!(response.status, 400, "X-Deadline-Ms {bad:?} must 400");
     }
 
-    // A generous budget serves normally.
-    let ok = client
-        .post_json("/v1/search", &[("X-Deadline-Ms", "60000")], &body)
-        .expect("exchange");
-    assert_eq!(ok.status, 200);
+    // A generous budget serves normally, and so does a representable but
+    // huge one (1e12 s): its absolute deadline saturates instead of
+    // wrapping into the past.
+    for generous in ["60000", "1e15"] {
+        let ok = client
+            .post_json("/v1/search", &[("X-Deadline-Ms", generous)], &body)
+            .expect("exchange");
+        assert_eq!(ok.status, 200, "X-Deadline-Ms {generous:?} must serve");
+    }
 
     // An impossible budget (1 ns) expires before batch formation: the
     // runtime sheds it in the queue and the frontend answers 504 with a
@@ -430,9 +437,32 @@ fn http_deadline_header_is_validated_and_enforced() {
     let report = frontend.shutdown();
     assert_eq!(report.deadline_sheds[1], 1);
     assert_eq!(
-        report.completed, 1,
-        "only the generous-budget request completed"
+        report.completed, 2,
+        "only the two generous-budget requests completed"
     );
+}
+
+#[test]
+fn a_duration_max_budget_saturates_instead_of_wrapping_into_the_past() {
+    let corpus = corpus();
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, enforcing_config(), clock.clone())
+        .expect("server starts");
+    // Off the epoch, so an unsaturated `now + budget` overflows the clock.
+    clock.advance(SimDuration::from_millis(5.0));
+    let ticket = server
+        .submit_with_deadline(
+            TenantId(0),
+            corpus.vectors.get(0).to_vec(),
+            Some(Duration::MAX),
+        )
+        .expect("admitted");
+    assert_eq!(ticket.deadline(), Some(SimTime::from_nanos(u64::MAX)));
+    let response = ticket.wait().expect("a huge budget is served, never shed");
+    assert_eq!(response.neighbors[0].id, 0);
+    let report = server.shutdown();
+    assert_eq!(report.deadline_met, 1);
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
 }
 
 /// Deterministic pseudo-random f32 in [0, 1): splitmix-style bit mixing,

@@ -9,9 +9,9 @@
 //!    same neighbors, bit for bit, as the server that wrote it.
 //! 2. **Repartition-triggered migration never stalls the dispatcher.** A
 //!    mid-run hot-set rotation trips the drift monitor; the control loop
-//!    hot-swaps the router *and* orders a tier migration; the migrator
-//!    promotes/demotes cluster extents while batches keep completing —
-//!    zero snapshot waits, every request served.
+//!    hot-swaps the router, then promotes/demotes cluster extents itself
+//!    while batches keep completing — zero snapshot waits, every request
+//!    served.
 //! 3. **Only tierable indexes serve.** Cosine and PQ list storage are
 //!    refused at start-up instead of falling back to another scan path.
 //! 4. **Tier accounting is physical.** Fast/cold probe counters and
@@ -126,8 +126,8 @@ fn repartition_migration_completes_while_the_dispatcher_keeps_draining() {
         .expect("server starts");
 
     // Rotate the hot set mid-run: drift trips the monitor, the control
-    // loop repartitions, and the migrator must move tiers to match — all
-    // while the open-loop load keeps flowing.
+    // loop repartitions and must move the tiers to match — all while the
+    // open-loop load keeps flowing.
     let mut source = RotatingQuerySource::from_corpus(&corpus, 5);
     let n = 1_200;
     let outcome = run_open_loop(&server, &mut source, 1_500.0, n, 13, |i, source| {
@@ -149,7 +149,7 @@ fn repartition_migration_completes_while_the_dispatcher_keeps_draining() {
     assert_eq!(
         store.migrations.len(),
         report.repartitions.len(),
-        "every repartition orders exactly one migration"
+        "every repartition applies exactly one migration"
     );
     let migration = &store.migrations[0];
     assert_eq!(
@@ -211,9 +211,9 @@ fn non_tierable_indexes_are_refused_before_training() {
 
 #[test]
 fn final_tiers_match_the_final_placement() {
-    // After shutdown the migrator has drained its order queue, so the
-    // store's hot flags must equal the installed router's hot set even
-    // when repartitions fired mid-run.
+    // Every repartition migrates the tiers before the control loop reads
+    // its next observation, so the store's hot flags must equal the
+    // installed router's hot set even when repartitions fired mid-run.
     let corpus = corpus();
     let server = RagServer::start_with_clock(&corpus, config(), Arc::new(VirtualClock::new()))
         .expect("server starts");
@@ -224,8 +224,8 @@ fn final_tiers_match_the_final_placement() {
             source.set_rotation(16);
         }
     });
-    // Shutdown joins every thread (migrator included) before reporting,
-    // so the cloned store handle reads the *final* tier map.
+    // Shutdown joins every thread (the control loop included) before
+    // reporting, so the cloned store handle reads the *final* tier map.
     let store = server.store().expect("tiered").clone();
     let shard_clusters = server.current_shard_clusters();
     let generation = server.placement_generation();
