@@ -46,34 +46,12 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     kernel::dot(a, b)
 }
 
-/// Cosine distance `1 − cos(a, b)`; `1.0` when either vector is zero.
-///
-/// # Examples
-///
-/// ```
-/// assert!(vlite_ann::cosine_distance(&[1.0, 0.0], &[2.0, 0.0]) < 1e-6);
-/// assert!((vlite_ann::cosine_distance(&[1.0, 0.0], &[0.0, 3.0]) - 1.0).abs() < 1e-6);
-/// ```
-#[inline]
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    cosine_from_dots(dot(a, b), dot(a, a), dot(b, b))
-}
-
-/// `1 − a·b / √(a·a · b·b)` from the three dot products.
-#[inline]
-fn cosine_from_dots(ab: f32, aa: f32, bb: f32) -> f32 {
-    let den = (aa * bb).sqrt();
-    if den <= 0.0 {
-        1.0
-    } else {
-        1.0 - ab / den
-    }
-}
-
 /// Distance metric for index construction and search.
 ///
 /// All metrics are expressed as "smaller is closer" scores so that top-k
-/// selection is metric-agnostic: inner product is negated.
+/// selection is metric-agnostic: inner product is negated. Every tier —
+/// flat lists, f32 panels, SQ8 codes — scores both metrics. For cosine
+/// similarity, normalise the vectors and use inner product.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum Metric {
     /// Squared Euclidean distance.
@@ -81,10 +59,6 @@ pub enum Metric {
     L2,
     /// (Negated) inner product — maximum inner product search.
     InnerProduct,
-    /// Cosine distance `1 − cos` (angular similarity). Supported by flat
-    /// list storage only: the norm term does not decompose over PQ
-    /// subspaces.
-    Cosine,
 }
 
 impl Metric {
@@ -94,7 +68,6 @@ impl Metric {
         match self {
             Metric::L2 => l2_sq(a, b),
             Metric::InnerProduct => -dot(a, b),
-            Metric::Cosine => cosine_distance(a, b),
         }
     }
 
@@ -116,15 +89,6 @@ impl Metric {
                     *d = -*d;
                 }
             }
-            Metric::Cosine => {
-                (kern.dot_block)(query, block, out);
-                let dim = query.len();
-                let qq = (kern.dot)(query, query);
-                for (i, d) in out.iter_mut().enumerate() {
-                    let v = &block[i * dim..(i + 1) * dim];
-                    *d = cosine_from_dots(*d, qq, (kern.dot)(v, v));
-                }
-            }
         }
     }
 
@@ -136,9 +100,7 @@ impl Metric {
     ///
     /// # Panics
     ///
-    /// Panics on a panel shape the kernels refuse, or under cosine, which
-    /// no panel-holding store serves (its norms do not fold into the
-    /// panel kernels).
+    /// Panics on a panel shape the kernels refuse.
     pub fn score_panels(self, kern: &Kernels, query: &[f32], panels: &[f32], out: &mut [f32]) {
         match self {
             Metric::L2 => (kern.l2_sq_panels)(query, panels, out),
@@ -148,7 +110,6 @@ impl Metric {
                     *d = -*d;
                 }
             }
-            Metric::Cosine => panic!("panel scoring does not serve cosine"),
         }
     }
 }
@@ -185,27 +146,12 @@ mod tests {
         let query = [1.0, 0.0];
         let near = [0.9, 0.1];
         let far = [-1.0, 0.0];
-        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+        for metric in [Metric::L2, Metric::InnerProduct] {
             assert!(
                 metric.score(&query, &near) < metric.score(&query, &far),
                 "{metric:?} must rank the near vector closer"
             );
         }
-    }
-
-    #[test]
-    fn cosine_is_scale_invariant() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [2.0, 4.0, 6.0];
-        assert!(cosine_distance(&a, &b) < 1e-6);
-        let scaled: Vec<f32> = a.iter().map(|x| x * 7.0).collect();
-        let c = [3.0, -1.0, 0.5];
-        assert!((cosine_distance(&a, &c) - cosine_distance(&scaled, &c)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cosine_of_zero_vector_is_one() {
-        assert_eq!(cosine_distance(&[0.0, 0.0], &[1.0, 2.0]), 1.0);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! exposed so the profiler and the hybrid CPU/GPU runtime can time and
 //! split them:
 //!
-//! 1. **Coarse quantization** ([`IvfIndex::probe`]) — rank clusters by
-//!    centroid distance and keep the closest `nprobe`.
-//! 2. **LUT construction** — build the query's partial-distance table
-//!    (PQ/fast-scan storage only).
+//! 1. **Coarse quantization** ([`IvfIndex::probe`]) — score every
+//!    centroid in one block and keep the closest `nprobe`.
+//! 2. **LUT construction** — build the query's partial-distance table,
+//!    once per query (PQ/fast-scan storage only).
 //! 3. **LUT scan** ([`IvfIndex::scan_lists`]) — accumulate approximate
 //!    distances over the selected inverted lists and keep the top-k.
 
@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 use crate::kernel::{self, Kernels};
 use crate::{
-    AnnError, FastScanList, Hnsw, HnswConfig, KMeans, KMeansConfig, Metric, Neighbor, PqConfig,
-    ProductQuantizer, QuantizedLut, Result, TopK, VecSet,
+    AnnError, FastScanList, KMeans, KMeansConfig, Metric, Neighbor, PqConfig, ProductQuantizer,
+    QuantizedLut, Result, TopK, VecSet,
 };
 
 /// How inverted lists store their vectors.
@@ -33,17 +33,10 @@ pub enum ListStorage {
     FastScan(PqConfig),
 }
 
-/// How coarse quantization ranks centroids.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CoarseKind {
-    /// Exact scan over all centroids.
-    Exact,
-    /// HNSW graph over the centroids (the paper's assumption for large
-    /// `nlist`).
-    Hnsw(HnswConfig),
-}
-
-/// Configuration for [`IvfIndex::train`].
+/// Configuration for [`IvfIndex::train`]: `nlist` k-means centroids,
+/// searched exactly, over lists stored flat, as PQ codes, or in the
+/// fast-scan layout. PQ codes encode raw vectors, so one LUT per query
+/// serves every probed list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvfConfig {
     /// Number of inverted lists (clusters).
@@ -52,53 +45,31 @@ pub struct IvfConfig {
     pub metric: Metric,
     /// List storage scheme.
     pub storage: ListStorage,
-    /// Coarse quantizer structure.
-    pub coarse: CoarseKind,
     /// k-means iterations for centroid training.
     pub train_iters: usize,
     /// Max training vectors sampled for k-means (Faiss-style cap so huge
     /// adds don't make training quadratic).
     pub max_train_points: usize,
-    /// Encode PQ codes over residuals `v − centroid` instead of raw
-    /// vectors. Improves quantization resolution inside tight clusters at
-    /// the cost of one LUT construction *per probed cluster* — the
-    /// per-probe "LUT Cmp" stage of the paper's latency breakdown (Fig. 3).
-    pub by_residual: bool,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl IvfConfig {
-    /// Creates a config with `nlist` clusters, IVF-Flat storage, and exact
-    /// coarse quantization.
+    /// Creates a config with `nlist` clusters, L2 and IVF-Flat storage.
     pub fn new(nlist: usize) -> Self {
         Self {
             nlist,
             metric: Metric::L2,
             storage: ListStorage::Flat,
-            coarse: CoarseKind::Exact,
             train_iters: 10,
             max_train_points: 65_536,
-            by_residual: false,
             seed: 0x1f,
         }
-    }
-
-    /// Enables residual PQ encoding (see [`IvfConfig::by_residual`]).
-    pub fn by_residual(mut self, enable: bool) -> Self {
-        self.by_residual = enable;
-        self
     }
 
     /// Sets the list storage scheme.
     pub fn storage(mut self, storage: ListStorage) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Sets the coarse quantizer structure.
-    pub fn coarse(mut self, coarse: CoarseKind) -> Self {
-        self.coarse = coarse;
         self
     }
 
@@ -174,7 +145,6 @@ pub struct IvfIndex {
     config: IvfConfig,
     dim: usize,
     centroids: KMeans,
-    coarse_graph: Option<Hnsw>,
     pq: Option<ProductQuantizer>,
     lists: Vec<InvertedList>,
     ntotal: usize,
@@ -204,17 +174,6 @@ impl IvfIndex {
         if config.nlist == 0 {
             return Err(AnnError::InvalidConfig("nlist must be >= 1".into()));
         }
-        if config.metric == Metric::Cosine && !matches!(config.storage, ListStorage::Flat) {
-            return Err(AnnError::InvalidConfig(
-                "cosine metric requires flat list storage (norms do not decompose over PQ subspaces)"
-                    .into(),
-            ));
-        }
-        if config.by_residual && matches!(config.storage, ListStorage::Flat) {
-            return Err(AnnError::InvalidConfig(
-                "residual encoding only applies to PQ-based list storage".into(),
-            ));
-        }
         // Subsample training points, Faiss-style.
         let train_set: VecSet = if data.len() > config.max_train_points {
             let mut rng = StdRng::seed_from_u64(config.seed);
@@ -229,23 +188,10 @@ impl IvfIndex {
             .max_iters(config.train_iters)
             .seed(config.seed);
         let centroids = KMeans::train(&train_set, &km_cfg)?;
-        let coarse_graph = match &config.coarse {
-            CoarseKind::Exact => None,
-            CoarseKind::Hnsw(hnsw_cfg) => Some(Hnsw::build(centroids.centroids(), hnsw_cfg)),
-        };
         let pq = match &config.storage {
             ListStorage::Flat => None,
             ListStorage::Pq(pq_cfg) | ListStorage::FastScan(pq_cfg) => {
-                if config.by_residual {
-                    // Codebooks must cover the residual, not raw, space.
-                    let assignment = centroids.assign(&train_set);
-                    let residuals = VecSet::from_fn(train_set.len(), train_set.dim(), |i, j| {
-                        train_set.get(i)[j] - centroids.centroids().get(assignment[i] as usize)[j]
-                    });
-                    Some(ProductQuantizer::train(&residuals, pq_cfg)?)
-                } else {
-                    Some(ProductQuantizer::train(&train_set, pq_cfg)?)
-                }
+                Some(ProductQuantizer::train(&train_set, pq_cfg)?)
             }
         };
         let lists = (0..config.nlist)
@@ -262,7 +208,6 @@ impl IvfIndex {
             config: config.clone(),
             dim: data.dim(),
             centroids,
-            coarse_graph,
             pq,
             lists,
             ntotal: 0,
@@ -300,23 +245,10 @@ impl IvfIndex {
         for (row, &list) in assignment.iter().enumerate() {
             grouped[list as usize].push(row);
         }
-        let by_residual = self.config.by_residual;
         for (list_id, rows) in grouped.into_iter().enumerate() {
             if rows.is_empty() {
                 continue;
             }
-            let centroid: Vec<f32> = if by_residual {
-                self.centroids.centroids().get(list_id).to_vec()
-            } else {
-                Vec::new()
-            };
-            let prep = |v: &[f32]| -> Vec<f32> {
-                if by_residual {
-                    v.iter().zip(&centroid).map(|(x, c)| x - c).collect()
-                } else {
-                    v.to_vec()
-                }
-            };
             let list = &mut self.lists[list_id];
             for &row in &rows {
                 list.ids.push(ids[row]);
@@ -330,7 +262,7 @@ impl IvfIndex {
                 ListData::Pq(codes) => {
                     let pq = self.pq.as_ref().expect("PQ storage implies trained PQ");
                     for &row in &rows {
-                        codes.extend_from_slice(&pq.encode(&prep(data.get(row))));
+                        codes.extend_from_slice(&pq.encode(data.get(row)));
                     }
                 }
                 ListData::FastScan(fs) => {
@@ -343,7 +275,7 @@ impl IvfIndex {
                     let mut staged = fs.to_codes();
                     staged.reserve(rows.len() * pq.m());
                     for &row in &rows {
-                        staged.extend_from_slice(&pq.encode(&prep(data.get(row))));
+                        staged.extend_from_slice(&pq.encode(data.get(row)));
                     }
                     *fs = FastScanList::build(&staged, pq.m(), &list.ids);
                 }
@@ -415,22 +347,10 @@ impl IvfIndex {
     pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<Probe> {
         assert_eq!(query.len(), self.dim, "query has wrong dimensionality");
         let nprobe = nprobe.min(self.nlist()).max(1);
-        match &self.coarse_graph {
-            Some(graph) => graph
-                .search(query, nprobe, (2 * nprobe).max(64))
-                .into_iter()
-                .map(|n| Probe {
-                    list: n.id as u32,
-                    distance: n.distance,
-                })
-                .collect(),
-            None => {
-                let (centroids, metric) = (self.centroids.centroids(), self.config.metric);
-                let mut dist = vec![0.0f32; centroids.len()];
-                metric.score_block(&kernel::kernels(), query, centroids.as_flat(), &mut dist);
-                nearest(&dist, nprobe)
-            }
-        }
+        let (centroids, metric) = (self.centroids.centroids(), self.config.metric);
+        let mut dist = vec![0.0f32; centroids.len()];
+        metric.score_block(&kernel::kernels(), query, centroids.as_flat(), &mut dist);
+        nearest(&dist, nprobe)
     }
 
     /// Stages 2+3 — LUT construction and scan over the given lists,
@@ -458,20 +378,9 @@ impl IvfIndex {
             ListStorage::Pq(_) => {
                 let pq = self.pq.as_ref().expect("PQ storage implies trained PQ");
                 let m = pq.m();
-                // Non-residual: one LUT serves every probed list. Residual:
-                // a per-cluster LUT over (query − centroid) — the per-probe
-                // "LUT Cmp" stage of the paper's breakdown.
-                let shared = (!self.config.by_residual).then(|| pq.lut(query));
+                let lut = pq.lut(query);
                 for &l in lists {
                     let list = &self.lists[l as usize];
-                    let per_cluster;
-                    let lut = match &shared {
-                        Some(lut) => lut,
-                        None => {
-                            per_cluster = pq.lut(&self.residual_query(query, l));
-                            &per_cluster
-                        }
-                    };
                     if let ListData::Pq(codes) = &list.data {
                         for (i, code) in codes.chunks_exact(m).enumerate() {
                             top.push(list.ids[i], lut.distance(code));
@@ -484,20 +393,10 @@ impl IvfIndex {
                     .pq
                     .as_ref()
                     .expect("fast-scan storage implies trained PQ");
-                let shared =
-                    (!self.config.by_residual).then(|| QuantizedLut::from_lut(&pq.lut(query)));
+                let qlut = QuantizedLut::from_lut(&pq.lut(query));
                 for &l in lists {
-                    let per_cluster;
-                    let qlut = match &shared {
-                        Some(qlut) => qlut,
-                        None => {
-                            per_cluster =
-                                QuantizedLut::from_lut(&pq.lut(&self.residual_query(query, l)));
-                            &per_cluster
-                        }
-                    };
                     if let ListData::FastScan(fs) = &self.lists[l as usize].data {
-                        fs.scan(qlut, &mut top);
+                        fs.scan(&qlut, &mut top);
                     }
                 }
             }
@@ -534,12 +433,6 @@ impl IvfIndex {
                 })
                 .collect(),
         )
-    }
-
-    /// The query's residual against one list's centroid.
-    fn residual_query(&self, query: &[f32], list: u32) -> Vec<f32> {
-        let centroid = self.centroids.centroids().get(list as usize);
-        query.iter().zip(centroid).map(|(q, c)| q - c).collect()
     }
 
     /// Full search: probe then scan.
@@ -731,30 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn hnsw_coarse_matches_exact_coarse_usually() {
-        let data = clustered_data(2000, 8, 5);
-        let exact = IvfIndex::train(&data, &IvfConfig::new(64)).unwrap();
-        let hnsw = IvfIndex::train(
-            &data,
-            &IvfConfig::new(64).coarse(CoarseKind::Hnsw(HnswConfig::default())),
-        )
-        .unwrap();
-        let mut overlap = 0usize;
-        let mut total = 0usize;
-        for q in 0..10 {
-            let query = data.get(q * 101 % data.len());
-            let pe: Vec<u32> = exact.probe(query, 8).iter().map(|p| p.list).collect();
-            let ph: Vec<u32> = hnsw.probe(query, 8).iter().map(|p| p.list).collect();
-            overlap += ph.iter().filter(|l| pe.contains(l)).count();
-            total += 8;
-        }
-        assert!(
-            overlap as f64 / total as f64 > 0.8,
-            "HNSW coarse overlap too low: {overlap}/{total}"
-        );
-    }
-
-    #[test]
     fn incremental_add_after_train_empty() {
         let data = clustered_data(600, 8, 6);
         let mut index = IvfIndex::train_empty(&data, &IvfConfig::new(8)).unwrap();
@@ -800,114 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn residual_encoding_improves_recall_on_tight_clusters() {
-        // Tight blobs: raw PQ collapses within-cluster structure; residual
-        // codebooks operate at the noise scale and resolve it.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let data = VecSet::from_fn(3000, 16, |i, _| {
-            (i % 12) as f32 * 8.0 + rng.random::<f32>() * 0.5
-        });
-        let pq_cfg = PqConfig {
-            m: 4,
-            ksub: 32,
-            train_iters: 6,
-            seed: 5,
-        };
-        let raw = IvfIndex::train(
-            &data,
-            &IvfConfig::new(12).storage(ListStorage::Pq(pq_cfg.clone())),
-        )
-        .unwrap();
-        let residual = IvfIndex::train(
-            &data,
-            &IvfConfig::new(12)
-                .storage(ListStorage::Pq(pq_cfg))
-                .by_residual(true),
-        )
-        .unwrap();
-        let r_raw = recall_vs_flat(&raw, &data, 10, 4);
-        let r_res = recall_vs_flat(&residual, &data, 10, 4);
-        assert!(
-            r_res > r_raw + 0.1,
-            "residual recall {r_res} should clearly beat raw {r_raw}"
-        );
-    }
-
-    #[test]
-    fn residual_fastscan_matches_residual_pq_closely() {
-        let data = clustered_data(1200, 16, 13);
-        let pq_cfg = PqConfig {
-            m: 4,
-            ksub: 32,
-            train_iters: 5,
-            seed: 6,
-        };
-        let pq_idx = IvfIndex::train(
-            &data,
-            &IvfConfig::new(8)
-                .storage(ListStorage::Pq(pq_cfg.clone()))
-                .by_residual(true),
-        )
-        .unwrap();
-        let fs_idx = IvfIndex::train(
-            &data,
-            &IvfConfig::new(8)
-                .storage(ListStorage::FastScan(pq_cfg))
-                .by_residual(true),
-        )
-        .unwrap();
-        for q in 0..10 {
-            let query = data.get(q * 111 % data.len());
-            let a = pq_idx.search(query, 1, 4)[0].distance;
-            let b = fs_idx.search(query, 1, 4)[0].distance;
-            let bound = QuantizedLut::from_lut(&pq_idx.pq().unwrap().lut(query)).max_error() * 4.0;
-            assert!((a - b).abs() <= bound + 1e-2, "q{q}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn cosine_with_pq_storage_rejected() {
-        let data = clustered_data(200, 8, 14);
-        let cfg = IvfConfig::new(4)
-            .metric(Metric::Cosine)
-            .storage(ListStorage::Pq(PqConfig {
-                m: 4,
-                ksub: 16,
-                train_iters: 3,
-                seed: 1,
-            }));
-        assert!(matches!(
-            IvfIndex::train(&data, &cfg),
-            Err(AnnError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn residual_with_flat_storage_rejected() {
-        let data = clustered_data(200, 8, 15);
-        let cfg = IvfConfig::new(4).by_residual(true);
-        assert!(matches!(
-            IvfIndex::train(&data, &cfg),
-            Err(AnnError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn cosine_flat_index_ranks_by_angle() {
-        let mut data = VecSet::new(2);
-        data.push(&[10.0, 0.1]); // nearly aligned with +x, large norm
-        data.push(&[0.1, 10.0]); // orthogonal-ish
-        data.push(&[1.0, 0.0]); // exactly aligned, small norm
-        let cfg = IvfConfig::new(1).metric(Metric::Cosine);
-        let index = IvfIndex::train(&data, &cfg).unwrap();
-        let hits = index.search(&[5.0, 0.0], 3, 1);
-        assert_eq!(
-            hits[0].id, 2,
-            "exact angular match must win regardless of norm"
-        );
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let data = clustered_data(100, 8, 8);
         let mut index = IvfIndex::train_empty(&data, &IvfConfig::new(4)).unwrap();
@@ -937,7 +698,7 @@ mod tests {
     #[test]
     fn probe_and_flat_scan_equal_the_per_pair_loops() {
         let data = clustered_data(1500, 24, 11);
-        let metrics = [Metric::L2, Metric::InnerProduct, Metric::Cosine];
+        let metrics = [Metric::L2, Metric::InnerProduct];
         // 70 centroids of ~20 vectors, then 3 of ~500.
         for (metric, nlist) in metrics.into_iter().flat_map(|m| [(m, 70u32), (m, 3)]) {
             let cfg = IvfConfig::new(nlist as usize).metric(metric);
@@ -1058,12 +819,12 @@ mod tests {
         fn probe_selection_equals_the_topk_path(
             picks in proptest::prop::collection::vec(0usize..6, 1..90),
             dim in 1usize..20,
-            metric_pick in 0usize..3,
+            metric_pick in 0usize..2,
             nprobe_pick in 0usize..3,
             mid in 1usize..90,
             phase in -3.0f32..3.0,
         ) {
-            let metric = [Metric::L2, Metric::InnerProduct, Metric::Cosine][metric_pick];
+            let metric = [Metric::L2, Metric::InnerProduct][metric_pick];
             let nlist = picks.len();
             let palette: Vec<Vec<f32>> = (0..6)
                 .map(|p| (0..dim).map(|j| ((p * 7 + j) as f32 * 0.61).sin() * 3.0).collect())

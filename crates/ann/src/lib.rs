@@ -1,8 +1,8 @@
 //! From-scratch approximate nearest neighbor (ANN) substrate.
 //!
-//! The paper builds on Faiss (IVF, IVF-PQ, IVF-FastScan, HNSW coarse
-//! quantization). Faiss is unavailable here, so this crate reimplements the
-//! required index family in pure Rust:
+//! The paper builds on Faiss (IVF, IVF-PQ, IVF-FastScan). Faiss is
+//! unavailable here, so this crate reimplements the required index family
+//! in pure Rust, under L2 or inner product ([`Metric`]):
 //!
 //! - [`FlatIndex`] — exhaustive search, the recall ground truth.
 //! - [`KMeans`] — Lloyd's algorithm with k-means++ / random-sample
@@ -13,13 +13,11 @@
 //!   scheme.
 //! - [`ScalarQuantizer`] — `f32 → u8` scalar quantization baseline.
 //! - [`IvfIndex`] — inverted-file index over k-means clusters with flat, PQ,
-//!   or fast-scan list storage; exposes the *three search stages* the paper's
-//!   performance model distinguishes (Fig. 2): coarse quantization → LUT
-//!   construction → LUT scan.
+//!   or fast-scan list storage and an exact coarse quantizer; exposes the
+//!   *three search stages* the paper's performance model distinguishes
+//!   (Fig. 2): coarse quantization → LUT construction → LUT scan.
 //! - [`FastScanList`] — register-blocked PQ code layout with 8-bit quantized
 //!   LUTs, the structural analogue of Faiss's IVF-PQ fast-scan.
-//! - [`Hnsw`] — hierarchical navigable small world graph, used (as in the
-//!   paper) for coarse quantization over many centroids.
 //! - [`eval`] — recall@k and NDCG@k quality metrics.
 //!
 //! # Examples
@@ -51,7 +49,6 @@ mod error;
 pub mod eval;
 mod fastscan;
 mod flat;
-mod hnsw;
 mod ivf;
 pub mod kernel;
 mod kmeans;
@@ -61,12 +58,11 @@ mod store;
 mod topk;
 mod vecset;
 
-pub use distance::{cosine_distance, dot, l2_sq, Metric};
+pub use distance::{dot, l2_sq, Metric};
 pub use error::AnnError;
 pub use fastscan::{FastScanList, QuantizedLut, FAST_SCAN_BLOCK};
 pub use flat::FlatIndex;
-pub use hnsw::{Hnsw, HnswConfig};
-pub use ivf::{CoarseKind, IvfConfig, IvfIndex, ListStorage, Probe};
+pub use ivf::{IvfConfig, IvfIndex, ListStorage, Probe};
 pub use kernel::{KernelKind, Kernels};
 pub use kmeans::{KMeans, KMeansConfig, KMeansInit};
 pub use pq::{Lut, PqConfig, ProductQuantizer};

@@ -158,8 +158,7 @@ impl ScalarQuantizer {
     ///
     /// # Panics
     ///
-    /// Panics if `query.len() != dim`, or for [`Metric::Cosine`], whose
-    /// norm term does not decompose over codes.
+    /// Panics if `query.len() != dim`.
     pub fn fold_query(&self, metric: Metric, query: &[f32]) -> Sq8Query<'_> {
         assert_eq!(query.len(), self.dim(), "fold_query: wrong dimensionality");
         let (folded, bias) = match metric {
@@ -171,7 +170,6 @@ impl ScalarQuantizer {
                 query.iter().zip(&self.scales).map(|(q, s)| q * s).collect(),
                 query.iter().zip(&self.mins).map(|(q, m)| q * m).sum(),
             ),
-            Metric::Cosine => panic!("cosine does not decompose over SQ8 codes"),
         };
         Sq8Query {
             metric,
@@ -208,7 +206,7 @@ impl Sq8Query<'_> {
     pub fn score_block(&self, kern: &Kernels, codes: &[u8], out: &mut [f32]) {
         match self.metric {
             Metric::L2 => (kern.sq8_l2_block)(&self.folded, self.scales, codes, out),
-            _ => {
+            Metric::InnerProduct => {
                 (kern.sq8_dot_block)(&self.folded, codes, out);
                 for d in out.iter_mut() {
                     *d = -(self.bias + *d);

@@ -319,7 +319,7 @@ fn sq8_block_kernels_handle_extreme_codes_in_every_lane() {
 }
 
 /// `Metric::score_block` is `Metric::score` per row, bit for bit, under
-/// every metric (negation and the cosine normalisation included). The
+/// every metric (inner product's negation included). The
 /// per-row oracle is spelled out over the *same* table rather than
 /// calling `Metric::score`, which re-reads the dispatch state the
 /// override test below flips concurrently.
@@ -329,23 +329,12 @@ fn score_block_is_bit_identical_to_score() {
     let score = |metric: Metric, q: &[f32], v: &[f32]| match metric {
         Metric::L2 => (table.l2_sq)(q, v),
         Metric::InnerProduct => -(table.dot)(q, v),
-        Metric::Cosine => {
-            let den = ((table.dot)(q, q) * (table.dot)(v, v)).sqrt();
-            if den <= 0.0 {
-                1.0
-            } else {
-                1.0 - (table.dot)(q, v) / den
-            }
-        }
     };
-    for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+    for metric in [Metric::L2, Metric::InnerProduct] {
         for dim in BLOCK_DIMS {
             for n in BLOCK_ROWS {
                 let query = wave(dim, 2.0);
-                let mut block = wave(n * dim, 0.75);
-                if n > 1 {
-                    block[dim..2 * dim].fill(0.0); // cosine's zero-vector arm
-                }
+                let block = wave(n * dim, 0.75);
                 let mut out = vec![f32::NAN; n];
                 metric.score_block(&table, &query, &block, &mut out);
                 for (i, row) in block.chunks_exact(dim).enumerate() {

@@ -198,20 +198,12 @@ impl RealDeployment {
     /// # Errors
     ///
     /// [`StoreError::Unsupported`] unless the index uses flat list storage
-    /// and an SQ8-decomposable metric; any segment write/validation error.
+    /// (the index is then left untouched); any segment write/validation
+    /// error.
     pub fn build_tiered_store(
         &mut self,
         segment_path: &std::path::Path,
     ) -> std::result::Result<TieredStore, StoreError> {
-        // Every "unsupported" check must run BEFORE detaching the lists:
-        // a gutted index whose store build then fails would silently
-        // serve empty scans through the fallback path.
-        if !vlite_store::supports_metric(self.config.ivf.metric) {
-            return Err(StoreError::Unsupported(format!(
-                "tiered storage cannot score under {:?} (not SQ8-decomposable)",
-                self.config.ivf.metric
-            )));
-        }
         let Some(lists) = self.index.take_flat_lists() else {
             return Err(StoreError::Unsupported(
                 "tiered storage requires flat (full-precision) list storage".into(),
@@ -233,6 +225,7 @@ impl RealDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vlite_ann::{ListStorage, PqConfig};
     use vlite_workload::CorpusConfig;
 
     fn deployment() -> RealDeployment {
@@ -290,8 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_metric_leaves_the_index_intact() {
-        // Regression: the cosine check must run before the lists are
+    fn unsupported_storage_leaves_the_index_intact() {
+        // Regression: the storage check must run before the lists are
         // detached — a failed store build on a gutted index would make
         // every subsequent scan silently return nothing.
         let corpus = SyntheticCorpus::generate(&CorpusConfig {
@@ -303,16 +296,24 @@ mod tests {
             seed: 4,
         });
         let mut config = RealConfig::small();
-        config.ivf = IvfConfig::new(16).metric(vlite_ann::Metric::Cosine);
-        let mut d = RealDeployment::build(&corpus, config).expect("cosine flat builds");
-        let path =
-            std::env::temp_dir().join(format!("vlite-real-cosine-{}.seg", std::process::id()));
-        let err = d.build_tiered_store(&path).expect_err("cosine unsupported");
+        config.ivf = IvfConfig::new(16).storage(ListStorage::Pq(PqConfig {
+            m: 4,
+            ksub: 16,
+            train_iters: 4,
+            seed: 3,
+        }));
+        let mut d = RealDeployment::build(&corpus, config).expect("PQ builds");
+        let path = std::env::temp_dir().join(format!("vlite-real-pq-{}.seg", std::process::id()));
+        let err = d.build_tiered_store(&path).expect_err("PQ unsupported");
         assert!(matches!(err, StoreError::Unsupported(_)), "{err}");
-        // The index still owns its lists and serves real results.
-        let hits = d.search_flat_path(corpus.vectors.get(0));
-        assert_eq!(hits.first().map(|n| n.id), Some(0));
         assert!(!path.exists(), "no segment may be written");
+        // The index still owns every vector and serves full result lists.
+        assert_eq!(
+            d.index.list_sizes().iter().sum::<usize>(),
+            corpus.vectors.len()
+        );
+        let hits = d.search_flat_path(corpus.vectors.get(0));
+        assert_eq!(hits.len(), d.config.top_k);
     }
 
     #[test]

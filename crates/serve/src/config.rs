@@ -230,8 +230,7 @@ impl DeadlinePolicy {
 /// the segment file's mmap'd SQ8 extents, and the control loop moves
 /// cluster extents between tiers right after every online repartition
 /// without stalling the scans. The index therefore needs flat list storage
-/// under L2 or inner product ([`RagServer::start`](crate::RagServer::start)
-/// refuses anything else).
+/// ([`RagServer::start`](crate::RagServer::start) refuses anything else).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreConfig {
     /// Directory holding the segment file (`vlite-store.seg`). `None`
@@ -261,9 +260,10 @@ impl StoreConfig {
     }
 }
 
-/// Causal-tracing, profiling and alerting knobs
+/// Causal-tracing, profiling and alerting switch
 /// ([`TracePlane`](crate::trace::TracePlane)). Store capacities and the
-/// watchdog's windows and thresholds are constants in [`crate::trace`].
+/// watchdog's target, windows and thresholds are constants in
+/// [`crate::trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Master switch, and the gate on per-request capture. When `false` no
@@ -271,27 +271,11 @@ pub struct TraceConfig {
     /// is timed and the watchdog never fires; the trace/profile/alerts
     /// endpoints answer with empty bodies.
     pub enabled: bool,
-    /// Attainment target the burn-rate watchdog holds every SLO signal
-    /// (search / TTFT / deadline) to, e.g. `0.95` = 5% error budget.
-    pub slo_target: f64,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            slo_target: 0.95,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// Panics unless the attainment target is in `(0, 1)`.
-    pub(crate) fn validate(&self) {
-        assert!(
-            self.slo_target > 0.0 && self.slo_target < 1.0,
-            "slo_target must be in (0, 1)"
-        );
+        Self { enabled: true }
     }
 }
 

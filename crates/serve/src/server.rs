@@ -476,26 +476,17 @@ impl RagServer {
     /// # Errors
     ///
     /// [`AnnError::InvalidConfig`] — before any training — when
-    /// `config.real.ivf` is not flat list storage under L2 or inner
-    /// product, the only indexes the tiered store can hold; otherwise
-    /// propagates index-training errors.
+    /// `config.real.ivf` is not flat list storage, the only indexes the
+    /// tiered store can hold; otherwise propagates index-training errors.
     pub fn start_with_clock(
         corpus: &SyntheticCorpus,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> vlite_ann::Result<RagServer> {
-        let ivf = &config.real.ivf;
-        if !vlite_store::supports_metric(ivf.metric) {
+        let storage = &config.real.ivf.storage;
+        if !matches!(storage, ListStorage::Flat) {
             return Err(AnnError::InvalidConfig(format!(
-                "the tiered store cannot score under {:?}; for cosine, normalise the \
-                 vectors and use Metric::InnerProduct",
-                ivf.metric
-            )));
-        }
-        if !matches!(ivf.storage, ListStorage::Flat) {
-            return Err(AnnError::InvalidConfig(format!(
-                "the tiered store needs flat list storage, not {:?}",
-                ivf.storage
+                "the tiered store needs flat list storage, not {storage:?}"
             )));
         }
         let deployment = RealDeployment::build(corpus, config.real.clone())?;
@@ -518,8 +509,8 @@ impl RagServer {
     /// # Panics
     ///
     /// Panics if the tiered store cannot be built or reopened — including
-    /// an index that is not flat list storage under L2 or inner product,
-    /// which [`RagServer::start`] refuses up front — if the deployment has
+    /// an index that is not flat list storage, which
+    /// [`RagServer::start`] refuses up front — if the deployment has
     /// no shards, if the tenant table is invalid (zero weight or
     /// capacity), if the generation config has a zero batch cap or cannot
     /// fit its worst-case request in KV, or if the control loop is keyed

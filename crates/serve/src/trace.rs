@@ -68,6 +68,10 @@ pub const WARN_BURN: f64 = 2.0;
 /// Burn rate at which a signal enters `critical`. Froze
 /// `TraceConfig::critical_burn` at its default.
 pub const CRITICAL_BURN: f64 = 10.0;
+/// Attainment target the burn-rate watchdog holds every SLO signal
+/// (search / TTFT / deadline) to: a 5% error budget. Froze
+/// `TraceConfig::slo_target` at its default.
+pub const SLO_TARGET: f64 = 0.95;
 /// Width of one watchdog bucket: the slow window in 120 slots, so the fast
 /// window still spans a dozen buckets.
 const BUCKET_S: f64 = SLOW_WINDOW_S / 120.0;
@@ -108,26 +112,30 @@ fn derive_id(seed: u64, salt: u64, n: u64) -> u128 {
 
 /// Parses a W3C `traceparent` header value, returning the trace id when
 /// the header is well-formed (`{version}-{trace-id}-{parent-id}-{flags}`
-/// with hex fields of the right widths and non-zero ids). Malformed or
-/// forbidden (`version == ff`) values return `None` — per the spec the
-/// server then starts a fresh trace rather than failing the request.
+/// with lowercase hex fields of the right widths and non-zero ids).
+/// Malformed or forbidden (`version == ff`) values return `None` — per the
+/// spec the server then starts a fresh trace rather than failing the
+/// request.
 pub fn parse_traceparent(value: &str) -> Option<TraceId> {
     let mut parts = value.trim().split('-');
     let version = parts.next()?;
-    if version.len() != 2 || !is_hex(version) || version.eq_ignore_ascii_case("ff") {
+    if version.len() != 2 || !is_lower_hex(version) || version == "ff" {
         return None;
     }
     let trace = parts.next()?;
+    if !is_lower_hex(trace) {
+        return None;
+    }
     let id = vlite_metrics::spans::parse_trace_id(trace)?;
     if id == 0 {
         return None;
     }
     let parent = parts.next()?;
-    if parent.len() != 16 || !is_hex(parent) || parent.bytes().all(|b| b == b'0') {
+    if parent.len() != 16 || !is_lower_hex(parent) || parent.bytes().all(|b| b == b'0') {
         return None;
     }
     let flags = parts.next()?;
-    if flags.len() != 2 || !is_hex(flags) {
+    if flags.len() != 2 || !is_lower_hex(flags) {
         return None;
     }
     // Version 00 defines exactly four fields; later versions may append.
@@ -143,8 +151,9 @@ pub fn format_traceparent(trace: TraceId, parent_span: u64) -> String {
     format!("00-{:032x}-{:016x}-01", trace.0, parent_span.max(1))
 }
 
-fn is_hex(s: &str) -> bool {
-    !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit())
+/// W3C Trace Context's `HEXDIGLC`: digits and `a`–`f` only.
+fn is_lower_hex(s: &str) -> bool {
+    !s.is_empty() && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
 }
 
 /// Profiled pipeline stages, indexed by the `STAGE_*` constants.
@@ -362,7 +371,6 @@ pub struct TracePlane {
     stages: [StageCell; PROFILE_STAGES.len()],
     current_batch: Mutex<Option<BatchCtx>>,
     watchdog: Mutex<Watchdog>,
-    slo_target: f64,
     /// End-to-end seconds at or above which a request's trace is kept.
     slow_threshold_s: f64,
 }
@@ -380,12 +388,7 @@ impl TracePlane {
     /// Builds a plane from `config`; a request that was shed or took at
     /// least `slow_threshold_s` end to end has its trace kept; `seed` makes
     /// derived trace ids deterministic per server.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.slo_target` is outside `(0, 1)`.
     pub fn new(config: &TraceConfig, slow_threshold_s: f64, seed: u64) -> Self {
-        config.validate();
         Self {
             enabled: config.enabled,
             store: SpanStore::new(TRACE_CAPACITY, KEPT_CAPACITY),
@@ -401,7 +404,6 @@ impl TracePlane {
                     .collect(),
                 levels: vec![AlertLevel::Ok; SLO_SIGNALS.len()],
             }),
-            slo_target: config.slo_target,
             slow_threshold_s,
         }
     }
@@ -840,7 +842,7 @@ impl TracePlane {
     /// Burn = observed bad fraction over the window divided by the error
     /// budget (`1 - target`); 1.0 means burning exactly the budget.
     fn burns(&self, ring: &BurnRing, index: u64) -> (f64, f64) {
-        let budget = (1.0 - self.slo_target).max(1e-9);
+        let budget = 1.0 - SLO_TARGET;
         let burn = |window_s: f64| {
             let window_buckets = (window_s / BUCKET_S).ceil().max(1.0) as u64;
             let (bad, total) = ring.window(index, window_buckets);
@@ -869,7 +871,7 @@ impl TracePlane {
                     level: watchdog.levels[i],
                     fast_burn: fast,
                     slow_burn: slow,
-                    target: self.slo_target,
+                    target: SLO_TARGET,
                     observed,
                 }
             })
@@ -1046,6 +1048,9 @@ mod tests {
             "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01-extra", // v00 + extra
             "00-0af7651916cd43dd8448eb211c8031-00f067aa0ba902b7-01", // short trace
             "0x-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-01", // non-hex version
+            "00-0AF7651916CD43DD8448EB211C80319C-00f067aa0ba902b7-01", // uppercase trace
+            "00-0af7651916cd43dd8448eb211c80319c-00F067AA0BA902B7-01", // uppercase parent
+            "00-0af7651916cd43dd8448eb211c80319c-00f067aa0ba902b7-0A", // uppercase flags
         ] {
             assert_eq!(parse_traceparent(bad), None, "accepted {bad:?}");
         }
@@ -1267,16 +1272,12 @@ mod tests {
 
     #[test]
     fn watchdog_fast_window_forgets_old_burn() {
-        let config = TraceConfig {
-            slo_target: 0.9,
-            ..TraceConfig::default()
-        };
-        let plane = TracePlane::new(&config, 0.25, 7);
+        let plane = TracePlane::new(&TraceConfig::default(), 0.25, 7);
         let early = SimTime::from_nanos(1_000_000_000);
         for _ in 0..100 {
             plane.observe_slo(SIG_TTFT, false, early);
         }
-        // 100% bad: both windows burn at 10x the budget.
+        // 100% bad: both windows burn at 20x the budget.
         let alerts = plane.alerts(early);
         assert_eq!(alerts[SIG_TTFT].level, AlertLevel::Critical);
 
@@ -1292,11 +1293,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_records_nothing() {
-        let config = TraceConfig {
-            enabled: false,
-            ..TraceConfig::default()
-        };
-        let plane = TracePlane::new(&config, 0.25, 3);
+        let plane = TracePlane::new(&TraceConfig { enabled: false }, 0.25, 3);
         assert!(!plane.enabled());
         assert!(plane.begin_batch(&[TraceId(1)]).is_none());
         plane.record_request(&outcome(0, TraceId(1), None));

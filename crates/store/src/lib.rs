@@ -19,8 +19,7 @@
 //! [`TieredStore`] implements `vlite-ann`'s `ClusterStore` trait through
 //! generation-counted [`StoreSnapshot`]s, so `vlite_ann::scan_lists_store`
 //! (and its batch form) reads through it without knowing which tier a
-//! cluster is on. Segments hold L2 and inner-product payloads only
-//! ([`supports_metric`]). A live
+//! cluster is on, under either `Metric` (L2 or inner product). A live
 //! migration ([`TieredStore::apply_placement`]) never blocks readers: all
 //! promotion I/O happens outside the lock, the swap is one pointer store,
 //! and in-flight scans keep their snapshot's arenas alive by `Arc`.
@@ -70,9 +69,7 @@ mod tiered;
 
 pub use checksum::{crc32, Crc32};
 pub use mmap::Mmap;
-pub use segment::{
-    supports_metric, write_segment, Segment, StoreError, SEGMENT_MAGIC, SEGMENT_VERSION,
-};
+pub use segment::{write_segment, Segment, StoreError, SEGMENT_MAGIC, SEGMENT_VERSION};
 pub use tiered::{Residency, StoreSnapshot, StoreStats, TierShift, TieredStore};
 
 /// Result alias for store operations.

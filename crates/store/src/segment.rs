@@ -95,20 +95,10 @@ impl From<std::io::Error> for StoreError {
 /// Result alias for store operations.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// Whether the segment format can score payloads under `metric` (cosine
-/// does not decompose over SQ8 codes). Callers that *move* data
-/// into a store should check this **before** detaching anything.
-pub fn supports_metric(metric: Metric) -> bool {
-    metric_code(metric).is_ok()
-}
-
-fn metric_code(metric: Metric) -> Result<u32> {
+fn metric_code(metric: Metric) -> u32 {
     match metric {
-        Metric::L2 => Ok(0),
-        Metric::InnerProduct => Ok(1),
-        Metric::Cosine => Err(StoreError::Unsupported(
-            "cosine does not decompose over SQ8 codes; use L2 or inner product".into(),
-        )),
+        Metric::L2 => 0,
+        Metric::InnerProduct => 1,
     }
 }
 
@@ -178,16 +168,16 @@ pub(crate) fn fill_le<T: Copy, const N: usize>(
 ///
 /// # Errors
 ///
-/// [`StoreError::Unsupported`] for the cosine metric or a cluster whose
-/// dimensionality disagrees with `dim`; [`StoreError::Io`] on filesystem
-/// failures.
+/// [`StoreError::Unsupported`] for a bad dimensionality or no clusters;
+/// [`StoreError::Mismatch`] for a cluster whose dimensionality or id count
+/// disagrees; [`StoreError::Io`] on filesystem failures.
 pub fn write_segment(
     path: &Path,
     dim: usize,
     metric: Metric,
     clusters: &[(Vec<u64>, VecSet)],
 ) -> Result<()> {
-    let metric_code = metric_code(metric)?;
+    let metric_code = metric_code(metric);
     if dim == 0 || dim > u32::MAX as usize {
         return Err(StoreError::Unsupported(format!("bad dimensionality {dim}")));
     }
@@ -683,16 +673,6 @@ mod tests {
         assert_eq!(seg.cluster_len(1), 0);
         assert_eq!(seg.total_vectors(), 20);
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn cosine_metric_rejected() {
-        let clusters = sample_clusters(2, 4, 4, 3);
-        let path = temp_path("cosine");
-        assert!(matches!(
-            write_segment(&path, 4, Metric::Cosine, &clusters),
-            Err(StoreError::Unsupported(_))
-        ));
     }
 
     #[test]

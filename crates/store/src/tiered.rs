@@ -806,7 +806,7 @@ mod tests {
                     for (q, x) in query.iter().zip(&decoded) {
                         d += match metric {
                             Metric::L2 => (q - x) * (q - x),
-                            _ => -(q * x),
+                            Metric::InnerProduct => -(q * x),
                         };
                     }
                     top.push(ids[i], d);

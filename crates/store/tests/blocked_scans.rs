@@ -185,7 +185,6 @@ fn panel_order_score(metric: Metric, query: &[f32], v: &[f32]) -> f32 {
     match metric {
         Metric::L2 => terms.fold(0.0f32, |acc, (q, x)| (q - x).mul_add(q - x, acc)),
         Metric::InnerProduct => -terms.fold(0.0f32, |acc, (q, x)| q.mul_add(*x, acc)),
-        Metric::Cosine => unreachable!("segments do not store cosine"),
     }
 }
 

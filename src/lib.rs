@@ -12,7 +12,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `vlite-core` | Access-skew profiling, Beta/order-statistic hit-rate estimation, latency-bounded partitioning (Algorithm 1), index splitter, router, dynamic dispatcher, serving pipeline, adaptive update |
-//! | [`ann`] | `vlite-ann` | IVF-Flat / IVF-PQ / fast-scan indexes, k-means, product & scalar quantizers, HNSW, recall/NDCG |
+//! | [`ann`] | `vlite-ann` | IVF-Flat / IVF-PQ / fast-scan indexes (exact coarse quantizer, L2 or inner product), k-means, product & scalar quantizers, recall/NDCG |
 //! | [`llm`] | `vlite-llm` | Continuous-batching LLM engine simulator, paged KV cache, model specs, throughput probes |
 //! | [`serve`] | `vlite-serve` | Real-time serving runtime: multi-tenant weighted-fair admission, dynamic batching, shard workers + dispatcher threads, retrieval → LLM co-scheduling with TTFT accounting, online SLO-aware repartitioning with live tier migration, real/virtual clocks |
 //! | [`store`] | `vlite-store` | Tiered vector storage engine: resident full-precision hot arenas + mmap'd SQ8 cold segments (checksummed on-disk format) behind the `ClusterStore` trait, with non-blocking tier migration |

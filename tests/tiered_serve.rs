@@ -12,7 +12,7 @@
 //!    hot-swaps the router, then promotes/demotes cluster extents itself
 //!    while batches keep completing — zero snapshot waits, every request
 //!    served.
-//! 3. **Only tierable indexes serve.** Cosine and PQ list storage are
+//! 3. **Only tierable indexes serve.** PQ and fast-scan list storage are
 //!    refused at start-up instead of falling back to another scan path.
 //! 4. **Tier accounting is physical.** Fast/cold probe counters and
 //!    fast-tier residency in the report reflect where bytes actually
@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use vectorlite_rag::ann::{AnnError, IvfConfig, ListStorage, Metric, Neighbor, PqConfig};
+use vectorlite_rag::ann::{AnnError, IvfConfig, ListStorage, Neighbor, PqConfig};
 use vectorlite_rag::core::{RealConfig, UpdateConfig};
 use vectorlite_rag::serve::loadgen::{run_open_loop, RotatingQuerySource};
 use vectorlite_rag::serve::{ControlConfig, RagServer, ServeConfig, VirtualClock};
@@ -181,8 +181,8 @@ fn repartition_migration_completes_while_the_dispatcher_keeps_draining() {
 #[test]
 fn non_tierable_indexes_are_refused_before_training() {
     // Every server scans through the tiered store, which holds flat lists
-    // under L2 or inner product only. Anything else is a config error at
-    // start-up, not a second scan path. The corpus is smaller than `nlist`,
+    // only. Either non-flat storage is a config error at start-up, not a
+    // second scan path. The corpus is smaller than `nlist`,
     // so an error from training (instead of this check) would show up as
     // `InsufficientTrainingData`.
     let tiny = SyntheticCorpus::generate(&CorpusConfig {
@@ -193,17 +193,17 @@ fn non_tierable_indexes_are_refused_before_training() {
         noise: 0.25,
         seed: 9,
     });
-    let cosine = IvfConfig::new(64).metric(Metric::Cosine);
-    let pq = IvfConfig::new(64).storage(ListStorage::Pq(PqConfig::new(4)));
-    for (ivf, names) in [(cosine, ["Cosine", "InnerProduct"]), (pq, ["Pq", "flat"])] {
+    let pq = ListStorage::Pq(PqConfig::new(4));
+    let fast_scan = ListStorage::FastScan(PqConfig::new(4));
+    for (storage, name) in [(pq, "Pq"), (fast_scan, "FastScan")] {
         let mut config = config();
-        config.real.ivf = ivf;
+        config.real.ivf = IvfConfig::new(64).storage(storage);
         let err = RagServer::start_with_clock(&tiny, config, Arc::new(VirtualClock::new()))
             .expect_err("a non-tierable index must not start");
         let AnnError::InvalidConfig(msg) = err else {
             panic!("expected InvalidConfig, got {err:?}");
         };
-        for name in names {
+        for name in [name, "flat"] {
             assert!(msg.contains(name), "{msg:?} does not name {name}");
         }
     }
