@@ -7,7 +7,7 @@
 //! dispatch state per call. Scan loops resolve a
 //! [`crate::kernel::Kernels`] table once per pass instead and score a
 //! block of stored vectors per call: row-major through
-//! [`Metric::score_block`], 8-row panels (the hot tier's layout) through
+//! [`Metric::score_block`], 16-row panels (the hot tier's layout) through
 //! [`Metric::score_panels`].
 
 use serde::{Deserialize, Serialize};
@@ -93,7 +93,7 @@ impl Metric {
     }
 
     /// Panel counterpart of [`Metric::score_block`]: scores `query`
-    /// against whole 8-row groups in the
+    /// against whole 16-row groups in the
     /// [`kernel::to_panels`](crate::kernel::to_panels) layout through
     /// `kern`'s panel entries, one distance per row, pad rows included.
     /// Inner product negates.

@@ -9,7 +9,11 @@
 //! - **AVX2 + FMA** on `x86_64` ([`x86`]): 8-lane `f32` with fused
 //!   multiply-add, two independent accumulators for ILP; SQ8 codes are
 //!   widened in registers (`vpmovzxbd` + `vcvtdq2ps`), four rows per
-//!   iteration; panels eight rows per register, eight registers deep.
+//!   iteration; a 16-row panel group as two 8-lane halves, eight halves
+//!   deep.
+//! - **AVX-512** on `x86_64` with `avx512f` beside AVX2 + FMA: the AVX2
+//!   table with the two panel entries in zmm form, one 16-lane register
+//!   per 16-row group.
 //! - **NEON** on `aarch64` ([`neon`]): 4-lane `f32` with `vfmaq_f32`
 //!   (the SQ8 and panel entries point at the scalar reference).
 //! - **Scalar** ([`scalar`]): the portable fallback, kept permanently as
@@ -28,7 +32,9 @@
 //! [`sq8_lut_sum`]), which cost one relaxed atomic load per call, or —
 //! on scan hot paths — resolve a [`Kernels`] table once per cluster pass
 //! via [`kernels`] and loop over plain function pointers, so the inner
-//! loop carries no dispatch branching at all.
+//! loop carries no dispatch branching at all. Detection picks the widest
+//! kind the CPU runs; [`table`] hands out any other table it can run
+//! too, so tests hold every one of them against the scalar reference.
 //!
 //! # Block entries
 //!
@@ -57,30 +63,31 @@
 //! # Panel entries
 //!
 //! The hot tier does not store its vectors row-major. A resident cluster
-//! is packed by [`to_panels`] into **8-row panels**: rows in groups of
+//! is packed by [`to_panels`] into **16-row panels**: rows in groups of
 //! [`PANEL_ROWS`], each group dim-major
-//! (`panels[(g·dim + d)·8 + lane]` is dimension `d` of row `8g + lane`),
+//! (`panels[(g·dim + d)·16 + lane]` is dimension `d` of row `16g + lane`),
 //! the last group zero-padded. [`Kernels::l2_sq_panels`] and
 //! [`Kernels::dot_panels`], `fn(query, panels, out)` with
-//! `panels.len() == out.len() · dim` and `out.len() % 8 == 0`, score one
+//! `panels.len() == out.len() · dim` and `out.len() % 16 == 0`, score one
 //! query against whole groups and write one distance per row, pad rows
-//! included (callers drop those). One 8-lane register holds eight stored
-//! vectors, so the AVX2 form broadcasts `query[d]` and runs one subtract
-//! and one FMA (L2) or one FMA (dot) per group per dimension, eight groups
-//! at a time for eight independent accumulator chains, and stores the
-//! lanes as they are: no horizontal sum at all. The scalar reference
-//! accumulates each lane in the same dimension order with `f32::mul_add`,
-//! so the contract is **bit identity across every table**: the dispatched
-//! and scalar panel entries agree `to_bits()` for `to_bits()` (NEON points
-//! at the scalar reference), and a row's distance does not depend on which
-//! run of groups it was scored in.
+//! included (callers drop those). One 16-lane register holds a group, so
+//! the AVX-512 form broadcasts `query[d]` and runs one subtract and one
+//! FMA (L2) or one FMA (dot) per group per dimension, up to four groups
+//! at a time for four independent accumulator chains, and stores the
+//! lanes as they are: no horizontal sum at all. The AVX2 form runs the
+//! same steps on each group's two 8-lane halves, eight chains deep. The
+//! scalar reference accumulates each lane in the same dimension order
+//! with `f32::mul_add`, so the contract is **bit identity across every
+//! table**: the scalar, AVX2 and AVX-512 panel entries agree `to_bits()`
+//! for `to_bits()` (NEON points at the scalar reference), and a row's
+//! distance does not depend on which run of groups it was scored in.
 //!
 //! Scan loops fill a stack buffer of at most [`MAX_BLOCK`] distances
 //! ([`block_len`] vectors or [`sq8_block_len`] code rows at a time, sized
 //! so the sub-block stays in L1 across the queries of a batch; panel rows
-//! in [`panel_runs`] of up to eight groups) and hand it to
-//! [`TopK::offer`](crate::TopK::offer), which rejects everything past the
-//! current k-th distance with one compare and lets `push` decide the
+//! in [`panel_runs`] of up to four groups) and hand it to
+//! [`TopK::offer`](crate::TopK::offer), which skips every eight distances
+//! past the current k-th one with one test and lets `push` decide the
 //! rest.
 //!
 //! Setting `VLITE_FORCE_SCALAR=1` in the environment pins dispatch to
@@ -133,17 +140,29 @@ pub enum KernelKind {
     /// AVX2 + FMA on `x86_64` (8-lane f32; SQ8 codes widened in
     /// registers, four rows per iteration).
     Avx2Fma,
+    /// AVX-512 on `x86_64`: the AVX2 + FMA table with 16-lane panel
+    /// entries.
+    Avx512,
     /// NEON on `aarch64` (4-lane f32; SQ8 entries are the scalar
     /// reference).
     Neon,
 }
 
 impl KernelKind {
+    /// Every kind, for tests that ask [`table`] about each one.
+    pub const ALL: [KernelKind; 4] = [
+        KernelKind::Scalar,
+        KernelKind::Avx2Fma,
+        KernelKind::Avx512,
+        KernelKind::Neon,
+    ];
+
     /// Stable lowercase name for reports, CSV rows and Prometheus labels.
     pub fn name(self) -> &'static str {
         match self {
             KernelKind::Scalar => "scalar",
             KernelKind::Avx2Fma => "avx2_fma",
+            KernelKind::Avx512 => "avx512",
             KernelKind::Neon => "neon",
         }
     }
@@ -152,13 +171,14 @@ impl KernelKind {
         match self {
             KernelKind::Scalar => 0,
             KernelKind::Avx2Fma => 1,
-            KernelKind::Neon => 2,
+            KernelKind::Avx512 => 2,
+            KernelKind::Neon => 3,
         }
     }
 }
 
-/// The best kernel this CPU supports, independent of any override — the
-/// dispatcher's one-time feature detection (CPUID on `x86_64`,
+/// The widest kernel this CPU supports, independent of any override —
+/// the dispatcher's one-time feature detection (CPUID on `x86_64`,
 /// `getauxval`-backed detection on `aarch64`), cached in a `OnceLock` so
 /// no scan path ever re-runs it.
 pub fn detected() -> KernelKind {
@@ -169,6 +189,9 @@ pub fn detected() -> KernelKind {
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return KernelKind::Avx512;
+                }
                 return KernelKind::Avx2Fma;
             }
         }
@@ -239,7 +262,8 @@ pub fn active() -> KernelKind {
 
 /// How many times [`kernels`] resolved each kind — the "was the SIMD
 /// path actually exercised?" evidence the equivalence tests assert.
-static RESOLUTIONS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+static RESOLUTIONS: [AtomicU64; KernelKind::ALL.len()] =
+    [const { AtomicU64::new(0) }; KernelKind::ALL.len()];
 
 /// Times [`kernels`] has resolved to `kind` since process start.
 pub fn resolution_count(kind: KernelKind) -> u64 {
@@ -280,10 +304,10 @@ pub struct Kernels {
     /// `out[i] = Σⱼ w[j]·codes[i·dim + j]`, bit identical to one call per
     /// row; panics unless `codes.len() == out.len() · w.len()`.
     pub sq8_dot_block: fn(&[f32], &[u8], &mut [f32]),
-    /// Panel squared-L2 over whole 8-row groups ([`to_panels`] layout):
+    /// Panel squared-L2 over whole 16-row groups ([`to_panels`] layout):
     /// `out[r] = Σ_d (query[d] − row_r[d])²`, accumulated per row in
     /// dimension order with one FMA per term, bit identical across
-    /// tables; panics unless `out.len() % 8 == 0` and
+    /// tables; panics unless `out.len() % 16 == 0` and
     /// `panels.len() == out.len() · query.len()`.
     pub l2_sq_panels: fn(&[f32], &[f32], &mut [f32]),
     /// Panel dot, `out[r] = Σ_d query[d]·row_r[d]` in the same order and
@@ -295,13 +319,18 @@ pub struct Kernels {
 /// size of the callers' stack buffers.
 pub const MAX_BLOCK: usize = 64;
 
-/// Rows per panel group: one 8-lane f32 register's worth.
-pub const PANEL_ROWS: usize = 8;
+/// Rows per panel group: one 16-lane f32 register's worth (two 8-lane
+/// halves on AVX2).
+pub const PANEL_ROWS: usize = 16;
 
 /// The panel entries' shape contract, checked in every build profile (the
-/// AVX2 form's unchecked loads and stores are argued from it).
+/// SIMD forms' unchecked loads and stores are argued from it).
 fn assert_panel_shape(dim: usize, panels: usize, out: usize) {
-    assert_eq!(out % PANEL_ROWS, 0, "panel rows come in whole groups of 8");
+    assert_eq!(
+        out % PANEL_ROWS,
+        0,
+        "panel rows come in whole groups of PANEL_ROWS"
+    );
     assert_eq!(
         Some(panels),
         out.checked_mul(dim),
@@ -312,7 +341,7 @@ fn assert_panel_shape(dim: usize, panels: usize, out: usize) {
 /// Packs `n` row-major vectors of `dim` floats, read in order from
 /// `values`, into the panel layout the panel entries score: groups of
 /// [`PANEL_ROWS`] rows, each group dim-major
-/// (`panels[(g·dim + d)·8 + lane]`), the last group zero-padded. One
+/// (`panels[(g·dim + d)·16 + lane]`), the last group zero-padded. One
 /// allocation, written in place as the values stream past.
 ///
 /// # Panics
@@ -351,15 +380,15 @@ fn balanced_runs(total: usize, max: usize) -> impl Iterator<Item = Range<usize>>
 
 /// The row runs a panel scan over `n` stored vectors scores against
 /// every query in turn: whole groups of [`PANEL_ROWS`] covering the
-/// padded rows `0..n.div_ceil(8)·8`, at most [`MAX_BLOCK`] rows (eight
-/// groups, the panel kernels' eight accumulator chains) each, and
-/// balanced — 49 groups run as 7 × 7, not 6 × 8 + 1, so no run is one
-/// latency-bound group.
+/// padded rows `0..n.div_ceil(16)·16`, at most [`MAX_BLOCK`] rows (four
+/// groups: the AVX-512 form's four accumulator chains, the AVX2 form's
+/// eight half-group chains) each, and balanced — 9 groups run as
+/// 3 × 3, not 4 + 4 + 1, so no run is one latency-bound group.
 ///
 /// At dim 64 a run is 16 KiB, the [`block_len`] budget. Above it the
 /// chains win over L1 residency: a cluster scan at dims 128, 256 and 768
-/// with runs cut to 16 KiB (4, 2 and 1 chains) measured 1.3×, 2× and
-/// 3.5× slower than with eight-group runs streaming from L2.
+/// with 8-row runs cut to 16 KiB (4, 2 and 1 chains) measured 1.3×, 2×
+/// and 3.5× slower than with 64-row runs streaming from L2.
 pub fn panel_runs(n: usize) -> impl Iterator<Item = Range<usize>> {
     balanced_runs(n.div_ceil(PANEL_ROWS), MAX_BLOCK / PANEL_ROWS)
         .map(|g| g.start * PANEL_ROWS..g.end * PANEL_ROWS)
@@ -409,26 +438,57 @@ fn block_by_pairs(
     }
 }
 
+/// The AVX2 + FMA table. Private: its entries may only be reached once
+/// detection confirmed the features ([`kernels`], [`table`]).
+#[cfg(target_arch = "x86_64")]
+const AVX2_KERNELS: Kernels = Kernels {
+    kind: KernelKind::Avx2Fma,
+    dot: x86::dot,
+    l2_sq: x86::l2_sq,
+    sq8_lut_sum: x86::sq8_lut_sum,
+    dot_block: x86::dot_block,
+    l2_sq_block: x86::l2_sq_block,
+    sq8_l2_block: x86::sq8_l2_block,
+    sq8_dot_block: x86::sq8_dot_block,
+    l2_sq_panels: x86::l2_sq_panels,
+    dot_panels: x86::dot_panels,
+};
+
 /// Resolves the active kernel table. Call once per scan pass, not per
 /// vector: the table is a few words and `Copy`.
 pub fn kernels() -> Kernels {
     let kind = active();
     // relaxed: monotone telemetry counter (see `resolution_count`).
     RESOLUTIONS[kind.index()].fetch_add(1, Ordering::Relaxed);
+    build(kind)
+}
+
+/// The table of `kind` if this CPU can run it: scalar always, a SIMD kind
+/// when it is the [`detected`] one or narrower on the same arch (AVX-512
+/// is only detected beside AVX2 + FMA). Tests loop over it so every table
+/// the CPU runs — the AVX2 panel entries on an AVX-512 host included — is
+/// held against the scalar reference; scans call [`kernels`].
+pub fn table(kind: KernelKind) -> Option<Kernels> {
+    let runnable = match (kind, detected()) {
+        (KernelKind::Scalar, _) => true,
+        (KernelKind::Avx2Fma, KernelKind::Avx512) => true,
+        (kind, widest) => kind == widest,
+    };
+    runnable.then(|| build(kind))
+}
+
+/// The table of a kind this CPU runs ([`active`] or checked by [`table`]).
+fn build(kind: KernelKind) -> Kernels {
     match kind {
         KernelKind::Scalar => SCALAR_KERNELS,
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => Kernels {
+        KernelKind::Avx2Fma => AVX2_KERNELS,
+        #[cfg(target_arch = "x86_64")]
+        KernelKind::Avx512 => Kernels {
             kind,
-            dot: x86::dot,
-            l2_sq: x86::l2_sq,
-            sq8_lut_sum: x86::sq8_lut_sum,
-            dot_block: x86::dot_block,
-            l2_sq_block: x86::l2_sq_block,
-            sq8_l2_block: x86::sq8_l2_block,
-            sq8_dot_block: x86::sq8_dot_block,
-            l2_sq_panels: x86::l2_sq_panels,
-            dot_panels: x86::dot_panels,
+            l2_sq_panels: x86::l2_sq_panels_avx512,
+            dot_panels: x86::dot_panels_avx512,
+            ..AVX2_KERNELS
         },
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => Kernels {
@@ -444,7 +504,7 @@ pub fn kernels() -> Kernels {
             l2_sq_panels: scalar::l2_sq_panels,
             dot_panels: scalar::dot_panels,
         },
-        // A kind whose arch is compiled out can never be detected here.
+        // A kind whose arch is compiled out is never active or runnable here.
         #[allow(unreachable_patterns)]
         _ => SCALAR_KERNELS,
     }
@@ -463,7 +523,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => x86::dot(a, b),
+        KernelKind::Avx2Fma | KernelKind::Avx512 => x86::dot(a, b),
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => neon::dot(a, b),
         _ => scalar::dot(a, b),
@@ -481,7 +541,7 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => x86::l2_sq(a, b),
+        KernelKind::Avx2Fma | KernelKind::Avx512 => x86::l2_sq(a, b),
         #[cfg(target_arch = "aarch64")]
         KernelKind::Neon => neon::l2_sq(a, b),
         _ => scalar::l2_sq(a, b),
@@ -499,7 +559,7 @@ pub fn sq8_lut_sum(table: &[f32], codes: &[u8]) -> f32 {
     assert_eq!(table.len(), codes.len() * 256);
     match active() {
         #[cfg(target_arch = "x86_64")]
-        KernelKind::Avx2Fma => x86::sq8_lut_sum(table, codes),
+        KernelKind::Avx2Fma | KernelKind::Avx512 => x86::sq8_lut_sum(table, codes),
         _ => scalar::sq8_lut_sum(table, codes),
     }
 }
@@ -521,7 +581,7 @@ mod tests {
         #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
         assert_eq!(k, KernelKind::Scalar);
         #[cfg(target_arch = "aarch64")]
-        assert_ne!(k, KernelKind::Avx2Fma);
+        assert!(!matches!(k, KernelKind::Avx2Fma | KernelKind::Avx512));
         #[cfg(target_arch = "x86_64")]
         assert_ne!(k, KernelKind::Neon);
     }

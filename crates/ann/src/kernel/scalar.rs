@@ -134,18 +134,18 @@ fn sq8_block(
     }
 }
 
-/// Scalar panel squared-L2 over whole 8-row groups
+/// Scalar panel squared-L2 over whole 16-row groups
 /// ([`to_panels`](super::to_panels) layout): each row accumulates
 /// `(query[d] − x)²` in dimension order through `f32::mul_add` — the
-/// exact operation sequence of the AVX2 entry's `sub` + `fmadd`, so the
-/// two agree bit for bit. That identity has a price on x86_64 builds
-/// without `fma`: each `mul_add` is a libm call, about ten times the
-/// AVX2 entry's cost per row. Dispatch never picks this table on FMA
-/// hardware; on aarch64 `mul_add` is one `fmadd`.
+/// exact operation sequence of the AVX2 and AVX-512 entries' `sub` +
+/// `fmadd`, so all three agree bit for bit. That identity has a price on
+/// x86_64 builds without `fma`: each `mul_add` is a libm call, about ten
+/// times the AVX2 entry's cost per row. Dispatch never picks this table
+/// on FMA hardware; on aarch64 `mul_add` is one `fmadd`.
 ///
 /// # Panics
 ///
-/// Panics unless `out.len() % 8 == 0` and
+/// Panics unless `out.len() % 16 == 0` and
 /// `panels.len() == out.len() · query.len()`.
 pub fn l2_sq_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
     panels_by(query, panels, out, |q, x, acc| {
@@ -160,8 +160,8 @@ pub fn dot_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
     panels_by(query, panels, out, |q, x, acc| q.mul_add(x, acc));
 }
 
-/// Both panel entries: eight lane accumulators per group, one `step` per
-/// (dimension, lane).
+/// Both panel entries: [`PANEL_ROWS`](super::PANEL_ROWS) lane
+/// accumulators per group, one `step` per (dimension, lane).
 #[inline]
 fn panels_by(query: &[f32], panels: &[f32], out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32) {
     let dim = query.len();

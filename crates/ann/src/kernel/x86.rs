@@ -26,13 +26,17 @@
 //! `vgatherdps` walk over a per-query table these entries replaced, stays
 //! for the benchmark ledger's kernel pass; no scan calls it.
 //!
-//! The panel entries ([`l2_sq_panels`], [`dot_panels`]) score 8-row
-//! dim-major groups: `query[d]` is broadcast once per dimension and fed,
-//! with one `sub` + `fmadd` (L2) or one `fmadd` (dot), to up to eight
-//! groups' accumulators — eight independent chains, enough to cover the
-//! FMA latency on two ports — whose lanes are the eight rows' distances,
-//! stored as they stand. Each lane's operation sequence is the scalar
-//! reference's `mul_add` chain, so the result is bit-identical to it.
+//! The panel entries ([`l2_sq_panels`], [`dot_panels`]) score 16-row
+//! dim-major groups as two 8-lane halves: `query[d]` is broadcast once per
+//! dimension and fed, with one `sub` + `fmadd` (L2) or one `fmadd` (dot),
+//! to up to four groups' eight half accumulators — eight independent
+//! chains, enough to cover the FMA latency on two ports — whose lanes are
+//! the rows' distances, stored as they stand. The AVX-512 entries
+//! ([`l2_sq_panels_avx512`], [`dot_panels_avx512`]), which the dispatcher
+//! only hands out after detecting `avx512f`, hold a whole group in one
+//! zmm register: the same steps, one chain per group. Each lane's
+//! operation sequence is the scalar reference's `mul_add` chain, so both
+//! forms are bit-identical to it.
 //!
 //! Accuracy: lane-parallel partial sums + FMA contraction reassociate
 //! the reduction, bounded by the envelope documented in [`super`]
@@ -40,11 +44,12 @@
 //! bit-exact against [`super::scalar`].
 
 use std::arch::x86_64::{
-    __m128, __m128i, __m256, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
+    __m128, __m128i, __m256, __m512, _mm256_add_epi32, _mm256_add_ps, _mm256_castps256_ps128,
     _mm256_cvtepi32_ps, _mm256_cvtepu8_epi32, _mm256_extractf128_ps, _mm256_fmadd_ps,
     _mm256_fnmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_set_epi32,
-    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32,
-    _mm_hadd_ps, _mm_loadl_epi64, _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
+    _mm256_setzero_ps, _mm256_storeu_ps, _mm256_sub_ps, _mm512_fmadd_ps, _mm512_loadu_ps,
+    _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps, _mm_add_ps, _mm_add_ss,
+    _mm_cvtss_f32, _mm_hadd_ps, _mm_loadl_epi64, _mm_movehdup_ps, _mm_movehl_ps, _mm_storeu_ps,
 };
 
 /// AVX2+FMA inner (dot) product; dispatch-only entry.
@@ -159,12 +164,12 @@ pub fn sq8_dot_block(w: &[f32], codes: &[u8], out: &mut [f32]) {
     unsafe { sq8_block_avx2::<false>(w, &[], codes, out) }
 }
 
-/// AVX2+FMA panel squared-L2 over whole 8-row groups (bit-identical to
+/// AVX2+FMA panel squared-L2 over whole 16-row groups (bit-identical to
 /// the scalar reference); dispatch-only entry.
 ///
 /// # Panics
 ///
-/// Panics unless `out.len() % 8 == 0` and
+/// Panics unless `out.len() % 16 == 0` and
 /// `panels.len() == out.len() * query.len()` (the asserts are
 /// load-bearing: they are what makes the unchecked 8-lane loads and
 /// stores sound).
@@ -177,7 +182,7 @@ pub fn l2_sq_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
     unsafe { panels_avx2::<true>(query, panels, out) }
 }
 
-/// AVX2+FMA panel dot over whole 8-row groups; dispatch-only entry.
+/// AVX2+FMA panel dot over whole 16-row groups; dispatch-only entry.
 ///
 /// # Panics
 ///
@@ -189,83 +194,115 @@ pub fn dot_panels(query: &[f32], panels: &[f32], out: &mut [f32]) {
     unsafe { panels_avx2::<false>(query, panels, out) }
 }
 
-// Groups in balanced runs of at most 8 ([`super::balanced_runs`]): nine
-// groups run as 5 + 4, not 8 + 1, so no run is left with too few chains
-// to hide the FMA latency.
+/// AVX-512 panel squared-L2 over whole 16-row groups, one zmm register
+/// per group (bit-identical to the scalar reference); dispatch-only
+/// entry.
+///
+/// # Panics
+///
+/// Panics unless `out.len() % 16 == 0` and
+/// `panels.len() == out.len() * query.len()` (load-bearing: they are what
+/// makes the unchecked 16-lane loads and stores sound).
+pub fn l2_sq_panels_avx512(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    super::assert_panel_shape(query.len(), panels.len(), out.len());
+    // SAFETY: the dispatcher hands out the AVX-512 table only after CPUID
+    // detection confirmed avx512f, `panels_avx512`'s target-feature
+    // precondition; the shape relation its load and store bounds are
+    // argued from was just asserted (overflow-checked, in all build
+    // profiles).
+    unsafe { panels_avx512::<true>(query, panels, out) }
+}
+
+/// AVX-512 panel dot over whole 16-row groups; dispatch-only entry.
+///
+/// # Panics
+///
+/// As [`l2_sq_panels_avx512`] (load-bearing there too).
+pub fn dot_panels_avx512(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    super::assert_panel_shape(query.len(), panels.len(), out.len());
+    // SAFETY: same argument as `l2_sq_panels_avx512` — CPUID-gated
+    // dispatch for the target feature, the just-asserted shape for the
+    // bounds.
+    unsafe { panels_avx512::<false>(query, panels, out) }
+}
+
+/// Rows per panel group.
+const ROWS: usize = super::PANEL_ROWS;
+
+// Groups in balanced runs of at most 4 ([`super::balanced_runs`]), each
+// group scored as two 8-lane halves: a run of `g` groups is `2g` chains,
+// eight at most, and five groups run as 3 + 2, not 4 + 1.
 //
 // SAFETY: `unsafe` is the target-feature contract (callers checked CPUID)
-// plus `out.len() % 8 == 0` and `panels.len() == out.len() * dim`,
+// plus `out.len() % 16 == 0` and `panels.len() == out.len() * dim`,
 // asserted by both callers. Bounds: every run `g..end` lies in
-// `0..groups` with `groups = out.len() / 8`, so its panels span
-// `[g * 8 * dim, end * 8 * dim) ⊆ [0, panels.len())` and its outputs
-// `[g * 8, end * 8) ⊆ [0, out.len())` — `end - g` whole groups each,
-// which is what `panel_run` requires.
+// `0..groups` with `groups = out.len() / 16`, so its panels span
+// `[g * 16 * dim, end * 16 * dim) ⊆ [0, panels.len())` and its outputs
+// `[g * 16, end * 16) ⊆ [0, out.len())` — `end - g` whole groups each,
+// which is what `panel_run` requires of `2 * (end - g)` halves.
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn panels_avx2<const L2: bool>(query: &[f32], panels: &[f32], out: &mut [f32]) {
     let dim = query.len();
-    for run in super::balanced_runs(out.len() / 8, 8) {
-        let src = panels.as_ptr().add(run.start * 8 * dim);
-        let dst = out.as_mut_ptr().add(run.start * 8);
+    for run in super::balanced_runs(out.len() / ROWS, 4) {
+        let src = panels.as_ptr().add(run.start * ROWS * dim);
+        let dst = out.as_mut_ptr().add(run.start * ROWS);
         match run.len() {
-            8 => panel_run::<L2, 8>(query, src, dst),
-            7 => panel_run::<L2, 7>(query, src, dst),
-            6 => panel_run::<L2, 6>(query, src, dst),
-            5 => panel_run::<L2, 5>(query, src, dst),
-            4 => panel_run::<L2, 4>(query, src, dst),
-            3 => panel_run::<L2, 3>(query, src, dst),
-            2 => panel_run::<L2, 2>(query, src, dst),
-            _ => panel_run::<L2, 1>(query, src, dst),
+            4 => panel_run::<L2, 8>(query, src, dst),
+            3 => panel_run::<L2, 6>(query, src, dst),
+            2 => panel_run::<L2, 4>(query, src, dst),
+            _ => panel_run::<L2, 2>(query, src, dst),
         }
     }
 }
 
-// `G` groups at once, one accumulator each. Each group is walked by its
-// own pointer, four dimensions per step at constant offsets: the loads
-// then use base + displacement addressing, which issues as one fused uop
-// where base + index × scale (what one shared induction variable
-// compiles to) splits in two and makes the loop front-end bound.
+// `H` half-groups at once (`H / 2` whole groups), one accumulator each.
+// Each half is walked by its own pointer, four dimensions per step at
+// constant offsets: the loads then use base + displacement addressing,
+// which issues as one fused uop where base + index × scale (what one
+// shared induction variable compiles to) splits in two and makes the
+// loop front-end bound.
 //
 // SAFETY: target features plus raw 8-lane access: the caller guarantees
-// `src` starts `G` whole groups (`G * 8 * dim` readable floats) and `dst`
-// `G * 8` writable ones. Group `k`'s pointer starts at `src + k * 8 * dim`
-// and advances 8 floats per dimension, so dimension `d < dim` is read at
-// `src + (k * dim + d) * 8 .. + 8`, inside group `k`; `dst + k * 8 .. + 8`
-// lies inside the caller's outputs.
+// `src` starts `H / 2` whole groups (`H * 8 * dim` readable floats) and
+// `dst` `H * 8` writable ones. Half `h` reads dimension `d < dim` at
+// `src + ((h / 2) * dim + d) * 16 + (h % 2) * 8 .. + 8`, inside group
+// `h / 2`, and writes `dst + h * 8 .. + 8`, inside the caller's outputs.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn panel_run<const L2: bool, const G: usize>(query: &[f32], src: *const f32, dst: *mut f32) {
-    let mut acc = [_mm256_setzero_ps(); G];
-    let mut lanes: [*const f32; G] = std::array::from_fn(|k| src.add(k * 8 * query.len()));
+unsafe fn panel_run<const L2: bool, const H: usize>(query: &[f32], src: *const f32, dst: *mut f32) {
+    let mut acc = [_mm256_setzero_ps(); H];
+    let mut lanes: [*const f32; H] =
+        std::array::from_fn(|h| src.add((h / 2) * ROWS * query.len() + (h % 2) * 8));
     let mut quads = query.chunks_exact(4);
     for quad in &mut quads {
         for (u, &q) in quad.iter().enumerate() {
-            panel_step::<L2, G>(q, &lanes, u * 8, &mut acc);
+            panel_step::<L2, H>(q, &lanes, u * ROWS, &mut acc);
         }
         for lanes in &mut lanes {
-            *lanes = lanes.add(32);
+            *lanes = lanes.add(4 * ROWS);
         }
     }
     for (u, &q) in quads.remainder().iter().enumerate() {
-        panel_step::<L2, G>(q, &lanes, u * 8, &mut acc);
+        panel_step::<L2, H>(q, &lanes, u * ROWS, &mut acc);
     }
-    for (k, acc) in acc.iter().enumerate() {
-        _mm256_storeu_ps(dst.add(k * 8), *acc);
+    for (h, acc) in acc.iter().enumerate() {
+        _mm256_storeu_ps(dst.add(h * 8), *acc);
     }
 }
 
 // One dimension of `panel_run`: `q` against the 8 lanes at
-// `lanes[k] + offset` of every group.
+// `lanes[h] + offset` of every half.
 //
 // SAFETY: `unsafe` is the target-feature contract plus one raw 8-lane
-// load per group, which `panel_run` bounds (`lanes[k] + offset` is the
-// current dimension's lanes inside group `k`).
+// load per half, which `panel_run` bounds (`lanes[h] + offset` is the
+// current dimension's lanes inside half `h`).
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn panel_step<const L2: bool, const G: usize>(
+unsafe fn panel_step<const L2: bool, const H: usize>(
     q: f32,
-    lanes: &[*const f32; G],
+    lanes: &[*const f32; H],
     offset: usize,
-    acc: &mut [__m256; G],
+    acc: &mut [__m256; H],
 ) {
     let q = _mm256_set1_ps(q);
     for (acc, lanes) in acc.iter_mut().zip(lanes) {
@@ -275,6 +312,90 @@ unsafe fn panel_step<const L2: bool, const G: usize>(
             _mm256_fmadd_ps(diff, diff, *acc)
         } else {
             _mm256_fmadd_ps(q, x, *acc)
+        };
+    }
+}
+
+// `panels_avx2` with one 16-lane register per group: balanced runs of at
+// most 4 groups, four chains.
+//
+// SAFETY: `unsafe` is the target-feature contract (callers checked CPUID
+// for avx512f) plus the shape both callers asserted; the run bounds are
+// `panels_avx2`'s, `end - g` whole groups each, which is what
+// `panel_run_avx512` requires.
+#[target_feature(enable = "avx512f")]
+unsafe fn panels_avx512<const L2: bool>(query: &[f32], panels: &[f32], out: &mut [f32]) {
+    let dim = query.len();
+    for run in super::balanced_runs(out.len() / ROWS, 4) {
+        let src = panels.as_ptr().add(run.start * ROWS * dim);
+        let dst = out.as_mut_ptr().add(run.start * ROWS);
+        match run.len() {
+            4 => panel_run_avx512::<L2, 4>(query, src, dst),
+            3 => panel_run_avx512::<L2, 3>(query, src, dst),
+            2 => panel_run_avx512::<L2, 2>(query, src, dst),
+            _ => panel_run_avx512::<L2, 1>(query, src, dst),
+        }
+    }
+}
+
+// `G` groups at once, one zmm accumulator and one pointer each, four
+// dimensions per step at constant offsets (the addressing argued at
+// `panel_run`).
+//
+// SAFETY: target feature plus raw 16-lane access: the caller guarantees
+// `src` starts `G` whole groups (`G * 16 * dim` readable floats) and
+// `dst` `G * 16` writable ones. Group `k`'s pointer starts at
+// `src + k * 16 * dim` and advances 16 floats per dimension, so dimension
+// `d < dim` is read at `src + (k * dim + d) * 16 .. + 16`, inside group
+// `k`; `dst + k * 16 .. + 16` lies inside the caller's outputs.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn panel_run_avx512<const L2: bool, const G: usize>(
+    query: &[f32],
+    src: *const f32,
+    dst: *mut f32,
+) {
+    let mut acc = [_mm512_setzero_ps(); G];
+    let mut lanes: [*const f32; G] = std::array::from_fn(|k| src.add(k * ROWS * query.len()));
+    let mut quads = query.chunks_exact(4);
+    for quad in &mut quads {
+        for (u, &q) in quad.iter().enumerate() {
+            panel_step_avx512::<L2, G>(q, &lanes, u * ROWS, &mut acc);
+        }
+        for lanes in &mut lanes {
+            *lanes = lanes.add(4 * ROWS);
+        }
+    }
+    for (u, &q) in quads.remainder().iter().enumerate() {
+        panel_step_avx512::<L2, G>(q, &lanes, u * ROWS, &mut acc);
+    }
+    for (k, acc) in acc.iter().enumerate() {
+        _mm512_storeu_ps(dst.add(k * ROWS), *acc);
+    }
+}
+
+// One dimension of `panel_run_avx512`: `q` against the 16 lanes at
+// `lanes[k] + offset` of every group.
+//
+// SAFETY: `unsafe` is the target-feature contract plus one raw 16-lane
+// load per group, which `panel_run_avx512` bounds (`lanes[k] + offset`
+// is the current dimension's lanes inside group `k`).
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn panel_step_avx512<const L2: bool, const G: usize>(
+    q: f32,
+    lanes: &[*const f32; G],
+    offset: usize,
+    acc: &mut [__m512; G],
+) {
+    let q = _mm512_set1_ps(q);
+    for (acc, lanes) in acc.iter_mut().zip(lanes) {
+        let x = _mm512_loadu_ps(lanes.add(offset));
+        *acc = if L2 {
+            let diff = _mm512_sub_ps(q, x);
+            _mm512_fmadd_ps(diff, diff, *acc)
+        } else {
+            _mm512_fmadd_ps(q, x, *acc)
         };
     }
 }

@@ -69,7 +69,7 @@ impl TopK {
         assert!(k > 0, "top-k selection requires k >= 1");
         Self {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k),
         }
     }
 
@@ -120,8 +120,10 @@ impl TopK {
     }
 
     /// Offers a buffer of candidates — the admission filter of the block
-    /// scan loops (a kernel fills `distances`, this admits). A candidate
-    /// farther than the current [`TopK::threshold`] costs one compare;
+    /// scan loops (a kernel fills `distances`, this admits). Eight
+    /// candidates all farther than the current [`TopK::threshold`] cost
+    /// one branch-free test; a chunk with any other goes element by
+    /// element, where a farther candidate costs one compare and
     /// everything else goes through [`TopK::push`], which still decides
     /// ties, NaN and ±0 under the total order, so the outcome equals
     /// pushing every element.
@@ -132,14 +134,30 @@ impl TopK {
     pub fn offer(&mut self, ids: &[u64], distances: &[f32]) {
         assert_eq!(ids.len(), distances.len());
         let mut threshold = self.threshold();
+        let ((id_chunks, id_tail), (chunks, tail)) =
+            (ids.as_chunks::<8>(), distances.as_chunks::<8>());
+        for (ids, chunk) in id_chunks.iter().zip(chunks) {
+            // Skip the chunk when every distance is past the threshold.
+            // `>` is false for NaN on either side, so a NaN opens its
+            // chunk: the skip is a subset of what `push` rejects.
+            let all_past = chunk.iter().fold(true, |all, &d| all & (d > threshold));
+            if !all_past {
+                self.offer_each(ids, chunk, &mut threshold);
+            }
+        }
+        self.offer_each(id_tail, tail, &mut threshold);
+    }
+
+    /// [`TopK::offer`]'s per-element path: one compare against
+    /// `threshold` per candidate, [`TopK::push`] for the rest, and
+    /// `threshold` refreshed after every admission.
+    fn offer_each(&mut self, ids: &[u64], distances: &[f32], threshold: &mut f32) {
         for (&id, &distance) in ids.iter().zip(distances) {
-            // `>` is false for NaN on either side, so NaN falls through
-            // to `push`: the skip is a strict subset of what it rejects.
-            if distance > threshold {
+            if distance > *threshold {
                 continue;
             }
             if self.push(id, distance) {
-                threshold = self.threshold();
+                *threshold = self.threshold();
             }
         }
     }
@@ -254,28 +272,72 @@ mod tests {
 
     proptest::proptest! {
         /// `offer` over a buffer ≡ `push` of every element, in chunks of
-        /// any size: equal distances with a smaller id arriving later,
-        /// NaN, ±0.0 and k larger than the buffer included.
+        /// any size (whole eight-wide admission chunks, ragged tails and
+        /// both across one call): equal distances with a smaller id
+        /// arriving later, NaN, ±0.0 and k larger than the buffer
+        /// included.
         #[test]
         fn offer_equals_pushing_every_element(
-            picks in proptest::prop::collection::vec((0usize..PALETTE.len(), 0u64..6), 0..40),
+            picks in proptest::prop::collection::vec((0usize..PALETTE.len(), 0u64..6), 0..80),
             k in 1usize..48,
-            chunk in 1usize..9,
+            chunk in 1usize..21,
         ) {
             let ids: Vec<u64> = picks.iter().map(|p| p.1).collect();
             let distances: Vec<f32> = picks.iter().map(|p| PALETTE[p.0]).collect();
-            let mut pushed = TopK::new(k);
-            for (&id, &d) in ids.iter().zip(&distances) {
-                pushed.push(id, d);
+            proptest::prop_assert_eq!(offered(k, &ids, &distances, chunk), pushed(k, &ids, &distances));
+        }
+    }
+
+    /// `(id, distance bits)` of `top`'s results, closest first.
+    fn bits(top: TopK) -> Vec<(u64, u32)> {
+        top.into_sorted()
+            .iter()
+            .map(|n| (n.id, n.distance.to_bits()))
+            .collect()
+    }
+
+    /// Every candidate through `push`, in order.
+    fn pushed(k: usize, ids: &[u64], distances: &[f32]) -> Vec<(u64, u32)> {
+        let mut top = TopK::new(k);
+        for (&id, &d) in ids.iter().zip(distances) {
+            top.push(id, d);
+        }
+        bits(top)
+    }
+
+    /// Every candidate through `offer`, `chunk` at a time.
+    fn offered(k: usize, ids: &[u64], distances: &[f32], chunk: usize) -> Vec<(u64, u32)> {
+        let mut top = TopK::new(k);
+        for (ids, distances) in ids.chunks(chunk).zip(distances.chunks(chunk)) {
+            top.offer(ids, distances);
+        }
+        bits(top)
+    }
+
+    /// One full heap (k = 2, threshold 1.0 held by id 5), then an
+    /// eight-wide chunk whose only admissible candidate sits in one lane
+    /// and every other lane is past the threshold: the chunk test must
+    /// let it through. A tie at the threshold with a smaller id is
+    /// admissible, so a chunk test of `d < threshold` would skip it, and
+    /// a negative NaN is the smallest value under the total order, so a
+    /// test of `d <= threshold` would skip it.
+    #[test]
+    fn a_lone_admissible_lane_opens_its_chunk() {
+        for (lane, admissible) in [(7, 1.0), (3, -f32::NAN)] {
+            let mut ids = vec![4, 5];
+            let mut distances = vec![0.5, 1.0];
+            for l in 0..8 {
+                ids.push(if l == lane { 1 } else { 10 + l });
+                distances.push(if l == lane { admissible } else { 2.0 });
             }
-            let mut offered = TopK::new(k);
-            for (ids, distances) in ids.chunks(chunk).zip(distances.chunks(chunk)) {
-                offered.offer(ids, distances);
-            }
-            let bits = |top: TopK| -> Vec<(u64, u32)> {
-                top.into_sorted().iter().map(|n| (n.id, n.distance.to_bits())).collect()
-            };
-            proptest::prop_assert_eq!(bits(offered), bits(pushed));
+            let want = pushed(2, &ids, &distances);
+            assert!(want.iter().any(|&(id, _)| id == 1), "lane {lane} admits");
+            // The heap fills in its own call, so the chunk meets a finite
+            // threshold in one eight-wide test.
+            let mut top = TopK::new(2);
+            top.offer(&ids[..2], &distances[..2]);
+            top.offer(&ids[2..], &distances[2..]);
+            assert_eq!(bits(top), want, "lane {lane}");
         }
     }
 

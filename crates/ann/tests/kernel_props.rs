@@ -350,9 +350,19 @@ fn score_block_is_bit_identical_to_score() {
     }
 }
 
-/// Panel row counts: empty, a lone ragged group, whole groups ± 1, the
-/// 64-row run ± 1 and a multi-run cluster.
-const PANEL_ROWS: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 129];
+/// Panel row counts: empty, lone ragged groups, one and two whole groups
+/// ± 1, the 64-row run ± 1 and a multi-run cluster.
+const PANEL_SIZES: [usize; 15] = [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129];
+
+/// Every kernel table this CPU can run: scalar always, and on an AVX-512
+/// host the AVX2 table beside the dispatched one, so its panel entries
+/// stay tested where dispatch never picks them.
+fn runnable_tables() -> Vec<kernel::Kernels> {
+    KernelKind::ALL
+        .into_iter()
+        .filter_map(kernel::table)
+        .collect()
+}
 
 /// The panel entries' per-row oracle: one `mul_add` per dimension, in
 /// dimension order, from +0.0.
@@ -374,19 +384,20 @@ fn panels_of(rows: &[f32], n: usize, dim: usize) -> (Vec<f32>, usize) {
     )
 }
 
-/// The layout `to_panels` writes: `panels[(g·dim + d)·8 + lane]` is
-/// dimension `d` of row `8g + lane`, pad lanes +0.0.
+/// The layout `to_panels` writes: `panels[(g·dim + d)·16 + lane]` is
+/// dimension `d` of row `16g + lane`, pad lanes +0.0.
 #[test]
 fn to_panels_writes_the_documented_layout() {
+    let rows_per = kernel::PANEL_ROWS;
     for dim in BLOCK_DIMS {
-        for n in PANEL_ROWS {
+        for n in PANEL_SIZES {
             let rows = wave(n * dim, 0.3);
             let (panels, padded) = panels_of(&rows, n, dim);
             assert_eq!(panels.len(), padded * dim);
             for r in 0..padded {
                 for d in 0..dim {
                     let want = if r < n { rows[r * dim + d] } else { 0.0 };
-                    let got = panels[((r / 8) * dim + d) * 8 + r % 8];
+                    let got = panels[((r / rows_per) * dim + d) * rows_per + r % rows_per];
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -400,16 +411,18 @@ fn to_panels_writes_the_documented_layout() {
 
 /// The panel contract: every row's distance, pad rows included (scored
 /// as the zero vector), equals the `mul_add` oracle `to_bits()` for
-/// `to_bits()` — on the dispatched table (AVX2/NEON on the native leg,
-/// scalar on the forced-scalar leg) and on the scalar table, so the two
-/// are bit-identical to each other. `Metric::score_panels` is the same
+/// `to_bits()` — on every table the CPU runs (scalar, and AVX2 and
+/// AVX-512 where present) and on the dispatched one, so all of them are
+/// bit-identical to each other. `Metric::score_panels` is the same
 /// oracle under L2 and, negated, under inner product.
 #[test]
 fn panel_kernels_equal_the_mul_add_oracle_on_every_table() {
-    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+    let tables = runnable_tables();
+    assert!(tables.iter().any(|t| t.kind == kernel::detected()));
+    for table in tables.into_iter().chain([kernel::kernels()]) {
         for dim in BLOCK_DIMS {
             let zero = vec![0.0f32; dim];
-            for n in PANEL_ROWS {
+            for n in PANEL_SIZES {
                 let query = wave(dim, 0.5);
                 let rows = wave(n * dim, 1.25);
                 let (panels, padded) = panels_of(&rows, n, dim);
@@ -438,10 +451,11 @@ fn panel_kernels_equal_the_mul_add_oracle_on_every_table() {
 }
 
 /// A run split never moves a result: scoring the groups in two calls,
-/// split at any group boundary, writes the bits one call writes.
+/// split at any group boundary, writes the bits one call writes — on
+/// every table the CPU runs.
 #[test]
 fn a_run_split_never_moves_a_panel_distance() {
-    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
+    for table in runnable_tables() {
         for dim in [1, 7, 64, 67] {
             let n = 129;
             let query = wave(dim, 0.9);
@@ -466,9 +480,10 @@ fn a_run_split_never_moves_a_panel_distance() {
 /// most 64 rows whose lengths differ by at most one group.
 #[test]
 fn panel_runs_tile_the_padded_rows_in_balanced_groups() {
+    let rows_per = kernel::PANEL_ROWS;
     for n in 0..400 {
         let runs: Vec<_> = kernel::panel_runs(n).collect();
-        let padded = n.div_ceil(8) * 8;
+        let padded = n.div_ceil(rows_per) * rows_per;
         assert_eq!(runs.first().map_or(0, |r| r.start), 0, "n {n}");
         assert_eq!(runs.last().map_or(0, |r| r.end), padded, "n {n}");
         for pair in runs.windows(2) {
@@ -477,44 +492,44 @@ fn panel_runs_tile_the_padded_rows_in_balanced_groups() {
         let lens: Vec<usize> = runs.iter().map(|r| r.len()).collect();
         assert!(lens
             .iter()
-            .all(|&l| l % 8 == 0 && (8..=kernel::MAX_BLOCK).contains(&l)));
+            .all(|&l| l % rows_per == 0 && (rows_per..=kernel::MAX_BLOCK).contains(&l)));
         let (lo, hi) = (lens.iter().min(), lens.iter().max());
         assert!(
-            hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 8),
+            hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= rows_per),
             "n {n}: {lens:?}"
         );
     }
 }
 
 /// A panel buffer whose shape disagrees with `out` — or an `out` that is
-/// not whole groups — is refused before any load, by the dispatched and
-/// the scalar table (the NEON table's panel entries).
+/// not whole groups — is refused before any load, by both panel entries
+/// of every table the CPU runs (the scalar one is the NEON table's).
 #[test]
-#[should_panic]
-fn panel_kernel_rejects_a_ragged_out() {
-    let mut out = [0.0f32; 7];
-    (kernel::kernels().l2_sq_panels)(&[0.0; 4], &[0.0; 28], &mut out);
-}
-
-#[test]
-#[should_panic]
-fn panel_kernel_rejects_short_panels() {
-    let mut out = [0.0f32; 8];
-    (kernel::kernels().dot_panels)(&[0.0; 4], &[0.0; 31], &mut out);
-}
-
-#[test]
-#[should_panic]
-fn scalar_panel_kernel_rejects_a_ragged_out() {
-    let mut out = [0.0f32; 9];
-    (kernel::SCALAR_KERNELS.dot_panels)(&[0.0; 4], &[0.0; 36], &mut out);
-}
-
-#[test]
-#[should_panic]
-fn scalar_panel_kernel_rejects_long_panels() {
-    let mut out = [0.0f32; 8];
-    (kernel::SCALAR_KERNELS.l2_sq_panels)(&[0.0; 4], &[0.0; 33], &mut out);
+fn panel_kernels_reject_ragged_shapes_on_every_table() {
+    let dim = 4;
+    let whole = kernel::PANEL_ROWS;
+    // (out rows, panel floats): ragged outs under matching panels, then
+    // whole groups over short and long panels.
+    let shapes = [
+        (whole - 1, (whole - 1) * dim),
+        (whole + 1, (whole + 1) * dim),
+        (whole, whole * dim - 1),
+        (whole, whole * dim + 1),
+    ];
+    for table in runnable_tables() {
+        for entry in [table.l2_sq_panels, table.dot_panels] {
+            for (rows, floats) in shapes {
+                let refused = std::panic::catch_unwind(|| {
+                    entry(&[0.0; 4], &vec![0.0; floats], &mut vec![0.0; rows]);
+                });
+                assert!(
+                    refused.is_err(),
+                    "kind={:?} out {rows} panels {floats}",
+                    table.kind
+                );
+            }
+        }
+    }
 }
 
 /// A block whose shape disagrees with `out` is refused before any load.
@@ -619,6 +634,29 @@ fn dispatch_overrides_and_self_report() {
     let diff = ((table.dot)(&a, &a) - kernel::scalar::dot(&a, &a)).abs();
     assert!(diff <= envelope(a.len(), (table.dot)(&a, &a).abs()));
 
+    // Detection picks the widest kind the CPU runs, and `table` hands out
+    // exactly the kinds up to it on the same arch. On Linux the kernel's
+    // own flag list is an oracle independent of the dispatcher's.
+    let runnable: Vec<KernelKind> = runnable_tables().iter().map(|t| t.kind).collect();
+    let widest = match kernel::detected() {
+        KernelKind::Scalar => vec![KernelKind::Scalar],
+        KernelKind::Avx2Fma => vec![KernelKind::Scalar, KernelKind::Avx2Fma],
+        KernelKind::Avx512 => vec![KernelKind::Scalar, KernelKind::Avx2Fma, KernelKind::Avx512],
+        KernelKind::Neon => vec![KernelKind::Scalar, KernelKind::Neon],
+    };
+    assert_eq!(runnable, widest, "detected {:?}", kernel::detected());
+    if let Some(flags) = cpuinfo_flags() {
+        let has = |f: &str| flags.iter().any(|g| g == f);
+        let widest = if has("avx2") && has("fma") && has("avx512f") {
+            KernelKind::Avx512
+        } else if has("avx2") && has("fma") {
+            KernelKind::Avx2Fma
+        } else {
+            KernelKind::Scalar
+        };
+        assert_eq!(kernel::detected(), widest, "cpuinfo flags {flags:?}");
+    }
+
     // The CI matrix's teeth: the native-feature job exports
     // VLITE_REQUIRE_SIMD=1, so a runner whose CPU supports a SIMD kernel
     // *fails* here if dispatch did not select it.
@@ -635,4 +673,15 @@ fn dispatch_overrides_and_self_report() {
             "SIMD-capable runner dispatched scalar: the SIMD path was not exercised"
         );
     }
+}
+
+/// The first CPU's feature flags from `/proc/cpuinfo`, on x86_64 Linux.
+fn cpuinfo_flags() -> Option<Vec<String>> {
+    if !cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        return None;
+    }
+    let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
+    let line = info.lines().find(|l| l.starts_with("flags"))?;
+    let (_, flags) = line.split_once(':')?;
+    Some(flags.split_whitespace().map(str::to_owned).collect())
 }

@@ -101,7 +101,7 @@ pub struct StoreReport {
     /// one sweep over a cluster's bytes.
     pub blocked_scans: u64,
     /// The distance-kernel implementation dispatch selects on this host
-    /// (`scalar`, `avx2_fma`, or `neon`).
+    /// (`scalar`, `avx2_fma`, `avx512`, or `neon`).
     pub kernel: &'static str,
     /// Whether the segment file was reopened from disk (save → load →
     /// serve) rather than freshly written.

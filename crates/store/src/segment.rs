@@ -519,7 +519,7 @@ impl Segment {
     }
 
     /// Bytes cluster `c` occupies when promoted to a resident hot arena
-    /// (ids + full-precision vectors: the payload, not the < 8 pad rows
+    /// (ids + full-precision vectors: the payload, not the < 16 pad rows
     /// of its panels).
     ///
     /// # Panics
@@ -563,7 +563,7 @@ impl Segment {
     }
 
     /// Materializes cluster `c`'s ids and its full-precision vectors as
-    /// 8-row panels ([`kernel::to_panels`]: groups of 8 rows, dim-major,
+    /// 16-row panels ([`kernel::to_panels`]: groups of 16 rows, dim-major,
     /// the last group zero-padded) — the promotion path. The panels are
     /// transposed straight out of the mapped f32 extent into their one
     /// allocation. All three of the cluster's extents are then released
@@ -639,11 +639,12 @@ mod tests {
 
     #[test]
     fn round_trips_ids_vectors_and_codes() {
-        let clusters = sample_clusters(6, 40, 8, 1);
+        let dim = 8;
+        let clusters = sample_clusters(6, 40, dim, 1);
         let path = temp_path("roundtrip");
-        write_segment(&path, 8, Metric::L2, &clusters).expect("writes");
+        write_segment(&path, dim, Metric::L2, &clusters).expect("writes");
         let seg = Segment::open(&path).expect("opens");
-        assert_eq!(seg.dim(), 8);
+        assert_eq!(seg.dim(), dim);
         assert_eq!(seg.n_clusters(), 6);
         assert_eq!(seg.total_vectors(), 240);
         for (c, (ids, vectors)) in clusters.iter().enumerate() {
@@ -651,13 +652,18 @@ mod tests {
             assert_eq!(seg.cluster_len(c), ids.len());
             let (got_ids, got_panels) = seg.load_cluster_panels(c);
             assert_eq!(&got_ids, ids, "ids round-trip");
-            let want = kernel::to_panels(vectors.len(), 8, vectors.as_flat().iter().copied());
+            let padded = ids.len().div_ceil(kernel::PANEL_ROWS) * kernel::PANEL_ROWS;
+            assert_eq!(got_panels.len(), padded * dim, "whole zero-padded groups");
+            let want = kernel::to_panels(vectors.len(), dim, vectors.as_flat().iter().copied());
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&got_panels), bits(&want), "f32 panels bit-identical");
             // SQ8 codes match a fresh encode under the stored params.
             let codes = seg.sq8_codes(c);
             for (i, v) in vectors.iter().enumerate() {
-                assert_eq!(&codes[i * 8..(i + 1) * 8], seg.sq().encode(v).as_slice());
+                assert_eq!(
+                    &codes[i * dim..(i + 1) * dim],
+                    seg.sq().encode(v).as_slice()
+                );
             }
         }
         let _ = std::fs::remove_file(path);

@@ -13,8 +13,8 @@
 //! Tier asymmetry is physical, exactly the paper's fast/slow split:
 //!
 //! - **Hot** clusters are full-precision arenas in memory
-//!   (`ids + n × dim × f32`), stored as 8-row dim-major panels — the
-//!   layout the panel kernels score eight vectors per register in, with
+//!   (`ids + n × dim × f32`), stored as 16-row dim-major panels — the
+//!   layout the panel kernels score sixteen vectors per register in, with
 //!   no per-vector reduction — and scanned exhaustively, as an IVF-Flat
 //!   list would be.
 //! - **Cold** clusters stay on disk in the segment's SQ8 extents
@@ -35,7 +35,7 @@ use crate::segment::{fill_le, write_segment, Segment, StoreError};
 /// Result alias re-used from the segment layer.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// One resident full-precision cluster: its ids and its vectors as 8-row
+/// One resident full-precision cluster: its ids and its vectors as 16-row
 /// panels ([`kernel::to_panels`]; the last group zero-padded).
 #[derive(Debug)]
 struct HotCluster {
@@ -569,11 +569,12 @@ impl StoreSnapshot {
     }
 
     /// One pass over a hot cluster, sub-block-major: each
-    /// [`kernel::panel_runs`] run (≤ 8 whole 8-row groups, 16 KiB at dim
+    /// [`kernel::panel_runs`] run (≤ 4 whole 16-row groups, 16 KiB at dim
     /// 64) is scored against every probing query before the next run is
     /// touched, so the run comes from memory once and from cache for the
     /// rest of the batch. The panel kernel fills a stack buffer, pad rows
-    /// included; [`TopK::offer`] sees only the run's real rows.
+    /// included; [`TopK::offer`] sees only the run's real rows, eight
+    /// distances per admission test.
     fn scan_hot(
         &self,
         arena: &HotCluster,

@@ -156,10 +156,13 @@ fn blocked_pass_counts_bytes_once_and_probes_per_query() {
     );
 }
 
-/// Cluster sizes around the SQ8 block kernel's four-row step, the hot
-/// panels' 8-row groups (a ragged last group pads), the 64-entry scan
-/// buffer and a multi-run cluster; one cluster per size.
-const SIZES: [usize; 12] = [0, 1, 3, 4, 5, 7, 8, 9, 63, 64, 65, 129];
+/// Cluster sizes around the SQ8 block kernel's four-row step, the
+/// eight-wide admission chunks, the hot panels' 16-row groups (a ragged
+/// last group pads) and two of them, the 64-entry scan buffer and a
+/// multi-run cluster; one cluster per size.
+const SIZES: [usize; 18] = [
+    0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129,
+];
 
 fn sized_clusters(dim: usize, seed: u64) -> Vec<(Vec<u64>, VecSet)> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use vlite_ann::{l2_sq, scan_lists_store, Metric, VecSet};
+use vlite_ann::{kernel, l2_sq, scan_lists_store, Metric, VecSet};
 use vlite_store::{write_segment, Segment, StoreError, TieredStore};
 
 fn sample_clusters(
@@ -207,12 +207,13 @@ fn rss_file_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Panels back to row-major (`panels[(g·dim + d)·8 + lane]` is dimension
-/// `d` of row `8g + lane`), plus the pad lanes of the last group.
+/// Panels back to row-major (`panels[(g·dim + d)·16 + lane]` is dimension
+/// `d` of row `16g + lane`), plus the pad lanes of the last group.
 fn untranspose(panels: &[f32], n: usize, dim: usize) -> (VecSet, Vec<f32>) {
-    let at = |r: usize, d: usize| panels[((r / 8) * dim + d) * 8 + r % 8];
+    let rows_per = kernel::PANEL_ROWS;
+    let at = |r: usize, d: usize| panels[((r / rows_per) * dim + d) * rows_per + r % rows_per];
     let rows = VecSet::from_fn(n, dim, at);
-    let pads = (n..n.div_ceil(8) * 8)
+    let pads = (n..n.div_ceil(rows_per) * rows_per)
         .flat_map(|r| (0..dim).map(move |d| at(r, d)))
         .collect();
     (rows, pads)
