@@ -89,8 +89,10 @@ impl TopK {
     }
 
     /// Current admission threshold: the k-th best distance, or `+∞` while
-    /// fewer than `k` candidates are held. Scan loops use this to skip
-    /// distance computations early.
+    /// fewer than `k` candidates are held. [`TopK::offer`] skips chunks of
+    /// distances past it, and `vlite-store`'s pruned scan passes compare a
+    /// cluster's lower distance bound against it to skip the whole
+    /// cluster.
     pub fn threshold(&self) -> f32 {
         if self.heap.len() < self.k {
             f32::INFINITY

@@ -79,14 +79,15 @@ pub struct StoreReport {
     pub cold_bytes: u64,
     /// Fast-tier share of total stored bytes.
     pub fast_residency: f64,
-    /// Probes scanned against fast-tier (resident full-precision)
-    /// clusters.
+    /// Probes routed to fast-tier (resident full-precision) clusters,
+    /// pruned ones included.
     pub hot_probes: u64,
-    /// Probes scanned against slow-tier (mmap'd SQ8) clusters.
+    /// Probes routed to slow-tier (mmap'd SQ8) clusters, pruned ones
+    /// included.
     pub cold_probes: u64,
-    /// Payload bytes touched by fast-tier scans.
+    /// Payload bytes of the fast-tier passes routed, once per pass.
     pub hot_bytes_scanned: u64,
-    /// Payload bytes touched by slow-tier scans.
+    /// Payload bytes of the slow-tier passes routed, once per pass.
     pub cold_bytes_scanned: u64,
     /// Bytes materialized into resident arenas by promotions, lifetime.
     pub bytes_promoted: u64,
@@ -97,9 +98,12 @@ pub struct StoreReport {
     /// Times a scan found the tier map write-locked (0 in healthy runs:
     /// migrations swap a pointer, they do not hold the lock for I/O).
     pub snapshot_waits: u64,
-    /// Blocked (cluster-major) passes that scored ≥ 2 batched queries in
-    /// one sweep over a cluster's bytes.
+    /// Blocked (cluster-major) passes routed ≥ 2 batched queries for one
+    /// sweep over a cluster's bytes.
     pub blocked_scans: u64,
+    /// Routed (query, cluster) pairs skipped because the cluster's
+    /// bounding ball proves none of its rows can enter the query's top-k.
+    pub pairs_pruned: u64,
     /// The distance-kernel implementation dispatch selects on this host
     /// (`scalar`, `avx2_fma`, `avx512`, or `neon`).
     pub kernel: &'static str,
@@ -130,6 +134,7 @@ impl StoreReport {
             store_generation: store.generation(),
             snapshot_waits: stats.snapshot_waits,
             blocked_scans: stats.blocked_scans,
+            pairs_pruned: stats.pairs_pruned,
             kernel: vlite_ann::kernel::active().name(),
             opened_existing: store.opened_existing(),
             migrations,
@@ -494,8 +499,9 @@ impl ServeReport {
                 store.snapshot_waits
             ));
             out.push_str(&format!(
-                "  kernel {}  blocked scans {} (cluster passes scoring >= 2 batched queries)\n",
-                store.kernel, store.blocked_scans
+                "  kernel {}  blocked scans {} (cluster passes scoring >= 2 batched queries)  \
+                 pairs pruned {}\n",
+                store.kernel, store.blocked_scans, store.pairs_pruned
             ));
             if !store.migrations.is_empty() {
                 let mut table = Table::new(vec![
@@ -753,6 +759,7 @@ impl ServeReport {
                             ),
                             ("snapshot_waits".into(), Json::Num(s.snapshot_waits as f64)),
                             ("blocked_scans".into(), Json::Num(s.blocked_scans as f64)),
+                            ("pairs_pruned".into(), Json::Num(s.pairs_pruned as f64)),
                             ("kernel".into(), Json::Str(s.kernel.into())),
                             ("opened_existing".into(), Json::Bool(s.opened_existing)),
                             ("migrations".into(), Json::Arr(migrations)),

@@ -1066,6 +1066,11 @@ impl RagServer {
                 "Blocked (cluster-major) passes scoring >= 2 batched queries in one sweep",
                 stats.blocked_scans,
             ),
+            (
+                "vlite_store_pairs_pruned_total",
+                "Routed (query, cluster) pairs skipped: the cluster's bounds rule out the top-k",
+                stats.pairs_pruned,
+            ),
         ] {
             prom_counter(out, name, help, value);
         }

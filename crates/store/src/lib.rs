@@ -61,12 +61,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod ball;
 mod checksum;
 mod mmap;
 mod segment;
 mod sync;
 mod tiered;
 
+pub use ball::Bounds;
 pub use checksum::{crc32, Crc32};
 pub use mmap::Mmap;
 pub use segment::{write_segment, Segment, StoreError, SEGMENT_MAGIC, SEGMENT_VERSION};

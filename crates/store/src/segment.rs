@@ -33,6 +33,11 @@
 //! returning, so a truncated, bit-flipped, or stale file is a clean
 //! [`StoreError`] — never a panic, never silently skewed distances. Files
 //! are written under a temporary name and atomically renamed into place.
+//!
+//! The file holds no pruning metadata: each cluster's cold bounding ball
+//! (see the `ball` module) is derived from its SQ8 extent while
+//! [`Segment::open`] checksums it, and a hot cluster's from the panels a
+//! promotion builds.
 
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
@@ -40,6 +45,7 @@ use std::path::{Path, PathBuf};
 
 use vlite_ann::{kernel, Metric, ScalarQuantizer, VecSet};
 
+use crate::ball::Ball;
 use crate::checksum::{crc32, Crc32};
 use crate::mmap::Mmap;
 
@@ -291,7 +297,8 @@ pub fn write_segment(
     Ok(())
 }
 
-/// A validated, memory-mapped segment.
+/// A validated, memory-mapped segment, with each cluster's cold bounding
+/// ball derived at open (never stored in the file).
 #[derive(Debug)]
 pub struct Segment {
     map: Mmap,
@@ -299,6 +306,7 @@ pub struct Segment {
     metric: Metric,
     sq: ScalarQuantizer,
     clusters: Vec<ClusterExtent>,
+    cold_balls: Vec<Ball>,
     total_vectors: u64,
     path: PathBuf,
 }
@@ -333,6 +341,9 @@ fn f32_at(map: &[u8], off: usize, what: &str) -> Result<f32> {
 impl Segment {
     /// Opens and fully validates the segment at `path`: magic, version,
     /// header checksum, every extent's bounds, and every extent's CRC-32.
+    /// Each cluster's cold bounding ball is computed from its SQ8 extent
+    /// right after the checksum reads it, before any promotion releases
+    /// the pages.
     ///
     /// # Errors
     ///
@@ -396,6 +407,7 @@ impl Segment {
 
         let table_base = FIXED_HEADER + 8 * dim;
         let mut clusters = Vec::with_capacity(n_clusters);
+        let mut cold_balls = Vec::with_capacity(n_clusters);
         let mut seen_vectors = 0u64;
         for c in 0..n_clusters {
             let e = table_base + TABLE_ENTRY * c;
@@ -436,6 +448,7 @@ impl Segment {
                     )));
                 }
             }
+            cold_balls.push(Ball::over_codes(sq8s, sq.scales()));
             seen_vectors += n64;
             clusters.push(ClusterExtent {
                 n,
@@ -458,6 +471,7 @@ impl Segment {
             metric,
             sq,
             clusters,
+            cold_balls,
             total_vectors,
             path: path.to_path_buf(),
         })
@@ -549,6 +563,15 @@ impl Segment {
         for (id, b) in out.iter_mut().zip(bytes.chunks_exact(8)) {
             *id = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
         }
+    }
+
+    /// Cluster `c`'s bounding ball over its decoded SQ8 codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` is out of range.
+    pub(crate) fn cold_ball(&self, c: u32) -> &Ball {
+        &self.cold_balls[c as usize]
     }
 
     /// Cluster `c`'s SQ8 codes, row-major `n × dim`, straight from the

@@ -21,6 +21,17 @@
 //!   (`ids + n × dim × u8`, 4× fewer payload bytes), scored code by
 //!   code against the query with the segment's quantizer folded in —
 //!   cheaper in bytes, pricier in recall-per-probe.
+//!
+//! Under L2 a scan also skips work it can prove useless. Each cluster
+//! carries a bounding ball in its tier's scoring space (see the `ball`
+//! module: computed from the panels a promotion builds, or from the SQ8
+//! extent as the segment opens), which bounds every served distance from
+//! a query to the cluster's rows. Before a pass, a query whose lower bound
+//! exceeds `min(U, k-th distance so far)` is dropped from it, where its
+//! seed `U` is the smallest upper bound over its probed clusters holding
+//! ≥ k rows. Strict comparisons and NaN-as-scan keep the pruned scan's
+//! top-k bit-identical to the full one, whatever order clusters are
+//! visited in; [`StoreStats::pairs_pruned`] counts the skipped pairs.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,25 +40,30 @@ use std::sync::{Arc, RwLock};
 use vlite_ann::kernel::{self, Kernels};
 use vlite_ann::{BatchQuery, ClusterStore, Metric, ScalarQuantizer, Sq8Query, TopK, VecSet};
 
+use crate::ball::{Ball, Bounds};
 use crate::checksum::{crc32, Crc32};
 use crate::segment::{fill_le, write_segment, Segment, StoreError};
 
 /// Result alias re-used from the segment layer.
 pub type Result<T> = std::result::Result<T, StoreError>;
 
-/// One resident full-precision cluster: its ids and its vectors as 16-row
-/// panels ([`kernel::to_panels`]; the last group zero-padded).
+/// One resident full-precision cluster: its ids, its vectors as 16-row
+/// panels ([`kernel::to_panels`]; the last group zero-padded) and the
+/// bounding ball over those vectors.
 #[derive(Debug)]
 struct HotCluster {
     ids: Vec<u64>,
     panels: Vec<f32>,
+    ball: Ball,
 }
 
 impl HotCluster {
-    /// Promotes cluster `c` out of the segment's f32 extent.
+    /// Promotes cluster `c` out of the segment's f32 extent; the ball is
+    /// taken from the panels just built, not from the released extent.
     fn load(segment: &Segment, c: u32) -> HotCluster {
         let (ids, panels) = segment.load_cluster_panels(c);
-        HotCluster { ids, panels }
+        let ball = Ball::over_panels(ids.len(), segment.dim(), &panels);
+        HotCluster { ids, panels, ball }
     }
 }
 
@@ -82,18 +98,22 @@ struct Counters {
     clusters_demoted: AtomicU64,
     snapshot_waits: AtomicU64,
     blocked_scans: AtomicU64,
+    pairs_pruned: AtomicU64,
 }
 
 /// A point-in-time copy of the store's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Probes scanned against hot (resident full-precision) clusters.
+    /// Probes routed to hot (resident full-precision) clusters, pruned
+    /// ones included.
     pub hot_probes: u64,
-    /// Probes scanned against cold (mmap'd SQ8) clusters.
+    /// Probes routed to cold (mmap'd SQ8) clusters, pruned ones included.
     pub cold_probes: u64,
-    /// Payload bytes touched by hot scans.
+    /// Payload bytes of the hot passes routed, once per pass, even when
+    /// pruning left a pass no query to score.
     pub hot_bytes_scanned: u64,
-    /// Payload bytes touched by cold scans.
+    /// Payload bytes of the cold passes routed, counted like
+    /// `hot_bytes_scanned`.
     pub cold_bytes_scanned: u64,
     /// Bytes materialized into resident arenas by promotions.
     pub bytes_promoted: u64,
@@ -107,13 +127,18 @@ pub struct StoreStats {
     /// 0 in healthy runs: the migrator only holds the write lock for one
     /// pointer swap.
     pub snapshot_waits: u64,
-    /// Blocked (cluster-major) passes that scored ≥ 2 *distinct* queries
-    /// of a batch in one sweep over a cluster's bytes (one query probing
-    /// the same cluster twice is not a batching win and does not count).
-    /// Each such pass counts every query in `hot_probes`/`cold_probes`
-    /// but the payload bytes only once in `*_bytes_scanned` — the
-    /// bytes-per-probe saving *is* the blocking win.
+    /// Blocked (cluster-major) passes routed ≥ 2 *distinct* queries of a
+    /// batch for one sweep over a cluster's bytes (one query probing the
+    /// same cluster twice is not a batching win and does not count;
+    /// pruning does not un-count a pass). Each such pass counts every
+    /// query in `hot_probes`/`cold_probes` but the payload bytes only
+    /// once in `*_bytes_scanned` — the bytes-per-probe saving *is* the
+    /// blocking win.
     pub blocked_scans: u64,
+    /// Routed (query, cluster) pairs a pass skipped because the cluster's
+    /// bounding ball proves none of its rows can enter the query's top-k
+    /// (L2 only). Each is also one of `hot_probes` + `cold_probes`.
+    pub pairs_pruned: u64,
 }
 
 /// Fast-tier residency of the store at one instant.
@@ -383,7 +408,9 @@ impl TieredStore {
             clusters_promoted: c.clusters_promoted.load(Ordering::Relaxed),
             clusters_demoted: c.clusters_demoted.load(Ordering::Relaxed),
             snapshot_waits: c.snapshot_waits.load(Ordering::Relaxed),
+            // relaxed: same independent stat counters, continued.
             blocked_scans: c.blocked_scans.load(Ordering::Relaxed),
+            pairs_pruned: c.pairs_pruned.load(Ordering::Relaxed),
         }
     }
 
@@ -527,17 +554,58 @@ impl StoreSnapshot {
         qis.windows(2).any(|w| w[0] != w[1])
     }
 
+    /// What `cluster`'s bounding ball, in the tier this snapshot holds it
+    /// in, proves about the served distance from `query` to each of its
+    /// rows — the bounds a scan prunes with. [`Bounds::NONE`] under inner
+    /// product, or for a non-finite query or cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` is out of range or `query.len() != dim`.
+    pub fn distance_bounds(&self, cluster: u32, query: &[f32]) -> Bounds {
+        assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
+        if self.segment.metric() != Metric::L2 {
+            return Bounds::NONE;
+        }
+        match &self.map.entries[cluster as usize] {
+            TierEntry::Hot(arena) => arena.ball.bounds(query.iter().map(|&q| f64::from(q))),
+            TierEntry::Cold => {
+                // `q − mins` rounded in f32, exactly as the fold rounds it.
+                let mins = self.segment.sq().mins();
+                let folded = query.iter().zip(mins).map(|(&q, &m)| f64::from(q - m));
+                self.segment.cold_ball(cluster).bounds(folded)
+            }
+        }
+    }
+
+    /// Bounds one routed (query, cluster) pair: returns the lower bound
+    /// the pass tests, and lowers the query's `seed` to the upper bound
+    /// when the cluster holds ≥ `k` rows, since that cluster alone then
+    /// puts k served distances at or under it.
+    fn bound_pair(&self, cluster: u32, query: &[f32], k: usize, seed: &mut f64) -> f64 {
+        let bounds = self.distance_bounds(cluster, query);
+        // `upper` is never NaN, so `<` cannot let one in.
+        if self.segment.cluster_len(cluster) >= k && bounds.upper < *seed {
+            *seed = bounds.upper;
+        }
+        bounds.lower
+    }
+
     /// One pass over `cluster` for the queries `qis` of a batch, in
-    /// whichever tier the snapshot holds it. The query-at-a-time path is
-    /// this same pass with a batch of one.
+    /// whichever tier the snapshot holds it. `lower[i]` bounds every
+    /// served distance from query `qis[i]` to the cluster's rows; the
+    /// queries [`prunes`] clears are dropped before any byte is read, and
+    /// a pass left with none reads nothing. The routed counters still
+    /// count the whole pass. The query-at-a-time path is this same pass
+    /// with a batch of one.
     fn scan_pass<'a>(
         &'a self,
         cluster: u32,
         queries: &[BatchQuery<'_>],
         qis: &[usize],
-        folded: &mut [Option<Sq8Query<'a>>],
+        lower: &[f64],
+        scan: &mut Scan<'a>,
         tops: &mut [TopK],
-        kern: &Kernels,
     ) {
         let entry = &self.map.entries[cluster as usize];
         let (c, segment) = (&self.counters, &self.segment);
@@ -562,9 +630,27 @@ impl StoreSnapshot {
             // relaxed: same stats-only tally as the probe counters above.
             c.blocked_scans.fetch_add(1, Ordering::Relaxed);
         }
+        scan.kept.clear();
+        scan.kept.extend(
+            qis.iter()
+                .zip(lower)
+                .filter(|&(&qi, &lower)| !prunes(lower, scan.seeds[qi], tops[qi].threshold()))
+                .map(|(&qi, _)| qi),
+        );
+        let pruned = qis.len() - scan.kept.len();
+        if pruned > 0 {
+            // relaxed: same stats-only tally as the probe counters above.
+            c.pairs_pruned.fetch_add(pruned as u64, Ordering::Relaxed);
+        }
+        if scan.kept.is_empty() {
+            return;
+        }
+        let kept = &scan.kept;
         match entry {
-            TierEntry::Hot(arena) => self.scan_hot(arena, queries, qis, tops, kern),
-            TierEntry::Cold => self.scan_cold(cluster, queries, qis, folded, tops, kern),
+            TierEntry::Hot(arena) => self.scan_hot(arena, queries, kept, tops, &scan.kern),
+            TierEntry::Cold => {
+                self.scan_cold(cluster, queries, kept, &mut scan.folded, tops, &scan.kern);
+            }
         }
     }
 
@@ -661,19 +747,24 @@ impl ClusterStore for StoreSnapshot {
     /// quantizer, so one serves every cold probe of the scan — built
     /// lazily on the first cold cluster (an all-hot probe set never pays
     /// for it).
+    ///
+    /// Pruned exactly like [`StoreSnapshot::scan_batch`]: the seed comes
+    /// from every probed cluster before the first pass.
     fn scan_clusters(&self, clusters: &[u32], query: &[f32], top: &mut TopK) {
         assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
-        // Kernel dispatch resolves once per call; the scan loops run over
-        // plain function pointers.
-        let kern = kernel::kernels();
         let queries = [BatchQuery {
             query,
             lists: clusters,
         }];
-        let mut folded = [None];
+        let mut scan = Scan::new(1);
+        let lower: Vec<f64> = clusters
+            .iter()
+            .map(|&c| self.bound_pair(c, query, top.k(), &mut scan.seeds[0]))
+            .collect();
         let tops = std::slice::from_mut(top);
-        for &cluster in clusters {
-            self.scan_pass(cluster, &queries, &[0], &mut folded, tops, &kern);
+        for (&cluster, lower) in clusters.iter().zip(&lower) {
+            let lower = std::slice::from_ref(lower);
+            self.scan_pass(cluster, &queries, &[0], lower, &mut scan, tops);
         }
     }
 
@@ -683,14 +774,15 @@ impl ClusterStore for StoreSnapshot {
     /// Results are identical to the query-at-a-time default for every
     /// query — [`TopK`]'s `(score, id)` total order makes the outcome
     /// independent of push order — only the traversal (and therefore the
-    /// bytes touched) changes.
+    /// bytes touched) changes. Under L2 the inversion also bounds each
+    /// routed pair and seeds each query, and a pass skips the pairs its
+    /// bounds rule out (see the module docs).
     fn scan_batch(&self, queries: &[BatchQuery<'_>], tops: &mut [TopK]) {
         assert_eq!(queries.len(), tops.len(), "one TopK per batched query");
         for q in queries {
             assert_eq!(q.query.len(), self.segment.dim(), "query dimensionality");
         }
-        // Kernel dispatch resolves once for the whole batch.
-        let kern = kernel::kernels();
+        let mut scan = Scan::new(queries.len());
         // Counting-sort inversion into CSR form: cluster `c` is probed by
         // `qis[offsets[c]..offsets[c + 1]]`. Counts land two slots up so
         // that, after the prefix sum, `offsets[c + 1]` is cluster `c`'s
@@ -708,24 +800,64 @@ impl ClusterStore for StoreSnapshot {
         for c in 2..offsets.len() {
             offsets[c] += offsets[c - 1];
         }
-        let mut qis = vec![0usize; offsets[n_clusters + 1]];
+        // `lower` runs beside `qis`: slot `i` bounds pair `(qis[i], c)`.
+        let slots = offsets[n_clusters + 1];
+        let (mut qis, mut lower) = (vec![0usize; slots], vec![0.0f64; slots]);
         for (qi, q) in queries.iter().enumerate() {
             for &c in q.lists {
                 let cursor = &mut offsets[c as usize + 1];
                 qis[*cursor] = qi;
+                lower[*cursor] = self.bound_pair(c, q.query, tops[qi].k(), &mut scan.seeds[qi]);
                 *cursor += 1;
             }
         }
-        // Per-query folded queries, built lazily on the query's first
-        // cold probe and shared across all its cold clusters of the batch.
-        let mut folded: Vec<Option<Sq8Query<'_>>> = queries.iter().map(|_| None).collect();
         for cluster in 0..n_clusters {
-            let qis = &qis[offsets[cluster]..offsets[cluster + 1]];
-            if !qis.is_empty() {
-                self.scan_pass(cluster as u32, queries, qis, &mut folded, tops, &kern);
+            let slots = offsets[cluster]..offsets[cluster + 1];
+            if !slots.is_empty() {
+                let (qis, lower) = (&qis[slots.clone()], &lower[slots]);
+                self.scan_pass(cluster as u32, queries, qis, lower, &mut scan, tops);
             }
         }
     }
+}
+
+/// What one scan call carries from pass to pass.
+struct Scan<'a> {
+    /// The kernel table, resolved once per call: the scan loops run over
+    /// plain function pointers.
+    kern: Kernels,
+    /// Per-query folded queries, built lazily on the query's first cold
+    /// pass and shared across all its cold clusters of the call.
+    folded: Vec<Option<Sq8Query<'a>>>,
+    /// Per query, `U`: the smallest upper bound over its probed clusters
+    /// holding ≥ k rows (`+∞` if none), so its final k-th distance is at
+    /// most `U` before any pass runs, whatever order the passes take.
+    seeds: Vec<f64>,
+    /// The queries of the current pass that survive pruning; one buffer
+    /// reused by every pass.
+    kept: Vec<usize>,
+}
+
+impl Scan<'_> {
+    fn new(n_queries: usize) -> Self {
+        Scan {
+            kern: kernel::kernels(),
+            folded: vec![None; n_queries],
+            seeds: vec![f64::INFINITY; n_queries],
+            kept: Vec::new(),
+        }
+    }
+}
+
+/// Whether a pass may skip a query whose served distances to the cluster
+/// are all at least `lower`: only when `lower > min(seed, threshold)`,
+/// `threshold` being the query's current k-th distance
+/// ([`TopK::threshold`]). Strict, so a tie at the k-th distance is still
+/// scanned and can win on id. Spelled as two comparisons because
+/// `f64::min` drops a NaN: a NaN makes its comparison false, so a NaN
+/// `lower` (nothing proven) always scans.
+fn prunes(lower: f64, seed: f64, threshold: f32) -> bool {
+    lower > seed || lower > f64::from(threshold)
 }
 
 #[cfg(test)]

@@ -4,13 +4,16 @@
 //! whatever mix of hot arenas and cold SQ8 extents the probe lists hit.
 //! The counters must also account a blocked pass correctly: every query
 //! counts as a probe, the shared cluster's payload bytes count once.
+//! Pruning (L2 passes that skip a query whose bounds rule the cluster
+//! out) must not move a single result bit, and must fire where clusters
+//! are well separated.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use vlite_ann::{scan_lists_store, scan_lists_store_batch, BatchQuery, Metric, VecSet};
-use vlite_store::TieredStore;
+use vlite_store::{StoreStats, TieredStore};
 
 fn sample_clusters(
     n_clusters: usize,
@@ -164,14 +167,20 @@ const SIZES: [usize; 18] = [
     0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129,
 ];
 
-fn sized_clusters(dim: usize, seed: u64) -> Vec<(Vec<u64>, VecSet)> {
+/// One cluster per size, each within ±2 of `(apart·c, …, apart·c)`:
+/// overlapping at `apart = 0`, and well separated at `apart = 20`, as in
+/// the benchmark corpus, where a query near one cluster rules most of the
+/// others out.
+fn sized_clusters(dim: usize, seed: u64, apart: f32) -> Vec<(Vec<u64>, VecSet)> {
     let mut rng = StdRng::seed_from_u64(seed);
     SIZES
         .iter()
         .enumerate()
         .map(|(c, &n)| {
             let ids: Vec<u64> = (0..n as u64).map(|i| ((c as u64) << 20) | i).collect();
-            let vectors = VecSet::from_fn(n, dim, |_, _| rng.random::<f32>() * 4.0 - 2.0);
+            let vectors = VecSet::from_fn(n, dim, |_, _| {
+                apart * c as f32 + rng.random::<f32>() * 4.0 - 2.0
+            });
             (ids, vectors)
         })
         .collect()
@@ -179,6 +188,15 @@ fn sized_clusters(dim: usize, seed: u64) -> Vec<(Vec<u64>, VecSet)> {
 
 fn bits(hits: &[vlite_ann::Neighbor]) -> Vec<(u64, u32)> {
     hits.iter().map(|n| (n.id, n.distance.to_bits())).collect()
+}
+
+/// The counters that count routed work, which pruning never changes:
+/// everything but `pairs_pruned`.
+fn routed(stats: StoreStats) -> StoreStats {
+    StoreStats {
+        pairs_pruned: 0,
+        ..stats
+    }
 }
 
 /// The hot tier's per-row reference: the panel kernels' operation order,
@@ -191,16 +209,46 @@ fn panel_order_score(metric: Metric, query: &[f32], v: &[f32]) -> f32 {
     }
 }
 
+/// The brute-force oracle on any tier mix: every row of every probed
+/// cluster scored alone — in the panel kernels' order on a hot cluster
+/// (whatever run of groups a row lands in), through the same kernel
+/// table's one-row SQ8 entry on a cold one — into one `TopK`.
+fn brute_force(
+    store: &TieredStore,
+    clusters: &[(Vec<u64>, VecSet)],
+    query: &[f32],
+    lists: &[u32],
+    k: usize,
+) -> Vec<vlite_ann::Neighbor> {
+    let (metric, snap) = (store.metric(), store.snapshot());
+    let kern = vlite_ann::kernel::kernels();
+    let folded = store.sq().fold_query(metric, query);
+    let mut top = vlite_ann::TopK::new(k);
+    let mut one = [0.0f32];
+    for &c in lists {
+        let (ids, vectors) = &clusters[c as usize];
+        for (i, v) in vectors.iter().enumerate() {
+            if snap.is_hot(c) {
+                one[0] = panel_order_score(metric, query, v);
+            } else {
+                folded.score_block(&kern, &store.sq().encode(v), &mut one);
+            }
+            top.push(ids[i], one[0]);
+        }
+    }
+    top.into_sorted()
+}
+
 /// The block scan loops against their oracles at every size boundary:
-/// blocked batch ≡ query-at-a-time ≡ a per-row brute force, bit for bit —
-/// per vector in the panel kernels' order on an all-hot store (whatever
-/// run of groups a row lands in), per code row through the same kernel
-/// table's one-row SQ8 entry on an all-cold one — with a duplicate
-/// cluster id inside one probe list, an empty probe list, both metrics,
-/// and dims below, at and past the kernels' 8-lane steps (6, 64, 100).
-/// On every store, the mixed hot/cold one included, the counters tick
-/// exactly as the per-pair loops ticked them: hot bytes are the payload
-/// `n · (8 + 4·dim)`, never the padded panels.
+/// blocked batch ≡ query-at-a-time ≡ a per-row brute force, bit for bit,
+/// on all-hot, mixed and all-cold stores — with a duplicate cluster id
+/// inside one probe list, an empty probe list, both metrics, and dims
+/// below, at and past the kernels' 8-lane steps (6, 64, 100). On every
+/// store the routed counters tick exactly as the per-pair loops ticked
+/// them: hot bytes are the payload `n · (8 + 4·dim)`, never the padded
+/// panels. Well-separated clusters (L2, dims 6 and 64) make pruning
+/// fire, batched and alone, without moving a result bit; whatever the
+/// overlapping ones allow stays within the routed probes.
 #[test]
 fn block_scans_match_their_oracles_at_every_size_boundary() {
     let all: Vec<u32> = (0..SIZES.len() as u32).collect();
@@ -212,16 +260,24 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
         vec![9],
     ];
     let k = 7;
-    for (dim, metric) in [
-        (6, Metric::L2),
-        (64, Metric::L2),
-        (64, Metric::InnerProduct),
-        (100, Metric::L2),
+    for (dim, metric, apart) in [
+        (6, Metric::L2, 0.0),
+        (64, Metric::L2, 0.0),
+        (64, Metric::InnerProduct, 0.0),
+        (100, Metric::L2, 0.0),
+        (6, Metric::L2, 20.0),
+        (64, Metric::L2, 20.0),
     ] {
-        let clusters = sized_clusters(dim, 0xb10c + dim as u64);
+        let clusters = sized_clusters(dim, 0xb10c + dim as u64, apart);
         let mut rng = StdRng::seed_from_u64(dim as u64);
+        // Query `qi` sits in cluster `3·qi + 5`'s box.
         let queries: Vec<Vec<f32>> = (0..lists.len())
-            .map(|_| (0..dim).map(|_| rng.random::<f32>() * 4.0 - 2.0).collect())
+            .map(|qi| {
+                let home = apart * ((3 * qi + 5) % SIZES.len()) as f32;
+                (0..dim)
+                    .map(|_| home + rng.random::<f32>() * 4.0 - 2.0)
+                    .collect()
+            })
             .collect();
         let batch: Vec<BatchQuery<'_>> = queries
             .iter()
@@ -229,11 +285,9 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
             .map(|(query, lists)| BatchQuery { query, lists })
             .collect();
         let mixed: Vec<bool> = (0..SIZES.len()).map(|c| c % 2 == 1).collect();
-        let kern = vlite_ann::kernel::kernels();
         for hot in [vec![true; SIZES.len()], mixed, vec![false; SIZES.len()]] {
-            let all_hot = hot.iter().all(|&h| h);
-            let all_cold = hot.iter().all(|&h| !h);
-            let path = temp_path(&format!("sizes-{dim}-{metric:?}-{all_hot}-{all_cold}"));
+            let tiers: String = hot.iter().map(|&h| if h { 'h' } else { 'c' }).collect();
+            let path = temp_path(&format!("sizes-{dim}-{metric:?}-{apart}-{tiers}"));
             let mut store =
                 TieredStore::create(&path, dim, metric, &clusters, &hot).expect("creates");
             store.set_ephemeral(true);
@@ -244,31 +298,8 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
             for (qi, q) in batch.iter().enumerate() {
                 let solo = scan_lists_store(&snap, q.query, q.lists, k);
                 assert_eq!(bits(&blocked[qi]), bits(&solo), "dim {dim} query {qi}");
-                if all_hot {
-                    let mut top = vlite_ann::TopK::new(k);
-                    for &c in q.lists {
-                        let (ids, vectors) = &clusters[c as usize];
-                        for (i, v) in vectors.iter().enumerate() {
-                            top.push(ids[i], panel_order_score(metric, q.query, v));
-                        }
-                    }
-                    let brute = top.into_sorted();
-                    assert_eq!(bits(&solo), bits(&brute), "dim {dim} query {qi}");
-                }
-                if all_cold {
-                    let folded = store.sq().fold_query(metric, q.query);
-                    let mut top = vlite_ann::TopK::new(k);
-                    let mut one = [0.0f32];
-                    for &c in q.lists {
-                        let (ids, vectors) = &clusters[c as usize];
-                        for (i, v) in vectors.iter().enumerate() {
-                            folded.score_block(&kern, &store.sq().encode(v), &mut one);
-                            top.push(ids[i], one[0]);
-                        }
-                    }
-                    let brute = top.into_sorted();
-                    assert_eq!(bits(&solo), bits(&brute), "cold dim {dim} query {qi}");
-                }
+                let brute = brute_force(&store, &clusters, q.query, q.lists, k);
+                assert_eq!(bits(&solo), bits(&brute), "{tiers} dim {dim} query {qi}");
             }
             let after_solo = store.stats();
 
@@ -301,7 +332,11 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                 }
                 want_batch.blocked_scans += u64::from(multi);
             }
-            assert_eq!(after_batch, want_batch, "dim {dim}: one blocked batch");
+            assert_eq!(
+                routed(after_batch),
+                want_batch,
+                "dim {dim}: one blocked batch"
+            );
             // The solo reruns probe as often, stream bytes per probe, and
             // never block.
             want_solo.hot_probes = 2 * want_batch.hot_probes;
@@ -309,7 +344,22 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
             want_solo.hot_bytes_scanned += want_batch.hot_bytes_scanned;
             want_solo.cold_bytes_scanned += want_batch.cold_bytes_scanned;
             want_solo.blocked_scans = want_batch.blocked_scans;
-            assert_eq!(after_solo, want_solo, "dim {dim}: plus the solo reruns");
+            assert_eq!(
+                routed(after_solo),
+                want_solo,
+                "dim {dim}: plus the solo reruns"
+            );
+            assert!(after_solo.pairs_pruned <= want_solo.hot_probes + want_solo.cold_probes);
+            if apart > 0.0 {
+                assert!(
+                    after_batch.pairs_pruned > 0,
+                    "{tiers} dim {dim}: batch pruned nothing"
+                );
+                assert!(
+                    after_solo.pairs_pruned > after_batch.pairs_pruned,
+                    "{tiers} dim {dim}: query-at-a-time pruned nothing"
+                );
+            }
         }
     }
 }
@@ -323,7 +373,7 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
 #[test]
 fn zero_query_never_admits_a_pad_row() {
     let dim = 5;
-    let clusters = sized_clusters(dim, 0x9ad);
+    let clusters = sized_clusters(dim, 0x9ad, 0.0);
     let all: Vec<u32> = (0..SIZES.len() as u32).collect();
     let zero = vec![0.0f32; dim];
     let k = SIZES.iter().sum::<usize>() + 8;
@@ -359,5 +409,114 @@ fn zero_query_never_admits_a_pad_row() {
         if metric == Metric::L2 {
             assert!(solo[0].distance > 0.0, "a zero-distance pad was admitted");
         }
+    }
+}
+
+/// A tie at the k-th distance across two clusters is never pruned away:
+/// the row with the smaller id wins it, in whichever order the clusters
+/// are visited, on both tiers. Integer coordinates in `[0, 255]` make
+/// SQ8 lossless here (scale 1, offset 0), so both tiers serve the exact
+/// distances 1, 4, 4, 9 and a far cluster that pruning removes.
+#[test]
+fn a_tie_at_the_kth_distance_keeps_the_smaller_id() {
+    let dim = 4;
+    let clusters: Vec<(Vec<u64>, VecSet)> = [
+        (
+            vec![100, 101],
+            [[1.0f32, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]],
+        ),
+        (vec![5, 6], [[0.0, 2.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]),
+        (vec![900, 901], [[255.0; 4], [250.0; 4]]),
+    ]
+    .into_iter()
+    .map(|(ids, rows)| (ids, VecSet::from_fn(rows.len(), dim, |i, j| rows[i][j])))
+    .collect();
+    let query = [0.0f32; 4];
+    let orders: [&[u32]; 2] = [&[0, 1, 2], &[2, 1, 0]];
+    for hot in [[true; 3], [false; 3], [false, true, false]] {
+        let path = temp_path(&format!("tie-{}", hot.iter().filter(|&&h| h).count()));
+        let mut store =
+            TieredStore::create(&path, dim, Metric::L2, &clusters, &hot).expect("creates");
+        store.set_ephemeral(true);
+        let snap = store.snapshot();
+        let batch: Vec<BatchQuery<'_>> = orders
+            .iter()
+            .map(|lists| BatchQuery {
+                query: &query,
+                lists,
+            })
+            .collect();
+        let want = vec![(100, 1.0f32.to_bits()), (5, 4.0f32.to_bits())];
+        for hits in scan_lists_store_batch(&snap, &batch, 2) {
+            assert_eq!(bits(&hits), want, "tiers {hot:?}: batched");
+        }
+        for lists in orders {
+            let hits = scan_lists_store(&snap, &query, lists, 2);
+            assert_eq!(bits(&hits), want, "tiers {hot:?}: probe order {lists:?}");
+        }
+        // The far cluster went unscanned on every one of the four scans.
+        assert_eq!(store.stats().pairs_pruned, 4, "tiers {hot:?}");
+    }
+}
+
+/// A query with a NaN component proves nothing, so it prunes nothing:
+/// alone it scans every pair, beside finite queries it leaves their
+/// pruning and results untouched, and its own top-k (all NaN distances)
+/// is the same batched and alone.
+#[test]
+fn a_nan_query_prunes_nothing() {
+    let (dim, k) = (8, 3);
+    let clusters = sized_clusters(dim, 0x9a9, 20.0);
+    let n_clusters = clusters.len();
+    let all: Vec<u32> = (0..n_clusters as u32).collect();
+    let finite: Vec<f32> = clusters[6].1.get(3).to_vec();
+    let mut nan = finite.clone();
+    nan[dim / 2] = f32::NAN;
+    for hot in [vec![true; n_clusters], vec![false; n_clusters]] {
+        let path = temp_path(&format!("nan-{}", hot[0]));
+        let mut store =
+            TieredStore::create(&path, dim, Metric::L2, &clusters, &hot).expect("creates");
+        store.set_ephemeral(true);
+        let snap = store.snapshot();
+
+        let alone = scan_lists_store(&snap, &nan, &all, k);
+        assert_eq!(store.stats().pairs_pruned, 0, "a NaN query pruned a pair");
+        assert!(alone.iter().all(|n| n.distance.is_nan()));
+
+        let finite_only = scan_lists_store_batch(
+            &snap,
+            &[BatchQuery {
+                query: &finite,
+                lists: &all,
+            }],
+            k,
+        );
+        let finite_pruned = store.stats().pairs_pruned;
+        assert!(finite_pruned > 0, "the finite query pruned nothing");
+        let both = scan_lists_store_batch(
+            &snap,
+            &[
+                BatchQuery {
+                    query: &nan,
+                    lists: &all,
+                },
+                BatchQuery {
+                    query: &finite,
+                    lists: &all,
+                },
+            ],
+            k,
+        );
+        assert_eq!(
+            store.stats().pairs_pruned,
+            2 * finite_pruned,
+            "only the finite query prunes"
+        );
+        assert_eq!(bits(&both[0]), bits(&alone));
+        assert_eq!(bits(&both[1]), bits(&finite_only[0]));
+        assert_eq!(
+            bits(&both[1]),
+            bits(&brute_force(&store, &clusters, &finite, &all, k))
+        );
     }
 }

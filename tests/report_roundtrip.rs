@@ -92,6 +92,7 @@ fn co_scheduled_report() -> ServeReport {
             hot_bytes_scanned: 99_000_000,
             cold_bytes_scanned: 7_000_000,
             blocked_scans: 612,
+            pairs_pruned: 1_017,
             kernel: "avx2_fma",
             bytes_promoted: 2_000_000,
             bytes_demoted: 1_500_000,
@@ -214,6 +215,7 @@ fn json_round_trips_exactly_including_ttft_fields() {
     assert_eq!(num(store, "fast_residency"), s.fast_residency);
     assert_eq!(num(store, "hot_probes"), s.hot_probes as f64);
     assert_eq!(num(store, "cold_probes"), s.cold_probes as f64);
+    assert_eq!(num(store, "pairs_pruned"), s.pairs_pruned as f64);
     assert_eq!(num(store, "bytes_promoted"), s.bytes_promoted as f64);
     assert_eq!(num(store, "snapshot_waits"), 0.0);
     assert_eq!(store.get("opened_existing"), Some(&Json::Bool(true)));
