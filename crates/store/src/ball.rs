@@ -82,7 +82,7 @@ impl Bounds {
 
 /// A bounding ball over one cluster's rows in the space its tier scores
 /// in. See the module docs for what it proves.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Ball {
     centre: Vec<f64>,
     /// `max ‖x − centre‖` over the rows, rounded up. NaN when a row is
