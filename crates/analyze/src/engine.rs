@@ -335,7 +335,7 @@ const SKIP_PREFIXES: &[&str] = &[
     "crates/analyze/tests/fixtures/",
 ];
 
-/// Scans every `.rs` file under `root` (skipping [`SKIP_PREFIXES`]) and
+/// Scans every `.rs` file under `root` (skipping `SKIP_PREFIXES`) and
 /// returns the sorted diagnostics. `elapsed_ms` is left at zero — the
 /// caller stamps it, keeping the library clock-free.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {

@@ -15,7 +15,7 @@
 //! - [`lexer`]: classifies every byte of a source file as code, comment,
 //!   or quoted text, so rule patterns inside strings, raw strings and
 //!   comments never fire.
-//! - [`rules`]: the invariant catalogue — clock-discipline, unsafe-audit,
+//! - [`rules`](mod@rules): the invariant catalogue — clock-discipline, unsafe-audit,
 //!   atomics-ordering, lock-hygiene, bounded-queues, panic-paths,
 //!   stdout-discipline — as data.
 //! - [`engine`]: file discovery, fragment-chain pattern matching,

@@ -78,8 +78,10 @@ impl FlatIndex {
         );
         let n = queries.len();
         let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let threads = threads.max(1).min(n.max(1));
-        let chunk = n.div_ceil(threads);
+        if n == 0 {
+            return out;
+        }
+        let chunk = n.div_ceil(threads.clamp(1, n));
         std::thread::scope(|scope| {
             for (t, slice) in out.chunks_mut(chunk).enumerate() {
                 let start = t * chunk;
@@ -132,6 +134,14 @@ mod tests {
         let batch = index.search_batch(&queries, 5, 4);
         for (i, q) in queries.iter().enumerate() {
             assert_eq!(batch[i], index.search(q, 5));
+        }
+    }
+
+    #[test]
+    fn empty_batch_returns_no_results() {
+        let index = FlatIndex::new(VecSet::from_fn(8, 4, |i, j| (i + j) as f32), Metric::L2);
+        for threads in [0, 1, 4] {
+            assert!(index.search_batch(&VecSet::new(4), 5, threads).is_empty());
         }
     }
 

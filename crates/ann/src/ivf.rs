@@ -1,50 +1,30 @@
-//! Inverted-file (IVF) index with flat, PQ, or fast-scan list storage.
+//! Inverted-file (IVF) index over full-precision (flat) inverted lists.
 //!
-//! Search proceeds in the three stages of paper Fig. 2, each separately
-//! exposed so the profiler and the hybrid CPU/GPU runtime can time and
-//! split them:
+//! Search proceeds in two separately exposed stages, so the profiler and
+//! the hybrid CPU/GPU runtime can time and split them:
 //!
 //! 1. **Coarse quantization** ([`IvfIndex::probe`]) — score every
 //!    centroid in one block and keep the closest `nprobe`.
-//! 2. **LUT construction** — build the query's partial-distance table,
-//!    once per query (PQ/fast-scan storage only).
-//! 3. **LUT scan** ([`IvfIndex::scan_lists`]) — accumulate approximate
-//!    distances over the selected inverted lists and keep the top-k.
+//! 2. **List scan** ([`IvfIndex::scan_lists`]) — score the vectors of the
+//!    selected inverted lists with the block kernel and keep the top-k.
+
+use std::borrow::Cow;
 
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
 
 use crate::kernel::{self, Kernels};
-use crate::{
-    AnnError, FastScanList, KMeans, KMeansConfig, Metric, Neighbor, PqConfig, ProductQuantizer,
-    QuantizedLut, Result, TopK, VecSet,
-};
-
-/// How inverted lists store their vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ListStorage {
-    /// Full-precision vectors (IVF-Flat).
-    Flat,
-    /// PQ codes scanned against a full-precision LUT (classic IVF-PQ).
-    Pq(PqConfig),
-    /// PQ codes in register-blocked layout with 8-bit LUTs (IVF-PQ
-    /// fast-scan, the paper's CPU baseline).
-    FastScan(PqConfig),
-}
+use crate::{AnnError, KMeans, KMeansConfig, Metric, Neighbor, Result, TopK, VecSet};
 
 /// Configuration for [`IvfIndex::train`]: `nlist` k-means centroids,
-/// searched exactly, over lists stored flat, as PQ codes, or in the
-/// fast-scan layout. PQ codes encode raw vectors, so one LUT per query
-/// serves every probed list.
+/// searched exactly, over lists of full-precision vectors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IvfConfig {
     /// Number of inverted lists (clusters).
     pub nlist: usize,
     /// Distance metric.
     pub metric: Metric,
-    /// List storage scheme.
-    pub storage: ListStorage,
     /// k-means iterations for centroid training.
     pub train_iters: usize,
     /// Max training vectors sampled for k-means (Faiss-style cap so huge
@@ -55,22 +35,15 @@ pub struct IvfConfig {
 }
 
 impl IvfConfig {
-    /// Creates a config with `nlist` clusters, L2 and IVF-Flat storage.
+    /// Creates a config with `nlist` clusters under L2.
     pub fn new(nlist: usize) -> Self {
         Self {
             nlist,
             metric: Metric::L2,
-            storage: ListStorage::Flat,
             train_iters: 10,
             max_train_points: 65_536,
             seed: 0x1f,
         }
-    }
-
-    /// Sets the list storage scheme.
-    pub fn storage(mut self, storage: ListStorage) -> Self {
-        self.storage = storage;
-        self
     }
 
     /// Sets the metric.
@@ -96,16 +69,9 @@ pub struct Probe {
 }
 
 #[derive(Debug, Clone)]
-enum ListData {
-    Flat(VecSet),
-    Pq(Vec<u8>),
-    FastScan(FastScanList),
-}
-
-#[derive(Debug, Clone)]
 struct InvertedList {
     ids: Vec<u64>,
-    data: ListData,
+    data: VecSet,
 }
 
 impl InvertedList {
@@ -113,13 +79,8 @@ impl InvertedList {
         self.ids.len()
     }
 
-    fn bytes(&self, dim: usize) -> usize {
-        let payload = match &self.data {
-            ListData::Flat(v) => v.len() * dim * 4,
-            ListData::Pq(codes) => codes.len(),
-            ListData::FastScan(fs) => fs.bytes().saturating_sub(fs.len() * 8),
-        };
-        payload + self.ids.len() * 8
+    fn bytes(&self) -> usize {
+        self.data.bytes() + self.ids.len() * 8
     }
 }
 
@@ -128,14 +89,12 @@ impl InvertedList {
 /// # Examples
 ///
 /// ```
-/// use vlite_ann::{IvfConfig, IvfIndex, ListStorage, PqConfig, VecSet};
+/// use vlite_ann::{IvfConfig, IvfIndex, VecSet};
 /// use rand::{Rng, SeedableRng};
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let data = VecSet::from_fn(2048, 16, |_, _| rng.random::<f32>());
-/// let cfg = IvfConfig::new(16)
-///     .storage(ListStorage::FastScan(PqConfig { m: 4, ksub: 16, train_iters: 4, seed: 9 }));
-/// let index = IvfIndex::train(&data, &cfg)?;
+/// let index = IvfIndex::train(&data, &IvfConfig::new(16))?;
 /// let hits = index.search(data.get(100), 10, 8);
 /// assert!(hits.iter().any(|n| n.id == 100));
 /// # Ok::<(), vlite_ann::AnnError>(())
@@ -145,18 +104,17 @@ pub struct IvfIndex {
     config: IvfConfig,
     dim: usize,
     centroids: KMeans,
-    pq: Option<ProductQuantizer>,
     lists: Vec<InvertedList>,
     ntotal: usize,
 }
 
 impl IvfIndex {
-    /// Trains centroids (and PQ codebooks if configured) on `data` and adds
-    /// all of `data` to the index with sequential ids.
+    /// Trains centroids on `data` and adds all of `data` to the index with
+    /// sequential ids.
     ///
     /// # Errors
     ///
-    /// Propagates k-means/PQ training errors (insufficient data, invalid
+    /// Propagates k-means training errors (insufficient data, invalid
     /// configuration).
     pub fn train(data: &VecSet, config: &IvfConfig) -> Result<IvfIndex> {
         let mut index = IvfIndex::train_empty(data, config)?;
@@ -165,7 +123,7 @@ impl IvfIndex {
         Ok(index)
     }
 
-    /// Trains the quantizers only, returning an index with empty lists.
+    /// Trains the centroids only, returning an index with empty lists.
     ///
     /// # Errors
     ///
@@ -175,50 +133,35 @@ impl IvfIndex {
             return Err(AnnError::InvalidConfig("nlist must be >= 1".into()));
         }
         // Subsample training points, Faiss-style.
-        let train_set: VecSet = if data.len() > config.max_train_points {
+        let train_set = if data.len() > config.max_train_points {
             let mut rng = StdRng::seed_from_u64(config.seed);
             let rows: Vec<usize> = sample(&mut rng, data.len(), config.max_train_points)
                 .into_iter()
                 .collect();
-            data.select(&rows)
+            Cow::Owned(data.select(&rows))
         } else {
-            data.clone()
+            Cow::Borrowed(data)
         };
         let km_cfg = KMeansConfig::new(config.nlist)
             .max_iters(config.train_iters)
             .seed(config.seed);
         let centroids = KMeans::train(&train_set, &km_cfg)?;
-        let pq = match &config.storage {
-            ListStorage::Flat => None,
-            ListStorage::Pq(pq_cfg) | ListStorage::FastScan(pq_cfg) => {
-                Some(ProductQuantizer::train(&train_set, pq_cfg)?)
-            }
-        };
         let lists = (0..config.nlist)
             .map(|_| InvertedList {
                 ids: Vec::new(),
-                data: match &config.storage {
-                    ListStorage::Flat => ListData::Flat(VecSet::new(data.dim())),
-                    ListStorage::Pq(_) => ListData::Pq(Vec::new()),
-                    ListStorage::FastScan(_) => ListData::FastScan(FastScanList::default()),
-                },
+                data: VecSet::new(data.dim()),
             })
             .collect();
         Ok(IvfIndex {
             config: config.clone(),
             dim: data.dim(),
             centroids,
-            pq,
             lists,
             ntotal: 0,
         })
     }
 
     /// Adds vectors with explicit ids.
-    ///
-    /// Fast-scan lists are rebuilt per affected cluster (the blocked layout
-    /// is append-unfriendly; the paper likewise rebuilds shards wholesale,
-    /// §IV-B3).
     ///
     /// # Errors
     ///
@@ -240,45 +183,19 @@ impl IvfIndex {
             )));
         }
         let assignment = self.centroids.assign(data);
-        // Group rows by destination list to amortize fast-scan rebuilds.
+        // Group rows by destination list so each list's buffers grow in one
+        // run. Growing every list at once, row by row, fragments the heap:
+        // it cost 7 MB of peak RSS in the `perf` harness's serving runs.
         let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); self.lists.len()];
         for (row, &list) in assignment.iter().enumerate() {
             grouped[list as usize].push(row);
         }
-        for (list_id, rows) in grouped.into_iter().enumerate() {
-            if rows.is_empty() {
-                continue;
-            }
-            let list = &mut self.lists[list_id];
+        for (list, rows) in self.lists.iter_mut().zip(grouped) {
             for &row in &rows {
                 list.ids.push(ids[row]);
             }
-            match &mut list.data {
-                ListData::Flat(store) => {
-                    for &row in &rows {
-                        store.push(data.get(row));
-                    }
-                }
-                ListData::Pq(codes) => {
-                    let pq = self.pq.as_ref().expect("PQ storage implies trained PQ");
-                    for &row in &rows {
-                        codes.extend_from_slice(&pq.encode(data.get(row)));
-                    }
-                }
-                ListData::FastScan(fs) => {
-                    let pq = self
-                        .pq
-                        .as_ref()
-                        .expect("fast-scan storage implies trained PQ");
-                    // The blocked layout is append-unfriendly: recover the
-                    // existing row-major codes, append, and rebuild.
-                    let mut staged = fs.to_codes();
-                    staged.reserve(rows.len() * pq.m());
-                    for &row in &rows {
-                        staged.extend_from_slice(&pq.encode(data.get(row)));
-                    }
-                    *fs = FastScanList::build(&staged, pq.m(), &list.ids);
-                }
+            for &row in &rows {
+                list.data.push(data.get(row));
             }
         }
         self.ntotal += data.len();
@@ -319,18 +236,13 @@ impl IvfIndex {
         self.lists.iter().map(InvertedList::len).collect()
     }
 
-    /// Approximate memory footprint of list `l` in bytes (codes + ids).
+    /// Memory footprint of list `l` in bytes (vectors + ids).
     ///
     /// # Panics
     ///
     /// Panics if `l` is out of range.
     pub fn list_bytes(&self, l: usize) -> usize {
-        self.lists[l].bytes(self.dim)
-    }
-
-    /// The trained product quantizer, when the storage scheme uses one.
-    pub fn pq(&self) -> Option<&ProductQuantizer> {
-        self.pq.as_ref()
+        self.lists[l].bytes()
     }
 
     /// The coarse centroids.
@@ -353,10 +265,9 @@ impl IvfIndex {
         nearest(&dist, nprobe)
     }
 
-    /// Stages 2+3 — LUT construction and scan over the given lists,
-    /// returning the top-`k` hits. Also usable on an arbitrary list subset,
-    /// which is how the hybrid runtime scans only CPU-resident (or only
-    /// GPU-resident) clusters.
+    /// Stage 2 — scan over the given lists, returning the top-`k` hits.
+    /// Also usable on an arbitrary list subset, which is how the hybrid
+    /// runtime scans only CPU-resident (or only GPU-resident) clusters.
     ///
     /// # Panics
     ///
@@ -365,74 +276,31 @@ impl IvfIndex {
     pub fn scan_lists(&self, query: &[f32], lists: &[u32], k: usize) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim, "query has wrong dimensionality");
         let mut top = TopK::new(k);
-        match &self.config.storage {
-            ListStorage::Flat => {
-                let kern = kernel::kernels();
-                for &l in lists {
-                    let list = &self.lists[l as usize];
-                    if let ListData::Flat(store) = &list.data {
-                        scan_flat(self.config.metric, &kern, query, &list.ids, store, &mut top);
-                    }
-                }
-            }
-            ListStorage::Pq(_) => {
-                let pq = self.pq.as_ref().expect("PQ storage implies trained PQ");
-                let m = pq.m();
-                let lut = pq.lut(query);
-                for &l in lists {
-                    let list = &self.lists[l as usize];
-                    if let ListData::Pq(codes) = &list.data {
-                        for (i, code) in codes.chunks_exact(m).enumerate() {
-                            top.push(list.ids[i], lut.distance(code));
-                        }
-                    }
-                }
-            }
-            ListStorage::FastScan(_) => {
-                let pq = self
-                    .pq
-                    .as_ref()
-                    .expect("fast-scan storage implies trained PQ");
-                let qlut = QuantizedLut::from_lut(&pq.lut(query));
-                for &l in lists {
-                    if let ListData::FastScan(fs) = &self.lists[l as usize].data {
-                        fs.scan(&qlut, &mut top);
-                    }
-                }
-            }
+        let kern = kernel::kernels();
+        for &l in lists {
+            let InvertedList { ids, data } = &self.lists[l as usize];
+            scan_flat(self.config.metric, &kern, query, ids, data, &mut top);
         }
         top.into_sorted()
     }
 
-    /// Detaches every inverted list's payload (ids + full-precision
-    /// vectors), leaving the lists empty — the handoff that moves list
-    /// bytes out of the index and into an external
-    /// [`ClusterStore`](crate::ClusterStore).
-    /// Returns `None` (index untouched) unless the storage scheme is
-    /// [`ListStorage::Flat`].
+    /// Detaches every inverted list's payload (ids + vectors), leaving the
+    /// lists empty — the handoff that moves list bytes out of the index and
+    /// into an external [`ClusterStore`](crate::ClusterStore).
     ///
     /// After detaching, [`IvfIndex::probe`] and the centroids are
     /// unaffected, but [`IvfIndex::scan_lists`] sees empty lists: all
     /// scanning must go through
     /// [`scan_lists_store`](crate::scan_lists_store).
-    pub fn take_flat_lists(&mut self) -> Option<Vec<(Vec<u64>, VecSet)>> {
-        if !matches!(self.config.storage, ListStorage::Flat) {
-            return None;
-        }
+    pub fn take_flat_lists(&mut self) -> Vec<(Vec<u64>, VecSet)> {
         let dim = self.dim;
-        Some(
-            self.lists
-                .iter_mut()
-                .map(|list| {
-                    let ids = std::mem::take(&mut list.ids);
-                    let data = match &mut list.data {
-                        ListData::Flat(store) => std::mem::replace(store, VecSet::new(dim)),
-                        _ => unreachable!("flat storage holds flat lists"),
-                    };
-                    (ids, data)
-                })
-                .collect(),
-        )
+        self.lists
+            .iter_mut()
+            .map(|list| {
+                let ids = std::mem::take(&mut list.ids);
+                (ids, std::mem::replace(&mut list.data, VecSet::new(dim)))
+            })
+            .collect()
     }
 
     /// Full search: probe then scan.
@@ -444,32 +312,6 @@ impl IvfIndex {
         let probes = self.probe(query, nprobe);
         let lists: Vec<u32> = probes.iter().map(|p| p.list).collect();
         self.scan_lists(query, &lists, k)
-    }
-
-    /// Batched search parallelized over queries.
-    pub fn search_batch(
-        &self,
-        queries: &VecSet,
-        k: usize,
-        nprobe: usize,
-        threads: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(queries.dim(), self.dim, "queries have wrong dimensionality");
-        let n = queries.len();
-        let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-        let threads = threads.max(1).min(n.max(1));
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, slice) in out.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                scope.spawn(move || {
-                    for (offset, result) in slice.iter_mut().enumerate() {
-                        *result = self.search(queries.get(start + offset), k, nprobe);
-                    }
-                });
-            }
-        });
-        out
     }
 }
 
@@ -580,42 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn fastscan_top1_distance_within_lut_quantization_error() {
-        // Same seeds → identical centroids and codebooks; the only
-        // difference between the two indexes is the scan arithmetic, so the
-        // top-1 ADC distances must agree within the 8-bit LUT error bound.
-        // (Id-level agreement is not required: clustered data produces
-        // duplicate codes and therefore ties.)
-        let data = clustered_data(1500, 16, 3);
-        let pq_cfg = PqConfig {
-            m: 4,
-            ksub: 16,
-            train_iters: 5,
-            seed: 7,
-        };
-        let pq_index = IvfIndex::train(
-            &data,
-            &IvfConfig::new(16).storage(ListStorage::Pq(pq_cfg.clone())),
-        )
-        .unwrap();
-        let fs_index = IvfIndex::train(
-            &data,
-            &IvfConfig::new(16).storage(ListStorage::FastScan(pq_cfg)),
-        )
-        .unwrap();
-        for q in 0..20 {
-            let query = data.get(q * 71 % data.len());
-            let bound = QuantizedLut::from_lut(&pq_index.pq().unwrap().lut(query)).max_error();
-            let a = pq_index.search(query, 1, 8)[0].distance;
-            let b = fs_index.search(query, 1, 8)[0].distance;
-            assert!(
-                (a - b).abs() <= bound + 1e-3,
-                "query {q}: pq={a} fastscan={b} bound={bound}"
-            );
-        }
-    }
-
-    #[test]
     fn all_vectors_land_in_exactly_one_list() {
         let data = clustered_data(500, 8, 4);
         let index = IvfIndex::train(&data, &IvfConfig::new(8)).unwrap();
@@ -633,39 +439,6 @@ mod tests {
         assert_eq!(index.len(), 600);
         let hits = index.search(data.get(0), 1, 8);
         assert_eq!(hits[0].id, 1000);
-    }
-
-    #[test]
-    fn fastscan_incremental_add_preserves_existing_codes() {
-        let data = clustered_data(512, 16, 7);
-        let pq_cfg = PqConfig {
-            m: 4,
-            ksub: 16,
-            train_iters: 4,
-            seed: 3,
-        };
-        let cfg = IvfConfig::new(4).storage(ListStorage::FastScan(pq_cfg));
-        let mut index = IvfIndex::train_empty(&data, &cfg).unwrap();
-        let half = 256;
-        let first: Vec<u64> = (0..half as u64).collect();
-        let second: Vec<u64> = (half as u64..512).collect();
-        index
-            .add(&first, &data.select(&(0..half).collect::<Vec<_>>()))
-            .unwrap();
-        index
-            .add(&second, &data.select(&(half..512).collect::<Vec<_>>()))
-            .unwrap();
-
-        // Reference: everything added at once.
-        let mut reference = IvfIndex::train_empty(&data, &cfg).unwrap();
-        let all: Vec<u64> = (0..512).collect();
-        reference.add(&all, &data).unwrap();
-
-        for q in [0usize, 100, 300, 500] {
-            let a = index.search(data.get(q), 5, 4);
-            let b = reference.search(data.get(q), 5, 4);
-            assert_eq!(a, b, "incremental vs bulk mismatch at query {q}");
-        }
     }
 
     #[test]
@@ -726,10 +499,8 @@ mod tests {
                 let mut top = TopK::new(10);
                 for &l in &lists {
                     let list = &index.lists[l as usize];
-                    if let ListData::Flat(store) = &list.data {
-                        for (i, v) in store.iter().enumerate() {
-                            top.push(list.ids[i], metric.score(query, v));
-                        }
+                    for (i, v) in list.data.iter().enumerate() {
+                        top.push(list.ids[i], metric.score(query, v));
                     }
                 }
                 let want: Vec<(u64, u32)> = top
@@ -840,17 +611,6 @@ mod tests {
                 .map(|p| (p.list, p.distance.to_bits()))
                 .collect();
             proptest::prop_assert_eq!(got, probe_by_topk(&index, &query, nprobe));
-        }
-    }
-
-    #[test]
-    fn batch_search_matches_single() {
-        let data = clustered_data(400, 8, 10);
-        let index = IvfIndex::train(&data, &IvfConfig::new(8)).unwrap();
-        let queries = data.select(&[5, 50, 100, 200, 399]);
-        let batch = index.search_batch(&queries, 3, 4, 3);
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(batch[i], index.search(q, 3, 4));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! quantizer folded in. All were scalar loops until this module; here
 //! they get hand-written `std::arch` implementations:
 //!
-//! - **AVX2 + FMA** on `x86_64` ([`x86`]): 8-lane `f32` with fused
+//! - **AVX2 + FMA** on `x86_64` (`x86`): 8-lane `f32` with fused
 //!   multiply-add, two independent accumulators for ILP; SQ8 codes are
 //!   widened in registers (`vpmovzxbd` + `vcvtdq2ps`), four rows per
 //!   iteration; a 16-row panel group as two 8-lane halves, eight halves
@@ -14,7 +14,7 @@
 //! - **AVX-512** on `x86_64` with `avx512f` beside AVX2 + FMA: the AVX2
 //!   table with the two panel entries in zmm form, one 16-lane register
 //!   per 16-row group.
-//! - **NEON** on `aarch64` ([`neon`]): 4-lane `f32` with `vfmaq_f32`
+//! - **NEON** on `aarch64` (`neon`): 4-lane `f32` with `vfmaq_f32`
 //!   (the SQ8 and panel entries point at the scalar reference).
 //! - **Scalar** ([`scalar`]): the portable fallback, kept permanently as
 //!   the reference the property tests compare the SIMD paths against.

@@ -1,6 +1,7 @@
 //! K-means clustering (Lloyd's algorithm).
 //!
-//! Trains both the IVF coarse centroids and, per subspace, the PQ codebooks.
+//! Trains the IVF coarse centroids (and, in the Fig. 3 harness, one PQ
+//! codebook per subspace).
 //! Assignment is parallelized over data chunks with scoped threads; centroid
 //! updates are sequential (they are O(n·d) and not the bottleneck).
 

@@ -15,8 +15,9 @@
 //! memory-layout advantage that makes fast scan outrun classic IVF-PQ
 //! (paper Fig. 3 left) without hand-written intrinsics.
 
-use crate::pq::Lut;
-use crate::TopK;
+use vlite_ann::TopK;
+
+use super::pq::Lut;
 
 /// Number of vectors per fast-scan block.
 pub const FAST_SCAN_BLOCK: usize = 32;
@@ -79,6 +80,7 @@ impl QuantizedLut {
     }
 
     /// Worst-case absolute error versus the full-precision LUT distance.
+    #[cfg(test)]
     pub fn max_error(&self) -> f32 {
         self.m as f32 * self.scale / 2.0
     }
@@ -90,26 +92,7 @@ impl QuantizedLut {
 }
 
 /// PQ codes for one inverted list, laid out in fast-scan blocks.
-///
-/// # Examples
-///
-/// ```
-/// use vlite_ann::{FastScanList, PqConfig, ProductQuantizer, QuantizedLut, TopK, VecSet};
-/// use rand::{Rng, SeedableRng};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let data = VecSet::from_fn(300, 8, |_, _| rng.random::<f32>());
-/// let pq = ProductQuantizer::train(&data, &PqConfig::new(4))?;
-/// let ids: Vec<u64> = (0..300).collect();
-/// let list = FastScanList::build(&pq.encode_batch(&data), pq.m(), &ids);
-///
-/// let qlut = QuantizedLut::from_lut(&pq.lut(data.get(0)));
-/// let mut top = TopK::new(5);
-/// list.scan(&qlut, &mut top);
-/// assert_eq!(top.into_sorted()[0].id, 0);
-/// # Ok::<(), vlite_ann::AnnError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FastScanList {
     m: usize,
     len: usize,
@@ -145,47 +128,13 @@ impl FastScanList {
         }
     }
 
-    /// Number of encoded vectors.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of subquantizers.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Memory footprint of the blocked code storage in bytes.
-    pub fn bytes(&self) -> usize {
-        self.blocks.len() + self.ids.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Recovers the row-major (`len × m`) code matrix by inverting the
-    /// blocked transposition. Used when appending to a list forces a layout
-    /// rebuild.
-    pub fn to_codes(&self) -> Vec<u8> {
-        let mut codes = vec![0u8; self.len * self.m];
-        for i in 0..self.len {
-            let b = i / FAST_SCAN_BLOCK;
-            let lane = i % FAST_SCAN_BLOCK;
-            for j in 0..self.m {
-                codes[i * self.m + j] = self.blocks[(b * self.m + j) * FAST_SCAN_BLOCK + lane];
-            }
-        }
-        codes
-    }
-
     /// Scans the whole list against a quantized LUT, offering every vector
     /// to `top`. Returns the number of distance computations performed.
     pub fn scan(&self, lut: &QuantizedLut, top: &mut TopK) -> usize {
         debug_assert_eq!(lut.m(), self.m);
         let nblocks = self.len.div_ceil(FAST_SCAN_BLOCK);
         let mut acc = [0u32; FAST_SCAN_BLOCK];
+        let mut dist = [0.0f32; FAST_SCAN_BLOCK];
         for b in 0..nblocks {
             acc.fill(0);
             for j in 0..self.m {
@@ -196,12 +145,12 @@ impl FastScanList {
                     acc[lane] += u32::from(row[codes[lane] as usize]);
                 }
             }
+            for (d, &sum) in dist.iter_mut().zip(&acc) {
+                *d = lut.bias + lut.scale * sum as f32;
+            }
             let base = b * FAST_SCAN_BLOCK;
             let lanes = FAST_SCAN_BLOCK.min(self.len - base);
-            for (lane, &sum) in acc.iter().enumerate().take(lanes) {
-                let dist = lut.bias + lut.scale * sum as f32;
-                top.push(self.ids[base + lane], dist);
-            }
+            top.offer(&self.ids[base..base + lanes], &dist[..lanes]);
         }
         self.len
     }
@@ -209,10 +158,11 @@ impl FastScanList {
 
 #[cfg(test)]
 mod tests {
+    use super::super::pq::{PqConfig, ProductQuantizer};
     use super::*;
-    use crate::{PqConfig, ProductQuantizer, VecSet};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use vlite_ann::VecSet;
 
     fn setup(n: usize) -> (VecSet, ProductQuantizer, FastScanList) {
         let mut rng = StdRng::seed_from_u64(11);
@@ -228,7 +178,8 @@ mod tests {
         let pq = ProductQuantizer::train(&data, &cfg).unwrap();
         let subset = data.select(&(0..n).collect::<Vec<_>>());
         let ids: Vec<u64> = (0..n as u64).collect();
-        let list = FastScanList::build(&pq.encode_batch(&subset), pq.m(), &ids);
+        let codes: Vec<u8> = subset.iter().flat_map(|v| pq.encode(v)).collect();
+        let list = FastScanList::build(&codes, pq.m(), &ids);
         (data, pq, list)
     }
 
@@ -258,7 +209,6 @@ mod tests {
     fn non_multiple_of_block_size_handled() {
         for n in [1, 31, 32, 33, 63, 65] {
             let (_, pq, list) = setup(n);
-            assert_eq!(list.len(), n);
             let query: Vec<f32> = vec![0.5; 8];
             let qlut = QuantizedLut::from_lut(&pq.lut(&query));
             let mut top = TopK::new(n);
@@ -307,12 +257,5 @@ mod tests {
         let mut top = TopK::new(3);
         assert_eq!(list.scan(&qlut, &mut top), 0);
         assert!(top.is_empty());
-    }
-
-    #[test]
-    fn bytes_accounts_blocks_and_ids() {
-        let (_, _, list) = setup(33);
-        // 33 vectors → 2 blocks × m=4 × 32 bytes of codes + 33 ids × 8 bytes.
-        assert_eq!(list.bytes(), 2 * 4 * 32 + 33 * 8);
     }
 }

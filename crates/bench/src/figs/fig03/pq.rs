@@ -8,7 +8,7 @@
 //! distance is the sum of `m` table lookups — the "LUT construction" and
 //! "LUT scan" stages whose cost dominates IVF search latency (paper Fig. 3).
 
-use crate::{l2_sq, AnnError, KMeans, KMeansConfig, KMeansInit, Result, VecSet};
+use vlite_ann::{l2_sq, AnnError, KMeans, KMeansConfig, KMeansInit, Result, VecSet};
 
 /// Configuration for [`ProductQuantizer::train`].
 #[derive(Debug, Clone, PartialEq)]
@@ -25,6 +25,7 @@ pub struct PqConfig {
     pub seed: u64,
 }
 
+#[cfg(test)]
 impl PqConfig {
     /// Creates a config with `m` subquantizers and 256-entry codebooks.
     pub fn new(m: usize) -> Self {
@@ -38,23 +39,6 @@ impl PqConfig {
 }
 
 /// A trained product quantizer.
-///
-/// # Examples
-///
-/// ```
-/// use vlite_ann::{PqConfig, ProductQuantizer, VecSet};
-/// use rand::{Rng, SeedableRng};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let data = VecSet::from_fn(1000, 8, |_, _| rng.random::<f32>());
-/// let pq = ProductQuantizer::train(&data, &PqConfig::new(4))?;
-/// let codes = pq.encode(data.get(0));
-/// assert_eq!(codes.len(), 4);
-/// let lut = pq.lut(data.get(0));
-/// // The ADC distance of a vector to itself is its quantization error — small.
-/// assert!(lut.distance(&codes) < 0.5);
-/// # Ok::<(), vlite_ann::AnnError>(())
-/// ```
 #[derive(Debug, Clone)]
 pub struct ProductQuantizer {
     dim: usize,
@@ -161,23 +145,8 @@ impl ProductQuantizer {
         })
     }
 
-    /// Vector dimensionality this quantizer encodes.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of subquantizers (= bytes per code).
     pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Codebook size per subquantizer.
-    pub fn ksub(&self) -> usize {
-        self.ksub
-    }
-
-    /// Code size per vector in bytes.
-    pub fn code_bytes(&self) -> usize {
         self.m
     }
 
@@ -205,20 +174,12 @@ impl ProductQuantizer {
         codes
     }
 
-    /// Encodes every vector of `data`, returning a flat `n × m` code buffer.
-    pub fn encode_batch(&self, data: &VecSet) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len() * self.m);
-        for v in data.iter() {
-            out.extend_from_slice(&self.encode(v));
-        }
-        out
-    }
-
     /// Reconstructs the vector represented by `codes`.
     ///
     /// # Panics
     ///
     /// Panics if `codes.len() != m`.
+    #[cfg(test)]
     pub fn decode(&self, codes: &[u8]) -> Vec<f32> {
         assert_eq!(codes.len(), self.m, "decode: wrong code length");
         let mut out = Vec::with_capacity(self.dim);
@@ -251,6 +212,7 @@ impl ProductQuantizer {
     }
 
     /// Mean squared reconstruction error over `data`.
+    #[cfg(test)]
     pub fn reconstruction_error(&self, data: &VecSet) -> f64 {
         if data.is_empty() {
             return 0.0;
@@ -353,24 +315,5 @@ mod tests {
             ProductQuantizer::train(&data, &cfg),
             Err(AnnError::InsufficientTrainingData { .. })
         ));
-    }
-
-    #[test]
-    fn encode_batch_matches_individual_encode() {
-        let data = random_data(50, 8, 7);
-        let pq = small_pq(&data, 4);
-        let batch = pq.encode_batch(&data);
-        for i in 0..data.len() {
-            assert_eq!(
-                &batch[i * 4..(i + 1) * 4],
-                pq.encode(data.get(i)).as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn code_bytes_is_m() {
-        let data = random_data(100, 8, 8);
-        assert_eq!(small_pq(&data, 4).code_bytes(), 4);
     }
 }

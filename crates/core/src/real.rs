@@ -197,18 +197,12 @@ impl RealDeployment {
     ///
     /// # Errors
     ///
-    /// [`StoreError::Unsupported`] unless the index uses flat list storage
-    /// (the index is then left untouched); any segment write/validation
-    /// error.
+    /// Any segment write/validation error.
     pub fn build_tiered_store(
         &mut self,
         segment_path: &std::path::Path,
     ) -> std::result::Result<TieredStore, StoreError> {
-        let Some(lists) = self.index.take_flat_lists() else {
-            return Err(StoreError::Unsupported(
-                "tiered storage requires flat (full-precision) list storage".into(),
-            ));
-        };
+        let lists = self.index.take_flat_lists();
         let hot: Vec<bool> = (0..self.index.nlist() as u32)
             .map(|c| self.router.split().is_hot(c))
             .collect();
@@ -225,7 +219,6 @@ impl RealDeployment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlite_ann::{ListStorage, PqConfig};
     use vlite_workload::CorpusConfig;
 
     fn deployment() -> RealDeployment {
@@ -280,40 +273,6 @@ mod tests {
         assert!((0.0..=1.0).contains(&d.decision.coverage));
         assert!(d.decision.index_bytes <= d.profile.total_bytes());
         assert!(d.decision.expected_batch >= 1);
-    }
-
-    #[test]
-    fn unsupported_storage_leaves_the_index_intact() {
-        // Regression: the storage check must run before the lists are
-        // detached — a failed store build on a gutted index would make
-        // every subsequent scan silently return nothing.
-        let corpus = SyntheticCorpus::generate(&CorpusConfig {
-            n_vectors: 2000,
-            dim: 8,
-            n_centers: 16,
-            zipf_exponent: 1.1,
-            noise: 0.25,
-            seed: 4,
-        });
-        let mut config = RealConfig::small();
-        config.ivf = IvfConfig::new(16).storage(ListStorage::Pq(PqConfig {
-            m: 4,
-            ksub: 16,
-            train_iters: 4,
-            seed: 3,
-        }));
-        let mut d = RealDeployment::build(&corpus, config).expect("PQ builds");
-        let path = std::env::temp_dir().join(format!("vlite-real-pq-{}.seg", std::process::id()));
-        let err = d.build_tiered_store(&path).expect_err("PQ unsupported");
-        assert!(matches!(err, StoreError::Unsupported(_)), "{err}");
-        assert!(!path.exists(), "no segment may be written");
-        // The index still owns every vector and serves full result lists.
-        assert_eq!(
-            d.index.list_sizes().iter().sum::<usize>(),
-            corpus.vectors.len()
-        );
-        let hits = d.search_flat_path(corpus.vectors.get(0));
-        assert_eq!(hits.len(), d.config.top_k);
     }
 
     #[test]

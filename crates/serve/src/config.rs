@@ -229,8 +229,7 @@ impl DeadlinePolicy {
 /// marks hot become resident full-precision arenas, cold clusters live in
 /// the segment file's mmap'd SQ8 extents, and the control loop moves
 /// cluster extents between tiers right after every online repartition
-/// without stalling the scans. The index therefore needs flat list storage
-/// ([`RagServer::start`](crate::RagServer::start) refuses anything else).
+/// without stalling the scans.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StoreConfig {
     /// Directory holding the segment file (`vlite-store.seg`). `None`

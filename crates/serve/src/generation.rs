@@ -1,11 +1,11 @@
 //! The retrieval → generation bridge (end-to-end co-scheduling).
 //!
-//! When a [`GenerationConfig`](crate::GenerationConfig) is set, the
+//! When a [`GenerationConfig`] is set, the
 //! batcher forwards every merged retrieval result to a dedicated
 //! generation worker thread instead of replying directly. The worker
 //! assembles the prompt (base tokens plus a per-retrieved-document token
 //! cost), submits it to a [`LlmEngine`] and steps the engine against the
-//! server's [`Clock`]: each iteration's virtual duration comes from the
+//! server's [`Clock`](crate::Clock): each iteration's virtual duration comes from the
 //! LLM cost model, and the worker sleeps (real clock) or advances
 //! (virtual clock) to the iteration boundary, so wall-clock runs overlap
 //! generation with the next batch's retrieval exactly like the paper's

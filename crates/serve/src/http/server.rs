@@ -3,7 +3,7 @@
 //!
 //! | Endpoint | Maps to |
 //! |---|---|
-//! | `POST /v1/search` (+ `X-Tenant`, `traceparent`) | [`RagServer::submit_with_trace`], blocks on the [`Ticket`](crate::Ticket), streams the merged result back with a `traceparent` response header |
+//! | `POST /v1/search` (+ `X-Tenant`, `traceparent`) | [`RagServer::submit_with_trace`], blocks on the [`Ticket`], streams the merged result back with a `traceparent` response header |
 //! | `GET /v1/report` | [`RagServer::report`] as JSON |
 //! | `GET /v1/metrics` | [`RagServer::prometheus_text`] + frontend uptime, as Prometheus text exposition |
 //! | `GET /v1/traces` | the recent + slow finished requests, listed from the span store's `request` roots (each entry carries its `trace_id`) |

@@ -30,9 +30,7 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use vlite_ann::{
-    merge_sorted, scan_lists_store_batch, AnnError, BatchQuery, IvfIndex, ListStorage, Neighbor,
-};
+use vlite_ann::{merge_sorted, scan_lists_store_batch, BatchQuery, IvfIndex, Neighbor};
 use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
 use vlite_sim::{SimDuration, SimTime};
 use vlite_store::TieredStore;
@@ -475,20 +473,12 @@ impl RagServer {
     ///
     /// # Errors
     ///
-    /// [`AnnError::InvalidConfig`] — before any training — when
-    /// `config.real.ivf` is not flat list storage, the only indexes the
-    /// tiered store can hold; otherwise propagates index-training errors.
+    /// Propagates index-training errors.
     pub fn start_with_clock(
         corpus: &SyntheticCorpus,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> vlite_ann::Result<RagServer> {
-        let storage = &config.real.ivf.storage;
-        if !matches!(storage, ListStorage::Flat) {
-            return Err(AnnError::InvalidConfig(format!(
-                "the tiered store needs flat list storage, not {storage:?}"
-            )));
-        }
         let deployment = RealDeployment::build(corpus, config.real.clone())?;
         Ok(Self::from_deployment_with_clock(deployment, config, clock))
     }
@@ -508,10 +498,8 @@ impl RagServer {
     ///
     /// # Panics
     ///
-    /// Panics if the tiered store cannot be built or reopened — including
-    /// an index that is not flat list storage, which
-    /// [`RagServer::start`] refuses up front — if the deployment has
-    /// no shards, if the tenant table is invalid (zero weight or
+    /// Panics if the tiered store cannot be built or reopened, if the
+    /// deployment has no shards, if the tenant table is invalid (zero weight or
     /// capacity), if the generation config has a zero batch cap or cannot
     /// fit its worst-case request in KV, or if the control loop is keyed
     /// off TTFT without a generation stage.

@@ -12,13 +12,13 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`core`] | `vlite-core` | Access-skew profiling, Beta/order-statistic hit-rate estimation, latency-bounded partitioning (Algorithm 1), index splitter, router, dynamic dispatcher, serving pipeline, adaptive update |
-//! | [`ann`] | `vlite-ann` | IVF-Flat / IVF-PQ / fast-scan indexes (exact coarse quantizer, L2 or inner product), k-means, product & scalar quantizers, recall/NDCG |
+//! | [`ann`] | `vlite-ann` | IVF-Flat index (exact coarse quantizer, L2 or inner product), k-means, SQ8 scalar quantizer, runtime-dispatched SIMD kernels, recall/NDCG |
 //! | [`llm`] | `vlite-llm` | Continuous-batching LLM engine simulator, paged KV cache, model specs, throughput probes |
-//! | [`serve`] | `vlite-serve` | Real-time serving runtime: multi-tenant weighted-fair admission, dynamic batching, shard workers + dispatcher threads, retrieval → LLM co-scheduling with TTFT accounting, online SLO-aware repartitioning with live tier migration, real/virtual clocks |
+//! | [`serve`] | `vlite-serve` | Real-time serving runtime: multi-tenant weighted-fair admission, dynamic batching, shard workers gathered by the batcher, retrieval → LLM co-scheduling with TTFT accounting, online SLO-aware repartitioning with live tier migration, real/virtual clocks |
 //! | [`store`] | `vlite-store` | Tiered vector storage engine: resident full-precision hot arenas + mmap'd SQ8 cold segments (checksummed on-disk format) behind the `ClusterStore` trait, with non-blocking tier migration |
 //! | [`sim`] | `vlite-sim` | Virtual time, event queue, device catalog, GPU memory ledgers, Poisson arrivals |
 //! | [`workload`] | `vlite-workload` | Skew-calibrated cluster workloads, synthetic corpora, dataset presets |
-//! | [`metrics`] | `vlite-metrics` | Latency recorders, SLO trackers, result tables/series |
+//! | [`metrics`] | `vlite-metrics` | Latency recorders, lock-free counters/gauges/histograms, span stores, result tables/series |
 //!
 //! # Quickstart
 //!

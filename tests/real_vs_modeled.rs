@@ -1,7 +1,7 @@
 //! Integration: the real tier (actual IVF index + one-shot dispatcher) and
 //! its consistency with the modeled tier's abstractions.
 
-use vectorlite_rag::ann::{eval, FlatIndex, IvfConfig, ListStorage, Metric};
+use vectorlite_rag::ann::{eval, FlatIndex, IvfConfig, Metric};
 use vectorlite_rag::core::{RealConfig, RealDeployment};
 use vectorlite_rag::serve::hybrid_search_batch;
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -44,15 +44,12 @@ fn real_deployment_full_stack() {
 
 #[test]
 fn real_index_quality_is_high() {
-    // Quality of the *index structure* (coarse quantization + routing) is
-    // measured with flat list storage: the paper's 0.91-NDCG operating
-    // point concerns recall of the probed clusters, not PQ resolution.
-    // (On this synthetic blob corpus, aggressive PQ collapses within-blob
-    // distances to ties, which is exercised separately in the PQ unit
-    // tests via reconstruction error.)
+    // Quality of the *index structure* (coarse quantization + routing):
+    // the paper's 0.91-NDCG operating point concerns recall of the probed
+    // clusters, which full-precision lists measure without code error.
     let corpus = corpus();
     let mut config = RealConfig::small();
-    config.ivf = IvfConfig::new(96).storage(ListStorage::Flat);
+    config.ivf = IvfConfig::new(96);
     config.nprobe = 24;
     let deployment = RealDeployment::build(&corpus, config).expect("builds");
     let flat = FlatIndex::new(corpus.vectors.clone(), Metric::L2);

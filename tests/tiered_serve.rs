@@ -1,7 +1,7 @@
 //! Integration: the serving runtime over the physical storage tiers of
 //! `vlite-store`.
 //!
-//! Four contracts, all on the deterministic [`VirtualClock`]:
+//! Three contracts, all on the deterministic [`VirtualClock`]:
 //!
 //! 1. **Save → load → serve is bit-identical.** A server started against
 //!    an existing segment file (same corpus, same seeds, pinned coverage)
@@ -12,15 +12,13 @@
 //!    hot-swaps the router, then promotes/demotes cluster extents itself
 //!    while batches keep completing — zero snapshot waits, every request
 //!    served.
-//! 3. **Only tierable indexes serve.** PQ and fast-scan list storage are
-//!    refused at start-up instead of falling back to another scan path.
-//! 4. **Tier accounting is physical.** Fast/cold probe counters and
+//! 3. **Tier accounting is physical.** Fast/cold probe counters and
 //!    fast-tier residency in the report reflect where bytes actually
 //!    live, end to end through render/CSV/JSON.
 
 use std::sync::Arc;
 
-use vectorlite_rag::ann::{AnnError, IvfConfig, ListStorage, Neighbor, PqConfig};
+use vectorlite_rag::ann::Neighbor;
 use vectorlite_rag::core::{RealConfig, UpdateConfig};
 use vectorlite_rag::serve::loadgen::{run_open_loop, RotatingQuerySource};
 use vectorlite_rag::serve::{ControlConfig, RagServer, ServeConfig, VirtualClock};
@@ -176,37 +174,6 @@ fn repartition_migration_completes_while_the_dispatcher_keeps_draining() {
     let rendered = report.render();
     assert!(rendered.contains("tiered store:"), "render: {rendered}");
     assert!(rendered.contains("tier migrations"), "render: {rendered}");
-}
-
-#[test]
-fn non_tierable_indexes_are_refused_before_training() {
-    // Every server scans through the tiered store, which holds flat lists
-    // only. Either non-flat storage is a config error at start-up, not a
-    // second scan path. The corpus is smaller than `nlist`,
-    // so an error from training (instead of this check) would show up as
-    // `InsufficientTrainingData`.
-    let tiny = SyntheticCorpus::generate(&CorpusConfig {
-        n_vectors: 16,
-        dim: 16,
-        n_centers: 4,
-        zipf_exponent: 1.2,
-        noise: 0.25,
-        seed: 9,
-    });
-    let pq = ListStorage::Pq(PqConfig::new(4));
-    let fast_scan = ListStorage::FastScan(PqConfig::new(4));
-    for (storage, name) in [(pq, "Pq"), (fast_scan, "FastScan")] {
-        let mut config = config();
-        config.real.ivf = IvfConfig::new(64).storage(storage);
-        let err = RagServer::start_with_clock(&tiny, config, Arc::new(VirtualClock::new()))
-            .expect_err("a non-tierable index must not start");
-        let AnnError::InvalidConfig(msg) = err else {
-            panic!("expected InvalidConfig, got {err:?}");
-        };
-        for name in [name, "flat"] {
-            assert!(msg.contains(name), "{msg:?} does not name {name}");
-        }
-    }
 }
 
 #[test]
