@@ -5,10 +5,9 @@
 //! loops as the always-tested fallback. The entry points here are the
 //! crate's stable public API; they pay one relaxed atomic load of
 //! dispatch state per call. Scan loops resolve a
-//! [`crate::kernel::Kernels`] table once per pass instead and score a
-//! block of stored vectors per call: row-major through
-//! [`Metric::score_block`], 16-row panels (the hot tier's layout) through
-//! [`Metric::score_panels`].
+//! [`crate::kernel::Kernels`] table once per pass instead, and score
+//! 16-row panels — the hot tier's layout and the IVF probe's copy of the
+//! centroids — through [`Metric::score_panels`], many rows per call.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,32 +70,12 @@ impl Metric {
         }
     }
 
-    /// Block counterpart of [`Metric::score`] for scan loops: scores
-    /// `query` against the `out.len()` row-major vectors of `block`
-    /// through `kern`'s block kernels, with `out[i]` bit-identical to
-    /// `self.score(query, block[i])` under the same kernel kind. The
-    /// metric branch runs once per block, not per vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block.len() != out.len() * query.len()`.
-    pub fn score_block(self, kern: &Kernels, query: &[f32], block: &[f32], out: &mut [f32]) {
-        match self {
-            Metric::L2 => (kern.l2_sq_block)(query, block, out),
-            Metric::InnerProduct => {
-                (kern.dot_block)(query, block, out);
-                for d in out.iter_mut() {
-                    *d = -*d;
-                }
-            }
-        }
-    }
-
-    /// Panel counterpart of [`Metric::score_block`]: scores `query`
-    /// against whole 16-row groups in the
+    /// Panel counterpart of [`Metric::score`] for scan loops: scores
+    /// `query` against whole 16-row groups in the
     /// [`kernel::to_panels`](crate::kernel::to_panels) layout through
     /// `kern`'s panel entries, one distance per row, pad rows included.
-    /// Inner product negates.
+    /// Inner product negates; the metric branch runs once per call, not
+    /// per row.
     ///
     /// # Panics
     ///

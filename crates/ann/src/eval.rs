@@ -73,27 +73,6 @@ pub fn ndcg_at_k(truth: &[Neighbor], approx: &[Neighbor], k: usize) -> f64 {
     dcg / ideal
 }
 
-/// Mean of a metric over query pairs.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mean_metric(
-    truths: &[Vec<Neighbor>],
-    approxes: &[Vec<Neighbor>],
-    k: usize,
-    metric: fn(&[Neighbor], &[Neighbor], usize) -> f64,
-) -> f64 {
-    assert_eq!(truths.len(), approxes.len(), "query count mismatch");
-    assert!(!truths.is_empty(), "need at least one query");
-    truths
-        .iter()
-        .zip(approxes)
-        .map(|(t, a)| metric(t, a, k))
-        .sum::<f64>()
-        / truths.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +118,6 @@ mod tests {
         let truth = nb(&[1, 2, 3, 4]);
         let approx = nb(&[1]);
         assert_eq!(recall_at_k(&truth, &approx, 4), 0.25);
-    }
-
-    #[test]
-    fn mean_metric_averages() {
-        let truths = vec![nb(&[1, 2]), nb(&[3, 4])];
-        let approxes = vec![nb(&[1, 2]), nb(&[9, 9])];
-        assert_eq!(mean_metric(&truths, &approxes, 2, recall_at_k), 0.5);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! the hybrid CPU/GPU runtime can time and split them:
 //!
 //! 1. **Coarse quantization** ([`IvfIndex::probe`]) — score every
-//!    centroid in one block and keep the closest `nprobe`.
+//!    centroid in one panel call, over a 16-row panel copy of the
+//!    centroids built at training, and keep the closest `nprobe`.
 //! 2. **List scan** ([`IvfIndex::scan_lists`]) — score the vectors of the
-//!    selected inverted lists with the block kernel and keep the top-k.
+//!    selected inverted lists with the pair kernels and keep the top-k.
 
 use std::borrow::Cow;
 
@@ -104,8 +105,9 @@ pub struct IvfIndex {
     config: IvfConfig,
     dim: usize,
     centroids: KMeans,
+    /// The centroids in the panel layout [`IvfIndex::probe`] scores.
+    centroid_panels: Vec<f32>,
     lists: Vec<InvertedList>,
-    ntotal: usize,
 }
 
 impl IvfIndex {
@@ -155,9 +157,9 @@ impl IvfIndex {
         Ok(IvfIndex {
             config: config.clone(),
             dim: data.dim(),
+            centroid_panels: panels_of(centroids.centroids()),
             centroids,
             lists,
-            ntotal: 0,
         })
     }
 
@@ -198,18 +200,18 @@ impl IvfIndex {
                 list.data.push(data.get(row));
             }
         }
-        self.ntotal += data.len();
         Ok(())
     }
 
-    /// Total number of indexed vectors.
+    /// Number of vectors the lists hold (none once
+    /// [`IvfIndex::take_flat_lists`] has detached them).
     pub fn len(&self) -> usize {
-        self.ntotal
+        self.lists.iter().map(InvertedList::len).sum()
     }
 
-    /// Whether the index holds no vectors.
+    /// Whether the lists hold no vectors.
     pub fn is_empty(&self) -> bool {
-        self.ntotal == 0
+        self.len() == 0
     }
 
     /// Vector dimensionality.
@@ -229,11 +231,6 @@ impl IvfIndex {
     /// Panics if `l` is out of range.
     pub fn list_len(&self, l: usize) -> usize {
         self.lists[l].len()
-    }
-
-    /// Per-list sizes, the input to the splitter's round-robin packing.
-    pub fn list_sizes(&self) -> Vec<usize> {
-        self.lists.iter().map(InvertedList::len).collect()
     }
 
     /// Memory footprint of list `l` in bytes (vectors + ids).
@@ -259,10 +256,10 @@ impl IvfIndex {
     pub fn probe(&self, query: &[f32], nprobe: usize) -> Vec<Probe> {
         assert_eq!(query.len(), self.dim, "query has wrong dimensionality");
         let nprobe = nprobe.min(self.nlist()).max(1);
-        let (centroids, metric) = (self.centroids.centroids(), self.config.metric);
-        let mut dist = vec![0.0f32; centroids.len()];
-        metric.score_block(&kernel::kernels(), query, centroids.as_flat(), &mut dist);
-        nearest(&dist, nprobe)
+        let (n, metric) = (self.centroids.centroids().len(), self.config.metric);
+        let mut dist = vec![0.0f32; n.div_ceil(kernel::PANEL_ROWS) * kernel::PANEL_ROWS];
+        metric.score_panels(&kernel::kernels(), query, &self.centroid_panels, &mut dist);
+        nearest(&dist[..n], nprobe)
     }
 
     /// Stage 2 — scan over the given lists, returning the top-`k` hits.
@@ -355,8 +352,14 @@ fn probe_of_key(key: u64) -> Probe {
     }
 }
 
-/// Flat scan of one inverted list: the block kernel fills a stack buffer
-/// one L1-sized run of vectors at a time, [`TopK::offer`] admits.
+/// `centroids` in the panel layout the probe scores.
+fn panels_of(centroids: &VecSet) -> Vec<f32> {
+    let values = centroids.as_flat().iter().copied();
+    kernel::to_panels(centroids.len(), centroids.dim(), values)
+}
+
+/// Flat scan of one inverted list: the pair kernel fills a stack buffer
+/// [`kernel::MAX_BLOCK`] vectors at a time, [`TopK::offer`] admits.
 fn scan_flat(
     metric: Metric,
     kern: &Kernels,
@@ -365,12 +368,16 @@ fn scan_flat(
     vectors: &VecSet,
     top: &mut TopK,
 ) {
-    let step = kernel::block_len(vectors.dim());
     let mut dist = [0.0f32; kernel::MAX_BLOCK];
-    let blocks = vectors.as_flat().chunks(step * vectors.dim());
-    for (ids, block) in ids.chunks(step).zip(blocks) {
+    let mut rows = vectors.iter();
+    for ids in ids.chunks(kernel::MAX_BLOCK) {
         let dist = &mut dist[..ids.len()];
-        metric.score_block(kern, query, block, dist);
+        for (d, row) in dist.iter_mut().zip(&mut rows) {
+            *d = match metric {
+                Metric::L2 => (kern.l2_sq)(query, row),
+                Metric::InnerProduct => -(kern.dot)(query, row),
+            };
+        }
         top.offer(ids, dist);
     }
 }
@@ -425,8 +432,22 @@ mod tests {
     fn all_vectors_land_in_exactly_one_list() {
         let data = clustered_data(500, 8, 4);
         let index = IvfIndex::train(&data, &IvfConfig::new(8)).unwrap();
-        assert_eq!(index.list_sizes().iter().sum::<usize>(), 500);
+        let listed: usize = (0..index.nlist()).map(|l| index.list_len(l)).sum();
+        assert_eq!(listed, 500);
         assert_eq!(index.len(), 500);
+    }
+
+    #[test]
+    fn detaching_the_lists_empties_the_index() {
+        let data = clustered_data(500, 8, 5);
+        let mut index = IvfIndex::train(&data, &IvfConfig::new(8)).unwrap();
+        let detached = index.take_flat_lists();
+        assert_eq!(
+            detached.iter().map(|(ids, _)| ids.len()).sum::<usize>(),
+            500
+        );
+        assert_eq!(index.len(), 0);
+        assert!(index.is_empty());
     }
 
     #[test]
@@ -463,11 +484,12 @@ mod tests {
         assert_eq!(index.probe(data.get(0), 2).len(), 2);
     }
 
-    /// The block-kernel probe and flat scan against the loops they
-    /// replaced (one `Metric::score` + `TopK::push` per vector): the same
-    /// `(list, distance)` / `(id, distance)` sequences, bit for bit, under
-    /// every metric, with list and centroid counts on both sides of the
-    /// sub-block size.
+    /// The probe and the flat scan against per-pair loops feeding a
+    /// `TopK`: the same `(list, distance)` / `(id, distance)` sequences,
+    /// bit for bit, under every metric, with list and centroid counts on
+    /// both sides of the 16-row panel group and the 64-entry scan buffer.
+    /// The probe's oracle is the panel entries' per-row `mul_add` chain
+    /// (the same on every kernel table); the scan's is `Metric::score`.
     #[test]
     fn probe_and_flat_scan_equal_the_per_pair_loops() {
         let data = clustered_data(1500, 24, 11);
@@ -481,7 +503,7 @@ mod tests {
                 for nprobe in [1usize, 2, nlist as usize] {
                     let mut top = TopK::new(nprobe);
                     for (c, centroid) in index.centroids().iter().enumerate() {
-                        top.push(c as u64, metric.score(query, centroid));
+                        top.push(c as u64, mul_add_score(metric, query, centroid));
                     }
                     let want: Vec<(u32, u32)> = top
                         .into_sorted()
@@ -518,23 +540,27 @@ mod tests {
         }
     }
 
-    /// The probe as it was before partial selection: block distances
-    /// offered to a `TopK` of `nprobe`.
-    fn probe_by_topk(index: &IvfIndex, query: &[f32], nprobe: usize) -> Vec<(u32, u32)> {
-        let kern = kernel::kernels();
-        let centroids = index.centroids();
-        let step = kernel::block_len(index.dim);
-        let mut top = TopK::new(nprobe.clamp(1, centroids.len()));
-        let mut dist = [0.0f32; kernel::MAX_BLOCK];
-        for (b, block) in centroids.as_flat().chunks(step * index.dim).enumerate() {
-            let n = block.len() / index.dim;
-            let ids: Vec<u64> = (0..n).map(|i| (b * step + i) as u64).collect();
-            index
-                .config
-                .metric
-                .score_block(&kern, query, block, &mut dist[..n]);
-            top.offer(&ids, &dist[..n]);
+    /// The panel entries' per-row oracle under `metric`: one `mul_add`
+    /// per dimension, in dimension order, from +0.0; inner product
+    /// negates.
+    fn mul_add_score(metric: Metric, query: &[f32], row: &[f32]) -> f32 {
+        let terms = query.iter().zip(row);
+        match metric {
+            Metric::L2 => terms.fold(0.0f32, |acc, (&q, &x)| (q - x).mul_add(q - x, acc)),
+            Metric::InnerProduct => -terms.fold(0.0f32, |acc, (&q, &x)| q.mul_add(x, acc)),
         }
+    }
+
+    /// The probe as it was before partial selection: the centroids'
+    /// panel distances offered to a `TopK` of `nprobe`.
+    fn probe_by_topk(index: &IvfIndex, query: &[f32], nprobe: usize) -> Vec<(u32, u32)> {
+        let (nlist, panels) = (index.centroids().len(), &index.centroid_panels);
+        let mut dist = vec![0.0f32; panels.len() / index.dim];
+        let metric = index.config.metric;
+        metric.score_panels(&kernel::kernels(), query, panels, &mut dist);
+        let ids: Vec<u64> = (0..nlist as u64).collect();
+        let mut top = TopK::new(nprobe.clamp(1, nlist));
+        top.offer(&ids, &dist[..nlist]);
         top.into_sorted()
             .iter()
             .map(|n| (n.id as u32, n.distance.to_bits()))
@@ -603,6 +629,7 @@ mod tests {
             let data = clustered_data(4 * nlist.max(8), dim, 17);
             let mut index = IvfIndex::train(&data, &IvfConfig::new(nlist).metric(metric)).unwrap();
             index.centroids = KMeans::from_centroids(VecSet::from_fn(nlist, dim, |c, j| palette[picks[c]][j]));
+            index.centroid_panels = panels_of(index.centroids());
             let query: Vec<f32> = (0..dim).map(|j| (j as f32 * 0.37 + phase).cos()).collect();
             let nprobe = [1, nlist, mid.min(nlist)][nprobe_pick];
             let got: Vec<(u32, u32)> = index

@@ -36,26 +36,15 @@
 //! kind the CPU runs; [`table`] hands out any other table it can run
 //! too, so tests hold every one of them against the scalar reference.
 //!
-//! # Block entries
+//! # SQ8 block entries
 //!
-//! A flat scan does not call a kernel per stored vector. Beside the pair
-//! kernels the table carries **block** entries — [`Kernels::l2_sq_block`]
-//! and [`Kernels::dot_block`], `fn(query, block, out)` with
-//! `block.len() == out.len() * query.len()` — that score one query
-//! against a row-major run of stored vectors and write one distance per
-//! vector. The AVX2+FMA implementation scores four stored vectors per
-//! iteration (each query chunk is loaded once per four vectors, and the
-//! four 8-lane sums are reduced together by a transposed `hadd` tree);
-//! scalar and NEON loop over their pair kernel. The contract is **bit
-//! identity**: `out[i]` equals the same table's pair kernel on
-//! `(query, block[i])` `to_bits()` for `to_bits()`, so switching a scan
-//! loop from pairs to blocks moves no oracle, golden or recall figure.
-//!
-//! The SQ8 block entries have the same shape over code rows —
-//! [`Kernels::sq8_l2_block`] `fn(a, scale, codes, out)` and
-//! [`Kernels::sq8_dot_block`] `fn(w, codes, out)`, with
-//! `codes.len() == out.len() * dim` — where `a = query − mins` and
-//! `w = query · scales` are built once per (query, batch) by
+//! A cold scan does not call a kernel per stored code row. The SQ8
+//! **block** entries — [`Kernels::sq8_l2_block`] `fn(a, scale, codes, out)`
+//! and [`Kernels::sq8_dot_block`] `fn(w, codes, out)`, with
+//! `codes.len() == out.len() * dim` — score one folded query against a
+//! row-major run of code rows and write one distance per row, where
+//! `a = query − mins` and `w = query · scales` are built once per
+//! (query, batch) by
 //! [`ScalarQuantizer::fold_query`](crate::ScalarQuantizer::fold_query).
 //! Their contract is bit identity with *themselves*: a block call equals
 //! one call per row, so a run boundary never moves a result.
@@ -83,12 +72,12 @@
 //! distance does not depend on which run of groups it was scored in.
 //!
 //! Scan loops fill a stack buffer of at most [`MAX_BLOCK`] distances
-//! ([`block_len`] vectors or [`sq8_block_len`] code rows at a time, sized
-//! so the sub-block stays in L1 across the queries of a batch; panel rows
-//! in [`panel_runs`] of up to four groups) and hand it to
-//! [`TopK::offer`](crate::TopK::offer), which skips every eight distances
-//! past the current k-th one with one test and lets `push` decide the
-//! rest.
+//! ([`sq8_block_len`] code rows at a time, sized so the sub-block stays
+//! in L1 across the queries of a batch; panel rows in [`panel_runs`] of
+//! up to four groups; an in-index flat list one pair-kernel call per row)
+//! and hand it to [`TopK::offer`](crate::TopK::offer), which skips every
+//! eight distances past the current k-th one with one test and lets
+//! `push` decide the rest.
 //!
 //! Setting `VLITE_FORCE_SCALAR=1` in the environment pins dispatch to
 //! the scalar kernels (read once, at first dispatch); CI's kernel
@@ -110,7 +99,7 @@
 //! `a − c·scale` (one rounding where the scalar reference takes two), so
 //! each difference moves by up to `ε · c·scale` before it is squared; its
 //! envelope is `(n + 2) · ε · Σ(|a[j]| + c[j]·scale[j])²`.
-//! Where the operation order allows no reassociation (length ≤ 1 blocks,
+//! Where the operation order allows no reassociation (length ≤ 1 inputs,
 //! the scalar tail) results are bit-exact. The panel entries differ from
 //! the pair kernels by the same envelope (they accumulate sequentially,
 //! with FMA, per row), and from each other across tables not at all.
@@ -288,13 +277,6 @@ pub struct Kernels {
     /// `table.len() == codes.len() · 256`. Kept for the benchmark
     /// ledger's kernel pass; scans use the two SQ8 block entries.
     pub sq8_lut_sum: fn(&[f32], &[u8]) -> f32,
-    /// Block dot: `out[i] = dot(query, block[i·dim..(i+1)·dim])`, bit
-    /// identical to [`Kernels::dot`]; panics unless
-    /// `block.len() == out.len() · query.len()`.
-    pub dot_block: fn(&[f32], &[f32], &mut [f32]),
-    /// Block squared-L2, bit identical to [`Kernels::l2_sq`]; same shape
-    /// contract as [`Kernels::dot_block`].
-    pub l2_sq_block: fn(&[f32], &[f32], &mut [f32]),
     /// SQ8 block squared-L2 over code rows, `fn(a, scale, codes, out)`:
     /// `out[i] = Σⱼ (a[j] − codes[i·dim + j]·scale[j])²`, bit identical to
     /// one call per row; panics unless `scale.len() == a.len()` and
@@ -315,8 +297,8 @@ pub struct Kernels {
     pub dot_panels: fn(&[f32], &[f32], &mut [f32]),
 }
 
-/// The most distances a scan loop asks a block kernel for at once — the
-/// size of the callers' stack buffers.
+/// The most distances a scan loop scores into its stack buffer at once —
+/// the size of the callers' stack buffers.
 pub const MAX_BLOCK: usize = 64;
 
 /// Rows per panel group: one 16-lane f32 register's worth (two 8-lane
@@ -359,18 +341,6 @@ pub fn to_panels(n: usize, dim: usize, values: impl IntoIterator<Item = f32>) ->
     panels
 }
 
-/// Rows of `row_bytes` each per sub-block: as many as fit 16 KiB (half
-/// of a 32 KiB L1d, leaving room for the queries), at least the 4 the
-/// AVX2 block kernels consume per iteration, at most [`MAX_BLOCK`].
-fn rows_in_half_l1(row_bytes: usize) -> usize {
-    (16 * 1024 / row_bytes.max(1)).clamp(4, MAX_BLOCK)
-}
-
-/// Stored f32 vectors per sub-block at dimensionality `dim`.
-pub fn block_len(dim: usize) -> usize {
-    rows_in_half_l1(dim.saturating_mul(4))
-}
-
 /// `0..total` cut into `total.div_ceil(max)` consecutive runs whose
 /// lengths differ by at most one (none longer than `max`).
 fn balanced_runs(total: usize, max: usize) -> impl Iterator<Item = Range<usize>> {
@@ -385,7 +355,7 @@ fn balanced_runs(total: usize, max: usize) -> impl Iterator<Item = Range<usize>>
 /// eight half-group chains) each, and balanced — 9 groups run as
 /// 3 × 3, not 4 + 4 + 1, so no run is one latency-bound group.
 ///
-/// At dim 64 a run is 16 KiB, the [`block_len`] budget. Above it the
+/// At dim 64 a run is 16 KiB, half of a 32 KiB L1d. Above it the
 /// chains win over L1 residency: a cluster scan at dims 128, 256 and 768
 /// with 8-row runs cut to 16 KiB (4, 2 and 1 chains) measured 1.3×, 2×
 /// and 3.5× slower than with 64-row runs streaming from L2.
@@ -395,10 +365,11 @@ pub fn panel_runs(n: usize) -> impl Iterator<Item = Range<usize>> {
 }
 
 /// SQ8 code rows (one byte per dimension) per sub-block at dimensionality
-/// `dim` — [`MAX_BLOCK`] up to dim 256, where [`block_len`] would already
-/// have shrunk to 16.
+/// `dim`: as many as fit 16 KiB (half of a 32 KiB L1d, leaving room for
+/// the queries), at least the 4 the AVX2 SQ8 block entries consume per
+/// iteration, at most [`MAX_BLOCK`] — so [`MAX_BLOCK`] up to dim 256.
 pub fn sq8_block_len(dim: usize) -> usize {
-    rows_in_half_l1(dim)
+    (16 * 1024 / dim.max(1)).clamp(4, MAX_BLOCK)
 }
 
 impl std::fmt::Debug for Kernels {
@@ -414,29 +385,11 @@ pub const SCALAR_KERNELS: Kernels = Kernels {
     dot: scalar::dot,
     l2_sq: scalar::l2_sq,
     sq8_lut_sum: scalar::sq8_lut_sum,
-    dot_block: |query, block, out| block_by_pairs(scalar::dot, query, block, out),
-    l2_sq_block: |query, block, out| block_by_pairs(scalar::l2_sq, query, block, out),
     sq8_l2_block: scalar::sq8_l2_block,
     sq8_dot_block: scalar::sq8_dot_block,
     l2_sq_panels: scalar::l2_sq_panels,
     dot_panels: scalar::dot_panels,
 };
-
-/// A block entry as a loop over a pair kernel — how the scalar and NEON
-/// tables implement [`Kernels::dot_block`] / [`Kernels::l2_sq_block`]
-/// (bit identity with the pair kernel is then by construction).
-fn block_by_pairs(
-    pair: impl Fn(&[f32], &[f32]) -> f32,
-    query: &[f32],
-    block: &[f32],
-    out: &mut [f32],
-) {
-    let dim = query.len();
-    assert_eq!(block.len(), out.len() * dim);
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = pair(query, &block[i * dim..(i + 1) * dim]);
-    }
-}
 
 /// The AVX2 + FMA table. Private: its entries may only be reached once
 /// detection confirmed the features ([`kernels`], [`table`]).
@@ -446,8 +399,6 @@ const AVX2_KERNELS: Kernels = Kernels {
     dot: x86::dot,
     l2_sq: x86::l2_sq,
     sq8_lut_sum: x86::sq8_lut_sum,
-    dot_block: x86::dot_block,
-    l2_sq_block: x86::l2_sq_block,
     sq8_l2_block: x86::sq8_l2_block,
     sq8_dot_block: x86::sq8_dot_block,
     l2_sq_panels: x86::l2_sq_panels,
@@ -497,8 +448,6 @@ fn build(kind: KernelKind) -> Kernels {
             l2_sq: neon::l2_sq,
             // Every SQ8 and panel entry is the scalar reference on NEON.
             sq8_lut_sum: scalar::sq8_lut_sum,
-            dot_block: |query, block, out| block_by_pairs(neon::dot, query, block, out),
-            l2_sq_block: |query, block, out| block_by_pairs(neon::l2_sq, query, block, out),
             sq8_l2_block: scalar::sq8_l2_block,
             sq8_dot_block: scalar::sq8_dot_block,
             l2_sq_panels: scalar::l2_sq_panels,

@@ -6,25 +6,18 @@
 //! confirmed `avx2` and `fma`. The f32 reductions run two independent
 //! 8-lane FMA accumulators (breaking the dependency chain for ILP).
 //!
-//! The block entries ([`dot_block`], [`l2_sq_block`]) score **four**
-//! stored vectors per iteration against one query: each 8-lane query
-//! chunk is loaded once and fed to the four vectors' accumulators (the
-//! same two per vector, in the same order, as the pair kernels), and the
-//! four 8-lane sums are reduced together by [`hsum8x4`], whose `hadd`
-//! tree adds the same operands in the same order as [`hsum8`]. The result
-//! is bit-identical to the pair kernel, per vector; the `n % 4` leftover
-//! vectors go through the pair kernel itself.
-//!
 //! The SQ8 block entries ([`sq8_l2_block`], [`sq8_dot_block`]) score code
 //! rows directly, no table: 8 codes are widened to f32 lanes
 //! (`vpmovzxbd` + `vcvtdq2ps`) and fed to one FMA (dot) or a fused decode
 //! `a − c·scale` and one FMA (L2), four rows per iteration so each chunk
-//! of the query context is loaded once per four rows, reduced by the same
-//! [`hsum8x4`]. A ragged last group re-scores its last row in the spare
-//! lanes, so a row's sum never depends on where in a run it sits: the
-//! block call is bit-identical to one call per row. [`sq8_lut_sum`], the
-//! `vgatherdps` walk over a per-query table these entries replaced, stays
-//! for the benchmark ledger's kernel pass; no scan calls it.
+//! of the query context is loaded once per four rows, and the four 8-lane
+//! sums are reduced together by [`hsum8x4`], whose `hadd` tree adds the
+//! same operands in the same order as [`hsum8`]. A ragged last group
+//! re-scores its last row in the spare lanes, so a row's sum never
+//! depends on where in a run it sits: the block call is bit-identical to
+//! one call per row. [`sq8_lut_sum`], the `vgatherdps` walk over a
+//! per-query table these entries replaced, stays for the benchmark
+//! ledger's kernel pass; no scan calls it.
 //!
 //! The panel entries ([`l2_sq_panels`], [`dot_panels`]) score 16-row
 //! dim-major groups as two 8-lane halves: `query[d]` is broadcast once per
@@ -96,36 +89,6 @@ pub fn sq8_lut_sum(table: &[f32], codes: &[u8]) -> f32 {
     // gather index bound (< 2048 f32 from the moving base) is argued at
     // the gather site inside.
     unsafe { sq8_avx2(table, codes) }
-}
-
-/// AVX2+FMA block dot (`out[i] = dot(query, block[i])`, bit-identical to
-/// [`dot`]); dispatch-only entry.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * query.len()` (the assert is
-/// load-bearing: it is what makes the unchecked 8-lane loads sound).
-pub fn dot_block(query: &[f32], block: &[f32], out: &mut [f32]) {
-    assert_eq!(Some(block.len()), out.len().checked_mul(query.len()));
-    // SAFETY: CPUID-gated dispatch guarantees the avx2+fma
-    // target-feature precondition of `block_avx2`; the shape relation its
-    // load bounds are argued from was just asserted (overflow-checked,
-    // in all build profiles).
-    unsafe { block_avx2::<false>(query, block, out) }
-}
-
-/// AVX2+FMA block squared-L2 (bit-identical to [`l2_sq`] per vector);
-/// dispatch-only entry.
-///
-/// # Panics
-///
-/// Panics if `block.len() != out.len() * query.len()` (load-bearing, as
-/// for [`dot_block`]).
-pub fn l2_sq_block(query: &[f32], block: &[f32], out: &mut [f32]) {
-    assert_eq!(Some(block.len()), out.len().checked_mul(query.len()));
-    // SAFETY: same argument as `dot_block` — CPUID-gated dispatch for
-    // the target features, the just-asserted shape for the load bounds.
-    unsafe { block_avx2::<true>(query, block, out) }
 }
 
 /// AVX2+FMA SQ8 block squared-L2 over code rows
@@ -475,97 +438,6 @@ unsafe fn sq8_block_avx2<const L2: bool>(
     }
 }
 
-// SAFETY: `unsafe` is the target-feature contract plus one raw 8-lane
-// load at `v`, which every caller bounds (`j + 8 <= dim` inside a vector
-// that lies wholly inside `block`). One accumulation step of the pair
-// kernels: `l2_sq_avx2`'s when `L2`, `dot_avx2`'s otherwise.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn step<const L2: bool>(q: __m256, v: *const f32, acc: __m256) -> __m256 {
-    let x = _mm256_loadu_ps(v);
-    if L2 {
-        let d = _mm256_sub_ps(q, x);
-        _mm256_fmadd_ps(d, d, acc)
-    } else {
-        _mm256_fmadd_ps(q, x, acc)
-    }
-}
-
-// Four stored vectors per iteration; rows `n - n % 4..n` and every row's
-// `dim % 8` tail go through the pair kernels' own code via safe slices.
-//
-// SAFETY: `unsafe` is the target-feature contract (callers checked CPUID)
-// plus `block.len() == out.len() * query.len()`, asserted by both
-// callers. Load bounds: under `i + 4 <= n`, rows `i..i + 4` start at
-// `(i + r) * dim` and end at or before `n * dim == block.len()`; within
-// a row every 8-lane load sits at `j` or `j + 8` under `j + 16 <= dim`,
-// or at `j` under `j + 8 <= dim`, and the same `j` bounds the query
-// loads (`query.len() == dim`).
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn block_avx2<const L2: bool>(query: &[f32], block: &[f32], out: &mut [f32]) {
-    let dim = query.len();
-    let n = out.len();
-    let q = query.as_ptr();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let base = block.as_ptr().add(i * dim);
-        let v = [base, base.add(dim), base.add(2 * dim), base.add(3 * dim)];
-        // The pair kernel's acc0 / acc1, one pair per stored vector.
-        let mut acc0 = [_mm256_setzero_ps(); 4];
-        let mut acc1 = [_mm256_setzero_ps(); 4];
-        let mut j = 0usize;
-        while j + 16 <= dim {
-            let q0 = _mm256_loadu_ps(q.add(j));
-            let q1 = _mm256_loadu_ps(q.add(j + 8));
-            for r in 0..4 {
-                acc0[r] = step::<L2>(q0, v[r].add(j), acc0[r]);
-                acc1[r] = step::<L2>(q1, v[r].add(j + 8), acc1[r]);
-            }
-            j += 16;
-        }
-        if j + 8 <= dim {
-            let q0 = _mm256_loadu_ps(q.add(j));
-            for r in 0..4 {
-                acc0[r] = step::<L2>(q0, v[r].add(j), acc0[r]);
-            }
-            j += 8;
-        }
-        let mut sums = [0.0f32; 4];
-        _mm_storeu_ps(
-            sums.as_mut_ptr(),
-            hsum8x4(
-                _mm256_add_ps(acc0[0], acc1[0]),
-                _mm256_add_ps(acc0[1], acc1[1]),
-                _mm256_add_ps(acc0[2], acc1[2]),
-                _mm256_add_ps(acc0[3], acc1[3]),
-            ),
-        );
-        // The pair kernels' scalar tail, per row.
-        for (r, sum) in sums.iter_mut().enumerate() {
-            let row = &block[(i + r) * dim..(i + r + 1) * dim];
-            for t in j..dim {
-                if L2 {
-                    let d = query[t] - row[t];
-                    *sum += d * d;
-                } else {
-                    *sum += query[t] * row[t];
-                }
-            }
-        }
-        out[i..i + 4].copy_from_slice(&sums);
-        i += 4;
-    }
-    while i < n {
-        let row = &block[i * dim..(i + 1) * dim];
-        out[i] = if L2 {
-            l2_sq_avx2(query, row)
-        } else {
-            dot_avx2(query, row)
-        };
-        i += 1;
-    }
-}
-
 // SAFETY: `unsafe` is the target-feature contract only (callers checked
 // CPUID); every `loadu` reads 8 f32 at offset i with `i + 8 <= n`
 // maintained by the loop bounds, and the tail indexes via safe slices.
@@ -676,11 +548,10 @@ unsafe fn hsum8(v: __m256) -> f32 {
 }
 
 // SAFETY: `unsafe` is the target-feature contract only (pure register
-// shuffles and adds, no memory access); only called from the block
-// kernels above, themselves CPUID-gated. Lane r of the result is `hsum8`
+// shuffles and adds, no memory access); only called from
+// `sq8_block_avx2`, itself CPUID-gated. Lane r of the result is `hsum8`
 // of the r-th argument, bit for bit: the same low-half + high-half add
-// per vector,
-// then `hadd` forms `hsum8`'s (s0+s1), (s2+s3) and, applied again, their
+// per vector, then `hadd` forms `hsum8`'s (s0+s1), (s2+s3) and, applied again, their
 // sum — four vectors per instruction instead of one.
 #[target_feature(enable = "avx2")]
 unsafe fn hsum8x4(a: __m256, b: __m256, c: __m256, d: __m256) -> __m128 {

@@ -183,7 +183,7 @@ impl ScalarQuantizer {
 /// A query with a [`ScalarQuantizer`] folded in
 /// ([`ScalarQuantizer::fold_query`]): `dim` floats that score SQ8 code
 /// rows through the kernel table's SQ8 block entries — to code rows what
-/// [`Metric::score_block`] is to f32 rows.
+/// [`Metric::score_panels`] is to f32 panels.
 #[derive(Debug, Clone)]
 pub struct Sq8Query<'a> {
     metric: Metric,

@@ -55,21 +55,6 @@ impl VecSet {
         s
     }
 
-    /// Wraps an existing flat buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of `dim`.
-    pub fn from_flat(dim: usize, data: Vec<f32>) -> Self {
-        assert!(dim > 0, "vector dimensionality must be positive");
-        assert_eq!(
-            data.len() % dim,
-            0,
-            "flat buffer length must be a multiple of dim"
-        );
-        Self { dim, data }
-    }
-
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
@@ -193,11 +178,5 @@ mod tests {
     #[should_panic(expected = "wrong dimensionality")]
     fn mismatched_push_rejected() {
         VecSet::new(3).push(&[1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of dim")]
-    fn ragged_flat_buffer_rejected() {
-        VecSet::from_flat(3, vec![1.0; 7]);
     }
 }

@@ -176,44 +176,11 @@ fn wave(len: usize, phase: f32) -> Vec<f32> {
         .collect()
 }
 
-/// Every unroll width, tail length and four-row remainder of the block
-/// kernels: dims around the 8- and 16-lane steps, row counts around the
-/// four-row step and the 64-entry scan buffer.
+/// Every unroll width, tail length and four-row remainder of the SQ8
+/// block kernels: dims around the 8- and 16-lane steps, row counts around
+/// the four-row step and the 64-entry scan buffer.
 const BLOCK_DIMS: [usize; 9] = [1, 7, 8, 9, 16, 24, 64, 67, 100];
 const BLOCK_ROWS: [usize; 7] = [0, 1, 3, 4, 5, 64, 65];
-
-/// The block contract: `out[i]` is the same table's pair kernel on
-/// `(query, block[i])`, bit for bit — for the dispatched table (AVX2/NEON
-/// on the native leg, scalar on the forced-scalar leg) and for the scalar
-/// table always.
-#[test]
-fn block_kernels_are_bit_identical_to_the_pair_kernels() {
-    for table in [kernel::kernels(), kernel::SCALAR_KERNELS] {
-        for dim in BLOCK_DIMS {
-            for n in BLOCK_ROWS {
-                let query = wave(dim, 0.5);
-                let block = wave(n * dim, 1.25);
-                let mut dots = vec![f32::NAN; n];
-                let mut l2s = vec![f32::NAN; n];
-                (table.dot_block)(&query, &block, &mut dots);
-                (table.l2_sq_block)(&query, &block, &mut l2s);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    let what = format!("kind={:?} dim={dim} n={n} row={i}", table.kind);
-                    assert_eq!(
-                        dots[i].to_bits(),
-                        (table.dot)(&query, row).to_bits(),
-                        "dot {what}"
-                    );
-                    assert_eq!(
-                        l2s[i].to_bits(),
-                        (table.l2_sq)(&query, row).to_bits(),
-                        "l2 {what}"
-                    );
-                }
-            }
-        }
-    }
-}
 
 /// A deterministic code fill that hits 0, 255 and everything between.
 fn code_wave(len: usize, stride: usize) -> Vec<u8> {
@@ -313,38 +280,6 @@ fn sq8_block_kernels_handle_extreme_codes_in_every_lane() {
                     "sq8 dot {what}: {} vs {dot}",
                     dots[i]
                 );
-            }
-        }
-    }
-}
-
-/// `Metric::score_block` is `Metric::score` per row, bit for bit, under
-/// every metric (inner product's negation included). The
-/// per-row oracle is spelled out over the *same* table rather than
-/// calling `Metric::score`, which re-reads the dispatch state the
-/// override test below flips concurrently.
-#[test]
-fn score_block_is_bit_identical_to_score() {
-    let table = kernel::kernels();
-    let score = |metric: Metric, q: &[f32], v: &[f32]| match metric {
-        Metric::L2 => (table.l2_sq)(q, v),
-        Metric::InnerProduct => -(table.dot)(q, v),
-    };
-    for metric in [Metric::L2, Metric::InnerProduct] {
-        for dim in BLOCK_DIMS {
-            for n in BLOCK_ROWS {
-                let query = wave(dim, 2.0);
-                let block = wave(n * dim, 0.75);
-                let mut out = vec![f32::NAN; n];
-                metric.score_block(&table, &query, &block, &mut out);
-                for (i, row) in block.chunks_exact(dim).enumerate() {
-                    assert_eq!(
-                        out[i].to_bits(),
-                        score(metric, &query, row).to_bits(),
-                        "{metric:?} kind={:?} dim={dim} n={n} row={i}",
-                        table.kind
-                    );
-                }
             }
         }
     }
@@ -530,14 +465,6 @@ fn panel_kernels_reject_ragged_shapes_on_every_table() {
             }
         }
     }
-}
-
-/// A block whose shape disagrees with `out` is refused before any load.
-#[test]
-#[should_panic]
-fn block_kernel_rejects_a_ragged_block() {
-    let mut out = [0.0f32; 4];
-    (kernel::kernels().l2_sq_block)(&[0.0; 8], &[0.0; 31], &mut out);
 }
 
 /// Code rows whose total disagrees with `out` are refused before any
