@@ -193,9 +193,9 @@ pub fn rules() -> &'static [Rule] {
                 pat(&[".wait(", ").expect("]),
             ],
             check: Check::Forbid,
-            message: "poisoning panic on lock acquisition; route through the poisoned-lock \
-                      recovery helpers so one panicking worker cannot cascade into every path \
-                      that shares the lock",
+            message: "poisoning panic on lock acquisition; recover the guard instead, through \
+                      a `*_recover` helper or with `.unwrap_or_else(PoisonError::into_inner)`, so \
+                      one panicking worker cannot cascade into every path that shares the lock",
         },
         Rule {
             id: "bounded-queues",

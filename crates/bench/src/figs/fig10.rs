@@ -1,7 +1,7 @@
 //! Fig. 10 — performance-model validation: predicted vs measured search
 //! latency and tail (batch-minimum) hit rate across batch sizes.
 
-use vlite_core::{HybridSearchEngine, RagConfig, RagSystem, Router, SearchRequest, SystemKind};
+use vlite_core::{HybridSearchEngine, RagConfig, RagSystem, SearchRequest, SystemKind};
 use vlite_llm::ModelSpec;
 use vlite_metrics::Table;
 use vlite_sim::SimTime;
@@ -40,7 +40,7 @@ pub fn run() {
                 system.cost.clone(),
                 system.workload.clone(),
                 &system.profile,
-                Router::new(system.router.split().clone()),
+                system.router.clone(),
                 true,
                 system.shard_gpus.clone(),
                 system.config.node.n_gpus,

@@ -12,7 +12,7 @@ use vlite_workload::{ClusterWorkload, DatasetPreset};
 
 use crate::{
     partition, AccessProfile, HitRateEstimator, IndexSplit, PartitionDecision, PartitionInput,
-    PerfModel, Router, SearchCostModel,
+    PerfModel, SearchCostModel,
 };
 
 /// Which serving system runs retrieval (paper §V-A baselines + §VI-D).
@@ -195,7 +195,7 @@ pub struct RagSystem {
     /// Partitioning decision (coverage 0 for CPU-only, 1 for ALL-GPU).
     pub decision: PartitionDecision,
     /// Index split across retrieval GPUs (empty shards for CPU-only).
-    pub router: Router,
+    pub router: IndexSplit,
     /// LLM cost model (per instance).
     pub llm_cost: LlmCostModel,
     /// Number of LLM instances (TP groups) on the node.
@@ -315,8 +315,7 @@ impl RagSystem {
             SystemKind::DedGpu => (1, vec![config.node.n_gpus - 1]),
             _ => (llm_gpus.max(1), (0..llm_gpus.max(1)).collect()),
         };
-        let split = IndexSplit::build(&profile, decision.coverage, n_shards);
-        let router = Router::new(split);
+        let router = IndexSplit::build(&profile, decision.coverage, n_shards);
 
         // Memory accounting: per-GPU ledger with params, shard, workspace;
         // KV gets the remainder, evenly across each instance's GPUs.
@@ -332,12 +331,7 @@ impl RagSystem {
                 .expect("workspace fits");
         }
         for (shard, &gpu) in shard_gpus.iter().enumerate() {
-            let bytes = router
-                .split()
-                .shard_bytes()
-                .get(shard)
-                .copied()
-                .unwrap_or(0);
+            let bytes = router.shard_bytes().get(shard).copied().unwrap_or(0);
             // DED-GPU may hold an index larger than one GPU; cap at capacity
             // (the spill is precisely why the paper calls it wasteful).
             let granted = ledgers[gpu].reserve_up_to(MemoryRegion::IndexShard, bytes);

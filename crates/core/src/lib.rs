@@ -14,9 +14,10 @@
 //!    binary search for the largest SLO-compliant cache coverage ρ under
 //!    the KV-cache/throughput feedback loop (§IV-A3).
 //! 4. **Index splitting** ([`IndexSplit`]) — hot clusters sharded
-//!    round-robin by size with mapping tables (§IV-A4).
-//! 5. **Distributed runtime** ([`Router`], [`HybridSearchEngine`],
-//!    [`RagPipeline`]) — probe pruning, dynamic dispatch of
+//!    round-robin by size with a cluster → shard mapping table (§IV-A4).
+//! 5. **Distributed runtime** ([`IndexSplit::route`],
+//!    [`HybridSearchEngine`], [`RagPipeline`]) — probe pruning by the
+//!    split's placement (global cluster ids), dynamic dispatch of
 //!    early-finishing queries, co-scheduled LLM serving (§IV-B). The
 //!    wall-clock, multi-threaded serving runtime over a real index lives
 //!    in the `vlite-serve` crate, consuming [`RealDeployment`] as its
@@ -77,7 +78,7 @@ pub use perfmodel::PerfModel;
 pub use pipeline::{PipelineConfig, RagPipeline, RunResult};
 pub use profile::AccessProfile;
 pub use real::{RealConfig, RealDeployment};
-pub use router::{RoutedQuery, Router};
+pub use router::RoutedQuery;
 pub use search_engine::{BatchPlan, HybridSearchEngine, QueryPlan, SearchRequest, SearchStats};
 pub use splitter::{IndexSplit, Placement};
 pub use update::{run_update_cycle, DriftMonitor, RebuildTiming, UpdateConfig, UpdateCycle};

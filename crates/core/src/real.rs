@@ -1,14 +1,16 @@
 //! Real-tier deployment: the VectorLiteRAG *offline* stage over an actual
 //! [`IvfIndex`] (no cost models): train, profile access patterns with
 //! calibration queries, fit the latency model from wall-clock measurements,
-//! run Algorithm 1, and build the split + router.
+//! run Algorithm 1, and build the split that routes every probe.
 //!
 //! The *runtime* side — shard workers, CPU scan pool, threaded dynamic
 //! dispatcher (§IV-B2) and the online control loop — lives in the
 //! `vlite-serve` crate, which consumes a [`RealDeployment`] as its offline
 //! artifact. This module is deliberately a thin client: everything needed
-//! to serve (index, router, perf model, estimator, decision) is exposed as
-//! public state.
+//! to serve (index, split, perf model, estimator, decision) is exposed as
+//! public state. The split keeps only cluster → shard: every shard worker
+//! scans the one [`TieredStore`] by global cluster id, so routing needs no
+//! shard-local id space.
 
 use std::time::Instant;
 
@@ -18,7 +20,7 @@ use vlite_workload::SyntheticCorpus;
 
 use crate::{
     partition, AccessProfile, HitRateEstimator, IndexSplit, PartitionDecision, PartitionInput,
-    PerfModel, Router,
+    PerfModel,
 };
 
 /// Configuration for a real-tier deployment.
@@ -79,8 +81,8 @@ pub struct RealDeployment {
     pub estimator: HitRateEstimator,
     /// Partitioning decision.
     pub decision: PartitionDecision,
-    /// Router over the built split.
-    pub router: Router,
+    /// The built split; [`IndexSplit::route`] routes each probe list.
+    pub router: IndexSplit,
     /// The deployment configuration.
     pub config: RealConfig,
 }
@@ -153,8 +155,7 @@ impl RealDeployment {
         let input = PartitionInput::new(config.slo_search, config.mu_llm0, config.kv_bytes_full);
         let decision = partition(&input, &perf, &estimator, &profile);
         let coverage = config.coverage_override.unwrap_or(decision.coverage);
-        let split = IndexSplit::build(&profile, coverage, config.n_shards);
-        let router = Router::new(split);
+        let router = IndexSplit::build(&profile, coverage, config.n_shards);
         Ok(Self {
             index,
             profile,
@@ -184,7 +185,7 @@ impl RealDeployment {
 
     /// Builds (or reopens) a [`TieredStore`] at `segment_path` from this
     /// deployment, making the partitioner's placement physical: the
-    /// router's hot clusters become resident full-precision arenas, the
+    /// split's hot clusters become resident full-precision arenas, the
     /// cold ones live in the segment's mmap'd SQ8 extents. The index's
     /// flat list payloads are *detached* into the store — after this call
     /// the deployment's bytes genuinely live where the placement says, and
@@ -204,7 +205,7 @@ impl RealDeployment {
     ) -> std::result::Result<TieredStore, StoreError> {
         let lists = self.index.take_flat_lists();
         let hot: Vec<bool> = (0..self.index.nlist() as u32)
-            .map(|c| self.router.split().is_hot(c))
+            .map(|c| self.router.is_hot(c))
             .collect();
         TieredStore::create_or_open(
             segment_path,
@@ -285,14 +286,14 @@ mod tests {
         let mut store = d.build_tiered_store(&path).expect("store builds");
         store.set_ephemeral(true);
 
-        // The store's tiers mirror the router's placement exactly.
+        // The store's tiers mirror the split's placement exactly.
         let flags = store.hot_flags();
         for c in 0..d.index.nlist() as u32 {
-            assert_eq!(flags[c as usize], d.router.split().is_hot(c));
+            assert_eq!(flags[c as usize], d.router.is_hot(c));
         }
         let residency = store.residency();
         assert_eq!(residency.total_clusters, d.index.nlist());
-        assert_eq!(residency.hot_clusters, d.router.split().hot_count());
+        assert_eq!(residency.hot_clusters, d.router.hot_count());
 
         // The index's own lists were detached: bytes moved into the store.
         assert!(d.index.search(&[0.5; 16], 10, 16).is_empty());

@@ -1,31 +1,31 @@
-//! Query router (§IV-B1).
+//! Query routing (§IV-B1).
 //!
-//! After coarse quantization, the router splits each query's probe list by
-//! the mapping tables: probes of GPU-resident clusters go to exactly the
-//! shard holding them (with remapped local ids), the rest stay on the CPU.
-//! Unlike Faiss's `IndexIVFShards` — which sends the *full* probe list to
-//! every shard and launches kernels even for non-resident clusters — the
-//! router prunes, so per-shard `nprobe` shrinks and GPU scheduling pressure
-//! drops.
+//! After coarse quantization, [`IndexSplit::route`] splits each query's
+//! probe list by the split's placement: probes of GPU-resident clusters go
+//! to exactly the shard holding them, the rest stay on the CPU. Unlike
+//! Faiss's `IndexIVFShards` — which sends the *full* probe list to every
+//! shard and launches kernels even for non-resident clusters — routing
+//! prunes, so per-shard `nprobe` shrinks and GPU scheduling pressure drops.
+//!
+//! The paper's router also rewrites each probe into its shard's local
+//! cluster id, because every GPU holds its own sub-index. Here every shard
+//! scans the one tiered store by global id, so routed probes stay global.
 
 use crate::{IndexSplit, Placement};
 
-/// A query's probe list after routing.
+/// A query's probe list after routing, in global cluster ids.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedQuery {
-    /// Per-shard probe lists, as shard-local cluster ids.
-    pub shard_probes: Vec<Vec<u32>>,
-    /// Per-shard probe lists, as global cluster ids (same order as
-    /// `shard_probes`; kept for accounting and result attribution).
+    /// Per-shard probe lists, in probe order.
     pub shard_probes_global: Vec<Vec<u32>>,
-    /// Probes served by the CPU (global cluster ids).
+    /// Probes served by the CPU, in probe order.
     pub cpu_probes: Vec<u32>,
 }
 
 impl RoutedQuery {
     /// Number of probes that hit GPU-resident clusters.
     pub fn gpu_probe_count(&self) -> usize {
-        self.shard_probes.iter().map(Vec::len).sum()
+        self.shard_probes_global.iter().map(Vec::len).sum()
     }
 
     /// Total probes (GPU + CPU) — conserved from the input list.
@@ -44,91 +44,55 @@ impl RoutedQuery {
     }
 }
 
-/// Routes probe lists through an [`IndexSplit`]'s mapping tables.
-///
-/// # Examples
-///
-/// ```
-/// use vlite_core::{AccessProfile, IndexSplit, Router};
-/// use vlite_workload::DatasetPreset;
-///
-/// let preset = DatasetPreset::tiny();
-/// let wl = preset.workload(13);
-/// let profile = AccessProfile::from_workload(&preset, &wl, 1_000, 13);
-/// let split = IndexSplit::build(&profile, 0.2, 2);
-/// let router = Router::new(split);
-/// let routed = router.route(&[0, 1, 2, 3]);
-/// assert_eq!(routed.total_probes(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Router {
-    split: IndexSplit,
-}
-
-impl Router {
-    /// Creates a router over a built split.
-    pub fn new(split: IndexSplit) -> Self {
-        Self { split }
-    }
-
-    /// The underlying split.
-    pub fn split(&self) -> &IndexSplit {
-        &self.split
-    }
-
-    /// Replaces the split (used by the adaptive runtime update when a
-    /// refreshed shard set is loaded).
-    pub fn install_split(&mut self, split: IndexSplit) {
-        self.split = split;
-    }
-
+impl IndexSplit {
     /// Routes one query's probe list.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vlite_core::{AccessProfile, IndexSplit};
+    /// use vlite_workload::DatasetPreset;
+    ///
+    /// let preset = DatasetPreset::tiny();
+    /// let wl = preset.workload(13);
+    /// let profile = AccessProfile::from_workload(&preset, &wl, 1_000, 13);
+    /// let split = IndexSplit::build(&profile, 0.2, 2);
+    /// let routed = split.route(&[0, 1, 2, 3]);
+    /// assert_eq!(routed.total_probes(), 4);
+    /// ```
     pub fn route(&self, probes: &[u32]) -> RoutedQuery {
-        let n_shards = self.split.n_shards();
-        let mut shard_probes: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut shard_probes_global: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
+        let mut shard_probes_global: Vec<Vec<u32>> = vec![Vec::new(); self.n_shards()];
         let mut cpu_probes = Vec::new();
         for &cluster in probes {
-            match self.split.placement(cluster) {
+            match self.placement(cluster) {
                 Placement::Cpu => cpu_probes.push(cluster),
-                Placement::Gpu { shard, local } => {
-                    shard_probes[usize::from(shard)].push(local);
-                    shard_probes_global[usize::from(shard)].push(cluster);
-                }
+                Placement::Gpu { shard } => shard_probes_global[usize::from(shard)].push(cluster),
             }
         }
         RoutedQuery {
-            shard_probes,
             shard_probes_global,
             cpu_probes,
         }
-    }
-
-    /// Routes a batch of probe lists.
-    pub fn route_batch(&self, batch: &[Vec<u32>]) -> Vec<RoutedQuery> {
-        batch.iter().map(|probes| self.route(probes)).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::AccessProfile;
+    use crate::{AccessProfile, IndexSplit};
     use vlite_workload::DatasetPreset;
 
-    fn router(coverage: f64, shards: usize) -> (Router, AccessProfile) {
+    fn split(coverage: f64, shards: usize) -> (IndexSplit, AccessProfile) {
         let preset = DatasetPreset::tiny();
         let wl = preset.workload(13);
         let profile = AccessProfile::from_workload(&preset, &wl, 2000, 13);
-        let split = IndexSplit::build(&profile, coverage, shards);
-        (Router::new(split), profile)
+        (IndexSplit::build(&profile, coverage, shards), profile)
     }
 
     #[test]
     fn probes_are_conserved_exactly_once() {
-        let (router, profile) = router(0.25, 4);
+        let (split, profile) = split(0.25, 4);
         let probes: Vec<u32> = (0..profile.nlist() as u32).step_by(3).collect();
-        let routed = router.route(&probes);
+        let routed = split.route(&probes);
         assert_eq!(routed.total_probes(), probes.len());
         // Global ids across CPU + shards reproduce the input as a set.
         let mut all: Vec<u32> = routed.cpu_probes.clone();
@@ -142,26 +106,9 @@ mod tests {
     }
 
     #[test]
-    fn local_ids_resolve_back_to_global() {
-        let (router, profile) = router(0.3, 3);
-        let probes: Vec<u32> = (0..profile.nlist() as u32).collect();
-        let routed = router.route(&probes);
-        for (shard, (locals, globals)) in routed
-            .shard_probes
-            .iter()
-            .zip(&routed.shard_probes_global)
-            .enumerate()
-        {
-            for (&local, &global) in locals.iter().zip(globals) {
-                assert_eq!(router.split().shard_clusters(shard)[local as usize], global);
-            }
-        }
-    }
-
-    #[test]
     fn zero_coverage_routes_everything_to_cpu() {
-        let (router, _) = router(0.0, 2);
-        let routed = router.route(&[1, 2, 3]);
+        let (split, _) = split(0.0, 2);
+        let routed = split.route(&[1, 2, 3]);
         assert_eq!(routed.cpu_probes, vec![1, 2, 3]);
         assert_eq!(routed.gpu_probe_count(), 0);
         assert_eq!(routed.hit_rate(), 0.0);
@@ -169,29 +116,29 @@ mod tests {
 
     #[test]
     fn full_coverage_routes_everything_to_gpus() {
-        let (router, profile) = router(1.0, 2);
+        let (split, profile) = split(1.0, 2);
         let probes: Vec<u32> = (0..profile.nlist() as u32).step_by(7).collect();
-        let routed = router.route(&probes);
+        let routed = split.route(&probes);
         assert!(routed.cpu_probes.is_empty());
         assert_eq!(routed.hit_rate(), 1.0);
     }
 
     #[test]
     fn pruning_reduces_per_shard_probe_counts() {
-        // The router's whole point: each shard sees only its own clusters,
+        // Routing's whole point: each shard sees only its own clusters,
         // so per-shard nprobe ≪ total nprobe.
-        let (router, profile) = router(0.4, 4);
+        let (split, profile) = split(0.4, 4);
         let probes: Vec<u32> = (0..profile.nlist() as u32).collect();
-        let routed = router.route(&probes);
-        for list in &routed.shard_probes {
+        let routed = split.route(&probes);
+        for list in &routed.shard_probes_global {
             assert!(list.len() < probes.len() / 2, "shard probe list not pruned");
         }
     }
 
     #[test]
     fn empty_probe_list_routes_empty() {
-        let (router, _) = router(0.2, 2);
-        let routed = router.route(&[]);
+        let (split, _) = split(0.2, 2);
+        let routed = split.route(&[]);
         assert_eq!(routed.total_probes(), 0);
         assert_eq!(routed.hit_rate(), 0.0);
     }

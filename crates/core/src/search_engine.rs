@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use vlite_sim::{SimDuration, SimTime};
 use vlite_workload::ClusterWorkload;
 
-use crate::{AccessProfile, Router, SearchCostModel, SystemKind};
+use crate::{AccessProfile, IndexSplit, SearchCostModel, SystemKind};
 
 /// A retrieval request waiting for service.
 #[derive(Debug, Clone, Copy)]
@@ -91,14 +91,15 @@ impl SearchStats {
 /// The engine.
 ///
 /// Owns the per-cluster geometry it needs (sizes), the cost model, the
-/// router and a deterministic RNG for probe-set draws.
+/// split that routes each probe set and a deterministic RNG for probe-set
+/// draws.
 #[derive(Debug)]
 pub struct HybridSearchEngine {
     kind: SystemKind,
     cost: SearchCostModel,
     workload: ClusterWorkload,
     sizes: Vec<u64>,
-    router: Router,
+    router: IndexSplit,
     dispatcher: bool,
     shard_gpus: Vec<usize>,
     queue: VecDeque<SearchRequest>,
@@ -129,7 +130,7 @@ impl HybridSearchEngine {
         cost: SearchCostModel,
         workload: ClusterWorkload,
         profile: &AccessProfile,
-        router: Router,
+        router: IndexSplit,
         dispatcher: bool,
         shard_gpus: Vec<usize>,
         n_gpus: usize,
@@ -198,17 +199,6 @@ impl HybridSearchEngine {
         self.contention_coeff
     }
 
-    /// Replaces the router (adaptive runtime update installing a new
-    /// split).
-    pub fn install_router(&mut self, router: Router) {
-        self.router = router;
-    }
-
-    /// The router currently in use.
-    pub fn router(&self) -> &Router {
-        &self.router
-    }
-
     /// Enqueues a request.
     pub fn enqueue(&mut self, request: SearchRequest) {
         self.queue.push_back(request);
@@ -240,7 +230,7 @@ impl HybridSearchEngine {
     fn plan_batch(&mut self, now: SimTime, requests: &[SearchRequest]) -> BatchPlan {
         let b = requests.len();
         let bf = b as f64;
-        let n_shards = self.router.split().n_shards();
+        let n_shards = self.router.n_shards();
 
         // Draw probe sets and route them.
         let mut routed = Vec::with_capacity(b);
@@ -326,7 +316,7 @@ impl HybridSearchEngine {
                 // GPU shards scan concurrently after coarse quantization.
                 let mut gpu_all_done = 0.0f64;
                 for shard in 0..n_shards {
-                    let mut t = if self.router.split().hot_count() > 0 {
+                    let mut t = if self.router.hot_count() > 0 {
                         self.cost.gpu_base
                     } else {
                         0.0
@@ -411,7 +401,7 @@ impl HybridSearchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexSplit, RagConfig, RagSystem};
+    use crate::{RagConfig, RagSystem};
 
     fn engine_for(kind: SystemKind, dispatcher: bool) -> HybridSearchEngine {
         let mut config = RagConfig::tiny(kind);
@@ -422,7 +412,7 @@ mod tests {
             system.cost.clone(),
             system.workload.clone(),
             &system.profile,
-            Router::new(system.router.split().clone()),
+            system.router.clone(),
             dispatcher,
             system.shard_gpus.clone(),
             system.config.node.n_gpus,
@@ -497,7 +487,7 @@ mod tests {
             system.cost.clone(),
             system.workload.clone(),
             &system.profile,
-            Router::new(split),
+            split,
             true,
             vec![0, 1, 2],
             4,
@@ -572,7 +562,7 @@ mod tests {
                 system.cost.clone(),
                 system.workload.clone(),
                 &system.profile,
-                Router::new(split.clone()),
+                split.clone(),
                 false,
                 vec![0, 1, 2],
                 4,

@@ -7,6 +7,11 @@
 //! generates mapping tables [encoding] the correspondence between original
 //! cluster IDs and their assigned shard as well as the remapped local
 //! cluster IDs."
+//!
+//! Only the cluster → shard half of those tables remains. The paper remaps
+//! local ids because each GPU holds its own sub-index; here every shard
+//! scans the one tiered store by global cluster id, so no scan reads a
+//! local id.
 
 use crate::AccessProfile;
 
@@ -15,12 +20,10 @@ use crate::AccessProfile;
 pub enum Placement {
     /// Cold cluster, scanned by the CPU.
     Cpu,
-    /// Hot cluster resident on a GPU shard, with its remapped local id.
+    /// Hot cluster resident on a GPU shard.
     Gpu {
         /// Shard (GPU) index.
         shard: u16,
-        /// Cluster id local to the shard's sub-index.
-        local: u32,
     },
 }
 
@@ -47,7 +50,6 @@ pub struct IndexSplit {
     placement: Vec<Placement>,
     shard_clusters: Vec<Vec<u32>>,
     shard_bytes: Vec<u64>,
-    shard_vectors: Vec<u64>,
     coverage: f64,
 }
 
@@ -66,23 +68,18 @@ impl IndexSplit {
         let mut placement = vec![Placement::Cpu; profile.nlist()];
         let mut shard_clusters: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
         let mut shard_bytes = vec![0u64; n_shards];
-        let mut shard_vectors = vec![0u64; n_shards];
         for (i, &cluster) in hot.iter().enumerate() {
             let shard = i % n_shards;
-            let local = shard_clusters[shard].len() as u32;
             placement[cluster as usize] = Placement::Gpu {
                 shard: shard as u16,
-                local,
             };
             shard_clusters[shard].push(cluster);
             shard_bytes[shard] += profile.bytes_of(cluster);
-            shard_vectors[shard] += profile.size(cluster);
         }
         IndexSplit {
             placement,
             shard_clusters,
             shard_bytes,
-            shard_vectors,
             coverage,
         }
     }
@@ -111,7 +108,7 @@ impl IndexSplit {
         matches!(self.placement[cluster as usize], Placement::Gpu { .. })
     }
 
-    /// Global cluster ids resident on one shard, in local-id order.
+    /// Global cluster ids resident on one shard, in placement order.
     ///
     /// # Panics
     ///
@@ -123,11 +120,6 @@ impl IndexSplit {
     /// Index bytes resident per shard.
     pub fn shard_bytes(&self) -> &[u64] {
         &self.shard_bytes
-    }
-
-    /// Vector counts resident per shard.
-    pub fn shard_vectors(&self) -> &[u64] {
-        &self.shard_vectors
     }
 
     /// Total GPU-resident bytes.
@@ -156,14 +148,16 @@ mod tests {
     fn mapping_is_a_bijection_onto_shard_slots() {
         let p = profile();
         let split = IndexSplit::build(&p, 0.25, 4);
-        // Every GPU placement maps to exactly the slot the shard lists.
+        // Every hot cluster appears exactly once across the shard lists,
+        // in the shard its placement names.
         let mut seen = 0usize;
         for cluster in 0..p.nlist() as u32 {
-            if let Placement::Gpu { shard, local } = split.placement(cluster) {
-                assert_eq!(
-                    split.shard_clusters(usize::from(shard))[local as usize],
-                    cluster
-                );
+            if let Placement::Gpu { shard } = split.placement(cluster) {
+                for s in 0..split.n_shards() {
+                    let hits = split.shard_clusters(s).iter().filter(|&&c| c == cluster);
+                    let expected = usize::from(s == usize::from(shard));
+                    assert_eq!(hits.count(), expected, "cluster {cluster} shard {s}");
+                }
                 seen += 1;
             }
         }

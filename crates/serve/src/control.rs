@@ -8,11 +8,11 @@
 //! monitor instead of being averaged away by a large tenant's stable
 //! traffic — and when any monitor trips, the loop re-profiles from the
 //! recent probe sets, re-runs Algorithm 1 ([`partition`]), re-splits, and
-//! hot-swaps the router — the admission queue keeps accepting and batches
+//! hot-swaps the split — the admission queue keeps accepting and batches
 //! keep launching throughout, exactly the paper's "service never stops"
 //! full-shard update.
 //!
-//! A router swap only changes where probes are *routed*; the bytes live in
+//! A split swap only changes where probes are *routed*; the bytes live in
 //! the [`TieredStore`](vlite_store::TieredStore) behind the scan path. So
 //! right after the swap the loop migrates the tiers itself: newly hot
 //! clusters are promoted (their full-precision extents materialized from
@@ -25,7 +25,7 @@
 //! is correct (both tiers return the cluster's vectors, at different
 //! precision). The migration runs inside the post-repartition cooldown, so
 //! no observation it delays could have triggered anything, and when a
-//! repartition returns the store's tiers equal the installed router's hot
+//! repartition returns the store's tiers equal the installed split's hot
 //! set.
 //!
 //! The loop times its work as two disjoint profile stages: `control`
@@ -40,8 +40,7 @@ use std::time::Duration;
 use crossbeam::channel::Receiver;
 
 use vlite_core::{
-    partition, AccessProfile, DriftMonitor, HitRateEstimator, IndexSplit, PartitionInput,
-    PerfModel, Router,
+    partition, AccessProfile, DriftMonitor, HitRateEstimator, IndexSplit, PartitionInput, PerfModel,
 };
 
 use crate::config::ControlConfig;
@@ -93,7 +92,7 @@ pub struct RepartitionEvent {
     pub duration: Duration,
 }
 
-/// One tier migration the control loop applied right after a router swap,
+/// One tier migration the control loop applied right after a split swap,
 /// as reported in [`ServeReport`](crate::ServeReport).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationEvent {
@@ -266,8 +265,7 @@ impl ControlLoop {
         let coverage = self.coverage_override.unwrap_or(decision.coverage);
 
         // Stage 3: re-split and measure hot-set movement.
-        let (old_router, _) = self.shared.placement_snapshot();
-        let old_split = old_router.split();
+        let (old_split, _) = self.shared.placement_snapshot();
         let old_coverage = old_split.coverage();
         let split = IndexSplit::build(&profile, coverage, old_split.n_shards());
         let old_hot: Vec<u32> = (0..self.sizes.len() as u32)
@@ -281,23 +279,22 @@ impl ControlLoop {
         };
         let new_coverage = split.coverage();
         // The tier move needs the new hot set; read it off the split in
-        // hand before the router consumes it.
+        // hand before the swap consumes it.
         let hot: Vec<bool> = (0..self.sizes.len() as u32)
             .map(|c| split.is_hot(c))
             .collect();
-        let new_router = Router::new(split);
         // Refresh the expectation with the runtime's observable statistic:
         // the recent probe sets routed through the *new* placement.
-        let expected_mean_hit = crate::server::empirical_mean_hit(&new_router, &self.ring);
+        let expected_mean_hit = crate::server::empirical_mean_hit(&split, &self.ring);
 
         // Stage 4: hot-swap. Queries already routed keep their (global-id)
         // probe lists; the next batch snapshot sees the new placement, with
-        // router and generation advancing under one lock. The queue depth
+        // split and generation advancing under one lock. The queue depth
         // is sampled here — immediately before the swap, after the rebuild
         // stages above — so the event reports the backlog *at the moment of
         // the swap*, not at trigger time.
         let queue_depth_at_swap = self.shared.queue.depth();
-        let generation = self.shared.install_placement(new_router);
+        let generation = self.shared.install_placement(split);
         let swapped = self.shared.clock.now();
         self.shared.trace.stage_end(control, swapped);
         self.shared.record_repartition(RepartitionEvent {
@@ -419,7 +416,7 @@ pub(crate) mod tests {
             index,
             profile,
             perf,
-            router,
+            router: split,
             ..
         } = deployment;
         let probe_sets: Vec<Vec<u32>> = profile.probe_sets().to_vec();
@@ -439,7 +436,7 @@ pub(crate) mod tests {
         let shared = Arc::new(Shared {
             index,
             placement: RwLock::new(PlacementState {
-                router: Arc::new(router),
+                split: Arc::new(split),
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
@@ -537,10 +534,10 @@ pub(crate) mod tests {
         assert_eq!(shared.repartitions.len(), 1, "drift must repartition");
 
         // No thread ran and nothing shut down: the tiers already match.
-        let (router, generation) = shared.placement_snapshot();
-        let router_hot: Vec<bool> = (0..nlist).map(|c| router.split().is_hot(c)).collect();
+        let (split, generation) = shared.placement_snapshot();
+        let split_hot: Vec<bool> = (0..nlist).map(|c| split.is_hot(c)).collect();
         let flags = shared.store.hot_flags();
-        assert_eq!(flags, router_hot, "tiers equal the installed hot set");
+        assert_eq!(flags, split_hot, "tiers equal the installed hot set");
         assert_ne!(flags, old_flags, "the drifted hot set moved clusters");
         let migrations = shared.migrations.snapshot();
         assert_eq!(migrations.len(), 1);

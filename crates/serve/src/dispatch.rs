@@ -37,9 +37,9 @@ pub fn hybrid_search_batch(deployment: &RealDeployment, queries: &VecSet) -> Dis
 /// Runs one batch through `n_shards + 1` scoped scan workers — one per
 /// shard, then one for the cold probes — and merges their partials.
 ///
-/// Scans use *global* cluster ids (`shard_probes_global`), so the result is
-/// identical to a single-path scan of the union probe list — routing only
-/// changes who scans what, never what is scanned.
+/// Routed probes are global cluster ids, so the result is identical to a
+/// single-path scan of the union probe list — routing only changes who
+/// scans what, never what is scanned.
 ///
 /// # Panics
 ///
@@ -51,7 +51,7 @@ pub fn run_dispatcher(
     routed: &[RoutedQuery],
     k: usize,
 ) -> DispatchOutcome {
-    let n_shards = routed.first().map_or(0, |r| r.shard_probes.len());
+    let n_shards = routed.first().map_or(0, |r| r.shard_probes_global.len());
     let mut shares: Vec<Vec<Vec<Neighbor>>> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..=n_shards)
             .map(|worker| {

@@ -12,15 +12,15 @@
 //!                 └────────────┬───────────────────────────────────┘
 //!                              ▼  weighted-fair drain (smooth WRR) +
 //!                 ┌────────────────────────┐ on-demand batching
-//!                 │ batcher: CQ + routing  │◀──── Router snapshot (RwLock)
-//!                 └──┬─────────────┬───────┘
+//!                 │ batcher: CQ + routing  │◀──── IndexSplit snapshot (RwLock),
+//!                 └──┬─────────────┬───────┘      global cluster ids
 //!          pruned    ▼             ▼  cold probes
 //!        ┌──────────────┐   ┌──────────────┐
 //!        │ shard workers│   │ batcher scans│
 //!        │ ("GPUs")     │   │ the CPU share│
 //!        └──────┬───────┘   └──────┬───────┘
-//!               │ every scan reads through a vlite-store StoreSnapshot,
-//!               │ one blocked batch call per share per batch:
+//!               │ every share scans the batch's one vlite-store
+//!               │ StoreSnapshot, taken at formation, in one blocked call:
 //!               │ hot = resident f32 arenas, cold = mmap'd SQ8 extents,
 //!               │ tiers moved live by the control loop on repartition
 //!               ▼ one share per shard per batch, plus the CPU share
@@ -36,7 +36,7 @@
 //!               │  └───────────────┬────────────────┘
 //!               ▼ observations     ▼ (hit rate, SLO: search- or TTFT-keyed)
 //!        ┌────────────────────────────────┐
-//!        │ control loop: per-tenant       │──▶ hot-swap new Router,
+//!        │ control loop: per-tenant       │──▶ hot-swap new IndexSplit,
 //!        │ DriftMonitors → re-profile →   │    then migrate the tiers
 //!        │ Algorithm 1 → re-split         │    (queue never drained)
 //!        └────────────────────────────────┘

@@ -65,7 +65,7 @@ pub struct TenantReport {
 
 /// Physical-tiering snapshot of one serving run: fast-tier residency,
 /// per-tier probe/byte counters, and the tier migrations the control loop
-/// applied after its router swaps, captured from the [`TieredStore`] every
+/// applied after its split swaps, captured from the [`TieredStore`] every
 /// server scans through.
 #[derive(Debug, Clone)]
 pub struct StoreReport {

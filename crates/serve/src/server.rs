@@ -31,9 +31,9 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{self, Receiver, Sender};
 
 use vlite_ann::{merge_sorted, scan_lists_store_batch, BatchQuery, IvfIndex, Neighbor};
-use vlite_core::{PartitionDecision, PartitionInput, RealDeployment, RoutedQuery, Router};
+use vlite_core::{IndexSplit, PartitionInput, RealDeployment, RoutedQuery};
 use vlite_sim::{SimDuration, SimTime};
-use vlite_store::TieredStore;
+use vlite_store::{StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
 use crate::clock::{Clock, RealClock};
@@ -57,6 +57,9 @@ use crate::trace::{
 struct BatchWork {
     jobs: Vec<Job>,
     routed: Vec<RoutedQuery>,
+    /// The tier map every share of the batch scans through, taken once at
+    /// formation.
+    store: StoreSnapshot,
     started: SimTime,
     generation: u64,
     /// The shared batch span every member's trace links to (`None` when
@@ -155,11 +158,11 @@ pub struct RequestOutcome {
     pub shed: Option<ShedCause>,
 }
 
-/// The installed placement: router plus its generation, swapped together
-/// under one lock so a batch can never pair a router snapshot with the
+/// The installed placement: split plus its generation, swapped together
+/// under one lock so a batch can never pair a split snapshot with the
 /// wrong generation stamp.
 pub(crate) struct PlacementState {
-    pub router: Arc<Router>,
+    pub split: Arc<IndexSplit>,
     pub generation: u64,
 }
 
@@ -189,6 +192,9 @@ pub(crate) struct Shared {
     /// The tiered storage engine every scan reads through; the index
     /// keeps only the centroids.
     pub(crate) store: Arc<TieredStore>,
+    /// Probes per query the index serves: the configured `nprobe` clamped
+    /// to `1..=nlist`, as [`IvfIndex::probe`] clamps it, so the deadline
+    /// ladder shrinks from the count a full query really probes.
     pub(crate) nprobe: usize,
     pub(crate) top_k: usize,
     pub(crate) n_shards: usize,
@@ -421,16 +427,16 @@ impl Shared {
     }
 
     /// Snapshot of the installed placement.
-    pub fn placement_snapshot(&self) -> (Arc<Router>, u64) {
+    pub fn placement_snapshot(&self) -> (Arc<IndexSplit>, u64) {
         let guard = crate::sync::read_recover(&self.placement);
-        (guard.router.clone(), guard.generation)
+        (guard.split.clone(), guard.generation)
     }
 
-    /// Installs a new router, advancing the generation atomically with it.
+    /// Installs a new split, advancing the generation atomically with it.
     /// Returns the new generation.
-    pub fn install_placement(&self, router: Router) -> u64 {
+    pub fn install_placement(&self, split: IndexSplit) -> u64 {
         let mut guard = crate::sync::write_recover(&self.placement);
-        guard.router = Arc::new(router);
+        guard.split = Arc::new(split);
         guard.generation += 1;
         guard.generation
     }
@@ -444,7 +450,6 @@ pub struct RagServer {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
-    decision: PartitionDecision,
     expected_mean_hit: f64,
 }
 
@@ -513,11 +518,10 @@ impl RagServer {
             index,
             profile,
             perf,
-            decision,
-            router,
+            router: split,
             ..
         } = deployment;
-        let n_shards = router.split().n_shards();
+        let n_shards = split.n_shards();
         assert!(n_shards > 0, "need at least one shard worker");
         let tenants = config.effective_tenants();
         if let Some(generation) = &config.generation {
@@ -533,7 +537,7 @@ impl RagServer {
         // calibration probe sets) — the estimator's modeled mean is
         // access-weighted and systematically biased against it, which would
         // make the drift monitor's divergence trigger fire without drift.
-        let expected_mean_hit = empirical_mean_hit(&router, profile.probe_sets());
+        let expected_mean_hit = empirical_mean_hit(&split, profile.probe_sets());
 
         // Trace-id derivation is seeded by a constant so a given server
         // replays the same ids for the same request sequence (deterministic
@@ -544,10 +548,11 @@ impl RagServer {
             0x766c_6974_6531,
         ));
 
+        let nprobe = config.real.nprobe.min(index.nlist()).max(1);
         let shared = Arc::new(Shared {
             index,
             placement: RwLock::new(PlacementState {
-                router: Arc::new(router),
+                split: Arc::new(split),
                 generation: 0,
             }),
             queue: AdmissionQueue::new(&tenants),
@@ -558,7 +563,7 @@ impl RagServer {
             migrations: BoundedRing::new(HISTORY_CAPACITY),
             trace,
             store,
-            nprobe: config.real.nprobe,
+            nprobe,
             top_k: config.real.top_k,
             n_shards,
             slo_search: config.real.slo_search,
@@ -626,7 +631,6 @@ impl RagServer {
             shared,
             threads,
             next_id: AtomicU64::new(0),
-            decision,
             expected_mean_hit,
         }
     }
@@ -786,28 +790,18 @@ impl RagServer {
         self.shared.placement_snapshot().1
     }
 
-    /// The offline partitioning decision the server started from.
-    pub fn initial_decision(&self) -> &PartitionDecision {
-        &self.decision
-    }
-
     /// Expected mean hit rate at start-up: the calibration probe sets
     /// routed through the initial placement (the drift monitor's baseline).
     pub fn expected_mean_hit(&self) -> f64 {
         self.expected_mean_hit
     }
 
-    /// Cache coverage ρ of the placement currently serving.
-    pub fn current_coverage(&self) -> f64 {
-        self.shared.placement_snapshot().0.split().coverage()
-    }
-
     /// Global cluster ids resident on each shard under the current
     /// placement (snapshot).
     pub fn current_shard_clusters(&self) -> Vec<Vec<u32>> {
-        let (router, _) = self.shared.placement_snapshot();
-        (0..router.split().n_shards())
-            .map(|s| router.split().shard_clusters(s).to_vec())
+        let (split, _) = self.shared.placement_snapshot();
+        (0..split.n_shards())
+            .map(|s| split.shard_clusters(s).to_vec())
             .collect()
     }
 
@@ -1126,15 +1120,15 @@ fn deadline_after(now: SimTime, budget: f64) -> SimTime {
     SimTime::from_nanos(now.as_nanos().saturating_add(budget.as_nanos()))
 }
 
-/// Mean per-query hit rate of `probe_sets` under `router` — the runtime's
+/// Mean per-query hit rate of `probe_sets` under `split` — the runtime's
 /// observable statistic, used as the drift monitor's expectation.
 pub(crate) fn empirical_mean_hit<'a>(
-    router: &Router,
+    split: &IndexSplit,
     probe_sets: impl IntoIterator<Item = &'a Vec<u32>>,
 ) -> f64 {
     let (mut sum, mut n) = (0.0f64, 0usize);
     for probes in probe_sets {
-        sum += router.route(probes).hit_rate();
+        sum += split.route(probes).hit_rate();
         n += 1;
     }
     if n == 0 {
@@ -1188,7 +1182,7 @@ fn batcher(
     gen_tx: Option<&Sender<GenWork>>,
 ) {
     while let Some(jobs) = shared.queue.take_batch(max_batch) {
-        let (router, generation) = shared.placement_snapshot();
+        let (split, generation) = shared.placement_snapshot();
         let started = shared.clock.now();
         let stage = shared.trace.stage_start(STAGE_BATCHER, started);
         shared.queue.record_drain(jobs.len(), started);
@@ -1229,7 +1223,7 @@ fn batcher(
                     .iter()
                     .map(|p| p.list)
                     .collect();
-                let mut routed = router.route(&probes);
+                let mut routed = split.route(&probes);
                 if nprobe < shared.nprobe {
                     shared.obs.on_degraded_probes(
                         started.as_nanos(),
@@ -1249,6 +1243,7 @@ fn batcher(
         let batch = Arc::new(BatchWork {
             jobs,
             routed,
+            store: shared.store.snapshot(),
             started,
             generation,
             trace: shared.trace.begin_batch(&members),
@@ -1413,13 +1408,13 @@ fn shard_worker(
 /// (`shard_scan` or `cpu_scan`) with one `scan:*` span under the batch
 /// trace. Shard workers and the batcher both scan through here.
 ///
-/// The share is one blocked (cluster-major) pass through one store
-/// snapshot: the whole batch scans a consistent tier map, and a concurrent
-/// migration swaps tiers for the *next* batch without stalling this one. A
-/// shard scans its hot lists by global id, so a batch routed just before a
-/// hot swap still scans the right lists. Queries with no lists in the
-/// share never reach the store, so a malformed query degrades only the
-/// shares that had to scan it.
+/// The share is one blocked (cluster-major) pass through the batch's store
+/// snapshot ([`BatchWork::store`]): every share of the batch scans the one
+/// tier map taken at formation, and a concurrent migration swaps tiers for
+/// the *next* batch without stalling this one. A shard scans its hot lists
+/// by global id, so a batch routed just before a hot swap still scans the
+/// right lists. Queries with no lists in the share never reach the store,
+/// so a malformed query degrades only the shares that had to scan it.
 ///
 /// A panicking scan degrades the *whole share* to empty partials (one
 /// [`Shared::worker_panics`] tick) instead of killing the thread: a dead
@@ -1453,9 +1448,8 @@ fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neigh
         })
         .unzip();
     let mut partials = vec![Vec::new(); batch.jobs.len()];
-    let snapshot = shared.store.snapshot();
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scan_lists_store_batch(&snapshot, &queries, shared.top_k)
+        scan_lists_store_batch(&batch.store, &queries, shared.top_k)
     })) {
         Ok(tops) => {
             for (qi, top) in qis.into_iter().zip(tops) {
@@ -1618,7 +1612,6 @@ mod tests {
         assert!(!lists_of(faulty).is_empty(), "the faulty share has work");
         let keep = |w: usize| if w == faulty { lists_of(w) } else { Vec::new() };
         let only_faulty = RoutedQuery {
-            shard_probes: routed.shard_probes.clone(),
             shard_probes_global: (0..n_shards).map(keep).collect(),
             cpu_probes: keep(n_shards),
         };
@@ -1644,6 +1637,7 @@ mod tests {
             let batch = Arc::new(BatchWork {
                 jobs,
                 routed,
+                store: shared.store.snapshot(),
                 started: SimTime::ZERO,
                 generation: 0,
                 trace: None,

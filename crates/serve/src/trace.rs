@@ -180,10 +180,10 @@ pub const STAGE_DISPATCH: usize = 3;
 /// Stage index: the generation (LLM) worker.
 pub const STAGE_GENERATION: usize = 4;
 /// Stage index: the control loop moving the store's tiers to a new hot
-/// set right after a router swap.
+/// set right after a split swap.
 pub const STAGE_MIGRATE: usize = 5;
 /// Stage index: one online repartition on the control loop, re-profile
-/// to router swap (the tier move is `migrate`, not part of it).
+/// to split swap (the tier move is `migrate`, not part of it).
 pub const STAGE_CONTROL: usize = 6;
 
 /// SLO signals the burn-rate watchdog tracks, indexed by the `SIG_*`

@@ -65,7 +65,6 @@ mod ball;
 mod checksum;
 mod mmap;
 mod segment;
-mod sync;
 mod tiered;
 
 pub use ball::Bounds;

@@ -5,10 +5,15 @@
 //! Readers never block on a migration: a scan takes a [`StoreSnapshot`]
 //! (an `Arc` of the generation-counted tier map, cloned under a read lock
 //! held for nanoseconds — the same hot-swap discipline the serving
-//! runtime's `Router` uses) and scans against that snapshot for the whole
+//! runtime's placement uses) and scans against that snapshot for the whole
 //! batch. The migrator prepares new arenas entirely outside the lock,
 //! then swaps the map pointer and bumps the generation; in-flight scans
 //! keep their old snapshot alive via the `Arc` until they finish.
+//!
+//! Every acquisition of the map's lock recovers from poisoning
+//! (`unwrap_or_else(PoisonError::into_inner)`): the write-side critical
+//! section is one pointer swap, so a panicking holder cannot leave a torn
+//! map, and one dead thread must not turn into a store-wide outage.
 //!
 //! Tier asymmetry is physical, exactly the paper's fast/slow split:
 //!
@@ -35,7 +40,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use vlite_ann::kernel::{self, Kernels};
 use vlite_ann::{BatchQuery, ClusterStore, Metric, ScalarQuantizer, Sq8Query, TopK, VecSet};
@@ -357,12 +362,15 @@ impl TieredStore {
 
     /// The store generation: bumped by every applied tier shift.
     pub fn generation(&self) -> u64 {
-        crate::sync::read_recover(&self.map).generation
+        self.map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .generation
     }
 
     /// The current hot flags, indexed by cluster id.
     pub fn hot_flags(&self) -> Vec<bool> {
-        let map = crate::sync::read_recover(&self.map);
+        let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         map.entries
             .iter()
             .map(|e| matches!(e, TierEntry::Hot(_)))
@@ -371,7 +379,7 @@ impl TieredStore {
 
     /// Fast-tier residency right now.
     pub fn residency(&self) -> Residency {
-        let map = crate::sync::read_recover(&self.map);
+        let map = self.map.read().unwrap_or_else(PoisonError::into_inner);
         let mut r = Residency {
             hot_clusters: 0,
             total_clusters: map.entries.len(),
@@ -425,7 +433,10 @@ impl TieredStore {
                 // relaxed: contention tally only; ordered by the read lock
                 // acquired on the next line.
                 self.counters.snapshot_waits.fetch_add(1, Ordering::Relaxed);
-                crate::sync::read_recover(&self.map).clone()
+                self.map
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .clone()
             }
             // A panicking writer cannot leave a torn map (the write-side
             // critical section is one pointer swap), so recover the guard.
@@ -455,7 +466,11 @@ impl TieredStore {
             self.n_clusters(),
             "hot set must cover every cluster"
         );
-        let old = crate::sync::read_recover(&self.map).clone();
+        let old = self
+            .map
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let mut shift = TierShift::default();
         let entries: Vec<TierEntry> = old
             .entries
@@ -482,7 +497,7 @@ impl TieredStore {
         });
         {
             // The only write-side critical section: one pointer swap.
-            let mut guard = crate::sync::write_recover(&self.map);
+            let mut guard = self.map.write().unwrap_or_else(PoisonError::into_inner);
             *guard = next;
             shift.generation = guard.generation;
         }

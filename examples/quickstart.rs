@@ -25,7 +25,7 @@ fn main() {
     println!(
         "GPU-resident index   : {:.1} MiB across {} shards",
         system.decision.index_bytes as f64 / (1 << 20) as f64,
-        system.router.split().n_shards()
+        system.router.n_shards()
     );
     println!("bare LLM throughput  : {:.1} req/s", system.mu_llm0);
     println!(

@@ -11,7 +11,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `vlite-core` | Access-skew profiling, Beta/order-statistic hit-rate estimation, latency-bounded partitioning (Algorithm 1), index splitter, router, dynamic dispatcher, serving pipeline, adaptive update |
+//! | [`core`] | `vlite-core` | Access-skew profiling, Beta/order-statistic hit-rate estimation, latency-bounded partitioning (Algorithm 1), index splitter with probe routing, dynamic dispatcher, serving pipeline, adaptive update |
 //! | [`ann`] | `vlite-ann` | IVF-Flat index (exact coarse quantizer, L2 or inner product), k-means, SQ8 scalar quantizer, runtime-dispatched SIMD kernels, recall/NDCG |
 //! | [`llm`] | `vlite-llm` | Continuous-batching LLM engine simulator, paged KV cache, model specs, throughput probes |
 //! | [`serve`] | `vlite-serve` | Real-time serving runtime: multi-tenant weighted-fair admission, dynamic batching, shard workers gathered by the batcher, retrieval → LLM co-scheduling with TTFT accounting, online SLO-aware repartitioning with live tier migration, real/virtual clocks |

@@ -20,6 +20,10 @@
 //!   degraded, attributed, and on time.
 //! - A budget that fits the fast tier but not a cold scan drops the
 //!   request's cold-tier probes (rung 4) and still answers.
+//! - The ladder shrinks from the probe count the index serves
+//!   (`nprobe` clamped to `1..=nlist`): an `nprobe` of 0 still answers a
+//!   shrunk budget, and an `nprobe` past `nlist` is not counted as
+//!   degraded while the shrunk list still probes every list.
 //! - On a co-scheduled server, a budget that survives retrieval but not
 //!   the estimated first token is shed at generation admission (rung 5):
 //!   the reply carries the retrieval results without generation, and the
@@ -296,6 +300,57 @@ fn fast_tier_only_budget_skips_cold_probes_and_still_answers() {
     let report = server.report();
     assert_eq!(report.cold_skips, 1, "the cold-tier probes were dropped");
     assert_eq!(report.degraded_probes, 0, "the probe count itself was kept");
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
+    assert_eq!(report.deadline_met, 1);
+}
+
+#[test]
+fn zero_nprobe_still_answers_a_shrunk_budget() {
+    let corpus = corpus();
+    let mut config = enforcing_config();
+    config.real.nprobe = 0;
+    config.real.coverage_override = Some(1.0);
+    let est_search = config.deadline.est_search;
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+
+    // The index serves one probe for an `nprobe` of 0; half the search
+    // estimate cannot shrink a one-probe list any further.
+    let budget = Duration::from_secs_f64(est_search * 0.5);
+    let ticket = server
+        .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
+        .expect("admitted");
+    let response = ticket.wait().expect("a shrunk budget still answers");
+    assert!(!response.neighbors.is_empty());
+
+    let report = server.report();
+    assert_eq!(report.degraded_probes, 0, "one probe is the floor");
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
+    assert_eq!(report.deadline_met, 1);
+}
+
+#[test]
+fn nprobe_past_nlist_is_not_degraded_by_a_shrink_that_keeps_every_list() {
+    let corpus = corpus();
+    let mut config = enforcing_config();
+    let nlist = config.real.ivf.nlist;
+    config.real.nprobe = 2 * nlist;
+    config.real.coverage_override = Some(1.0);
+    let est_search = config.deadline.est_search;
+    let clock = Arc::new(VirtualClock::new());
+    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+
+    // 0.995 of the estimate scales the served count (`nlist`) to
+    // `ceil(0.995 * nlist) == nlist`: every list is still probed.
+    let budget = Duration::from_secs_f64(est_search * 0.995);
+    let ticket = server
+        .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
+        .expect("admitted");
+    let response = ticket.wait().expect("answered");
+    assert_eq!(response.neighbors[0].id, 0);
+
+    let report = server.report();
+    assert_eq!(report.degraded_probes, 0, "no probe was dropped");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 1);
 }

@@ -1,14 +1,12 @@
-//! Integration: `Router::route` pruning invariants over a *real* IVF
+//! Integration: `IndexSplit::route` pruning invariants over a *real* IVF
 //! index's probe lists (the unit tests cover modeled workloads; this ties
-//! the mapping tables to actual coarse-quantizer output).
+//! the cluster → shard table to actual coarse-quantizer output).
 //!
 //! Invariants:
 //! - every probe lands on exactly one destination (one shard or the CPU);
-//! - shard-local cluster ids round-trip through the mapping tables back to
-//!   the global ids the quantizer produced;
 //! - pruning: a shard never receives a cluster it does not host.
 
-use vectorlite_rag::core::{IndexSplit, Placement, RealConfig, RealDeployment, Router};
+use vectorlite_rag::core::{IndexSplit, Placement, RealConfig, RealDeployment};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn deployment(coverage: Option<f64>, n_shards: usize) -> (SyntheticCorpus, RealDeployment) {
@@ -52,49 +50,16 @@ fn every_real_probe_lands_on_exactly_one_destination() {
         // Placement agreement: CPU probes are cold, shard probes are hot
         // on exactly the shard that received them.
         for &c in &routed.cpu_probes {
-            assert_eq!(d.router.split().placement(c), Placement::Cpu, "cluster {c}");
+            assert_eq!(d.router.placement(c), Placement::Cpu, "cluster {c}");
         }
         for (shard, globals) in routed.shard_probes_global.iter().enumerate() {
             for &c in globals {
-                match d.router.split().placement(c) {
-                    Placement::Gpu { shard: s, .. } => {
+                match d.router.placement(c) {
+                    Placement::Gpu { shard: s } => {
                         assert_eq!(usize::from(s), shard, "cluster {c} on the wrong shard")
                     }
                     Placement::Cpu => panic!("cold cluster {c} sent to shard {shard}"),
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn shard_local_ids_round_trip_through_mapping_tables() {
-    let (corpus, d) = deployment(Some(0.4), 4);
-    let queries = corpus.queries(48, 9);
-    for q in queries.iter() {
-        let routed = d.router.route(&d.probe_global(q));
-        for (shard, (locals, globals)) in routed
-            .shard_probes
-            .iter()
-            .zip(&routed.shard_probes_global)
-            .enumerate()
-        {
-            assert_eq!(locals.len(), globals.len());
-            for (&local, &global) in locals.iter().zip(globals) {
-                // local id -> global id through the shard's cluster table.
-                assert_eq!(
-                    d.router.split().shard_clusters(shard)[local as usize],
-                    global,
-                    "shard {shard} local {local}"
-                );
-                // global id -> (shard, local) through the placement table.
-                assert_eq!(
-                    d.router.split().placement(global),
-                    Placement::Gpu {
-                        shard: shard as u16,
-                        local
-                    },
-                );
             }
         }
     }
@@ -107,38 +72,25 @@ fn pruning_holds_for_every_coverage_and_shard_count() {
     for &coverage in &[0.0, 0.15, 0.5, 1.0] {
         for shards in 1..=4usize {
             let split = IndexSplit::build(&d.profile, coverage, shards);
-            let hot_count = split.hot_count();
-            let router = Router::new(split);
             for q in queries.iter() {
                 let probes = d.probe_global(q);
-                let routed = router.route(&probes);
+                let routed = split.route(&probes);
                 assert_eq!(routed.total_probes(), probes.len());
                 // Per-shard lists never exceed what the shard hosts.
-                for (shard, list) in routed.shard_probes.iter().enumerate() {
+                for (shard, list) in routed.shard_probes_global.iter().enumerate() {
                     assert!(
-                        list.len() <= router.split().shard_clusters(shard).len(),
+                        list.len() <= split.shard_clusters(shard).len(),
                         "shard {shard} got more probes than resident clusters"
                     );
                 }
                 if coverage == 0.0 {
                     assert_eq!(routed.gpu_probe_count(), 0);
-                    assert_eq!(hot_count, 0);
+                    assert_eq!(split.hot_count(), 0);
                 }
                 if coverage == 1.0 {
                     assert!(routed.cpu_probes.is_empty());
                 }
             }
         }
-    }
-}
-
-#[test]
-fn route_batch_matches_per_query_routing() {
-    let (corpus, d) = deployment(Some(0.25), 2);
-    let queries = corpus.queries(12, 33);
-    let probe_lists: Vec<Vec<u32>> = queries.iter().map(|q| d.probe_global(q)).collect();
-    let batched = d.router.route_batch(&probe_lists);
-    for (probes, routed) in probe_lists.iter().zip(&batched) {
-        assert_eq!(routed, &d.router.route(probes));
     }
 }
