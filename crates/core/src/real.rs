@@ -3,8 +3,8 @@
 //! calibration queries, fit the latency model from wall-clock measurements,
 //! run Algorithm 1, and build the split that routes every probe.
 //!
-//! The *runtime* side — shard workers, CPU scan pool, threaded dynamic
-//! dispatcher (§IV-B2) and the online control loop — lives in the
+//! The *runtime* side — shard workers, the batcher that scans the cold
+//! share itself (§IV-B2) and the online control loop — lives in the
 //! `vlite-serve` crate, which consumes a [`RealDeployment`] as its offline
 //! artifact. This module is deliberately a thin client: everything needed
 //! to serve (index, split, perf model, estimator, decision) is exposed as
@@ -66,6 +66,23 @@ impl RealConfig {
             coverage_override: None,
         }
     }
+
+    /// Panics unless the offline stage can run on this config: at least
+    /// one calibration query and one result per query, and a pinned
+    /// coverage, when set, inside `[0, 1]`.
+    pub fn validate(&self) {
+        assert!(
+            self.n_profile_queries > 0,
+            "n_profile_queries must be positive"
+        );
+        assert!(self.top_k > 0, "top_k must be positive");
+        if let Some(rho) = self.coverage_override {
+            assert!(
+                (0.0..=1.0).contains(&rho),
+                "coverage_override must lie in [0, 1], got {rho}"
+            );
+        }
+    }
 }
 
 /// A deployment over a real index: profile, model, decision, split.
@@ -95,7 +112,12 @@ impl RealDeployment {
     /// # Errors
     ///
     /// Propagates index-training errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config fails [`RealConfig::validate`].
     pub fn build(corpus: &SyntheticCorpus, config: RealConfig) -> vlite_ann::Result<Self> {
+        config.validate();
         let index = IvfIndex::train(&corpus.vectors, &config.ivf)?;
         let calibration = corpus.queries(config.n_profile_queries, config.seed);
 
@@ -232,6 +254,36 @@ mod tests {
             seed: 9,
         });
         RealDeployment::build(&corpus, RealConfig::small()).expect("build succeeds")
+    }
+
+    fn validate_with(edit: impl FnOnce(&mut RealConfig)) {
+        let mut config = RealConfig::small();
+        edit(&mut config);
+        config.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "n_profile_queries must be positive")]
+    fn zero_profile_queries_are_refused() {
+        validate_with(|c| c.n_profile_queries = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "top_k must be positive")]
+    fn zero_top_k_is_refused() {
+        validate_with(|c| c.top_k = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "coverage_override must lie in [0, 1], got NaN")]
+    fn nan_coverage_override_is_refused() {
+        validate_with(|c| c.coverage_override = Some(f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "coverage_override must lie in [0, 1], got 1.5")]
+    fn coverage_override_past_one_is_refused() {
+        validate_with(|c| c.coverage_override = Some(1.5));
     }
 
     #[test]

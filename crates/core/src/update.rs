@@ -106,14 +106,19 @@ impl DriftMonitor {
         }
     }
 
-    /// The paper's dual trigger: attainment below threshold *and* hit rate
+    /// The hit-rate half of the trigger: the windowed mean hit rate
     /// diverged from expectation. Requires a minimally filled window so a
-    /// few early violations don't trigger a rebuild.
-    pub fn should_update(&self) -> bool {
+    /// few early requests don't trigger a rebuild.
+    pub fn hit_rate_diverged(&self) -> bool {
         self.requests >= self.config.window_requests.min(100)
-            && self.attainment() < self.config.slo_attainment_threshold
             && (self.observed_mean_hit() - self.expected_mean_hit).abs()
                 > self.config.hit_rate_divergence
+    }
+
+    /// The paper's dual trigger: attainment below threshold *and* hit rate
+    /// diverged from expectation ([`DriftMonitor::hit_rate_diverged`]).
+    pub fn should_update(&self) -> bool {
+        self.hit_rate_diverged() && self.attainment() < self.config.slo_attainment_threshold
     }
 
     /// Whether the window is full and should be reset ("for every few
@@ -261,6 +266,21 @@ mod tests {
             m.observe(0.3, true);
         }
         assert!(!m.should_update());
+    }
+
+    #[test]
+    fn divergence_alone_trips_without_an_slo_breach() {
+        let cfg = UpdateConfig {
+            window_requests: 100,
+            ..UpdateConfig::default()
+        };
+        let mut m = DriftMonitor::new(cfg, 0.8);
+        for _ in 0..100 {
+            assert!(!m.hit_rate_diverged(), "window not minimally filled");
+            m.observe(0.3, true); // every request met its SLO
+        }
+        assert!(m.hit_rate_diverged());
+        assert!(!m.should_update(), "no SLO breach, no dual trigger");
     }
 
     #[test]

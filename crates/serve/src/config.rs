@@ -6,20 +6,6 @@ use vlite_core::{RealConfig, UpdateConfig};
 use vlite_llm::{LlmCostModel, ModelSpec};
 use vlite_sim::devices;
 
-/// Which latency the control loop's SLO observations are keyed off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SloSignal {
-    /// Search-stage latency against `slo_search` (retrieval-only servers,
-    /// and the default for co-scheduled ones).
-    #[default]
-    Search,
-    /// End-to-end TTFT against [`GenerationConfig::slo_ttft`] — the metric
-    /// users actually feel. Requires [`ServeConfig::generation`]; the SLO
-    /// half of the drift trigger then reacts to queueing and prefill
-    /// pressure in the generation stage, not just the search stage.
-    Ttft,
-}
-
 /// Online-repartitioning (control-loop) knobs.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
@@ -37,8 +23,6 @@ pub struct ControlConfig {
     /// latency side is pure noise (no actual GPUs behind the shard
     /// workers).
     pub require_slo_breach: bool,
-    /// Which latency feeds the SLO half of the drift trigger.
-    pub slo_signal: SloSignal,
 }
 
 impl Default for ControlConfig {
@@ -48,7 +32,6 @@ impl Default for ControlConfig {
             profile_window: 2048,
             cooldown_requests: 512,
             require_slo_breach: true,
-            slo_signal: SloSignal::Search,
         }
     }
 }
@@ -80,15 +63,11 @@ pub struct GenerationConfig {
     /// Tokens generated per request.
     pub output_tokens: u64,
     /// End-to-end TTFT SLO in seconds (admission → first token), the
-    /// target of the report's TTFT attainment rows.
+    /// target of the report's TTFT attainment rows. Setting
+    /// [`DeadlinePolicy::default_deadline`] to it (with `enforce`) sheds,
+    /// at generation admission, every request whose first token cannot
+    /// make it.
     pub slo_ttft: f64,
-    /// KV-aware admission: shed a request at generation enqueue when its
-    /// prompt could not be KV-resident (and prefilled) within `slo_ttft`,
-    /// instead of letting it queue into a guaranteed SLO miss. A shed
-    /// request still receives its retrieval results (with
-    /// `timings.generation == None`) and is counted as a TTFT miss in the
-    /// submitting tenant's attainment. Off by default.
-    pub kv_admission: bool,
 }
 
 impl GenerationConfig {
@@ -104,7 +83,6 @@ impl GenerationConfig {
             tokens_per_doc: 32,
             output_tokens: 8,
             slo_ttft: 0.25,
-            kv_admission: false,
         }
     }
 
@@ -161,7 +139,10 @@ impl GenerationConfig {
 ///    cold-tier (CPU) scan, the query keeps only its fast-tier probes.
 /// 5. **Generation shed**: a request whose estimated first token lands
 ///    past the deadline is shed at generation admission (the retrieval
-///    results are still delivered).
+///    results are still delivered). The estimate counts the engine's busy
+///    time, the waiting prompts and, when the KV pool is full, the running
+///    batch's drain, so with `default_deadline` at
+///    [`GenerationConfig::slo_ttft`] this rung is KV-aware admission.
 ///
 /// Every rung is counted (`deadline_sheds`, `degraded_probes`,
 /// `cold_skips`) and per-stage budget burn is reported, so degradation is

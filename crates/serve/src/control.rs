@@ -125,7 +125,6 @@ pub(crate) struct ControlLoop {
     config: ControlConfig,
     /// One drift monitor per tenant, indexed by [`TenantId`].
     monitors: Vec<DriftMonitor>,
-    expected_mean_hit: f64,
     input: PartitionInput,
     perf: PerfModel,
     /// Pinned coverage ρ (mirrors `RealConfig::coverage_override`); when
@@ -163,7 +162,6 @@ impl ControlLoop {
             shared,
             config,
             monitors,
-            expected_mean_hit,
             input,
             perf,
             coverage_override,
@@ -176,8 +174,7 @@ impl ControlLoop {
         }
     }
 
-    /// Consumes observations until every sender (the batcher and the
-    /// generation worker) is gone.
+    /// Consumes observations until the batcher (the one sender) is gone.
     pub fn run(mut self, rx: Receiver<Observation>) {
         while let Ok(obs) = rx.recv() {
             self.observe(obs);
@@ -230,10 +227,7 @@ impl ControlLoop {
             let tripped = if self.config.require_slo_breach {
                 monitor.should_update()
             } else {
-                let min_window = self.config.update.window_requests.min(100);
-                monitor.window_len() >= min_window
-                    && (monitor.observed_mean_hit() - self.expected_mean_hit).abs()
-                        > self.config.update.hit_rate_divergence
+                monitor.hit_rate_diverged()
             };
             if tripped {
                 return Some(TenantId(t as u16));
@@ -319,7 +313,6 @@ impl ControlLoop {
         for monitor in &mut self.monitors {
             monitor.reset(Some(expected_mean_hit));
         }
-        self.expected_mean_hit = expected_mean_hit;
         self.last_repartition = self.observed;
     }
 
@@ -452,7 +445,6 @@ pub(crate) mod tests {
             slo_search: real.slo_search,
             clock: Arc::new(crate::clock::VirtualClock::new()),
             generation: None,
-            slo_signal: crate::config::SloSignal::Search,
             deadline,
             trace: Arc::new(crate::trace::TracePlane::new(
                 &crate::config::TraceConfig::default(),

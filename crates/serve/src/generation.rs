@@ -25,7 +25,6 @@ use vlite_llm::{EngineStats, LlmEngine, LlmEvent, LlmRequest};
 use vlite_sim::{SimDuration, SimTime};
 
 use crate::config::GenerationConfig;
-use crate::control::Observation;
 use crate::request::{GenerationTimings, RequestTimings, SearchResponse};
 use crate::server::{RequestOutcome, Shared, ShedCause};
 use crate::trace::{TraceId, STAGE_GENERATION};
@@ -168,7 +167,8 @@ impl GenerationStage {
     }
 
     /// Estimated earliest first-token instant for a request with
-    /// `prompt_tokens` arriving at `now` — the KV-aware admission model.
+    /// `prompt_tokens` arriving at `now` — the model rung 5 of the
+    /// deadline ladder sheds by.
     ///
     /// The estimate is deliberately simple and deterministic, built only
     /// from the engine's public state:
@@ -218,24 +218,27 @@ impl GenerationStage {
             .prefill_time(queued_prompts + prompt_tokens, 1.0)
     }
 
-    /// KV-aware admission ([`GenerationConfig::kv_admission`]): submits the
-    /// request unless its estimated TTFT already exceeds `slo_ttft`, in
-    /// which case the request is shed (`Err` carries the condemning
-    /// estimate) and the stage is left untouched.
+    /// Rung 5 of the deadline ladder
+    /// ([`DeadlinePolicy`](crate::DeadlinePolicy)): submits the request
+    /// unless its [estimated first token](Self::estimate_first_token)
+    /// lands past `deadline`, in which case the stage is left untouched.
+    /// `None` (an unbudgeted request, or a measure-only policy) always
+    /// submits.
     ///
     /// # Errors
     ///
-    /// The estimated admission → first-token duration when it exceeds the
-    /// TTFT SLO.
-    pub fn submit_or_shed(
+    /// The condemning first-token estimate when it is past `deadline`.
+    pub fn submit_within(
         &mut self,
         req: GenRequest,
         now: SimTime,
-    ) -> std::result::Result<(), SimDuration> {
-        let prompt = self.prompt_tokens(req.n_docs);
-        let est_ttft = self.estimate_first_token(prompt, now) - req.admitted_at;
-        if est_ttft.as_secs_f64() > self.config.slo_ttft {
-            return Err(est_ttft);
+        deadline: Option<SimTime>,
+    ) -> std::result::Result<(), SimTime> {
+        if let Some(deadline) = deadline {
+            let at = self.estimate_first_token(self.prompt_tokens(req.n_docs), now);
+            if at > deadline {
+                return Err(at);
+            }
         }
         self.submit(req, now);
         Ok(())
@@ -309,17 +312,6 @@ impl GenerationStage {
         self.engine.queue_len()
     }
 
-    /// Sequences in the running batch.
-    pub fn running_len(&self) -> usize {
-        self.engine.running_len()
-    }
-
-    /// When the engine finishes its current iteration (equals the last
-    /// step's `busy_until`).
-    pub fn free_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// The engine's aggregate counters.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine.stats()
@@ -348,10 +340,6 @@ pub(crate) struct GenWork {
     /// Merge instant (generation-stage arrival).
     pub merged_at: SimTime,
     pub reply: Sender<SearchResponse>,
-    /// Global probe set, forwarded with the TTFT-keyed observation when
-    /// the control loop is keyed off TTFT (`None` otherwise — the
-    /// batcher already sent the search-keyed observation).
-    pub probes: Option<Vec<u32>>,
 }
 
 impl GenWork {
@@ -399,13 +387,12 @@ struct PendingGen {
 }
 
 /// The generation worker thread: drives a [`GenerationStage`] against the
-/// server's clock, streams TTFT-keyed observations to the control loop,
-/// and concludes each request (outcome + final response) at its last token.
+/// server's clock and concludes each request (outcome + final response)
+/// at its last token.
 pub(crate) fn generation_worker(
     shared: &Shared,
     config: &GenerationConfig,
     rx: &Receiver<GenWork>,
-    control_tx: &Sender<Observation>,
 ) {
     let mut stage = GenerationStage::new(config);
     let mut pending: HashMap<u64, PendingGen> = HashMap::new();
@@ -418,13 +405,13 @@ pub(crate) fn generation_worker(
                 break;
             }
             match rx.recv() {
-                Ok(work) => admit(shared, config, &mut stage, &mut pending, control_tx, work),
+                Ok(work) => admit(shared, &mut stage, &mut pending, work),
                 Err(_) => break,
             }
         }
         loop {
             match rx.try_recv() {
-                Ok(work) => admit(shared, config, &mut stage, &mut pending, control_tx, work),
+                Ok(work) => admit(shared, &mut stage, &mut pending, work),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     closed = true;
@@ -444,15 +431,6 @@ pub(crate) fn generation_worker(
                     GenEvent::FirstToken { id, at, phases } => {
                         let entry = pending.get_mut(&id).expect("unknown first token");
                         entry.first_token = Some((at, phases));
-                        let ttft = (at - entry.work.enqueued).as_secs_f64();
-                        if let Some(probes) = entry.work.probes.take() {
-                            let _ = control_tx.send(Observation {
-                                tenant: entry.work.tenant,
-                                hit_rate: entry.work.hit_rate,
-                                met_slo: ttft <= config.slo_ttft,
-                                probes,
-                            });
-                        }
                     }
                     GenEvent::Completed { id, at } => {
                         let entry = pending.remove(&id).expect("unknown completion");
@@ -472,10 +450,8 @@ pub(crate) fn generation_worker(
 
 fn admit(
     shared: &Shared,
-    config: &GenerationConfig,
     stage: &mut GenerationStage,
     pending: &mut HashMap<u64, PendingGen>,
-    control_tx: &Sender<Observation>,
     work: GenWork,
 ) {
     // The merge instant is the request's true arrival into this stage —
@@ -491,24 +467,22 @@ fn admit(
     };
     // Rung 5 of the degradation ladder: when the estimated first token
     // lands past the request's own end-to-end deadline, generation is
-    // pointless — deliver the retrieval results now instead of queueing
-    // into a guaranteed deadline miss.
-    if shared.deadline.enforce {
-        if let Some(deadline) = work.deadline {
-            let prompt = stage.prompt_tokens(work.neighbors.len());
-            if stage.estimate_first_token(prompt, work.merged_at) > deadline {
-                shed(shared, control_tx, work, ShedCause::GenDeadline);
-                return;
-            }
-        }
-    }
-    if config.kv_admission {
-        if stage.submit_or_shed(req, work.merged_at).is_err() {
-            shed(shared, control_tx, work, ShedCause::GenKv);
-            return;
-        }
-    } else {
-        stage.submit(req, work.merged_at);
+    // pointless — deliver the retrieval results now, with no generation
+    // phases, and account the request as a TTFT miss against its tenant.
+    // The shed instant is the merge instant the batcher stamped, so the
+    // timings are deterministic under a virtual clock regardless of when
+    // this worker got scheduled.
+    let deadline = work.deadline.filter(|_| shared.deadline.enforce);
+    if stage.submit_within(req, work.merged_at, deadline).is_err() {
+        let timings = RequestTimings {
+            queue: work.queue,
+            search: work.search,
+            e2e: work.queue + work.search,
+            generation: None,
+        };
+        let end = work.merged_at;
+        work.conclude(shared, timings, end, Some(ShedCause::GenDeadline));
+        return;
     }
     pending.insert(
         work.id,
@@ -517,33 +491,6 @@ fn admit(
             first_token: None,
         },
     );
-}
-
-/// Generation admission rejected this request (KV-aware or
-/// deadline-aware): serve its retrieval results immediately (no generation
-/// phases) and account it as a TTFT miss — a shed — against its tenant.
-///
-/// The shed instant is the merge instant the batcher stamped, so the
-/// response's timings are deterministic under a virtual clock regardless
-/// of when this worker thread got scheduled.
-fn shed(shared: &Shared, control_tx: &Sender<Observation>, mut work: GenWork, cause: ShedCause) {
-    let timings = RequestTimings {
-        queue: work.queue,
-        search: work.search,
-        e2e: work.queue + work.search,
-        generation: None,
-    };
-    // TTFT-keyed control observations treat a shed as the SLO miss it is.
-    if let Some(probes) = work.probes.take() {
-        let _ = control_tx.send(Observation {
-            tenant: work.tenant,
-            hit_rate: work.hit_rate,
-            met_slo: false,
-            probes,
-        });
-    }
-    let end = work.merged_at;
-    work.conclude(shared, timings, end, Some(cause));
 }
 
 /// Deliver one finished request: record its outcome and send the final

@@ -31,10 +31,10 @@
 //!               │       ▼ merged retrievals (co-scheduled servers)
 //!               │  ┌────────────────────────────────┐
 //!               │  │ generation worker: prompt      │──▶ TTFT + phase
-//!               │  │ assembly → KV-aware admission  │    timings, sheds,
+//!               │  │ assembly → rung-5 admission    │    timings, sheds,
 //!               │  │ → LlmEngine prefill/decode     │    final responses
-//!               │  └───────────────┬────────────────┘
-//!               ▼ observations     ▼ (hit rate, SLO: search- or TTFT-keyed)
+//!               │  └────────────────────────────────┘
+//!               ▼ observations (hit rate, search-SLO bit, probe set)
 //!        ┌────────────────────────────────┐
 //!        │ control loop: per-tenant       │──▶ hot-swap new IndexSplit,
 //!        │ DriftMonitors → re-profile →   │    then migrate the tiers
@@ -129,8 +129,8 @@ pub mod trace;
 
 pub use clock::{Clock, RealClock, VirtualClock};
 pub use config::{
-    ControlConfig, DeadlinePolicy, GenerationConfig, HttpConfig, ServeConfig, SloSignal,
-    StoreConfig, TenantSpec, TraceConfig,
+    ControlConfig, DeadlinePolicy, GenerationConfig, HttpConfig, ServeConfig, StoreConfig,
+    TenantSpec, TraceConfig,
 };
 pub use control::{MigrationEvent, RepartitionEvent};
 pub use dispatch::{hybrid_search_batch, run_dispatcher, DispatchOutcome};

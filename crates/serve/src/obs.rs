@@ -181,7 +181,7 @@ pub struct ObsEvent {
     pub at_ns: u64,
     /// How serious the event is.
     pub severity: Severity,
-    /// Event kind (`repartition`, `migration`, `shed`, `deadline-shed`,
+    /// Event kind (`repartition`, `migration`, `deadline-shed`,
     /// `degrade`, `panic`, `slo_breach`, `slo_burn`).
     pub kind: &'static str,
     /// Human-readable detail line.
@@ -276,8 +276,8 @@ pub struct ObsPlane {
     /// Requests whose lifecycle ended with a reply (delivered, or shed by
     /// generation admission with retrieval results).
     pub completed: Counter,
-    /// Requests shed at generation admission, KV-aware or deadline-aware
-    /// (rung 5 also ticks `deadline_sheds`).
+    /// Requests shed at generation admission (rung 5 of the deadline
+    /// ladder; each also ticks `deadline_sheds`).
     pub gen_sheds: Counter,
     /// Batches launched.
     pub batches: Counter,
@@ -531,7 +531,7 @@ impl ObsPlane {
             ),
             (
                 "vlite_gen_sheds_total",
-                "Requests shed at generation admission (KV-aware or deadline-aware)",
+                "Requests shed at generation admission (rung 5 of the deadline ladder)",
                 &self.gen_sheds,
             ),
             (
@@ -686,7 +686,7 @@ mod tests {
             hit_rate,
             deadline: None,
             gen_busy: None,
-            shed: shed.then_some(ShedCause::GenKv),
+            shed: shed.then_some(ShedCause::GenDeadline),
         }
     }
 

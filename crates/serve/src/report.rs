@@ -56,8 +56,8 @@ pub struct TenantReport {
     /// `slo_ttft` target (`0.0` when generation is disabled). Sheds count
     /// as misses.
     pub ttft_attainment: f64,
-    /// This tenant's requests shed at generation admission, KV-aware or
-    /// deadline-aware (served retrieval-only, counted as TTFT misses).
+    /// This tenant's requests shed at generation admission (rung 5 of the
+    /// deadline ladder; served retrieval-only, counted as TTFT misses).
     pub gen_sheds: u64,
     /// Mean cache hit rate across this tenant's served requests.
     pub mean_hit_rate: f64,
@@ -178,9 +178,9 @@ pub struct ServeReport {
     /// Fraction of requests whose TTFT met `slo_ttft` (`0.0` when
     /// generation is disabled). Sheds count as misses.
     pub ttft_attainment: f64,
-    /// Requests shed at generation admission, KV-aware or deadline-aware
-    /// (served retrieval-only, counted as TTFT misses; the deadline-aware
-    /// ones also count in `deadline_sheds[2]`).
+    /// Requests shed at generation admission (rung 5 of the deadline
+    /// ladder; served retrieval-only, counted as TTFT misses, and also
+    /// counted in `deadline_sheds[2]`).
     pub gen_sheds: u64,
     /// Batches launched.
     pub batches: u64,

@@ -37,9 +37,7 @@ use vlite_store::{StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
 use crate::clock::{Clock, RealClock};
-use crate::config::{
-    DeadlinePolicy, GenerationConfig, ServeConfig, SloSignal, StoreConfig, TenantSpec,
-};
+use crate::config::{DeadlinePolicy, GenerationConfig, ServeConfig, StoreConfig, TenantSpec};
 use crate::control::{ControlLoop, MigrationEvent, Observation, RepartitionEvent};
 use crate::generation::{generation_worker, GenWork};
 use crate::obs::{
@@ -79,7 +77,7 @@ struct ScanPool {
 }
 
 /// Why a request ended without full service — one rung of the deadline
-/// degradation ladder, or KV-aware generation admission.
+/// degradation ladder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShedCause {
     /// Rung 1: the estimated queue wait already exceeded the whole budget,
@@ -90,8 +88,6 @@ pub enum ShedCause {
     },
     /// Rung 2: the deadline passed while the request queued.
     QueueExpired,
-    /// KV-aware generation admission: estimated TTFT past `slo_ttft`.
-    GenKv,
     /// Rung 5: estimated first token past the request's own deadline.
     GenDeadline,
 }
@@ -100,17 +96,15 @@ impl ShedCause {
     /// Generation sheds still deliver the retrieval results, so they count
     /// as completed replies; admission and queue sheds never reply.
     fn replies(self) -> bool {
-        matches!(self, ShedCause::GenKv | ShedCause::GenDeadline)
+        matches!(self, ShedCause::GenDeadline)
     }
 
-    /// The `DEADLINE_STAGE_*` counter this shed ticks (KV sheds are not
-    /// deadline sheds).
-    fn deadline_stage(self) -> Option<usize> {
+    /// The `DEADLINE_STAGE_*` counter this shed ticks.
+    fn deadline_stage(self) -> usize {
         match self {
-            ShedCause::Admission { .. } => Some(crate::obs::DEADLINE_STAGE_ADMISSION),
-            ShedCause::QueueExpired => Some(crate::obs::DEADLINE_STAGE_QUEUE),
-            ShedCause::GenKv => None,
-            ShedCause::GenDeadline => Some(crate::obs::DEADLINE_STAGE_GENERATION),
+            ShedCause::Admission { .. } => crate::obs::DEADLINE_STAGE_ADMISSION,
+            ShedCause::QueueExpired => crate::obs::DEADLINE_STAGE_QUEUE,
+            ShedCause::GenDeadline => crate::obs::DEADLINE_STAGE_GENERATION,
         }
     }
 
@@ -119,7 +113,6 @@ impl ShedCause {
         match self {
             ShedCause::Admission { .. } => "shed:admission",
             ShedCause::QueueExpired => "shed:queue-expired",
-            ShedCause::GenKv => "shed:kv-admission",
             ShedCause::GenDeadline => "shed:gen-deadline",
         }
     }
@@ -203,8 +196,6 @@ pub(crate) struct Shared {
     pub(crate) clock: Arc<dyn Clock>,
     /// Generation-stage config; `None` serves retrieval only.
     pub(crate) generation: Option<GenerationConfig>,
-    /// Which latency feeds the control loop's SLO observations.
-    pub(crate) slo_signal: SloSignal,
     /// Deadline-budget policy every stage consults.
     pub(crate) deadline: DeadlinePolicy,
 }
@@ -276,7 +267,7 @@ impl Shared {
         // whatever the instant of the shed.
         let on_time = o.deadline.map(|d| replied && o.end <= d);
 
-        if let Some(stage) = o.shed.and_then(ShedCause::deadline_stage) {
+        if let Some(stage) = o.shed.map(ShedCause::deadline_stage) {
             obs.deadline_sheds[stage].inc();
         }
         // An admission shed never queued: it has no burn to record.
@@ -315,39 +306,27 @@ impl Shared {
         // formatting lines nobody keeps.
         if let Some(cause) = o.shed.filter(|_| obs.enabled()) {
             let budget_ms = budget.unwrap_or(0.0) * 1e3;
-            let gen_shed = |why: &str| {
-                format!(
-                    "request {} ({}) shed by {why} after {:.4}s of retrieval",
+            let detail = match cause {
+                ShedCause::Admission { estimated_wait } => format!(
+                    "{} submission shed at admission: budget {budget_ms:.1} ms < \
+                     estimated queue wait {:.1} ms",
+                    o.tenant,
+                    estimated_wait * 1e3
+                ),
+                ShedCause::QueueExpired => format!(
+                    "request {} ({}) expired in queue: {:.1} ms queued of a \
+                     {budget_ms:.1} ms budget",
+                    o.id,
+                    o.tenant,
+                    t.queue * 1e3
+                ),
+                ShedCause::GenDeadline => format!(
+                    "request {} ({}) shed by deadline-aware generation admission \
+                     after {:.4}s of retrieval",
                     o.id, o.tenant, t.e2e
-                )
-            };
-            let (kind, detail) = match cause {
-                ShedCause::Admission { estimated_wait } => (
-                    "deadline-shed",
-                    format!(
-                        "{} submission shed at admission: budget {budget_ms:.1} ms < \
-                         estimated queue wait {:.1} ms",
-                        o.tenant,
-                        estimated_wait * 1e3
-                    ),
-                ),
-                ShedCause::QueueExpired => (
-                    "deadline-shed",
-                    format!(
-                        "request {} ({}) expired in queue: {:.1} ms queued of a \
-                         {budget_ms:.1} ms budget",
-                        o.id,
-                        o.tenant,
-                        t.queue * 1e3
-                    ),
-                ),
-                ShedCause::GenKv => ("shed", gen_shed("KV-aware admission")),
-                ShedCause::GenDeadline => (
-                    "deadline-shed",
-                    gen_shed("deadline-aware generation admission"),
                 ),
             };
-            obs.journal(o.end.as_nanos(), Severity::Warn, kind, detail);
+            obs.journal(o.end.as_nanos(), Severity::Warn, "deadline-shed", detail);
         }
 
         self.trace.record_request(o);
@@ -450,7 +429,6 @@ pub struct RagServer {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
-    expected_mean_hit: f64,
 }
 
 impl std::fmt::Debug for RagServer {
@@ -505,9 +483,8 @@ impl RagServer {
     ///
     /// Panics if the tiered store cannot be built or reopened, if the
     /// deployment has no shards, if the tenant table is invalid (zero weight or
-    /// capacity), if the generation config has a zero batch cap or cannot
-    /// fit its worst-case request in KV, or if the control loop is keyed
-    /// off TTFT without a generation stage.
+    /// capacity), or if the generation config has a zero batch cap or
+    /// cannot fit its worst-case request in KV.
     pub fn from_deployment_with_clock(
         mut deployment: RealDeployment,
         config: ServeConfig,
@@ -528,10 +505,6 @@ impl RagServer {
             generation.validate(config.real.top_k);
         }
         config.deadline.validate();
-        assert!(
-            config.control.slo_signal == SloSignal::Search || config.generation.is_some(),
-            "TTFT-keyed control observations require a generation stage"
-        );
         // Expected mean hit rate, measured with the *same statistic* the
         // batcher will observe (per-query GPU-probe fraction over the
         // calibration probe sets) — the estimator's modeled mean is
@@ -569,7 +542,6 @@ impl RagServer {
             slo_search: config.real.slo_search,
             clock,
             generation: config.generation.clone(),
-            slo_signal: config.control.slo_signal,
             deadline: config.deadline.clone(),
         });
 
@@ -583,13 +555,12 @@ impl RagServer {
         // clock and delivers the final (post-decode) responses.
         let gen_tx = config.generation.as_ref().map(|generation| {
             // vlite-allow(bounded-queues): fed only with admitted, merged
-            // retrievals; KV-aware admission sheds before this can grow.
+            // retrievals, and drained into the engine every iteration.
             let (gen_tx, gen_rx) = channel::unbounded::<GenWork>();
             let shared_ = shared.clone();
             let generation = generation.clone();
-            let gen_control_tx = control_tx.clone();
             threads.push(spawn_named("vlite-generate", move || {
-                generation_worker(&shared_, &generation, &gen_rx, &gen_control_tx);
+                generation_worker(&shared_, &generation, &gen_rx);
             }));
             gen_tx
         });
@@ -631,7 +602,6 @@ impl RagServer {
             shared,
             threads,
             next_id: AtomicU64::new(0),
-            expected_mean_hit,
         }
     }
 
@@ -788,12 +758,6 @@ impl RagServer {
     /// repartition).
     pub fn placement_generation(&self) -> u64 {
         self.shared.placement_snapshot().1
-    }
-
-    /// Expected mean hit rate at start-up: the calibration probe sets
-    /// routed through the initial placement (the drift monitor's baseline).
-    pub fn expected_mean_hit(&self) -> f64 {
-        self.expected_mean_hit
     }
 
     /// Global cluster ids resident on each shard under the current
@@ -1493,30 +1457,21 @@ fn complete_query(
     let queue = (batch.started - job.enqueued).as_secs_f64();
     let search = (now - batch.started).as_secs_f64();
     let hit_rate = routed.hit_rate();
-    let met_slo = search <= shared.slo_search;
 
-    // The query's global probe set (the control loop's re-profiling
-    // sample). With search-keyed control the observation leaves here; with
-    // TTFT-keyed control it travels with the generation work instead, so
-    // the SLO bit reflects the latency users feel.
-    let probes = || {
-        let mut probes = routed.cpu_probes.clone();
-        for globals in &routed.shard_probes_global {
-            probes.extend_from_slice(globals);
-        }
-        probes
-    };
+    // The control loop's one observation of this query: its hit rate, the
+    // search SLO bit, and its global probe set (the re-profiling sample).
+    let mut probes = routed.cpu_probes.clone();
+    for globals in &routed.shard_probes_global {
+        probes.extend_from_slice(globals);
+    }
+    let _ = control_tx.send(Observation {
+        tenant: job.tenant,
+        hit_rate,
+        met_slo: search <= shared.slo_search,
+        probes,
+    });
 
     if let Some(gen_tx) = gen_tx {
-        let ttft_keyed = shared.slo_signal == SloSignal::Ttft;
-        if !ttft_keyed {
-            let _ = control_tx.send(Observation {
-                tenant: job.tenant,
-                hit_rate,
-                met_slo,
-                probes: probes(),
-            });
-        }
         // The request's outcome is recorded by the generation worker when
         // its lifecycle actually ends; the batcher only counts
         // batch-level statistics for co-scheduled servers.
@@ -1534,7 +1489,6 @@ fn complete_query(
             search,
             merged_at: now,
             reply: job.reply.clone(),
-            probes: ttft_keyed.then(probes),
         });
         return;
     }
@@ -1557,13 +1511,6 @@ fn complete_query(
         deadline: job.deadline,
         gen_busy: None,
         shed: None,
-    });
-
-    let _ = control_tx.send(Observation {
-        tenant: job.tenant,
-        hit_rate,
-        met_slo,
-        probes: probes(),
     });
 
     // The ticket may have been dropped (fire-and-forget submission).

@@ -1126,7 +1126,7 @@ mod tests {
         o.end = o.enqueued + SimDuration::from_secs_f64(0.5);
         plane.record_request(&o);
         let mut o = outcome(2, shed, None);
-        o.shed = Some(ShedCause::GenKv);
+        o.shed = Some(ShedCause::GenDeadline);
         plane.record_request(&o);
 
         let spans = plane.trace_spans(fast.0).expect("held");
@@ -1164,7 +1164,7 @@ mod tests {
         assert!(entry.contains("\"shed\":false,\"spans\":[{\"stage\":\"queue\",\"start_s\":0,"));
         let shed_entry = ring("slow")[1].render();
         assert!(shed_entry.contains("\"shed\":true"), "{shed_entry}");
-        assert!(shed_entry.contains("\"stage\":\"shed:kv-admission\""));
+        assert!(shed_entry.contains("\"stage\":\"shed:gen-deadline\""));
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   the generation-queue phase boundary to the exact tick.
 //! - A two-tenant flood reports nonzero per-tenant TTFT attainment in the
 //!   [`ServeReport`], end to end and over the HTTP frontend.
-//! - TTFT-keyed control observations trigger an online repartition at a
-//!   pinned request index; the identical search-keyed server does not.
+//! - Rung 5 with every deadline at the TTFT SLO sheds KV pressure: the
+//!   condemning estimate and shed tick are pinned on the stage, and a
+//!   flood counts its sheds as TTFT misses per tenant.
+//! - Control observations are judged against the search SLO only.
 
 use std::sync::Arc;
 
@@ -27,11 +29,13 @@ use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::loadgen::RotatingQuerySource;
 use vectorlite_rag::serve::{
-    ControlConfig, GenerationConfig, RagServer, ServeConfig, SloSignal, TenantId, TenantSpec,
-    VirtualClock,
+    ControlConfig, GenerationConfig, RagServer, ServeConfig, TenantId, TenantSpec, VirtualClock,
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
+
+mod common;
+use common::{await_batched, GatedClock};
 
 fn small_corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -259,11 +263,11 @@ fn shutdown_drains_the_generation_backlog() {
     }
 }
 
-/// Config for the TTFT-keyed repartition pin: the workload's hot set is
+/// Config for the search-keyed control pin: the workload's hot set is
 /// rotated away from the calibration profile from the very first request,
 /// so hit-rate divergence is present throughout; whether the dual trigger
-/// fires then depends *only* on the SLO signal.
-fn drift_config(signal: SloSignal) -> ServeConfig {
+/// fires then depends *only* on the SLO half.
+fn drift_config() -> ServeConfig {
     let mut config = ServeConfig::small();
     config.real = RealConfig {
         ivf: vectorlite_rag::ann::IvfConfig::new(64),
@@ -288,10 +292,9 @@ fn drift_config(signal: SloSignal) -> ServeConfig {
         profile_window: 512,
         cooldown_requests: 100,
         require_slo_breach: true,
-        slo_signal: signal,
     };
     let mut generation = GenerationConfig::tiny();
-    // Unmeetable TTFT SLO: every TTFT-keyed observation is a breach.
+    // Unmeetable TTFT SLO: every request misses it.
     generation.slo_ttft = 1e-9;
     config.generation = Some(generation);
     config
@@ -310,11 +313,11 @@ fn drift_corpus() -> SyntheticCorpus {
 
 /// Runs 150 rotated-hot-set requests through a co-scheduled server and
 /// returns its final report.
-fn run_drifted(signal: SloSignal) -> vectorlite_rag::serve::ServeReport {
+fn run_drifted() -> vectorlite_rag::serve::ServeReport {
     let corpus = drift_corpus();
     let clock = Arc::new(VirtualClock::new());
     let server =
-        RagServer::start_with_clock(&corpus, drift_config(signal), clock).expect("server starts");
+        RagServer::start_with_clock(&corpus, drift_config(), clock).expect("server starts");
     let mut source = RotatingQuerySource::from_corpus(&corpus, 5);
     source.set_rotation(16); // hot set moved before the first request
     let tickets: Vec<_> = (0..150)
@@ -327,35 +330,17 @@ fn run_drifted(signal: SloSignal) -> vectorlite_rag::serve::ServeReport {
 }
 
 #[test]
-fn ttft_keyed_observations_trigger_repartition_at_a_pinned_index() {
-    let report = run_drifted(SloSignal::Ttft);
-    // Every observation breaches the 1 ns TTFT SLO and diverges in hit
-    // rate, so the dual trigger fires the moment the start-up cooldown
-    // (100 requests) expires — at observation 100 exactly, deterministic
-    // under the virtual clock.
-    assert!(
-        !report.repartitions.is_empty(),
-        "TTFT-keyed SLO breaches must drive a repartition"
-    );
-    assert_eq!(
-        report.repartitions[0].at_request, 100,
-        "trigger must fire the moment the cooldown expires"
-    );
-    assert_eq!(report.ttft_attainment, 0.0, "nothing meets a 1 ns TTFT SLO");
-    assert_eq!(report.completed, 150);
-}
-
-#[test]
 fn search_keyed_observations_ignore_ttft_breaches() {
-    // The identical run keyed off search latency: the 10 s search SLO is
-    // never breached, so despite identical drift and identical TTFT pain,
-    // the paper's dual condition never fires. This pins that the previous
-    // test's trigger really came through the TTFT path.
-    let report = run_drifted(SloSignal::Search);
+    // The control loop judges each observation against the search SLO
+    // (the one Algorithm 1 partitions against): the 10 s search SLO is
+    // never breached, so despite drift from the first request and a TTFT
+    // miss on every one, the paper's dual condition never fires.
+    let report = run_drifted();
     assert!(
         report.repartitions.is_empty(),
         "search-keyed control must not react to TTFT breaches"
     );
+    assert_eq!(report.ttft_attainment, 0.0, "nothing meets a 1 ns TTFT SLO");
     assert_eq!(report.generation, 0);
     assert_eq!(report.completed, 150);
 }
@@ -365,10 +350,11 @@ fn kv_admission_estimate_and_rejection_are_pinned_to_the_exact_tick() {
     // Scripted virtual-time scenario on the public GenerationStage, the
     // same harness style as the queueing-phase test: request 0 fills the
     // KV pool; request 1 arrives while the engine is busy and the pool
-    // full, and its shed decision — and the condemning estimate — must be
-    // exact functions of the cost model at the scripted tick.
+    // full. Rung 5, with the deadline a `default_deadline = slo_ttft`
+    // policy stamps (admission + slo_ttft), must shed it at the scripted
+    // tick, condemned by an estimate that is an exact function of the
+    // cost model.
     let mut config = GenerationConfig::tiny();
-    config.kv_admission = true;
     config.output_tokens = 64;
     // Pool of exactly 512 tokens: request 0's claim (384 prompt + 64
     // output) fits alone; adding request 1's equal claim cannot.
@@ -382,6 +368,7 @@ fn kv_admission_estimate_and_rejection_are_pinned_to_the_exact_tick() {
     let mut stage = GenerationStage::new(&config);
 
     let t0 = SimTime::ZERO;
+    let deadline = Some(t0 + SimDuration::from_secs_f64(config.slo_ttft));
     // Idle stage: request 0 admits — its estimate is one prefill.
     assert_eq!(
         stage.estimate_first_token(prompt, t0),
@@ -389,13 +376,14 @@ fn kv_admission_estimate_and_rejection_are_pinned_to_the_exact_tick() {
         "idle estimate is exactly one prefill"
     );
     stage
-        .submit_or_shed(
+        .submit_within(
             GenRequest {
                 id: 0,
                 n_docs: 10,
                 admitted_at: t0,
             },
             t0,
+            deadline,
         )
         .expect("idle engine admits");
     let step = stage.advance(t0).expect("prefill runs");
@@ -408,23 +396,27 @@ fn kv_admission_estimate_and_rejection_are_pinned_to_the_exact_tick() {
     let drain = vectorlite_rag::sim::SimDuration::from_secs_f64(
         decode.as_secs_f64() * 63.0, // 64 output tokens, 1 emitted at prefill
     );
-    let expected = ((t0 + p0) + drain + p0) - t0;
     assert_eq!(
         stage.estimate_first_token(prompt, t0),
         t0 + p0 + drain + p0,
         "busy estimate must be exact"
     );
     let shed = stage
-        .submit_or_shed(
+        .submit_within(
             GenRequest {
                 id: 1,
                 n_docs: 10,
                 admitted_at: t0,
             },
             t0,
+            deadline,
         )
         .expect_err("KV-full engine must shed");
-    assert_eq!(shed, expected, "the condemning estimate is pinned");
+    assert_eq!(
+        shed,
+        t0 + p0 + drain + p0,
+        "the condemning estimate is pinned"
+    );
     assert_eq!(
         stage.queue_len(),
         0,
@@ -454,7 +446,6 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
     let corpus = small_corpus();
     let mut config = co_scheduled_config();
     let generation = config.generation.as_mut().unwrap();
-    generation.kv_admission = true;
     generation.output_tokens = 32;
     // Admission bar: an idle prefill fits comfortably, a backlog of them
     // does not — so a flood is guaranteed to produce both outcomes.
@@ -462,20 +453,23 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
         .cost
         .prefill_time(generation.prompt_tokens(10), 1.0);
     generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
+    // KV-aware admission is rung 5 with every request's deadline at its
+    // TTFT SLO. No cold-scan estimate, so rung 4 keeps every probe.
+    config.deadline.default_deadline = Some(generation.slo_ttft);
+    config.deadline.enforce = true;
+    config.deadline.est_cold = 0.0;
     config.tenants = vec![
         TenantSpec {
             weight: 1,
             queue_capacity: 512,
             slo_search: 0.05,
-        },
-        TenantSpec {
-            weight: 1,
-            queue_capacity: 512,
-            slo_search: 0.05,
-        },
+        };
+        2
     ];
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let clock = Arc::new(GatedClock::default());
+    let server =
+        RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+    let gate = clock.close();
 
     let mut tickets = Vec::new();
     for i in 0..360 {
@@ -486,6 +480,8 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
                 .expect("admitted"),
         );
     }
+    await_batched(&server, 360);
+    drop(gate);
     let mut shed_by_tenant = [0u64; 2];
     let mut served_by_tenant = [0u64; 2];
     for ticket in tickets {
@@ -516,6 +512,7 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
     assert!(served > 0, "the flood must also serve");
     assert_eq!(report.completed, 360);
     assert_eq!(report.gen_sheds, sheds);
+    assert_eq!(report.deadline_sheds, [0, 0, sheds], "only rung 5 sheds");
     // TTFT samples exist only for served requests; the attainment
     // denominator nevertheless includes every shed as a miss.
     assert_eq!(report.ttft.count as u64, served);

@@ -6,10 +6,11 @@
 //! that store. These tests pin the contract from the outside:
 //!
 //! 1. Conservation from one source: after a deadline flood (retrieval
-//!    only) and a co-scheduled run with KV sheds, every admitted request
-//!    is accounted for exactly once, the per-tenant slices sum to the
-//!    totals, every stage histogram saw one sample per completion, and the
-//!    scrape reads the same totals as the report.
+//!    only) and a co-scheduled run whose KV pressure rung 5 sheds (every
+//!    deadline at the TTFT SLO), every admitted request is accounted for
+//!    exactly once, the per-tenant slices sum to the totals, every stage
+//!    histogram saw one sample per completion, and the scrape reads the
+//!    same totals as the report.
 //! 2. The report accuracy contract: `count`/`mean`/`min`/`max` are exact,
 //!    percentiles err high by at most the histogram's documented bound.
 //! 3. Every reply's span tree (looked up by `SearchResponse.trace`)
@@ -36,6 +37,9 @@ use vectorlite_rag::serve::{
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
+
+mod common;
+use common::{await_batched, GatedClock};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -243,10 +247,7 @@ fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
     let corpus = corpus();
     let mut config = config();
     config.tenants = two_tenants();
-    // Measure-only budgets: every reply is judged against a deadline.
-    config.deadline.default_deadline = Some(10.0);
     let mut generation = GenerationConfig::tiny();
-    generation.kv_admission = true;
     generation.output_tokens = 32;
     // An idle prefill fits the TTFT bar comfortably, a backlog of them
     // does not — so the flood both serves and sheds.
@@ -254,9 +255,15 @@ fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
         .cost
         .prefill_time(generation.prompt_tokens(config.real.top_k), 1.0);
     generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
+    // KV-aware admission is rung 5 with every request's deadline at its
+    // TTFT SLO; every reply is judged against that deadline.
+    config.deadline.default_deadline = Some(generation.slo_ttft);
+    config.deadline.enforce = true;
     config.generation = Some(generation);
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let clock = Arc::new(GatedClock::default());
+    let server =
+        RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+    let gate = clock.close();
 
     let n = 240;
     let tickets: Vec<_> = corpus
@@ -269,6 +276,8 @@ fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
                 .expect("admitted")
         })
         .collect();
+    await_batched(&server, n as u64);
+    drop(gate);
     let mut shed_replies = 0u64;
     for ticket in tickets {
         let response = ticket.wait().expect("every request gets a reply");
@@ -279,6 +288,7 @@ fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
     let report = server.report();
     assert_eq!(report.completed, n as u64);
     assert_eq!(report.gen_sheds, shed_replies);
+    assert_eq!(report.gen_sheds, report.deadline_sheds[2]);
     assert!(report.gen_sheds > 0, "the flood must shed");
     assert!(report.gen_sheds < n as u64, "the flood must also serve");
     assert_eq!(report.burn_gen.count as u64, n as u64 - report.gen_sheds);

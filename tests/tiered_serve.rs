@@ -62,7 +62,6 @@ fn config() -> ServeConfig {
         profile_window: 600,
         cooldown_requests: 200,
         require_slo_breach: false,
-        ..ControlConfig::default()
     };
     config
 }
