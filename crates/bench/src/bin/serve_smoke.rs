@@ -13,10 +13,14 @@
 //!   must probe exactly the tiers its placement holds;
 //! - `kernel_scalar_p99` — the paper placement with dispatch forced to
 //!   the scalar kernels (600 requests);
-//! - `deadline_goodput` — an over-budget flood (600 requests, uniform
-//!   10 ms budget) with the degradation ladder enforcing. The one
-//!   *inverted* row: the measured value is goodput (deadline-met
-//!   completions per offered second) and the budget column is a floor.
+//! - `deadline_goodput` — an over-budget flood (uniform 10 ms budget)
+//!   with the degradation ladder enforcing. The flood is sized from the
+//!   drain rate a burst measures on this host just before it: offered at
+//!   [`FLOOD_OVERLOAD`] times that rate (or the row's rate, if higher)
+//!   for [`FLOOD_BUDGETS`] budgets, at least 600 requests, so its queue
+//!   outgrows the budget on any host. The one *inverted* row: the
+//!   measured value is goodput (deadline-met completions per offered
+//!   second) and the budget column is a floor.
 //!
 //! Every other row gates its p99 from above. Budgets are deliberately
 //! loose (an order of magnitude above local measurements) so shared
@@ -37,7 +41,7 @@ use vlite_bench::{banner, write_csv};
 use vlite_core::RealConfig;
 use vlite_metrics::{fmt_seconds, Table};
 use vlite_serve::loadgen::{run_open_loop, RotatingQuerySource};
-use vlite_serve::{GenerationConfig, RagServer, ServeConfig, ServeReport};
+use vlite_serve::{GenerationConfig, RagServer, ServeConfig, ServeReport, Ticket};
 use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
 /// The pinned "paper placement" coverage of the tier rows.
@@ -66,6 +70,17 @@ const KERNEL_P50_NOISE: f64 = 1.15;
 /// next to an unloaded request (~1-3 ms locally) and hopeless next to the
 /// queueing the flood builds up, so enforcement has doomed work to shed.
 const DEADLINE_BUDGET_S: f64 = 0.010;
+
+/// The deadline flood arrives at this multiple of the host's measured
+/// drain rate, so its queue grows by twice the drain rate while it lasts.
+const FLOOD_OVERLOAD: f64 = 3.0;
+
+/// The deadline flood lasts this many budgets: at [`FLOOD_OVERLOAD`] its
+/// last arrivals queue behind six budgets of work when nothing is shed.
+const FLOOD_BUDGETS: f64 = 3.0;
+
+/// Requests in the burst that measures the drain rate (fits the queue).
+const DRAIN_BURST: usize = 512;
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -117,23 +132,53 @@ fn run(
     n: usize,
     configure: impl FnOnce(&mut ServeConfig),
 ) -> ServeReport {
-    let mut config = ServeConfig::small();
-    config.real = real_config();
-    config.queue_capacity = 512;
-    configure(&mut config);
-    let server = RagServer::start(corpus, config).expect("server starts");
+    let server = start(corpus, configure);
     let mut source = RotatingQuerySource::from_corpus(corpus, 11);
     run_open_loop(&server, &mut source, rate, n, 17, |_, _| {});
     server.shutdown()
 }
 
+/// A fresh server on the smoke config, adjusted by `configure`.
+fn start(corpus: &SyntheticCorpus, configure: impl FnOnce(&mut ServeConfig)) -> RagServer {
+    let mut config = ServeConfig::small();
+    config.real = real_config();
+    config.queue_capacity = 512;
+    configure(&mut config);
+    RagServer::start(corpus, config).expect("server starts")
+}
+
 /// The deadline flood's config: every request carries the uniform budget,
-/// with the ladder enforcing or measure-only.
-fn flood(enforce: bool) -> impl FnOnce(&mut ServeConfig) {
+/// with the ladder enforcing or measure-only, and the queue holds the
+/// whole flood, so only the ladder (never a full queue) turns work away.
+fn flood(enforce: bool, n: usize) -> impl FnOnce(&mut ServeConfig) {
     move |c| {
         c.deadline.default_deadline = Some(DEADLINE_BUDGET_S);
         c.deadline.enforce = enforce;
+        c.queue_capacity = c.queue_capacity.max(n);
     }
+}
+
+/// The deadline flood's offered rate and size on this host: a burst of
+/// [`DRAIN_BURST`] unbudgeted requests, submitted at once and timed to its
+/// last reply, measures how fast the flood's server drains; the flood
+/// then outruns that rate [`FLOOD_OVERLOAD`]-fold (or arrives at `rate`,
+/// if faster) for [`FLOOD_BUDGETS`] budgets, and has at least 600
+/// requests.
+fn flood_size(corpus: &SyntheticCorpus, rate: f64) -> (f64, usize) {
+    let server = start(corpus, flood(false, DRAIN_BURST));
+    let mut source = RotatingQuerySource::from_corpus(corpus, 11);
+    let queries: Vec<Vec<f32>> = (0..DRAIN_BURST).map(|_| source.next_query()).collect();
+    let started = std::time::Instant::now();
+    let tickets: Vec<_> = (queries.into_iter())
+        .map(|q| server.submit(q).expect("the burst fits the queue"))
+        .collect();
+    let served = tickets.into_iter().filter_map(Ticket::wait).count();
+    assert_eq!(served, DRAIN_BURST, "measure-only serves every request");
+    let drain = DRAIN_BURST as f64 / started.elapsed().as_secs_f64();
+    server.shutdown();
+    let offered = rate.max(FLOOD_OVERLOAD * drain);
+    let n = (offered * FLOOD_BUDGETS * DEADLINE_BUDGET_S).ceil() as usize;
+    (offered, n.max(600))
 }
 
 /// Deadline-met completions per offered second: the goodput a client with
@@ -208,8 +253,11 @@ fn gate(baseline_path: &str) {
     let mut measured: Vec<(&GateRow, ServeReport)> = Vec::new();
 
     for row in &rows {
-        let rate = row.rate;
-        let n = if row.metric == "ttft_p99" { 300 } else { 600 };
+        let (rate, n) = match row.metric.as_str() {
+            "ttft_p99" => (row.rate, 300),
+            "deadline_goodput" => flood_size(tiers(), row.rate),
+            _ => (row.rate, 600),
+        };
         let tier = |coverage| {
             run(tiers(), rate, n, |c| {
                 c.real.coverage_override = Some(coverage)
@@ -230,7 +278,7 @@ fn gate(baseline_path: &str) {
                 vlite_ann::kernel::clear_force();
                 report
             }
-            "deadline_goodput" => run(tiers(), rate, n, flood(true)),
+            "deadline_goodput" => run(tiers(), rate, n, flood(true, n)),
             other => panic!(
                 "unknown baseline metric {other:?} (search_p99 | ttft_p99 | tiers_all_hot_p99 \
                  | tiers_paper_p99 | tiers_all_cold_p99 | kernel_scalar_p99 | deadline_goodput)"
@@ -301,7 +349,7 @@ fn gate(baseline_path: &str) {
                 + report.degraded_probes
                 + report.cold_skips;
             assert!(ladder > 0, "the enforcing flood must exercise the ladder");
-            let baseline = run(tiers(), rate, n, flood(false));
+            let baseline = run(tiers(), rate, n, flood(false, n));
             assert_eq!(baseline.deadline_sheds, [0, 0, 0], "measure-only shed");
             assert_eq!((baseline.degraded_probes, baseline.cold_skips), (0, 0));
             let base = goodput(&baseline, rate, n);

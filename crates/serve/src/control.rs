@@ -666,12 +666,12 @@ pub(crate) mod tests {
         };
         let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
         let t0 = vlite_sim::SimTime::ZERO;
-        // Seed the drain-rate EWMA: two drains of 4 jobs 10 ms apart read
-        // ~400 jobs/s, then backlog the lane so the wait estimate is real.
-        shared.queue.record_drain(4, t0);
+        // Seed the drain-rate EWMA: a batch of 4 jobs served in 10 ms of
+        // engine time reads 400 jobs/s, then backlog the lane so the wait
+        // estimate is real.
         shared
             .queue
-            .record_drain(4, t0 + vlite_sim::SimDuration::from_millis(10.0));
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0));
         backlog(&shared, 32);
         let wait = shared
             .queue
@@ -727,10 +727,9 @@ pub(crate) mod tests {
     fn measure_only_policy_never_sheds_at_admission() {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
         let t0 = vlite_sim::SimTime::ZERO;
-        shared.queue.record_drain(4, t0);
         shared
             .queue
-            .record_drain(4, t0 + vlite_sim::SimDuration::from_millis(10.0));
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0));
         backlog(&shared, 32);
         let wait = shared
             .queue

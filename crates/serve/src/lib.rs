@@ -14,7 +14,8 @@
 //!                 ┌────────────────────────┐ on-demand batching
 //!                 │ batcher: CQ + routing  │◀──── IndexSplit snapshot (RwLock),
 //!                 └──┬─────────────┬───────┘      global cluster ids
-//!          pruned    ▼             ▼  cold probes
+//!   pruned, batches  ▼             ▼  cold probes (a lone query:
+//!        of two or more               every share, in share order)
 //!        ┌──────────────┐   ┌──────────────┐
 //!        │ shard workers│   │ batcher scans│
 //!        │ ("GPUs")     │   │ the CPU share│
@@ -23,7 +24,7 @@
 //!               │ StoreSnapshot, taken at formation, in one blocked call:
 //!               │ hot = resident f32 arenas, cold = mmap'd SQ8 extents,
 //!               │ tiers moved live by the control loop on repartition
-//!               ▼ one share per shard per batch, plus the CPU share
+//!               ▼ one share per shard, plus the CPU share
 //!        ┌────────────────────────────────┐
 //!        │ batcher: gather every share,   │──▶ per-request latencies,
 //!        │ merge + deliver each query     │    SLO bookkeeping
@@ -49,7 +50,9 @@
 //!
 //! - [`RagServer`] — owns the index's centroids, the tiered store that
 //!   holds every list payload (flat L2 / inner-product indexes only; the
-//!   server has no other scan path), and all runtime threads.
+//!   server has no other scan path), and all runtime threads. A batch of
+//!   one query never reaches a shard worker: the batcher scans its every
+//!   share itself, sparing two thread hand-offs per request.
 //! - [`ServeConfig`] / [`ControlConfig`] / [`TenantSpec`] — queueing,
 //!   batching, online repartitioning, and per-tenant (weight, quota, SLO)
 //!   knobs; [`TenantId`] names a tenant throughout the pipeline.

@@ -28,11 +28,11 @@ use std::sync::{Condvar, Mutex};
 use crate::config::TenantSpec;
 use crate::request::{Job, TenantId};
 use crate::sync::{lock_recover, wait_recover};
-use vlite_sim::SimTime;
+use vlite_sim::SimDuration;
 
 /// EWMA smoothing for the drain-rate estimate: recent batches dominate so
 /// the estimate tracks load shifts within a few batches, while one odd
-/// inter-batch gap cannot swing it.
+/// batch cannot swing it.
 const DRAIN_ALPHA: f64 = 0.2;
 
 /// One tenant's bounded lane plus its fair-share scheduling state.
@@ -55,11 +55,9 @@ struct Inner {
     total_depth: usize,
     peak_total_depth: usize,
     closed: bool,
-    /// Recent drain throughput in jobs/sec (EWMA over `record_drain`
-    /// samples); `0.0` until two drains have been observed.
+    /// Recent drain throughput in jobs per engine-busy second (EWMA over
+    /// `record_drain` samples); `0.0` until a batch has been measured.
     drain_rate: f64,
-    /// Timestamp of the most recent drain, on the server's clock.
-    last_drain: Option<SimTime>,
 }
 
 /// Snapshot of one tenant's admission counters.
@@ -112,7 +110,6 @@ impl AdmissionQueue {
                 peak_total_depth: 0,
                 closed: false,
                 drain_rate: 0.0,
-                last_drain: None,
             }),
             not_empty: Condvar::new(),
         }
@@ -160,30 +157,29 @@ impl AdmissionQueue {
         }
     }
 
-    /// Records that the batcher drained `n` jobs at `now`, feeding the
-    /// EWMA drain-rate estimate that backs admission feasibility and the
-    /// `Retry-After` hint. The first call only seeds the timestamp; the
-    /// rate needs two drains before it reads non-zero.
-    pub fn record_drain(&self, n: usize, now: SimTime) {
-        if n == 0 {
+    /// Records that the engine served a batch of `n` jobs in `busy` (the
+    /// batch's formation-to-merge interval), feeding the EWMA drain-rate
+    /// estimate that backs admission feasibility and the `Retry-After`
+    /// hint. Only busy time counts: a gap in which the queue sat empty
+    /// says nothing about how fast queued work drains. A zero-length
+    /// interval (a batch on a virtual clock that never moved) measures
+    /// nothing.
+    pub fn record_drain(&self, n: usize, busy: SimDuration) {
+        let busy = busy.as_secs_f64();
+        if n == 0 || busy <= 0.0 {
             return;
         }
+        let inst = n as f64 / busy;
         let mut inner = lock_recover(&self.inner);
-        if let Some(prev) = inner.last_drain {
-            let dt = now.duration_since(prev).as_secs_f64();
-            if dt > 0.0 {
-                let inst = n as f64 / dt;
-                inner.drain_rate = if inner.drain_rate > 0.0 {
-                    (1.0 - DRAIN_ALPHA) * inner.drain_rate + DRAIN_ALPHA * inst
-                } else {
-                    inst
-                };
-            }
-        }
-        inner.last_drain = Some(now);
+        inner.drain_rate = if inner.drain_rate > 0.0 {
+            (1.0 - DRAIN_ALPHA) * inner.drain_rate + DRAIN_ALPHA * inst
+        } else {
+            inst
+        };
     }
 
-    /// Recent drain throughput in jobs/sec (`0.0` until measured).
+    /// Recent drain throughput in jobs per busy second (`0.0` until
+    /// measured).
     #[cfg(test)]
     pub fn drain_rate(&self) -> f64 {
         lock_recover(&self.inner).drain_rate
@@ -499,10 +495,15 @@ mod tests {
         // at 1s.
         assert_eq!(q.estimated_wait(TenantId(0)), None);
         assert_eq!(q.retry_after_secs(TenantId(0)), 1);
-        // Two drains of 10 jobs, 1s apart → 10 jobs/sec exactly (the
-        // first call only seeds the timestamp).
-        q.record_drain(10, SimTime::from_secs_f64(1.0));
-        q.record_drain(10, SimTime::from_secs_f64(2.0));
+        // Two batches of 10 jobs, each served in 1s of engine time → 10
+        // jobs/sec exactly (the first batch sets the rate outright).
+        let second = SimDuration::from_secs_f64(1.0);
+        q.record_drain(10, second);
+        assert!((q.drain_rate() - 10.0).abs() < 1e-9);
+        q.record_drain(10, second);
+        assert!((q.drain_rate() - 10.0).abs() < 1e-9);
+        // A batch that took no time measures nothing.
+        q.record_drain(10, SimDuration::ZERO);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
         for id in 0..30 {
             q.try_push(job(0, id)).unwrap();
@@ -518,8 +519,7 @@ mod tests {
         // Equal backlogs, weights 1:3 → the light tenant drains at 1/4 of
         // the rate and waits 3x longer than the heavy one.
         let q = AdmissionQueue::new(&[spec(1, 64), spec(3, 64)]);
-        q.record_drain(8, SimTime::from_secs_f64(1.0));
-        q.record_drain(8, SimTime::from_secs_f64(2.0));
+        q.record_drain(8, SimDuration::from_secs_f64(1.0));
         for id in 0..8 {
             q.try_push(job(0, id)).unwrap();
             q.try_push(job(1, id)).unwrap();

@@ -10,11 +10,12 @@
 //! absorbing everything queued (§VI-B). It hands the batch to every shard
 //! worker, scans the cold (CPU) share on its own thread meanwhile, gathers
 //! exactly one share from each shard, then merges, records and replies for
-//! every query in batch order. A batch's queries therefore finish
-//! together: the cold scan is one blocked pass over the whole batch, so no
-//! query's CPU share is done before another's. Admission, generation and
-//! the control loop — which also moves the store's tiers after each
-//! repartition — run concurrently with the scan.
+//! every query in batch order; a batch of one query never reaches a
+//! worker, as the batcher scans all of its shares. A batch's queries
+//! therefore finish together: the cold scan is one blocked pass over the
+//! whole batch, so no query's CPU share is done before another's.
+//! Admission, generation and the control loop — which also moves the
+//! store's tiers after each repartition — run concurrently with the scan.
 //!
 //! Admission is multi-tenant: each tenant owns a bounded queue
 //! ([`TenantSpec::queue_capacity`](crate::TenantSpec)) and the batcher
@@ -1149,7 +1150,7 @@ fn batcher(
         let (split, generation) = shared.placement_snapshot();
         let started = shared.clock.now();
         let stage = shared.trace.stage_start(STAGE_BATCHER, started);
-        shared.queue.record_drain(jobs.len(), started);
+        let drained = jobs.len();
         // Rung 2 of the degradation ladder: a job whose deadline passed
         // while it queued is dropped here instead of burning a batch slot
         // on a response nobody will accept (its waiter sees the reply
@@ -1169,7 +1170,9 @@ fn batcher(
         };
         if jobs.is_empty() {
             // The whole drain expired: there is nothing to launch.
-            shared.trace.stage_end(stage, shared.clock.now());
+            let now = shared.clock.now();
+            shared.trace.stage_end(stage, now);
+            shared.queue.record_drain(drained, now - started);
             continue;
         }
         let routed: Vec<RoutedQuery> = jobs
@@ -1216,6 +1219,11 @@ fn batcher(
         if !run_batch(shared, pool, &batch, control_tx, gen_tx) {
             return; // a shard worker is gone: the runtime is tearing down
         }
+        // The engine was busy from formation to merge: that interval, not
+        // the gap since the previous batch, is what draining took.
+        shared
+            .queue
+            .record_drain(drained, shared.clock.now() - started);
     }
 }
 
@@ -1223,7 +1231,10 @@ fn batcher(
 /// share on this thread meanwhile, gathers exactly one share from each
 /// shard (the engine is busy until then), then merges, records and
 /// delivers every query in batch order inside one `dispatch` section.
-/// Returns `false` when a shard worker is gone.
+/// A lone query never reaches a worker: the batcher scans every share
+/// itself, in share order, since two thread hand-offs cost more than the
+/// parallel scans of one query buy. Returns `false` when a shard worker
+/// is gone.
 fn run_batch(
     shared: &Shared,
     pool: &ScanPool,
@@ -1231,19 +1242,25 @@ fn run_batch(
     control_tx: &Sender<Observation>,
     gen_tx: Option<&Sender<GenWork>>,
 ) -> bool {
-    for tx in &pool.work {
-        if tx.send(Arc::clone(batch)).is_err() {
-            return false;
-        }
-    }
     let cpu = shared.n_shards;
     let mut shares = vec![Vec::new(); cpu + 1];
-    shares[cpu] = scan_share(shared, batch, cpu);
-    for _ in 0..pool.work.len() {
-        let Ok((worker, partials)) = pool.done.recv() else {
-            return false;
-        };
-        shares[worker] = partials;
+    if batch.jobs.len() == 1 {
+        for (share, partials) in shares.iter_mut().enumerate() {
+            *partials = scan_share(shared, batch, share);
+        }
+    } else {
+        for tx in &pool.work {
+            if tx.send(Arc::clone(batch)).is_err() {
+                return false;
+            }
+        }
+        shares[cpu] = scan_share(shared, batch, cpu);
+        for _ in 0..pool.work.len() {
+            let Ok((worker, partials)) = pool.done.recv() else {
+                return false;
+            };
+            shares[worker] = partials;
+        }
     }
     let stage = shared.trace.stage_start(STAGE_DISPATCH, shared.clock.now());
     for qi in 0..batch.jobs.len() {
@@ -1351,8 +1368,10 @@ fn spawn_scan_workers(shared: &Arc<Shared>) -> (ScanPool, Vec<JoinHandle<()>>) {
     (ScanPool { work, done }, threads)
 }
 
-/// Shard worker `shard` ("GPU"): scans its share of each batch and returns
-/// it to the batcher in one message.
+/// Shard worker `shard` ("GPU"): scans its share of each batch of two or
+/// more queries and returns it to the batcher in one message. A lone query
+/// never reaches a worker: the batcher scans every share of it itself
+/// ([`run_batch`]).
 fn shard_worker(
     shared: &Shared,
     shard: usize,
@@ -1370,7 +1389,8 @@ fn shard_worker(
 /// Scans share `share` of a batch — shard `share` while `share < n_shards`,
 /// the cold (CPU) share at `share == n_shards` — as one profiled section
 /// (`shard_scan` or `cpu_scan`) with one `scan:*` span under the batch
-/// trace. Shard workers and the batcher both scan through here.
+/// trace. Shard workers and the batcher both scan through here; for a
+/// lone query the batcher scans every share.
 ///
 /// The share is one blocked (cluster-major) pass through the batch's store
 /// snapshot ([`BatchWork::store`]): every share of the batch scans the one
@@ -1530,21 +1550,127 @@ mod tests {
     use super::*;
     use crate::control::tests::{harness, tiny_deployment};
 
+    /// A batch of `queries` (each with its routing) as the batcher forms
+    /// it, replying on `reply`.
+    fn batch_of(
+        shared: &Shared,
+        queries: Vec<(Vec<f32>, RoutedQuery)>,
+        reply: &Sender<SearchResponse>,
+    ) -> Arc<BatchWork> {
+        let (jobs, routed) = (queries.into_iter().enumerate())
+            .map(|(id, (query, routed))| {
+                let job = Job {
+                    id: id as u64,
+                    tenant: TenantId(0),
+                    query,
+                    enqueued: SimTime::ZERO,
+                    deadline: None,
+                    trace: TraceId(id as u128 + 1),
+                    reply: reply.clone(),
+                };
+                (job, routed)
+            })
+            .unzip();
+        Arc::new(BatchWork {
+            jobs,
+            routed,
+            store: shared.store.snapshot(),
+            started: SimTime::ZERO,
+            generation: 0,
+            trace: None,
+        })
+    }
+
+    /// A query probing every cluster, so it has hot and cold work, with
+    /// its probes and its routing under the installed placement.
+    fn probe_everything(shared: &Shared) -> (Vec<f32>, Vec<u32>, RoutedQuery) {
+        let query = vec![0.25f32; shared.index.dim()];
+        let all = shared.index.probe(&query, shared.index.nlist());
+        let probes: Vec<u32> = all.iter().map(|p| p.list).collect();
+        let routed = shared.placement_snapshot().0.route(&probes);
+        (query, probes, routed)
+    }
+
+    #[test]
+    fn a_lone_query_never_reaches_a_worker() {
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        let (query, probes, routed) = probe_everything(&shared);
+        // The test stands in for the shard workers: it holds their work
+        // queues and has already returned one share per shard. A batch
+        // that took the worker path would send it work and gather these.
+        let (work, queued): (Vec<_>, Vec<_>) = (0..shared.n_shards)
+            .map(|_| channel::unbounded::<Arc<BatchWork>>())
+            .unzip();
+        let (done_tx, done) = channel::unbounded::<Share>();
+        for shard in 0..shared.n_shards {
+            done_tx.send((shard, vec![Vec::new()])).unwrap();
+        }
+        let pool = ScanPool { work, done };
+        let (control_tx, _control_rx) = channel::unbounded();
+        let (reply_tx, replies) = channel::unbounded();
+
+        let batch = batch_of(&shared, vec![(query.clone(), routed)], &reply_tx);
+        assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+        assert!(queued.iter().all(Receiver::is_empty), "work was sent");
+        assert_eq!(pool.done.len(), shared.n_shards, "a share was gathered");
+        let reply = replies.try_recv().expect("one reply");
+        let scanned = vlite_ann::scan_lists_store(&batch.store, &query, &probes, shared.top_k);
+        assert_eq!(reply.neighbors, scanned);
+    }
+
+    #[test]
+    fn a_lone_query_replies_the_bits_of_its_two_query_batch() {
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        let (query, _probes, routed) = probe_everything(&shared);
+        let other = vec![-0.5f32; shared.index.dim()];
+        let other_probes: Vec<u32> = (shared.index.probe(&other, shared.nprobe).iter())
+            .map(|p| p.list)
+            .collect();
+        let other_routed = shared.placement_snapshot().0.route(&other_probes);
+        let (pool, workers) = spawn_scan_workers(&shared);
+        let (control_tx, _control_rx) = channel::unbounded();
+        let (reply_tx, replies) = channel::unbounded();
+        let run = |queries| {
+            let batch = batch_of(&shared, queries, &reply_tx);
+            assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+            std::iter::from_fn(|| replies.try_recv().ok()).collect::<Vec<_>>()
+        };
+
+        let pair = run(vec![(other, other_routed), (query.clone(), routed.clone())]);
+        let lone = run(vec![(query, routed)]);
+        assert_eq!(pair.len(), 2);
+        assert!(!lone[0].neighbors.is_empty());
+        // The same bits, not the same values within a tolerance.
+        let bits = |r: &SearchResponse| -> Vec<(u64, u32)> {
+            (r.neighbors.iter())
+                .map(|n| (n.id, n.distance.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&lone[0]), bits(&pair[1]));
+        assert_eq!(lone[0].hit_rate.to_bits(), pair[1].hit_rate.to_bits());
+        assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 0);
+
+        drop(pool);
+        for worker in workers {
+            worker.join().expect("shard worker exits cleanly on close");
+        }
+    }
+
     /// Runs a batch through live shard workers in which the second query
     /// has the wrong dimension (admission refuses these; the scans are the
     /// last line) and probes only the lists of one share — a shard's, or
     /// the CPU share the batcher (here, the test thread) scans when `cpu` —
     /// so exactly that share panics. Every job must still get one reply
     /// carrying the other shares' partials, `worker_panics` must tick once,
-    /// and the same threads must serve the next batch exactly.
+    /// and the same threads must serve the next batch exactly. Then the
+    /// same for a batch of one, which the batcher scans alone: its query
+    /// names a cluster past the store's end in the faulty share only, so
+    /// that share panics on the batcher's thread and the reply carries
+    /// every other share.
     fn a_panicking_share_degrades_once(cpu: bool) {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
         let n_shards = shared.n_shards;
-        let good = vec![0.25f32; shared.index.dim()];
-        // Every cluster probed, so the query has hot and cold work.
-        let all = shared.index.probe(&good, shared.index.nlist());
-        let probes: Vec<u32> = all.iter().map(|p| p.list).collect();
-        let routed = shared.placement_snapshot().0.route(&probes);
+        let (good, probes, routed) = probe_everything(&shared);
         let lists_of = |w: usize| match routed.shard_probes_global.get(w) {
             Some(lists) => lists.clone(),
             None => routed.cpu_probes.clone(),
@@ -1567,28 +1693,7 @@ mod tests {
         let (control_tx, _control_rx) = channel::unbounded();
         let (reply_tx, replies) = channel::unbounded();
         let run = |queries: Vec<(Vec<f32>, RoutedQuery)>| -> Vec<SearchResponse> {
-            let (jobs, routed) = (queries.into_iter().enumerate())
-                .map(|(id, (query, routed))| {
-                    let job = Job {
-                        id: id as u64,
-                        tenant: TenantId(0),
-                        query,
-                        enqueued: SimTime::ZERO,
-                        deadline: None,
-                        trace: TraceId(id as u128 + 1),
-                        reply: reply_tx.clone(),
-                    };
-                    (job, routed)
-                })
-                .unzip();
-            let batch = Arc::new(BatchWork {
-                jobs,
-                routed,
-                store: shared.store.snapshot(),
-                started: SimTime::ZERO,
-                generation: 0,
-                trace: None,
-            });
+            let batch = batch_of(&shared, queries, &reply_tx);
             assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
             std::iter::from_fn(|| replies.try_recv().ok()).collect()
         };
@@ -1620,6 +1725,24 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].neighbors, scan(&probes));
         assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 1);
+
+        // A batch of one: the batcher scans every share, the faulty one
+        // over a cluster id one past the store's last.
+        let past_end = shared.index.nlist() as u32;
+        let mut broken = routed.clone();
+        match broken.shard_probes_global.get_mut(faulty) {
+            Some(lists) => lists.push(past_end),
+            None => broken.cpu_probes.push(past_end),
+        }
+        let got = run(vec![(good.clone(), broken)]);
+        assert_eq!(got.len(), 1);
+        assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 2);
+        assert_eq!(got[0].neighbors, scan(&healthy), "the other shares");
+
+        let got = run(vec![(good.clone(), routed.clone())]);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].neighbors, scan(&probes));
+        assert_eq!(shared.worker_panics.load(Ordering::Relaxed), 2);
 
         drop(pool);
         for worker in workers {

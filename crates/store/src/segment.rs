@@ -343,7 +343,9 @@ impl Segment {
     /// header checksum, every extent's bounds, and every extent's CRC-32.
     /// Each cluster's cold bounding ball is computed from its SQ8 extent
     /// right after the checksum reads it, before any promotion releases
-    /// the pages.
+    /// the pages. Each f32 extent is released from the resident set as
+    /// soon as its checksum passes ([`Mmap::release`]); a promotion faults
+    /// it back in from the file.
     ///
     /// # Errors
     ///
@@ -448,6 +450,10 @@ impl Segment {
                     )));
                 }
             }
+            // Only a promotion reads the f32 extent again, and it refaults
+            // the pages from the file: the checksum pass must not leave
+            // every cold cluster's full-precision copy resident.
+            map.release(f32_off, f32_len);
             cold_balls.push(Ball::over_codes(sq8s, sq.scales()));
             seen_vectors += n64;
             clusters.push(ClusterExtent {

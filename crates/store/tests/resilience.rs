@@ -219,16 +219,19 @@ fn untranspose(panels: &[f32], n: usize, dim: usize) -> (VecSet, Vec<f32>) {
     (rows, pads)
 }
 
-/// A promotion transposes the f32 extent out of the mapping into panels
-/// and then releases the cluster's id, f32 and SQ8 file pages
-/// (`madvise(MADV_DONTNEED)`). The bytes must still be there for the next
-/// promotion and for a cold scan after a demotion: a second load re-reads
-/// the extents through fresh page faults and must match the first copy
-/// and the f32 extent's stored CRC, and the SQ8 codes must still encode
-/// the source. Both copies, un-transposed, are the source vectors bit for
-/// bit, with zero pad lanes (the cluster ends in a ragged group). Where
-/// the kernel reports `RssFile`, the release must also be real — most of
-/// the 5 MiB of extents leaves the resident set.
+/// `Segment::open`'s checksum pass reads every extent, then releases
+/// each f32 extent from the resident set (`madvise(MADV_DONTNEED)`): only
+/// a promotion reads it again. A promotion transposes the f32 extent out
+/// of the mapping into panels, faulting it back in from the file, and then
+/// releases the cluster's id, f32 and SQ8 file pages. The bytes must still
+/// be there for the next promotion and for a cold scan after a demotion:
+/// a second load re-reads the extents through fresh page faults and must
+/// match the first copy and the f32 extent's stored CRC, and the SQ8 codes
+/// must still encode the source. Both copies, un-transposed, are the
+/// source vectors bit for bit, with zero pad lanes (the cluster ends in a
+/// ragged group). Where the kernel reports `RssFile`, both releases must
+/// also be real: the 4 MiB f32 extent is not resident after open, and a
+/// promotion drops most of the 1.1 MiB of id and code pages.
 #[test]
 fn promoted_extent_pages_are_released_and_read_back_intact() {
     let (n, dim) = (16_381usize, 64usize);
@@ -237,16 +240,27 @@ fn promoted_extent_pages_are_released_and_read_back_intact() {
     let vectors = VecSet::from_fn(n, dim, |_, _| rng.random::<f32>());
     let path = temp_path("release");
     write_segment(&path, dim, Metric::L2, &[(ids.clone(), vectors.clone())]).expect("writes");
-    let seg = Segment::open(&path).expect("opens"); // CRC pass: every page resident
+    let (f32_bytes, id_and_code_bytes) = ((n * dim * 4) as u64, (n * (8 + dim)) as u64);
+
+    let before_open = rss_file_bytes();
+    let seg = Segment::open(&path).expect("opens"); // CRC pass reads every page
+    let after_open = rss_file_bytes();
+    if let (true, Some(before), Some(after)) = (seg.is_mapped(), before_open, after_open) {
+        assert!(
+            after.saturating_sub(before) < id_and_code_bytes + f32_bytes / 4,
+            "RssFile {before} -> {after} across open: the {f32_bytes}-byte f32 extent \
+             stayed resident"
+        );
+    }
 
     let before = rss_file_bytes();
     let first = seg.load_cluster_panels(0);
     let after = rss_file_bytes();
     if let (true, Some(before), Some(after)) = (seg.is_mapped(), before, after) {
-        let extents = (n * (8 + dim * 4 + dim)) as u64;
         assert!(
-            before.saturating_sub(after) >= extents * 3 / 4,
-            "RssFile {before} -> {after}: {extents} bytes of extents were not released"
+            before.saturating_sub(after) >= id_and_code_bytes * 3 / 4,
+            "RssFile {before} -> {after}: {id_and_code_bytes} bytes of id and code \
+             extents were not released"
         );
     }
 

@@ -13,6 +13,10 @@
 //! - A request shed at admission (rung 1) under a caller-supplied trace id
 //!   leaves a `request` root and a `shed:admission` marker, so
 //!   `/v1/trace/{id}` answers for the client that got `DeadlineUnmeetable`.
+//! - The drain rate behind admission's wait estimate counts engine-busy
+//!   time only: after a 60 s idle gap, a burst of 200 with a 50 ms
+//!   budget is admitted whole, not refused as if the queue drained one
+//!   job a minute.
 //! - A measure-only policy (enforce off) records budget burn and deadline
 //!   attainment without shedding or degrading anything.
 //! - A budget worth half the search estimate shrinks the probe list to
@@ -128,36 +132,36 @@ fn zero_budget_request_is_shed_in_queue_at_the_exact_tick() {
 
 #[test]
 fn admission_shed_is_traceable_under_the_callers_trace_id() {
+    // On the wall clock: the drain rate counts only the time the engine
+    // was busy, and a batch on a virtual clock that nobody moves takes
+    // none.
     let corpus = corpus();
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, enforcing_config(), clock.clone())
-        .expect("server starts");
+    let server = RagServer::start(&corpus, enforcing_config()).expect("server starts");
     let query = corpus.vectors.get(0).to_vec();
 
-    // Two drains 10 ms apart give the queue a drain rate (100 jobs/s), the
-    // first ingredient of a wait estimate.
-    for _ in 0..2 {
-        server
-            .submit(query.clone())
-            .expect("admitted")
-            .wait()
-            .expect("served");
-        clock.advance(SimDuration::from_millis(10.0));
-    }
+    // One served request gives the queue a drain rate (jobs per second of
+    // busy time), the first ingredient of a wait estimate.
+    server
+        .submit(query.clone())
+        .expect("admitted")
+        .wait()
+        .expect("served");
 
-    // The second ingredient is a backlog. Keep the lane fed with
-    // unbudgeted work and offer a 1 ns budget under the caller's trace id
-    // until a submission observes a non-empty lane: its estimated wait
-    // (>= 10 ms at depth 1) dwarfs the budget and admission refuses it.
-    let caller = TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c);
+    // The second ingredient is a backlog: two batches' worth of
+    // unbudgeted work, so the lane is still non-empty when the batcher
+    // has taken its next batch. Then offer a 1 ns budget under the
+    // caller's trace id: its estimated wait (a batch of at most 64 jobs
+    // takes far over 64 ns) dwarfs the budget and admission refuses it.
+    // Should the batcher have drained the lane first, the offer is
+    // admitted and the next round offers under a fresh caller trace id.
     let mut backlog = Vec::new();
-    let refusal = (0..100_000)
-        .find_map(|_| {
-            backlog.push(
-                server
-                    .submit(query.clone())
-                    .expect("unbudgeted work admits"),
-            );
+    let (caller, refusal) = (0..1_000u128)
+        .find_map(|round| {
+            for _ in 0..128 {
+                let ticket = server.submit(query.clone());
+                backlog.push(ticket.expect("unbudgeted work admits"));
+            }
+            let caller = TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_0000 + round);
             server
                 .submit_with_trace(
                     TenantId(0),
@@ -166,6 +170,7 @@ fn admission_shed_is_traceable_under_the_callers_trace_id() {
                     Some(caller),
                 )
                 .err()
+                .map(|refusal| (caller, refusal))
         })
         .expect("a fed lane must eventually refuse a 1 ns budget");
     assert!(
@@ -176,13 +181,14 @@ fn admission_shed_is_traceable_under_the_callers_trace_id() {
         ticket.wait().expect("unbudgeted work is served");
     }
 
-    // Earlier offers that found the lane empty were admitted and expired
-    // in the queue under the same trace id; the refusal adds one more
-    // zero-width request root, carrying the admission marker.
+    // The refusal is the one request under the caller's trace id: a
+    // zero-width request root carrying the admission marker.
     let spans = server
         .trace_plane()
         .trace_spans(caller.0)
         .expect("the caller's trace id must resolve after an admission shed");
+    let roots = spans.iter().filter(|s| s.parent_id.is_none()).count();
+    assert_eq!(roots, 1, "one request under the caller's trace: {spans:?}");
     let marker = spans
         .iter()
         .find(|s| s.name == "shed:admission")
@@ -199,6 +205,49 @@ fn admission_shed_is_traceable_under_the_callers_trace_id() {
         "a request refused at admission has zero width"
     );
     assert_eq!(server.report().deadline_sheds[0], 1);
+}
+
+#[test]
+fn an_idle_gap_does_not_shed_the_next_burst_at_admission() {
+    let corpus = corpus();
+    let mut config = enforcing_config();
+    config.deadline.default_deadline = Some(0.050);
+    let clock = Arc::new(VirtualClock::new());
+    let server =
+        RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+    let queries = corpus.queries(200, 5);
+    let serve_one = |i: usize| {
+        server
+            .submit(queries.get(i).to_vec())
+            .expect("an idle server admits")
+            .wait()
+            .expect("served");
+    };
+
+    // One request, a minute of silence, one more request: the engine was
+    // busy for none of that minute.
+    serve_one(0);
+    clock.advance(SimDuration::from_secs_f64(60.0));
+    serve_one(1);
+
+    // A burst arrives at once. Had the idle minute counted as draining,
+    // every submission behind a queued one would estimate a wait of about
+    // a minute per queued job and be refused against the 50 ms budget.
+    let tickets: Vec<_> = (0..200)
+        .map(|i| match server.submit(queries.get(i).to_vec()) {
+            Ok(ticket) => ticket,
+            Err(err) => panic!("burst request {i} refused: {err}"),
+        })
+        .collect();
+    for ticket in tickets {
+        ticket
+            .wait()
+            .expect("the clock never moved: no deadline passed");
+    }
+    let report = server.report();
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
+    assert_eq!(report.completed, 202);
+    assert_eq!(report.deadline_met, 202);
 }
 
 #[test]
