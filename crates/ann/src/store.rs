@@ -16,9 +16,9 @@ use crate::{Metric, Neighbor, TopK};
 /// Read-side interface over physically stored cluster payloads.
 ///
 /// An implementation owns the bytes of every cluster (inverted list) of one
-/// index and knows how to accumulate scan candidates for a query, whatever
-/// the encoding (full-precision `f32`, SQ8 codes against a per-query lookup
-/// table, …). Implementations must be shareable across scan threads.
+/// index and knows how to accumulate scan candidates for a batch of
+/// queries, whatever the encoding (full-precision `f32`, SQ8 codes, …).
+/// Implementations must be shareable across scan threads.
 ///
 /// The distance metric is a property of the store (fixed when the payloads
 /// were written), not of the call: callers route queries, stores score
@@ -29,7 +29,7 @@ use crate::{Metric, Neighbor, TopK};
 /// A minimal resident store over one flat cluster:
 ///
 /// ```
-/// use vlite_ann::{ClusterStore, Metric, TopK, VecSet};
+/// use vlite_ann::{scan_lists_store, BatchQuery, ClusterStore, Metric, TopK, VecSet};
 ///
 /// struct OneCluster(VecSet);
 ///
@@ -38,17 +38,19 @@ use crate::{Metric, Neighbor, TopK};
 ///     fn n_clusters(&self) -> usize { 1 }
 ///     fn metric(&self) -> Metric { Metric::L2 }
 ///     fn cluster_len(&self, _c: u32) -> usize { self.0.len() }
-///     fn scan_cluster(&self, _c: u32, query: &[f32], top: &mut TopK) {
-///         for (i, v) in self.0.iter().enumerate() {
-///             top.push(i as u64, Metric::L2.score(query, v));
+///     fn scan_batch(&self, queries: &[BatchQuery<'_>], tops: &mut [TopK]) {
+///         for (q, top) in queries.iter().zip(tops) {
+///             for _ in q.lists {
+///                 for (i, v) in self.0.iter().enumerate() {
+///                     top.push(i as u64, Metric::L2.score(q.query, v));
+///                 }
+///             }
 ///         }
 ///     }
 /// }
 ///
 /// let store = OneCluster(VecSet::from_fn(8, 2, |i, j| (i + j) as f32));
-/// let mut top = TopK::new(1);
-/// store.scan_cluster(0, &[0.0, 1.0], &mut top);
-/// assert_eq!(top.into_sorted()[0].id, 0);
+/// assert_eq!(scan_lists_store(&store, &[0.0, 1.0], &[0], 1)[0].id, 0);
 /// ```
 pub trait ClusterStore: Send + Sync {
     /// Vector dimensionality of every stored cluster.
@@ -67,50 +69,22 @@ pub trait ClusterStore: Send + Sync {
     /// Panics if `cluster` is out of range.
     fn cluster_len(&self, cluster: u32) -> usize;
 
-    /// Scans cluster `cluster`, offering every stored vector's `(id,
-    /// score)` to `top` under [`ClusterStore::metric`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is out of range or `query.len() != dim()`.
-    fn scan_cluster(&self, cluster: u32, query: &[f32], top: &mut TopK);
-
-    /// Scans several clusters for one query. The default just loops over
-    /// [`ClusterStore::scan_cluster`]; implementations override it to
-    /// share per-query state across the clusters (e.g. one SQ8 lookup
-    /// table across every cold probe, instead of one per probe).
-    ///
-    /// # Panics
-    ///
-    /// As [`ClusterStore::scan_cluster`].
-    fn scan_clusters(&self, clusters: &[u32], query: &[f32], top: &mut TopK) {
-        for &c in clusters {
-            self.scan_cluster(c, query, top);
-        }
-    }
-
     /// Scans a whole batch of queries — each with its own probe list — in
-    /// one call, accumulating into `tops[i]` for `queries[i]`.
+    /// one call, offering every scanned vector's `(id, score)` under
+    /// [`ClusterStore::metric`] to `tops[i]` for `queries[i]`.
     ///
-    /// The default runs query-at-a-time over
-    /// [`ClusterStore::scan_clusters`]. Implementations override it to
-    /// make *blocked* (cluster-major) passes: when several queries of the
-    /// batch probe the same cluster, one pass over the cluster's bytes
-    /// scores all of them, instead of each query re-streaming the
-    /// payload. Because [`TopK`]'s ordering is a total order over
-    /// `(score, id)`, any override must produce results identical to this
-    /// default for every query, whatever order it visits clusters in.
+    /// An implementation may make *blocked* (cluster-major) passes: when
+    /// several queries of the batch probe the same cluster, one pass over
+    /// the cluster's bytes scores all of them, instead of each query
+    /// re-streaming the payload. Because [`TopK`]'s ordering is a total
+    /// order over `(score, id)`, every query's result must be the same as
+    /// scanning it alone, whatever order the clusters are visited in.
     ///
     /// # Panics
     ///
-    /// Panics if `queries.len() != tops.len()`; otherwise as
-    /// [`ClusterStore::scan_cluster`].
-    fn scan_batch(&self, queries: &[BatchQuery<'_>], tops: &mut [TopK]) {
-        assert_eq!(queries.len(), tops.len(), "one TopK per batched query");
-        for (q, top) in queries.iter().zip(tops.iter_mut()) {
-            self.scan_clusters(q.lists, q.query, top);
-        }
-    }
+    /// Panics if `queries.len() != tops.len()`, a query's length is not
+    /// `dim()`, or a list id is out of range.
+    fn scan_batch(&self, queries: &[BatchQuery<'_>], tops: &mut [TopK]);
 }
 
 /// One query of a batched scan: the vector plus the clusters its coarse
@@ -124,7 +98,7 @@ pub struct BatchQuery<'a> {
 }
 
 /// Scans `lists` through a [`ClusterStore`] and returns the top-`k`
-/// neighbors — the storage-agnostic stage-3 scan loop.
+/// neighbors: [`scan_lists_store_batch`] over a batch of one.
 ///
 /// # Panics
 ///
@@ -136,17 +110,16 @@ pub fn scan_lists_store(
     lists: &[u32],
     k: usize,
 ) -> Vec<Neighbor> {
-    assert_eq!(query.len(), store.dim(), "query has wrong dimensionality");
-    let mut top = TopK::new(k);
-    store.scan_clusters(lists, query, &mut top);
-    top.into_sorted()
+    let batch = [BatchQuery { query, lists }];
+    let mut tops = scan_lists_store_batch(store, &batch, k);
+    tops.pop().expect("one result per query")
 }
 
 /// Scans a whole batch of queries through a [`ClusterStore`] and returns
-/// each query's top-`k` neighbors, in batch order — the batched
-/// counterpart of [`scan_lists_store`], routing through
-/// [`ClusterStore::scan_batch`] so tiered stores can block the scan
-/// (one pass over a cluster's bytes scores every query probing it).
+/// each query's top-`k` neighbors, in batch order — the storage-agnostic
+/// stage-3 scan loop, through [`ClusterStore::scan_batch`] so tiered
+/// stores can block the scan (one pass over a cluster's bytes scores
+/// every query probing it).
 ///
 /// # Panics
 ///
@@ -193,14 +166,18 @@ mod tests {
                 other => panic!("cluster {other} out of range"),
             }
         }
-        fn scan_cluster(&self, cluster: u32, query: &[f32], top: &mut TopK) {
-            let (set, base) = match cluster {
-                0 => (&self.a, 0u64),
-                1 => (&self.b, 100u64),
-                other => panic!("cluster {other} out of range"),
-            };
-            for (i, v) in set.iter().enumerate() {
-                top.push(base + i as u64, Metric::L2.score(query, v));
+        fn scan_batch(&self, queries: &[BatchQuery<'_>], tops: &mut [TopK]) {
+            for (q, top) in queries.iter().zip(tops) {
+                for &cluster in q.lists {
+                    let (set, base) = match cluster {
+                        0 => (&self.a, 0u64),
+                        1 => (&self.b, 100u64),
+                        other => panic!("cluster {other} out of range"),
+                    };
+                    for (i, v) in set.iter().enumerate() {
+                        top.push(base + i as u64, Metric::L2.score(q.query, v));
+                    }
+                }
             }
         }
     }

@@ -76,26 +76,6 @@ impl HitRateEstimator {
         self.coverage_to_mean[lo] * (1.0 - frac) + self.coverage_to_mean[hi] * frac
     }
 
-    /// Smallest coverage whose mean hit rate reaches `mean` (1.0 if even
-    /// full coverage falls short, which only happens for `mean > 1`).
-    pub fn coverage_for_mean(&self, mean: f64) -> f64 {
-        let steps = self.coverage_to_mean.len() - 1;
-        match self.coverage_to_mean.iter().position(|&m| m >= mean) {
-            Some(0) => 0.0,
-            Some(i) => {
-                // Interpolate within the bracketing step.
-                let (m0, m1) = (self.coverage_to_mean[i - 1], self.coverage_to_mean[i]);
-                let frac = if m1 > m0 {
-                    (mean - m0) / (m1 - m0)
-                } else {
-                    1.0
-                };
-                ((i - 1) as f64 + frac) / steps as f64
-            }
-            None => 1.0,
-        }
-    }
-
     /// The Beta distribution of per-query hit rates at `coverage` under the
     /// paper's variance model, or `None` at degenerate means (≈0 or ≈1).
     pub fn beta_at(&self, coverage: f64) -> Option<BetaDist> {
@@ -221,19 +201,6 @@ mod tests {
         assert_eq!(est.hit_rate_to_coverage(0.0, 4), 0.0);
         assert_eq!(est.hit_rate_to_coverage(-1.0, 4), 0.0);
         assert_eq!(est.hit_rate_to_coverage(1.5, 4), 1.0);
-    }
-
-    #[test]
-    fn coverage_for_mean_round_trips() {
-        let est = estimator();
-        for &cov in &[0.1, 0.25, 0.5, 0.9] {
-            let mean = est.mean_hit_rate(cov);
-            let back = est.coverage_for_mean(mean);
-            assert!(
-                est.mean_hit_rate(back) >= mean - 1e-6,
-                "cov={cov} mean={mean} back={back}"
-            );
-        }
     }
 
     #[test]

@@ -76,28 +76,6 @@ impl PiecewiseLinear {
         let ((x0, y0), (x1, y1)) = seg;
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
     }
-
-    /// Inverse query: smallest `x ≥ x_min` with `eval(x) ≥ y`, assuming the
-    /// curve is non-decreasing. Returns `None` if the curve never reaches
-    /// `y` within `x_max`.
-    pub fn inverse_at_least(&self, y: f64, x_min: f64, x_max: f64) -> Option<f64> {
-        if self.eval(x_max) < y {
-            return None;
-        }
-        if self.eval(x_min) >= y {
-            return Some(x_min);
-        }
-        let (mut lo, mut hi) = (x_min, x_max);
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.eval(mid) >= y {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(hi)
-    }
 }
 
 #[cfg(test)]
@@ -146,15 +124,6 @@ mod tests {
         let f = PiecewiseLinear::from_points(vec![(3.0, 7.0)]).unwrap();
         assert_eq!(f.eval(-10.0), 7.0);
         assert_eq!(f.eval(100.0), 7.0);
-    }
-
-    #[test]
-    fn inverse_finds_crossing() {
-        let f = ramp();
-        let x = f.inverse_at_least(18.0, 1.0, 8.0).unwrap();
-        assert!((x - 5.0).abs() < 1e-9);
-        assert!(f.inverse_at_least(1000.0, 1.0, 8.0).is_none());
-        assert_eq!(f.inverse_at_least(1.0, 1.0, 8.0), Some(1.0));
     }
 
     #[test]

@@ -63,30 +63,6 @@ impl Series {
         &self.points
     }
 
-    /// The y value at the given x, if a point with exactly that x exists.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|p| p.x == x).map(|p| p.y)
-    }
-
-    /// Largest x for which `y` satisfies `pred`, scanning in x order.
-    ///
-    /// This is how "the SLO-compliant request-rate range" is extracted from
-    /// an attainment curve: the last arrival rate at which attainment stays
-    /// at or above the 90% threshold.
-    pub fn last_x_where(&self, mut pred: impl FnMut(f64) -> bool) -> Option<f64> {
-        let mut sorted: Vec<_> = self.points.clone();
-        sorted.sort_by(|a, b| a.x.total_cmp(&b.x));
-        let mut best = None;
-        for p in sorted {
-            if pred(p.y) {
-                best = Some(p.x);
-            } else {
-                break;
-            }
-        }
-        best
-    }
-
     /// Renders the series as two-column CSV (`x,<name>`).
     pub fn to_csv(&self) -> String {
         let mut out = format!("x,{}\n", self.name);
@@ -141,20 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn last_x_where_stops_at_first_failure() {
-        let s = ramp("a");
-        // attainment >= 0.9 holds at x=1,2 then breaks at 3; the recovery at
-        // x=4 must not count (the paper reports contiguous compliant range).
-        assert_eq!(s.last_x_where(|y| y >= 0.9), Some(2.0));
-    }
-
-    #[test]
-    fn last_x_where_none_when_first_fails() {
-        let s = ramp("a");
-        assert_eq!(s.last_x_where(|y| y >= 0.995), None);
-    }
-
-    #[test]
     fn csv_round_trip_shape() {
         let s = ramp("sys");
         let csv = s.to_csv();
@@ -169,12 +131,5 @@ mod tests {
         b.extend([(1.0, 0.5), (2.0, 0.6)]);
         let csv = Series::merge_csv(&[a, b]);
         assert_eq!(csv.lines().count(), 3); // header + 2 rows
-    }
-
-    #[test]
-    fn y_at_exact_match_only() {
-        let s = ramp("a");
-        assert_eq!(s.y_at(2.0), Some(0.95));
-        assert_eq!(s.y_at(2.5), None);
     }
 }

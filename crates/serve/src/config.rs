@@ -132,11 +132,13 @@ impl GenerationConfig {
 ///    submit with [`AdmissionError::DeadlineUnmeetable`](crate::AdmissionError).
 /// 2. **Queue-expiry shed**: a request whose deadline passed while queued
 ///    is dropped at batch formation instead of wasting a batch slot.
-/// 3. **Probe shrinking**: a request that burned queue budget probes a
-///    prefix of its closeness-ordered probe list, scaled to the remaining
-///    budget (never below a quarter of the list).
-/// 4. **Cold-tier skip**: when the remaining budget cannot absorb a
-///    cold-tier (CPU) scan, the query keeps only its fast-tier probes.
+/// 3. **Probe shrinking**: when the remaining budget is below the fast
+///    tier's part of a search (the full search minus the cold share), the
+///    request scans a prefix of its closeness-ordered probe list, scaled
+///    by that ratio (never below a quarter of the list).
+/// 4. **Cold-tier skip**: when the remaining budget is below the full
+///    search, the query keeps only its fast-tier probes.
+///
 /// 5. **Generation shed**: a request whose estimated first token lands
 ///    past the deadline is shed at generation admission (the retrieval
 ///    results are still delivered). The estimate counts the engine's busy
@@ -144,13 +146,22 @@ impl GenerationConfig {
 ///    batch's drain, so with `default_deadline` at
 ///    [`GenerationConfig::slo_ttft`] this rung is KV-aware admission.
 ///
+/// Rungs 1, 3 and 4 price work with what the server has measured, never
+/// with a configured guess: the batcher times every batch (formation to
+/// merge, and its cold share's scan), and the admission queue keeps
+/// recent averages — jobs per busy second for rung 1, the full search
+/// and its cold share for rungs 3 and 4. Until the meter has measured
+/// its number — a cold start, or batches on a virtual clock that take no
+/// time — the rung reading it acts on nothing. A degraded query still
+/// reports the hit rate of its full probe list.
+///
 /// Every rung is counted (`deadline_sheds`, `degraded_probes`,
 /// `cold_skips`) and per-stage budget burn is reported, so degradation is
 /// observable, never silent. With `enforce == false` the budget is still
 /// threaded and *measured* (burn + goodput accounting) but never acted on
 /// — the measure-only baseline the perf gate's `deadline_goodput` row
 /// compares against.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeadlinePolicy {
     /// Default end-to-end deadline in seconds stamped on requests that do
     /// not carry their own. `None` leaves such requests unbudgeted (they
@@ -160,30 +171,11 @@ pub struct DeadlinePolicy {
     /// burn and deadline attainment are reported but nothing is shed or
     /// degraded.
     pub enforce: bool,
-    /// Estimated full-probe search-stage cost in seconds (a measured p50
-    /// is a good value). Drives probe shrinking: a request whose remaining
-    /// budget is below this probes proportionally fewer lists.
-    pub est_search: f64,
-    /// Estimated extra seconds a cold-tier (CPU/SQ8) scan adds on top of
-    /// the fast tier. When the remaining budget is below
-    /// `est_search + est_cold`, the query skips its cold-tier probes.
-    pub est_cold: f64,
-}
-
-impl Default for DeadlinePolicy {
-    fn default() -> Self {
-        Self {
-            default_deadline: None,
-            enforce: false,
-            est_search: 0.005,
-            est_cold: 0.050,
-        }
-    }
 }
 
 impl DeadlinePolicy {
-    /// Panics unless the policy is servable: positive finite estimates and
-    /// a positive default deadline when set.
+    /// Panics unless the policy is servable: a positive default deadline
+    /// when set.
     pub(crate) fn validate(&self) {
         if let Some(d) = self.default_deadline {
             assert!(
@@ -191,14 +183,6 @@ impl DeadlinePolicy {
                 "default_deadline must be positive and finite"
             );
         }
-        assert!(
-            self.est_search.is_finite() && self.est_search > 0.0,
-            "est_search must be positive and finite"
-        );
-        assert!(
-            self.est_cold.is_finite() && self.est_cold >= 0.0,
-            "est_cold must be non-negative and finite"
-        );
     }
 }
 

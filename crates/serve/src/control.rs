@@ -396,7 +396,7 @@ pub(crate) mod tests {
 
     /// [`harness`] with an explicit deadline policy — the admission-shed
     /// tests need `enforce` on, which the default policy keeps off.
-    fn harness_with_deadline(
+    pub(crate) fn harness_with_deadline(
         cooldown: usize,
         window: usize,
         n_tenants: usize,
@@ -671,7 +671,7 @@ pub(crate) mod tests {
         // estimate is real.
         shared
             .queue
-            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0));
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), None);
         backlog(&shared, 32);
         let wait = shared
             .queue
@@ -729,7 +729,7 @@ pub(crate) mod tests {
         let t0 = vlite_sim::SimTime::ZERO;
         shared
             .queue
-            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0));
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), None);
         backlog(&shared, 32);
         let wait = shared
             .queue

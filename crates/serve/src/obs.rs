@@ -526,7 +526,7 @@ impl ObsPlane {
         for (name, help, counter) in [
             (
                 "vlite_completed_total",
-                "Requests whose lifecycle ended (delivered or shed)",
+                "Requests answered with a reply (admission and queue sheds never count)",
                 &self.completed,
             ),
             (

@@ -30,10 +30,29 @@ use crate::request::{Job, TenantId};
 use crate::sync::{lock_recover, wait_recover};
 use vlite_sim::SimDuration;
 
-/// EWMA smoothing for the drain-rate estimate: recent batches dominate so
-/// the estimate tracks load shifts within a few batches, while one odd
-/// batch cannot swing it.
+/// EWMA smoothing for the drain meter's estimates: recent batches dominate
+/// so they track load shifts within a few batches, while one odd batch
+/// cannot swing them.
 const DRAIN_ALPHA: f64 = 0.2;
+
+/// What the drain meter has measured a scanned batch to cost: the price
+/// rungs 3 and 4 of the deadline ladder charge against a query's remaining
+/// budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SearchCost {
+    /// Busy seconds per batch: formation to merge, the full search.
+    pub full: f64,
+    /// Seconds per batch the cold (CPU) share's scan took, a part of
+    /// `full`.
+    pub cold: f64,
+}
+
+/// One EWMA step: the first sample (`prev` unset) is taken outright.
+fn ewma(prev: Option<f64>, sample: f64) -> f64 {
+    prev.map_or(sample, |prev| {
+        (1.0 - DRAIN_ALPHA) * prev + DRAIN_ALPHA * sample
+    })
+}
 
 /// One tenant's bounded lane plus its fair-share scheduling state.
 #[derive(Debug)]
@@ -58,6 +77,9 @@ struct Inner {
     /// Recent drain throughput in jobs per engine-busy second (EWMA over
     /// `record_drain` samples); `0.0` until a batch has been measured.
     drain_rate: f64,
+    /// Recent cost of a scanned batch (EWMA); `None` until one has been
+    /// measured.
+    search_cost: Option<SearchCost>,
 }
 
 /// Snapshot of one tenant's admission counters.
@@ -110,6 +132,7 @@ impl AdmissionQueue {
                 peak_total_depth: 0,
                 closed: false,
                 drain_rate: 0.0,
+                search_cost: None,
             }),
             not_empty: Condvar::new(),
         }
@@ -158,24 +181,31 @@ impl AdmissionQueue {
     }
 
     /// Records that the engine served a batch of `n` jobs in `busy` (the
-    /// batch's formation-to-merge interval), feeding the EWMA drain-rate
-    /// estimate that backs admission feasibility and the `Retry-After`
-    /// hint. Only busy time counts: a gap in which the queue sat empty
-    /// says nothing about how fast queued work drains. A zero-length
-    /// interval (a batch on a virtual clock that never moved) measures
-    /// nothing.
-    pub fn record_drain(&self, n: usize, busy: SimDuration) {
+    /// batch's formation-to-merge interval) — the runtime's one cost
+    /// meter. Every drain feeds the EWMA drain rate behind admission
+    /// feasibility and the `Retry-After` hint; a drain that scanned, with
+    /// `cold` the seconds its cold share's scan took, also feeds the
+    /// [`SearchCost`] the deadline ladder prices rungs 3 and 4 with. A
+    /// drain that scanned nothing (`cold == None`: every job expired in
+    /// the queue) says nothing about what a search costs. Only busy time
+    /// counts: a gap in which the queue sat empty says nothing about how
+    /// fast queued work drains. A zero-length interval (a batch on a
+    /// virtual clock that never moved) measures nothing.
+    pub fn record_drain(&self, n: usize, busy: SimDuration, cold: Option<SimDuration>) {
         let busy = busy.as_secs_f64();
         if n == 0 || busy <= 0.0 {
             return;
         }
-        let inst = n as f64 / busy;
         let mut inner = lock_recover(&self.inner);
-        inner.drain_rate = if inner.drain_rate > 0.0 {
-            (1.0 - DRAIN_ALPHA) * inner.drain_rate + DRAIN_ALPHA * inst
-        } else {
-            inst
-        };
+        let rate = (inner.drain_rate > 0.0).then_some(inner.drain_rate);
+        inner.drain_rate = ewma(rate, n as f64 / busy);
+        if let Some(cold) = cold {
+            let prev = inner.search_cost;
+            inner.search_cost = Some(SearchCost {
+                full: ewma(prev.map(|c| c.full), busy),
+                cold: ewma(prev.map(|c| c.cold), cold.as_secs_f64()),
+            });
+        }
     }
 
     /// Recent drain throughput in jobs per busy second (`0.0` until
@@ -183,6 +213,13 @@ impl AdmissionQueue {
     #[cfg(test)]
     pub fn drain_rate(&self) -> f64 {
         lock_recover(&self.inner).drain_rate
+    }
+
+    /// What a scanned batch has recently cost; `None` until one has been
+    /// measured (a cold start, or batches that took no time), in which
+    /// case the ladder degrades nothing.
+    pub fn search_cost(&self) -> Option<SearchCost> {
+        lock_recover(&self.inner).search_cost
     }
 
     /// Estimated seconds a job submitted *now* by `tenant` would wait
@@ -498,12 +535,12 @@ mod tests {
         // Two batches of 10 jobs, each served in 1s of engine time → 10
         // jobs/sec exactly (the first batch sets the rate outright).
         let second = SimDuration::from_secs_f64(1.0);
-        q.record_drain(10, second);
+        q.record_drain(10, second, None);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
-        q.record_drain(10, second);
+        q.record_drain(10, second, None);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
         // A batch that took no time measures nothing.
-        q.record_drain(10, SimDuration::ZERO);
+        q.record_drain(10, SimDuration::ZERO, None);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
         for id in 0..30 {
             q.try_push(job(0, id)).unwrap();
@@ -515,11 +552,36 @@ mod tests {
     }
 
     #[test]
+    fn search_cost_is_measured_from_scanned_drains_only() {
+        let q = single(64);
+        let ms = SimDuration::from_millis;
+        assert_eq!(q.search_cost(), None, "nothing measured at a cold start");
+        // A batch on a clock that never moved measures nothing.
+        q.record_drain(4, SimDuration::ZERO, Some(SimDuration::ZERO));
+        assert_eq!(q.search_cost(), None);
+        // The first scanned batch sets both estimates outright.
+        q.record_drain(4, ms(10.0), Some(ms(4.0)));
+        let first = q.search_cost().expect("measured");
+        assert!((first.full - 0.010).abs() < 1e-12, "{first:?}");
+        assert!((first.cold - 0.004).abs() < 1e-12, "{first:?}");
+        // A drain that scanned nothing moves the drain rate only.
+        let rate = q.drain_rate();
+        q.record_drain(64, ms(1.0), None);
+        assert!(q.drain_rate() > rate, "the expired drain was counted");
+        assert_eq!(q.search_cost(), Some(first), "search and cold unchanged");
+        // Later scanned batches are smoothed in.
+        q.record_drain(4, ms(20.0), Some(ms(8.0)));
+        let next = q.search_cost().expect("measured");
+        assert!((next.full - 0.012).abs() < 1e-12, "{next:?}");
+        assert!((next.cold - 0.0048).abs() < 1e-12, "{next:?}");
+    }
+
+    #[test]
     fn estimated_wait_respects_weighted_share() {
         // Equal backlogs, weights 1:3 → the light tenant drains at 1/4 of
         // the rate and waits 3x longer than the heavy one.
         let q = AdmissionQueue::new(&[spec(1, 64), spec(3, 64)]);
-        q.record_drain(8, SimDuration::from_secs_f64(1.0));
+        q.record_drain(8, SimDuration::from_secs_f64(1.0), None);
         for id in 0..8 {
             q.try_push(job(0, id)).unwrap();
             q.try_push(job(1, id)).unwrap();

@@ -44,7 +44,7 @@ use crate::generation::{generation_worker, GenWork};
 use crate::obs::{
     prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
 };
-use crate::queue::AdmissionQueue;
+use crate::queue::{AdmissionQueue, SearchCost};
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
@@ -55,6 +55,14 @@ use crate::trace::{
 /// One batch travelling from the batcher to the shard workers.
 struct BatchWork {
     jobs: Vec<Job>,
+    /// Each query's full probe list (the served `nprobe`, closeness
+    /// order): what the control observation reports, whatever rungs 3–4
+    /// of the deadline ladder leave out of the scan.
+    probes: Vec<Vec<u32>>,
+    /// Each query's hit rate over its full probe list under the batch's
+    /// placement: what the reply and the observation report.
+    hit_rates: Vec<f64>,
+    /// What each query scans: its probe list after rungs 3–4, routed.
     routed: Vec<RoutedQuery>,
     /// The tier map every share of the batch scans through, taken once at
     /// formation.
@@ -465,16 +473,6 @@ impl RagServer {
     ) -> vlite_ann::Result<RagServer> {
         let deployment = RealDeployment::build(corpus, config.real.clone())?;
         Ok(Self::from_deployment_with_clock(deployment, config, clock))
-    }
-
-    /// Starts the runtime over an already-built offline deployment, on the
-    /// wall clock.
-    ///
-    /// # Panics
-    ///
-    /// As [`RagServer::from_deployment_with_clock`].
-    pub fn from_deployment(deployment: RealDeployment, config: ServeConfig) -> RagServer {
-        Self::from_deployment_with_clock(deployment, config, Arc::new(RealClock::new()))
     }
 
     /// Starts the runtime over an already-built offline deployment on an
@@ -1169,36 +1167,49 @@ fn batcher(
             jobs
         };
         if jobs.is_empty() {
-            // The whole drain expired: there is nothing to launch.
+            // The whole drain expired: there is nothing to launch, and
+            // nothing was scanned.
             let now = shared.clock.now();
             shared.trace.stage_end(stage, now);
-            shared.queue.record_drain(drained, now - started);
+            shared.queue.record_drain(drained, now - started, None);
             continue;
         }
+        // Rungs 3 and 4 price the remaining budget with what recent
+        // batches measured; read once per batch, and never when nothing
+        // acts on it.
+        let cost = if shared.deadline.enforce {
+            shared.queue.search_cost()
+        } else {
+            None
+        };
+        let mut probes = Vec::with_capacity(jobs.len());
+        let mut hit_rates = Vec::with_capacity(jobs.len());
         let routed: Vec<RoutedQuery> = jobs
             .iter()
             .map(|job| {
-                // Rungs 3 and 4: scale the probe list to the remaining
-                // budget (the probe list is closeness-ordered, so a
-                // truncated query scans a prefix-quality subset), and keep
-                // only fast-tier probes when the remainder cannot absorb a
-                // cold-tier scan.
-                let (nprobe, fast_only) = probe_budget(shared, job, started);
-                let probes: Vec<u32> = shared
-                    .index
-                    .probe(&job.query, nprobe)
-                    .iter()
+                let full: Vec<u32> = (shared.index.probe(&job.query, shared.nprobe).iter())
                     .map(|p| p.list)
                     .collect();
-                let mut routed = split.route(&probes);
-                if nprobe < shared.nprobe {
+                let full_routed = split.route(&full);
+                hit_rates.push(full_routed.hit_rate());
+                // Rungs 3 and 4: scan a prefix of the probe list scaled to
+                // the remaining budget (the list is closeness-ordered, so
+                // a truncated query scans a prefix-quality subset), and
+                // keep only fast-tier probes when the remainder cannot
+                // absorb the cold-tier scan.
+                let (nprobe, fast_only) = probe_budget(shared.nprobe, cost, job, started);
+                let mut routed = if nprobe < full.len() {
                     shared.obs.on_degraded_probes(
                         started.as_nanos(),
                         job.id,
                         nprobe,
                         shared.nprobe,
                     );
-                }
+                    split.route(&full[..nprobe])
+                } else {
+                    full_routed
+                };
+                probes.push(full);
                 if fast_only && !routed.cpu_probes.is_empty() {
                     routed.cpu_probes.clear();
                     shared.obs.cold_skips.inc();
@@ -1209,6 +1220,8 @@ fn batcher(
         let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
         let batch = Arc::new(BatchWork {
             jobs,
+            probes,
+            hit_rates,
             routed,
             store: shared.store.snapshot(),
             started,
@@ -1216,14 +1229,15 @@ fn batcher(
             trace: shared.trace.begin_batch(&members),
         });
         shared.trace.stage_end(stage, shared.clock.now());
-        if !run_batch(shared, pool, &batch, control_tx, gen_tx) {
+        let Some((merged, cold)) = run_batch(shared, pool, &batch, control_tx, gen_tx) else {
             return; // a shard worker is gone: the runtime is tearing down
-        }
+        };
         // The engine was busy from formation to merge: that interval, not
-        // the gap since the previous batch, is what draining took.
+        // the gap since the previous batch, is what draining took — and
+        // what the batch's trace span shows.
         shared
             .queue
-            .record_drain(drained, shared.clock.now() - started);
+            .record_drain(drained, merged - started, Some(cold));
     }
 }
 
@@ -1233,32 +1247,31 @@ fn batcher(
 /// delivers every query in batch order inside one `dispatch` section.
 /// A lone query never reaches a worker: the batcher scans every share
 /// itself, in share order, since two thread hand-offs cost more than the
-/// parallel scans of one query buy. Returns `false` when a shard worker
-/// is gone.
+/// parallel scans of one query buy. Returns the merge instant, which
+/// ends the batch's trace span, and the seconds the cold share's scan
+/// took; `None` when a shard worker is gone.
 fn run_batch(
     shared: &Shared,
     pool: &ScanPool,
     batch: &Arc<BatchWork>,
     control_tx: &Sender<Observation>,
     gen_tx: Option<&Sender<GenWork>>,
-) -> bool {
+) -> Option<(SimTime, SimDuration)> {
     let cpu = shared.n_shards;
     let mut shares = vec![Vec::new(); cpu + 1];
+    let cold;
     if batch.jobs.len() == 1 {
-        for (share, partials) in shares.iter_mut().enumerate() {
-            *partials = scan_share(shared, batch, share);
+        for (share, partials) in shares.iter_mut().enumerate().take(cpu) {
+            *partials = scan_share(shared, batch, share).0;
         }
+        (shares[cpu], cold) = scan_share(shared, batch, cpu);
     } else {
         for tx in &pool.work {
-            if tx.send(Arc::clone(batch)).is_err() {
-                return false;
-            }
+            tx.send(Arc::clone(batch)).ok()?;
         }
-        shares[cpu] = scan_share(shared, batch, cpu);
+        (shares[cpu], cold) = scan_share(shared, batch, cpu);
         for _ in 0..pool.work.len() {
-            let Ok((worker, partials)) = pool.done.recv() else {
-                return false;
-            };
+            let (worker, partials) = pool.done.recv().ok()?;
             shares[worker] = partials;
         }
     }
@@ -1274,13 +1287,12 @@ fn run_batch(
         complete_query(shared, batch, qi, neighbors, control_tx, gen_tx);
     }
     shared.obs.on_batch(batch.jobs.len());
+    let merged = shared.clock.now();
     if let Some(ctx) = &batch.trace {
-        shared
-            .trace
-            .end_batch(ctx, batch.started, shared.clock.now());
+        shared.trace.end_batch(ctx, batch.started, merged);
     }
-    shared.trace.stage_end(stage, shared.clock.now());
-    true
+    shared.trace.stage_end(stage, merged);
+    Some((merged, cold))
 }
 
 /// Sheds one queue-expired job at batch formation: the outcome is fully
@@ -1313,28 +1325,28 @@ fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
 /// `DeadlinePolicy::min_probe_fraction` at its default.
 const MIN_PROBE_FRACTION: f64 = 0.25;
 
-/// Budget-scaled probe selection for one job at batch formation. Returns
-/// the probe count to use and whether the query should keep only its
-/// fast-tier probes. Unbudgeted jobs (or a measure-only policy) always
-/// probe the full list.
-fn probe_budget(shared: &Shared, job: &Job, now: SimTime) -> (usize, bool) {
-    let policy = &shared.deadline;
-    if !policy.enforce {
-        return (shared.nprobe, false);
-    }
-    let Some(deadline) = job.deadline else {
-        return (shared.nprobe, false);
+/// Budget-scaled probe selection for one job at batch formation, priced
+/// by the drain meter's `cost` of a scanned batch. Returns the probe count
+/// to scan and whether the query should keep only its fast-tier probes:
+/// rung 4 skips the cold tier when the remaining budget is below the full
+/// search, and rung 3 shrinks the list by the remainder's share of the
+/// fast tier's part (the full search minus the cold share). Unbudgeted
+/// jobs, and every job while nothing has been measured (`cost == None`,
+/// which a measure-only policy always passes), scan the full list.
+fn probe_budget(nprobe: usize, cost: Option<SearchCost>, job: &Job, now: SimTime) -> (usize, bool) {
+    let (Some(cost), Some(deadline)) = (cost, job.deadline) else {
+        return (nprobe, false);
     };
     // Expired jobs were shed before routing, so `deadline > now` here.
     let remaining = deadline.duration_since(now).as_secs_f64();
-    let nprobe = if remaining < policy.est_search {
-        let frac = (remaining / policy.est_search).max(MIN_PROBE_FRACTION);
-        ((shared.nprobe as f64 * frac).ceil() as usize).clamp(1, shared.nprobe)
+    let fast = cost.full - cost.cold;
+    let shrunk = if remaining < fast {
+        let frac = (remaining / fast).max(MIN_PROBE_FRACTION);
+        ((nprobe as f64 * frac).ceil() as usize).clamp(1, nprobe)
     } else {
-        shared.nprobe
+        nprobe
     };
-    let fast_only = remaining < policy.est_search + policy.est_cold;
-    (nprobe, fast_only)
+    (shrunk, remaining < cost.full)
 }
 
 /// Spawns one named runtime thread.
@@ -1379,7 +1391,7 @@ fn shard_worker(
     done: &Sender<Share>,
 ) {
     while let Ok(batch) = rx.recv() {
-        let partials = scan_share(shared, &batch, shard);
+        let (partials, _) = scan_share(shared, &batch, shard);
         if done.send((shard, partials)).is_err() {
             return;
         }
@@ -1404,7 +1416,14 @@ fn shard_worker(
 /// [`Shared::worker_panics`] tick) instead of killing the thread: a dead
 /// shard worker would never return its share and the batcher would wait
 /// for it forever, and a dead batcher would stop serving.
-fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neighbor>> {
+///
+/// Returns the partials and the seconds the scan took (its `scan:*`
+/// span's width).
+fn scan_share(
+    shared: &Shared,
+    batch: &BatchWork,
+    share: usize,
+) -> (Vec<Vec<Neighbor>>, SimDuration) {
     let cpu = share == shared.n_shards;
     let scan_start = shared.clock.now();
     let stage_id = if cpu {
@@ -1457,7 +1476,7 @@ fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neigh
         };
         shared.trace.record_scan(ctx, span, scan_start, scan_end);
     }
-    partials
+    (partials, scan_end - scan_start)
 }
 
 /// Delivers one merged query: either the response (retrieval only) or a
@@ -1472,23 +1491,18 @@ fn complete_query(
     gen_tx: Option<&Sender<GenWork>>,
 ) {
     let job = &batch.jobs[qi];
-    let routed = &batch.routed[qi];
     let now = shared.clock.now();
     let queue = (batch.started - job.enqueued).as_secs_f64();
     let search = (now - batch.started).as_secs_f64();
-    let hit_rate = routed.hit_rate();
+    let hit_rate = batch.hit_rates[qi];
 
     // The control loop's one observation of this query: its hit rate, the
     // search SLO bit, and its global probe set (the re-profiling sample).
-    let mut probes = routed.cpu_probes.clone();
-    for globals in &routed.shard_probes_global {
-        probes.extend_from_slice(globals);
-    }
     let _ = control_tx.send(Observation {
         tenant: job.tenant,
         hit_rate,
         met_slo: search <= shared.slo_search,
-        probes,
+        probes: batch.probes[qi].clone(),
     });
 
     if let Some(gen_tx) = gen_tx {
@@ -1548,7 +1562,7 @@ fn complete_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::tests::{harness, tiny_deployment};
+    use crate::control::tests::{harness, harness_with_deadline, tiny_deployment};
 
     /// A batch of `queries` (each with its routing) as the batcher forms
     /// it, replying on `reply`.
@@ -1557,7 +1571,7 @@ mod tests {
         queries: Vec<(Vec<f32>, RoutedQuery)>,
         reply: &Sender<SearchResponse>,
     ) -> Arc<BatchWork> {
-        let (jobs, routed) = (queries.into_iter().enumerate())
+        let (jobs, routed): (Vec<Job>, Vec<RoutedQuery>) = (queries.into_iter().enumerate())
             .map(|(id, (query, routed))| {
                 let job = Job {
                     id: id as u64,
@@ -1571,8 +1585,17 @@ mod tests {
                 (job, routed)
             })
             .unzip();
+        // The routed lists are what the query probes, unshrunk.
+        let probes = (routed.iter())
+            .map(|r| {
+                let shards = r.shard_probes_global.iter().flatten();
+                shards.chain(&r.cpu_probes).copied().collect()
+            })
+            .collect();
         Arc::new(BatchWork {
             jobs,
+            probes,
+            hit_rates: routed.iter().map(RoutedQuery::hit_rate).collect(),
             routed,
             store: shared.store.snapshot(),
             started: SimTime::ZERO,
@@ -1610,7 +1633,7 @@ mod tests {
         let (reply_tx, replies) = channel::unbounded();
 
         let batch = batch_of(&shared, vec![(query.clone(), routed)], &reply_tx);
-        assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+        assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
         assert!(queued.iter().all(Receiver::is_empty), "work was sent");
         assert_eq!(pool.done.len(), shared.n_shards, "a share was gathered");
         let reply = replies.try_recv().expect("one reply");
@@ -1632,7 +1655,7 @@ mod tests {
         let (reply_tx, replies) = channel::unbounded();
         let run = |queries| {
             let batch = batch_of(&shared, queries, &reply_tx);
-            assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+            assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
             std::iter::from_fn(|| replies.try_recv().ok()).collect::<Vec<_>>()
         };
 
@@ -1694,7 +1717,7 @@ mod tests {
         let (reply_tx, replies) = channel::unbounded();
         let run = |queries: Vec<(Vec<f32>, RoutedQuery)>| -> Vec<SearchResponse> {
             let batch = batch_of(&shared, queries, &reply_tx);
-            assert!(run_batch(&shared, &pool, &batch, &control_tx, None));
+            assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
             std::iter::from_fn(|| replies.try_recv().ok()).collect()
         };
         let scan = |lists: &[u32]| {
@@ -1761,6 +1784,60 @@ mod tests {
     }
 
     #[test]
+    fn a_degraded_query_reports_the_hit_rate_and_probes_of_its_full_list() {
+        let policy = DeadlinePolicy {
+            enforce: true,
+            ..DeadlinePolicy::default()
+        };
+        let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
+        let (query, _, _) = probe_everything(&shared);
+        // Seed the meter: a scanned batch took 10 ms, its cold share 4 ms,
+        // so the fast tier's part is 6 ms.
+        let ms = SimDuration::from_millis;
+        shared.queue.record_drain(1, ms(10.0), Some(ms(4.0)));
+        let (reply_tx, replies) = channel::unbounded();
+        // Unbudgeted; 8 ms (rung 4 only); 3 ms (rung 4, and rung 3 halves
+        // the list). The clock never moves: the whole budget remains at
+        // formation, and the batches measure nothing.
+        for (id, budget) in [None, Some(8.0), Some(3.0)].into_iter().enumerate() {
+            let job = Job {
+                id: id as u64,
+                tenant: TenantId(0),
+                query: query.clone(),
+                enqueued: SimTime::ZERO,
+                deadline: budget.map(|b| SimTime::ZERO + ms(b)),
+                trace: TraceId(id as u128 + 1),
+                reply: reply_tx.clone(),
+            };
+            shared.queue.try_push(job).expect("admitted");
+        }
+        shared.queue.close();
+        let (pool, workers) = spawn_scan_workers(&shared);
+        let (control_tx, observations) = channel::unbounded();
+        // One query per batch; returns once the closed queue is empty.
+        batcher(&shared, 1, &pool, &control_tx, None);
+
+        assert_eq!(shared.obs.cold_skips.get(), 2, "both budgets skip cold");
+        assert_eq!(shared.obs.degraded_probes.get(), 1, "3 ms shrinks");
+        let replies: Vec<SearchResponse> = std::iter::from_fn(|| replies.try_recv().ok()).collect();
+        let observations: Vec<Observation> =
+            std::iter::from_fn(|| observations.try_recv().ok()).collect();
+        assert_eq!((replies.len(), observations.len()), (3, 3));
+        let full = &observations[0];
+        assert!(full.hit_rate > 0.0 && full.hit_rate < 1.0, "hot and cold");
+        assert_eq!(full.probes.len(), shared.nprobe);
+        for (reply, seen) in replies.iter().zip(&observations) {
+            assert_eq!(reply.hit_rate.to_bits(), full.hit_rate.to_bits());
+            assert_eq!(seen.hit_rate.to_bits(), full.hit_rate.to_bits());
+            assert_eq!(seen.probes, full.probes, "the full probe list");
+        }
+        drop(pool);
+        for worker in workers {
+            worker.join().expect("shard worker exits cleanly on close");
+        }
+    }
+
+    #[test]
     fn the_runtime_runs_n_shards_plus_two_threads_and_one_more_to_generate() {
         for generation in [None, Some(GenerationConfig::tiny())] {
             let generates = generation.is_some();
@@ -1768,7 +1845,11 @@ mod tests {
                 generation,
                 ..ServeConfig::small()
             };
-            let server = RagServer::from_deployment(tiny_deployment(), config);
+            let server = RagServer::from_deployment_with_clock(
+                tiny_deployment(),
+                config,
+                Arc::new(RealClock::new()),
+            );
             let threads = server.threads.iter().map(|h| h.thread().name());
             let mut names: Vec<&str> = threads.map(Option::unwrap_or_default).collect();
             names.sort_unstable();
@@ -1793,6 +1874,10 @@ mod tests {
             generation: Some(generation),
             ..ServeConfig::small()
         };
-        drop(RagServer::from_deployment(tiny_deployment(), config));
+        drop(RagServer::from_deployment_with_clock(
+            tiny_deployment(),
+            config,
+            Arc::new(RealClock::new()),
+        ));
     }
 }

@@ -74,11 +74,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.event))
     }
 
-    /// Timestamp of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -99,7 +94,6 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -120,14 +114,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO + SimDuration::from_millis(1.0), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs_f64(0.001)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

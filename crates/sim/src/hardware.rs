@@ -39,13 +39,6 @@ pub struct GpuSpec {
     pub h2d_bw: f64,
 }
 
-impl GpuSpec {
-    /// Memory capacity in GiB.
-    pub fn mem_gib(&self) -> f64 {
-        self.mem_bytes as f64 / (1u64 << 30) as f64
-    }
-}
-
 /// Static description of a host CPU (one NUMA node / socket pair treated as
 /// a uniform pool, as the paper does).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -149,12 +142,6 @@ mod tests {
         assert!(h.mem_bytes > l.mem_bytes);
         assert!(h.mem_bw > l.mem_bw);
         assert!(h.fp16_flops > l.fp16_flops);
-    }
-
-    #[test]
-    fn mem_gib_matches_bytes() {
-        assert_eq!(h100().mem_gib(), 80.0);
-        assert_eq!(l40s().mem_gib(), 48.0);
     }
 
     #[test]

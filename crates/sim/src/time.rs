@@ -85,19 +85,6 @@ impl SimDuration {
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Scales the duration by a non-negative factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be >= 0, got {factor}"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add for SimDuration {
@@ -236,12 +223,6 @@ mod tests {
         let b = SimTime::from_nanos(11);
         assert!(a < b);
         assert_eq!(a, SimTime::from_nanos(10));
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        let d = SimDuration::from_millis(10.0).mul_f64(2.5);
-        assert_eq!(d, SimDuration::from_millis(25.0));
     }
 
     #[test]

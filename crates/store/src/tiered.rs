@@ -611,8 +611,7 @@ impl StoreSnapshot {
     /// served distance from query `qis[i]` to the cluster's rows; the
     /// queries [`prunes`] clears are dropped before any byte is read, and
     /// a pass left with none reads nothing. The routed counters still
-    /// count the whole pass. The query-at-a-time path is this same pass
-    /// with a batch of one.
+    /// count the whole pass.
     fn scan_pass<'a>(
         &'a self,
         cluster: u32,
@@ -753,41 +752,11 @@ impl ClusterStore for StoreSnapshot {
         self.segment.cluster_len(cluster)
     }
 
-    fn scan_cluster(&self, cluster: u32, query: &[f32], top: &mut TopK) {
-        self.scan_clusters(&[cluster], query, top);
-    }
-
-    /// Query-at-a-time: a batch of one, clusters visited in probe order.
-    /// The folded query depends only on the query and the segment's
-    /// quantizer, so one serves every cold probe of the scan — built
-    /// lazily on the first cold cluster (an all-hot probe set never pays
-    /// for it).
-    ///
-    /// Pruned exactly like [`StoreSnapshot::scan_batch`]: the seed comes
-    /// from every probed cluster before the first pass.
-    fn scan_clusters(&self, clusters: &[u32], query: &[f32], top: &mut TopK) {
-        assert_eq!(query.len(), self.segment.dim(), "query dimensionality");
-        let queries = [BatchQuery {
-            query,
-            lists: clusters,
-        }];
-        let mut scan = Scan::new(1);
-        let lower: Vec<f64> = clusters
-            .iter()
-            .map(|&c| self.bound_pair(c, query, top.k(), &mut scan.seeds[0]))
-            .collect();
-        let tops = std::slice::from_mut(top);
-        for (&cluster, lower) in clusters.iter().zip(&lower) {
-            let lower = std::slice::from_ref(lower);
-            self.scan_pass(cluster, &queries, &[0], lower, &mut scan, tops);
-        }
-    }
-
     /// Blocked (cluster-major) batch scan: the per-query probe lists are
     /// inverted into cluster → probing-queries, then each cluster's bytes
     /// are streamed exactly once, scoring every query that probes it.
-    /// Results are identical to the query-at-a-time default for every
-    /// query — [`TopK`]'s `(score, id)` total order makes the outcome
+    /// Every query's result is the one it gets scanned alone (a batch of
+    /// one) — [`TopK`]'s `(score, id)` total order makes the outcome
     /// independent of push order — only the traversal (and therefore the
     /// bytes touched) changes. Under L2 the inversion also bounds each
     /// routed pair and seeds each query, and a pass skips the pairs its

@@ -1,7 +1,8 @@
 //! Blocked-scan equivalence: a cluster-major batched scan through
-//! [`TieredStore`] must return, for every query, exactly what the
-//! query-at-a-time path returns — same ids, bit-identical distances —
-//! whatever mix of hot arenas and cold SQ8 extents the probe lists hit.
+//! [`TieredStore`] must return, for every query, exactly what the query
+//! returns scanned alone (a batch of one, as `scan_lists_store` scans it)
+//! — same ids, bit-identical distances — whatever mix of hot arenas and
+//! cold SQ8 extents the probe lists hit.
 //! The counters must also account a blocked pass correctly: every query
 //! counts as a probe, the shared cluster's payload bytes count once.
 //! Pruning (L2 passes that skip a query whose bounds rule the cluster
@@ -41,11 +42,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For random tiers, batches, and (overlapping) probe lists, the
-    /// blocked batch scan ≡ the query-at-a-time scan, per query, bit for
-    /// bit. Holds because both paths score through the same kernels and
-    /// the same folded query, a row's score does not depend on the run it
-    /// sits in, and `TopK`'s `(distance, id)` total order makes the winner
-    /// set independent of push order.
+    /// blocked batch scan ≡ N one-query batches, per query, bit for bit.
+    /// Holds because a row's score does not depend on which queries share
+    /// its pass or on the run it sits in, and `TopK`'s `(distance, id)`
+    /// total order makes the winner set independent of push order.
     #[test]
     fn blocked_batch_equals_query_at_a_time(
         seed in 0u64..1_000_000,
@@ -143,8 +143,8 @@ fn blocked_pass_counts_bytes_once_and_probes_per_query() {
     assert_eq!(stats.cold_probes, 8);
     // Every pass covered all 4 queries → one blocked tick per cluster.
     assert_eq!(stats.blocked_scans, n_clusters as u64);
-    // Bytes: each cluster streamed exactly once. A query-at-a-time rerun
-    // of the same probe lists must cost 4× the bytes.
+    // Bytes: each cluster streamed exactly once. Four one-query batches
+    // over the same probe lists must cost 4× the bytes.
     let hot_once = stats.hot_bytes_scanned;
     let cold_once = stats.cold_bytes_scanned;
     for q in &queries {
@@ -240,7 +240,7 @@ fn brute_force(
 }
 
 /// The block scan loops against their oracles at every size boundary:
-/// blocked batch ≡ query-at-a-time ≡ a per-row brute force, bit for bit,
+/// blocked batch ≡ one-query batches ≡ a per-row brute force, bit for bit,
 /// on all-hot, mixed and all-cold stores — with a duplicate cluster id
 /// inside one probe list, an empty probe list, both metrics, and dims
 /// below, at and past the kernels' 8-lane steps (6, 64, 100). On every
@@ -320,7 +320,12 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                 }
                 let occurrences = probers.len() as u64;
                 let multi = probers.iter().any(|&qi| qi != probers[0]);
-                let (batch_bytes, solo_bytes) = (bytes(c), occurrences * bytes(c));
+                // A batch streams each cluster once, so the one-query
+                // batches stream it once per query probing it.
+                let mut solo_batches = probers.clone();
+                solo_batches.dedup();
+                let solo_bytes = solo_batches.len() as u64 * bytes(c);
+                let batch_bytes = bytes(c);
                 if hot[c as usize] {
                     want_batch.hot_probes += occurrences;
                     want_batch.hot_bytes_scanned += batch_bytes;
@@ -337,8 +342,8 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                 want_batch,
                 "dim {dim}: one blocked batch"
             );
-            // The solo reruns probe as often, stream bytes per probe, and
-            // never block.
+            // The solo reruns probe as often, stream each cluster once per
+            // query, and never block.
             want_solo.hot_probes = 2 * want_batch.hot_probes;
             want_solo.cold_probes = 2 * want_batch.cold_probes;
             want_solo.hot_bytes_scanned += want_batch.hot_bytes_scanned;
@@ -357,7 +362,7 @@ fn block_scans_match_their_oracles_at_every_size_boundary() {
                 );
                 assert!(
                     after_solo.pairs_pruned > after_batch.pairs_pruned,
-                    "{tiers} dim {dim}: query-at-a-time pruned nothing"
+                    "{tiers} dim {dim}: one-query batches pruned nothing"
                 );
             }
         }

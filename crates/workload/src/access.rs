@@ -256,21 +256,6 @@ impl ClusterWorkload {
         }
     }
 
-    /// Empirical per-cluster access counts over `n_queries` sampled queries.
-    pub fn sample_access_histogram<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        n_queries: usize,
-    ) -> Vec<u64> {
-        let mut counts = vec![0u64; self.nlist];
-        for _ in 0..n_queries {
-            for c in self.gen_probe_set(rng) {
-                counts[c as usize] += 1;
-            }
-        }
-        counts
-    }
-
     /// Hit rate of one probe set against a hot-set membership mask.
     pub fn hit_rate(probes: &[u32], hot_mask: &[bool]) -> f64 {
         if probes.is_empty() {
@@ -395,7 +380,12 @@ mod tests {
     fn expected_access_matches_sampled_histogram() {
         let wl = ClusterWorkload::new(256, 16, 1.2, 0);
         let mut rng = StdRng::seed_from_u64(9);
-        let counts = wl.sample_access_histogram(&mut rng, 20_000);
+        let mut counts = [0u64; 256];
+        for _ in 0..20_000 {
+            for c in wl.gen_probe_set(&mut rng) {
+                counts[c as usize] += 1;
+            }
+        }
         let total: u64 = counts.iter().sum();
         for c in (0..256).step_by(17) {
             let sampled = counts[c] as f64 / total as f64;

@@ -3,7 +3,11 @@
 //! The VirtualClock tests pin the degradation ladder to the exact tick:
 //! time advances only where the test says so, so every shed, shrink and
 //! budget-burn number below is a deterministic function of the scripted
-//! timeline — no wall-clock sleeps, no timing tolerances.
+//! timeline — no timing tolerances. Rungs 3 and 4 price a budget with
+//! what the server's drain meter measured of the batches it scanned; the
+//! tests seed that meter by serving one batch on a ticking clock, read
+//! its exact cost back from the batch's trace, and stop the clock
+//! (`meter::seed_meter`).
 //!
 //! Coverage:
 //! - A zero-budget request is shed at batch formation (rung 2) on the
@@ -19,11 +23,21 @@
 //!   job a minute.
 //! - A measure-only policy (enforce off) records budget burn and deadline
 //!   attainment without shedding or degrading anything.
-//! - A budget worth half the search estimate shrinks the probe list to
-//!   exactly `ceil(nprobe/2)` (rung 3) and the request still answers —
-//!   degraded, attributed, and on time.
-//! - A budget that fits the fast tier but not a cold scan drops the
-//!   request's cold-tier probes (rung 4) and still answers.
+//! - Before anything has been measured — a cold start, or batches on a
+//!   clock that never moved — no budget shrinks or skips anything.
+//! - A budget worth half the fast tier's measured part of a search (the
+//!   full search minus the cold share) shrinks the probe list to exactly
+//!   `ceil(nprobe/2)` (rung 3) and the request still answers — degraded,
+//!   attributed, and on time.
+//! - A budget that covers the fast tier's part but not the full search
+//!   drops the request's cold-tier probes (rung 4) and still answers.
+//! - A budget equal to the measured full search is never degraded; one
+//!   nanosecond less skips the cold tier.
+//! - A drain in which every job expired scanned nothing: it leaves the
+//!   search and cold estimates exactly where they were.
+//! - On a wall-clock server warmed with traffic, a 20 ms `X-Deadline-Ms`
+//!   budget keeps its cold-tier probes: the measured search is far
+//!   cheaper.
 //! - The ladder shrinks from the probe count the index serves
 //!   (`nprobe` clamped to `1..=nlist`): an `nprobe` of 0 still answers a
 //!   shrunk budget, and an `nprobe` past `nlist` is not counted as
@@ -58,6 +72,9 @@ use vectorlite_rag::serve::{
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
+mod meter;
+use meter::{await_sections, seed_meter, stage, TickingClock};
+
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
         n_vectors: 2_000,
@@ -73,6 +90,36 @@ fn enforcing_config() -> ServeConfig {
     let mut config = ServeConfig::small();
     config.deadline.enforce = true;
     config
+}
+
+/// A server on a stopped [`TickingClock`].
+fn ticking_server(config: ServeConfig) -> (RagServer, Arc<TickingClock>) {
+    let clock = Arc::new(TickingClock::default());
+    let server =
+        RagServer::start_with_clock(&corpus(), config, clock.clone()).expect("server starts");
+    (server, clock)
+}
+
+/// Serves one query of corpus vector 0 under `budget` and returns what
+/// rungs 3 and 4 did to it: how many cold skips and probe shrinks it
+/// added, and the `degrade` journal line it left, if any.
+fn degradation(server: &RagServer, budget: Duration) -> (u64, u64, Option<String>) {
+    let before = server.report();
+    let journaled = server.obs().journal_snapshot().len();
+    let response = server
+        .submit_with_deadline(TenantId(0), corpus().vectors.get(0).to_vec(), Some(budget))
+        .expect("admitted")
+        .wait()
+        .expect("degraded, not shed");
+    assert!(!response.neighbors.is_empty());
+    let after = server.report();
+    let journal = server.obs().journal_snapshot();
+    let degrade = journal[journaled..].iter().find(|e| e.kind == "degrade");
+    (
+        after.cold_skips - before.cold_skips,
+        after.degraded_probes - before.degraded_probes,
+        degrade.map(|e| e.detail.clone()),
+    )
 }
 
 #[test]
@@ -284,15 +331,14 @@ fn half_budget_shrinks_probes_to_exactly_half_and_still_answers() {
     // Everything hot: rung 4 (cold skip) has nothing to drop, so the only
     // budget action in play is the probe shrink under test.
     config.real.coverage_override = Some(1.0);
-    let est_search = config.deadline.est_search;
     let nprobe = config.real.nprobe;
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
 
-    // With a never-advanced VirtualClock, batch formation happens at the
-    // submission tick, so remaining == budget exactly. A budget of half
-    // the search estimate scales the probe list by exactly 0.5.
-    let budget = Duration::from_secs_f64(est_search * 0.5);
+    // With the clock stopped, batch formation happens at the submission
+    // tick, so remaining == budget exactly. A budget of half the fast
+    // tier's part scales the probe list by exactly 0.5.
+    let budget = (full - cold) / 2;
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
@@ -332,14 +378,12 @@ fn fast_tier_only_budget_skips_cold_probes_and_still_answers() {
     // Pin the hot tier small so the full probe list must cross into the
     // cold tier, making the skip observable.
     config.real.coverage_override = Some(0.25);
-    let est_search = config.deadline.est_search;
-    let est_cold = config.deadline.est_cold;
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
 
     // Enough remaining budget for the fast tier (no probe shrink), not
     // enough to absorb a cold-tier scan on top.
-    let budget = Duration::from_secs_f64(est_search + est_cold * 0.5);
+    let budget = full - cold / 2;
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
@@ -359,13 +403,12 @@ fn zero_nprobe_still_answers_a_shrunk_budget() {
     let mut config = enforcing_config();
     config.real.nprobe = 0;
     config.real.coverage_override = Some(1.0);
-    let est_search = config.deadline.est_search;
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
 
-    // The index serves one probe for an `nprobe` of 0; half the search
-    // estimate cannot shrink a one-probe list any further.
-    let budget = Duration::from_secs_f64(est_search * 0.5);
+    // The index serves one probe for an `nprobe` of 0; half the fast
+    // tier's part cannot shrink a one-probe list any further.
+    let budget = (full - cold) / 2;
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
@@ -385,13 +428,12 @@ fn nprobe_past_nlist_is_not_degraded_by_a_shrink_that_keeps_every_list() {
     let nlist = config.real.ivf.nlist;
     config.real.nprobe = 2 * nlist;
     config.real.coverage_override = Some(1.0);
-    let est_search = config.deadline.est_search;
-    let clock = Arc::new(VirtualClock::new());
-    let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
 
-    // 0.995 of the estimate scales the served count (`nlist`) to
+    // 0.995 of the fast tier's part scales the served count (`nlist`) to
     // `ceil(0.995 * nlist) == nlist`: every list is still probed.
-    let budget = Duration::from_secs_f64(est_search * 0.995);
+    let budget = (full - cold).mul_f64(0.995);
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
@@ -402,6 +444,106 @@ fn nprobe_past_nlist_is_not_degraded_by_a_shrink_that_keeps_every_list() {
     assert_eq!(report.degraded_probes, 0, "no probe was dropped");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 1);
+}
+
+#[test]
+fn nothing_is_degraded_before_the_first_measurement() {
+    let mut config = enforcing_config();
+    config.real.coverage_override = Some(0.25);
+    // A cold start: no batch has been scanned yet.
+    let (server, _clock) = ticking_server(config);
+    let budget = Duration::from_micros(1);
+    assert_eq!(degradation(&server, budget), (0, 0, None));
+    // Batches on a clock that never moved took no time: still nothing
+    // measured, so nothing priced.
+    assert_eq!(degradation(&server, budget), (0, 0, None));
+    let report = server.report();
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
+    assert_eq!(report.deadline_met, 2);
+}
+
+/// Pins both of the ladder's thresholds at the measured `full` search and
+/// `cold` share: a budget of `full` is never degraded, one nanosecond
+/// less skips the cold tier (the fast tier's part still fits), and half
+/// the fast tier's part shrinks `nprobe` probes to exactly half.
+fn assert_priced_at(server: &RagServer, full: Duration, cold: Duration, nprobe: usize) {
+    assert_eq!(degradation(server, full), (0, 0, None));
+    let just_under = full - Duration::from_nanos(1);
+    assert_eq!(degradation(server, just_under), (1, 0, None));
+    let half = format!("probes shrunk {nprobe} -> {}", nprobe.div_ceil(2));
+    let (skips, shrunk, line) = degradation(server, (full - cold) / 2);
+    assert_eq!((skips, shrunk), (1, 1));
+    let line = line.expect("the shrink is journaled");
+    assert!(line.contains(&half), "unexpected detail: {line}");
+}
+
+#[test]
+fn a_budget_equal_to_the_measured_full_search_is_never_degraded() {
+    let mut config = enforcing_config();
+    config.real.coverage_override = Some(0.25);
+    let nprobe = config.real.nprobe;
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus().vectors.get(1));
+    assert_priced_at(&server, full, cold, nprobe);
+    assert_eq!(server.report().deadline_met, 3);
+}
+
+#[test]
+fn a_drain_that_scanned_nothing_leaves_the_search_and_cold_estimates_unchanged() {
+    let mut config = enforcing_config();
+    config.real.coverage_override = Some(0.25);
+    let nprobe = config.real.nprobe;
+    let (server, clock) = ticking_server(config);
+    let (full, cold) = seed_meter(&server, &clock, corpus().vectors.get(1));
+
+    // A zero budget expires in the queue while the clock ticks: the drain
+    // takes time but scans nothing.
+    let formed = stage(&server, "batcher");
+    clock.tick(true);
+    let ticket = server
+        .submit_with_deadline(
+            TenantId(0),
+            corpus().vectors.get(2).to_vec(),
+            Some(Duration::ZERO),
+        )
+        .expect("admitted");
+    assert!(ticket.wait().is_none(), "shed in the queue");
+    await_sections(&server, "batcher", formed.sections + 1);
+    clock.tick(false);
+    let busy = stage(&server, "batcher").wall_s - formed.wall_s;
+    assert!(busy > 0.0, "the expired drain took time");
+    assert_eq!(server.report().deadline_sheds, [0, 1, 0]);
+
+    // Both thresholds sit exactly where the seeded batch put them.
+    assert_priced_at(&server, full, cold, nprobe);
+}
+
+#[test]
+fn a_warm_wall_clock_server_keeps_the_cold_probes_of_a_20_ms_budget() {
+    let corpus = corpus();
+    let mut config = enforcing_config();
+    // Most of every probe list lands in the cold tier.
+    config.real.coverage_override = Some(0.25);
+    let server = RagServer::start(&corpus, config.clone()).expect("server starts");
+    let frontend = HttpFrontend::bind(server, &config.http).expect("frontend binds");
+    let mut client = HttpClient::connect(frontend.addr()).expect("client connects");
+    let search = |client: &mut HttpClient, i: usize, headers: &[(&str, &str)]| {
+        let body = wire::search_request_to_json(corpus.vectors.get(i)).render();
+        let response = client
+            .post_json("/v1/search", headers, &body)
+            .expect("exchange");
+        assert_eq!(response.status, 200);
+    };
+    // Unbudgeted traffic warms the drain meter with measured searches.
+    for i in 0..64 {
+        search(&mut client, i, &[]);
+    }
+    search(&mut client, 0, &[("X-Deadline-Ms", "20")]);
+    drop(client);
+    let report = frontend.shutdown();
+    assert_eq!(report.cold_skips, 0, "the cold-tier probes were kept");
+    assert_eq!(report.degraded_probes, 0, "the probe list was kept");
+    assert_eq!(report.deadline_sheds, [0, 0, 0]);
 }
 
 #[test]
@@ -417,11 +559,8 @@ fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results
         .prefill_time(generation.prompt_tokens(0), 1.0)
         .as_secs_f64();
     let budget = 0.5 * min_prefill;
-    // Rungs 3 and 4 keep the full probe list: the whole budget remains at
-    // batch formation (the clock never advances) and exceeds both
-    // estimates.
-    config.deadline.est_search = 0.5 * budget;
-    config.deadline.est_cold = 0.0;
+    // Rungs 3 and 4 keep the full probe list: the clock never advances,
+    // so no batch measures a search cost to price the budget with.
     config.generation = Some(generation);
     let clock = Arc::new(VirtualClock::new());
     let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");

@@ -454,10 +454,10 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
         .prefill_time(generation.prompt_tokens(10), 1.0);
     generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
     // KV-aware admission is rung 5 with every request's deadline at its
-    // TTFT SLO. No cold-scan estimate, so rung 4 keeps every probe.
+    // TTFT SLO. Every batch is merged at tick zero, so the drain meter
+    // measures no search cost and rungs 3–4 keep every probe.
     config.deadline.default_deadline = Some(generation.slo_ttft);
     config.deadline.enforce = true;
-    config.deadline.est_cold = 0.0;
     config.tenants = vec![
         TenantSpec {
             weight: 1,

@@ -39,7 +39,9 @@ use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 mod common;
+mod meter;
 use common::{await_batched, GatedClock};
+use meter::{seed_meter, TickingClock};
 
 fn corpus() -> SyntheticCorpus {
     SyntheticCorpus::generate(&CorpusConfig {
@@ -192,23 +194,28 @@ fn retrieval_only_deadline_flood_conserves_every_request() {
     let mut config = config();
     config.tenants = two_tenants();
     config.deadline.enforce = true;
-    let clock = Arc::new(VirtualClock::new());
+    let clock = Arc::new(TickingClock::default());
     let server =
         RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
+    // One measured batch arms rungs 3 and 4 (and rung 1's drain rate).
+    let queries = corpus.queries(40, 17);
+    seed_meter(&server, &clock, queries.get(0));
 
-    // Four budget classes per wave: already expired (shed in the queue, or
-    // at admission once a drain rate is known), generous, unbudgeted, and
-    // 1 ns (degraded to the fast tier, still answered). The clock advances
-    // only between waves, so which rung fires never depends on timing —
-    // and the invariants hold whichever rung it was.
+    // Four budget classes per wave: 1 ns (degraded to the fast tier, still
+    // answered, or shed at admission behind a queued job), already expired
+    // (shed in the queue, or at admission behind a queued job), generous,
+    // and unbudgeted. Each wave opens on empty lanes, so its first 1 ns
+    // and expired budgets are admitted. The clock advances only between
+    // waves, so which rung fires never depends on timing — and the
+    // invariants hold whichever rung it was.
     let budgets = [
+        Some(Duration::from_nanos(1)),
         Some(Duration::ZERO),
         Some(Duration::from_secs(10)),
         None,
-        Some(Duration::from_nanos(1)),
     ];
-    let queries = corpus.queries(40, 17);
-    let (mut admission_sheds, mut replies, mut budgeted_replies) = (0u64, 0u64, 0u64);
+    // The seeding query was one unbudgeted reply.
+    let (mut admission_sheds, mut replies, mut budgeted_replies) = (0u64, 1u64, 0u64);
     for _wave in 0..3 {
         let mut tickets = Vec::new();
         for (i, query) in queries.iter().enumerate() {
@@ -225,7 +232,7 @@ fn retrieval_only_deadline_flood_conserves_every_request() {
                 budgeted_replies += u64::from(budgeted);
             }
         }
-        clock.advance(SimDuration::from_millis(2.0));
+        clock.inner.advance(SimDuration::from_millis(2.0));
     }
 
     let scrape = server.prometheus_text();
