@@ -10,8 +10,9 @@
 //! - once more than `capacity` ordinary traces are held, whole oldest
 //!   traces are evicted (a trace is only useful complete — evicting
 //!   individual spans would leave dangling parents);
-//! - traces recorded as *kept* (slow or shed requests, and the batch traces
-//!   they link) sit in their own `kept_capacity`-sized eviction queue, so a
+//! - traces recorded as *kept* (shed, slow or target-missing requests, and
+//!   the batch traces they link) sit in their own `kept_capacity`-sized
+//!   eviction queue, so a
 //!   flood of fast requests never evicts an outlier or its cause;
 //! - one trace holds at most [`MAX_SPANS_PER_TRACE`] spans: the key is a
 //!   client-supplied id, and a client reusing one id must not grow a single
@@ -164,7 +165,8 @@ impl SpanStore {
     /// move to the kept queue. A tree that would push the trace past
     /// [`MAX_SPANS_PER_TRACE`] is dropped whole and counted.
     pub fn record_tree(&self, trace_id: u128, spans: Vec<SpanRecord>, keep: bool) {
-        // Only a kept tree (rare: slow or shed) walks its links.
+        // Only a kept tree (shed, slow, or past a target it is judged by)
+        // walks its links.
         let links: Vec<u128> = if keep {
             spans.iter().flat_map(|s| &s.links).copied().collect()
         } else {

@@ -132,35 +132,39 @@ impl GenerationConfig {
 ///    submit with [`AdmissionError::DeadlineUnmeetable`](crate::AdmissionError).
 /// 2. **Queue-expiry shed**: a request whose deadline passed while queued
 ///    is dropped at batch formation instead of wasting a batch slot.
-/// 3. **Probe shrinking**: when the remaining budget is below the fast
-///    tier's part of a search (the full search minus the cold share), the
-///    request scans a prefix of its closeness-ordered probe list, scaled
-///    by that ratio (never below a quarter of the list).
-/// 4. **Cold-tier skip**: when the remaining budget is below the full
-///    search, the query keeps only its fast-tier probes.
-///
-/// 5. **Generation shed**: a request whose estimated first token lands
+/// 3. **Hot-only batch**: when the tightest remaining budget in a batch is
+///    below the full search, the whole batch skips its cold (CPU) share
+///    and answers from the fast tier. The batch is the unit because its
+///    members reply together: skipping one member's cold probes cannot
+///    bring its reply earlier while a batch-mate still scans cold. The
+///    trade is that an unbudgeted or loosely budgeted member of a hot-only
+///    batch loses its cold probes too; `cold_skips` counts every member
+///    that had some.
+/// 4. **Generation shed**: a request whose estimated first token lands
 ///    past the deadline is shed at generation admission (the retrieval
 ///    results are still delivered). The estimate counts the engine's busy
 ///    time, the waiting prompts and, when the KV pool is full, the running
 ///    batch's drain, so with `default_deadline` at
 ///    [`GenerationConfig::slo_ttft`] this rung is KV-aware admission.
 ///
-/// Rungs 1, 3 and 4 price work with what the server has measured, never
-/// with a configured guess: the batcher times every batch (formation to
-/// merge, and its cold share's scan), and the admission queue keeps
-/// recent averages — jobs per busy second for rung 1, the full search
-/// and its cold share for rungs 3 and 4. Until the meter has measured
-/// its number — a cold start, or batches on a virtual clock that take no
-/// time — the rung reading it acts on nothing. A degraded query still
-/// reports the hit rate of its full probe list.
+/// Rungs 1 and 3 price work with what the server has measured, never
+/// with a configured guess: the batcher times every batch from formation
+/// to merge, and the admission queue keeps recent averages — jobs per
+/// busy second for rung 1, busy seconds per full-search batch for rung
+/// 3. Until the meter has measured its number — a cold start, or batches
+/// on a virtual clock that take no time — the rung reading it acts on
+/// nothing. A hot-only batch cannot measure a full search, so after eight
+/// drains without one the estimate is dropped and the next batch runs in
+/// full and measures afresh; rung 3 never holds the server hot-only for
+/// good. The estimate averages batches of every size, so a lone tight
+/// query is priced at the recent batches' cost, not at its own. A member
+/// of a hot-only batch still reports the hit rate of its full probe list.
 ///
-/// Every rung is counted (`deadline_sheds`, `degraded_probes`,
-/// `cold_skips`) and per-stage budget burn is reported, so degradation is
-/// observable, never silent. With `enforce == false` the budget is still
-/// threaded and *measured* (burn + goodput accounting) but never acted on
-/// — the measure-only baseline the perf gate's `deadline_goodput` row
-/// compares against.
+/// Every rung is counted (`deadline_sheds`, `cold_skips`) and per-stage
+/// budget burn is reported, so degradation is observable, never silent.
+/// With `enforce == false` the budget is still threaded and *measured*
+/// (burn + goodput accounting) but never acted on — the measure-only
+/// baseline the perf gate's `deadline_goodput` row compares against.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DeadlinePolicy {
     /// Default end-to-end deadline in seconds stamped on requests that do

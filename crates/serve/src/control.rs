@@ -448,7 +448,6 @@ pub(crate) mod tests {
             deadline,
             trace: Arc::new(crate::trace::TracePlane::new(
                 &crate::config::TraceConfig::default(),
-                ObsConfig::default().slow_threshold_s,
                 7,
             )),
         });
@@ -671,7 +670,7 @@ pub(crate) mod tests {
         // estimate is real.
         shared
             .queue
-            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), None);
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), false);
         backlog(&shared, 32);
         let wait = shared
             .queue
@@ -729,7 +728,7 @@ pub(crate) mod tests {
         let t0 = vlite_sim::SimTime::ZERO;
         shared
             .queue
-            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), None);
+            .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), false);
         backlog(&shared, 32);
         let wait = shared
             .queue

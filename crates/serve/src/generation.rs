@@ -167,7 +167,7 @@ impl GenerationStage {
     }
 
     /// Estimated earliest first-token instant for a request with
-    /// `prompt_tokens` arriving at `now` — the model rung 5 of the
+    /// `prompt_tokens` arriving at `now` — the model rung 4 of the
     /// deadline ladder sheds by.
     ///
     /// The estimate is deliberately simple and deterministic, built only
@@ -218,7 +218,7 @@ impl GenerationStage {
             .prefill_time(queued_prompts + prompt_tokens, 1.0)
     }
 
-    /// Rung 5 of the deadline ladder
+    /// Rung 4 of the deadline ladder
     /// ([`DeadlinePolicy`](crate::DeadlinePolicy)): submits the request
     /// unless its [estimated first token](Self::estimate_first_token)
     /// lands past `deadline`, in which case the stage is left untouched.
@@ -465,7 +465,7 @@ fn admit(
         n_docs: work.neighbors.len(),
         admitted_at: work.enqueued,
     };
-    // Rung 5 of the degradation ladder: when the estimated first token
+    // Rung 4 of the degradation ladder: when the estimated first token
     // lands past the request's own end-to-end deadline, generation is
     // pointless — deliver the retrieval results now, with no generation
     // phases, and account the request as a TTFT miss against its tenant.

@@ -32,7 +32,7 @@
 //!               │       ▼ merged retrievals (co-scheduled servers)
 //!               │  ┌────────────────────────────────┐
 //!               │  │ generation worker: prompt      │──▶ TTFT + phase
-//!               │  │ assembly → rung-5 admission    │    timings, sheds,
+//!               │  │ assembly → rung-4 admission    │    timings, sheds,
 //!               │  │ → LlmEngine prefill/decode     │    final responses
 //!               │  └────────────────────────────────┘
 //!               ▼ observations (hit rate, search-SLO bit, probe set)

@@ -44,19 +44,11 @@ pub struct ObsConfig {
     /// report is built from them — and per-request traces are gated by
     /// [`TraceConfig::enabled`](crate::TraceConfig) instead.
     pub enabled: bool,
-    /// End-to-end latency (seconds) at or above which a request's trace is
-    /// *kept*: listed under `slow` by `/v1/traces` and, with the batch
-    /// trace it links, out of reach of eviction by fast requests. Sheds
-    /// are always kept.
-    pub slow_threshold_s: f64,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            slow_threshold_s: 0.25,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -182,7 +174,7 @@ pub struct ObsEvent {
     /// How serious the event is.
     pub severity: Severity,
     /// Event kind (`repartition`, `migration`, `deadline-shed`,
-    /// `degrade`, `panic`, `slo_breach`, `slo_burn`).
+    /// `panic`, `slo_breach`, `slo_burn`).
     pub kind: &'static str,
     /// Human-readable detail line.
     pub detail: String,
@@ -229,7 +221,7 @@ pub const DEADLINE_STAGE_ADMISSION: usize = 0;
 /// — the request expired while queued).
 pub const DEADLINE_STAGE_QUEUE: usize = 1;
 /// Index into the deadline-shed counters: shed by generation admission
-/// (rung 5 — the estimated first token would land past the deadline).
+/// (rung 4 — the estimated first token would land past the deadline).
 pub const DEADLINE_STAGE_GENERATION: usize = 2;
 
 /// Names of the deadline-shed stages, indexed by the
@@ -276,7 +268,7 @@ pub struct ObsPlane {
     /// Requests whose lifecycle ended with a reply (delivered, or shed by
     /// generation admission with retrieval results).
     pub completed: Counter,
-    /// Requests shed at generation admission (rung 5 of the deadline
+    /// Requests shed at generation admission (rung 4 of the deadline
     /// ladder; each also ticks `deadline_sheds`).
     pub gen_sheds: Counter,
     /// Batches launched.
@@ -290,11 +282,9 @@ pub struct ObsPlane {
     /// Requests shed on deadline grounds, indexed like
     /// [`DEADLINE_STAGES`].
     pub deadline_sheds: [Counter; 3],
-    /// Requests whose probe list was shrunk to fit the remaining budget
-    /// (rung 3 of the degradation ladder).
-    pub degraded_probes: Counter,
-    /// Requests whose cold-tier (CPU) probes were skipped because only the
-    /// fast tier fit the remaining budget (rung 4).
+    /// Requests whose cold-tier (CPU) probes went unscanned because their
+    /// batch ran hot-only: its tightest budget was below the measured full
+    /// search (rung 3 of the degradation ladder).
     pub cold_skips: Counter,
     /// Budgeted replies that left on or before their deadline.
     pub deadline_met: Counter,
@@ -327,7 +317,6 @@ impl ObsPlane {
             search_slo_breaches: Counter::new(),
             ttft_slo_breaches: Counter::new(),
             deadline_sheds: std::array::from_fn(|_| Counter::new()),
-            degraded_probes: Counter::new(),
             cold_skips: Counter::new(),
             deadline_met: Counter::new(),
             deadline_missed: Counter::new(),
@@ -382,20 +371,6 @@ impl ObsPlane {
     /// overran the whole budget.
     pub fn on_budget_burn(&self, stage: usize, ratio: f64) {
         self.burn_hist[stage].record(ratio);
-    }
-
-    /// One request's probe list was shrunk from `full` to `kept` lists to
-    /// fit its remaining budget, at `at_ns` on the server's clock.
-    pub fn on_degraded_probes(&self, at_ns: u64, id: u64, kept: usize, full: usize) {
-        self.degraded_probes.inc();
-        if self.enabled {
-            self.journal(
-                at_ns,
-                Severity::Warn,
-                "degrade",
-                format!("request {id} probes shrunk {full} -> {kept} to fit its budget"),
-            );
-        }
     }
 
     /// One request's lifecycle ended with a reply: record every stage
@@ -531,7 +506,7 @@ impl ObsPlane {
             ),
             (
                 "vlite_gen_sheds_total",
-                "Requests shed at generation admission (rung 5 of the deadline ladder)",
+                "Requests shed at generation admission (rung 4 of the deadline ladder)",
                 &self.gen_sheds,
             ),
             (
@@ -568,12 +543,6 @@ impl ObsPlane {
                 counter.get()
             )?;
         }
-        prom_counter(
-            out,
-            "vlite_degraded_probes_total",
-            "Requests whose probe list was shrunk to fit the remaining budget",
-            self.degraded_probes.get(),
-        );
         prom_counter(
             out,
             "vlite_cold_skips_total",
@@ -733,18 +702,13 @@ mod tests {
 
     #[test]
     fn disabled_plane_keeps_aggregates_but_captures_nothing() {
-        let config = ObsConfig {
-            enabled: false,
-            ..ObsConfig::default()
-        };
+        let config = ObsConfig { enabled: false };
         let plane = ObsPlane::new(&config, 1);
         plane.on_batch(4);
         plane.on_request(&outcome(0, 0, 9.0, 0.0, true), false, false, None);
-        plane.on_degraded_probes(0, 1, 1, 2);
         plane.journal(0, Severity::Warn, "shed", "x".into());
         assert_eq!(plane.completed.get(), 1);
         assert_eq!(plane.search_slo_breaches.get(), 1);
-        assert_eq!(plane.degraded_probes.get(), 1);
         assert_eq!((plane.batches.get(), plane.max_batch()), (1, 4));
         assert!(plane.journal.is_empty());
     }
@@ -770,7 +734,6 @@ mod tests {
         plane.deadline_sheds[DEADLINE_STAGE_ADMISSION].inc();
         plane.deadline_sheds[DEADLINE_STAGE_QUEUE].add(2);
         plane.deadline_sheds[DEADLINE_STAGE_GENERATION].inc();
-        plane.on_degraded_probes(42, 7, 4, 16);
         plane.cold_skips.inc();
         plane.on_budget_burn(BURN_STAGE_QUEUE, 0.5);
         plane.on_budget_burn(BURN_STAGE_SEARCH, 0.25);
@@ -779,13 +742,10 @@ mod tests {
         assert!(text.contains("vlite_deadline_sheds_total{stage=\"admission\"} 1\n"));
         assert!(text.contains("vlite_deadline_sheds_total{stage=\"queue\"} 2\n"));
         assert!(text.contains("vlite_deadline_sheds_total{stage=\"generation\"} 1\n"));
-        assert!(text.contains("vlite_degraded_probes_total 1\n"));
         assert!(text.contains("vlite_cold_skips_total 1\n"));
         assert!(text.contains("vlite_budget_burn_count{stage=\"queue\"} 1\n"));
         assert!(text.contains("vlite_budget_burn_count{stage=\"search\"} 1\n"));
         assert!(text.contains("vlite_budget_burn_count{stage=\"generation\"} 0\n"));
-        let events = plane.journal_snapshot();
-        assert!(events.iter().any(|e| e.kind == "degrade"));
         assert!(plane.burn("queue").is_some() && plane.burn("nope").is_none());
     }
 

@@ -35,17 +35,12 @@ use vlite_sim::SimDuration;
 /// cannot swing them.
 const DRAIN_ALPHA: f64 = 0.2;
 
-/// What the drain meter has measured a scanned batch to cost: the price
-/// rungs 3 and 4 of the deadline ladder charge against a query's remaining
-/// budget.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SearchCost {
-    /// Busy seconds per batch: formation to merge, the full search.
-    pub full: f64,
-    /// Seconds per batch the cold (CPU) share's scan took, a part of
-    /// `full`.
-    pub cold: f64,
-}
+/// Drains without a full search after which the full-search estimate is
+/// dropped. A hot-only batch cannot measure a full search, so an estimate
+/// that once exceeded every budget in use would otherwise keep every
+/// budgeted batch hot-only for good; dropped, it lets the next batch run
+/// in full and measure afresh.
+pub(crate) const FULL_SEARCH_TTL: u32 = 8;
 
 /// One EWMA step: the first sample (`prev` unset) is taken outright.
 fn ewma(prev: Option<f64>, sample: f64) -> f64 {
@@ -77,9 +72,12 @@ struct Inner {
     /// Recent drain throughput in jobs per engine-busy second (EWMA over
     /// `record_drain` samples); `0.0` until a batch has been measured.
     drain_rate: f64,
-    /// Recent cost of a scanned batch (EWMA); `None` until one has been
-    /// measured.
-    search_cost: Option<SearchCost>,
+    /// Recent busy seconds per full-search batch (EWMA); `None` until one
+    /// has been measured, and again after [`FULL_SEARCH_TTL`] drains
+    /// without one.
+    full_search: Option<f64>,
+    /// Measured drains since the last full search.
+    since_full_search: u32,
 }
 
 /// Snapshot of one tenant's admission counters.
@@ -132,7 +130,8 @@ impl AdmissionQueue {
                 peak_total_depth: 0,
                 closed: false,
                 drain_rate: 0.0,
-                search_cost: None,
+                full_search: None,
+                since_full_search: 0,
             }),
             not_empty: Condvar::new(),
         }
@@ -183,15 +182,18 @@ impl AdmissionQueue {
     /// Records that the engine served a batch of `n` jobs in `busy` (the
     /// batch's formation-to-merge interval) — the runtime's one cost
     /// meter. Every drain feeds the EWMA drain rate behind admission
-    /// feasibility and the `Retry-After` hint; a drain that scanned, with
-    /// `cold` the seconds its cold share's scan took, also feeds the
-    /// [`SearchCost`] the deadline ladder prices rungs 3 and 4 with. A
-    /// drain that scanned nothing (`cold == None`: every job expired in
-    /// the queue) says nothing about what a search costs. Only busy time
-    /// counts: a gap in which the queue sat empty says nothing about how
-    /// fast queued work drains. A zero-length interval (a batch on a
-    /// virtual clock that never moved) measures nothing.
-    pub fn record_drain(&self, n: usize, busy: SimDuration, cold: Option<SimDuration>) {
+    /// feasibility and the `Retry-After` hint; a drain that ran a full
+    /// search (`full_search`: it scanned every share, the cold one
+    /// included) also feeds the full-search estimate rung 3 of the
+    /// deadline ladder prices batches with. A hot-only batch, or a drain in
+    /// which every job expired in the queue, says nothing about what a full
+    /// search costs; [`FULL_SEARCH_TTL`] of them in a row drop the
+    /// estimate, so the next batch runs in full and its search is taken
+    /// outright, as at a cold start. Only busy time counts: a gap in which the queue sat
+    /// empty says nothing about how fast queued work drains. A zero-length
+    /// interval (a batch on a virtual clock that never moved) measures
+    /// nothing.
+    pub fn record_drain(&self, n: usize, busy: SimDuration, full_search: bool) {
         let busy = busy.as_secs_f64();
         if n == 0 || busy <= 0.0 {
             return;
@@ -199,12 +201,14 @@ impl AdmissionQueue {
         let mut inner = lock_recover(&self.inner);
         let rate = (inner.drain_rate > 0.0).then_some(inner.drain_rate);
         inner.drain_rate = ewma(rate, n as f64 / busy);
-        if let Some(cold) = cold {
-            let prev = inner.search_cost;
-            inner.search_cost = Some(SearchCost {
-                full: ewma(prev.map(|c| c.full), busy),
-                cold: ewma(prev.map(|c| c.cold), cold.as_secs_f64()),
-            });
+        if full_search {
+            inner.full_search = Some(ewma(inner.full_search, busy));
+            inner.since_full_search = 0;
+        } else {
+            inner.since_full_search += 1;
+            if inner.since_full_search >= FULL_SEARCH_TTL {
+                inner.full_search = None;
+            }
         }
     }
 
@@ -215,11 +219,12 @@ impl AdmissionQueue {
         lock_recover(&self.inner).drain_rate
     }
 
-    /// What a scanned batch has recently cost; `None` until one has been
-    /// measured (a cold start, or batches that took no time), in which
-    /// case the ladder degrades nothing.
-    pub fn search_cost(&self) -> Option<SearchCost> {
-        lock_recover(&self.inner).search_cost
+    /// Busy seconds a full-search batch has recently taken; `None` until
+    /// one has been measured (a cold start, or batches that took no time)
+    /// or once the estimate has gone stale, in which case the ladder runs
+    /// every batch in full.
+    pub fn full_search(&self) -> Option<f64> {
+        lock_recover(&self.inner).full_search
     }
 
     /// Estimated seconds a job submitted *now* by `tenant` would wait
@@ -535,12 +540,12 @@ mod tests {
         // Two batches of 10 jobs, each served in 1s of engine time → 10
         // jobs/sec exactly (the first batch sets the rate outright).
         let second = SimDuration::from_secs_f64(1.0);
-        q.record_drain(10, second, None);
+        q.record_drain(10, second, false);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
-        q.record_drain(10, second, None);
+        q.record_drain(10, second, false);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
         // A batch that took no time measures nothing.
-        q.record_drain(10, SimDuration::ZERO, None);
+        q.record_drain(10, SimDuration::ZERO, false);
         assert!((q.drain_rate() - 10.0).abs() < 1e-9);
         for id in 0..30 {
             q.try_push(job(0, id)).unwrap();
@@ -552,28 +557,59 @@ mod tests {
     }
 
     #[test]
-    fn search_cost_is_measured_from_scanned_drains_only() {
+    fn full_search_is_measured_from_the_first_full_drain_and_smoothed() {
         let q = single(64);
         let ms = SimDuration::from_millis;
-        assert_eq!(q.search_cost(), None, "nothing measured at a cold start");
+        assert_eq!(q.full_search(), None, "nothing measured at a cold start");
         // A batch on a clock that never moved measures nothing.
-        q.record_drain(4, SimDuration::ZERO, Some(SimDuration::ZERO));
-        assert_eq!(q.search_cost(), None);
-        // The first scanned batch sets both estimates outright.
-        q.record_drain(4, ms(10.0), Some(ms(4.0)));
-        let first = q.search_cost().expect("measured");
-        assert!((first.full - 0.010).abs() < 1e-12, "{first:?}");
-        assert!((first.cold - 0.004).abs() < 1e-12, "{first:?}");
-        // A drain that scanned nothing moves the drain rate only.
-        let rate = q.drain_rate();
-        q.record_drain(64, ms(1.0), None);
-        assert!(q.drain_rate() > rate, "the expired drain was counted");
-        assert_eq!(q.search_cost(), Some(first), "search and cold unchanged");
-        // Later scanned batches are smoothed in.
-        q.record_drain(4, ms(20.0), Some(ms(8.0)));
-        let next = q.search_cost().expect("measured");
-        assert!((next.full - 0.012).abs() < 1e-12, "{next:?}");
-        assert!((next.cold - 0.0048).abs() < 1e-12, "{next:?}");
+        q.record_drain(4, SimDuration::ZERO, true);
+        assert_eq!(q.full_search(), None);
+        // The first full search sets the estimate outright; later ones are
+        // smoothed in.
+        q.record_drain(4, ms(10.0), true);
+        assert_eq!(q.full_search(), Some(0.010));
+        q.record_drain(4, ms(20.0), true);
+        let next = q.full_search().expect("measured");
+        assert!((next - 0.012).abs() < 1e-12, "{next}");
+    }
+
+    #[test]
+    fn a_drain_with_its_cold_share_skipped_moves_only_the_drain_rate() {
+        let q = single(64);
+        let ms = SimDuration::from_millis;
+        q.record_drain(2, ms(10.0), true);
+        let (rate, search) = (q.drain_rate(), q.full_search());
+        // A hot-only batch of 8 served in 2 ms (or a drain whose jobs all
+        // expired): fast, because it skipped the cold share — not what a
+        // full search costs.
+        q.record_drain(8, ms(2.0), false);
+        assert!(q.drain_rate() > rate, "the hot-only drain was counted");
+        assert_eq!(q.full_search(), search, "the full search is unchanged");
+    }
+
+    #[test]
+    fn a_full_search_estimate_goes_stale_and_is_measured_afresh() {
+        let q = single(64);
+        let ms = SimDuration::from_millis;
+        let hot_only = |n| (0..n).for_each(|_| q.record_drain(4, ms(2.0), false));
+        // One full search took a second: every tighter budget runs
+        // hot-only, and hot-only drains cannot measure a full search.
+        q.record_drain(1, ms(1000.0), true);
+        hot_only(FULL_SEARCH_TTL - 1);
+        assert_eq!(q.full_search(), Some(1.0), "still fresh");
+        // A drain that measured nothing does not age it either.
+        q.record_drain(4, SimDuration::ZERO, false);
+        assert_eq!(q.full_search(), Some(1.0));
+        hot_only(1);
+        assert_eq!(q.full_search(), None, "stale: the next batch runs full");
+        // The next full search is taken outright, not smoothed into 1 s.
+        q.record_drain(1, ms(10.0), true);
+        assert_eq!(q.full_search(), Some(0.010));
+        // A full search in between restarts the count.
+        hot_only(FULL_SEARCH_TTL - 1);
+        q.record_drain(1, ms(10.0), true);
+        hot_only(1);
+        assert_eq!(q.full_search(), Some(0.010));
     }
 
     #[test]
@@ -581,7 +617,7 @@ mod tests {
         // Equal backlogs, weights 1:3 → the light tenant drains at 1/4 of
         // the rate and waits 3x longer than the heavy one.
         let q = AdmissionQueue::new(&[spec(1, 64), spec(3, 64)]);
-        q.record_drain(8, SimDuration::from_secs_f64(1.0), None);
+        q.record_drain(8, SimDuration::from_secs_f64(1.0), false);
         for id in 0..8 {
             q.try_push(job(0, id)).unwrap();
             q.try_push(job(1, id)).unwrap();

@@ -56,7 +56,7 @@ pub struct TenantReport {
     /// `slo_ttft` target (`0.0` when generation is disabled). Sheds count
     /// as misses.
     pub ttft_attainment: f64,
-    /// This tenant's requests shed at generation admission (rung 5 of the
+    /// This tenant's requests shed at generation admission (rung 4 of the
     /// deadline ladder; served retrieval-only, counted as TTFT misses).
     pub gen_sheds: u64,
     /// Mean cache hit rate across this tenant's served requests.
@@ -178,7 +178,7 @@ pub struct ServeReport {
     /// Fraction of requests whose TTFT met `slo_ttft` (`0.0` when
     /// generation is disabled). Sheds count as misses.
     pub ttft_attainment: f64,
-    /// Requests shed at generation admission (rung 5 of the deadline
+    /// Requests shed at generation admission (rung 4 of the deadline
     /// ladder; served retrieval-only, counted as TTFT misses, and also
     /// counted in `deadline_sheds[2]`).
     pub gen_sheds: u64,
@@ -205,10 +205,8 @@ pub struct ServeReport {
     /// Requests shed on deadline grounds, indexed like
     /// [`crate::obs::DEADLINE_STAGES`] (admission, queue, generation).
     pub deadline_sheds: [u64; 3],
-    /// Requests whose probe list was shrunk to fit the remaining budget.
-    pub degraded_probes: u64,
-    /// Requests whose cold-tier probes were skipped to fit the remaining
-    /// budget.
+    /// Requests whose cold-tier probes went unscanned because their batch
+    /// ran hot-only to fit its tightest remaining budget.
     pub cold_skips: u64,
     /// Budgeted requests whose reply left on or before their deadline.
     /// Only replies count: a generation shed still delivers its retrieval
@@ -324,7 +322,6 @@ impl ServeReport {
             generation,
             worker_panics,
             deadline_sheds: std::array::from_fn(|i| obs.deadline_sheds[i].get()),
-            degraded_probes: obs.degraded_probes.get(),
             cold_skips: obs.cold_skips.get(),
             deadline_met,
             deadline_missed,
@@ -371,14 +368,13 @@ impl ServeReport {
         if let Some(attainment) = self.deadline_attainment {
             out.push_str(&format!(
                 "deadlines: {:.1}% met ({} met / {} missed)  \
-                 sheds adm/queue/gen {}/{}/{}  degraded probes {}  cold skips {}\n",
+                 sheds adm/queue/gen {}/{}/{}  cold skips {}\n",
                 100.0 * attainment,
                 self.deadline_met,
                 self.deadline_missed,
                 self.deadline_sheds[0],
                 self.deadline_sheds[1],
                 self.deadline_sheds[2],
-                self.degraded_probes,
                 self.cold_skips
             ));
             out.push_str(&format!(
@@ -779,10 +775,6 @@ impl ServeReport {
                         Json::Num(self.deadline_sheds[2] as f64),
                     ),
                 ]),
-            ),
-            (
-                "degraded_probes".into(),
-                Json::Num(self.degraded_probes as f64),
             ),
             ("cold_skips".into(), Json::Num(self.cold_skips as f64)),
             ("deadline_met".into(), Json::Num(self.deadline_met as f64)),

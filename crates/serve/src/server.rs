@@ -13,7 +13,11 @@
 //! every query in batch order; a batch of one query never reaches a
 //! worker, as the batcher scans all of its shares. A batch's queries
 //! therefore finish together: the cold scan is one blocked pass over the
-//! whole batch, so no query's CPU share is done before another's.
+//! whole batch, so no query's CPU share is done before another's. That is
+//! why the deadline ladder degrades whole batches, never single queries:
+//! a hot-only batch skips its cold share for every member, since dropping
+//! one member's cold probes could not bring its reply earlier while a
+//! batch-mate still scans cold.
 //! Admission, generation and the control loop — which also moves the
 //! store's tiers after each repartition — run concurrently with the scan.
 //!
@@ -44,7 +48,7 @@ use crate::generation::{generation_worker, GenWork};
 use crate::obs::{
     prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
 };
-use crate::queue::{AdmissionQueue, SearchCost};
+use crate::queue::AdmissionQueue;
 use crate::report::{ServeReport, StoreReport};
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
@@ -55,15 +59,16 @@ use crate::trace::{
 /// One batch travelling from the batcher to the shard workers.
 struct BatchWork {
     jobs: Vec<Job>,
-    /// Each query's full probe list (the served `nprobe`, closeness
-    /// order): what the control observation reports, whatever rungs 3–4
-    /// of the deadline ladder leave out of the scan.
+    /// Each query's probe list (closeness order): what the control
+    /// observation reports.
     probes: Vec<Vec<u32>>,
-    /// Each query's hit rate over its full probe list under the batch's
-    /// placement: what the reply and the observation report.
-    hit_rates: Vec<f64>,
-    /// What each query scans: its probe list after rungs 3–4, routed.
+    /// Each query's probe list routed under the batch's placement: what
+    /// the shares scan, and the hit rate the reply and the observation
+    /// report — a hot-only batch still reports its cold probes as misses.
     routed: Vec<RoutedQuery>,
+    /// Rung 3 of the deadline ladder: the batch skips its cold (CPU)
+    /// share, every member's cold probes with it.
+    hot_only: bool,
     /// The tier map every share of the batch scans through, taken once at
     /// formation.
     store: StoreSnapshot,
@@ -97,7 +102,7 @@ pub enum ShedCause {
     },
     /// Rung 2: the deadline passed while the request queued.
     QueueExpired,
-    /// Rung 5: estimated first token past the request's own deadline.
+    /// Rung 4: estimated first token past the request's own deadline.
     GenDeadline,
 }
 
@@ -194,9 +199,8 @@ pub(crate) struct Shared {
     /// The tiered storage engine every scan reads through; the index
     /// keeps only the centroids.
     pub(crate) store: Arc<TieredStore>,
-    /// Probes per query the index serves: the configured `nprobe` clamped
-    /// to `1..=nlist`, as [`IvfIndex::probe`] clamps it, so the deadline
-    /// ladder shrinks from the count a full query really probes.
+    /// Probes per query (the configured `nprobe`, which
+    /// [`IvfIndex::probe`] clamps to `1..=nlist`).
     pub(crate) nprobe: usize,
     pub(crate) top_k: usize,
     pub(crate) n_shards: usize,
@@ -275,6 +279,10 @@ impl Shared {
         // A request shed without a reply missed its deadline by definition,
         // whatever the instant of the shed.
         let on_time = o.deadline.map(|d| replied && o.end <= d);
+        // Whether the request missed a target the report judges it by —
+        // the tenant's search SLO, the TTFT SLO or its deadline: such a
+        // request's trace is kept.
+        let mut missed = on_time == Some(false);
 
         if let Some(stage) = o.shed.map(ShedCause::deadline_stage) {
             obs.deadline_sheds[stage].inc();
@@ -304,6 +312,7 @@ impl Shared {
                 None => {}
             }
             let tenant_search_met = t.search <= self.tenants[o.tenant.index()].slo_search;
+            missed |= !tenant_search_met || ttft_met == Some(false);
             obs.on_request(o, search_met, tenant_search_met, ttft_met);
             self.watch_slo(SIG_SEARCH, search_met, o.end);
             if let Some(ttft_met) = ttft_met {
@@ -338,7 +347,7 @@ impl Shared {
             obs.journal(o.end.as_nanos(), Severity::Warn, "deadline-shed", detail);
         }
 
-        self.trace.record_request(o);
+        self.trace.record_request(o, missed);
         if let Some(on_time) = on_time {
             self.watch_slo(SIG_DEADLINE, on_time, o.end);
         }
@@ -514,13 +523,8 @@ impl RagServer {
         // Trace-id derivation is seeded by a constant so a given server
         // replays the same ids for the same request sequence (deterministic
         // virtual-clock tests); uniqueness only matters within one server.
-        let trace = Arc::new(TracePlane::new(
-            &config.trace,
-            config.obs.slow_threshold_s,
-            0x766c_6974_6531,
-        ));
+        let trace = Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531));
 
-        let nprobe = config.real.nprobe.min(index.nlist()).max(1);
         let shared = Arc::new(Shared {
             index,
             placement: RwLock::new(PlacementState {
@@ -535,7 +539,7 @@ impl RagServer {
             migrations: BoundedRing::new(HISTORY_CAPACITY),
             trace,
             store,
-            nprobe,
+            nprobe: config.real.nprobe,
             top_k: config.real.top_k,
             n_shards,
             slo_search: config.real.slo_search,
@@ -1171,65 +1175,39 @@ fn batcher(
             // nothing was scanned.
             let now = shared.clock.now();
             shared.trace.stage_end(stage, now);
-            shared.queue.record_drain(drained, now - started, None);
+            shared.queue.record_drain(drained, now - started, false);
             continue;
         }
-        // Rungs 3 and 4 price the remaining budget with what recent
-        // batches measured; read once per batch, and never when nothing
-        // acts on it.
-        let cost = if shared.deadline.enforce {
-            shared.queue.search_cost()
-        } else {
-            None
-        };
         let mut probes = Vec::with_capacity(jobs.len());
-        let mut hit_rates = Vec::with_capacity(jobs.len());
         let routed: Vec<RoutedQuery> = jobs
             .iter()
             .map(|job| {
-                let full: Vec<u32> = (shared.index.probe(&job.query, shared.nprobe).iter())
+                let list: Vec<u32> = (shared.index.probe(&job.query, shared.nprobe).iter())
                     .map(|p| p.list)
                     .collect();
-                let full_routed = split.route(&full);
-                hit_rates.push(full_routed.hit_rate());
-                // Rungs 3 and 4: scan a prefix of the probe list scaled to
-                // the remaining budget (the list is closeness-ordered, so
-                // a truncated query scans a prefix-quality subset), and
-                // keep only fast-tier probes when the remainder cannot
-                // absorb the cold-tier scan.
-                let (nprobe, fast_only) = probe_budget(shared.nprobe, cost, job, started);
-                let mut routed = if nprobe < full.len() {
-                    shared.obs.on_degraded_probes(
-                        started.as_nanos(),
-                        job.id,
-                        nprobe,
-                        shared.nprobe,
-                    );
-                    split.route(&full[..nprobe])
-                } else {
-                    full_routed
-                };
-                probes.push(full);
-                if fast_only && !routed.cpu_probes.is_empty() {
-                    routed.cpu_probes.clear();
-                    shared.obs.cold_skips.inc();
-                }
+                let routed = split.route(&list);
+                probes.push(list);
                 routed
             })
             .collect();
+        let hot_only = runs_hot_only(shared, &jobs, started);
+        if hot_only {
+            let skipped = routed.iter().filter(|r| !r.cpu_probes.is_empty()).count();
+            shared.obs.cold_skips.add(skipped as u64);
+        }
         let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
         let batch = Arc::new(BatchWork {
             jobs,
             probes,
-            hit_rates,
             routed,
+            hot_only,
             store: shared.store.snapshot(),
             started,
             generation,
             trace: shared.trace.begin_batch(&members),
         });
         shared.trace.stage_end(stage, shared.clock.now());
-        let Some((merged, cold)) = run_batch(shared, pool, &batch, control_tx, gen_tx) else {
+        let Some(merged) = run_batch(shared, pool, &batch, control_tx, gen_tx) else {
             return; // a shard worker is gone: the runtime is tearing down
         };
         // The engine was busy from formation to merge: that interval, not
@@ -1237,8 +1215,32 @@ fn batcher(
         // what the batch's trace span shows.
         shared
             .queue
-            .record_drain(drained, merged - started, Some(cold));
+            .record_drain(drained, merged - started, !hot_only);
     }
+}
+
+/// Rung 3 of the deadline ladder, decided once per batch at formation:
+/// the batch runs hot-only when its tightest budgeted member's remaining
+/// budget is below the full search the drain meter measured. A batch's
+/// members reply together, so the decision is the batch's: an unbudgeted
+/// or loosely budgeted member of a hot-only batch loses its cold probes
+/// too (each member with cold probes is one `cold_skips` tick). A
+/// measure-only policy, a batch with no budget, and every batch while no
+/// fresh full search is measured (a cold start, or after
+/// `queue::FULL_SEARCH_TTL` hot-only drains) run in full.
+fn runs_hot_only(shared: &Shared, jobs: &[Job], now: SimTime) -> bool {
+    if !shared.deadline.enforce {
+        return false;
+    }
+    let Some(tightest) = jobs.iter().filter_map(|job| job.deadline).min() else {
+        return false;
+    };
+    // Expired jobs were shed before routing, so `tightest > now` here.
+    let remaining = tightest.duration_since(now).as_secs_f64();
+    shared
+        .queue
+        .full_search()
+        .is_some_and(|search| remaining < search)
 }
 
 /// Runs one formed batch: hands it to every shard worker, scans the CPU
@@ -1247,29 +1249,31 @@ fn batcher(
 /// delivers every query in batch order inside one `dispatch` section.
 /// A lone query never reaches a worker: the batcher scans every share
 /// itself, in share order, since two thread hand-offs cost more than the
-/// parallel scans of one query buy. Returns the merge instant, which
-/// ends the batch's trace span, and the seconds the cold share's scan
-/// took; `None` when a shard worker is gone.
+/// parallel scans of one query buy. A hot-only batch scans no cold share.
+/// Returns the merge instant, which ends the batch's trace span; `None`
+/// when a shard worker is gone.
 fn run_batch(
     shared: &Shared,
     pool: &ScanPool,
     batch: &Arc<BatchWork>,
     control_tx: &Sender<Observation>,
     gen_tx: Option<&Sender<GenWork>>,
-) -> Option<(SimTime, SimDuration)> {
+) -> Option<SimTime> {
     let cpu = shared.n_shards;
-    let mut shares = vec![Vec::new(); cpu + 1];
-    let cold;
+    // The cold share is the last: a hot-only batch leaves it unscanned.
+    let scanned = cpu + usize::from(!batch.hot_only);
+    let mut shares = vec![Vec::new(); scanned];
     if batch.jobs.len() == 1 {
-        for (share, partials) in shares.iter_mut().enumerate().take(cpu) {
-            *partials = scan_share(shared, batch, share).0;
+        for (share, partials) in shares.iter_mut().enumerate() {
+            *partials = scan_share(shared, batch, share);
         }
-        (shares[cpu], cold) = scan_share(shared, batch, cpu);
     } else {
         for tx in &pool.work {
             tx.send(Arc::clone(batch)).ok()?;
         }
-        (shares[cpu], cold) = scan_share(shared, batch, cpu);
+        if !batch.hot_only {
+            shares[cpu] = scan_share(shared, batch, cpu);
+        }
         for _ in 0..pool.work.len() {
             let (worker, partials) = pool.done.recv().ok()?;
             shares[worker] = partials;
@@ -1292,7 +1296,7 @@ fn run_batch(
         shared.trace.end_batch(ctx, batch.started, merged);
     }
     shared.trace.stage_end(stage, merged);
-    Some((merged, cold))
+    Some(merged)
 }
 
 /// Sheds one queue-expired job at batch formation: the outcome is fully
@@ -1318,35 +1322,6 @@ fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
         gen_busy: None,
         shed: Some(ShedCause::QueueExpired),
     });
-}
-
-/// Floor on the fraction of the configured probe list a degraded query
-/// keeps (always at least one probe). Froze
-/// `DeadlinePolicy::min_probe_fraction` at its default.
-const MIN_PROBE_FRACTION: f64 = 0.25;
-
-/// Budget-scaled probe selection for one job at batch formation, priced
-/// by the drain meter's `cost` of a scanned batch. Returns the probe count
-/// to scan and whether the query should keep only its fast-tier probes:
-/// rung 4 skips the cold tier when the remaining budget is below the full
-/// search, and rung 3 shrinks the list by the remainder's share of the
-/// fast tier's part (the full search minus the cold share). Unbudgeted
-/// jobs, and every job while nothing has been measured (`cost == None`,
-/// which a measure-only policy always passes), scan the full list.
-fn probe_budget(nprobe: usize, cost: Option<SearchCost>, job: &Job, now: SimTime) -> (usize, bool) {
-    let (Some(cost), Some(deadline)) = (cost, job.deadline) else {
-        return (nprobe, false);
-    };
-    // Expired jobs were shed before routing, so `deadline > now` here.
-    let remaining = deadline.duration_since(now).as_secs_f64();
-    let fast = cost.full - cost.cold;
-    let shrunk = if remaining < fast {
-        let frac = (remaining / fast).max(MIN_PROBE_FRACTION);
-        ((nprobe as f64 * frac).ceil() as usize).clamp(1, nprobe)
-    } else {
-        nprobe
-    };
-    (shrunk, remaining < cost.full)
 }
 
 /// Spawns one named runtime thread.
@@ -1391,7 +1366,7 @@ fn shard_worker(
     done: &Sender<Share>,
 ) {
     while let Ok(batch) = rx.recv() {
-        let (partials, _) = scan_share(shared, &batch, shard);
+        let partials = scan_share(shared, &batch, shard);
         if done.send((shard, partials)).is_err() {
             return;
         }
@@ -1416,14 +1391,7 @@ fn shard_worker(
 /// [`Shared::worker_panics`] tick) instead of killing the thread: a dead
 /// shard worker would never return its share and the batcher would wait
 /// for it forever, and a dead batcher would stop serving.
-///
-/// Returns the partials and the seconds the scan took (its `scan:*`
-/// span's width).
-fn scan_share(
-    shared: &Shared,
-    batch: &BatchWork,
-    share: usize,
-) -> (Vec<Vec<Neighbor>>, SimDuration) {
+fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neighbor>> {
     let cpu = share == shared.n_shards;
     let scan_start = shared.clock.now();
     let stage_id = if cpu {
@@ -1476,7 +1444,7 @@ fn scan_share(
         };
         shared.trace.record_scan(ctx, span, scan_start, scan_end);
     }
-    (partials, scan_end - scan_start)
+    partials
 }
 
 /// Delivers one merged query: either the response (retrieval only) or a
@@ -1494,7 +1462,7 @@ fn complete_query(
     let now = shared.clock.now();
     let queue = (batch.started - job.enqueued).as_secs_f64();
     let search = (now - batch.started).as_secs_f64();
-    let hit_rate = batch.hit_rates[qi];
+    let hit_rate = batch.routed[qi].hit_rate();
 
     // The control loop's one observation of this query: its hit rate, the
     // search SLO bit, and its global probe set (the re-profiling sample).
@@ -1585,7 +1553,7 @@ mod tests {
                 (job, routed)
             })
             .unzip();
-        // The routed lists are what the query probes, unshrunk.
+        // The routed lists are what the query probes.
         let probes = (routed.iter())
             .map(|r| {
                 let shards = r.shard_probes_global.iter().flatten();
@@ -1595,8 +1563,8 @@ mod tests {
         Arc::new(BatchWork {
             jobs,
             probes,
-            hit_rates: routed.iter().map(RoutedQuery::hit_rate).collect(),
             routed,
+            hot_only: false,
             store: shared.store.snapshot(),
             started: SimTime::ZERO,
             generation: 0,
@@ -1637,8 +1605,7 @@ mod tests {
         assert!(queued.iter().all(Receiver::is_empty), "work was sent");
         assert_eq!(pool.done.len(), shared.n_shards, "a share was gathered");
         let reply = replies.try_recv().expect("one reply");
-        let scanned = vlite_ann::scan_lists_store(&batch.store, &query, &probes, shared.top_k);
-        assert_eq!(reply.neighbors, scanned);
+        assert_eq!(reply.neighbors, scan_lists(&shared, &query, &probes));
     }
 
     #[test]
@@ -1720,9 +1687,7 @@ mod tests {
             assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
             std::iter::from_fn(|| replies.try_recv().ok()).collect()
         };
-        let scan = |lists: &[u32]| {
-            vlite_ann::scan_lists_store(&shared.store.snapshot(), &good, lists, shared.top_k)
-        };
+        let scan = |lists: &[u32]| scan_lists(&shared, &good, lists);
 
         let wrong_dim = vec![0.25f32; shared.index.dim() / 2];
         let got = run(vec![
@@ -1783,58 +1748,175 @@ mod tests {
         a_panicking_share_degrades_once(true);
     }
 
-    #[test]
-    fn a_degraded_query_reports_the_hit_rate_and_probes_of_its_full_list() {
-        let policy = DeadlinePolicy {
-            enforce: true,
-            ..DeadlinePolicy::default()
-        };
-        let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
-        let (query, _, _) = probe_everything(&shared);
-        // Seed the meter: a scanned batch took 10 ms, its cold share 4 ms,
-        // so the fast tier's part is 6 ms.
-        let ms = SimDuration::from_millis;
-        shared.queue.record_drain(1, ms(10.0), Some(ms(4.0)));
+    /// Serves `budgets.len()` jobs through [`batcher`] in batches of up to
+    /// `max_batch` (the harness clock never moves: each budget is whole at
+    /// formation), one query per budget from `queries`, and returns the
+    /// replies and the control observations, in batch order.
+    fn serve(
+        shared: &Arc<Shared>,
+        queries: &[Vec<f32>],
+        budgets: &[Option<f64>],
+        max_batch: usize,
+    ) -> (Vec<SearchResponse>, Vec<Observation>) {
         let (reply_tx, replies) = channel::unbounded();
-        // Unbudgeted; 8 ms (rung 4 only); 3 ms (rung 4, and rung 3 halves
-        // the list). The clock never moves: the whole budget remains at
-        // formation, and the batches measure nothing.
-        for (id, budget) in [None, Some(8.0), Some(3.0)].into_iter().enumerate() {
+        for (id, (query, budget)) in queries.iter().zip(budgets).enumerate() {
+            let ms = budget.map(SimDuration::from_millis);
             let job = Job {
                 id: id as u64,
                 tenant: TenantId(0),
                 query: query.clone(),
                 enqueued: SimTime::ZERO,
-                deadline: budget.map(|b| SimTime::ZERO + ms(b)),
+                deadline: ms.map(|ms| SimTime::ZERO + ms),
                 trace: TraceId(id as u128 + 1),
                 reply: reply_tx.clone(),
             };
             shared.queue.try_push(job).expect("admitted");
         }
         shared.queue.close();
-        let (pool, workers) = spawn_scan_workers(&shared);
+        let (pool, workers) = spawn_scan_workers(shared);
         let (control_tx, observations) = channel::unbounded();
-        // One query per batch; returns once the closed queue is empty.
-        batcher(&shared, 1, &pool, &control_tx, None);
-
-        assert_eq!(shared.obs.cold_skips.get(), 2, "both budgets skip cold");
-        assert_eq!(shared.obs.degraded_probes.get(), 1, "3 ms shrinks");
-        let replies: Vec<SearchResponse> = std::iter::from_fn(|| replies.try_recv().ok()).collect();
-        let observations: Vec<Observation> =
-            std::iter::from_fn(|| observations.try_recv().ok()).collect();
-        assert_eq!((replies.len(), observations.len()), (3, 3));
-        let full = &observations[0];
-        assert!(full.hit_rate > 0.0 && full.hit_rate < 1.0, "hot and cold");
-        assert_eq!(full.probes.len(), shared.nprobe);
-        for (reply, seen) in replies.iter().zip(&observations) {
-            assert_eq!(reply.hit_rate.to_bits(), full.hit_rate.to_bits());
-            assert_eq!(seen.hit_rate.to_bits(), full.hit_rate.to_bits());
-            assert_eq!(seen.probes, full.probes, "the full probe list");
-        }
+        // Returns once the closed queue is empty.
+        batcher(shared, max_batch, &pool, &control_tx, None);
         drop(pool);
         for worker in workers {
             worker.join().expect("shard worker exits cleanly on close");
         }
+        let replies = std::iter::from_fn(|| replies.try_recv().ok()).collect();
+        let observations = std::iter::from_fn(|| observations.try_recv().ok()).collect();
+        (replies, observations)
+    }
+
+    /// `query`'s exact top-k over `lists` in `shared`'s store.
+    fn scan_lists(shared: &Shared, query: &[f32], lists: &[u32]) -> Vec<Neighbor> {
+        vlite_ann::scan_lists_store(&shared.store.snapshot(), query, lists, shared.top_k)
+    }
+
+    /// Queries at cold centroids whose probe lists also reach the hot tier
+    /// and whose top-k changes without the cold share, so a scan that
+    /// skips it shows: the queries, their probe lists and their routing.
+    fn cold_members(shared: &Shared) -> (Vec<Vec<f32>>, Vec<Vec<u32>>, Vec<RoutedQuery>) {
+        let split = shared.placement_snapshot().0;
+        let centroids = shared.index.centroids();
+        let (mut queries, mut full, mut routed) = (Vec::new(), Vec::new(), Vec::new());
+        for c in (0..centroids.len()).filter(|&c| !split.is_hot(c as u32)) {
+            let query = centroids.get(c).to_vec();
+            let probes = shared.index.probe(&query, shared.nprobe);
+            let probes: Vec<u32> = probes.iter().map(|p| p.list).collect();
+            let r = split.route(&probes);
+            let hot = r.shard_probes_global.concat();
+            if !hot.is_empty()
+                && scan_lists(shared, &query, &hot) != scan_lists(shared, &query, &probes)
+            {
+                queries.push(query);
+                full.push(probes);
+                routed.push(r);
+            }
+        }
+        (queries, full, routed)
+    }
+
+    #[test]
+    fn a_tight_budget_runs_its_whole_batch_hot_only() {
+        let policy = DeadlinePolicy {
+            enforce: true,
+            ..DeadlinePolicy::default()
+        };
+        let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
+        // Seed the meter: a full search took 10 ms.
+        shared
+            .queue
+            .record_drain(1, SimDuration::from_millis(10.0), true);
+        let (queries, full, routed) = cold_members(&shared);
+        assert!(queries.len() >= 3, "three members with hot and cold work");
+        // Unbudgeted, loose (20 ms covers the full search) and tight
+        // (5 ms does not): the tight member decides for all three.
+        let (replies, observations) = serve(&shared, &queries, &[None, Some(20.0), Some(5.0)], 3);
+        assert_eq!(shared.obs.cold_skips.get(), 3, "every member skips cold");
+        assert_eq!(shared.obs.batches.get(), 1);
+        assert_eq!((replies.len(), observations.len()), (3, 3));
+        for (qi, (reply, seen)) in replies.iter().zip(&observations).enumerate() {
+            assert_eq!(reply.id, qi as u64, "batch order");
+            let hot = routed[qi].shard_probes_global.concat();
+            let hot_only = scan_lists(&shared, &queries[qi], &hot);
+            assert_eq!(
+                reply.neighbors, hot_only,
+                "member {qi} scans its shard lists"
+            );
+            // The reply and the observation report the full list.
+            let hit_rate = routed[qi].hit_rate().to_bits();
+            assert_eq!(reply.hit_rate.to_bits(), hit_rate);
+            assert_eq!(seen.hit_rate.to_bits(), hit_rate);
+            assert_eq!(seen.probes, full[qi], "the full probe list");
+        }
+
+        // A lone tight query: the batcher scans its shard shares itself
+        // and skips the cold one.
+        let (shared, ..) = harness_with_deadline(100, 80, 1, shared.deadline.clone());
+        (shared.queue).record_drain(1, SimDuration::from_millis(10.0), true);
+        let (replies, _) = serve(&shared, &queries[..1], &[Some(5.0)], 1);
+        assert_eq!(shared.obs.cold_skips.get(), 1);
+        let hot = routed[0].shard_probes_global.concat();
+        assert_eq!(replies[0].neighbors, scan_lists(&shared, &queries[0], &hot));
+    }
+
+    /// A virtual clock that steps 1 ms on every read, so every batch takes
+    /// time and the drain meter measures it.
+    #[derive(Debug, Default)]
+    struct SteppingClock(crate::clock::VirtualClock);
+
+    impl Clock for SteppingClock {
+        fn now(&self) -> SimTime {
+            self.0.advance(SimDuration::from_millis(1.0))
+        }
+
+        fn sleep_until(&self, deadline: SimTime) {
+            self.0.sleep_until(deadline);
+        }
+    }
+
+    #[test]
+    fn a_full_search_estimate_over_every_budget_is_measured_afresh() {
+        let policy = DeadlinePolicy {
+            enforce: true,
+            ..DeadlinePolicy::default()
+        };
+        let (shared, control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
+        drop(control);
+        let Ok(mut shared) = Arc::try_unwrap(shared) else {
+            panic!("the control loop's handle is dropped");
+        };
+        shared.clock = Arc::new(SteppingClock::default());
+        let shared = Arc::new(shared);
+        // One full search once took 10 s, and every budget is 5 s: each
+        // batch runs hot-only, and none of them can measure a full search.
+        shared
+            .queue
+            .record_drain(1, SimDuration::from_secs_f64(10.0), true);
+        let (queries, full, routed) = cold_members(&shared);
+        let ttl = crate::queue::FULL_SEARCH_TTL as usize;
+        let n = ttl + 2;
+        let (replies, _) = serve(
+            &shared,
+            &vec![queries[0].clone(); n],
+            &vec![Some(5e3); n],
+            1,
+        );
+        assert_eq!(replies.len(), n, "none expired");
+        // The estimate goes stale after `ttl` hot-only batches; the next
+        // batch scans the cold share and measures a few milliseconds,
+        // which the one after fits in its budget too.
+        assert_eq!(shared.obs.cold_skips.get(), ttl as u64);
+        let hot = routed[0].shard_probes_global.concat();
+        for (i, reply) in replies.iter().enumerate() {
+            let lists = if i < ttl { &hot } else { &full[0] };
+            assert_eq!(
+                reply.neighbors,
+                scan_lists(&shared, &queries[0], lists),
+                "batch {i}"
+            );
+        }
+        let search = shared.queue.full_search().expect("measured afresh");
+        assert!(search < 1.0, "the estimate fell: {search} s");
     }
 
     #[test]

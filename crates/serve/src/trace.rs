@@ -16,9 +16,9 @@
 //!   migrations/repartitions record spans linked to the batch they stall.
 //!   The [`SpanStore`] behind it is the runtime's only per-request store:
 //!   `GET /v1/traces` ([`TracePlane::traces_json`]) is a view over its
-//!   `request` roots, and slow or shed requests are *kept* — together with
-//!   the batch trace they link — in a queue no flood of fast requests can
-//!   evict from.
+//!   `request` roots, and requests that were shed, slow or missed a target
+//!   they are judged by are *kept* — together with the batch trace they
+//!   link — in a queue no flood of fast requests can evict from.
 //! - **Per-stage profiling** ([`TracePlane::profile`], `GET /v1/profile`):
 //!   pipeline workers time their work sections against both the runtime
 //!   [`Clock`](crate::Clock) (wall) and `CLOCK_THREAD_CPUTIME_ID` (CPU),
@@ -51,10 +51,13 @@ use crate::sync::lock_recover;
 /// before evicting the oldest whole one. Froze `TraceConfig::trace_capacity`
 /// at its default.
 pub const TRACE_CAPACITY: usize = 512;
-/// Kept traces — slow or shed requests and the batch traces they link —
-/// the store holds in their own eviction queue. Froze
+/// Kept traces — shed, slow or target-missing requests and the batch
+/// traces they link — the store holds in their own eviction queue. Froze
 /// `ObsConfig::slow_traces` at its default.
 pub const KEPT_CAPACITY: usize = 64;
+/// End-to-end seconds at or above which a request's trace is kept, whatever
+/// made it slow. Froze `ObsConfig`'s slow threshold at its default.
+pub const SLOW_THRESHOLD_S: f64 = 0.25;
 /// Fast burn-rate window in seconds (catches sharp regressions). Froze
 /// `TraceConfig::fast_window_s` at its default.
 pub const FAST_WINDOW_S: f64 = 60.0;
@@ -371,8 +374,6 @@ pub struct TracePlane {
     stages: [StageCell; PROFILE_STAGES.len()],
     current_batch: Mutex<Option<BatchCtx>>,
     watchdog: Mutex<Watchdog>,
-    /// End-to-end seconds at or above which a request's trace is kept.
-    slow_threshold_s: f64,
 }
 
 impl std::fmt::Debug for TracePlane {
@@ -385,10 +386,9 @@ impl std::fmt::Debug for TracePlane {
 }
 
 impl TracePlane {
-    /// Builds a plane from `config`; a request that was shed or took at
-    /// least `slow_threshold_s` end to end has its trace kept; `seed` makes
-    /// derived trace ids deterministic per server.
-    pub fn new(config: &TraceConfig, slow_threshold_s: f64, seed: u64) -> Self {
+    /// Builds a plane from `config`; `seed` makes derived trace ids
+    /// deterministic per server.
+    pub fn new(config: &TraceConfig, seed: u64) -> Self {
         Self {
             enabled: config.enabled,
             store: SpanStore::new(TRACE_CAPACITY, KEPT_CAPACITY),
@@ -404,7 +404,6 @@ impl TracePlane {
                     .collect(),
                 levels: vec![AlertLevel::Ok; SLO_SIGNALS.len()],
             }),
-            slow_threshold_s,
         }
     }
 
@@ -492,14 +491,16 @@ impl TracePlane {
     /// the request id and tenant), `queue` and `search` children (the
     /// search span links the batch trace the request rode), the generation
     /// phases when it generated, and a zero-width `shed:{reason}` marker
-    /// when it was shed. A shed or slow (≥ the slow threshold) request is
-    /// recorded *kept*, and takes its batch trace with it. Every name is
-    /// static and the span ids come as one block, so the write takes the
-    /// store lock once and allocates no `String`.
+    /// when it was shed. A request that was shed, took at least
+    /// [`SLOW_THRESHOLD_S`] end to end, or `missed` a target it is judged by
+    /// (its tenant's search SLO, the TTFT SLO or its deadline) is recorded
+    /// *kept*, and takes its batch trace with it.
+    /// Every name is static and the span ids come as one block, so the
+    /// write takes the store lock once and allocates no `String`.
     ///
     /// Outcomes without a trace id (an admission shed whose caller sent
     /// none) record nothing.
-    pub fn record_request(&self, o: &RequestOutcome) {
+    pub fn record_request(&self, o: &RequestOutcome, missed: bool) {
         let (true, Some(trace)) = (self.enabled, o.trace) else {
             return;
         };
@@ -537,7 +538,7 @@ impl TracePlane {
         if let Some(cause) = o.shed {
             spans.push(child(6, cause.span_name(), t3, t3));
         }
-        let keep = o.shed.is_some() || t3 - t0 >= self.slow_threshold_s;
+        let keep = missed || o.shed.is_some() || t3 - t0 >= SLOW_THRESHOLD_S;
         self.store.record_tree(trace.0, spans, keep);
     }
 
@@ -666,7 +667,8 @@ impl TracePlane {
 
     /// The `/v1/traces` body, rendered at read time from the store's
     /// `request` roots: `recent` lists every finished request still held,
-    /// in completion order, `slow` the kept ones. Each entry carries the
+    /// in completion order, `slow` the kept ones (shed, slow, or missed a
+    /// target). Each entry carries the
     /// request id, tenant, `trace_id` (the key for `/v1/trace/{id}`),
     /// admission instant, end-to-end seconds, whether it was shed, and the
     /// root's children as `{stage, start_s, end_s}` offsets from admission.
@@ -695,7 +697,6 @@ impl TracePlane {
         Json::Obj(vec![
             ("recent".into(), Json::Arr(recent)),
             ("slow".into(), Json::Arr(slow)),
-            ("slow_threshold_s".into(), Json::Num(self.slow_threshold_s)),
             (
                 "recent_evicted".into(),
                 Json::Num(stats.recent_evicted as f64),
@@ -997,7 +998,7 @@ mod tests {
     use vlite_sim::SimDuration;
 
     fn plane() -> TracePlane {
-        TracePlane::new(&TraceConfig::default(), 0.25, 42)
+        TracePlane::new(&TraceConfig::default(), 42)
     }
 
     /// A retrieval-only outcome admitted at 4 ms, launched at 5 ms, merged
@@ -1069,7 +1070,7 @@ mod tests {
         plane.record_scan(&ctx, "scan:shard0", t0, t1);
         plane.end_batch(&ctx, t0, t1);
         for (id, trace) in [a, b].into_iter().enumerate() {
-            plane.record_request(&outcome(id as u64, trace, Some(ctx.trace_id)));
+            plane.record_request(&outcome(id as u64, trace, Some(ctx.trace_id)), false);
         }
 
         let batch = plane.trace_spans(ctx.trace_id).expect("batch trace held");
@@ -1101,7 +1102,7 @@ mod tests {
 
     #[test]
     fn request_trees_reproduce_the_timings_and_list_as_waterfalls() {
-        let plane = TracePlane::new(&TraceConfig::default(), 0.1, 42);
+        let plane = TracePlane::new(&TraceConfig::default(), 42);
         let [fast, slow, shed] = [0, 1, 2].map(|id| plane.derive_trace_id(id));
         let ctx = plane.begin_batch(&[fast, slow, shed]).expect("enabled");
         plane.record_scan(&ctx, "scan:shard0", SimTime::ZERO, SimTime::ZERO);
@@ -1120,14 +1121,14 @@ mod tests {
                 ttft: 0.010,
             }),
         };
-        plane.record_request(&o);
-        // One over the 100 ms threshold, one shed.
+        plane.record_request(&o, false);
+        // One past the slow threshold (it met every target), one shed.
         let mut o = outcome(1, slow, Some(ctx.trace_id));
         o.end = o.enqueued + SimDuration::from_secs_f64(0.5);
-        plane.record_request(&o);
+        plane.record_request(&o, false);
         let mut o = outcome(2, shed, None);
         o.shed = Some(ShedCause::GenDeadline);
-        plane.record_request(&o);
+        plane.record_request(&o, false);
 
         let spans = plane.trace_spans(fast.0).expect("held");
         assert!(tree_violations(&spans).is_empty(), "{spans:?}");
@@ -1272,7 +1273,7 @@ mod tests {
 
     #[test]
     fn watchdog_fast_window_forgets_old_burn() {
-        let plane = TracePlane::new(&TraceConfig::default(), 0.25, 7);
+        let plane = TracePlane::new(&TraceConfig::default(), 7);
         let early = SimTime::from_nanos(1_000_000_000);
         for _ in 0..100 {
             plane.observe_slo(SIG_TTFT, false, early);
@@ -1293,10 +1294,10 @@ mod tests {
 
     #[test]
     fn disabled_plane_records_nothing() {
-        let plane = TracePlane::new(&TraceConfig { enabled: false }, 0.25, 3);
+        let plane = TracePlane::new(&TraceConfig { enabled: false }, 3);
         assert!(!plane.enabled());
         assert!(plane.begin_batch(&[TraceId(1)]).is_none());
-        plane.record_request(&outcome(0, TraceId(1), None));
+        plane.record_request(&outcome(0, TraceId(1), None), false);
         assert!(plane.trace_spans(1).is_none());
         assert_eq!(plane.store_stats(), StoreStats::default());
         assert_eq!(plane.observe_slo(SIG_SEARCH, false, SimTime::ZERO), None);

@@ -1,5 +1,5 @@
 //! Harness shared by the integration tests that flood a co-scheduled
-//! server through rung 5 of the deadline ladder.
+//! server through rung 4 of the deadline ladder.
 
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
@@ -12,7 +12,7 @@ use vectorlite_rag::sim::SimTime;
 /// The generation worker is the runtime's only sleeper, so while the gate
 /// is closed a flood is admitted, batched and merged at tick zero: no
 /// drain rate is measured (rung 1 never refuses) and no deadline passes
-/// in a queue (rung 2 never expires), so only rung 5 can shed.
+/// in a queue (rung 2 never expires), so only rung 4 can shed.
 #[derive(Debug, Default)]
 pub struct GatedClock {
     clock: VirtualClock,

@@ -1,13 +1,13 @@
 //! Integration: per-request deadline budgets enforced across the pipeline.
 //!
 //! The VirtualClock tests pin the degradation ladder to the exact tick:
-//! time advances only where the test says so, so every shed, shrink and
-//! budget-burn number below is a deterministic function of the scripted
-//! timeline — no timing tolerances. Rungs 3 and 4 price a budget with
-//! what the server's drain meter measured of the batches it scanned; the
-//! tests seed that meter by serving one batch on a ticking clock, read
-//! its exact cost back from the batch's trace, and stop the clock
-//! (`meter::seed_meter`).
+//! time advances only where the test says so, so every shed, hot-only
+//! batch and budget-burn number below is a deterministic function of the
+//! scripted timeline — no timing tolerances. Rung 3 prices a batch's
+//! tightest budget with what the server's drain meter measured of the
+//! full searches it ran; the tests seed that meter by serving one batch
+//! on a ticking clock, read its exact cost back from the batch's trace,
+//! and stop the clock (`meter::seed_meter`).
 //!
 //! Coverage:
 //! - A zero-budget request is shed at batch formation (rung 2) on the
@@ -24,26 +24,21 @@
 //! - A measure-only policy (enforce off) records budget burn and deadline
 //!   attainment without shedding or degrading anything.
 //! - Before anything has been measured — a cold start, or batches on a
-//!   clock that never moved — no budget shrinks or skips anything.
-//! - A budget worth half the fast tier's measured part of a search (the
-//!   full search minus the cold share) shrinks the probe list to exactly
-//!   `ceil(nprobe/2)` (rung 3) and the request still answers — degraded,
-//!   attributed, and on time.
-//! - A budget that covers the fast tier's part but not the full search
-//!   drops the request's cold-tier probes (rung 4) and still answers.
-//! - A budget equal to the measured full search is never degraded; one
-//!   nanosecond less skips the cold tier.
+//!   clock that never moved — no budget runs its batch hot-only.
+//! - A budget below the measured full search runs its batch hot-only
+//!   (rung 3): the request's cold-tier probes are skipped, it still
+//!   answers on time, and its reply still counts them as misses.
+//! - A budget equal to the measured full search runs in full; one
+//!   nanosecond less, or half of it, runs hot-only.
 //! - A drain in which every job expired scanned nothing: it leaves the
-//!   search and cold estimates exactly where they were.
+//!   full-search estimate exactly where it was.
 //! - On a wall-clock server warmed with traffic, a 20 ms `X-Deadline-Ms`
 //!   budget keeps its cold-tier probes: the measured search is far
 //!   cheaper.
-//! - The ladder shrinks from the probe count the index serves
-//!   (`nprobe` clamped to `1..=nlist`): an `nprobe` of 0 still answers a
-//!   shrunk budget, and an `nprobe` past `nlist` is not counted as
-//!   degraded while the shrunk list still probes every list.
+//! - An `nprobe` of 0 still answers a hot-only budget (the index serves
+//!   one probe).
 //! - On a co-scheduled server, a budget that survives retrieval but not
-//!   the estimated first token is shed at generation admission (rung 5):
+//!   the estimated first token is shed at generation admission (rung 4):
 //!   the reply carries the retrieval results without generation, and the
 //!   shed counts as both a deadline shed and a generation shed.
 //! - Over the HTTP frontend: `X-Deadline-Ms` is validated (400 on garbage
@@ -52,10 +47,10 @@
 //!   shed shows up in `/v1/metrics` and the report.
 //! - In process, a `Duration::MAX` budget saturates the absolute deadline
 //!   instead of overflowing the clock, and the request meets it.
-//! - Property: truncating the probe list (what rung 3 does) degrades
-//!   gracefully — probe lists are prefix-consistent and recall against
-//!   brute force is monotone in `nprobe`, so a degraded response is a
-//!   prefix-quality subset of the full-probe response, never an error.
+//! - Property: truncating the probe list degrades gracefully — probe
+//!   lists are prefix-consistent and recall against brute force is
+//!   monotone in `nprobe`, so a search over fewer probes is a
+//!   prefix-quality subset of the full-probe search, never an error.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -100,26 +95,17 @@ fn ticking_server(config: ServeConfig) -> (RagServer, Arc<TickingClock>) {
     (server, clock)
 }
 
-/// Serves one query of corpus vector 0 under `budget` and returns what
-/// rungs 3 and 4 did to it: how many cold skips and probe shrinks it
-/// added, and the `degrade` journal line it left, if any.
-fn degradation(server: &RagServer, budget: Duration) -> (u64, u64, Option<String>) {
-    let before = server.report();
-    let journaled = server.obs().journal_snapshot().len();
+/// Serves one query of corpus vector 0 under `budget`, alone in its
+/// batch, and returns how many cold skips rung 3 added for it.
+fn degradation(server: &RagServer, budget: Duration) -> u64 {
+    let before = server.report().cold_skips;
     let response = server
         .submit_with_deadline(TenantId(0), corpus().vectors.get(0).to_vec(), Some(budget))
         .expect("admitted")
         .wait()
         .expect("degraded, not shed");
     assert!(!response.neighbors.is_empty());
-    let after = server.report();
-    let journal = server.obs().journal_snapshot();
-    let degrade = journal[journaled..].iter().find(|e| e.kind == "degrade");
-    (
-        after.cold_skips - before.cold_skips,
-        after.degraded_probes - before.degraded_probes,
-        degrade.map(|e| e.detail.clone()),
-    )
+    server.report().cold_skips - before
 }
 
 #[test]
@@ -160,7 +146,7 @@ fn zero_budget_request_is_shed_in_queue_at_the_exact_tick() {
     );
     assert_eq!(report.deadline_met, 0);
     assert_eq!(report.deadline_missed, 0, "shed requests never complete");
-    assert_eq!(report.degraded_probes, 0);
+    assert_eq!(report.cold_skips, 0);
 
     // The journal stamps the shed at the batch-formation tick — which the
     // scripted timeline pins to the submission tick, to the nanosecond.
@@ -313,7 +299,6 @@ fn measure_only_policy_records_attainment_without_shedding() {
 
     let report = server.report();
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
-    assert_eq!(report.degraded_probes, 0);
     assert_eq!(report.cold_skips, 0);
     assert_eq!(report.deadline_met, 1, "zero virtual time beats any budget");
     assert_eq!(report.deadline_missed, 0);
@@ -325,53 +310,6 @@ fn measure_only_policy_records_attainment_without_shedding() {
 }
 
 #[test]
-fn half_budget_shrinks_probes_to_exactly_half_and_still_answers() {
-    let corpus = corpus();
-    let mut config = enforcing_config();
-    // Everything hot: rung 4 (cold skip) has nothing to drop, so the only
-    // budget action in play is the probe shrink under test.
-    config.real.coverage_override = Some(1.0);
-    let nprobe = config.real.nprobe;
-    let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
-
-    // With the clock stopped, batch formation happens at the submission
-    // tick, so remaining == budget exactly. A budget of half the fast
-    // tier's part scales the probe list by exactly 0.5.
-    let budget = (full - cold) / 2;
-    let ticket = server
-        .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
-        .expect("admitted");
-    let response = ticket.wait().expect("degraded, not shed");
-    assert_eq!(
-        response.neighbors[0].id, 0,
-        "the vector's own cluster is the closest probe — a prefix keeps it"
-    );
-
-    let report = server.report();
-    let expected = (nprobe as f64 * 0.5).ceil() as usize;
-    assert_eq!(report.degraded_probes, 1, "exactly one degraded request");
-    assert_eq!(
-        report.deadline_sheds,
-        [0, 0, 0],
-        "degradation avoided the shed"
-    );
-    assert_eq!(report.deadline_met, 1, "the degraded request still made it");
-    let journal = server.obs().journal_snapshot();
-    let degrade = journal
-        .iter()
-        .find(|e| e.kind == "degrade")
-        .expect("probe shrinks are journaled");
-    assert!(
-        degrade
-            .detail
-            .contains(&format!("probes shrunk {nprobe} -> {expected}")),
-        "unexpected detail: {}",
-        degrade.detail
-    );
-}
-
-#[test]
 fn fast_tier_only_budget_skips_cold_probes_and_still_answers() {
     let corpus = corpus();
     let mut config = enforcing_config();
@@ -379,20 +317,24 @@ fn fast_tier_only_budget_skips_cold_probes_and_still_answers() {
     // cold tier, making the skip observable.
     config.real.coverage_override = Some(0.25);
     let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
+    let full = seed_meter(&server, &clock, corpus.vectors.get(1));
 
-    // Enough remaining budget for the fast tier (no probe shrink), not
-    // enough to absorb a cold-tier scan on top.
-    let budget = full - cold / 2;
+    // With the clock stopped, batch formation happens at the submission
+    // tick, so the whole budget remains: half the measured full search
+    // cannot absorb the cold share's scan.
+    let budget = full / 2;
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
     let response = ticket.wait().expect("cold-skipped, not shed");
     assert!(!response.neighbors.is_empty());
+    assert!(
+        response.hit_rate < 1.0,
+        "the skipped probes count as misses"
+    );
 
     let report = server.report();
     assert_eq!(report.cold_skips, 1, "the cold-tier probes were dropped");
-    assert_eq!(report.degraded_probes, 0, "the probe count itself was kept");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 1);
 }
@@ -404,44 +346,19 @@ fn zero_nprobe_still_answers_a_shrunk_budget() {
     config.real.nprobe = 0;
     config.real.coverage_override = Some(1.0);
     let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
+    let full = seed_meter(&server, &clock, corpus.vectors.get(1));
 
-    // The index serves one probe for an `nprobe` of 0; half the fast
-    // tier's part cannot shrink a one-probe list any further.
-    let budget = (full - cold) / 2;
+    // The index serves one probe for an `nprobe` of 0, and it is hot: a
+    // hot-only batch scans it.
+    let budget = full / 2;
     let ticket = server
         .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
         .expect("admitted");
-    let response = ticket.wait().expect("a shrunk budget still answers");
+    let response = ticket.wait().expect("a hot-only budget still answers");
     assert!(!response.neighbors.is_empty());
 
     let report = server.report();
-    assert_eq!(report.degraded_probes, 0, "one probe is the floor");
-    assert_eq!(report.deadline_sheds, [0, 0, 0]);
-    assert_eq!(report.deadline_met, 1);
-}
-
-#[test]
-fn nprobe_past_nlist_is_not_degraded_by_a_shrink_that_keeps_every_list() {
-    let corpus = corpus();
-    let mut config = enforcing_config();
-    let nlist = config.real.ivf.nlist;
-    config.real.nprobe = 2 * nlist;
-    config.real.coverage_override = Some(1.0);
-    let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus.vectors.get(1));
-
-    // 0.995 of the fast tier's part scales the served count (`nlist`) to
-    // `ceil(0.995 * nlist) == nlist`: every list is still probed.
-    let budget = (full - cold).mul_f64(0.995);
-    let ticket = server
-        .submit_with_deadline(TenantId(0), corpus.vectors.get(0).to_vec(), Some(budget))
-        .expect("admitted");
-    let response = ticket.wait().expect("answered");
-    assert_eq!(response.neighbors[0].id, 0);
-
-    let report = server.report();
-    assert_eq!(report.degraded_probes, 0, "no probe was dropped");
+    assert_eq!(report.cold_skips, 0, "one hot probe: no cold skip");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 1);
 }
@@ -453,38 +370,31 @@ fn nothing_is_degraded_before_the_first_measurement() {
     // A cold start: no batch has been scanned yet.
     let (server, _clock) = ticking_server(config);
     let budget = Duration::from_micros(1);
-    assert_eq!(degradation(&server, budget), (0, 0, None));
+    assert_eq!(degradation(&server, budget), 0);
     // Batches on a clock that never moved took no time: still nothing
     // measured, so nothing priced.
-    assert_eq!(degradation(&server, budget), (0, 0, None));
+    assert_eq!(degradation(&server, budget), 0);
     let report = server.report();
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
     assert_eq!(report.deadline_met, 2);
 }
 
-/// Pins both of the ladder's thresholds at the measured `full` search and
-/// `cold` share: a budget of `full` is never degraded, one nanosecond
-/// less skips the cold tier (the fast tier's part still fits), and half
-/// the fast tier's part shrinks `nprobe` probes to exactly half.
-fn assert_priced_at(server: &RagServer, full: Duration, cold: Duration, nprobe: usize) {
-    assert_eq!(degradation(server, full), (0, 0, None));
-    let just_under = full - Duration::from_nanos(1);
-    assert_eq!(degradation(server, just_under), (1, 0, None));
-    let half = format!("probes shrunk {nprobe} -> {}", nprobe.div_ceil(2));
-    let (skips, shrunk, line) = degradation(server, (full - cold) / 2);
-    assert_eq!((skips, shrunk), (1, 1));
-    let line = line.expect("the shrink is journaled");
-    assert!(line.contains(&half), "unexpected detail: {line}");
+/// Pins rung 3's threshold at the measured `full` search: a budget of
+/// `full` runs its batch in full, one nanosecond less or half of it runs
+/// hot-only and skips the cold tier.
+fn assert_priced_at(server: &RagServer, full: Duration) {
+    assert_eq!(degradation(server, full), 0);
+    assert_eq!(degradation(server, full - Duration::from_nanos(1)), 1);
+    assert_eq!(degradation(server, full / 2), 1);
 }
 
 #[test]
 fn a_budget_equal_to_the_measured_full_search_is_never_degraded() {
     let mut config = enforcing_config();
     config.real.coverage_override = Some(0.25);
-    let nprobe = config.real.nprobe;
     let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus().vectors.get(1));
-    assert_priced_at(&server, full, cold, nprobe);
+    let full = seed_meter(&server, &clock, corpus().vectors.get(1));
+    assert_priced_at(&server, full);
     assert_eq!(server.report().deadline_met, 3);
 }
 
@@ -492,9 +402,8 @@ fn a_budget_equal_to_the_measured_full_search_is_never_degraded() {
 fn a_drain_that_scanned_nothing_leaves_the_search_and_cold_estimates_unchanged() {
     let mut config = enforcing_config();
     config.real.coverage_override = Some(0.25);
-    let nprobe = config.real.nprobe;
     let (server, clock) = ticking_server(config);
-    let (full, cold) = seed_meter(&server, &clock, corpus().vectors.get(1));
+    let full = seed_meter(&server, &clock, corpus().vectors.get(1));
 
     // A zero budget expires in the queue while the clock ticks: the drain
     // takes time but scans nothing.
@@ -514,8 +423,8 @@ fn a_drain_that_scanned_nothing_leaves_the_search_and_cold_estimates_unchanged()
     assert!(busy > 0.0, "the expired drain took time");
     assert_eq!(server.report().deadline_sheds, [0, 1, 0]);
 
-    // Both thresholds sit exactly where the seeded batch put them.
-    assert_priced_at(&server, full, cold, nprobe);
+    // The threshold sits exactly where the seeded batch put it.
+    assert_priced_at(&server, full);
 }
 
 #[test]
@@ -542,7 +451,6 @@ fn a_warm_wall_clock_server_keeps_the_cold_probes_of_a_20_ms_budget() {
     drop(client);
     let report = frontend.shutdown();
     assert_eq!(report.cold_skips, 0, "the cold-tier probes were kept");
-    assert_eq!(report.degraded_probes, 0, "the probe list was kept");
     assert_eq!(report.deadline_sheds, [0, 0, 0]);
 }
 
@@ -559,8 +467,8 @@ fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results
         .prefill_time(generation.prompt_tokens(0), 1.0)
         .as_secs_f64();
     let budget = 0.5 * min_prefill;
-    // Rungs 3 and 4 keep the full probe list: the clock never advances,
-    // so no batch measures a search cost to price the budget with.
+    // Rung 3 runs the batch in full: the clock never advances, so no
+    // batch measures a search cost to price the budget with.
     config.generation = Some(generation);
     let clock = Arc::new(VirtualClock::new());
     let server = RagServer::start_with_clock(&corpus, config, clock).expect("server starts");
@@ -584,7 +492,7 @@ fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results
         "exactly one shed, attributed to the generation stage"
     );
     assert_eq!(report.gen_sheds, 1, "a deadline-aware generation shed");
-    assert_eq!((report.degraded_probes, report.cold_skips), (0, 0));
+    assert_eq!(report.cold_skips, 0);
     assert_eq!(
         report.deadline_met, 1,
         "the reply left at the merge tick, inside its budget"
@@ -596,7 +504,7 @@ fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results
         .expect("the reply's trace id resolves");
     assert!(
         spans.iter().any(|s| s.name == "shed:gen-deadline"),
-        "missing rung-5 marker: {spans:?}"
+        "missing rung-4 marker: {spans:?}"
     );
     let journal = server.obs().journal_snapshot();
     let shed = journal
@@ -738,10 +646,10 @@ fn brute_force_ids(data: &VecSet, query: &[f32], k: usize) -> HashSet<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Rung 3's graceful-degradation contract, at the index layer: the
-    /// probe list is closeness-ordered, so a truncated probe run scans a
-    /// *prefix* of the full run's clusters. A degraded search is therefore
-    /// a prefix-quality subset of the full search — its recall against
+    /// Graceful degradation at the index layer: the probe list is
+    /// closeness-ordered, so a truncated probe run scans a *prefix* of the
+    /// full run's clusters. A search over fewer probes is therefore a
+    /// prefix-quality subset of the full search — its recall against
     /// brute force never exceeds (and its candidates never leave) the
     /// full-probe run's, and no probe count errors or returns nothing.
     #[test]
@@ -755,7 +663,7 @@ proptest! {
         let query: Vec<f32> = (0..dim).map(|j| mixed_unit(seed ^ 0xdead_beef, n, j)).collect();
 
         // Probe lists are prefix-consistent: shrinking nprobe truncates,
-        // never reorders — exactly what the batcher's rung 3 relies on.
+        // never reorders.
         let full_probes = index.probe(&query, nlist);
         for np in 1..=full_probes.len() {
             let pre = index.probe(&query, np);

@@ -151,7 +151,7 @@ fn observability_endpoints_over_the_socket() {
     let traces = client.get("/v1/traces").expect("traces");
     assert_eq!(traces.status, 200);
     let traces_json = traces.json().expect("traces are JSON");
-    for key in ["slow", "slow_threshold_s", "recent_evicted", "slow_evicted"] {
+    for key in ["slow", "recent_evicted", "slow_evicted"] {
         assert!(traces_json.get(key).is_some(), "listing lost `{key}`");
     }
     let recent = traces_json.get("recent").and_then(Json::as_array);

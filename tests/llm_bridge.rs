@@ -16,7 +16,7 @@
 //!   the generation-queue phase boundary to the exact tick.
 //! - A two-tenant flood reports nonzero per-tenant TTFT attainment in the
 //!   [`ServeReport`], end to end and over the HTTP frontend.
-//! - Rung 5 with every deadline at the TTFT SLO sheds KV pressure: the
+//! - Rung 4 with every deadline at the TTFT SLO sheds KV pressure: the
 //!   condemning estimate and shed tick are pinned on the stage, and a
 //!   flood counts its sheds as TTFT misses per tenant.
 //! - Control observations are judged against the search SLO only.
@@ -350,7 +350,7 @@ fn kv_admission_estimate_and_rejection_are_pinned_to_the_exact_tick() {
     // Scripted virtual-time scenario on the public GenerationStage, the
     // same harness style as the queueing-phase test: request 0 fills the
     // KV pool; request 1 arrives while the engine is busy and the pool
-    // full. Rung 5, with the deadline a `default_deadline = slo_ttft`
+    // full. Rung 4, with the deadline a `default_deadline = slo_ttft`
     // policy stamps (admission + slo_ttft), must shed it at the scripted
     // tick, condemned by an estimate that is an exact function of the
     // cost model.
@@ -453,9 +453,9 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
         .cost
         .prefill_time(generation.prompt_tokens(10), 1.0);
     generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
-    // KV-aware admission is rung 5 with every request's deadline at its
+    // KV-aware admission is rung 4 with every request's deadline at its
     // TTFT SLO. Every batch is merged at tick zero, so the drain meter
-    // measures no search cost and rungs 3–4 keep every probe.
+    // measures no search cost and rung 3 runs every batch in full.
     config.deadline.default_deadline = Some(generation.slo_ttft);
     config.deadline.enforce = true;
     config.tenants = vec![
@@ -512,7 +512,7 @@ fn kv_admission_sheds_are_counted_in_per_tenant_ttft_attainment() {
     assert!(served > 0, "the flood must also serve");
     assert_eq!(report.completed, 360);
     assert_eq!(report.gen_sheds, sheds);
-    assert_eq!(report.deadline_sheds, [0, 0, sheds], "only rung 5 sheds");
+    assert_eq!(report.deadline_sheds, [0, 0, sheds], "only rung 4 sheds");
     // TTFT samples exist only for served requests; the attainment
     // denominator nevertheless includes every shed as a miss.
     assert_eq!(report.ttft.count as u64, served);

@@ -1,8 +1,9 @@
-//! Harness for the integration tests that arm rungs 3 and 4 of the
-//! deadline ladder. Those rungs price a budget with what the drain meter
-//! measured of scanned batches, and a batch on a [`VirtualClock`] nobody
-//! moves takes no time, so it measures nothing: [`seed_meter`] serves one
-//! batch on a [`TickingClock`] and reads its exact cost back.
+//! Harness for the integration tests that arm rung 3 of the deadline
+//! ladder (the hot-only batch). That rung prices a batch's tightest budget
+//! with what the drain meter measured of full-search batches, and a batch
+//! on a [`VirtualClock`] nobody moves takes no time, so it measures
+//! nothing: [`seed_meter`] serves one batch on a [`TickingClock`] and
+//! reads its exact cost back.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -68,10 +69,10 @@ pub fn await_sections(server: &RagServer, name: &str, n: u64) {
 
 /// Serves `query` (unbudgeted, tenant 0) alone while `clock` ticks, then
 /// stops the clock, and returns what the drain meter measured of that
-/// batch: the full search and its cold share's scan — exactly the widths
-/// of the batch's `batch` and `scan:cpu` spans. The batcher reads the
-/// clock until it closes the batch's `dispatch` section.
-pub fn seed_meter(server: &RagServer, clock: &TickingClock, query: &[f32]) -> (Duration, Duration) {
+/// batch: the full search — exactly the width of the batch's `batch`
+/// span. The batcher reads the clock until it closes the batch's
+/// `dispatch` section.
+pub fn seed_meter(server: &RagServer, clock: &TickingClock, query: &[f32]) -> Duration {
     let dispatched = stage(server, "dispatch").sections;
     clock.tick(true);
     let reply = server.submit(query.to_vec()).expect("admitted").wait();
@@ -83,11 +84,11 @@ pub fn seed_meter(server: &RagServer, clock: &TickingClock, query: &[f32]) -> (D
         .find_map(|s| (s.name == "search").then(|| s.links[0]))
         .expect("the search span links its batch");
     let spans = plane.trace_spans(batch).expect("batch trace");
-    let width = |name: &str| {
-        let span = spans.iter().find(|s| s.name == name).expect(name);
-        Duration::from_secs_f64(span.end_s - span.start_s)
-    };
-    let (full, cold) = (width("batch"), width("scan:cpu"));
-    assert!(cold > Duration::ZERO && full > cold, "{full:?} {cold:?}");
-    (full, cold)
+    let span = spans
+        .iter()
+        .find(|s| s.name == "batch")
+        .expect("batch span");
+    let full = Duration::from_secs_f64(span.end_s - span.start_s);
+    assert!(full > Duration::ZERO, "the seeding batch took time");
+    full
 }

@@ -6,7 +6,7 @@
 //! that store. These tests pin the contract from the outside:
 //!
 //! 1. Conservation from one source: after a deadline flood (retrieval
-//!    only) and a co-scheduled run whose KV pressure rung 5 sheds (every
+//!    only) and a co-scheduled run whose KV pressure rung 4 sheds (every
 //!    deadline at the TTFT SLO), every admitted request is accounted for
 //!    exactly once, the per-tenant slices sum to the totals, every stage
 //!    histogram saw one sample per completion, and the scrape reads the
@@ -165,7 +165,6 @@ fn assert_conserved(report: &ServeReport, scrape: &str, budgeted: u64) {
         ("vlite_rejected_total", report.rejected),
         ("vlite_completed_total", completed),
         ("vlite_gen_sheds_total", report.gen_sheds),
-        ("vlite_degraded_probes_total", report.degraded_probes),
         ("vlite_cold_skips_total", report.cold_skips),
         (
             "vlite_deadline_sheds_total{stage=\"admission\"}",
@@ -197,11 +196,11 @@ fn retrieval_only_deadline_flood_conserves_every_request() {
     let clock = Arc::new(TickingClock::default());
     let server =
         RagServer::start_with_clock(&corpus, config, clock.clone()).expect("server starts");
-    // One measured batch arms rungs 3 and 4 (and rung 1's drain rate).
+    // One measured batch arms rung 3 (and rung 1's drain rate).
     let queries = corpus.queries(40, 17);
     seed_meter(&server, &clock, queries.get(0));
 
-    // Four budget classes per wave: 1 ns (degraded to the fast tier, still
+    // Four budget classes per wave: 1 ns (its batch runs hot-only, still
     // answered, or shed at admission behind a queued job), already expired
     // (shed in the queue, or at admission behind a queued job), generous,
     // and unbudgeted. Each wave opens on empty lanes, so its first 1 ns
@@ -240,7 +239,10 @@ fn retrieval_only_deadline_flood_conserves_every_request() {
     assert_eq!(report.completed, replies);
     assert_eq!(report.deadline_sheds[0], admission_sheds);
     assert!(report.deadline_sheds[1] > 0, "expired budgets must shed");
-    assert!(report.degraded_probes > 0, "1 ns budgets must degrade");
+    assert!(
+        report.cold_skips > 0,
+        "1 ns budgets must skip the cold tier"
+    );
     assert_conserved(&report, &scrape, budgeted_replies);
 
     // Shutdown changes nothing: the live report was already complete.
@@ -262,7 +264,7 @@ fn co_scheduled_run_with_kv_sheds_conserves_every_request() {
         .cost
         .prefill_time(generation.prompt_tokens(config.real.top_k), 1.0);
     generation.slo_ttft = 4.0 * base_prefill.as_secs_f64();
-    // KV-aware admission is rung 5 with every request's deadline at its
+    // KV-aware admission is rung 4 with every request's deadline at its
     // TTFT SLO; every reply is judged against that deadline.
     config.deadline.default_deadline = Some(generation.slo_ttft);
     config.deadline.enforce = true;
@@ -383,8 +385,12 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
     let corpus = corpus();
     let mut config = config();
     config.generation = Some(GenerationConfig::tiny());
-    // Keep every request's trace regardless of latency.
-    config.obs.slow_threshold_s = 0.0;
+    // Keep every request's trace: no search meets a 1 ns tenant SLO.
+    config.tenants = vec![TenantSpec {
+        weight: 1,
+        queue_capacity: config.queue_capacity,
+        slo_search: 1e-9,
+    }];
     let n = 32;
     let server = RagServer::start(&corpus, config).expect("server starts");
     let queries = corpus.queries(n, 29);
@@ -414,7 +420,7 @@ fn co_scheduled_run_records_generation_stages_and_traces() {
         );
     }
 
-    // Every request is listed, and kept (threshold 0.0).
+    // Every request is listed, and kept (each missed its search SLO).
     let listing = traces.traces_json();
     for ring in ["recent", "slow"] {
         let entries = listing.get(ring).and_then(Json::as_array).expect(ring);

@@ -115,7 +115,6 @@ fn co_scheduled_report() -> ServeReport {
         generation: 1,
         worker_panics: 0,
         deadline_sheds: [2, 5, 3],
-        degraded_probes: 11,
         cold_skips: 4,
         deadline_met: 900,
         deadline_missed: 100,
@@ -180,7 +179,6 @@ fn json_round_trips_exactly_including_ttft_fields() {
     assert_eq!(num(sheds, "admission"), 2.0);
     assert_eq!(num(sheds, "queue"), 5.0);
     assert_eq!(num(sheds, "generation"), 3.0);
-    assert_eq!(num(&json, "degraded_probes"), 11.0);
     assert_eq!(num(&json, "cold_skips"), 4.0);
     assert_eq!(num(&json, "deadline_met"), 900.0);
     assert_eq!(num(&json, "deadline_missed"), 100.0);
@@ -258,7 +256,7 @@ fn render_surfaces_the_deadline_section_only_when_budgeted() {
     let text = report.render();
     assert!(text.contains("deadlines: 90.0% met (900 met / 100 missed)"));
     assert!(text.contains("sheds adm/queue/gen 2/5/3"));
-    assert!(text.contains("degraded probes 11"));
+    assert!(text.contains("cold skips 4"));
     assert!(text.contains("budget burn p99"));
 
     let mut unbudgeted = co_scheduled_report();

@@ -14,7 +14,8 @@
 //! 3. Span trees emitted by the plane are well-formed under proptest:
 //!    children nest within their parents and the batch span covers every
 //!    member's search span (the `tree_violations` checker is the oracle).
-//! 4. One store, three guarantees: a slow request keeps its tree *and* the
+//! 4. One store, three guarantees: a request that missed its deadline
+//!    keeps its tree *and* the
 //!    batch trace it links through a flood of twice the store's capacity;
 //!    a client replaying one `traceparent` cannot grow a trace past the
 //!    span cap; a reader never sees a half-recorded request tree.
@@ -26,6 +27,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use vectorlite_rag::core::RealConfig;
@@ -33,7 +35,7 @@ use vectorlite_rag::metrics::spans::tree_violations;
 use vectorlite_rag::metrics::spans::MAX_SPANS_PER_TRACE;
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
-use vectorlite_rag::serve::trace::TRACE_CAPACITY;
+use vectorlite_rag::serve::trace::{KEPT_CAPACITY, TRACE_CAPACITY};
 use vectorlite_rag::serve::{
     GenerationConfig, GenerationTimings, RagServer, RequestOutcome, RequestTimings, ServeConfig,
     TenantId, TraceConfig, TraceId, TracePlane, VirtualClock,
@@ -455,7 +457,7 @@ proptest! {
             1..8,
         ),
     ) {
-        let plane = TracePlane::new(&TraceConfig::default(), 0.25, 0x5eed);
+        let plane = TracePlane::new(&TraceConfig::default(), 0x5eed);
         let mut batches: Vec<(Vec<TraceId>, u128)> = Vec::new();
         let mut uid = 0u128;
         for (n_members, t0, (widths, with_gen, with_migration)) in rounds {
@@ -516,7 +518,7 @@ proptest! {
                     deadline: None,
                     gen_busy: None,
                     shed: None,
-                });
+                }, false);
             }
             batches.push((members, ctx.trace_id));
         }
@@ -563,19 +565,22 @@ fn listed<'a>(listing: &'a Json, ring: &str) -> &'a [Json] {
 #[test]
 fn slow_request_keeps_its_tree_and_its_batch_through_a_flood() {
     let corpus = corpus();
-    let mut config = config();
-    config.obs.slow_threshold_s = 0.001;
+    let config = config();
     let clock = Arc::new(VirtualClock::new());
     let server = RagServer::start_with_clock(&corpus, config, clock.clone()).expect("starts");
     let query = corpus.vectors.get(0).to_vec();
 
-    // One request over the threshold: the clock jumps 5 ms right after
-    // admission, so the batcher launches it 5 ms late. Should the batcher
-    // win the race and launch before the jump, the request is just one
-    // more fast one; try again.
+    // One request past its 1 ms deadline (measured, not enforced): the
+    // clock jumps 5 ms right after admission, so the batcher launches it
+    // 5 ms late. Should the batcher win the race and launch before the
+    // jump, the request meets its deadline and is just one more fast one;
+    // try again.
+    let budget = Some(Duration::from_millis(1));
     let mut fast = 0usize;
     let slow = loop {
-        let ticket = server.submit(query.clone()).expect("admitted");
+        let ticket = server
+            .submit_with_deadline(TenantId(0), query.clone(), budget)
+            .expect("admitted");
         clock.advance(SimDuration::from_millis(5.0));
         let response = ticket.wait().expect("served");
         if response.timings.e2e >= 0.001 {
@@ -674,11 +679,12 @@ fn a_reader_never_sees_a_half_recorded_request_tree() {
     let corpus = corpus();
     let mut config = config();
     config.generation = Some(GenerationConfig::tiny());
-    // Nothing is kept, so every trace stays in the 512-slot ordinary queue
-    // and the reader's last pass must find all of them.
-    config.obs.slow_threshold_s = f64::INFINITY;
     let server = RagServer::start(&corpus, config).expect("starts");
-    let ids: Vec<TraceId> = (1..=128u128).map(|n| TraceId((0xD00D << 64) | n)).collect();
+    // Kept (slow, or past its TTFT SLO) or not, each request holds its tree
+    // and at most one batch trace, so this many fit the kept queue and
+    // the reader's last pass must find every one of them.
+    let n = (KEPT_CAPACITY / 2) as u128;
+    let ids: Vec<TraceId> = (1..=n).map(|n| TraceId((0xD00D << 64) | n)).collect();
 
     let done = Arc::new(AtomicBool::new(false));
     let reader = {
