@@ -232,6 +232,23 @@ pub fn rules() -> &'static [Rule] {
                       (a panicking request must never take the process down)",
         },
         Rule {
+            id: "one-placement-pass",
+            summary: "the real-tier build and the serve path place only through `vlite_core::place`",
+            include_tests: false,
+            scope: &["crates/serve/src/", "crates/core/src/real.rs"],
+            allow: &[],
+            patterns: &[
+                // Two fragments: `word` bounds both ends of the first.
+                word(&["partition", "("]),
+                pat(&["HitRateEstimator::from_profile("]),
+                pat(&["IndexSplit::build("]),
+            ],
+            check: Check::Forbid,
+            message: "profile → Algorithm 1 → split written out by hand; call `vlite_core::place`, \
+                      the one placement pass the offline build and every online repartition \
+                      share, so the two cannot place the same probe sets differently",
+        },
+        Rule {
             id: "stdout-discipline",
             summary: "library code never prints; output flows through the obs plane",
             include_tests: false,

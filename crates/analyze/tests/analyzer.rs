@@ -62,6 +62,28 @@ fn kernel_dispatch_fires_outside_the_dispatcher_only() {
 }
 
 #[test]
+fn one_placement_pass_fires_on_a_hand_written_chain_only() {
+    let source = include_str!("fixtures/one_placement_pass.rs");
+    let diags = scan("crates/serve/src/fixture_placement.rs", source);
+    let found: Vec<(&str, usize)> = diags.iter().map(|d| (d.rule.as_str(), d.line)).collect();
+    // The three calls of the hand-written chain; nothing from the quoted
+    // and commented copies or from `repartition(`.
+    assert_eq!(
+        found,
+        vec![
+            ("one-placement-pass", 20),
+            ("one-placement-pass", 21),
+            ("one-placement-pass", 22),
+        ],
+        "diagnostics: {diags:#?}"
+    );
+    // The rule covers the real-tier build too, and only non-test code.
+    assert_eq!(scan("crates/core/src/real.rs", source).len(), 3);
+    assert!(scan("crates/core/src/partition.rs", source).is_empty());
+    assert!(scan("crates/serve/tests/fixture_placement.rs", source).is_empty());
+}
+
+#[test]
 fn suppression_lifecycle_is_enforced() {
     let source = include_str!("fixtures/suppressions.rs");
     let mut diags = scan("crates/serve/src/fixture_suppressions.rs", source);

@@ -165,13 +165,6 @@ impl SearchCostModel {
         let cq = self.cq_per_query * 0.1 * batch;
         self.gpu_base + cq + batch * self.gpu_query_secs(self.nprobe as f64, self.vectors_per_query)
     }
-
-    /// The hybrid latency model of paper Eq. 1:
-    /// `τ_s(b) = T_CQ(b) + (1 − η) · T_LUT(b)`.
-    pub fn hybrid_latency(&self, batch: f64, eta: f64) -> f64 {
-        let eta = eta.clamp(0.0, 1.0);
-        self.t_cq(batch) + (1.0 - eta) * self.t_lut_full(batch)
-    }
 }
 
 #[cfg(test)]
@@ -215,16 +208,6 @@ mod tests {
         let cpu = m.cpu_only_total(8.0);
         let gpu = m.dedicated_gpu_total(8.0);
         assert!(gpu < cpu / 3.0, "cpu={cpu} gpu={gpu}");
-    }
-
-    #[test]
-    fn hybrid_latency_endpoints() {
-        let m = model(DatasetPreset::wiki_all());
-        let b = 8.0;
-        assert!((m.hybrid_latency(b, 0.0) - m.cpu_only_total(b)).abs() < 1e-12);
-        assert!((m.hybrid_latency(b, 1.0) - m.t_cq(b)).abs() < 1e-12);
-        // Monotone improvement with hit rate.
-        assert!(m.hybrid_latency(b, 0.8) < m.hybrid_latency(b, 0.4));
     }
 
     #[test]

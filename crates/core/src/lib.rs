@@ -73,7 +73,7 @@ mod update;
 pub use config::{NodeConfig, RagConfig, RagSystem, SystemKind};
 pub use costmodel::SearchCostModel;
 pub use hitrate::HitRateEstimator;
-pub use partition::{partition, PartitionDecision, PartitionInput};
+pub use partition::{partition, place, PartitionDecision, PartitionInput, PlacementPass};
 pub use perfmodel::PerfModel;
 pub use pipeline::{PipelineConfig, RagPipeline, RunResult};
 pub use profile::AccessProfile;

@@ -4,8 +4,10 @@
 //! while accounting for the feedback loop between coverage and LLM
 //! throughput: more GPU-resident index ⇒ less KV cache ⇒ lower throughput
 //! ⇒ smaller expected batch ⇒ (usually) less coverage needed.
+//! [`place`] is the whole placement pass around it, which the real tier's
+//! offline build and every online repartition (§IV-B3) share.
 
-use crate::{AccessProfile, HitRateEstimator, PerfModel};
+use crate::{AccessProfile, HitRateEstimator, IndexSplit, PerfModel, RealConfig};
 
 /// Inputs to the partitioning algorithm.
 #[derive(Debug, Clone)]
@@ -140,6 +142,66 @@ pub fn partition(
         predicted_latency: predicted,
         iterations,
         feasible,
+    }
+}
+
+/// What one placement pass decided from a set of probe sets.
+#[derive(Debug, Clone)]
+pub struct PlacementPass {
+    /// The access profile counted from the probe sets.
+    pub profile: AccessProfile,
+    /// The hit-rate estimator over `profile`.
+    pub estimator: HitRateEstimator,
+    /// Algorithm 1's decision, reported even when the coverage is pinned.
+    pub decision: PartitionDecision,
+    /// The split at the decided coverage, or at
+    /// [`RealConfig::coverage_override`] when that is set.
+    pub split: IndexSplit,
+    /// `split`'s per-cluster hot flags: the tiers the store places.
+    pub hot: Vec<bool>,
+    /// Mean per-query hit rate of the probe sets under `split`: the
+    /// statistic the runtime observes, so the drift monitors' expectation
+    /// (the estimator's access-weighted mean is biased against it).
+    pub mean_hit: f64,
+}
+
+/// The placement pass: counts `probe_sets` into an [`AccessProfile`] over
+/// the index's per-cluster `sizes` and `bytes`, runs Algorithm 1 on `perf`
+/// at `config`'s SLO and KV budget, and splits across `config.n_shards`
+/// at the decided coverage or `config.coverage_override`.
+///
+/// # Panics
+///
+/// Panics if `sizes` and `bytes` differ in length, a probe names a cluster
+/// past their end, or as [`partition`] and [`IndexSplit::build`] do.
+pub fn place(
+    config: &RealConfig,
+    perf: &PerfModel,
+    sizes: &[u64],
+    bytes: &[u64],
+    probe_sets: Vec<Vec<u32>>,
+) -> PlacementPass {
+    let mut counts = vec![0u64; sizes.len()];
+    for &c in probe_sets.iter().flatten() {
+        counts[c as usize] += 1;
+    }
+    let profile = AccessProfile::from_parts(counts, sizes.to_vec(), bytes.to_vec(), probe_sets);
+    let estimator = HitRateEstimator::from_profile(&profile);
+    let input = PartitionInput::new(config.slo_search, config.mu_llm0, config.kv_bytes_full);
+    let decision = partition(&input, perf, &estimator, &profile);
+    let coverage = config.coverage_override.unwrap_or(decision.coverage);
+    let split = IndexSplit::build(&profile, coverage, config.n_shards);
+    let hot = split.hot_flags();
+    let sets = profile.probe_sets();
+    let hit_sum = (sets.iter()).fold(0.0, |sum, probes| sum + split.route(probes).hit_rate());
+    let mean_hit = hit_sum / sets.len().max(1) as f64;
+    PlacementPass {
+        profile,
+        estimator,
+        decision,
+        split,
+        hot,
+        mean_hit,
     }
 }
 

@@ -108,6 +108,8 @@ mod tests {
         let m = model();
         assert!((m.hybrid_latency(8.0, 1.0) - m.t_cq(8.0)).abs() < 1e-12);
         assert!((m.hybrid_latency(8.0, 0.0) - m.total(8.0)).abs() < 1e-12);
+        // Monotone improvement with hit rate.
+        assert!(m.hybrid_latency(8.0, 0.8) < m.hybrid_latency(8.0, 0.4));
     }
 
     #[test]

@@ -126,14 +126,14 @@ impl AccessProfile {
         self.counts[cluster as usize]
     }
 
-    /// Vector count of one cluster.
-    pub fn size(&self, cluster: u32) -> u64 {
-        self.sizes[cluster as usize]
+    /// Vector count per cluster, in cluster id order.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
     }
 
-    /// Index bytes of one cluster.
-    pub fn bytes_of(&self, cluster: u32) -> u64 {
-        self.bytes[cluster as usize]
+    /// Index bytes per cluster, in cluster id order.
+    pub fn cluster_bytes(&self) -> &[u64] {
+        &self.bytes
     }
 
     /// Total index bytes.

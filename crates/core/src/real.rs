@@ -1,7 +1,9 @@
 //! Real-tier deployment: the VectorLiteRAG *offline* stage over an actual
-//! [`IvfIndex`] (no cost models): train, profile access patterns with
-//! calibration queries, fit the latency model from wall-clock measurements,
-//! run Algorithm 1, and build the split that routes every probe.
+//! [`IvfIndex`] (no cost models): train, replay calibration queries through
+//! the coarse quantizer, fit the latency model from wall-clock
+//! measurements, then run the placement pass ([`place`]: profile →
+//! Algorithm 1 → split) that the online control loop re-runs on live probe
+//! sets at every repartition.
 //!
 //! The *runtime* side — shard workers, the batcher that scans the cold
 //! share itself (§IV-B2) and the online control loop — lives in the
@@ -19,8 +21,7 @@ use vlite_store::{StoreError, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
 use crate::{
-    partition, AccessProfile, HitRateEstimator, IndexSplit, PartitionDecision, PartitionInput,
-    PerfModel,
+    place, AccessProfile, HitRateEstimator, IndexSplit, PartitionDecision, PerfModel, PlacementPass,
 };
 
 /// Configuration for a real-tier deployment.
@@ -100,14 +101,17 @@ pub struct RealDeployment {
     pub decision: PartitionDecision,
     /// The built split; [`IndexSplit::route`] routes each probe list.
     pub router: IndexSplit,
+    /// The calibration probe sets' mean hit rate under `router`
+    /// ([`PlacementPass::mean_hit`]): the drift monitors' first expectation.
+    pub expected_mean_hit: f64,
     /// The deployment configuration.
     pub config: RealConfig,
 }
 
 impl RealDeployment {
-    /// Runs the full offline stage on a corpus: train the index, profile
-    /// access patterns and latencies with real measurements, estimate,
-    /// partition and split.
+    /// Runs the full offline stage on a corpus: train the index, probe the
+    /// calibration queries, fit the latency model from real measurements,
+    /// then run the placement pass on the calibration probe sets.
     ///
     /// # Errors
     ///
@@ -122,23 +126,9 @@ impl RealDeployment {
         let calibration = corpus.queries(config.n_profile_queries, config.seed);
 
         // Access profiling: replay the coarse quantizer.
-        let nlist = index.nlist();
-        let mut counts = vec![0u64; nlist];
-        let mut probe_sets = Vec::with_capacity(calibration.len());
-        for q in calibration.iter() {
-            let probes: Vec<u32> = index
-                .probe(q, config.nprobe)
-                .iter()
-                .map(|p| p.list)
-                .collect();
-            for &c in &probes {
-                counts[c as usize] += 1;
-            }
-            probe_sets.push(probes);
-        }
-        let sizes: Vec<u64> = (0..nlist).map(|l| index.list_len(l) as u64).collect();
-        let bytes: Vec<u64> = (0..nlist).map(|l| index.list_bytes(l) as u64).collect();
-        let profile = AccessProfile::from_parts(counts, sizes, bytes, probe_sets);
+        let probe_sets = (calibration.iter())
+            .map(|q| probe_ids(&index, q, config.nprobe))
+            .collect();
 
         // Latency profiling: wall-clock CQ and LUT timings per batch size.
         let mut samples = Vec::new();
@@ -173,11 +163,17 @@ impl RealDeployment {
         }
         let perf = PerfModel::fit(&samples).expect("timing samples are finite");
 
-        let estimator = HitRateEstimator::from_profile(&profile);
-        let input = PartitionInput::new(config.slo_search, config.mu_llm0, config.kv_bytes_full);
-        let decision = partition(&input, &perf, &estimator, &profile);
-        let coverage = config.coverage_override.unwrap_or(decision.coverage);
-        let router = IndexSplit::build(&profile, coverage, config.n_shards);
+        let nlist = index.nlist();
+        let sizes: Vec<u64> = (0..nlist).map(|l| index.list_len(l) as u64).collect();
+        let bytes: Vec<u64> = (0..nlist).map(|l| index.list_bytes(l) as u64).collect();
+        let PlacementPass {
+            profile,
+            estimator,
+            decision,
+            split: router,
+            mean_hit: expected_mean_hit,
+            ..
+        } = place(&config, &perf, &sizes, &bytes, probe_sets);
         Ok(Self {
             index,
             profile,
@@ -185,6 +181,7 @@ impl RealDeployment {
             estimator,
             decision,
             router,
+            expected_mean_hit,
             config,
         })
     }
@@ -198,11 +195,7 @@ impl RealDeployment {
     /// Coarse-quantizes one query into its global probe list (the CPU's CQ
     /// stage the serving runtime performs before routing).
     pub fn probe_global(&self, query: &[f32]) -> Vec<u32> {
-        self.index
-            .probe(query, self.config.nprobe)
-            .iter()
-            .map(|p| p.list)
-            .collect()
+        probe_ids(&self.index, query, self.config.nprobe)
     }
 
     /// Builds (or reopens) a [`TieredStore`] at `segment_path` from this
@@ -226,17 +219,20 @@ impl RealDeployment {
         segment_path: &std::path::Path,
     ) -> std::result::Result<TieredStore, StoreError> {
         let lists = self.index.take_flat_lists();
-        let hot: Vec<bool> = (0..self.index.nlist() as u32)
-            .map(|c| self.router.is_hot(c))
-            .collect();
         TieredStore::create_or_open(
             segment_path,
             self.index.dim(),
             self.config.ivf.metric,
             &lists,
-            &hot,
+            &self.router.hot_flags(),
         )
     }
+}
+
+/// The ids of the `nprobe` clusters `index` probes for `query`, nearest
+/// first.
+fn probe_ids(index: &IvfIndex, query: &[f32], nprobe: usize) -> Vec<u32> {
+    index.probe(query, nprobe).iter().map(|p| p.list).collect()
 }
 
 #[cfg(test)]
@@ -339,10 +335,7 @@ mod tests {
         store.set_ephemeral(true);
 
         // The store's tiers mirror the split's placement exactly.
-        let flags = store.hot_flags();
-        for c in 0..d.index.nlist() as u32 {
-            assert_eq!(flags[c as usize], d.router.is_hot(c));
-        }
+        assert_eq!(store.hot_flags(), d.router.hot_flags());
         let residency = store.residency();
         assert_eq!(residency.total_clusters, d.index.nlist());
         assert_eq!(residency.hot_clusters, d.router.hot_count());

@@ -136,9 +136,7 @@ impl HybridSearchEngine {
         n_gpus: usize,
         seed: u64,
     ) -> Self {
-        let sizes = (0..profile.nlist() as u32)
-            .map(|c| profile.size(c))
-            .collect();
+        let sizes = profile.sizes().to_vec();
         let contention_coeff = match kind {
             // Pruned launches on dedicated streams: mild SM sharing.
             SystemKind::VectorLite => 0.3,

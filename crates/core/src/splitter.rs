@@ -64,7 +64,8 @@ impl IndexSplit {
         assert!(n_shards <= usize::from(u16::MAX), "too many shards");
         let mut hot = profile.hot_set(coverage);
         // Sort by size descending (ties by id for determinism).
-        hot.sort_by(|&a, &b| profile.size(b).cmp(&profile.size(a)).then(a.cmp(&b)));
+        let sizes = profile.sizes();
+        hot.sort_by(|&a, &b| sizes[b as usize].cmp(&sizes[a as usize]).then(a.cmp(&b)));
         let mut placement = vec![Placement::Cpu; profile.nlist()];
         let mut shard_clusters: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
         let mut shard_bytes = vec![0u64; n_shards];
@@ -74,7 +75,7 @@ impl IndexSplit {
                 shard: shard as u16,
             };
             shard_clusters[shard].push(cluster);
-            shard_bytes[shard] += profile.bytes_of(cluster);
+            shard_bytes[shard] += profile.cluster_bytes()[cluster as usize];
         }
         IndexSplit {
             placement,
@@ -103,9 +104,12 @@ impl IndexSplit {
         self.placement[cluster as usize]
     }
 
-    /// Whether a cluster is GPU-resident.
-    pub fn is_hot(&self, cluster: u32) -> bool {
-        matches!(self.placement[cluster as usize], Placement::Gpu { .. })
+    /// Per-cluster GPU residency in cluster id order: the tier map a
+    /// tiered store places.
+    pub fn hot_flags(&self) -> Vec<bool> {
+        (self.placement.iter())
+            .map(|p| matches!(p, Placement::Gpu { .. }))
+            .collect()
     }
 
     /// Global cluster ids resident on one shard, in placement order.
@@ -181,7 +185,7 @@ mod tests {
         let split = IndexSplit::build(&p, 0.0, 2);
         assert_eq!(split.hot_count(), 0);
         assert_eq!(split.total_gpu_bytes(), 0);
-        assert!((0..p.nlist() as u32).all(|c| !split.is_hot(c)));
+        assert!(split.hot_flags().iter().all(|&hot| !hot));
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! - once more than `capacity` ordinary traces are held, whole oldest
 //!   traces are evicted (a trace is only useful complete — evicting
 //!   individual spans would leave dangling parents);
-//! - traces recorded as *kept* (shed, slow or target-missing requests, and
-//!   the batch traces they link) sit in their own `kept_capacity`-sized
-//!   eviction queue, so a
-//!   flood of fast requests never evicts an outlier or its cause;
+//! - trees recorded as *kept* (shed, slow or target-missing requests) sit
+//!   in their own queue of `kept_capacity` trees, so a flood of fast
+//!   requests never evicts an outlier; the traces a kept tree links (its
+//!   batch, one per request) ride with it, in no queue, until no kept tree
+//!   links them;
 //! - one trace holds at most [`MAX_SPANS_PER_TRACE`] spans: the key is a
 //!   client-supplied id, and a client reusing one id must not grow a single
 //!   trace without limit. A tree that would cross the cap is dropped whole
@@ -58,6 +59,7 @@ pub struct SpanRecord {
 
 struct Held {
     spans: Vec<SpanRecord>,
+    /// A kept tree or a trace riding with one (not in `recent`).
     kept: bool,
 }
 
@@ -66,9 +68,9 @@ struct Inner {
     traces: HashMap<u128, Held>,
     /// Ordinary trace ids in first-recorded order; the eviction queue.
     recent: VecDeque<u128>,
-    /// Kept trace ids in the order they were kept; evicted only by newer
-    /// kept traces.
-    kept: VecDeque<u128>,
+    /// Kept tree ids in the order they were kept, each with the traces
+    /// riding with it; evicted only by newer kept trees.
+    kept: VecDeque<(u128, Vec<u128>)>,
     stats: StoreStats,
 }
 
@@ -77,11 +79,11 @@ struct Inner {
 pub struct StoreStats {
     /// Ordinary traces currently held.
     pub recent: usize,
-    /// Kept traces currently held.
+    /// Kept traces (trees and their riders) currently held.
     pub kept: usize,
     /// Whole ordinary traces evicted (or dropped at capacity 0) so far.
     pub recent_evicted: u64,
-    /// Whole kept traces evicted by newer kept traces so far.
+    /// Whole kept traces evicted by newer kept trees so far.
     pub kept_evicted: u64,
     /// Spans dropped because their trace was at [`MAX_SPANS_PER_TRACE`].
     pub dropped_spans: u64,
@@ -95,42 +97,29 @@ pub struct SpanStore {
 }
 
 impl Inner {
-    /// Appends `trace_id` to the chosen eviction queue, evicting whole
-    /// oldest traces of that kind to make room. Returns `false` (counting
-    /// an eviction) when the queue's capacity is zero.
-    fn enqueue(&mut self, trace_id: u128, kept: bool, capacity: usize) -> bool {
-        let (queue, evicted) = if kept {
-            (&mut self.kept, &mut self.stats.kept_evicted)
-        } else {
-            (&mut self.recent, &mut self.stats.recent_evicted)
+    /// Moves a held trace out of the ordinary queue (a no-op for a trace
+    /// already kept). Returns whether the trace is held.
+    fn take_kept(&mut self, trace_id: u128) -> bool {
+        let Some(held) = self.traces.get_mut(&trace_id) else {
+            return false;
         };
-        while queue.len() >= capacity {
-            *evicted += 1;
-            let Some(oldest) = queue.pop_front() else {
-                return false; // capacity 0: the new trace itself is the loss
-            };
-            self.traces.remove(&oldest);
+        if !held.kept {
+            held.kept = true;
+            self.recent.retain(|id| *id != trace_id);
         }
-        queue.push_back(trace_id);
         true
     }
 
-    /// Moves a held trace to the back of the kept queue: an ordinary trace
-    /// is promoted, an already-kept one is refreshed — so a batch trace
-    /// outlives every kept request that links it. Unknown ids are ignored.
-    fn keep(&mut self, trace_id: u128, kept_capacity: usize) {
-        let Some(held) = self.traces.get_mut(&trace_id) else {
+    /// Evicts the oldest kept tree and every trace riding only with it.
+    fn evict_kept(&mut self) {
+        let Some((tree, riders)) = self.kept.pop_front() else {
             return;
         };
-        let queue = if held.kept {
-            &mut self.kept
-        } else {
-            &mut self.recent
-        };
-        queue.retain(|id| *id != trace_id);
-        held.kept = true;
-        if !self.enqueue(trace_id, true, kept_capacity) {
-            self.traces.remove(&trace_id);
+        for id in std::iter::once(tree).chain(riders) {
+            let still_kept = (self.kept.iter()).any(|(t, r)| *t == id || r.contains(&id));
+            if !still_kept && self.traces.remove(&id).is_some() {
+                self.stats.kept_evicted += 1;
+            }
         }
     }
 }
@@ -143,8 +132,9 @@ impl SpanStore {
     }
 
     /// A store holding at most `capacity` ordinary traces plus
-    /// `kept_capacity` kept ones. A capacity of `0` drops every trace of
-    /// that kind (counting each as an eviction).
+    /// `kept_capacity` kept trees and the traces riding with them. A
+    /// capacity of `0` drops every trace of that kind (counting each as an
+    /// eviction).
     pub fn new(capacity: usize, kept_capacity: usize) -> Self {
         Self {
             inner: Mutex::new(Inner::default()),
@@ -160,9 +150,10 @@ impl SpanStore {
 
     /// Records `spans` — one whole tree of trace `trace_id` — under one
     /// lock acquisition, so a reader sees all of the tree or none of it.
-    /// A new trace beyond capacity evicts the oldest whole trace of its
-    /// kind. With `keep`, the trace and every held trace its spans link
-    /// move to the kept queue. A tree that would push the trace past
+    /// A new ordinary trace beyond capacity evicts the oldest whole one.
+    /// With `keep`, the trace takes the newest kept slot (evicting the
+    /// oldest kept tree beyond capacity) and every held trace its spans
+    /// link rides with it. A tree that would push the trace past
     /// [`MAX_SPANS_PER_TRACE`] is dropped whole and counted.
     pub fn record_tree(&self, trace_id: u128, spans: Vec<SpanRecord>, keep: bool) {
         // Only a kept tree (shed, slow, or past a target it is judged by)
@@ -174,30 +165,47 @@ impl SpanStore {
         };
         let mut guard = self.lock();
         let inner = &mut *guard;
+        let mut riders = Vec::new();
         if let Some(held) = inner.traces.get_mut(&trace_id) {
             if held.spans.len() + spans.len() > MAX_SPANS_PER_TRACE {
                 inner.stats.dropped_spans += spans.len() as u64;
                 return;
             }
             held.spans.extend(spans);
-            if keep {
-                inner.keep(trace_id, self.kept_capacity);
-            }
-        } else {
-            let capacity = if keep {
-                self.kept_capacity
-            } else {
-                self.capacity
-            };
-            if !inner.enqueue(trace_id, keep, capacity) {
+            if !keep {
                 return;
             }
+            inner.take_kept(trace_id);
+            // A kept tree kept again moves to the newest slot, riders and all.
+            if let Some(i) = inner.kept.iter().position(|(t, _)| *t == trace_id) {
+                riders = inner.kept.remove(i).map_or_else(Vec::new, |(_, r)| r);
+            }
+        } else if keep {
+            inner.traces.insert(trace_id, Held { spans, kept: true });
+        } else {
+            while inner.recent.len() >= self.capacity {
+                inner.stats.recent_evicted += 1;
+                let Some(oldest) = inner.recent.pop_front() else {
+                    return; // capacity 0: the new trace itself is the loss
+                };
+                inner.traces.remove(&oldest);
+            }
+            inner.recent.push_back(trace_id);
             // The caller's Vec becomes the trace: a fresh request costs no
             // copy and no second allocation.
-            inner.traces.insert(trace_id, Held { spans, kept: keep });
+            inner.traces.insert(trace_id, Held { spans, kept: false });
+            return;
         }
+        // The links board before the tree takes its slot, so the eviction
+        // that makes room cannot drop a trace this tree links.
         for link in links {
-            inner.keep(link, self.kept_capacity);
+            if link != trace_id && !riders.contains(&link) && inner.take_kept(link) {
+                riders.push(link);
+            }
+        }
+        inner.kept.push_back((trace_id, riders));
+        while inner.kept.len() > self.kept_capacity {
+            inner.evict_kept();
         }
     }
 
@@ -209,12 +217,16 @@ impl SpanStore {
             .map(|held| held.spans.clone())
     }
 
-    /// Calls `visit(spans, kept)` on every held trace — ordinary traces
-    /// oldest first, then kept ones — under the store lock, so `visit`
-    /// should copy what it needs and return.
+    /// Calls `visit(spans, kept)` on every ordinary trace, oldest first,
+    /// then on every kept tree (not on its riders) — under the store lock,
+    /// so `visit` should copy what it needs and return.
     pub fn for_each(&self, mut visit: impl FnMut(&[SpanRecord], bool)) {
         let inner = self.lock();
-        for id in inner.recent.iter().chain(&inner.kept) {
+        for id in inner
+            .recent
+            .iter()
+            .chain(inner.kept.iter().map(|(tree, _)| tree))
+        {
             if let Some(held) = inner.traces.get(id) {
                 visit(&held.spans, held.kept);
             }
@@ -226,7 +238,9 @@ impl SpanStore {
         let inner = self.lock();
         StoreStats {
             recent: inner.recent.len(),
-            kept: inner.kept.len(),
+            // Riders sit in no queue: every held trace not in the ordinary
+            // queue is kept.
+            kept: inner.traces.len() - inner.recent.len(),
             ..inner.stats
         }
     }
@@ -369,6 +383,13 @@ mod tests {
         assert!(store.get(1).is_none() && store.get(2).is_none());
     }
 
+    /// The kept trees `for_each` visits, in its order.
+    fn kept_ids(store: &SpanStore) -> Vec<u128> {
+        let mut ids = Vec::new();
+        store.for_each(|spans, kept| ids.extend(kept.then_some(spans[0].trace_id)));
+        ids
+    }
+
     #[test]
     fn kept_trees_and_the_traces_they_link_survive_a_flood() {
         let store = SpanStore::new(4, 2);
@@ -377,13 +398,14 @@ mod tests {
             links: vec![link],
             ..span(trace, 1_000 + trace as u64, Some(trace as u64), 0.0, 1.0)
         };
-        // A batch trace recorded as ordinary, then a kept request linking it.
+        // A batch trace recorded as ordinary, then a kept request linking
+        // it: the batch rides with the request.
         store.record(root(100));
         store.record_tree(7, vec![root(7), linking(7, 100)], true);
         assert_eq!((store.stats().recent, store.stats().kept), (0, 2));
 
         // Twice the ordinary capacity of newer traces evicts neither, and
-        // an ordinary write to a kept trace appends without demoting it.
+        // an ordinary write to a riding trace appends without demoting it.
         for id in 10..18 {
             store.record(root(id));
         }
@@ -392,19 +414,58 @@ mod tests {
         assert_eq!(store.get(100).expect("its batch").len(), 2);
         assert_eq!(store.stats().recent_evicted, 4);
 
-        // Only newer kept traces evict kept ones, oldest first — and a
-        // second kept request linking the same batch refreshes it, so the
-        // batch outlives every request that points at it.
+        // A second kept request linking the same batch takes the second
+        // kept slot; the batch takes none.
         store.record_tree(8, vec![root(8), linking(8, 100)], true);
-        assert_eq!(store.stats().kept_evicted, 1);
-        let mut kept_ids = Vec::new();
-        store.for_each(|spans, kept| kept_ids.extend(kept.then_some(spans[0].trace_id)));
-        assert_eq!(kept_ids, vec![8, 100], "request 7 was the oldest");
+        assert_eq!(kept_ids(&store), vec![7, 8]);
+        assert_eq!((store.stats().kept, store.stats().kept_evicted), (3, 0));
+
+        // Only newer kept trees evict kept ones, oldest first, and the
+        // batch stays while any tree linking it does.
+        store.record_tree(9, vec![root(9)], true);
+        assert_eq!(kept_ids(&store), vec![8, 9], "request 7 was the oldest");
+        assert!(store.get(100).is_some(), "request 8 still links the batch");
+        store.record_tree(6, vec![root(6)], true);
+        assert_eq!(kept_ids(&store), vec![9, 6]);
+        assert!(store.get(100).is_none(), "the batch left with request 8");
+        assert_eq!(store.stats().kept_evicted, 3);
 
         // An ordinary trace becomes kept when a later tree says so.
         store.record_tree(17, vec![linking(17, 0)], true);
         assert_eq!(store.get(17).expect("promoted").len(), 2);
         assert_eq!((store.stats().recent, store.stats().kept), (3, 2));
+    }
+
+    #[test]
+    fn a_burst_of_kept_trees_keeps_the_newest_trees_and_every_batch_they_link() {
+        const KEPT: u128 = 64;
+        let store = SpanStore::new(512, KEPT as usize);
+        // Two batch traces, recorded before their members finish.
+        let batches = [1u128 << 64, 2 << 64];
+        for (i, &batch) in batches.iter().enumerate() {
+            store.record(span(batch, 10_000 + i as u64, None, 0.0, 1.0));
+        }
+        for t in 0..2 * KEPT {
+            let search = SpanRecord {
+                links: vec![batches[t as usize % 2]],
+                ..span(t, 2 * t as u64 + 1, Some(2 * t as u64), 0.0, 1.0)
+            };
+            store.record_tree(t, vec![span(t, 2 * t as u64, None, 0.0, 1.0), search], true);
+        }
+        let held: Vec<u128> = (0..2 * KEPT).filter(|&t| store.get(t).is_some()).collect();
+        assert_eq!(
+            held,
+            (KEPT..2 * KEPT).collect::<Vec<_>>(),
+            "the newest trees"
+        );
+        for batch in batches {
+            assert!(store.get(batch).is_some(), "batch {batch:x} rides along");
+        }
+        let stats = store.stats();
+        assert_eq!(
+            (stats.recent, stats.kept, stats.kept_evicted),
+            (0, KEPT as usize + 2, KEPT as u64)
+        );
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! set. One windowed [`DriftMonitor`] *per tenant* watches attainment and
 //! hit-rate divergence — a small tenant's hot-set shift trips its own
 //! monitor instead of being averaged away by a large tenant's stable
-//! traffic — and when any monitor trips, the loop re-profiles from the
-//! recent probe sets, re-runs Algorithm 1 ([`partition`]), re-splits, and
+//! traffic — and when any monitor trips, the loop runs the offline stage's
+//! placement pass ([`place`]: re-profile → Algorithm 1 → re-split) on the
+//! recent probe sets, with the deployment's config and latency model, and
 //! hot-swaps the split — the admission queue keeps accepting and batches
 //! keep launching throughout, exactly the paper's "service never stops"
-//! full-shard update.
+//! full-shard update. The offline build and every repartition share that
+//! one pass, so the same probe sets yield the same placement either way.
 //!
 //! A split swap only changes where probes are *routed*; the bytes live in
 //! the [`TieredStore`](vlite_store::TieredStore) behind the scan path. So
@@ -39,9 +41,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 
-use vlite_core::{
-    partition, AccessProfile, DriftMonitor, HitRateEstimator, IndexSplit, PartitionInput, PerfModel,
-};
+use vlite_core::{place, AccessProfile, DriftMonitor, PerfModel, PlacementPass, RealConfig};
 
 use crate::config::ControlConfig;
 use crate::request::TenantId;
@@ -119,18 +119,18 @@ pub struct MigrationEvent {
     pub duration: Duration,
 }
 
-/// State owned by the control thread.
+/// State owned by the control thread: the drift monitors, the probe ring,
+/// and the fixed inputs of the placement pass ([`place`]) the offline build
+/// ran, which each repartition re-runs on the ring.
 pub(crate) struct ControlLoop {
     shared: Arc<Shared>,
     config: ControlConfig,
     /// One drift monitor per tenant, indexed by [`TenantId`].
     monitors: Vec<DriftMonitor>,
-    input: PartitionInput,
+    /// The deployment's offline-stage config (SLO, KV budget, shard count,
+    /// pinned coverage) and fitted latency model.
+    real: RealConfig,
     perf: PerfModel,
-    /// Pinned coverage ρ (mirrors `RealConfig::coverage_override`); when
-    /// set, a repartition re-chases the hot set at fixed coverage rather
-    /// than adopting Algorithm 1's ρ.
-    coverage_override: Option<f64>,
     /// Per-cluster vector counts/bytes (static geometry of the index).
     sizes: Vec<u64>,
     bytes: Vec<u64>,
@@ -143,16 +143,15 @@ pub(crate) struct ControlLoop {
 }
 
 impl ControlLoop {
-    #[allow(clippy::too_many_arguments)]
+    /// A loop placing with the deployment's `real` config and `perf` model
+    /// over `profile`'s cluster geometry, expecting `expected_mean_hit`.
     pub fn new(
         shared: Arc<Shared>,
         config: ControlConfig,
-        expected_mean_hit: f64,
-        input: PartitionInput,
+        real: RealConfig,
         perf: PerfModel,
-        coverage_override: Option<f64>,
-        sizes: Vec<u64>,
-        bytes: Vec<u64>,
+        profile: &AccessProfile,
+        expected_mean_hit: f64,
     ) -> Self {
         let n_tenants = shared.tenants.len();
         let monitors = (0..n_tenants)
@@ -162,11 +161,10 @@ impl ControlLoop {
             shared,
             config,
             monitors,
-            input,
+            real,
             perf,
-            coverage_override,
-            sizes,
-            bytes,
+            sizes: profile.sizes().to_vec(),
+            bytes: profile.cluster_bytes().to_vec(),
             ring: VecDeque::new(),
             observed: 0,
             observed_by_tenant: vec![0; n_tenants],
@@ -242,44 +240,32 @@ impl ControlLoop {
         let started = self.shared.clock.now();
         let control = self.shared.trace.stage_start(STAGE_CONTROL, started);
 
-        // Stage 1: re-profile from the observed probe ring.
-        let mut counts = vec![0u64; self.sizes.len()];
-        for probes in &self.ring {
-            for &c in probes {
-                counts[c as usize] += 1;
-            }
-        }
+        // Stages 1–3: the offline placement pass on the observed probe
+        // ring — re-profile, Algorithm 1, re-split — whose mean hit rate
+        // over the ring (the statistic the batcher observes) is the
+        // monitors' new expectation.
         let probe_sets: Vec<Vec<u32>> = self.ring.iter().cloned().collect();
-        let profile =
-            AccessProfile::from_parts(counts, self.sizes.clone(), self.bytes.clone(), probe_sets);
+        let PlacementPass {
+            split,
+            hot,
+            mean_hit: expected_mean_hit,
+            ..
+        } = place(&self.real, &self.perf, &self.sizes, &self.bytes, probe_sets);
 
-        // Stage 2: Algorithm 1 on the refreshed profile.
-        let estimator = HitRateEstimator::from_profile(&profile);
-        let decision = partition(&self.input, &self.perf, &estimator, &profile);
-        let coverage = self.coverage_override.unwrap_or(decision.coverage);
-
-        // Stage 3: re-split and measure hot-set movement.
+        // How far the hot set moved.
         let (old_split, _) = self.shared.placement_snapshot();
         let old_coverage = old_split.coverage();
-        let split = IndexSplit::build(&profile, coverage, old_split.n_shards());
-        let old_hot: Vec<u32> = (0..self.sizes.len() as u32)
-            .filter(|&c| old_split.is_hot(c))
-            .collect();
-        let retained = old_hot.iter().filter(|&&c| split.is_hot(c)).count();
-        let hot_overlap = if old_hot.is_empty() {
+        let old_hot = old_split.hot_flags();
+        let held = old_hot.iter().filter(|&&h| h).count();
+        let retained = (old_hot.iter().zip(&hot))
+            .filter(|&(&was, &is)| was && is)
+            .count();
+        let hot_overlap = if held == 0 {
             1.0
         } else {
-            retained as f64 / old_hot.len() as f64
+            retained as f64 / held as f64
         };
         let new_coverage = split.coverage();
-        // The tier move needs the new hot set; read it off the split in
-        // hand before the swap consumes it.
-        let hot: Vec<bool> = (0..self.sizes.len() as u32)
-            .map(|c| split.is_hot(c))
-            .collect();
-        // Refresh the expectation with the runtime's observable statistic:
-        // the recent probe sets routed through the *new* placement.
-        let expected_mean_hit = crate::server::empirical_mean_hit(&split, &self.ring);
 
         // Stage 4: hot-swap. Queries already routed keep their (global-id)
         // probe lists; the next batch snapshot sees the new placement, with
@@ -351,13 +337,8 @@ impl ControlLoop {
 pub(crate) mod tests {
     use super::*;
     use crate::config::{ServeConfig, StoreConfig, TenantSpec};
-    use crate::obs::{BoundedRing, ObsConfig, ObsPlane};
-    use crate::queue::AdmissionQueue;
     use crate::request::Job;
-    use crate::server::{PlacementState, Shared};
-    use std::sync::atomic::AtomicU64;
-    use std::sync::RwLock;
-    use vlite_core::{RealConfig, RealDeployment, UpdateConfig};
+    use vlite_core::{RealDeployment, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
     /// Builds a minimal `Shared` (with a real ephemeral tiered store) +
@@ -379,6 +360,11 @@ pub(crate) mod tests {
     /// A tiny two-shard deployment at 30 % coverage (32 lists over 2 000
     /// eight-dimensional vectors).
     pub(crate) fn tiny_deployment() -> RealDeployment {
+        tiny_deployment_with(|_| {})
+    }
+
+    /// [`tiny_deployment`] with `edit` applied to its config.
+    fn tiny_deployment_with(edit: impl FnOnce(&mut RealConfig)) -> RealDeployment {
         let corpus = SyntheticCorpus::generate(&CorpusConfig {
             n_vectors: 2_000,
             dim: 8,
@@ -391,6 +377,7 @@ pub(crate) mod tests {
         real.ivf = vlite_ann::IvfConfig::new(32);
         real.n_shards = 2;
         real.coverage_override = Some(0.3);
+        edit(&mut real);
         RealDeployment::build(&corpus, real).expect("builds")
     }
 
@@ -402,78 +389,67 @@ pub(crate) mod tests {
         n_tenants: usize,
         deadline: crate::config::DeadlinePolicy,
     ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
-        let mut deployment = tiny_deployment();
-        let real = deployment.config.clone();
+        let (shared, mut control, probe_sets) =
+            harness_over(tiny_deployment(), cooldown, window, n_tenants, deadline);
+        // Expectation far above the drifted observations fed by the tests,
+        // so divergence is unambiguous.
+        for monitor in &mut control.monitors {
+            monitor.reset(Some(0.9));
+        }
+        (shared, control, probe_sets)
+    }
+
+    /// The runtime state and control loop over `deployment`, as
+    /// `RagServer::from_deployment_with_clock` wires them (on a
+    /// `VirtualClock`, with `n_tenants` equal tenants), plus the
+    /// deployment's calibration probe sets.
+    fn harness_over(
+        mut deployment: RealDeployment,
+        cooldown: usize,
+        window: usize,
+        n_tenants: usize,
+        deadline: crate::config::DeadlinePolicy,
+    ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
         let store = crate::server::open_store(&mut deployment, &StoreConfig::default());
         let RealDeployment {
             index,
             profile,
             perf,
-            router: split,
+            router,
+            expected_mean_hit,
+            config: real,
             ..
         } = deployment;
-        let probe_sets: Vec<Vec<u32>> = profile.probe_sets().to_vec();
-        let sizes: Vec<u64> = (0..profile.nlist() as u32)
-            .map(|c| profile.size(c))
-            .collect();
-        let bytes: Vec<u64> = (0..profile.nlist() as u32)
-            .map(|c| profile.bytes_of(c))
-            .collect();
-        let tenants: Vec<TenantSpec> = (0..n_tenants)
-            .map(|_| TenantSpec {
-                weight: 1,
-                queue_capacity: 64,
-                slo_search: real.slo_search,
-            })
-            .collect();
-        let shared = Arc::new(Shared {
-            index,
-            placement: RwLock::new(PlacementState {
-                split: Arc::new(split),
-                generation: 0,
-            }),
-            queue: AdmissionQueue::new(&tenants),
-            worker_panics: AtomicU64::new(0),
-            obs: Arc::new(ObsPlane::new(&ObsConfig::default(), tenants.len())),
-            tenants,
-            repartitions: BoundedRing::new(1024),
-            migrations: BoundedRing::new(1024),
-            store,
-            nprobe: real.nprobe,
-            top_k: real.top_k,
-            n_shards: 2,
+        let tenant = TenantSpec {
+            weight: 1,
+            queue_capacity: 64,
             slo_search: real.slo_search,
-            clock: Arc::new(crate::clock::VirtualClock::new()),
-            generation: None,
+        };
+        let mut config = ServeConfig {
+            real: real.clone(),
+            tenants: vec![tenant; n_tenants],
             deadline,
-            trace: Arc::new(crate::trace::TracePlane::new(
-                &crate::config::TraceConfig::default(),
-                7,
-            )),
-        });
-        let mut config = ServeConfig::small().control;
-        config.update = UpdateConfig {
+            ..ServeConfig::small()
+        };
+        config.control.update = UpdateConfig {
             slo_attainment_threshold: 0.9,
             hit_rate_divergence: 0.1,
             window_requests: window,
         };
-        config.cooldown_requests = cooldown;
-        config.profile_window = 512;
-        config.require_slo_breach = true;
-        let input = PartitionInput::new(real.slo_search, real.mu_llm0, real.kv_bytes_full);
+        config.control.cooldown_requests = cooldown;
+        config.control.profile_window = 512;
+        config.control.require_slo_breach = true;
+        let clock = Arc::new(crate::clock::VirtualClock::new());
+        let shared = Arc::new(Shared::new(index, router, store, &config, clock));
         let control = ControlLoop::new(
             shared.clone(),
-            config,
-            // Expectation far above the drifted observations fed by the
-            // tests, so divergence is unambiguous.
-            0.9,
-            input,
+            config.control,
+            real,
             perf,
-            Some(0.3),
-            sizes,
-            bytes,
+            &profile,
+            expected_mean_hit,
         );
-        (shared, control, probe_sets)
+        (shared, control, profile.probe_sets().to_vec())
     }
 
     fn drifted(probe_sets: &[Vec<u32>], i: usize) -> Observation {
@@ -526,9 +502,12 @@ pub(crate) mod tests {
 
         // No thread ran and nothing shut down: the tiers already match.
         let (split, generation) = shared.placement_snapshot();
-        let split_hot: Vec<bool> = (0..nlist).map(|c| split.is_hot(c)).collect();
         let flags = shared.store.hot_flags();
-        assert_eq!(flags, split_hot, "tiers equal the installed hot set");
+        assert_eq!(
+            flags,
+            split.hot_flags(),
+            "tiers equal the installed hot set"
+        );
         assert_ne!(flags, old_flags, "the drifted hot set moved clusters");
         let migrations = shared.migrations.snapshot();
         assert_eq!(migrations.len(), 1);
@@ -538,6 +517,47 @@ pub(crate) mod tests {
         for stage in ["control", "migrate"] {
             let row = profile.iter().find(|r| r.stage == stage).expect("row");
             assert_eq!(row.sections, 1, "{stage} sections");
+        }
+    }
+
+    /// Re-placing on the deployment's own calibration probe sets installs
+    /// the offline build's placement bit for bit — the same hot set, shard
+    /// assignment, coverage and expected hit rate — with the coverage
+    /// pinned or left to Algorithm 1. Unpinned, Algorithm 1 gets a 1 ns SLO
+    /// at 10⁹ req/s, which no host's measured CPU search meets, so its ρ is
+    /// not zero.
+    #[test]
+    fn a_repartition_on_the_calibration_probe_sets_installs_the_offline_placement() {
+        let unpinned = |real: &mut RealConfig| {
+            real.coverage_override = None;
+            real.slo_search = 1e-9;
+            real.mu_llm0 = 1e9;
+        };
+        for deployment in [tiny_deployment(), tiny_deployment_with(unpinned)] {
+            let pinned = deployment.config.coverage_override;
+            let offline = deployment.router.clone();
+            let offline_hit = deployment.expected_mean_hit;
+            let policy = crate::config::DeadlinePolicy::default();
+            let (shared, mut control, probe_sets) = harness_over(deployment, 100, 80, 1, policy);
+            control.ring.extend(probe_sets);
+            control.repartition(TenantId(0));
+
+            let (online, generation) = shared.placement_snapshot();
+            assert_eq!(generation, 1, "pinned at {pinned:?}");
+            assert!(online.hot_count() > 0, "pinned at {pinned:?}");
+            assert_eq!(online.coverage().to_bits(), offline.coverage().to_bits());
+            let nlist = shared.index.nlist() as u32;
+            for c in 0..nlist {
+                assert_eq!(online.placement(c), offline.placement(c), "cluster {c}");
+            }
+            for shard in 0..offline.n_shards() {
+                assert_eq!(online.shard_clusters(shard), offline.shard_clusters(shard));
+            }
+            assert_eq!(shared.store.hot_flags(), offline.hot_flags());
+            // The reset left every window empty, so the observed mean reads
+            // the new expectation.
+            let expected = control.monitors[0].observed_mean_hit();
+            assert_eq!(expected.to_bits(), offline_hit.to_bits());
         }
     }
 

@@ -9,15 +9,15 @@
 //! bucket's upper bound — never below the exact sample at that rank and at
 //! most `StreamingHistogram::relative_error_bound()` (≈ 9.05 %) above it.
 
+use std::sync::atomic::Ordering;
+
 use vlite_metrics::{fmt_seconds, Summary, Table};
 use vlite_store::TieredStore;
 
-use crate::config::TenantSpec;
 use crate::control::{MigrationEvent, RepartitionEvent};
 use crate::http::json::Json;
-use crate::obs::ObsPlane;
-use crate::queue::QueueStats;
 use crate::request::TenantId;
+use crate::server::Shared;
 use crate::trace::StageProfile;
 
 /// One tenant's slice of a serving run.
@@ -232,21 +232,13 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Builds the report from the telemetry plane (every per-request
-    /// aggregate), the admission queue's counters and the event rings.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        obs: &ObsPlane,
-        queue_stats: QueueStats,
-        specs: &[TenantSpec],
-        repartitions: Vec<RepartitionEvent>,
-        store: Option<StoreReport>,
-        slo_target: f64,
-        slo_ttft: Option<f64>,
-        generation: u64,
-        worker_panics: u64,
-        profile: Vec<StageProfile>,
-    ) -> ServeReport {
+    /// Builds the report from the runtime's shared state: the telemetry
+    /// plane (every per-request aggregate), the admission queue's counters,
+    /// the event rings, the store and the stage profile.
+    pub(crate) fn assemble(shared: &Shared) -> ServeReport {
+        let obs = &shared.obs;
+        let queue_stats = shared.queue.stats();
+        let slo_ttft = shared.generation.as_ref().map(|g| g.slo_ttft);
         // Writers bump several independent counters per request, so a live
         // snapshot can catch one mid-update: ratios saturate instead of
         // under/overflowing, and settle once the writer finishes.
@@ -266,8 +258,7 @@ impl ServeReport {
         };
 
         let completed = obs.completed.get();
-        let tenants = specs
-            .iter()
+        let tenants = (shared.tenants.iter())
             .zip(&obs.tenants)
             .zip(&queue_stats.tenants)
             .enumerate()
@@ -303,7 +294,7 @@ impl ServeReport {
             queue: stage("queue"),
             search: stage("search"),
             e2e: stage("e2e"),
-            slo_target,
+            slo_target: shared.slo_search,
             slo_attainment: attainment(completed, obs.search_slo_breaches.get()),
             ttft: stage("ttft"),
             gen_queue: stage("gen_queue"),
@@ -317,10 +308,14 @@ impl ServeReport {
             max_batch: obs.max_batch(),
             mean_hit_rate: mean(obs.hit_sum.get(), completed),
             tenants,
-            repartitions,
-            store,
-            generation,
-            worker_panics,
+            repartitions: shared.repartitions.snapshot(),
+            store: Some(StoreReport::capture(
+                &shared.store,
+                shared.migrations.snapshot(),
+            )),
+            generation: shared.placement_snapshot().1,
+            // relaxed: monotonic stat counter read for reporting only.
+            worker_panics: shared.worker_panics.load(Ordering::Relaxed),
             deadline_sheds: std::array::from_fn(|i| obs.deadline_sheds[i].get()),
             cold_skips: obs.cold_skips.get(),
             deadline_met,
@@ -332,7 +327,11 @@ impl ServeReport {
             burn_queue: burn("queue"),
             burn_search: burn("search"),
             burn_gen: burn("generation"),
-            profile,
+            profile: if shared.trace.enabled() {
+                shared.trace.profile()
+            } else {
+                Vec::new()
+            },
         }
     }
 

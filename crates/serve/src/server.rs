@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{self, Receiver, Sender};
 
 use vlite_ann::{merge_sorted, scan_lists_store_batch, BatchQuery, IvfIndex, Neighbor};
-use vlite_core::{IndexSplit, PartitionInput, RealDeployment, RoutedQuery};
+use vlite_core::{IndexSplit, RealDeployment, RoutedQuery};
 use vlite_sim::{SimDuration, SimTime};
 use vlite_store::{StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
@@ -49,7 +49,7 @@ use crate::obs::{
     prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
 };
 use crate::queue::AdmissionQueue;
-use crate::report::{ServeReport, StoreReport};
+use crate::report::ServeReport;
 use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
 use crate::trace::{
     AlertLevel, BatchCtx, TraceId, TracePlane, SIG_DEADLINE, SIG_SEARCH, SIG_TTFT, STAGE_BATCHER,
@@ -173,7 +173,10 @@ pub(crate) struct PlacementState {
     pub generation: u64,
 }
 
-/// State shared by every runtime thread.
+/// State shared by every runtime thread, built once by [`Shared::new`]
+/// around the offline build's index and split. Every later split comes
+/// from the control loop re-running the build's placement pass
+/// ([`vlite_core::place`]).
 pub(crate) struct Shared {
     pub(crate) index: IvfIndex,
     pub(crate) placement: RwLock<PlacementState>,
@@ -214,6 +217,51 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The runtime state over an offline deployment's `index` and `split`,
+    /// scanning through `store` and timestamping on `clock`; everything
+    /// else comes from `config`, which it validates as
+    /// [`RagServer::from_deployment_with_clock`] documents.
+    pub(crate) fn new(
+        index: IvfIndex,
+        split: IndexSplit,
+        store: Arc<TieredStore>,
+        config: &ServeConfig,
+        clock: Arc<dyn Clock>,
+    ) -> Shared {
+        let n_shards = split.n_shards();
+        let tenants = config.effective_tenants();
+        if let Some(generation) = &config.generation {
+            generation.validate(config.real.top_k);
+        }
+        config.deadline.validate();
+        Shared {
+            index,
+            placement: RwLock::new(PlacementState {
+                split: Arc::new(split),
+                generation: 0,
+            }),
+            queue: AdmissionQueue::new(&tenants),
+            worker_panics: AtomicU64::new(0),
+            obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
+            tenants,
+            repartitions: BoundedRing::new(HISTORY_CAPACITY),
+            migrations: BoundedRing::new(HISTORY_CAPACITY),
+            // Trace-id derivation is seeded by a constant so a given server
+            // replays the same ids for the same request sequence
+            // (deterministic virtual-clock tests); uniqueness only matters
+            // within one server.
+            trace: Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531)),
+            store,
+            nprobe: config.real.nprobe,
+            top_k: config.real.top_k,
+            n_shards,
+            slo_search: config.real.slo_search,
+            clock,
+            generation: config.generation.clone(),
+            deadline: config.deadline.clone(),
+        }
+    }
+
     /// Admission feasibility (rung 1 of the degradation ladder): when the
     /// estimated queue wait alone already exceeds the whole budget,
     /// queueing the request would only burn a batch slot on a guaranteed
@@ -485,14 +533,16 @@ impl RagServer {
     }
 
     /// Starts the runtime over an already-built offline deployment on an
-    /// explicit [`Clock`].
+    /// explicit [`Clock`]. The control loop re-runs the deployment's
+    /// placement pass ([`vlite_core::place`]) with the deployment's own
+    /// config and latency model at every repartition.
     ///
     /// # Panics
     ///
     /// Panics if the tiered store cannot be built or reopened, if the
-    /// deployment has no shards, if the tenant table is invalid (zero weight or
-    /// capacity), or if the generation config has a zero batch cap or
-    /// cannot fit its worst-case request in KV.
+    /// tenant table is invalid (zero weight or capacity), if the generation
+    /// config has a zero batch cap or cannot fit its worst-case request in
+    /// KV, or if the deadline policy is invalid.
     pub fn from_deployment_with_clock(
         mut deployment: RealDeployment,
         config: ServeConfig,
@@ -503,50 +553,12 @@ impl RagServer {
             index,
             profile,
             perf,
-            router: split,
+            router,
+            expected_mean_hit,
+            config: real,
             ..
         } = deployment;
-        let n_shards = split.n_shards();
-        assert!(n_shards > 0, "need at least one shard worker");
-        let tenants = config.effective_tenants();
-        if let Some(generation) = &config.generation {
-            generation.validate(config.real.top_k);
-        }
-        config.deadline.validate();
-        // Expected mean hit rate, measured with the *same statistic* the
-        // batcher will observe (per-query GPU-probe fraction over the
-        // calibration probe sets) — the estimator's modeled mean is
-        // access-weighted and systematically biased against it, which would
-        // make the drift monitor's divergence trigger fire without drift.
-        let expected_mean_hit = empirical_mean_hit(&split, profile.probe_sets());
-
-        // Trace-id derivation is seeded by a constant so a given server
-        // replays the same ids for the same request sequence (deterministic
-        // virtual-clock tests); uniqueness only matters within one server.
-        let trace = Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531));
-
-        let shared = Arc::new(Shared {
-            index,
-            placement: RwLock::new(PlacementState {
-                split: Arc::new(split),
-                generation: 0,
-            }),
-            queue: AdmissionQueue::new(&tenants),
-            worker_panics: AtomicU64::new(0),
-            obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
-            tenants,
-            repartitions: BoundedRing::new(HISTORY_CAPACITY),
-            migrations: BoundedRing::new(HISTORY_CAPACITY),
-            trace,
-            store,
-            nprobe: config.real.nprobe,
-            top_k: config.real.top_k,
-            n_shards,
-            slo_search: config.real.slo_search,
-            clock,
-            generation: config.generation.clone(),
-            deadline: config.deadline.clone(),
-        });
+        let shared = Arc::new(Shared::new(index, router, store, &config, clock));
 
         // vlite-allow(bounded-queues): one observation per completed
         // request; bounded by the admission queue upstream.
@@ -574,32 +586,17 @@ impl RagServer {
             batcher(&shared_, max_batch, &pool, &control_tx, gen_tx.as_ref());
         }));
 
-        {
-            let input = PartitionInput::new(
-                config.real.slo_search,
-                config.real.mu_llm0,
-                config.real.kv_bytes_full,
-            );
-            let sizes: Vec<u64> = (0..profile.nlist() as u32)
-                .map(|c| profile.size(c))
-                .collect();
-            let bytes: Vec<u64> = (0..profile.nlist() as u32)
-                .map(|c| profile.bytes_of(c))
-                .collect();
-            let control = ControlLoop::new(
-                shared.clone(),
-                config.control.clone(),
-                expected_mean_hit,
-                input,
-                perf,
-                config.real.coverage_override,
-                sizes,
-                bytes,
-            );
-            threads.push(spawn_named("vlite-control", move || {
-                control.run(control_rx)
-            }));
-        }
+        let control = ControlLoop::new(
+            shared.clone(),
+            config.control,
+            real,
+            perf,
+            &profile,
+            expected_mean_hit,
+        );
+        threads.push(spawn_named("vlite-control", move || {
+            control.run(control_rx)
+        }));
 
         RagServer {
             shared,
@@ -1036,26 +1033,7 @@ impl RagServer {
     /// Snapshot of the runtime's measurements so far, assembled from the
     /// telemetry plane in O(buckets) without blocking any serving thread.
     pub fn report(&self) -> ServeReport {
-        let shared = &self.shared;
-        ServeReport::assemble(
-            &shared.obs,
-            shared.queue.stats(),
-            &shared.tenants,
-            shared.repartitions.snapshot(),
-            Some(StoreReport::capture(
-                &shared.store,
-                shared.migrations.snapshot(),
-            )),
-            shared.slo_search,
-            shared.generation.as_ref().map(|g| g.slo_ttft),
-            shared.placement_snapshot().1,
-            self.worker_panics(),
-            if shared.trace.enabled() {
-                shared.trace.profile()
-            } else {
-                Vec::new()
-            },
-        )
+        ServeReport::assemble(&self.shared)
     }
 
     /// Graceful shutdown: stops admitting, serves the backlog, joins every
@@ -1085,24 +1063,6 @@ impl Drop for RagServer {
 fn deadline_after(now: SimTime, budget: f64) -> SimTime {
     let budget = SimDuration::from_secs_f64(budget.max(0.0));
     SimTime::from_nanos(now.as_nanos().saturating_add(budget.as_nanos()))
-}
-
-/// Mean per-query hit rate of `probe_sets` under `split` — the runtime's
-/// observable statistic, used as the drift monitor's expectation.
-pub(crate) fn empirical_mean_hit<'a>(
-    split: &IndexSplit,
-    probe_sets: impl IntoIterator<Item = &'a Vec<u32>>,
-) -> f64 {
-    let (mut sum, mut n) = (0.0f64, 0usize);
-    for probes in probe_sets {
-        sum += split.route(probes).hit_rate();
-        n += 1;
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
 }
 
 /// Physical tiering: detaches the deployment index's flat lists into a
@@ -1798,7 +1758,12 @@ mod tests {
         let split = shared.placement_snapshot().0;
         let centroids = shared.index.centroids();
         let (mut queries, mut full, mut routed) = (Vec::new(), Vec::new(), Vec::new());
-        for c in (0..centroids.len()).filter(|&c| !split.is_hot(c as u32)) {
+        let cold = split
+            .hot_flags()
+            .iter()
+            .map(|&hot| !hot)
+            .collect::<Vec<_>>();
+        for c in (0..centroids.len()).filter(|&c| cold[c]) {
             let query = centroids.get(c).to_vec();
             let probes = shared.index.probe(&query, shared.nprobe);
             let probes: Vec<u32> = probes.iter().map(|p| p.list).collect();

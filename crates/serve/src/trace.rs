@@ -51,9 +51,10 @@ use crate::sync::lock_recover;
 /// before evicting the oldest whole one. Froze `TraceConfig::trace_capacity`
 /// at its default.
 pub const TRACE_CAPACITY: usize = 512;
-/// Kept traces — shed, slow or target-missing requests and the batch
-/// traces they link — the store holds in their own eviction queue. Froze
-/// `ObsConfig::slow_traces` at its default.
+/// Kept request trees — shed, slow or target-missing requests — the store
+/// holds in their own eviction queue; the batch trace each links rides
+/// along without a slot of its own. Froze `ObsConfig::slow_traces` at its
+/// default.
 pub const KEPT_CAPACITY: usize = 64;
 /// End-to-end seconds at or above which a request's trace is kept, whatever
 /// made it slow. Froze `ObsConfig`'s slow threshold at its default.

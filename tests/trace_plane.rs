@@ -680,10 +680,10 @@ fn a_reader_never_sees_a_half_recorded_request_tree() {
     let mut config = config();
     config.generation = Some(GenerationConfig::tiny());
     let server = RagServer::start(&corpus, config).expect("starts");
-    // Kept (slow, or past its TTFT SLO) or not, each request holds its tree
-    // and at most one batch trace, so this many fit the kept queue and
-    // the reader's last pass must find every one of them.
-    let n = (KEPT_CAPACITY / 2) as u128;
+    // Kept (slow, or past its TTFT SLO) or not, each request's tree takes
+    // one slot and its batch trace rides along, so this many fit the kept
+    // queue and the reader's last pass must find every one of them.
+    let n = KEPT_CAPACITY as u128;
     let ids: Vec<TraceId> = (1..=n).map(|n| TraceId((0xD00D << 64) | n)).collect();
 
     let done = Arc::new(AtomicBool::new(false));
