@@ -91,31 +91,6 @@ impl GenerationConfig {
     pub fn prompt_tokens(&self, n_docs: usize) -> u64 {
         self.prompt_tokens_base + self.tokens_per_doc * n_docs as u64
     }
-
-    /// Panics unless the config is servable: positive token counts, a
-    /// finite positive TTFT SLO, a positive running-batch cap, and a KV
-    /// pool that fits the worst-case request (`top_k` retrieved docs plus
-    /// the full output).
-    pub(crate) fn validate(&self, top_k: usize) {
-        assert!(self.output_tokens > 0, "output_tokens must be positive");
-        assert!(
-            self.slo_ttft.is_finite() && self.slo_ttft > 0.0,
-            "slo_ttft must be positive and finite"
-        );
-        assert!(self.max_batch > 0, "max_batch must be positive");
-        let worst = self.prompt_tokens(top_k).max(1) + self.output_tokens;
-        // Size the check with the engine's own allocator so this start-time
-        // assert can never drift from the submit-time one inside the worker.
-        let capacity = vlite_llm::PagedKvCache::with_bytes(
-            self.kv_bytes,
-            self.cost.model().kv_bytes_per_token(),
-        )
-        .capacity_tokens();
-        assert!(
-            worst <= capacity,
-            "a worst-case request needs {worst} KV tokens but the pool holds only {capacity}"
-        );
-    }
 }
 
 /// Deadline-budget (latency-enforcement) knobs.
@@ -175,19 +150,6 @@ pub struct DeadlinePolicy {
     /// burn and deadline attainment are reported but nothing is shed or
     /// degraded.
     pub enforce: bool,
-}
-
-impl DeadlinePolicy {
-    /// Panics unless the policy is servable: a positive default deadline
-    /// when set.
-    pub(crate) fn validate(&self) {
-        if let Some(d) = self.default_deadline {
-            assert!(
-                d.is_finite() && d > 0.0,
-                "default_deadline must be positive and finite"
-            );
-        }
-    }
 }
 
 /// Tiered-storage (vlite-store) knobs.
@@ -315,13 +277,11 @@ pub struct ServeConfig {
     pub generation: Option<GenerationConfig>,
     /// Tiered-storage configuration: where the segment file lives.
     pub store: StoreConfig,
-    /// Deadline-budget policy: default per-request budget, whether stages
-    /// enforce it (shed/degrade) or only measure burn, and the cost
-    /// estimates the degradation ladder scales against.
+    /// Deadline-budget policy: the default per-request budget, and whether
+    /// stages enforce it (shed/degrade) or only measure burn.
     pub deadline: DeadlinePolicy,
     /// Telemetry-plane configuration: the switch (on by default) for the
-    /// event journal behind `/v1/events`, and the latency at which a
-    /// request's trace is kept as slow. The lock-free aggregates behind
+    /// event journal behind `/v1/events`. The lock-free aggregates behind
     /// `/v1/report` and `/v1/metrics` always record.
     pub obs: crate::obs::ObsConfig,
     /// Causal-tracing configuration (on by default): the per-request span
@@ -351,12 +311,6 @@ impl ServeConfig {
 
     /// The tenant table actually served: the configured tenants, or the
     /// implicit single tenant when none are configured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any configured tenant has a zero weight or capacity —
-    /// a zero-weight tenant would starve by construction and a zero-capacity
-    /// queue rejects everything, both always config bugs.
     pub fn effective_tenants(&self) -> Vec<TenantSpec> {
         if self.tenants.is_empty() {
             return vec![TenantSpec {
@@ -365,7 +319,23 @@ impl ServeConfig {
                 slo_search: self.real.slo_search,
             }];
         }
-        for (i, spec) in self.tenants.iter().enumerate() {
+        self.tenants.clone()
+    }
+
+    /// Panics unless the runtime can serve this config: the one place a
+    /// serving config is checked, run once at start, before the offline
+    /// build (which checks its own half, [`RealConfig::validate`]). Every
+    /// served tenant, the implicit one included, needs a positive weight
+    /// and queue capacity and a positive, finite search SLO;
+    /// [`max_batch`](Self::max_batch), [`ControlConfig::profile_window`]
+    /// and a generation stage's batch cap and output tokens must be
+    /// positive, the default deadline (when set) and the TTFT SLO positive
+    /// and finite, and the KV pool large enough for the worst-case request
+    /// (`top_k` retrieved documents plus the full output).
+    pub fn validate(&self) {
+        // A zero-weight tenant would starve by construction, and a
+        // zero-capacity queue rejects everything.
+        for (i, spec) in self.effective_tenants().iter().enumerate() {
             assert!(spec.weight > 0, "tenant {i} has zero weight");
             assert!(
                 spec.queue_capacity > 0,
@@ -376,6 +346,37 @@ impl ServeConfig {
                 "tenant {i} SLO must be positive and finite"
             );
         }
-        self.tenants.clone()
+        assert!(self.max_batch > 0, "max_batch must be positive");
+        assert!(
+            self.control.profile_window > 0,
+            "profile_window must be positive"
+        );
+        if let Some(d) = self.deadline.default_deadline {
+            assert!(
+                d.is_finite() && d > 0.0,
+                "default_deadline must be positive and finite"
+            );
+        }
+        if let Some(g) = &self.generation {
+            assert!(g.output_tokens > 0, "output_tokens must be positive");
+            assert!(
+                g.slo_ttft.is_finite() && g.slo_ttft > 0.0,
+                "slo_ttft must be positive and finite"
+            );
+            assert!(g.max_batch > 0, "generation max_batch must be positive");
+            let worst = g.prompt_tokens(self.real.top_k).max(1) + g.output_tokens;
+            // Size the check with the engine's own allocator so this
+            // start-time assert can never drift from the submit-time one
+            // inside the worker.
+            let capacity = vlite_llm::PagedKvCache::with_bytes(
+                g.kv_bytes,
+                g.cost.model().kv_bytes_per_token(),
+            )
+            .capacity_tokens();
+            assert!(
+                worst <= capacity,
+                "a worst-case request needs {worst} KV tokens but the pool holds only {capacity}"
+            );
+        }
     }
 }

@@ -41,9 +41,8 @@ use std::time::Duration;
 
 use crossbeam::channel::Receiver;
 
-use vlite_core::{place, AccessProfile, DriftMonitor, PerfModel, PlacementPass, RealConfig};
+use vlite_core::{place, AccessProfile, DriftMonitor, PerfModel, PlacementPass};
 
-use crate::config::ControlConfig;
 use crate::request::TenantId;
 use crate::server::Shared;
 use crate::trace::{STAGE_CONTROL, STAGE_MIGRATE};
@@ -121,15 +120,14 @@ pub struct MigrationEvent {
 
 /// State owned by the control thread: the drift monitors, the probe ring,
 /// and the fixed inputs of the placement pass ([`place`]) the offline build
-/// ran, which each repartition re-runs on the ring.
+/// ran, which each repartition re-runs on the ring. Its knobs and the
+/// offline-stage config (SLO, KV budget, shard count, pinned coverage) are
+/// the server's own, read through [`Shared::config`].
 pub(crate) struct ControlLoop {
     shared: Arc<Shared>,
-    config: ControlConfig,
     /// One drift monitor per tenant, indexed by [`TenantId`].
     monitors: Vec<DriftMonitor>,
-    /// The deployment's offline-stage config (SLO, KV budget, shard count,
-    /// pinned coverage) and fitted latency model.
-    real: RealConfig,
+    /// The offline build's fitted latency model.
     perf: PerfModel,
     /// Per-cluster vector counts/bytes (static geometry of the index).
     sizes: Vec<u64>,
@@ -143,25 +141,23 @@ pub(crate) struct ControlLoop {
 }
 
 impl ControlLoop {
-    /// A loop placing with the deployment's `real` config and `perf` model
-    /// over `profile`'s cluster geometry, expecting `expected_mean_hit`.
+    /// A loop placing with the server's offline-stage config and the
+    /// build's `perf` model over `profile`'s cluster geometry, expecting
+    /// `expected_mean_hit`.
     pub fn new(
         shared: Arc<Shared>,
-        config: ControlConfig,
-        real: RealConfig,
         perf: PerfModel,
         profile: &AccessProfile,
         expected_mean_hit: f64,
     ) -> Self {
-        let n_tenants = shared.tenants.len();
+        let n_tenants = shared.config.tenants.len();
+        let update = shared.config.control.update;
         let monitors = (0..n_tenants)
-            .map(|_| DriftMonitor::new(config.update, expected_mean_hit))
+            .map(|_| DriftMonitor::new(update, expected_mean_hit))
             .collect();
         Self {
             shared,
-            config,
             monitors,
-            real,
             perf,
             sizes: profile.sizes().to_vec(),
             bytes: profile.cluster_bytes().to_vec(),
@@ -184,7 +180,7 @@ impl ControlLoop {
         let tenant = obs.tenant.index();
         self.observed_by_tenant[tenant] += 1;
         self.monitors[tenant].observe(obs.hit_rate, obs.met_slo);
-        if self.ring.len() == self.config.profile_window.max(1) {
+        if self.ring.len() == self.shared.config.control.profile_window {
             self.ring.pop_front();
         }
         self.ring.push_back(obs.probes);
@@ -210,19 +206,20 @@ impl ControlLoop {
     /// covers start-up: the initial profile deserves the same settling
     /// period as a fresh swap).
     fn in_cooldown(&self) -> bool {
-        self.observed - self.last_repartition < self.config.cooldown_requests as u64
+        self.observed - self.last_repartition < self.shared.config.control.cooldown_requests as u64
     }
 
     /// The paper's dual trigger, evaluated per tenant — returns the first
     /// tenant whose monitor trips — with an optional relaxation to
     /// hit-rate-divergence-only for hardware where the latency side is
-    /// noise (see [`ControlConfig::require_slo_breach`]).
+    /// noise (see
+    /// [`ControlConfig::require_slo_breach`](crate::ControlConfig::require_slo_breach)).
     fn should_repartition(&self) -> Option<TenantId> {
         if self.in_cooldown() {
             return None;
         }
         for (t, monitor) in self.monitors.iter().enumerate() {
-            let tripped = if self.config.require_slo_breach {
+            let tripped = if self.shared.config.control.require_slo_breach {
                 monitor.should_update()
             } else {
                 monitor.hit_rate_diverged()
@@ -250,7 +247,13 @@ impl ControlLoop {
             hot,
             mean_hit: expected_mean_hit,
             ..
-        } = place(&self.real, &self.perf, &self.sizes, &self.bytes, probe_sets);
+        } = place(
+            &self.shared.config.real,
+            &self.perf,
+            &self.sizes,
+            &self.bytes,
+            probe_sets,
+        );
 
         // How far the hot set moved.
         let (old_split, _) = self.shared.placement_snapshot();
@@ -283,7 +286,7 @@ impl ControlLoop {
             triggered_by,
             observed_by_tenant: std::mem::replace(
                 &mut self.observed_by_tenant,
-                vec![0; self.shared.tenants.len()],
+                vec![0; self.shared.config.tenants.len()],
             ),
             old_coverage,
             new_coverage,
@@ -336,9 +339,9 @@ impl ControlLoop {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::{ServeConfig, StoreConfig, TenantSpec};
+    use crate::config::{ServeConfig, TenantSpec};
     use crate::request::Job;
-    use vlite_core::{RealDeployment, UpdateConfig};
+    use vlite_core::{RealConfig, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
     /// Builds a minimal `Shared` (with a real ephemeral tiered store) +
@@ -349,48 +352,43 @@ pub(crate) mod tests {
         window: usize,
         n_tenants: usize,
     ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
-        harness_with_deadline(
-            cooldown,
-            window,
-            n_tenants,
-            crate::config::DeadlinePolicy::default(),
-        )
+        harness_with(cooldown, window, n_tenants, |_| {})
     }
 
-    /// A tiny two-shard deployment at 30 % coverage (32 lists over 2 000
-    /// eight-dimensional vectors).
-    pub(crate) fn tiny_deployment() -> RealDeployment {
-        tiny_deployment_with(|_| {})
-    }
-
-    /// [`tiny_deployment`] with `edit` applied to its config.
-    fn tiny_deployment_with(edit: impl FnOnce(&mut RealConfig)) -> RealDeployment {
-        let corpus = SyntheticCorpus::generate(&CorpusConfig {
+    /// 2 000 eight-dimensional vectors around 16 centres.
+    pub(crate) fn tiny_corpus() -> SyntheticCorpus {
+        SyntheticCorpus::generate(&CorpusConfig {
             n_vectors: 2_000,
             dim: 8,
             n_centers: 16,
             zipf_exponent: 1.1,
             noise: 0.25,
             seed: 21,
-        });
-        let mut real = RealConfig::small();
-        real.ivf = vlite_ann::IvfConfig::new(32);
-        real.n_shards = 2;
-        real.coverage_override = Some(0.3);
-        edit(&mut real);
-        RealDeployment::build(&corpus, real).expect("builds")
+        })
     }
 
-    /// [`harness`] with an explicit deadline policy — the admission-shed
-    /// tests need `enforce` on, which the default policy keeps off.
-    pub(crate) fn harness_with_deadline(
+    /// A serving config for [`tiny_corpus`]: 32 lists over two shards at
+    /// 30 % coverage.
+    pub(crate) fn tiny_config() -> ServeConfig {
+        let mut config = ServeConfig::small();
+        config.real.ivf = vlite_ann::IvfConfig::new(32);
+        config.real.n_shards = 2;
+        config.real.coverage_override = Some(0.3);
+        config
+    }
+
+    /// [`harness`] with `edit` applied to its serving config (the
+    /// admission-shed tests need the deadline policy's `enforce` on, which
+    /// the default keeps off).
+    pub(crate) fn harness_with(
         cooldown: usize,
         window: usize,
         n_tenants: usize,
-        deadline: crate::config::DeadlinePolicy,
+        edit: impl FnOnce(&mut ServeConfig),
     ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
-        let (shared, mut control, probe_sets) =
-            harness_over(tiny_deployment(), cooldown, window, n_tenants, deadline);
+        let mut config = tiny_config();
+        edit(&mut config);
+        let (shared, mut control, probe_sets) = harness_over(config, cooldown, window, n_tenants);
         // Expectation far above the drifted observations fed by the tests,
         // so divergence is unambiguous.
         for monitor in &mut control.monitors {
@@ -399,38 +397,21 @@ pub(crate) mod tests {
         (shared, control, probe_sets)
     }
 
-    /// The runtime state and control loop over `deployment`, as
-    /// `RagServer::from_deployment_with_clock` wires them (on a
-    /// `VirtualClock`, with `n_tenants` equal tenants), plus the
-    /// deployment's calibration probe sets.
+    /// The runtime state and control loop the server wires from `config`
+    /// over [`tiny_corpus`] (on a `VirtualClock`, with `n_tenants` equal
+    /// tenants), plus the offline build's calibration probe sets.
     fn harness_over(
-        mut deployment: RealDeployment,
+        mut config: ServeConfig,
         cooldown: usize,
         window: usize,
         n_tenants: usize,
-        deadline: crate::config::DeadlinePolicy,
     ) -> (Arc<Shared>, ControlLoop, Vec<Vec<u32>>) {
-        let store = crate::server::open_store(&mut deployment, &StoreConfig::default());
-        let RealDeployment {
-            index,
-            profile,
-            perf,
-            router,
-            expected_mean_hit,
-            config: real,
-            ..
-        } = deployment;
         let tenant = TenantSpec {
             weight: 1,
             queue_capacity: 64,
-            slo_search: real.slo_search,
+            slo_search: config.real.slo_search,
         };
-        let mut config = ServeConfig {
-            real: real.clone(),
-            tenants: vec![tenant; n_tenants],
-            deadline,
-            ..ServeConfig::small()
-        };
+        config.tenants = vec![tenant; n_tenants];
         config.control.update = UpdateConfig {
             slo_attainment_threshold: 0.9,
             hit_rate_divergence: 0.1,
@@ -439,17 +420,20 @@ pub(crate) mod tests {
         config.control.cooldown_requests = cooldown;
         config.control.profile_window = 512;
         config.control.require_slo_breach = true;
+        let corpus = tiny_corpus();
         let clock = Arc::new(crate::clock::VirtualClock::new());
-        let shared = Arc::new(Shared::new(index, router, store, &config, clock));
-        let control = ControlLoop::new(
-            shared.clone(),
-            config.control,
-            real,
-            perf,
-            &profile,
-            expected_mean_hit,
-        );
-        (shared, control, profile.probe_sets().to_vec())
+        let (shared, control) = crate::server::wire(&corpus, config, clock).expect("builds");
+        // The build's calibration sample: its queries, coarse-quantized.
+        let real = &shared.config.real;
+        let calibration = corpus.queries(real.n_profile_queries, real.seed);
+        let probe_sets = (calibration.iter())
+            .map(|q| {
+                (shared.index.probe(q, real.nprobe).iter())
+                    .map(|p| p.list)
+                    .collect()
+            })
+            .collect();
+        (shared, control, probe_sets)
     }
 
     fn drifted(probe_sets: &[Vec<u32>], i: usize) -> Observation {
@@ -533,12 +517,16 @@ pub(crate) mod tests {
             real.slo_search = 1e-9;
             real.mu_llm0 = 1e9;
         };
-        for deployment in [tiny_deployment(), tiny_deployment_with(unpinned)] {
-            let pinned = deployment.config.coverage_override;
-            let offline = deployment.router.clone();
-            let offline_hit = deployment.expected_mean_hit;
-            let policy = crate::config::DeadlinePolicy::default();
-            let (shared, mut control, probe_sets) = harness_over(deployment, 100, 80, 1, policy);
+        let edits: [&dyn Fn(&mut RealConfig); 2] = [&|_| {}, &unpinned];
+        for edit in edits {
+            let mut config = tiny_config();
+            edit(&mut config.real);
+            let pinned = config.real.coverage_override;
+            let (shared, mut control, probe_sets) = harness_over(config, 100, 80, 1);
+            let (offline, _) = shared.placement_snapshot();
+            // Every window is empty, so the observed mean reads the
+            // expectation: the offline build's mean hit rate.
+            let offline_hit = control.monitors[0].observed_mean_hit();
             control.ring.extend(probe_sets);
             control.repartition(TenantId(0));
 
@@ -677,14 +665,21 @@ pub(crate) mod tests {
         }
     }
 
+    /// Runs rung 1 for a tenant-0 submission at time zero with `budget`
+    /// seconds, stamping the deadline the budget sets.
+    fn shed_at_zero(
+        shared: &Shared,
+        budget: Option<f64>,
+    ) -> Result<(), crate::request::AdmissionError> {
+        let t0 = vlite_sim::SimTime::ZERO;
+        let deadline = budget.map(|b| t0 + vlite_sim::SimDuration::from_secs_f64(b));
+        shared.shed_if_unmeetable(0, TenantId(0), None, budget, deadline, t0)
+    }
+
     #[test]
     fn admission_shed_fires_only_when_the_queue_wait_exceeds_the_budget() {
-        let policy = crate::config::DeadlinePolicy {
-            enforce: true,
-            ..crate::config::DeadlinePolicy::default()
-        };
-        let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
-        let t0 = vlite_sim::SimTime::ZERO;
+        let enforce = |config: &mut ServeConfig| config.deadline.enforce = true;
+        let (shared, _control, _probe_sets) = harness_with(100, 80, 1, enforce);
         // Seed the drain-rate EWMA: a batch of 4 jobs served in 10 ms of
         // engine time reads 400 jobs/s, then backlog the lane so the wait
         // estimate is real.
@@ -699,8 +694,7 @@ pub(crate) mod tests {
         assert!(wait > 0.0);
 
         // A budget below the estimated wait sheds, with full accounting.
-        let err = shared
-            .shed_if_unmeetable(0, TenantId(0), None, Some(wait / 2.0), t0)
+        let err = shed_at_zero(&shared, Some(wait / 2.0))
             .expect_err("unmeetable budget must shed at admission");
         match err {
             crate::request::AdmissionError::DeadlineUnmeetable {
@@ -728,13 +722,9 @@ pub(crate) mod tests {
         );
 
         // A budget above the estimated wait is feasible and admits.
-        shared
-            .shed_if_unmeetable(0, TenantId(0), None, Some(wait * 2.0), t0)
-            .expect("feasible budget must admit");
+        shed_at_zero(&shared, Some(wait * 2.0)).expect("feasible budget must admit");
         // Unbudgeted submissions never shed at admission.
-        shared
-            .shed_if_unmeetable(0, TenantId(0), None, None, t0)
-            .expect("unbudgeted submissions always admit");
+        shed_at_zero(&shared, None).expect("unbudgeted submissions always admit");
         assert_eq!(
             shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1,
@@ -745,7 +735,6 @@ pub(crate) mod tests {
     #[test]
     fn measure_only_policy_never_sheds_at_admission() {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
-        let t0 = vlite_sim::SimTime::ZERO;
         shared
             .queue
             .record_drain(4, vlite_sim::SimDuration::from_millis(10.0), false);
@@ -755,9 +744,7 @@ pub(crate) mod tests {
             .estimated_wait(TenantId(0))
             .expect("rate and depth both measured");
         // Even a budget far below the wait admits when `enforce` is off.
-        shared
-            .shed_if_unmeetable(0, TenantId(0), None, Some(wait / 100.0), t0)
-            .expect("measure-only policies never shed");
+        shed_at_zero(&shared, Some(wait / 100.0)).expect("measure-only policies never shed");
         assert_eq!(
             shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             0

@@ -24,7 +24,8 @@ pub struct DispatchOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `queries` is empty, and as [`run_dispatcher`].
+/// Panics if `queries` is empty, and re-raises the panic of a scan worker
+/// whose scan panicked, once every worker has finished.
 pub fn hybrid_search_batch(deployment: &RealDeployment, queries: &VecSet) -> DispatchOutcome {
     assert!(!queries.is_empty(), "batch must be non-empty");
     let routed: Vec<RoutedQuery> = queries
@@ -45,7 +46,7 @@ pub fn hybrid_search_batch(deployment: &RealDeployment, queries: &VecSet) -> Dis
 ///
 /// Re-raises the panic of a worker whose scan panicked, once every worker
 /// has finished.
-pub fn run_dispatcher(
+fn run_dispatcher(
     index: &vlite_ann::IvfIndex,
     queries: &VecSet,
     routed: &[RoutedQuery],

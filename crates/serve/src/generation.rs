@@ -149,7 +149,8 @@ impl GenerationStage {
     ///
     /// Panics if `id` is already in the stage, or the request could never
     /// fit in the KV pool (prevented upfront by
-    /// [`GenerationConfig`] validation at server start).
+    /// [`ServeConfig::validate`](crate::ServeConfig::validate) at server
+    /// start).
     pub fn submit(&mut self, req: GenRequest, now: SimTime) {
         let tokens = self.prompt_tokens(req.n_docs);
         let prev = self.tracked.insert(
@@ -318,9 +319,10 @@ impl GenerationStage {
     }
 }
 
-/// One merged retrieval travelling from the batcher to the generation
-/// worker.
-pub(crate) struct GenWork {
+/// One merged retrieval: what its request's outcome and reply are built
+/// from, wherever its lifecycle ends — on the batcher for a retrieval-only
+/// server, on the generation worker for a co-scheduled one.
+pub(crate) struct Merged {
     pub id: u64,
     pub tenant: crate::request::TenantId,
     pub neighbors: Vec<vlite_ann::Neighbor>,
@@ -339,16 +341,21 @@ pub(crate) struct GenWork {
     pub search: f64,
     /// Merge instant (generation-stage arrival).
     pub merged_at: SimTime,
-    pub reply: Sender<SearchResponse>,
 }
 
-impl GenWork {
+/// A merged retrieval travelling from the batcher to the generation
+/// worker, with the request's reply channel.
+pub(crate) type GenWork = (Merged, Sender<SearchResponse>);
+
+impl Merged {
     /// Records the request's outcome — `timings` and the instant `end` it
-    /// left the runtime — then sends the reply (the ticket may have been
-    /// dropped: fire-and-forget submission).
-    fn conclude(
+    /// left the runtime — then sends the reply on `reply` (the ticket may
+    /// have been dropped: fire-and-forget submission). Every request that
+    /// gets a reply concludes here.
+    pub(crate) fn conclude(
         self,
         shared: &Shared,
+        reply: &Sender<SearchResponse>,
         timings: RequestTimings,
         end: SimTime,
         shed: Option<ShedCause>,
@@ -368,7 +375,7 @@ impl GenWork {
                 .map(|_| (end - self.merged_at).as_secs_f64()),
             shed,
         });
-        let _ = self.reply.send(SearchResponse {
+        let _ = reply.send(SearchResponse {
             id: self.id,
             tenant: self.tenant,
             neighbors: self.neighbors,
@@ -382,7 +389,8 @@ impl GenWork {
 
 /// In-flight per-request state the worker joins engine events against.
 struct PendingGen {
-    work: GenWork,
+    work: Merged,
+    reply: Sender<SearchResponse>,
     first_token: Option<(SimTime, GenPhases)>,
 }
 
@@ -452,7 +460,7 @@ fn admit(
     shared: &Shared,
     stage: &mut GenerationStage,
     pending: &mut HashMap<u64, PendingGen>,
-    work: GenWork,
+    (work, reply): GenWork,
 ) {
     // The merge instant is the request's true arrival into this stage —
     // time spent in the channel while the worker slept out an iteration
@@ -472,7 +480,7 @@ fn admit(
     // The shed instant is the merge instant the batcher stamped, so the
     // timings are deterministic under a virtual clock regardless of when
     // this worker got scheduled.
-    let deadline = work.deadline.filter(|_| shared.deadline.enforce);
+    let deadline = work.deadline.filter(|_| shared.config.deadline.enforce);
     if stage.submit_within(req, work.merged_at, deadline).is_err() {
         let timings = RequestTimings {
             queue: work.queue,
@@ -481,13 +489,14 @@ fn admit(
             generation: None,
         };
         let end = work.merged_at;
-        work.conclude(shared, timings, end, Some(ShedCause::GenDeadline));
+        work.conclude(shared, &reply, timings, end, Some(ShedCause::GenDeadline));
         return;
     }
     pending.insert(
         work.id,
         PendingGen {
             work,
+            reply,
             first_token: None,
         },
     );
@@ -496,7 +505,11 @@ fn admit(
 /// Deliver one finished request: record its outcome and send the final
 /// response.
 fn finish(shared: &Shared, entry: PendingGen, at: SimTime) {
-    let PendingGen { work, first_token } = entry;
+    let PendingGen {
+        work,
+        reply,
+        first_token,
+    } = entry;
     let (first_at, phases) = first_token.expect("completed without first token");
     let timings = RequestTimings {
         queue: work.queue,
@@ -509,5 +522,5 @@ fn finish(shared: &Shared, entry: PendingGen, at: SimTime) {
             ttft: (first_at - work.enqueued).as_secs_f64(),
         }),
     };
-    work.conclude(shared, timings, at, None);
+    work.conclude(shared, &reply, timings, at, None);
 }

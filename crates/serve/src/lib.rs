@@ -52,20 +52,25 @@
 //!   holds every list payload (flat L2 / inner-product indexes only; the
 //!   server has no other scan path), and all runtime threads. A batch of
 //!   one query never reaches a shard worker: the batcher scans its every
-//!   share itself, sparing two thread hand-offs per request.
+//!   share itself, sparing two thread hand-offs per request. Its one
+//!   constructor, [`RagServer::start`] (or
+//!   [`start_with_clock`](RagServer::start_with_clock)), runs the offline
+//!   stage from [`ServeConfig::real`], so the runtime serves, places and
+//!   re-places from the one config it was started with.
 //! - [`ServeConfig`] / [`ControlConfig`] / [`TenantSpec`] — queueing,
 //!   batching, online repartitioning, and per-tenant (weight, quota, SLO)
-//!   knobs; [`TenantId`] names a tenant throughout the pipeline.
+//!   knobs, checked once at start by [`ServeConfig::validate`];
+//!   [`TenantId`] names a tenant throughout the pipeline.
 //! - [`GenerationConfig`] / [`generation`] — the retrieval → LLM bridge:
 //!   retrieved-document token costs, the engine's KV/batch budgets, the
 //!   TTFT SLO, and the [`GenerationStage`](generation::GenerationStage)
 //!   state machine the worker thread drives.
-//! - [`run_dispatcher`] / [`hybrid_search_batch`] — the one-shot batch
-//!   dispatcher (moved here from `vlite-core`'s prototype in `real.rs`):
-//!   one scoped thread per shard plus one for the cold probes, merged by
-//!   the caller. The runtime splits a batch into the same shares, but its
-//!   batcher scans the cold share on its own thread beside persistent
-//!   shard workers.
+//! - [`hybrid_search_batch`] — the one-shot batch dispatcher (moved here
+//!   from `vlite-core`'s prototype in `real.rs`) over a built
+//!   [`RealDeployment`](vlite_core::RealDeployment): one scoped thread per
+//!   shard plus one for the cold probes, then one merge per query. The
+//!   runtime splits a batch into the same shares, but its batcher scans
+//!   the cold share on its own thread beside persistent shard workers.
 //! - [`http`] — the hand-rolled HTTP/1.1 network frontend
 //!   ([`HttpFrontend`]): `POST /v1/search` (with an `X-Tenant` header),
 //!   `GET /v1/report`, `GET /v1/metrics` (Prometheus text exposition),
@@ -136,7 +141,7 @@ pub use config::{
     TenantSpec, TraceConfig,
 };
 pub use control::{MigrationEvent, RepartitionEvent};
-pub use dispatch::{hybrid_search_batch, run_dispatcher, DispatchOutcome};
+pub use dispatch::{hybrid_search_batch, DispatchOutcome};
 pub use http::HttpFrontend;
 pub use obs::{BoundedRing, ObsConfig, ObsEvent, ObsPlane, Severity};
 pub use report::{ServeReport, StoreReport, TenantReport};

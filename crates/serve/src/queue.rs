@@ -105,22 +105,19 @@ pub(crate) struct AdmissionQueue {
 }
 
 impl AdmissionQueue {
+    /// One lane per tenant of a table
+    /// [`ServeConfig::validate`](crate::ServeConfig::validate) accepted.
     pub fn new(tenants: &[TenantSpec]) -> Self {
-        assert!(!tenants.is_empty(), "need at least one tenant");
         let lanes = tenants
             .iter()
-            .map(|spec| {
-                assert!(spec.queue_capacity > 0, "queue capacity must be positive");
-                assert!(spec.weight > 0, "tenant weight must be positive");
-                Lane {
-                    jobs: VecDeque::new(),
-                    capacity: spec.queue_capacity,
-                    weight: i64::from(spec.weight),
-                    credit: 0,
-                    admitted: 0,
-                    rejected: 0,
-                    peak_depth: 0,
-                }
+            .map(|spec| Lane {
+                jobs: VecDeque::new(),
+                capacity: spec.queue_capacity,
+                weight: i64::from(spec.weight),
+                credit: 0,
+                admitted: 0,
+                rejected: 0,
+                peak_depth: 0,
             })
             .collect();
         Self {
@@ -170,7 +167,7 @@ impl AdmissionQueue {
         let mut inner = lock_recover(&self.inner);
         loop {
             if inner.total_depth > 0 {
-                return Some(inner.drain(max.max(1)));
+                return Some(inner.drain(max));
             }
             if inner.closed {
                 return None;

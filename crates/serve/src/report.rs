@@ -238,7 +238,7 @@ impl ServeReport {
     pub(crate) fn assemble(shared: &Shared) -> ServeReport {
         let obs = &shared.obs;
         let queue_stats = shared.queue.stats();
-        let slo_ttft = shared.generation.as_ref().map(|g| g.slo_ttft);
+        let slo_ttft = shared.config.generation.as_ref().map(|g| g.slo_ttft);
         // Writers bump several independent counters per request, so a live
         // snapshot can catch one mid-update: ratios saturate instead of
         // under/overflowing, and settle once the writer finishes.
@@ -258,7 +258,7 @@ impl ServeReport {
         };
 
         let completed = obs.completed.get();
-        let tenants = (shared.tenants.iter())
+        let tenants = (shared.config.tenants.iter())
             .zip(&obs.tenants)
             .zip(&queue_stats.tenants)
             .enumerate()
@@ -294,7 +294,7 @@ impl ServeReport {
             queue: stage("queue"),
             search: stage("search"),
             e2e: stage("e2e"),
-            slo_target: shared.slo_search,
+            slo_target: shared.config.real.slo_search,
             slo_attainment: attainment(completed, obs.search_slo_breaches.get()),
             ttft: stage("ttft"),
             gen_queue: stage("gen_queue"),

@@ -42,15 +42,15 @@ use vlite_store::{StoreSnapshot, TieredStore};
 use vlite_workload::SyntheticCorpus;
 
 use crate::clock::{Clock, RealClock};
-use crate::config::{DeadlinePolicy, GenerationConfig, ServeConfig, StoreConfig, TenantSpec};
+use crate::config::{GenerationConfig, ServeConfig, StoreConfig, TenantSpec};
 use crate::control::{ControlLoop, MigrationEvent, Observation, RepartitionEvent};
-use crate::generation::{generation_worker, GenWork};
+use crate::generation::{generation_worker, GenWork, Merged};
 use crate::obs::{
     prom_counter, prom_gauge, prom_label_escape, BoundedRing, ObsPlane, Severity, HISTORY_CAPACITY,
 };
 use crate::queue::AdmissionQueue;
 use crate::report::ServeReport;
-use crate::request::{AdmissionError, Job, RequestTimings, SearchResponse, TenantId, Ticket};
+use crate::request::{AdmissionError, Job, RequestTimings, TenantId, Ticket};
 use crate::trace::{
     AlertLevel, BatchCtx, TraceId, TracePlane, SIG_DEADLINE, SIG_SEARCH, SIG_TTFT, STAGE_BATCHER,
     STAGE_CPU_SCAN, STAGE_DISPATCH, STAGE_SHARD_SCAN,
@@ -173,9 +173,9 @@ pub(crate) struct PlacementState {
     pub generation: u64,
 }
 
-/// State shared by every runtime thread, built once by [`Shared::new`]
-/// around the offline build's index and split. Every later split comes
-/// from the control loop re-running the build's placement pass
+/// State shared by every runtime thread, built once by [`wire`] around the
+/// offline build's index and split. Every later split comes from the
+/// control loop re-running the build's placement pass
 /// ([`vlite_core::place`]).
 pub(crate) struct Shared {
     pub(crate) index: IvfIndex,
@@ -184,7 +184,6 @@ pub(crate) struct Shared {
     /// Worker scans that panicked and were degraded to empty partials
     /// (availability over exactness; surfaced in the report).
     pub(crate) worker_panics: AtomicU64,
-    pub(crate) tenants: Vec<TenantSpec>,
     /// Online repartitions, newest-capped: a long-lived server keeps the
     /// most recent [`HISTORY_CAPACITY`] events instead of growing without
     /// bound (evictions counted).
@@ -202,81 +201,33 @@ pub(crate) struct Shared {
     /// The tiered storage engine every scan reads through; the index
     /// keeps only the centroids.
     pub(crate) store: Arc<TieredStore>,
-    /// Probes per query (the configured `nprobe`, which
-    /// [`IvfIndex::probe`] clamps to `1..=nlist`).
-    pub(crate) nprobe: usize,
-    pub(crate) top_k: usize,
-    pub(crate) n_shards: usize,
-    pub(crate) slo_search: f64,
     /// The clock every runtime timestamp is taken on.
     pub(crate) clock: Arc<dyn Clock>,
-    /// Generation-stage config; `None` serves retrieval only.
-    pub(crate) generation: Option<GenerationConfig>,
-    /// Deadline-budget policy every stage consults.
-    pub(crate) deadline: DeadlinePolicy,
+    /// The validated serving config, the one copy every thread reads. Its
+    /// `real` is the config the offline build ran, so every repartition
+    /// places with it too; its `tenants` is the served tenant table, the
+    /// implicit single tenant spelled out.
+    pub(crate) config: ServeConfig,
 }
 
 impl Shared {
-    /// The runtime state over an offline deployment's `index` and `split`,
-    /// scanning through `store` and timestamping on `clock`; everything
-    /// else comes from `config`, which it validates as
-    /// [`RagServer::from_deployment_with_clock`] documents.
-    pub(crate) fn new(
-        index: IvfIndex,
-        split: IndexSplit,
-        store: Arc<TieredStore>,
-        config: &ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Shared {
-        let n_shards = split.n_shards();
-        let tenants = config.effective_tenants();
-        if let Some(generation) = &config.generation {
-            generation.validate(config.real.top_k);
-        }
-        config.deadline.validate();
-        Shared {
-            index,
-            placement: RwLock::new(PlacementState {
-                split: Arc::new(split),
-                generation: 0,
-            }),
-            queue: AdmissionQueue::new(&tenants),
-            worker_panics: AtomicU64::new(0),
-            obs: Arc::new(ObsPlane::new(&config.obs, tenants.len())),
-            tenants,
-            repartitions: BoundedRing::new(HISTORY_CAPACITY),
-            migrations: BoundedRing::new(HISTORY_CAPACITY),
-            // Trace-id derivation is seeded by a constant so a given server
-            // replays the same ids for the same request sequence
-            // (deterministic virtual-clock tests); uniqueness only matters
-            // within one server.
-            trace: Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531)),
-            store,
-            nprobe: config.real.nprobe,
-            top_k: config.real.top_k,
-            n_shards,
-            slo_search: config.real.slo_search,
-            clock,
-            generation: config.generation.clone(),
-            deadline: config.deadline.clone(),
-        }
-    }
-
     /// Admission feasibility (rung 1 of the degradation ladder): when the
     /// estimated queue wait alone already exceeds the whole budget,
     /// queueing the request would only burn a batch slot on a guaranteed
     /// miss — shed it now so the client can retry elsewhere. The shed is
     /// fully accounted here (through [`Shared::record_outcome`]); callers
     /// just propagate the error. Measure-only policies never shed.
+    /// `deadline` is the absolute deadline `budget` stamps at `now`.
     pub fn shed_if_unmeetable(
         &self,
         id: u64,
         tenant: TenantId,
         trace: Option<TraceId>,
         budget: Option<f64>,
+        deadline: Option<SimTime>,
         now: SimTime,
     ) -> Result<(), AdmissionError> {
-        if !self.deadline.enforce {
+        if !self.config.deadline.enforce {
             return Ok(());
         }
         let (Some(budget), Some(wait)) = (budget, self.queue.estimated_wait(tenant)) else {
@@ -299,7 +250,7 @@ impl Shared {
                 generation: None,
             },
             hit_rate: 0.0,
-            deadline: Some(deadline_after(now, budget)),
+            deadline,
             gen_busy: None,
             shed: Some(ShedCause::Admission {
                 estimated_wait: wait,
@@ -348,18 +299,16 @@ impl Shared {
         }
 
         if replied {
-            let search_met = t.search <= self.slo_search;
+            let search_met = t.search <= self.config.real.slo_search;
             // Sheds never produce a first token: they count as TTFT misses.
-            let ttft_met = self
-                .generation
-                .as_ref()
+            let ttft_met = (self.config.generation.as_ref())
                 .map(|g| t.generation.is_some_and(|gen| gen.ttft <= g.slo_ttft));
             match on_time {
                 Some(true) => obs.deadline_met.inc(),
                 Some(false) => obs.deadline_missed.inc(),
                 None => {}
             }
-            let tenant_search_met = t.search <= self.tenants[o.tenant.index()].slo_search;
+            let tenant_search_met = t.search <= self.config.tenants[o.tenant.index()].slo_search;
             missed |= !tenant_search_met || ttft_met == Some(false);
             obs.on_request(o, search_met, tenant_search_met, ttft_met);
             self.watch_slo(SIG_SEARCH, search_met, o.end);
@@ -508,11 +457,20 @@ impl std::fmt::Debug for RagServer {
 
 impl RagServer {
     /// Runs the offline stage on `corpus` (train, profile, Algorithm 1,
-    /// split) and starts the runtime on the wall clock.
+    /// split) from `config.real` and starts the runtime on the wall clock.
+    /// The runtime serves, and every online repartition places, with that
+    /// one config.
     ///
     /// # Errors
     ///
     /// Propagates index-training errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any training, if `config` fails
+    /// [`ServeConfig::validate`]; panics if `config.real` fails
+    /// [`RealConfig::validate`](vlite_core::RealConfig::validate) or the
+    /// tiered store cannot be built or reopened.
     pub fn start(corpus: &SyntheticCorpus, config: ServeConfig) -> vlite_ann::Result<RagServer> {
         Self::start_with_clock(corpus, config, Arc::new(RealClock::new()))
     }
@@ -523,42 +481,16 @@ impl RagServer {
     /// # Errors
     ///
     /// Propagates index-training errors.
+    ///
+    /// # Panics
+    ///
+    /// As [`RagServer::start`].
     pub fn start_with_clock(
         corpus: &SyntheticCorpus,
         config: ServeConfig,
         clock: Arc<dyn Clock>,
     ) -> vlite_ann::Result<RagServer> {
-        let deployment = RealDeployment::build(corpus, config.real.clone())?;
-        Ok(Self::from_deployment_with_clock(deployment, config, clock))
-    }
-
-    /// Starts the runtime over an already-built offline deployment on an
-    /// explicit [`Clock`]. The control loop re-runs the deployment's
-    /// placement pass ([`vlite_core::place`]) with the deployment's own
-    /// config and latency model at every repartition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tiered store cannot be built or reopened, if the
-    /// tenant table is invalid (zero weight or capacity), if the generation
-    /// config has a zero batch cap or cannot fit its worst-case request in
-    /// KV, or if the deadline policy is invalid.
-    pub fn from_deployment_with_clock(
-        mut deployment: RealDeployment,
-        config: ServeConfig,
-        clock: Arc<dyn Clock>,
-    ) -> RagServer {
-        let store = open_store(&mut deployment, &config.store);
-        let RealDeployment {
-            index,
-            profile,
-            perf,
-            router,
-            expected_mean_hit,
-            config: real,
-            ..
-        } = deployment;
-        let shared = Arc::new(Shared::new(index, router, store, &config, clock));
+        let (shared, control) = wire(corpus, config, clock)?;
 
         // vlite-allow(bounded-queues): one observation per completed
         // request; bounded by the admission queue upstream.
@@ -568,7 +500,7 @@ impl RagServer {
         // Generation stage (optional): the batcher forwards merged
         // retrievals to this worker, which runs the LLM engine against the
         // clock and delivers the final (post-decode) responses.
-        let gen_tx = config.generation.as_ref().map(|generation| {
+        let gen_tx = shared.config.generation.as_ref().map(|generation| {
             // vlite-allow(bounded-queues): fed only with admitted, merged
             // retrievals, and drained into the engine every iteration.
             let (gen_tx, gen_rx) = channel::unbounded::<GenWork>();
@@ -581,28 +513,18 @@ impl RagServer {
         });
 
         let shared_ = shared.clone();
-        let max_batch = config.max_batch;
         threads.push(spawn_named("vlite-batcher", move || {
-            batcher(&shared_, max_batch, &pool, &control_tx, gen_tx.as_ref());
+            batcher(&shared_, &pool, &control_tx, gen_tx.as_ref());
         }));
-
-        let control = ControlLoop::new(
-            shared.clone(),
-            config.control,
-            real,
-            perf,
-            &profile,
-            expected_mean_hit,
-        );
         threads.push(spawn_named("vlite-control", move || {
             control.run(control_rx)
         }));
 
-        RagServer {
+        Ok(RagServer {
             shared,
             threads,
             next_id: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Submits one query as tenant 0 (the only tenant in single-tenant
@@ -620,8 +542,8 @@ impl RagServer {
     /// charges this tenant's quota only.
     ///
     /// The request's deadline budget is the policy default
-    /// ([`DeadlinePolicy::default_deadline`]); use
-    /// [`RagServer::submit_with_deadline`] for a per-request budget.
+    /// ([`DeadlinePolicy::default_deadline`](crate::DeadlinePolicy::default_deadline));
+    /// use [`RagServer::submit_with_deadline`] for a per-request budget.
     ///
     /// # Errors
     ///
@@ -638,8 +560,9 @@ impl RagServer {
     /// Submits one query for `tenant` with an explicit end-to-end deadline
     /// budget (`None` falls back to the policy default). The budget is
     /// stamped as an absolute deadline on the server's clock and acted on
-    /// by every stage when [`DeadlinePolicy::enforce`] is set; otherwise
-    /// it is only measured (budget burn + deadline attainment).
+    /// by every stage when
+    /// [`DeadlinePolicy::enforce`](crate::DeadlinePolicy::enforce) is set;
+    /// otherwise it is only measured (budget burn + deadline attainment).
     ///
     /// # Errors
     ///
@@ -668,7 +591,7 @@ impl RagServer {
         deadline: Option<std::time::Duration>,
         trace: Option<TraceId>,
     ) -> Result<Ticket, AdmissionError> {
-        let n_tenants = self.shared.tenants.len();
+        let n_tenants = self.shared.config.tenants.len();
         if tenant.index() >= n_tenants {
             return Err(AdmissionError::UnknownTenant { tenant, n_tenants });
         }
@@ -691,15 +614,14 @@ impl RagServer {
             });
         }
         let now = self.shared.clock.now();
-        let budget = deadline
-            .map(|d| d.as_secs_f64())
-            .or(self.shared.deadline.default_deadline);
+        let default = self.shared.config.deadline.default_deadline;
+        let budget = deadline.map(|d| d.as_secs_f64()).or(default);
         let abs_deadline = budget.map(|b| deadline_after(now, b));
         // relaxed: a fresh-id counter — uniqueness needs atomicity only,
         // no ordering with any other memory.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.shared
-            .shed_if_unmeetable(id, tenant, trace, budget, now)?;
+            .shed_if_unmeetable(id, tenant, trace, budget, abs_deadline, now)?;
         let trace = trace.unwrap_or_else(|| self.shared.trace.derive_trace_id(id));
         // vlite-allow(bounded-queues): a per-request reply channel carries
         // exactly one response before it is dropped.
@@ -727,14 +649,14 @@ impl RagServer {
             // value would contend with the batcher on the overload path.
             Err((_, false)) => Err(AdmissionError::QueueFull {
                 tenant,
-                capacity: self.shared.tenants[tenant.index()].queue_capacity,
+                capacity: self.shared.config.tenants[tenant.index()].queue_capacity,
             }),
         }
     }
 
     /// The tenant table the server was started with.
     pub fn tenants(&self) -> &[TenantSpec] {
-        &self.shared.tenants
+        &self.shared.config.tenants
     }
 
     /// The clock the runtime reads and sleeps against — the load
@@ -746,7 +668,7 @@ impl RagServer {
 
     /// The generation-stage configuration, when co-scheduling is enabled.
     pub fn generation_config(&self) -> Option<&GenerationConfig> {
-        self.shared.generation.as_ref()
+        self.shared.config.generation.as_ref()
     }
 
     /// Requests currently waiting for a batch, summed over all tenants.
@@ -817,7 +739,7 @@ impl RagServer {
     /// recent drain rate, clamped to `[1, 60]` (never the useless
     /// `Retry-After: 0`).
     pub fn retry_after_hint(&self, tenant: TenantId) -> u64 {
-        if tenant.index() >= self.shared.tenants.len() {
+        if tenant.index() >= self.shared.config.tenants.len() {
             return 1;
         }
         self.shared.queue.retry_after_secs(tenant)
@@ -1065,6 +987,53 @@ fn deadline_after(now: SimTime, budget: f64) -> SimTime {
     SimTime::from_nanos(now.as_nanos().saturating_add(budget.as_nanos()))
 }
 
+/// Wires the runtime without starting it: checks `config`
+/// ([`ServeConfig::validate`]), runs the offline stage on `corpus` from
+/// `config.real`, opens the tiered store, and returns the state every
+/// runtime thread shares and the control loop, before any thread is
+/// spawned. [`RagServer::start_with_clock`] spawns the threads on them;
+/// the control-loop tests drive them directly.
+pub(crate) fn wire(
+    corpus: &SyntheticCorpus,
+    mut config: ServeConfig,
+    clock: Arc<dyn Clock>,
+) -> vlite_ann::Result<(Arc<Shared>, ControlLoop)> {
+    config.validate();
+    let mut deployment = RealDeployment::build(corpus, config.real.clone())?;
+    let store = open_store(&mut deployment, &config.store);
+    let RealDeployment {
+        index,
+        profile,
+        perf,
+        router,
+        expected_mean_hit,
+        ..
+    } = deployment;
+    config.tenants = config.effective_tenants();
+    let shared = Arc::new(Shared {
+        index,
+        placement: RwLock::new(PlacementState {
+            split: Arc::new(router),
+            generation: 0,
+        }),
+        queue: AdmissionQueue::new(&config.tenants),
+        worker_panics: AtomicU64::new(0),
+        obs: Arc::new(ObsPlane::new(&config.obs, config.tenants.len())),
+        repartitions: BoundedRing::new(HISTORY_CAPACITY),
+        migrations: BoundedRing::new(HISTORY_CAPACITY),
+        // Trace-id derivation is seeded by a constant so a given server
+        // replays the same ids for the same request sequence
+        // (deterministic virtual-clock tests); uniqueness only matters
+        // within one server.
+        trace: Arc::new(TracePlane::new(&config.trace, 0x766c_6974_6531)),
+        store,
+        clock,
+        config,
+    });
+    let control = ControlLoop::new(Arc::clone(&shared), perf, &profile, expected_mean_hit);
+    Ok((shared, control))
+}
+
 /// Physical tiering: detaches the deployment index's flat lists into a
 /// [`TieredStore`] whose tiers mirror the placement — hot clusters resident
 /// at full precision, cold ones in the segment file's mmap'd SQ8 extents —
@@ -1074,10 +1043,7 @@ fn deadline_after(now: SimTime, budget: f64) -> SimTime {
 ///
 /// Panics on any store failure: a half-built store would silently serve
 /// wrong bytes.
-pub(crate) fn open_store(
-    deployment: &mut RealDeployment,
-    config: &StoreConfig,
-) -> Arc<TieredStore> {
+fn open_store(deployment: &mut RealDeployment, config: &StoreConfig) -> Arc<TieredStore> {
     let (segment_path, ephemeral) = config.segment_path();
     let mut store = deployment
         .build_tiered_store(&segment_path)
@@ -1103,12 +1069,11 @@ pub(crate) fn open_store(
 /// run the batch ([`run_batch`]).
 fn batcher(
     shared: &Shared,
-    max_batch: usize,
     pool: &ScanPool,
     control_tx: &Sender<Observation>,
     gen_tx: Option<&Sender<GenWork>>,
 ) {
-    while let Some(jobs) = shared.queue.take_batch(max_batch) {
+    while let Some(jobs) = shared.queue.take_batch(shared.config.max_batch) {
         let (split, generation) = shared.placement_snapshot();
         let started = shared.clock.now();
         let stage = shared.trace.stage_start(STAGE_BATCHER, started);
@@ -1117,7 +1082,7 @@ fn batcher(
         // while it queued is dropped here instead of burning a batch slot
         // on a response nobody will accept (its waiter sees the reply
         // channel disconnect and answers 504).
-        let jobs: Vec<Job> = if shared.deadline.enforce {
+        let jobs: Vec<Job> = if shared.config.deadline.enforce {
             jobs.into_iter()
                 .filter_map(|job| match job.deadline {
                     Some(deadline) if started >= deadline => {
@@ -1139,10 +1104,11 @@ fn batcher(
             continue;
         }
         let mut probes = Vec::with_capacity(jobs.len());
+        let nprobe = shared.config.real.nprobe;
         let routed: Vec<RoutedQuery> = jobs
             .iter()
             .map(|job| {
-                let list: Vec<u32> = (shared.index.probe(&job.query, shared.nprobe).iter())
+                let list: Vec<u32> = (shared.index.probe(&job.query, nprobe).iter())
                     .map(|p| p.list)
                     .collect();
                 let routed = split.route(&list);
@@ -1189,7 +1155,7 @@ fn batcher(
 /// fresh full search is measured (a cold start, or after
 /// `queue::FULL_SEARCH_TTL` hot-only drains) run in full.
 fn runs_hot_only(shared: &Shared, jobs: &[Job], now: SimTime) -> bool {
-    if !shared.deadline.enforce {
+    if !shared.config.deadline.enforce {
         return false;
     }
     let Some(tightest) = jobs.iter().filter_map(|job| job.deadline).min() else {
@@ -1219,7 +1185,7 @@ fn run_batch(
     control_tx: &Sender<Observation>,
     gen_tx: Option<&Sender<GenWork>>,
 ) -> Option<SimTime> {
-    let cpu = shared.n_shards;
+    let cpu = shared.config.real.n_shards;
     // The cold share is the last: a hot-only batch leaves it unscanned.
     let scanned = cpu + usize::from(!batch.hot_only);
     let mut shares = vec![Vec::new(); scanned];
@@ -1247,7 +1213,7 @@ fn run_batch(
             .iter_mut()
             .map(|share| std::mem::take(&mut share[qi]))
             .collect();
-        let neighbors = merge_sorted(&lists, shared.top_k);
+        let neighbors = merge_sorted(&lists, shared.config.real.top_k);
         complete_query(shared, batch, qi, neighbors, control_tx, gen_tx);
     }
     shared.obs.on_batch(batch.jobs.len());
@@ -1298,8 +1264,9 @@ fn spawn_scan_workers(shared: &Arc<Shared>) -> (ScanPool, Vec<JoinHandle<()>>) {
     // vlite-allow(bounded-queues): each worker returns one share per batch,
     // and the batcher launches the next batch only after gathering them.
     let (done_tx, done) = channel::unbounded::<Share>();
-    let mut threads = Vec::with_capacity(shared.n_shards);
-    let work = (0..shared.n_shards)
+    let n_shards = shared.config.real.n_shards;
+    let mut threads = Vec::with_capacity(n_shards);
+    let work = (0..n_shards)
         .map(|shard| {
             // vlite-allow(bounded-queues): at most one batch in flight per
             // worker, for the same reason.
@@ -1352,7 +1319,7 @@ fn shard_worker(
 /// shard worker would never return its share and the batcher would wait
 /// for it forever, and a dead batcher would stop serving.
 fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neighbor>> {
-    let cpu = share == shared.n_shards;
+    let cpu = share == shared.config.real.n_shards;
     let scan_start = shared.clock.now();
     let stage_id = if cpu {
         STAGE_CPU_SCAN
@@ -1380,7 +1347,7 @@ fn scan_share(shared: &Shared, batch: &BatchWork, share: usize) -> Vec<Vec<Neigh
         .unzip();
     let mut partials = vec![Vec::new(); batch.jobs.len()];
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scan_lists_store_batch(&batch.store, &queries, shared.top_k)
+        scan_lists_store_batch(&batch.store, &queries, shared.config.real.top_k)
     })) {
         Ok(tops) => {
             for (qi, top) in qis.into_iter().zip(tops) {
@@ -1429,68 +1396,48 @@ fn complete_query(
     let _ = control_tx.send(Observation {
         tenant: job.tenant,
         hit_rate,
-        met_slo: search <= shared.slo_search,
+        met_slo: search <= shared.config.real.slo_search,
         probes: batch.probes[qi].clone(),
     });
 
-    if let Some(gen_tx) = gen_tx {
-        // The request's outcome is recorded by the generation worker when
-        // its lifecycle actually ends; the batcher only counts
-        // batch-level statistics for co-scheduled servers.
-        let _ = gen_tx.send(GenWork {
-            id: job.id,
-            tenant: job.tenant,
-            neighbors,
-            hit_rate,
-            generation: batch.generation,
-            enqueued: job.enqueued,
-            deadline: job.deadline,
-            trace: job.trace,
-            batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
-            queue,
-            search,
-            merged_at: now,
-            reply: job.reply.clone(),
-        });
-        return;
-    }
-
-    let timings = RequestTimings {
-        queue,
-        search,
-        e2e: (now - job.enqueued).as_secs_f64(),
-        generation: None,
-    };
-    shared.record_outcome(&RequestOutcome {
-        id: job.id,
-        tenant: job.tenant,
-        trace: Some(job.trace),
-        batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
-        enqueued: job.enqueued,
-        end: now,
-        timings,
-        hit_rate,
-        deadline: job.deadline,
-        gen_busy: None,
-        shed: None,
-    });
-
-    // The ticket may have been dropped (fire-and-forget submission).
-    let _ = job.reply.send(SearchResponse {
+    let merged = Merged {
         id: job.id,
         tenant: job.tenant,
         neighbors,
-        timings,
         hit_rate,
         generation: batch.generation,
+        enqueued: job.enqueued,
+        deadline: job.deadline,
         trace: job.trace,
-    });
+        batch_trace: batch.trace.as_ref().map(|c| c.trace_id),
+        queue,
+        search,
+        merged_at: now,
+    };
+    match gen_tx {
+        // The request's outcome is recorded by the generation worker when
+        // its lifecycle actually ends; the batcher only counts
+        // batch-level statistics for co-scheduled servers.
+        Some(gen_tx) => {
+            let _ = gen_tx.send((merged, job.reply.clone()));
+        }
+        None => {
+            let timings = RequestTimings {
+                queue,
+                search,
+                e2e: (now - job.enqueued).as_secs_f64(),
+                generation: None,
+            };
+            merged.conclude(shared, &job.reply, timings, now, None);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::tests::{harness, harness_with_deadline, tiny_deployment};
+    use crate::control::tests::{harness, harness_with, tiny_config, tiny_corpus};
+    use crate::request::SearchResponse;
 
     /// A batch of `queries` (each with its routing) as the batcher forms
     /// it, replying on `reply`.
@@ -1549,11 +1496,11 @@ mod tests {
         // The test stands in for the shard workers: it holds their work
         // queues and has already returned one share per shard. A batch
         // that took the worker path would send it work and gather these.
-        let (work, queued): (Vec<_>, Vec<_>) = (0..shared.n_shards)
+        let (work, queued): (Vec<_>, Vec<_>) = (0..shared.config.real.n_shards)
             .map(|_| channel::unbounded::<Arc<BatchWork>>())
             .unzip();
         let (done_tx, done) = channel::unbounded::<Share>();
-        for shard in 0..shared.n_shards {
+        for shard in 0..shared.config.real.n_shards {
             done_tx.send((shard, vec![Vec::new()])).unwrap();
         }
         let pool = ScanPool { work, done };
@@ -1563,7 +1510,11 @@ mod tests {
         let batch = batch_of(&shared, vec![(query.clone(), routed)], &reply_tx);
         assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
         assert!(queued.iter().all(Receiver::is_empty), "work was sent");
-        assert_eq!(pool.done.len(), shared.n_shards, "a share was gathered");
+        assert_eq!(
+            pool.done.len(),
+            shared.config.real.n_shards,
+            "a share was gathered"
+        );
         let reply = replies.try_recv().expect("one reply");
         assert_eq!(reply.neighbors, scan_lists(&shared, &query, &probes));
     }
@@ -1573,7 +1524,7 @@ mod tests {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
         let (query, _probes, routed) = probe_everything(&shared);
         let other = vec![-0.5f32; shared.index.dim()];
-        let other_probes: Vec<u32> = (shared.index.probe(&other, shared.nprobe).iter())
+        let other_probes: Vec<u32> = (shared.index.probe(&other, shared.config.real.nprobe).iter())
             .map(|p| p.list)
             .collect();
         let other_routed = shared.placement_snapshot().0.route(&other_probes);
@@ -1619,7 +1570,7 @@ mod tests {
     /// every other share.
     fn a_panicking_share_degrades_once(cpu: bool) {
         let (shared, _control, _probe_sets) = harness(100, 80, 1);
-        let n_shards = shared.n_shards;
+        let n_shards = shared.config.real.n_shards;
         let (good, probes, routed) = probe_everything(&shared);
         let lists_of = |w: usize| match routed.shard_probes_global.get(w) {
             Some(lists) => lists.clone(),
@@ -1709,14 +1660,13 @@ mod tests {
     }
 
     /// Serves `budgets.len()` jobs through [`batcher`] in batches of up to
-    /// `max_batch` (the harness clock never moves: each budget is whole at
-    /// formation), one query per budget from `queries`, and returns the
-    /// replies and the control observations, in batch order.
+    /// the config's `max_batch` (the harness clock never moves: each budget
+    /// is whole at formation), one query per budget from `queries`, and
+    /// returns the replies and the control observations, in batch order.
     fn serve(
         shared: &Arc<Shared>,
         queries: &[Vec<f32>],
         budgets: &[Option<f64>],
-        max_batch: usize,
     ) -> (Vec<SearchResponse>, Vec<Observation>) {
         let (reply_tx, replies) = channel::unbounded();
         for (id, (query, budget)) in queries.iter().zip(budgets).enumerate() {
@@ -1736,7 +1686,7 @@ mod tests {
         let (pool, workers) = spawn_scan_workers(shared);
         let (control_tx, observations) = channel::unbounded();
         // Returns once the closed queue is empty.
-        batcher(shared, max_batch, &pool, &control_tx, None);
+        batcher(shared, &pool, &control_tx, None);
         drop(pool);
         for worker in workers {
             worker.join().expect("shard worker exits cleanly on close");
@@ -1748,7 +1698,12 @@ mod tests {
 
     /// `query`'s exact top-k over `lists` in `shared`'s store.
     fn scan_lists(shared: &Shared, query: &[f32], lists: &[u32]) -> Vec<Neighbor> {
-        vlite_ann::scan_lists_store(&shared.store.snapshot(), query, lists, shared.top_k)
+        vlite_ann::scan_lists_store(
+            &shared.store.snapshot(),
+            query,
+            lists,
+            shared.config.real.top_k,
+        )
     }
 
     /// Queries at cold centroids whose probe lists also reach the hot tier
@@ -1765,7 +1720,7 @@ mod tests {
             .collect::<Vec<_>>();
         for c in (0..centroids.len()).filter(|&c| cold[c]) {
             let query = centroids.get(c).to_vec();
-            let probes = shared.index.probe(&query, shared.nprobe);
+            let probes = shared.index.probe(&query, shared.config.real.nprobe);
             let probes: Vec<u32> = probes.iter().map(|p| p.list).collect();
             let r = split.route(&probes);
             let hot = r.shard_probes_global.concat();
@@ -1782,11 +1737,8 @@ mod tests {
 
     #[test]
     fn a_tight_budget_runs_its_whole_batch_hot_only() {
-        let policy = DeadlinePolicy {
-            enforce: true,
-            ..DeadlinePolicy::default()
-        };
-        let (shared, _control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
+        let enforce = |config: &mut ServeConfig| config.deadline.enforce = true;
+        let (shared, _control, _probe_sets) = harness_with(100, 80, 1, enforce);
         // Seed the meter: a full search took 10 ms.
         shared
             .queue
@@ -1795,7 +1747,7 @@ mod tests {
         assert!(queries.len() >= 3, "three members with hot and cold work");
         // Unbudgeted, loose (20 ms covers the full search) and tight
         // (5 ms does not): the tight member decides for all three.
-        let (replies, observations) = serve(&shared, &queries, &[None, Some(20.0), Some(5.0)], 3);
+        let (replies, observations) = serve(&shared, &queries, &[None, Some(20.0), Some(5.0)]);
         assert_eq!(shared.obs.cold_skips.get(), 3, "every member skips cold");
         assert_eq!(shared.obs.batches.get(), 1);
         assert_eq!((replies.len(), observations.len()), (3, 3));
@@ -1816,9 +1768,9 @@ mod tests {
 
         // A lone tight query: the batcher scans its shard shares itself
         // and skips the cold one.
-        let (shared, ..) = harness_with_deadline(100, 80, 1, shared.deadline.clone());
+        let (shared, ..) = harness_with(100, 80, 1, enforce);
         (shared.queue).record_drain(1, SimDuration::from_millis(10.0), true);
-        let (replies, _) = serve(&shared, &queries[..1], &[Some(5.0)], 1);
+        let (replies, _) = serve(&shared, &queries[..1], &[Some(5.0)]);
         assert_eq!(shared.obs.cold_skips.get(), 1);
         let hot = routed[0].shard_probes_global.concat();
         assert_eq!(replies[0].neighbors, scan_lists(&shared, &queries[0], &hot));
@@ -1841,11 +1793,11 @@ mod tests {
 
     #[test]
     fn a_full_search_estimate_over_every_budget_is_measured_afresh() {
-        let policy = DeadlinePolicy {
-            enforce: true,
-            ..DeadlinePolicy::default()
-        };
-        let (shared, control, _probe_sets) = harness_with_deadline(100, 80, 1, policy);
+        // One query per batch.
+        let (shared, control, _probe_sets) = harness_with(100, 80, 1, |config| {
+            config.deadline.enforce = true;
+            config.max_batch = 1;
+        });
         drop(control);
         let Ok(mut shared) = Arc::try_unwrap(shared) else {
             panic!("the control loop's handle is dropped");
@@ -1860,12 +1812,7 @@ mod tests {
         let (queries, full, routed) = cold_members(&shared);
         let ttl = crate::queue::FULL_SEARCH_TTL as usize;
         let n = ttl + 2;
-        let (replies, _) = serve(
-            &shared,
-            &vec![queries[0].clone(); n],
-            &vec![Some(5e3); n],
-            1,
-        );
+        let (replies, _) = serve(&shared, &vec![queries[0].clone(); n], &vec![Some(5e3); n]);
         assert_eq!(replies.len(), n, "none expired");
         // The estimate goes stale after `ttl` hot-only batches; the next
         // batch scans the cold share and measures a few milliseconds,
@@ -1886,17 +1833,15 @@ mod tests {
 
     #[test]
     fn the_runtime_runs_n_shards_plus_two_threads_and_one_more_to_generate() {
+        let corpus = tiny_corpus();
         for generation in [None, Some(GenerationConfig::tiny())] {
             let generates = generation.is_some();
             let config = ServeConfig {
                 generation,
-                ..ServeConfig::small()
+                ..tiny_config()
             };
-            let server = RagServer::from_deployment_with_clock(
-                tiny_deployment(),
-                config,
-                Arc::new(RealClock::new()),
-            );
+            let clock = Arc::new(RealClock::new());
+            let server = RagServer::start_with_clock(&corpus, config, clock).expect("starts");
             let threads = server.threads.iter().map(|h| h.thread().name());
             let mut names: Vec<&str> = threads.map(Option::unwrap_or_default).collect();
             names.sort_unstable();
@@ -1905,26 +1850,99 @@ mod tests {
             expected.extend(["vlite-shard-0", "vlite-shard-1"]);
             assert_eq!(names, expected);
             let extra = usize::from(generates);
-            assert_eq!(names.len(), server.shared.n_shards + 2 + extra);
+            assert_eq!(names.len(), server.shared.config.real.n_shards + 2 + extra);
             server.shutdown();
         }
     }
 
+    /// Each row is a config [`ServeConfig::validate`] refuses, and the
+    /// start of the panic message it refuses it with. Every row panics
+    /// before training, so no server thread ever starts.
     #[test]
-    #[should_panic(expected = "max_batch must be positive")]
-    fn a_zero_generation_batch_cap_is_refused_at_start() {
-        let generation = GenerationConfig {
-            max_batch: 0,
-            ..GenerationConfig::tiny()
+    fn an_invalid_config_is_refused_at_start() {
+        let tenant = TenantSpec {
+            weight: 1,
+            queue_capacity: 8,
+            slo_search: 0.03,
         };
-        let config = ServeConfig {
-            generation: Some(generation),
-            ..ServeConfig::small()
+        let tenants = |edit: fn(&mut TenantSpec)| {
+            let mut bad = tenant.clone();
+            edit(&mut bad);
+            vec![tenant.clone(), bad]
         };
-        drop(RagServer::from_deployment_with_clock(
-            tiny_deployment(),
-            config,
-            Arc::new(RealClock::new()),
-        ));
+        let rows: Vec<(&str, ServeConfig)> = vec![
+            (
+                "tenant 1 has zero weight",
+                ServeConfig {
+                    tenants: tenants(|t| t.weight = 0),
+                    ..tiny_config()
+                },
+            ),
+            (
+                "tenant 1 has zero queue capacity",
+                ServeConfig {
+                    tenants: tenants(|t| t.queue_capacity = 0),
+                    ..tiny_config()
+                },
+            ),
+            (
+                "tenant 1 SLO must be positive and finite",
+                ServeConfig {
+                    tenants: tenants(|t| t.slo_search = f64::NAN),
+                    ..tiny_config()
+                },
+            ),
+            // The implicit tenant is checked like an explicit one.
+            (
+                "tenant 0 has zero queue capacity",
+                ServeConfig {
+                    queue_capacity: 0,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "max_batch must be positive",
+                ServeConfig {
+                    max_batch: 0,
+                    ..tiny_config()
+                },
+            ),
+            ("profile_window must be positive", {
+                let mut config = tiny_config();
+                config.control.profile_window = 0;
+                config
+            }),
+            ("default_deadline must be positive and finite", {
+                let mut config = tiny_config();
+                config.deadline.default_deadline = Some(0.0);
+                config
+            }),
+            (
+                "generation max_batch must be positive",
+                ServeConfig {
+                    generation: Some(GenerationConfig {
+                        max_batch: 0,
+                        ..GenerationConfig::tiny()
+                    }),
+                    ..tiny_config()
+                },
+            ),
+        ];
+        let corpus = tiny_corpus();
+        for (expected, config) in rows {
+            let started = std::panic::catch_unwind(|| {
+                RagServer::start_with_clock(&corpus, config, Arc::new(RealClock::new()))
+            });
+            let Err(panic) = started else {
+                panic!("served a config that should panic with {expected:?}");
+            };
+            let message = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.starts_with(expected),
+                "expected {expected:?}, got {message:?}"
+            );
+        }
     }
 }
