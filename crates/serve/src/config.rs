@@ -6,6 +6,8 @@ use vlite_core::{RealConfig, UpdateConfig};
 use vlite_llm::{LlmCostModel, ModelSpec};
 use vlite_sim::devices;
 
+use crate::generation::{PROMPT_TOKENS_BASE, TOKENS_PER_DOC};
+
 /// Online-repartitioning (control-loop) knobs.
 #[derive(Debug, Clone)]
 pub struct ControlConfig {
@@ -39,9 +41,10 @@ impl Default for ControlConfig {
 /// Generation-stage (retrieval → LLM co-scheduling) knobs.
 ///
 /// When [`ServeConfig::generation`] is set, every merged retrieval result
-/// is assembled into a prompt (the retrieved documents priced in tokens)
-/// and fed through a [`vlite_llm::LlmEngine`] running on its own worker
-/// thread, so a request's lifecycle ends at its generated tokens and its
+/// is assembled into a prompt (the retrieved documents priced in tokens,
+/// [`GenerationConfig::prompt_tokens`]) and fed through a
+/// [`vlite_llm::LlmEngine`] running on its own worker thread, so a
+/// request's lifecycle ends at its generated tokens and its
 /// [`timings`](crate::RequestTimings::generation) carry
 /// queue/prefill/decode phases and TTFT.
 #[derive(Debug, Clone)]
@@ -53,13 +56,6 @@ pub struct GenerationConfig {
     pub kv_bytes: u64,
     /// Running-batch cap (vLLM `max_num_seqs`).
     pub max_batch: usize,
-    /// Prompt tokens admitted into one prefill iteration (vLLM
-    /// `max_num_batched_tokens`).
-    pub max_prefill_tokens: u64,
-    /// Prompt tokens independent of retrieval (instruction + query).
-    pub prompt_tokens_base: u64,
-    /// Prompt tokens each retrieved document adds.
-    pub tokens_per_doc: u64,
     /// Tokens generated per request.
     pub output_tokens: u64,
     /// End-to-end TTFT SLO in seconds (admission → first token), the
@@ -78,18 +74,17 @@ impl GenerationConfig {
             cost: LlmCostModel::new(ModelSpec::tiny(), devices::l40s(), 1),
             kv_bytes: 2 << 30,
             max_batch: 64,
-            max_prefill_tokens: 8192,
-            prompt_tokens_base: 64,
-            tokens_per_doc: 32,
             output_tokens: 8,
             slo_ttft: 0.25,
         }
     }
 
     /// Prompt length for a request whose retrieval merged `n_docs`
-    /// documents: the base prompt plus the per-document token cost.
+    /// documents: the base prompt plus the per-document token cost
+    /// ([`PROMPT_TOKENS_BASE`](crate::generation::PROMPT_TOKENS_BASE) +
+    /// [`TOKENS_PER_DOC`](crate::generation::TOKENS_PER_DOC) per document).
     pub fn prompt_tokens(&self, n_docs: usize) -> u64 {
-        self.prompt_tokens_base + self.tokens_per_doc * n_docs as u64
+        PROMPT_TOKENS_BASE + TOKENS_PER_DOC * n_docs as u64
     }
 }
 
@@ -196,10 +191,12 @@ impl StoreConfig {
 /// [`crate::trace`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
-    /// Master switch, and the gate on per-request capture. When `false` no
-    /// spans are recorded (`/v1/traces` lists nothing), no stage section
-    /// is timed and the watchdog never fires; the trace/profile/alerts
-    /// endpoints answer with empty bodies.
+    /// Master switch, and the gate on per-request capture: the span trees
+    /// are the runtime's one per-request record (the event journal keeps
+    /// none). When `false` no spans are recorded (`/v1/traces` lists
+    /// nothing), no stage section is timed and the watchdog never fires,
+    /// so no burn-rate transition reaches the journal either; the
+    /// trace/profile/alerts endpoints answer with empty bodies.
     pub enabled: bool,
 }
 
@@ -281,8 +278,8 @@ pub struct ServeConfig {
     /// stages enforce it (shed/degrade) or only measure burn.
     pub deadline: DeadlinePolicy,
     /// Telemetry-plane configuration: the switch (on by default) for the
-    /// event journal behind `/v1/events`. The lock-free aggregates behind
-    /// `/v1/report` and `/v1/metrics` always record.
+    /// journal of runtime events behind `/v1/events`. The lock-free
+    /// aggregates behind `/v1/report` and `/v1/metrics` always record.
     pub obs: crate::obs::ObsConfig,
     /// Causal-tracing configuration (on by default): the per-request span
     /// trees behind `GET /v1/traces` and `GET /v1/trace/{id}`, the
@@ -364,7 +361,7 @@ impl ServeConfig {
                 "slo_ttft must be positive and finite"
             );
             assert!(g.max_batch > 0, "generation max_batch must be positive");
-            let worst = g.prompt_tokens(self.real.top_k).max(1) + g.output_tokens;
+            let worst = g.prompt_tokens(self.real.top_k) + g.output_tokens;
             // Size the check with the engine's own allocator so this
             // start-time assert can never drift from the submit-time one
             // inside the worker.

@@ -340,7 +340,9 @@ impl ControlLoop {
 pub(crate) mod tests {
     use super::*;
     use crate::config::{ServeConfig, TenantSpec};
+    use crate::http::json::Json;
     use crate::request::Job;
+    use crate::trace::TraceId;
     use vlite_core::{RealConfig, UpdateConfig};
     use vlite_workload::{CorpusConfig, SyntheticCorpus};
 
@@ -588,7 +590,7 @@ pub(crate) mod tests {
                     query: vec![0.0; 8],
                     enqueued: vlite_sim::SimTime::ZERO,
                     deadline: None,
-                    trace: crate::trace::TraceId(u128::from(id) + 1),
+                    trace: TraceId(u128::from(id) + 1),
                     reply,
                 })
                 .expect("admitted");
@@ -658,27 +660,57 @@ pub(crate) mod tests {
                     query: vec![0.0; 8],
                     enqueued: vlite_sim::SimTime::ZERO,
                     deadline: None,
-                    trace: crate::trace::TraceId(u128::from(id) + 1),
+                    trace: TraceId(u128::from(id) + 1),
                     reply,
                 })
                 .expect("within lane capacity");
         }
     }
 
-    /// Runs rung 1 for a tenant-0 submission at time zero with `budget`
-    /// seconds, stamping the deadline the budget sets.
+    /// The trace id [`shed_at_zero`]'s submissions arrive under, as a
+    /// caller's `traceparent` would carry it.
+    const CALLER: TraceId = TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_319c);
+
+    /// Runs rung 1 for a tenant-0 submission under [`CALLER`] at time zero
+    /// with `budget` seconds, stamping the deadline the budget sets.
     fn shed_at_zero(
         shared: &Shared,
         budget: Option<f64>,
     ) -> Result<(), crate::request::AdmissionError> {
         let t0 = vlite_sim::SimTime::ZERO;
         let deadline = budget.map(|b| t0 + vlite_sim::SimDuration::from_secs_f64(b));
-        shared.shed_if_unmeetable(0, TenantId(0), None, budget, deadline, t0)
+        shared.shed_if_unmeetable(0, TenantId(0), CALLER, budget, deadline, t0)
+    }
+
+    /// Asserts that `trace` holds an admission shed's tree — a request root
+    /// with its `shed:admission` marker — among the trace plane's kept
+    /// trees.
+    fn assert_kept_admission_shed(shared: &Shared, trace: TraceId) {
+        let listing = shared.trace.traces_json();
+        let hex = trace.to_string();
+        let kept = (listing.get("slow").and_then(Json::as_array))
+            .expect("the kept ring")
+            .iter()
+            .any(|entry| entry.get("trace_id").and_then(Json::as_str) == Some(hex.as_str()));
+        assert!(kept, "trace {hex} is not kept: {}", listing.render());
+        let spans = shared
+            .trace
+            .trace_spans(trace.0)
+            .expect("the trace resolves");
+        assert!(
+            spans.iter().any(|s| s.name == "shed:admission"),
+            "no admission marker: {spans:?}"
+        );
     }
 
     #[test]
     fn admission_shed_fires_only_when_the_queue_wait_exceeds_the_budget() {
-        let enforce = |config: &mut ServeConfig| config.deadline.enforce = true;
+        let enforce = |config: &mut ServeConfig| {
+            config.deadline.enforce = true;
+            // What an in-process `submit` is budgeted: far below the wait
+            // the backlog below makes admission estimate.
+            config.deadline.default_deadline = Some(1e-3);
+        };
         let (shared, _control, _probe_sets) = harness_with(100, 80, 1, enforce);
         // Seed the drain-rate EWMA: a batch of 4 jobs served in 10 ms of
         // engine time reads 400 jobs/s, then backlog the lane so the wait
@@ -712,14 +744,7 @@ pub(crate) mod tests {
             shared.obs.deadline_sheds[crate::obs::DEADLINE_STAGE_ADMISSION].get(),
             1
         );
-        assert!(
-            shared
-                .obs
-                .journal_snapshot()
-                .iter()
-                .any(|e| e.kind == "deadline-shed" && e.detail.contains("shed at admission")),
-            "admission sheds must reach the event journal"
-        );
+        assert_kept_admission_shed(&shared, CALLER);
 
         // A budget above the estimated wait is feasible and admits.
         shed_at_zero(&shared, Some(wait * 2.0)).expect("feasible budget must admit");
@@ -730,6 +755,19 @@ pub(crate) mod tests {
             1,
             "only the unmeetable budget shed"
         );
+
+        // An in-process submission carries no trace id: admission derives
+        // one before it judges the budget, so the refusal keeps a tree too.
+        let server = crate::RagServer::without_threads(Arc::clone(&shared));
+        let refused = server.submit(vec![0.0; shared.index.dim()]);
+        assert!(
+            matches!(
+                refused,
+                Err(crate::request::AdmissionError::DeadlineUnmeetable { .. })
+            ),
+            "unexpected admission: {refused:?}"
+        );
+        assert_kept_admission_shed(&shared, shared.trace.derive_trace_id(0));
     }
 
     #[test]

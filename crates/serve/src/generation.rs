@@ -29,6 +29,17 @@ use crate::request::{GenerationTimings, RequestTimings, SearchResponse};
 use crate::server::{RequestOutcome, Shared, ShedCause};
 use crate::trace::{TraceId, STAGE_GENERATION};
 
+/// Prompt tokens admitted into one prefill iteration (vLLM
+/// `max_num_batched_tokens`). Froze `GenerationConfig::max_prefill_tokens`
+/// at its one value.
+pub const MAX_PREFILL_TOKENS: u64 = 8192;
+/// Prompt tokens independent of retrieval (instruction + query). Froze
+/// `GenerationConfig::prompt_tokens_base` at its one value.
+pub const PROMPT_TOKENS_BASE: u64 = 64;
+/// Prompt tokens each retrieved document adds. Froze
+/// `GenerationConfig::tokens_per_doc` at its one value.
+pub const TOKENS_PER_DOC: u64 = 32;
+
 /// One request entering the generation stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GenRequest {
@@ -52,23 +63,17 @@ pub struct GenPhases {
 /// Events emitted by one generation-stage step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GenEvent {
-    /// A request produced its first token. Emitted once per request: a
-    /// preempted-and-recomputed sequence keeps its original first-token
-    /// time (the user already saw that token).
-    FirstToken {
-        /// Request id.
-        id: u64,
-        /// First-token instant.
-        at: SimTime,
-        /// Phase breakdown of this first token.
-        phases: GenPhases,
-    },
     /// A request generated its last token.
     Completed {
         /// Request id.
         id: u64,
         /// Completion instant.
         at: SimTime,
+        /// First-token instant. A preempted-and-recomputed sequence keeps
+        /// its original first token (the user already saw it).
+        first_token: SimTime,
+        /// Phase breakdown of that first token.
+        phases: GenPhases,
     },
 }
 
@@ -86,7 +91,8 @@ pub struct GenStep {
 #[derive(Debug, Clone, Copy)]
 struct Tracked {
     arrived_at: SimTime,
-    first_token: Option<SimTime>,
+    /// The first token's instant and phases, once it is out.
+    first_token: Option<(SimTime, GenPhases)>,
 }
 
 /// The generation half of the co-scheduled pipeline as a pure state
@@ -127,20 +133,13 @@ impl GenerationStage {
     pub fn new(config: &GenerationConfig) -> Self {
         let mut engine = LlmEngine::new(config.cost.clone(), config.kv_bytes);
         engine.set_max_batch(config.max_batch);
-        engine.set_max_prefill_tokens(config.max_prefill_tokens);
+        engine.set_max_prefill_tokens(MAX_PREFILL_TOKENS);
         Self {
             config: config.clone(),
             engine,
             tracked: HashMap::new(),
             free_at: SimTime::ZERO,
         }
-    }
-
-    /// The prompt length assembled for a request with `n_docs` retrieved
-    /// documents (never zero: an empty retrieval still carries the base
-    /// prompt, floored at one token).
-    pub fn prompt_tokens(&self, n_docs: usize) -> u64 {
-        self.config.prompt_tokens(n_docs).max(1)
     }
 
     /// Submits a merged retrieval for generation at `now`.
@@ -152,7 +151,7 @@ impl GenerationStage {
     /// [`ServeConfig::validate`](crate::ServeConfig::validate) at server
     /// start).
     pub fn submit(&mut self, req: GenRequest, now: SimTime) {
-        let tokens = self.prompt_tokens(req.n_docs);
+        let tokens = self.config.prompt_tokens(req.n_docs);
         let prev = self.tracked.insert(
             req.id,
             Tracked {
@@ -236,7 +235,7 @@ impl GenerationStage {
         deadline: Option<SimTime>,
     ) -> std::result::Result<(), SimTime> {
         if let Some(deadline) = deadline {
-            let at = self.estimate_first_token(self.prompt_tokens(req.n_docs), now);
+            let at = self.estimate_first_token(self.config.prompt_tokens(req.n_docs), now);
             if at > deadline {
                 return Err(at);
             }
@@ -272,28 +271,28 @@ impl GenerationStage {
                         .expect("first token for unknown request");
                     // A preempted sequence re-prefills, but its original
                     // first token already left the server: keep it.
-                    if tracked.first_token.is_none() {
-                        tracked.first_token = Some(at);
-                        events.push(GenEvent::FirstToken {
-                            id,
-                            at,
-                            phases: GenPhases {
-                                queued: start - tracked.arrived_at,
-                                prefill: at - start,
-                            },
-                        });
-                    }
+                    tracked.first_token.get_or_insert((
+                        at,
+                        GenPhases {
+                            queued: start - tracked.arrived_at,
+                            prefill: at - start,
+                        },
+                    ));
                 }
                 LlmEvent::Completed { id, at } => {
                     let tracked = self
                         .tracked
                         .remove(&id)
                         .expect("completion for unknown request");
-                    assert!(
-                        tracked.first_token.is_some(),
-                        "request {id} completed without a first token"
-                    );
-                    events.push(GenEvent::Completed { id, at });
+                    let Some((first_token, phases)) = tracked.first_token else {
+                        panic!("request {id} completed without a first token");
+                    };
+                    events.push(GenEvent::Completed {
+                        id,
+                        at,
+                        first_token,
+                        phases,
+                    });
                 }
             }
         }
@@ -363,7 +362,7 @@ impl Merged {
         shared.record_outcome(&RequestOutcome {
             id: self.id,
             tenant: self.tenant,
-            trace: Some(self.trace),
+            trace: self.trace,
             batch_trace: self.batch_trace,
             enqueued: self.enqueued,
             end,
@@ -387,13 +386,6 @@ impl Merged {
     }
 }
 
-/// In-flight per-request state the worker joins engine events against.
-struct PendingGen {
-    work: Merged,
-    reply: Sender<SearchResponse>,
-    first_token: Option<(SimTime, GenPhases)>,
-}
-
 /// The generation worker thread: drives a [`GenerationStage`] against the
 /// server's clock and concludes each request (outcome + final response)
 /// at its last token.
@@ -403,7 +395,9 @@ pub(crate) fn generation_worker(
     rx: &Receiver<GenWork>,
 ) {
     let mut stage = GenerationStage::new(config);
-    let mut pending: HashMap<u64, PendingGen> = HashMap::new();
+    // In-flight requests' merged retrievals and reply channels, joined
+    // against the stage's completions.
+    let mut pending: HashMap<u64, GenWork> = HashMap::new();
     let mut closed = false;
     loop {
         // Admit work: block while idle, then absorb everything queued so
@@ -434,17 +428,15 @@ pub(crate) fn generation_worker(
             // the wall clock (or advance virtual time) before acting on
             // the events that take effect at that instant.
             shared.clock.sleep_until(step.busy_until);
-            for event in step.events {
-                match event {
-                    GenEvent::FirstToken { id, at, phases } => {
-                        let entry = pending.get_mut(&id).expect("unknown first token");
-                        entry.first_token = Some((at, phases));
-                    }
-                    GenEvent::Completed { id, at } => {
-                        let entry = pending.remove(&id).expect("unknown completion");
-                        finish(shared, entry, at);
-                    }
-                }
+            for GenEvent::Completed {
+                id,
+                at,
+                first_token,
+                phases,
+            } in step.events
+            {
+                let work = pending.remove(&id).expect("unknown completion");
+                finish(shared, work, at, first_token, phases);
             }
         }
         shared.trace.stage_end(timer, shared.clock.now());
@@ -459,7 +451,7 @@ pub(crate) fn generation_worker(
 fn admit(
     shared: &Shared,
     stage: &mut GenerationStage,
-    pending: &mut HashMap<u64, PendingGen>,
+    pending: &mut HashMap<u64, GenWork>,
     (work, reply): GenWork,
 ) {
     // The merge instant is the request's true arrival into this stage —
@@ -492,25 +484,18 @@ fn admit(
         work.conclude(shared, &reply, timings, end, Some(ShedCause::GenDeadline));
         return;
     }
-    pending.insert(
-        work.id,
-        PendingGen {
-            work,
-            reply,
-            first_token: None,
-        },
-    );
+    pending.insert(work.id, (work, reply));
 }
 
 /// Deliver one finished request: record its outcome and send the final
 /// response.
-fn finish(shared: &Shared, entry: PendingGen, at: SimTime) {
-    let PendingGen {
-        work,
-        reply,
-        first_token,
-    } = entry;
-    let (first_at, phases) = first_token.expect("completed without first token");
+fn finish(
+    shared: &Shared,
+    (work, reply): GenWork,
+    at: SimTime,
+    first_at: SimTime,
+    phases: GenPhases,
+) {
     let timings = RequestTimings {
         queue: work.queue,
         search: work.search,

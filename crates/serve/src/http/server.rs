@@ -10,7 +10,7 @@
 //! | `GET /v1/trace/{id}` | drill-down: one trace's causal span tree plus the traces it links (`?format=chrome` for a `chrome://tracing` export) |
 //! | `GET /v1/profile` | per-stage wall vs CPU profile + collapsed stacks weighted by section CPU |
 //! | `GET /v1/alerts` | SLO burn-rate watchdog states per signal |
-//! | `GET /v1/events` | the unified event journal as JSON (`?severity=` to filter) |
+//! | `GET /v1/events` | the journal of runtime events (repartitions, migrations, SLO burn transitions, panics) as JSON (`?severity=` to filter) |
 //! | `GET /v1/tenants` | the tenant table |
 //! | `GET /healthz` | liveness + version + queue depth + placement generation + completed count |
 //!

@@ -81,12 +81,16 @@
 //!   per-request measurements: every request that ends is recorded once,
 //!   lock-free, into counters and stage histograms (global and per
 //!   tenant) that both [`ServeReport`] and the `/v1/metrics` scrape are
-//!   read from; plus the bounded unified event journal.
+//!   read from; plus the bounded journal of runtime events
+//!   (repartitions, migrations, SLO burn transitions, panics — never a
+//!   request).
 //! - [`trace`] — the trace plane ([`TracePlane`]): the span store, the one
-//!   place a finished request's timeline lives (written once per request,
-//!   from its [`RequestOutcome`]) — `GET /v1/traces` lists its `request`
-//!   roots, `GET /v1/trace/{id}` drills into one tree and the batch it
-//!   links — plus per-stage CPU profiling and the SLO burn-rate watchdog.
+//!   place a finished request's timeline lives (written once per request
+//!   that ends, sheds included, from its [`RequestOutcome`], whose trace
+//!   id admission derives before it can refuse) — `GET /v1/traces` lists
+//!   its `request` roots, `GET /v1/trace/{id}` drills into one tree and
+//!   the batch it links — plus per-stage CPU profiling and the SLO
+//!   burn-rate watchdog.
 //! - [`loadgen`] — open-loop Poisson load generation with a rotating-hot-set
 //!   query source for drift experiments, single- and multi-tenant, in
 //!   process or over the HTTP frontend's socket.

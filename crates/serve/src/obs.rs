@@ -1,5 +1,5 @@
 //! The telemetry plane (`vlite-obs`): the runtime's one store of
-//! per-request *aggregates*, plus the event journal.
+//! per-request *aggregates*, plus the journal of runtime events.
 //!
 //! Every request that reaches its end is recorded exactly once, by
 //! `Shared::record_outcome`, into the lock-free instruments of
@@ -15,16 +15,19 @@
 //!   minima and maxima are exact; percentiles are bucket upper bounds
 //!   (at most [`StreamingHistogram::relative_error_bound`] high).
 //! - [`ObsEvent`] + a bounded journal — one ordered stream for the
-//!   runtime's discrete events (repartitions, tier migrations, sheds, SLO
-//!   breaches), served by `GET /v1/events`.
+//!   runtime's own discrete events (repartitions, tier migrations, SLO
+//!   burn-rate transitions, panics), served by `GET /v1/events`. No
+//!   request writes a line: a flood of sheds or SLO misses cannot evict
+//!   the repartition an operator is looking for.
 //! - [`BoundedRing`] — the fixed-capacity, eviction-counting ring behind
 //!   the journal and the repartition/migration histories.
 //!
 //! The plane holds no per-request record: each finished request's timeline
 //! lives once, as a span tree, in the trace plane's store
-//! ([`crate::trace`]), and `GET /v1/traces` is a view over it.
-//! [`ObsConfig::enabled`] gates only the journal. Counters and histograms
-//! always record — the report is built from them.
+//! ([`crate::trace`]), and `GET /v1/traces` is a view over it. A shed or
+//! a missed target is counted here and kept there, with its
+//! `shed:{reason}` marker. [`ObsConfig::enabled`] gates only the journal.
+//! Counters and histograms always record — the report is built from them.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -39,10 +42,12 @@ use crate::server::RequestOutcome;
 /// Telemetry-plane knobs ([`ServeConfig::obs`](crate::ServeConfig)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsConfig {
-    /// Switch for the event journal. Disabled, `/v1/events` serves
-    /// an empty body; counters and histograms record regardless — the
-    /// report is built from them — and per-request traces are gated by
-    /// [`TraceConfig::enabled`](crate::TraceConfig) instead.
+    /// Switch for the journal of runtime events (repartitions,
+    /// migrations, SLO burn transitions, panics). Disabled, `/v1/events`
+    /// serves an empty body; counters and histograms record regardless —
+    /// the report is built from them — and every per-request record (the
+    /// span trees) is gated by [`TraceConfig::enabled`](crate::TraceConfig)
+    /// instead.
     pub enabled: bool,
 }
 
@@ -126,14 +131,14 @@ impl<T: Clone> BoundedRing<T> {
 }
 
 /// How serious a journal event is. Routine bookkeeping (repartitions,
-/// migrations) is `Info`; degradations and sheds are `Warn`; conditions
-/// that demand an operator (worker panics, critical SLO burn) are
-/// `Critical`.
+/// migrations, a burn rate recovering) is `Info`; an SLO burning its
+/// error budget is `Warn`; conditions that demand an operator (worker
+/// panics, critical SLO burn) are `Critical`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Routine bookkeeping.
     Info,
-    /// Degraded service: sheds, SLO breaches, deadline drops.
+    /// Degraded service: an SLO burning its error budget.
     Warn,
     /// Operator-demanding: panics, critical burn rates.
     Critical,
@@ -173,8 +178,7 @@ pub struct ObsEvent {
     pub at_ns: u64,
     /// How serious the event is.
     pub severity: Severity,
-    /// Event kind (`repartition`, `migration`, `deadline-shed`,
-    /// `panic`, `slo_breach`, `slo_burn`).
+    /// Event kind (`repartition`, `migration`, `slo_burn`, `panic`).
     pub kind: &'static str,
     /// Human-readable detail line.
     pub detail: String,
@@ -260,8 +264,9 @@ pub(crate) struct TenantSlice {
 
 /// The telemetry plane: one instance per server, shared by every runtime
 /// thread. All counter/histogram recording is lock-free
-/// ([`vlite_metrics::obs`]) and always on; journal capture takes a (short,
-/// dedicated) ring mutex and is skipped when the plane is disabled.
+/// ([`vlite_metrics::obs`]) and always on; journal capture — runtime
+/// events only, never a request — takes a (short, dedicated) ring mutex
+/// and is skipped when the plane is disabled.
 #[derive(Debug)]
 pub struct ObsPlane {
     enabled: bool,
@@ -386,8 +391,8 @@ impl ObsPlane {
         tenant_search_met: bool,
         ttft_met: Option<bool>,
     ) {
-        let (id, tenant, timings) = (o.id, o.tenant, &o.timings);
-        let slice = &self.tenants[tenant.index()];
+        let timings = &o.timings;
+        let slice = &self.tenants[o.tenant.index()];
         self.completed.inc();
         slice.completed.inc();
         self.hit_sum.add(o.hit_rate);
@@ -410,29 +415,10 @@ impl ObsPlane {
         }
         if !search_met {
             self.search_slo_breaches.inc();
-            if self.enabled {
-                self.journal(
-                    o.end.as_nanos(),
-                    Severity::Warn,
-                    "slo_breach",
-                    format!(
-                        "request {id} ({tenant}) search stage took {:.4}s",
-                        timings.search
-                    ),
-                );
-            }
         }
         if ttft_met == Some(false) {
             self.ttft_slo_breaches.inc();
             slice.ttft_slo_breaches.inc();
-            if let (true, Some(gen)) = (self.enabled, &timings.generation) {
-                self.journal(
-                    o.end.as_nanos(),
-                    Severity::Warn,
-                    "slo_breach",
-                    format!("request {id} ({tenant}) TTFT was {:.4}s", gen.ttft),
-                );
-            }
         }
         if o.shed.is_some() {
             self.gen_sheds.inc();
@@ -440,7 +426,8 @@ impl ObsPlane {
         }
     }
 
-    /// Appends one event to the unified journal.
+    /// Appends one runtime event to the journal (dropped while the journal
+    /// is off).
     pub fn journal(&self, at_ns: u64, severity: Severity, kind: &'static str, detail: String) {
         if self.enabled {
             self.journal.push(ObsEvent {
@@ -634,6 +621,7 @@ mod tests {
     use super::*;
     use crate::request::{RequestTimings, TenantId};
     use crate::server::ShedCause;
+    use crate::trace::TraceId;
     use vlite_sim::SimTime;
 
     /// A retrieval-only reply (or, with `shed`, a generation shed) that
@@ -642,7 +630,7 @@ mod tests {
         RequestOutcome {
             id,
             tenant: TenantId(tenant),
-            trace: None,
+            trace: TraceId(u128::from(id) + 1),
             batch_trace: None,
             enqueued: SimTime::ZERO,
             end: SimTime::from_secs_f64(e2e),
@@ -698,6 +686,8 @@ mod tests {
         assert_eq!((a.gen_sheds.get(), a.ttft_slo_breaches.get()), (1, 1));
         assert_eq!((a.hit_sum.get(), b.hit_sum.get()), (0.75, 1.0));
         assert_eq!((a.e2e.count(), b.e2e.count()), (2, 1));
+        // Breaches and sheds are counted, never journaled.
+        assert!(plane.journal_snapshot().is_empty());
     }
 
     #[test]
@@ -706,7 +696,7 @@ mod tests {
         let plane = ObsPlane::new(&config, 1);
         plane.on_batch(4);
         plane.on_request(&outcome(0, 0, 9.0, 0.0, true), false, false, None);
-        plane.journal(0, Severity::Warn, "shed", "x".into());
+        plane.journal(0, Severity::Warn, "slo_burn", "x".into());
         assert_eq!(plane.completed.get(), 1);
         assert_eq!(plane.search_slo_breaches.get(), 1);
         assert_eq!((plane.batches.get(), plane.max_batch()), (1, 4));
@@ -753,7 +743,7 @@ mod tests {
     fn journal_severity_renders_and_filters() {
         let plane = ObsPlane::new(&ObsConfig::default(), 1);
         plane.journal(1, Severity::Info, "repartition", "routine".into());
-        plane.journal(2, Severity::Warn, "shed", "degraded".into());
+        plane.journal(2, Severity::Warn, "slo_burn", "degraded".into());
         plane.journal(3, Severity::Critical, "panic", "bad".into());
         let all = plane.events_json().render();
         assert!(all.contains("\"severity\":\"info\""));

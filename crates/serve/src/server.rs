@@ -95,11 +95,9 @@ struct ScanPool {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShedCause {
     /// Rung 1: the estimated queue wait already exceeded the whole budget,
-    /// so the submission was refused.
-    Admission {
-        /// The estimated queue wait in seconds.
-        estimated_wait: f64,
-    },
+    /// so the submission was refused (the refusal,
+    /// [`AdmissionError::DeadlineUnmeetable`], carries the estimate).
+    Admission,
     /// Rung 2: the deadline passed while the request queued.
     QueueExpired,
     /// Rung 4: estimated first token past the request's own deadline.
@@ -116,7 +114,7 @@ impl ShedCause {
     /// The `DEADLINE_STAGE_*` counter this shed ticks.
     fn deadline_stage(self) -> usize {
         match self {
-            ShedCause::Admission { .. } => crate::obs::DEADLINE_STAGE_ADMISSION,
+            ShedCause::Admission => crate::obs::DEADLINE_STAGE_ADMISSION,
             ShedCause::QueueExpired => crate::obs::DEADLINE_STAGE_QUEUE,
             ShedCause::GenDeadline => crate::obs::DEADLINE_STAGE_GENERATION,
         }
@@ -125,7 +123,7 @@ impl ShedCause {
     /// The `shed:{reason}` marker name in the request's span tree.
     pub(crate) fn span_name(self) -> &'static str {
         match self {
-            ShedCause::Admission { .. } => "shed:admission",
+            ShedCause::Admission => "shed:admission",
             ShedCause::QueueExpired => "shed:queue-expired",
             ShedCause::GenDeadline => "shed:gen-deadline",
         }
@@ -136,16 +134,17 @@ impl ShedCause {
 /// lifecycle ends. The five terminal sites build one and hand it to
 /// `Shared::record_outcome`, which feeds the aggregates and passes it whole
 /// to [`TracePlane::record_request`]; nothing else records per-request
-/// telemetry.
+/// telemetry, and the event journal records none.
 #[derive(Debug)]
 pub struct RequestOutcome {
     /// Request id (assigned at admission).
     pub id: u64,
     /// The submitting tenant.
     pub tenant: TenantId,
-    /// `None` only for an admission shed whose caller sent no trace id
-    /// (nothing derives one for a request that never became a job).
-    pub trace: Option<TraceId>,
+    /// The request's trace id: the caller's, or one derived at admission
+    /// — before the admission-feasibility check, so a request refused
+    /// there has one too.
+    pub trace: TraceId,
     /// The batch trace the request's search rode, when it reached a batch.
     pub batch_trace: Option<u128>,
     /// Admission instant on the server's clock.
@@ -222,7 +221,7 @@ impl Shared {
         &self,
         id: u64,
         tenant: TenantId,
-        trace: Option<TraceId>,
+        trace: TraceId,
         budget: Option<f64>,
         deadline: Option<SimTime>,
         now: SimTime,
@@ -252,9 +251,7 @@ impl Shared {
             hit_rate: 0.0,
             deadline,
             gen_busy: None,
-            shed: Some(ShedCause::Admission {
-                estimated_wait: wait,
-            }),
+            shed: Some(ShedCause::Admission),
         });
         Err(AdmissionError::DeadlineUnmeetable {
             tenant,
@@ -264,10 +261,11 @@ impl Shared {
     }
 
     /// Records one request that has reached its end — the *only* code that
-    /// touches per-request aggregates, budget burn, the shed/SLO-breach
-    /// journal, the span tree and the burn-rate watchdog. Callers record
-    /// before sending the reply, so a `ticket.wait()` followed by
-    /// `report()` always sees the request.
+    /// touches per-request aggregates, budget burn, the span tree and the
+    /// burn-rate watchdog. A shed or a missed target is counted and its
+    /// tree kept; the event journal hears of it only through a burn-rate
+    /// transition. Callers record before sending the reply, so a
+    /// `ticket.wait()` followed by `report()` always sees the request.
     pub(crate) fn record_outcome(&self, o: &RequestOutcome) {
         let obs = &self.obs;
         let t = &o.timings;
@@ -279,15 +277,15 @@ impl Shared {
         // whatever the instant of the shed.
         let on_time = o.deadline.map(|d| replied && o.end <= d);
         // Whether the request missed a target the report judges it by —
-        // the tenant's search SLO, the TTFT SLO or its deadline: such a
-        // request's trace is kept.
+        // the global or its tenant's search SLO, the TTFT SLO or its
+        // deadline: such a request's trace is kept.
         let mut missed = on_time == Some(false);
 
         if let Some(stage) = o.shed.map(ShedCause::deadline_stage) {
             obs.deadline_sheds[stage].inc();
         }
         // An admission shed never queued: it has no burn to record.
-        let queued = !matches!(o.shed, Some(ShedCause::Admission { .. }));
+        let queued = !matches!(o.shed, Some(ShedCause::Admission));
         if let Some(budget) = budget.filter(|_| queued) {
             obs.on_budget_burn(crate::obs::BURN_STAGE_QUEUE, t.queue / budget);
             if replied {
@@ -309,39 +307,12 @@ impl Shared {
                 None => {}
             }
             let tenant_search_met = t.search <= self.config.tenants[o.tenant.index()].slo_search;
-            missed |= !tenant_search_met || ttft_met == Some(false);
+            missed |= !search_met || !tenant_search_met || ttft_met == Some(false);
             obs.on_request(o, search_met, tenant_search_met, ttft_met);
             self.watch_slo(SIG_SEARCH, search_met, o.end);
             if let Some(ttft_met) = ttft_met {
                 self.watch_slo(SIG_TTFT, ttft_met, o.end);
             }
-        }
-
-        // Skipped with the journal off: a shed flood should not pay for
-        // formatting lines nobody keeps.
-        if let Some(cause) = o.shed.filter(|_| obs.enabled()) {
-            let budget_ms = budget.unwrap_or(0.0) * 1e3;
-            let detail = match cause {
-                ShedCause::Admission { estimated_wait } => format!(
-                    "{} submission shed at admission: budget {budget_ms:.1} ms < \
-                     estimated queue wait {:.1} ms",
-                    o.tenant,
-                    estimated_wait * 1e3
-                ),
-                ShedCause::QueueExpired => format!(
-                    "request {} ({}) expired in queue: {:.1} ms queued of a \
-                     {budget_ms:.1} ms budget",
-                    o.id,
-                    o.tenant,
-                    t.queue * 1e3
-                ),
-                ShedCause::GenDeadline => format!(
-                    "request {} ({}) shed by deadline-aware generation admission \
-                     after {:.4}s of retrieval",
-                    o.id, o.tenant, t.e2e
-                ),
-            };
-            obs.journal(o.end.as_nanos(), Severity::Warn, "deadline-shed", detail);
         }
 
         self.trace.record_request(o, missed);
@@ -579,7 +550,8 @@ impl RagServer {
     /// [`RagServer::submit_with_deadline`] plus an explicit trace id: the
     /// HTTP frontend passes the client's W3C `traceparent` trace id here so
     /// the request's span tree records under the caller's trace. `None`
-    /// derives a fresh deterministic id at admission.
+    /// derives a fresh deterministic id at admission, before any refusal
+    /// that records a tree (a deadline shed at admission keeps one).
     ///
     /// # Errors
     ///
@@ -620,9 +592,9 @@ impl RagServer {
         // relaxed: a fresh-id counter — uniqueness needs atomicity only,
         // no ordering with any other memory.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let trace = trace.unwrap_or_else(|| self.shared.trace.derive_trace_id(id));
         self.shared
             .shed_if_unmeetable(id, tenant, trace, budget, abs_deadline, now)?;
-        let trace = trace.unwrap_or_else(|| self.shared.trace.derive_trace_id(id));
         // vlite-allow(bounded-queues): a per-request reply channel carries
         // exactly one response before it is dropped.
         let (reply, rx) = channel::unbounded();
@@ -1233,7 +1205,7 @@ fn shed_expired(shared: &Shared, job: &Job, now: SimTime) {
     shared.record_outcome(&RequestOutcome {
         id: job.id,
         tenant: job.tenant,
-        trace: Some(job.trace),
+        trace: job.trace,
         batch_trace: None,
         enqueued: job.enqueued,
         end: now,
@@ -1434,10 +1406,88 @@ fn complete_query(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::control::tests::{harness, harness_with, tiny_config, tiny_corpus};
+    use crate::obs::JOURNAL_CAPACITY;
     use crate::request::SearchResponse;
+
+    impl RagServer {
+        /// A server on `shared` that runs no thread: nothing drains its
+        /// queues, so a test can backlog a lane and then `submit`.
+        pub(crate) fn without_threads(shared: Arc<Shared>) -> RagServer {
+            RagServer {
+                shared,
+                threads: Vec::new(),
+                next_id: AtomicU64::new(0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_flood_of_sheds_and_slo_misses_leaves_the_journal_to_runtime_events() {
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        shared.record_repartition(RepartitionEvent {
+            generation: 1,
+            at_request: 0,
+            triggered_by: TenantId(0),
+            observed_by_tenant: vec![0],
+            old_coverage: 0.3,
+            new_coverage: 0.3,
+            hot_overlap: 1.0,
+            queue_depth_at_swap: 0,
+            duration: std::time::Duration::ZERO,
+        });
+        // Twice the journal's capacity of requests, each shed on one rung
+        // or replied past the search SLO.
+        let causes = [
+            Some(ShedCause::Admission),
+            Some(ShedCause::QueueExpired),
+            Some(ShedCause::GenDeadline),
+            None,
+        ];
+        let search = 2.0 * shared.config.real.slo_search;
+        for id in 0..2 * JOURNAL_CAPACITY as u64 {
+            let shed = causes[id as usize % causes.len()];
+            let search = if shed.is_none() { search } else { 0.0 };
+            shared.record_outcome(&RequestOutcome {
+                id,
+                tenant: TenantId(0),
+                trace: TraceId(u128::from(id) + 1),
+                batch_trace: None,
+                enqueued: SimTime::ZERO,
+                end: SimTime::from_secs_f64(search),
+                timings: RequestTimings {
+                    queue: 0.0,
+                    search,
+                    e2e: search,
+                    generation: None,
+                },
+                hit_rate: 0.0,
+                deadline: Some(SimTime::ZERO),
+                gen_busy: None,
+                shed,
+            });
+        }
+        let per_cause = (2 * JOURNAL_CAPACITY / causes.len()) as u64;
+        let sheds = shared.obs.deadline_sheds.each_ref().map(|c| c.get());
+        assert_eq!(sheds, [per_cause; 3]);
+        assert_eq!(shared.obs.search_slo_breaches.get(), per_cause);
+        let journal = shared.obs.journal_snapshot();
+        let kinds: Vec<&str> = journal.iter().map(|e| e.kind).collect();
+        assert!(
+            kinds.contains(&"repartition"),
+            "the flood evicted the repartition: {} events, {} evicted",
+            kinds.len(),
+            shared.obs.journal_stats().1
+        );
+        assert!(
+            kinds
+                .iter()
+                .all(|k| ["repartition", "slo_burn"].contains(k)),
+            "a request wrote to the journal: {kinds:?}"
+        );
+    }
 
     /// A batch of `queries` (each with its routing) as the batcher forms
     /// it, replying on `reply`.

@@ -494,17 +494,18 @@ impl TracePlane {
     /// phases when it generated, and a zero-width `shed:{reason}` marker
     /// when it was shed. A request that was shed, took at least
     /// [`SLOW_THRESHOLD_S`] end to end, or `missed` a target it is judged by
-    /// (its tenant's search SLO, the TTFT SLO or its deadline) is recorded
-    /// *kept*, and takes its batch trace with it.
+    /// (the global or its tenant's search SLO, the TTFT SLO or its
+    /// deadline) is recorded *kept*, and takes its batch trace with it.
     /// Every name is static and the span ids come as one block, so the
     /// write takes the store lock once and allocates no `String`.
     ///
-    /// Outcomes without a trace id (an admission shed whose caller sent
-    /// none) record nothing.
+    /// This tree is the runtime's one per-request record: every request
+    /// that ends — admission sheds included — leaves one here.
     pub fn record_request(&self, o: &RequestOutcome, missed: bool) {
-        let (true, Some(trace)) = (self.enabled, o.trace) else {
+        if !self.enabled {
             return;
-        };
+        }
+        let trace = o.trace.0;
         let t = &o.timings;
         // Clamp boundaries into a monotone chain so the recorded tree is
         // well-formed even if a real-clock stamp landed out of order.
@@ -515,13 +516,13 @@ impl TracePlane {
         let root = self.next_span_ids(7);
         let child = |n: u64, name: &'static str, start: f64, end: f64| SpanRecord {
             span_id: root + n,
-            ..span(trace.0, Some(root), name, start, end)
+            ..span(trace, Some(root), name, start, end)
         };
         let mut spans = Vec::with_capacity(7);
         spans.push(SpanRecord {
             span_id: root,
             request: Some((o.id, o.tenant.0)),
-            ..span(trace.0, None, "request", t0, t3)
+            ..span(trace, None, "request", t0, t3)
         });
         spans.push(child(1, "queue", t0, t1));
         spans.push(SpanRecord {
@@ -540,7 +541,7 @@ impl TracePlane {
             spans.push(child(6, cause.span_name(), t3, t3));
         }
         let keep = missed || o.shed.is_some() || t3 - t0 >= SLOW_THRESHOLD_S;
-        self.store.record_tree(trace.0, spans, keep);
+        self.store.record_tree(trace, spans, keep);
     }
 
     /// Records a migration/repartition span in its own trace, linked to
@@ -1008,7 +1009,7 @@ mod tests {
         RequestOutcome {
             id,
             tenant: TenantId(1),
-            trace: Some(trace),
+            trace,
             batch_trace: batch,
             enqueued: SimTime::from_nanos(4_000_000),
             end: SimTime::from_nanos(9_000_000),

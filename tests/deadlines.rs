@@ -12,8 +12,9 @@
 //! Coverage:
 //! - A zero-budget request is shed at batch formation (rung 2) on the
 //!   exact tick it was submitted: the ticket's reply channel disconnects,
-//!   the shed is attributed to the queue stage, and the journal event is
-//!   stamped at the submission tick to the nanosecond.
+//!   the shed is attributed to the queue stage, and its kept span tree's
+//!   `shed:queue-expired` marker is stamped at the submission tick to the
+//!   nanosecond.
 //! - A request shed at admission (rung 1) under a caller-supplied trace id
 //!   leaves a `request` root and a `shed:admission` marker, so
 //!   `/v1/trace/{id}` answers for the client that got `DeadlineUnmeetable`.
@@ -39,8 +40,10 @@
 //!   one probe).
 //! - On a co-scheduled server, a budget that survives retrieval but not
 //!   the estimated first token is shed at generation admission (rung 4):
-//!   the reply carries the retrieval results without generation, and the
-//!   shed counts as both a deadline shed and a generation shed.
+//!   the reply carries the retrieval results without generation, the
+//!   shed counts as both a deadline shed and a generation shed, and its
+//!   span tree is kept with a `shed:gen-deadline` marker at the merge
+//!   tick.
 //! - Over the HTTP frontend: `X-Deadline-Ms` is validated (400 on garbage
 //!   or a budget past `Duration::MAX`), a generous or huge budget answers
 //!   200, an impossible budget answers 504 with a JSON error body, and the
@@ -59,6 +62,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use vectorlite_rag::ann::{IvfConfig, IvfIndex, VecSet};
+use vectorlite_rag::metrics::spans::SpanRecord;
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::{
@@ -129,6 +133,7 @@ fn zero_budget_request_is_shed_in_queue_at_the_exact_tick() {
         Some(t_submit),
         "a zero budget stamps the deadline at the submission tick"
     );
+    let trace = ticket.trace_id();
 
     // Batch formation reads the same (never-advanced) tick, so
     // `started >= deadline` holds by equality: the job is shed, its reply
@@ -148,19 +153,29 @@ fn zero_budget_request_is_shed_in_queue_at_the_exact_tick() {
     assert_eq!(report.deadline_missed, 0, "shed requests never complete");
     assert_eq!(report.cold_skips, 0);
 
-    // The journal stamps the shed at the batch-formation tick — which the
-    // scripted timeline pins to the submission tick, to the nanosecond.
-    let journal = server.obs().journal_snapshot();
-    let shed = journal
+    // The kept tree stamps the shed at the batch-formation tick — which
+    // the scripted timeline pins to the submission tick, to the
+    // nanosecond.
+    let shed = kept_marker(&server, trace, "shed:queue-expired");
+    assert_eq!(shed.start_s, 0.005, "shed at exactly t = 5 ms");
+}
+
+/// The `marker` span of `trace`'s request tree, which the trace plane must
+/// list among its kept trees.
+fn kept_marker(server: &RagServer, trace: TraceId, marker: &str) -> SpanRecord {
+    let plane = server.trace_plane();
+    let listing = plane.traces_json();
+    let hex = trace.to_string();
+    let kept = (listing.get("slow").and_then(Json::as_array))
+        .expect("the kept ring")
         .iter()
-        .find(|e| e.kind == "deadline-shed")
-        .expect("queue sheds are journaled");
-    assert_eq!(shed.at_ns, 5_000_000, "shed at exactly t = 5 ms");
-    assert!(
-        shed.detail.contains("expired in queue"),
-        "unexpected detail: {}",
-        shed.detail
-    );
+        .any(|entry| entry.get("trace_id").and_then(Json::as_str) == Some(hex.as_str()));
+    assert!(kept, "trace {hex} is not kept: {}", listing.render());
+    let spans = plane.trace_spans(trace.0).expect("the trace resolves");
+    let found = spans.iter().find(|s| s.name == marker);
+    found
+        .unwrap_or_else(|| panic!("no {marker} span: {spans:?}"))
+        .clone()
 }
 
 #[test]
@@ -185,8 +200,10 @@ fn admission_shed_is_traceable_under_the_callers_trace_id() {
     // has taken its next batch. Then offer a 1 ns budget under the
     // caller's trace id: its estimated wait (a batch of at most 64 jobs
     // takes far over 64 ns) dwarfs the budget and admission refuses it.
-    // Should the batcher have drained the lane first, the offer is
-    // admitted and the next round offers under a fresh caller trace id.
+    // Should the batcher have drained the lane first — or not yet have
+    // recorded a drain rate: the first reply leaves before its batch is
+    // metered — the offer is admitted, the round's backlog is served, and
+    // the next round offers under a fresh caller trace id.
     let mut backlog = Vec::new();
     let (caller, refusal) = (0..1_000u128)
         .find_map(|round| {
@@ -195,15 +212,18 @@ fn admission_shed_is_traceable_under_the_callers_trace_id() {
                 backlog.push(ticket.expect("unbudgeted work admits"));
             }
             let caller = TraceId(0x0af7_6519_16cd_43dd_8448_eb21_1c80_0000 + round);
-            server
-                .submit_with_trace(
-                    TenantId(0),
-                    query.clone(),
-                    Some(Duration::from_nanos(1)),
-                    Some(caller),
-                )
-                .err()
-                .map(|refusal| (caller, refusal))
+            let offered = server.submit_with_trace(
+                TenantId(0),
+                query.clone(),
+                Some(Duration::from_nanos(1)),
+                Some(caller),
+            );
+            if offered.is_ok() {
+                for ticket in backlog.drain(..) {
+                    ticket.wait().expect("unbudgeted work is served");
+                }
+            }
+            offered.err().map(|refusal| (caller, refusal))
         })
         .expect("a fed lane must eventually refuse a 1 ns budget");
     assert!(
@@ -258,8 +278,12 @@ fn an_idle_gap_does_not_shed_the_next_burst_at_admission() {
     };
 
     // One request, a minute of silence, one more request: the engine was
-    // busy for none of that minute.
+    // busy for none of that minute. The batch replies before it closes
+    // its `dispatch` section and stamps its merge instant, so the minute
+    // starts only once that section is closed — the drain meter records
+    // the batch's busy time, not the silence.
     serve_one(0);
+    await_sections(&server, "dispatch", 1);
     clock.advance(SimDuration::from_secs_f64(60.0));
     serve_one(1);
 
@@ -498,25 +522,9 @@ fn unmeetable_first_token_is_shed_at_generation_admission_with_retrieval_results
         "the reply left at the merge tick, inside its budget"
     );
 
-    let spans = server
-        .trace_plane()
-        .trace_spans(response.trace.0)
-        .expect("the reply's trace id resolves");
-    assert!(
-        spans.iter().any(|s| s.name == "shed:gen-deadline"),
-        "missing rung-4 marker: {spans:?}"
-    );
-    let journal = server.obs().journal_snapshot();
-    let shed = journal
-        .iter()
-        .find(|e| e.kind == "deadline-shed")
-        .expect("generation deadline sheds are journaled");
-    assert!(
-        shed.detail
-            .contains("shed by deadline-aware generation admission"),
-        "unexpected detail: {}",
-        shed.detail
-    );
+    // The clock never moved: the shed left at the merge tick, zero.
+    let shed = kept_marker(&server, response.trace, "shed:gen-deadline");
+    assert_eq!(shed.start_s, 0.0, "shed at the merge tick");
 }
 
 #[test]

@@ -148,30 +148,36 @@ fn scripted_queueing_pins_the_generation_queue_phase_exactly() {
 
     let step1 = stage.advance(t0).expect("work pending");
     assert_eq!(step1.busy_until, t0 + p0);
-    assert_eq!(step1.events.len(), 2, "first token + completion");
-    match step1.events[0] {
-        GenEvent::FirstToken { id, at, phases } => {
-            assert_eq!(id, 0);
-            assert_eq!(at, t0 + p0);
-            assert_eq!(phases.queued, SimDuration::ZERO);
-            assert_eq!(phases.prefill, p0);
-        }
-        other => panic!("expected first token, got {other:?}"),
-    }
+    assert_eq!(
+        step1.events.len(),
+        1,
+        "one completion, carrying its first token"
+    );
+    let GenEvent::Completed {
+        id,
+        first_token: at,
+        phases,
+        ..
+    } = step1.events[0];
+    assert_eq!(id, 0);
+    assert_eq!(at, t0 + p0);
+    assert_eq!(phases.queued, SimDuration::ZERO);
+    assert_eq!(phases.prefill, p0);
 
     // Advancing from an earlier instant clamps to the engine's free time:
     // request 1 queued behind request 0 for exactly p0.
     let step2 = stage.advance(t0).expect("request 1 pending");
     assert_eq!(step2.busy_until, t0 + p0 + p1);
-    match step2.events[0] {
-        GenEvent::FirstToken { id, at, phases } => {
-            assert_eq!(id, 1);
-            assert_eq!(at, t0 + p0 + p1);
-            assert_eq!(phases.queued, p0, "queued behind request 0's prefill");
-            assert_eq!(phases.prefill, p1);
-        }
-        other => panic!("expected first token, got {other:?}"),
-    }
+    let GenEvent::Completed {
+        id,
+        first_token: at,
+        phases,
+        ..
+    } = step2.events[0];
+    assert_eq!(id, 1);
+    assert_eq!(at, t0 + p0 + p1);
+    assert_eq!(phases.queued, p0, "queued behind request 0's prefill");
+    assert_eq!(phases.prefill, p1);
     assert!(stage.is_idle());
     assert_eq!(stage.engine_stats().completed, 2);
 }

@@ -16,9 +16,10 @@
 //! 3. Every reply's span tree (looked up by `SearchResponse.trace`)
 //!    reproduces the delivered timings — the TTFT identity — and a zero
 //!    slow-threshold keeps every trace.
-//! 4. The two switches gate different captures: `obs.enabled` the journal,
-//!    `trace.enabled` the per-request trees; the report and the scrape keep
-//!    counting under either.
+//! 4. The two switches gate different captures: `obs.enabled` the journal
+//!    of runtime events, `trace.enabled` the per-request trees (and the
+//!    burn-rate watchdog); the report and the scrape keep counting under
+//!    either, and no request writes a journal line.
 //! 5. Hot-path recording is lock-free: writers hammering one plane from
 //!    many threads lose no samples even while a scraper renders the
 //!    exposition concurrently (no global lock to convoy on).
@@ -33,7 +34,8 @@ use vectorlite_rag::metrics::{LatencyRecorder, Summary};
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::{
     AdmissionError, GenerationConfig, ObsConfig, ObsPlane, RagServer, RequestOutcome,
-    RequestTimings, ServeConfig, ServeReport, TenantId, TenantReport, TenantSpec, VirtualClock,
+    RequestTimings, ServeConfig, ServeReport, TenantId, TenantReport, TenantSpec, TraceId,
+    VirtualClock,
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -462,11 +464,14 @@ fn disabled_plane_captures_nothing_while_report_and_scrape_keep_counting() {
     let corpus = corpus();
     // (obs.enabled, trace.enabled): each switch gates its own capture —
     // the journal and the per-request trees — and neither the aggregates.
-    for (obs_on, trace_on) in [(false, true), (true, false)] {
+    for (obs_on, trace_on) in [(false, true), (true, false), (true, true)] {
         let mut config = config();
         config.obs.enabled = obs_on;
         config.trace.enabled = trace_on;
-        // Every request breaches, so an enabled journal fills up.
+        // Every request breaches: the search signal's burn rate goes
+        // critical at the first miss, and the watchdog (on with tracing)
+        // journals that one runtime event. The misses themselves are
+        // counted and kept as trees, never journaled.
         config.real.slo_search = 1e-12;
         let server = RagServer::start(&corpus, config).expect("server starts");
         let queries = corpus.queries(16, 31);
@@ -488,7 +493,13 @@ fn disabled_plane_captures_nothing_while_report_and_scrape_keep_counting() {
         let traces = server.trace_handle();
         let report = server.shutdown();
         assert_eq!(obs.enabled(), obs_on);
-        assert_eq!(obs.journal_snapshot().is_empty(), !obs_on);
+        let kinds: Vec<&str> = obs.journal_snapshot().iter().map(|e| e.kind).collect();
+        let burn: &[&str] = if obs_on && trace_on {
+            &["slo_burn"]
+        } else {
+            &[]
+        };
+        assert_eq!(kinds, burn, "(obs {obs_on}, trace {trace_on})");
         let listing = traces.traces_json();
         let listed = |ring: &str| {
             listing
@@ -543,7 +554,7 @@ fn concurrent_recording_with_live_scrapes_loses_nothing() {
                     let outcome = RequestOutcome {
                         id: w * per_writer + i,
                         tenant: TenantId(0),
-                        trace: None,
+                        trace: TraceId(u128::from(w * per_writer + i) + 1),
                         batch_trace: None,
                         enqueued: SimTime::ZERO,
                         end: SimTime::from_secs_f64(e2e),

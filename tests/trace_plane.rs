@@ -499,7 +499,7 @@ proptest! {
                 plane.record_request(&RequestOutcome {
                     id: member.0 as u64,
                     tenant: TenantId(0),
-                    trace: Some(member),
+                    trace: member,
                     batch_trace: Some(ctx.trace_id),
                     enqueued,
                     end,
