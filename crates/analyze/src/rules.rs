@@ -249,6 +249,29 @@ pub fn rules() -> &'static [Rule] {
                       share, so the two cannot place the same probe sets differently",
         },
         Rule {
+            id: "caller-thread-scan",
+            summary: "only the HTTP frontend submits through `submit_or_scan`",
+            include_tests: true,
+            scope: &[],
+            allow: &[
+                (
+                    "crates/serve/src/http/",
+                    "the frontend's connection threads block on their reply anyway, so one may \
+                     run an idle runtime's request to completion itself",
+                ),
+                (
+                    "crates/serve/src/server.rs",
+                    "the entry's definition and its tests",
+                ),
+            ],
+            patterns: &[word(&["submit_or_scan"])],
+            check: Check::Forbid,
+            message: "`submit_or_scan` scans on the calling thread while the runtime is idle; \
+                      only an HTTP connection thread, which waits for its reply anyway, may call \
+                      it — an in-process submitter (a load generator, a window thread) must use \
+                      `submit*` and never block on a scan",
+        },
+        Rule {
             id: "stdout-discipline",
             summary: "library code never prints; output flows through the obs plane",
             include_tests: false,

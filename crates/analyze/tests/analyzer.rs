@@ -84,6 +84,27 @@ fn one_placement_pass_fires_on_a_hand_written_chain_only() {
 }
 
 #[test]
+fn caller_thread_scan_fires_outside_the_http_frontend_only() {
+    let source = include_str!("fixtures/caller_thread_scan.rs");
+    let found = |relpath: &str| -> Vec<(String, usize)> {
+        (scan(relpath, source).into_iter())
+            .map(|d| (d.rule, d.line))
+            .collect()
+    };
+    // The one real call; nothing from the quoted and commented copies or
+    // from the longer names.
+    let call = vec![("caller-thread-scan".to_string(), 21)];
+    assert_eq!(found("crates/serve/src/loadgen.rs"), call);
+    // Test code and other crates are covered too.
+    assert_eq!(found("crates/serve/src/queue.rs"), call);
+    assert_eq!(found("tests/http_frontend.rs"), call);
+    assert_eq!(found("crates/bench/src/bin/serve_smoke.rs"), call);
+    // The frontend and the entry's own file may name it.
+    assert!(found("crates/serve/src/http/server.rs").is_empty());
+    assert!(found("crates/serve/src/server.rs").is_empty());
+}
+
+#[test]
 fn suppression_lifecycle_is_enforced() {
     let source = include_str!("fixtures/suppressions.rs");
     let mut diags = scan("crates/serve/src/fixture_suppressions.rs", source);

@@ -3,7 +3,7 @@
 //!
 //! | Endpoint | Maps to |
 //! |---|---|
-//! | `POST /v1/search` (+ `X-Tenant`, `traceparent`) | [`RagServer::submit_with_trace`], blocks on the [`Ticket`], streams the merged result back with a `traceparent` response header |
+//! | `POST /v1/search` (+ `X-Tenant`, `X-Deadline-Ms`, `traceparent`) | `RagServer::submit_or_scan`: while the runtime is idle the request is scanned on this connection's thread, otherwise it queues as [`RagServer::submit_with_trace`] does; then it blocks on the [`Ticket`] and streams the merged result back with a `traceparent` response header |
 //! | `GET /v1/report` | [`RagServer::report`] as JSON |
 //! | `GET /v1/metrics` | [`RagServer::prometheus_text`] + frontend uptime, as Prometheus text exposition |
 //! | `GET /v1/traces` | the recent + slow finished requests, listed from the span store's `request` roots (each entry carries its `trace_id`) |
@@ -527,7 +527,8 @@ fn healthz(inner: &FrontendInner) -> Json {
 }
 
 /// `POST /v1/search`: decode, submit for the `X-Tenant` tenant (default 0)
-/// under the `X-Deadline-Ms` budget (default: the policy's), wait on the
+/// under the `X-Deadline-Ms` budget (default: the policy's) — scanned on
+/// this thread when the runtime is idle, queued otherwise — wait on the
 /// ticket with a bounded, shutdown-aware poll loop, encode the merged
 /// result.
 fn search(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
@@ -564,10 +565,7 @@ fn search(inner: &FrontendInner, head: &RequestHead<'_>, body: &[u8]) -> Reply {
     // W3C trace context: a malformed `traceparent` is treated as absent
     // (restart the trace) rather than rejected.
     let trace = head.header("traceparent").and_then(parse_traceparent);
-    match inner
-        .server
-        .submit_with_trace(tenant, query, deadline, trace)
-    {
+    match inner.server.submit_or_scan(tenant, query, deadline, trace) {
         Ok(ticket) => {
             let waited_from = inner.server.clock().now();
             wait_for_ticket(inner, ticket, waited_from)

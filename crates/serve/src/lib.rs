@@ -6,6 +6,11 @@
 //! coordination structure as a long-lived multi-threaded system:
 //!
 //! ```text
+//!  POST /v1/search ─▶ runtime idle? ──yes──▶ the connection thread forms,
+//!  (HTTP frontend)    │ lanes empty, batcher  scans, merges and delivers
+//!                     │ in take_batch, < P    its batch of one with the
+//!                     │ caller-thread scans   batcher's own functions
+//!                     ▼ no
 //!                 ┌────────────────────────────────────────────────┐
 //!  submit_for() ─▶│ per-tenant bounded queues (reject the          │
 //!                 │ over-quota tenant, never a victim)             │
@@ -52,7 +57,13 @@
 //!   holds every list payload (flat L2 / inner-product indexes only; the
 //!   server has no other scan path), and all runtime threads. A batch of
 //!   one query never reaches a shard worker: the batcher scans its every
-//!   share itself, sparing two thread hand-offs per request. Its one
+//!   share itself, sparing two thread hand-offs per request. An HTTP
+//!   request that finds the runtime idle — every lane empty, the batcher
+//!   waiting for work, fewer than `available_parallelism()` such scans
+//!   running — is not queued at all: its connection thread runs it as a
+//!   batch of one through the batcher's own formation, scan, merge and
+//!   delivery, so up to that many lone queries scan in parallel. In-process
+//!   submissions always queue. Its one
 //!   constructor, [`RagServer::start`] (or
 //!   [`start_with_clock`](RagServer::start_with_clock)), runs the offline
 //!   stage from [`ServeConfig::real`], so the runtime serves, places and
@@ -76,7 +87,8 @@
 //!   `GET /v1/report`, `GET /v1/metrics` (Prometheus text exposition),
 //!   `GET /v1/traces`, `GET /v1/events`, `GET /v1/tenants` and
 //!   `GET /healthz` over `std::net::TcpListener`, thread-per-connection
-//!   with keep-alive.
+//!   with keep-alive. A search submits through the frontend's own path,
+//!   which scans on the connection thread while the runtime is idle.
 //! - [`obs`] — the telemetry plane ([`ObsPlane`]), the one store of
 //!   per-request measurements: every request that ends is recorded once,
 //!   lock-free, into counters and stage histograms (global and per

@@ -280,6 +280,9 @@ pub struct ObsPlane {
     pub batches: Counter,
     /// Requests absorbed into batches.
     pub batched_requests: Counter,
+    /// Requests scanned on their HTTP connection's thread while the
+    /// runtime was idle, each a batch of one that never queued.
+    pub caller_thread_scans: Counter,
     /// Requests whose search stage missed its SLO.
     pub search_slo_breaches: Counter,
     /// Requests whose TTFT missed `slo_ttft` (sheds included).
@@ -319,6 +322,7 @@ impl ObsPlane {
             gen_sheds: Counter::new(),
             batches: Counter::new(),
             batched_requests: Counter::new(),
+            caller_thread_scans: Counter::new(),
             search_slo_breaches: Counter::new(),
             ttft_slo_breaches: Counter::new(),
             deadline_sheds: std::array::from_fn(|_| Counter::new()),
@@ -505,6 +509,11 @@ impl ObsPlane {
                 "vlite_batched_requests_total",
                 "Requests absorbed into batches",
                 &self.batched_requests,
+            ),
+            (
+                "vlite_search_caller_thread_total",
+                "Requests scanned on their HTTP connection's thread while the runtime was idle",
+                &self.caller_thread_scans,
             ),
             (
                 "vlite_search_slo_breaches_total",

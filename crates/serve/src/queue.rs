@@ -14,6 +14,11 @@
 //!   tenant holds at most `weight / Σ backlogged weights` of each batch
 //!   while other tenants have queued work, and the whole batch when it is
 //!   alone (work conservation).
+//! - `try_caller_scan` lets a request skip the queue altogether while the
+//!   runtime is idle: every lane empty, the batcher back in `take_batch`,
+//!   the queue open, and fewer caller-thread scans running than the host
+//!   has hardware threads. The HTTP frontend then scans the request on its
+//!   connection thread; nothing it could have batched with is waiting.
 //!
 //! The scheduler is the classic smooth-WRR deficit scheme: each pick adds
 //! every backlogged lane's weight to its credit, serves the lane with the
@@ -69,6 +74,11 @@ struct Inner {
     total_depth: usize,
     peak_total_depth: usize,
     closed: bool,
+    /// The batcher holds a drained batch: set when `take_batch` returns
+    /// one, cleared when the batcher comes back for the next.
+    batching: bool,
+    /// Caller-thread scans running ([`AdmissionQueue::try_caller_scan`]).
+    caller_scans: usize,
     /// Recent drain throughput in jobs per engine-busy second (EWMA over
     /// `record_drain` samples); `0.0` until a batch has been measured.
     drain_rate: f64,
@@ -102,6 +112,19 @@ pub(crate) struct QueueStats {
 pub(crate) struct AdmissionQueue {
     inner: Mutex<Inner>,
     not_empty: Condvar,
+    /// Most caller-thread scans that may run at once: the host's hardware
+    /// threads, read once at construction.
+    caller_scan_cap: usize,
+}
+
+/// One claimed caller-thread scan slot; dropping it frees the slot.
+#[derive(Debug)]
+pub(crate) struct CallerScan<'a>(&'a AdmissionQueue);
+
+impl Drop for CallerScan<'_> {
+    fn drop(&mut self) {
+        lock_recover(&self.0.inner).caller_scans -= 1;
+    }
 }
 
 impl AdmissionQueue {
@@ -126,11 +149,14 @@ impl AdmissionQueue {
                 total_depth: 0,
                 peak_total_depth: 0,
                 closed: false,
+                batching: false,
+                caller_scans: 0,
                 drain_rate: 0.0,
                 full_search: None,
                 since_full_search: 0,
             }),
             not_empty: Condvar::new(),
+            caller_scan_cap: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -162,11 +188,14 @@ impl AdmissionQueue {
     /// `max` jobs, interleaving backlogged tenants by smooth weighted
     /// round-robin (each tenant's lane drains in arrival order). Returns
     /// `None` once the queue is closed *and* fully empty (graceful shutdown
-    /// serves every tenant's backlog first).
+    /// serves every tenant's backlog first). The one batcher calls it: from
+    /// the drain until its next call the batcher counts as busy.
     pub fn take_batch(&self, max: usize) -> Option<Vec<Job>> {
         let mut inner = lock_recover(&self.inner);
+        inner.batching = false;
         loop {
             if inner.total_depth > 0 {
+                inner.batching = true;
                 return Some(inner.drain(max));
             }
             if inner.closed {
@@ -174,6 +203,26 @@ impl AdmissionQueue {
             }
             inner = wait_recover(&self.not_empty, inner);
         }
+    }
+
+    /// Claims a caller-thread scan slot for one `tenant` request when the
+    /// runtime is idle: every lane empty, the batcher not holding a batch,
+    /// the queue open, and fewer than the host's hardware threads of
+    /// caller-thread scans running. The claim counts the request as
+    /// admitted for its tenant, as `try_push` would; `None` leaves every
+    /// counter alone and the caller queues the request instead.
+    pub fn try_caller_scan(&self, tenant: TenantId) -> Option<CallerScan<'_>> {
+        let mut inner = lock_recover(&self.inner);
+        if inner.closed
+            || inner.batching
+            || inner.total_depth > 0
+            || inner.caller_scans >= self.caller_scan_cap
+        {
+            return None;
+        }
+        inner.caller_scans += 1;
+        inner.lanes[tenant.index()].admitted += 1;
+        Some(CallerScan(self))
     }
 
     /// Records that the engine served a batch of `n` jobs in `busy` (the
@@ -410,6 +459,37 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.try_push(job(0, 7)).unwrap();
         assert_eq!(taker.join().unwrap(), Some(1));
+    }
+
+    #[test]
+    fn caller_scans_are_capped_at_the_hardware_threads_and_need_an_idle_runtime() {
+        let q = AdmissionQueue::new(&[spec(1, 4), spec(1, 4)]);
+        let cap = q.caller_scan_cap;
+        assert!(cap >= 1);
+        let slots: Vec<CallerScan<'_>> = (0..cap)
+            .map(|i| {
+                q.try_caller_scan(TenantId(1))
+                    .unwrap_or_else(|| panic!("slot {i}"))
+            })
+            .collect();
+        assert!(q.try_caller_scan(TenantId(1)).is_none(), "slot {}", cap + 1);
+        let stats = q.stats();
+        assert_eq!(stats.tenants[1].admitted, cap as u64, "each claim admits");
+        assert_eq!((stats.tenants[0].admitted, stats.peak_depth), (0, 0));
+        drop(slots);
+        let slot = q.try_caller_scan(TenantId(0)).expect("the slots came back");
+        drop(slot);
+
+        // A queued job, a batch held by the batcher, or a closed queue
+        // sends the request through the lanes instead.
+        q.try_push(job(0, 0)).unwrap();
+        assert!(q.try_caller_scan(TenantId(1)).is_none(), "a job is queued");
+        assert_eq!(q.take_batch(8).unwrap().len(), 1);
+        assert!(q.try_caller_scan(TenantId(1)).is_none(), "mid-batch");
+        q.close();
+        assert!(q.take_batch(8).is_none(), "closed and empty");
+        assert!(q.try_caller_scan(TenantId(1)).is_none(), "closed");
+        assert_eq!(q.stats().admitted, cap as u64 + 2, "refusals admit nothing");
     }
 
     #[test]

@@ -188,6 +188,10 @@ pub struct ServeReport {
     pub mean_batch: f64,
     /// Largest batch absorbed in one launch.
     pub max_batch: usize,
+    /// Requests the HTTP frontend scanned on their connection's thread
+    /// while the runtime was idle: each is a batch of one (counted in
+    /// `batches`) that never queued.
+    pub caller_thread_scans: u64,
     /// Mean cache hit rate across served requests.
     pub mean_hit_rate: f64,
     /// Per-tenant breakdown, indexed by [`TenantId`].
@@ -306,6 +310,7 @@ impl ServeReport {
             batches,
             mean_batch: mean(obs.batched_requests.get() as f64, batches),
             max_batch: obs.max_batch(),
+            caller_thread_scans: obs.caller_thread_scans.get(),
             mean_hit_rate: mean(obs.hit_sum.get(), completed),
             tenants,
             repartitions: shared.repartitions.snapshot(),
@@ -343,8 +348,14 @@ impl ServeReport {
             self.admitted, self.rejected, self.completed, self.peak_queue_depth
         ));
         out.push_str(&format!(
-            "batching: {} batches, mean {:.1}, max {}  |  mean hit rate {:.3}  |  generation {}\n",
-            self.batches, self.mean_batch, self.max_batch, self.mean_hit_rate, self.generation
+            "batching: {} batches, mean {:.1}, max {}, {} on a caller thread  |  \
+             mean hit rate {:.3}  |  generation {}\n",
+            self.batches,
+            self.mean_batch,
+            self.max_batch,
+            self.caller_thread_scans,
+            self.mean_hit_rate,
+            self.generation
         ));
         out.push_str(&format!(
             "search SLO {}: attainment {:.1}%\n",
@@ -695,6 +706,10 @@ impl ServeReport {
             ("batches".into(), Json::Num(self.batches as f64)),
             ("mean_batch".into(), Json::Num(self.mean_batch)),
             ("max_batch".into(), Json::Num(self.max_batch as f64)),
+            (
+                "caller_thread_scans".into(),
+                Json::Num(self.caller_thread_scans as f64),
+            ),
             ("mean_hit_rate".into(), Json::Num(self.mean_hit_rate)),
             ("tenants".into(), Json::Arr(tenants)),
             ("repartitions".into(), Json::Arr(repartitions)),

@@ -21,6 +21,18 @@
 //! Admission, generation and the control loop — which also moves the
 //! store's tiers after each repartition — run concurrently with the scan.
 //!
+//! The HTTP frontend has a submit path of its own,
+//! [`RagServer::submit_or_scan`]: a request that finds the runtime idle —
+//! every lane empty, the batcher back in `take_batch`, the queue open and
+//! fewer caller-thread scans running than the host has hardware threads —
+//! runs to completion on its connection thread, as a batch of one formed,
+//! scanned, merged and delivered through the batcher's own functions
+//! ([`serve_batch`]). It skips the queue → batcher → reply-channel
+//! hand-offs, and lone queries on different connections scan in parallel
+//! rather than one after another on the batcher. The batcher's batch is
+//! still the only one formed from the queue, so everything that could
+//! batch with something else still does.
+//!
 //! Admission is multi-tenant: each tenant owns a bounded queue
 //! ([`TenantSpec::queue_capacity`](crate::TenantSpec)) and the batcher
 //! drains tenants by smooth weighted round-robin, so one tenant's overload
@@ -88,6 +100,16 @@ type Share = (usize, Vec<Vec<Neighbor>>);
 struct ScanPool {
     work: Vec<Sender<Arc<BatchWork>>>,
     done: Receiver<Share>,
+}
+
+/// Where a batch's merged queries go: one observation each to the control
+/// loop, and each retrieval to the generation worker when generation is
+/// configured. The batcher holds one set, the server another for its
+/// caller-thread scans.
+#[derive(Clone)]
+struct Sinks {
+    control: Sender<Observation>,
+    generation: Option<Sender<GenWork>>,
 }
 
 /// Why a request ended without full service — one rung of the deadline
@@ -415,6 +437,10 @@ pub struct RagServer {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
+    /// The caller-thread path's sinks. Shutdown drops them before joining
+    /// the threads: the control loop and the generation worker end when
+    /// their last sender goes.
+    sinks: Option<Sinks>,
 }
 
 impl std::fmt::Debug for RagServer {
@@ -483,9 +509,14 @@ impl RagServer {
             gen_tx
         });
 
+        let sinks = Sinks {
+            control: control_tx,
+            generation: gen_tx,
+        };
         let shared_ = shared.clone();
+        let batcher_sinks = sinks.clone();
         threads.push(spawn_named("vlite-batcher", move || {
-            batcher(&shared_, &pool, &control_tx, gen_tx.as_ref());
+            batcher(&shared_, &pool, &batcher_sinks);
         }));
         threads.push(spawn_named("vlite-control", move || {
             control.run(control_rx)
@@ -495,6 +526,7 @@ impl RagServer {
             shared,
             threads,
             next_id: AtomicU64::new(0),
+            sinks: Some(sinks),
         })
     }
 
@@ -547,9 +579,9 @@ impl RagServer {
         self.submit_with_trace(tenant, query, deadline, None)
     }
 
-    /// [`RagServer::submit_with_deadline`] plus an explicit trace id: the
-    /// HTTP frontend passes the client's W3C `traceparent` trace id here so
-    /// the request's span tree records under the caller's trace. `None`
+    /// [`RagServer::submit_with_deadline`] plus an explicit trace id — a
+    /// client's W3C `traceparent` trace id, say — so the request's span
+    /// tree records under the caller's trace. `None`
     /// derives a fresh deterministic id at admission, before any refusal
     /// that records a tree (a deadline shed at admission keeps one).
     ///
@@ -563,6 +595,60 @@ impl RagServer {
         deadline: Option<std::time::Duration>,
         trace: Option<TraceId>,
     ) -> Result<Ticket, AdmissionError> {
+        let (job, ticket) = self.admit(tenant, query, deadline, trace)?;
+        self.enqueue(job, ticket)
+    }
+
+    /// The HTTP frontend's submit path: [`RagServer::submit_with_trace`],
+    /// except that a request arriving while the runtime is idle runs to
+    /// completion on the calling thread. When every lane is empty, the
+    /// batcher holds no batch, the queue is open and fewer caller-thread
+    /// scans run than the host has hardware threads
+    /// (`AdmissionQueue::try_caller_scan`), the request is formed into a
+    /// batch of one, scanned share by share, merged and delivered here,
+    /// through the batcher's own functions, before the ticket is returned.
+    /// Otherwise it queues as `submit_with_trace` would. In-process
+    /// submitters never scan: an open-loop generator must not block.
+    ///
+    /// # Errors
+    ///
+    /// As [`RagServer::submit_for`].
+    pub(crate) fn submit_or_scan(
+        &self,
+        tenant: TenantId,
+        query: Vec<f32>,
+        deadline: Option<std::time::Duration>,
+        trace: Option<TraceId>,
+    ) -> Result<Ticket, AdmissionError> {
+        let (job, ticket) = self.admit(tenant, query, deadline, trace)?;
+        // The sinks go only once shutdown has begun, which takes the
+        // server by value; a request then just queues.
+        let Some(sinks) = &self.sinks else {
+            return self.enqueue(job, ticket);
+        };
+        match self.shared.queue.try_caller_scan(tenant) {
+            Some(_slot) => {
+                self.shared.obs.caller_thread_scans.inc();
+                // Without a pool the batch never reaches a shard worker,
+                // so no worker can be gone: the result is always `Some`.
+                let _ = serve_batch(&self.shared, None, vec![job], sinks);
+                Ok(ticket)
+            }
+            None => self.enqueue(job, ticket),
+        }
+    }
+
+    /// Admission, shared by every submit path: the tenant, dimension and
+    /// finiteness checks, the deadline stamp, the request and trace ids,
+    /// then rung 1 of the deadline ladder. Returns the admitted job and the
+    /// ticket its reply arrives on.
+    fn admit(
+        &self,
+        tenant: TenantId,
+        query: Vec<f32>,
+        deadline: Option<std::time::Duration>,
+        trace: Option<TraceId>,
+    ) -> Result<(Job, Ticket), AdmissionError> {
         let n_tenants = self.shared.config.tenants.len();
         if tenant.index() >= n_tenants {
             return Err(AdmissionError::UnknownTenant { tenant, n_tenants });
@@ -607,14 +693,21 @@ impl RagServer {
             trace,
             reply,
         };
+        let ticket = Ticket {
+            id,
+            tenant,
+            deadline: abs_deadline,
+            trace,
+            rx,
+        };
+        Ok((job, ticket))
+    }
+
+    /// Queues an admitted job in its tenant's lane for the batcher.
+    fn enqueue(&self, job: Job, ticket: Ticket) -> Result<Ticket, AdmissionError> {
+        let tenant = job.tenant;
         match self.shared.queue.try_push(job) {
-            Ok(()) => Ok(Ticket {
-                id,
-                tenant,
-                deadline: abs_deadline,
-                trace,
-                rx,
-            }),
+            Ok(()) => Ok(ticket),
             Err((_, true)) => Err(AdmissionError::ShuttingDown),
             // Capacity comes from the immutable tenant table, not the
             // queue: re-taking the admission lock just to echo a config
@@ -934,6 +1027,7 @@ impl RagServer {
     /// thread, and returns the final report.
     pub fn shutdown(mut self) -> ServeReport {
         self.shared.queue.close();
+        self.sinks = None;
         for handle in self.threads.drain(..) {
             handle.join().expect("runtime thread panicked");
         }
@@ -944,6 +1038,7 @@ impl RagServer {
 impl Drop for RagServer {
     fn drop(&mut self) {
         self.shared.queue.close();
+        self.sinks = None;
         for handle in self.threads.drain(..) {
             // Avoid double-panicking in unwind paths.
             let _ = handle.join();
@@ -1037,84 +1132,112 @@ fn open_store(deployment: &mut RealDeployment, config: &StoreConfig) -> Arc<Tier
 }
 
 /// Batcher: drain the per-tenant queues (weighted-fair) when the engine is
-/// idle, coarse-quantize and route under the current placement snapshot,
-/// run the batch ([`run_batch`]).
-fn batcher(
-    shared: &Shared,
-    pool: &ScanPool,
-    control_tx: &Sender<Observation>,
-    gen_tx: Option<&Sender<GenWork>>,
-) {
+/// idle and serve each drain as one batch ([`serve_batch`]).
+fn batcher(shared: &Shared, pool: &ScanPool, sinks: &Sinks) {
     while let Some(jobs) = shared.queue.take_batch(shared.config.max_batch) {
-        let (split, generation) = shared.placement_snapshot();
-        let started = shared.clock.now();
-        let stage = shared.trace.stage_start(STAGE_BATCHER, started);
-        let drained = jobs.len();
-        // Rung 2 of the degradation ladder: a job whose deadline passed
-        // while it queued is dropped here instead of burning a batch slot
-        // on a response nobody will accept (its waiter sees the reply
-        // channel disconnect and answers 504).
-        let jobs: Vec<Job> = if shared.config.deadline.enforce {
-            jobs.into_iter()
-                .filter_map(|job| match job.deadline {
-                    Some(deadline) if started >= deadline => {
-                        shed_expired(shared, &job, started);
-                        None
-                    }
-                    _ => Some(job),
-                })
-                .collect()
-        } else {
-            jobs
-        };
-        if jobs.is_empty() {
+        if serve_batch(shared, Some(pool), jobs, sinks).is_none() {
+            return; // a shard worker is gone: the runtime is tearing down
+        }
+    }
+}
+
+/// Serves one drain — the batcher's, or the one job a caller-thread scan
+/// runs — end to end: forms the batch ([`form_batch`]), runs it
+/// ([`run_batch`]) and records the drain on the queue's cost meter.
+/// Without a `pool` the batch must hold one query, which never reaches a
+/// shard worker. `None` when a shard worker is gone.
+fn serve_batch(
+    shared: &Shared,
+    pool: Option<&ScanPool>,
+    jobs: Vec<Job>,
+    sinks: &Sinks,
+) -> Option<()> {
+    let drained = jobs.len();
+    let started = shared.clock.now();
+    let batch = match form_batch(shared, jobs, started) {
+        Ok(batch) => batch,
+        Err(now) => {
             // The whole drain expired: there is nothing to launch, and
             // nothing was scanned.
-            let now = shared.clock.now();
-            shared.trace.stage_end(stage, now);
             shared.queue.record_drain(drained, now - started, false);
-            continue;
+            return Some(());
         }
-        let mut probes = Vec::with_capacity(jobs.len());
-        let nprobe = shared.config.real.nprobe;
-        let routed: Vec<RoutedQuery> = jobs
-            .iter()
-            .map(|job| {
-                let list: Vec<u32> = (shared.index.probe(&job.query, nprobe).iter())
-                    .map(|p| p.list)
-                    .collect();
-                let routed = split.route(&list);
-                probes.push(list);
-                routed
+    };
+    let merged = run_batch(shared, pool, &batch, sinks)?;
+    // The engine was busy from formation to merge: that interval, not
+    // the gap since the previous batch, is what draining took — and
+    // what the batch's trace span shows.
+    shared
+        .queue
+        .record_drain(drained, merged - started, !batch.hot_only);
+    Some(())
+}
+
+/// Forms a batch from drained `jobs` at `started`: sheds the jobs whose
+/// deadline already passed (rung 2), coarse-quantizes and routes the rest
+/// under the current placement snapshot, decides rung 3 (hot-only), takes
+/// the store snapshot and opens the batch trace. `Err` carries the instant
+/// formation ended when every job expired.
+fn form_batch(
+    shared: &Shared,
+    jobs: Vec<Job>,
+    started: SimTime,
+) -> Result<Arc<BatchWork>, SimTime> {
+    let (split, generation) = shared.placement_snapshot();
+    let stage = shared.trace.stage_start(STAGE_BATCHER, started);
+    // Rung 2 of the degradation ladder: a job whose deadline passed
+    // while it queued is dropped here instead of burning a batch slot
+    // on a response nobody will accept (its waiter sees the reply
+    // channel disconnect and answers 504).
+    let jobs: Vec<Job> = if shared.config.deadline.enforce {
+        jobs.into_iter()
+            .filter_map(|job| match job.deadline {
+                Some(deadline) if started >= deadline => {
+                    shed_expired(shared, &job, started);
+                    None
+                }
+                _ => Some(job),
             })
-            .collect();
-        let hot_only = runs_hot_only(shared, &jobs, started);
-        if hot_only {
-            let skipped = routed.iter().filter(|r| !r.cpu_probes.is_empty()).count();
-            shared.obs.cold_skips.add(skipped as u64);
-        }
-        let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
-        let batch = Arc::new(BatchWork {
-            jobs,
-            probes,
-            routed,
-            hot_only,
-            store: shared.store.snapshot(),
-            started,
-            generation,
-            trace: shared.trace.begin_batch(&members),
-        });
-        shared.trace.stage_end(stage, shared.clock.now());
-        let Some(merged) = run_batch(shared, pool, &batch, control_tx, gen_tx) else {
-            return; // a shard worker is gone: the runtime is tearing down
-        };
-        // The engine was busy from formation to merge: that interval, not
-        // the gap since the previous batch, is what draining took — and
-        // what the batch's trace span shows.
-        shared
-            .queue
-            .record_drain(drained, merged - started, !hot_only);
+            .collect()
+    } else {
+        jobs
+    };
+    if jobs.is_empty() {
+        let now = shared.clock.now();
+        shared.trace.stage_end(stage, now);
+        return Err(now);
     }
+    let mut probes = Vec::with_capacity(jobs.len());
+    let nprobe = shared.config.real.nprobe;
+    let routed: Vec<RoutedQuery> = jobs
+        .iter()
+        .map(|job| {
+            let list: Vec<u32> = (shared.index.probe(&job.query, nprobe).iter())
+                .map(|p| p.list)
+                .collect();
+            let routed = split.route(&list);
+            probes.push(list);
+            routed
+        })
+        .collect();
+    let hot_only = runs_hot_only(shared, &jobs, started);
+    if hot_only {
+        let skipped = routed.iter().filter(|r| !r.cpu_probes.is_empty()).count();
+        shared.obs.cold_skips.add(skipped as u64);
+    }
+    let members: Vec<TraceId> = jobs.iter().map(|j| j.trace).collect();
+    let batch = Arc::new(BatchWork {
+        jobs,
+        probes,
+        routed,
+        hot_only,
+        store: shared.store.snapshot(),
+        started,
+        generation,
+        trace: shared.trace.begin_batch(&members),
+    });
+    shared.trace.stage_end(stage, shared.clock.now());
+    Ok(batch)
 }
 
 /// Rung 3 of the deadline ladder, decided once per batch at formation:
@@ -1145,27 +1268,23 @@ fn runs_hot_only(shared: &Shared, jobs: &[Job], now: SimTime) -> bool {
 /// share on this thread meanwhile, gathers exactly one share from each
 /// shard (the engine is busy until then), then merges, records and
 /// delivers every query in batch order inside one `dispatch` section.
-/// A lone query never reaches a worker: the batcher scans every share
-/// itself, in share order, since two thread hand-offs cost more than the
-/// parallel scans of one query buy. A hot-only batch scans no cold share.
-/// Returns the merge instant, which ends the batch's trace span; `None`
-/// when a shard worker is gone.
+/// A lone query never reaches a worker: the thread running the batch —
+/// the batcher, or the HTTP connection thread of a caller-thread scan,
+/// which has no `pool` — scans every share itself, in share order, since
+/// two thread hand-offs cost more than the parallel scans of one query
+/// buy. A hot-only batch scans no cold share. Returns the merge instant,
+/// which ends the batch's trace span; `None` when a shard worker is gone.
 fn run_batch(
     shared: &Shared,
-    pool: &ScanPool,
+    pool: Option<&ScanPool>,
     batch: &Arc<BatchWork>,
-    control_tx: &Sender<Observation>,
-    gen_tx: Option<&Sender<GenWork>>,
+    sinks: &Sinks,
 ) -> Option<SimTime> {
     let cpu = shared.config.real.n_shards;
     // The cold share is the last: a hot-only batch leaves it unscanned.
     let scanned = cpu + usize::from(!batch.hot_only);
     let mut shares = vec![Vec::new(); scanned];
-    if batch.jobs.len() == 1 {
-        for (share, partials) in shares.iter_mut().enumerate() {
-            *partials = scan_share(shared, batch, share);
-        }
-    } else {
+    if let Some(pool) = pool.filter(|_| batch.jobs.len() > 1) {
         for tx in &pool.work {
             tx.send(Arc::clone(batch)).ok()?;
         }
@@ -1175,6 +1294,10 @@ fn run_batch(
         for _ in 0..pool.work.len() {
             let (worker, partials) = pool.done.recv().ok()?;
             shares[worker] = partials;
+        }
+    } else {
+        for (share, partials) in shares.iter_mut().enumerate() {
+            *partials = scan_share(shared, batch, share);
         }
     }
     let stage = shared.trace.stage_start(STAGE_DISPATCH, shared.clock.now());
@@ -1186,7 +1309,7 @@ fn run_batch(
             .map(|share| std::mem::take(&mut share[qi]))
             .collect();
         let neighbors = merge_sorted(&lists, shared.config.real.top_k);
-        complete_query(shared, batch, qi, neighbors, control_tx, gen_tx);
+        complete_query(shared, batch, qi, neighbors, sinks);
     }
     shared.obs.on_batch(batch.jobs.len());
     let merged = shared.clock.now();
@@ -1354,8 +1477,7 @@ fn complete_query(
     batch: &BatchWork,
     qi: usize,
     neighbors: Vec<Neighbor>,
-    control_tx: &Sender<Observation>,
-    gen_tx: Option<&Sender<GenWork>>,
+    sinks: &Sinks,
 ) {
     let job = &batch.jobs[qi];
     let now = shared.clock.now();
@@ -1365,7 +1487,7 @@ fn complete_query(
 
     // The control loop's one observation of this query: its hit rate, the
     // search SLO bit, and its global probe set (the re-profiling sample).
-    let _ = control_tx.send(Observation {
+    let _ = sinks.control.send(Observation {
         tenant: job.tenant,
         hit_rate,
         met_slo: search <= shared.config.real.slo_search,
@@ -1386,7 +1508,7 @@ fn complete_query(
         search,
         merged_at: now,
     };
-    match gen_tx {
+    match &sinks.generation {
         // The request's outcome is recorded by the generation worker when
         // its lifecycle actually ends; the batcher only counts
         // batch-level statistics for co-scheduled servers.
@@ -1420,8 +1542,19 @@ pub(crate) mod tests {
                 shared,
                 threads: Vec::new(),
                 next_id: AtomicU64::new(0),
+                sinks: Some(sinks().0),
             }
         }
+    }
+
+    /// Retrieval-only sinks and the receiving end of their observations.
+    fn sinks() -> (Sinks, Receiver<Observation>) {
+        let (control, observations) = channel::unbounded();
+        let sinks = Sinks {
+            control,
+            generation: None,
+        };
+        (sinks, observations)
     }
 
     #[test]
@@ -1554,11 +1687,11 @@ pub(crate) mod tests {
             done_tx.send((shard, vec![Vec::new()])).unwrap();
         }
         let pool = ScanPool { work, done };
-        let (control_tx, _control_rx) = channel::unbounded();
+        let (sinks, _observations) = sinks();
         let (reply_tx, replies) = channel::unbounded();
 
         let batch = batch_of(&shared, vec![(query.clone(), routed)], &reply_tx);
-        assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
+        assert!(run_batch(&shared, Some(&pool), &batch, &sinks).is_some());
         assert!(queued.iter().all(Receiver::is_empty), "work was sent");
         assert_eq!(
             pool.done.len(),
@@ -1567,6 +1700,69 @@ pub(crate) mod tests {
         );
         let reply = replies.try_recv().expect("one reply");
         assert_eq!(reply.neighbors, scan_lists(&shared, &query, &probes));
+    }
+
+    #[test]
+    fn an_http_query_scans_on_its_connection_thread_without_a_batcher() {
+        use crate::http::{wire, HttpClient, HttpFrontend};
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        let (query, ..) = probe_everything(&shared);
+        // No batcher thread: only the connection thread can answer.
+        let server = RagServer::without_threads(Arc::clone(&shared));
+        let frontend =
+            HttpFrontend::bind(server, &crate::config::HttpConfig::default()).expect("binds");
+        let mut client = HttpClient::connect(frontend.addr()).expect("connects");
+        let body = wire::search_request_to_json(&query).render();
+        let response = (client.post_json("/v1/search", &[], &body)).expect("exchange");
+        let text = String::from_utf8_lossy(&response.body);
+        assert_eq!(response.status, 200, "{text}");
+        let json = response.json().expect("JSON body");
+        let over_http = wire::search_response_from_json(&json).expect("a search response");
+        assert_eq!(shared.obs.caller_thread_scans.get(), 1);
+        assert_eq!(shared.queue.stats().admitted, 1, "the scan was admitted");
+        assert_eq!(shared.queue.stats().peak_depth, 0, "and never queued");
+
+        // The same query through the queue and the batcher.
+        let (replies, _) = serve(&shared, std::slice::from_ref(&query), &[None]);
+        let bits = |r: &SearchResponse| -> Vec<(u64, u32)> {
+            (r.neighbors.iter())
+                .map(|n| (n.id, n.distance.to_bits()))
+                .collect()
+        };
+        assert!(!over_http.neighbors.is_empty());
+        assert_eq!(bits(&over_http), bits(&replies[0]));
+        assert_eq!(over_http.hit_rate.to_bits(), replies[0].hit_rate.to_bits());
+        assert_eq!(shared.obs.batches.get(), 2, "a batch of one each");
+        drop(client);
+        frontend.shutdown();
+    }
+
+    #[test]
+    fn a_busy_runtime_queues_the_http_submission() {
+        let (shared, _control, _probe_sets) = harness(100, 80, 1);
+        let server = RagServer::without_threads(Arc::clone(&shared));
+        let query = vec![0.25f32; shared.index.dim()];
+        let http =
+            || (server.submit_or_scan(TenantId(0), query.clone(), None, None)).expect("admitted");
+        // An in-process submission queues even on an idle runtime.
+        let first = server.submit(query.clone()).expect("admitted");
+        assert_eq!(server.queue_depth(), 1);
+        // A job is queued: the HTTP request queues behind it.
+        let behind = http();
+        assert_eq!(server.queue_depth(), 2, "queued behind the job");
+        assert!(behind.rx.try_recv().is_err(), "not served yet");
+        // The batcher holds a batch: the next one queues too.
+        let held = shared
+            .queue
+            .take_batch(shared.config.max_batch)
+            .expect("queued");
+        assert_eq!(held.len(), 2);
+        let during = http();
+        assert_eq!(server.queue_depth(), 1, "queued while the batcher is busy");
+        assert!(during.rx.try_recv().is_err(), "not served yet");
+        assert_eq!(shared.obs.caller_thread_scans.get(), 0);
+        assert_eq!(shared.queue.stats().admitted, 3);
+        drop((first, held));
     }
 
     #[test]
@@ -1579,11 +1775,11 @@ pub(crate) mod tests {
             .collect();
         let other_routed = shared.placement_snapshot().0.route(&other_probes);
         let (pool, workers) = spawn_scan_workers(&shared);
-        let (control_tx, _control_rx) = channel::unbounded();
+        let (sinks, _observations) = sinks();
         let (reply_tx, replies) = channel::unbounded();
         let run = |queries| {
             let batch = batch_of(&shared, queries, &reply_tx);
-            assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
+            assert!(run_batch(&shared, Some(&pool), &batch, &sinks).is_some());
             std::iter::from_fn(|| replies.try_recv().ok()).collect::<Vec<_>>()
         };
 
@@ -1641,11 +1837,11 @@ pub(crate) mod tests {
         };
 
         let (pool, workers) = spawn_scan_workers(&shared);
-        let (control_tx, _control_rx) = channel::unbounded();
+        let (sinks, _observations) = sinks();
         let (reply_tx, replies) = channel::unbounded();
         let run = |queries: Vec<(Vec<f32>, RoutedQuery)>| -> Vec<SearchResponse> {
             let batch = batch_of(&shared, queries, &reply_tx);
-            assert!(run_batch(&shared, &pool, &batch, &control_tx, None).is_some());
+            assert!(run_batch(&shared, Some(&pool), &batch, &sinks).is_some());
             std::iter::from_fn(|| replies.try_recv().ok()).collect()
         };
         let scan = |lists: &[u32]| scan_lists(&shared, &good, lists);
@@ -1734,9 +1930,9 @@ pub(crate) mod tests {
         }
         shared.queue.close();
         let (pool, workers) = spawn_scan_workers(shared);
-        let (control_tx, observations) = channel::unbounded();
+        let (sinks, observations) = sinks();
         // Returns once the closed queue is empty.
-        batcher(shared, &pool, &control_tx, None);
+        batcher(shared, &pool, &sinks);
         drop(pool);
         for worker in workers {
             worker.join().expect("shard worker exits cleanly on close");

@@ -8,6 +8,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -15,9 +16,12 @@ use proptest::prelude::*;
 use vectorlite_rag::ann::Neighbor;
 use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
+use vectorlite_rag::serve::trace::TRACE_CAPACITY;
 use vectorlite_rag::serve::{
-    GenerationTimings, RagServer, RequestTimings, SearchResponse, ServeConfig, TenantId, TraceId,
+    Clock, GenerationTimings, RagServer, RealClock, RequestTimings, SearchResponse, ServeConfig,
+    TenantId, TenantSpec, TraceId,
 };
+use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
 
 fn corpus() -> SyntheticCorpus {
@@ -415,6 +419,120 @@ fn malformed_query_vectors_are_refused_at_admission_not_downstream() {
     );
 
     frontend.shutdown();
+}
+
+/// The wall clock, with every read on an HTTP connection thread delayed by
+/// 50 µs: a request scanned on its connection thread then holds its
+/// caller-scan slot for many reads, long enough that a flood of more
+/// connections than slots finds them all taken.
+#[derive(Debug, Default)]
+struct SlowConnectionClock(RealClock);
+
+impl Clock for SlowConnectionClock {
+    fn now(&self) -> SimTime {
+        // The frontend names its connection threads `vlite-http-conn`.
+        if std::thread::current().name() == Some("vlite-http-conn") {
+            self.0
+                .sleep_until(self.0.now() + SimDuration::from_micros(50));
+        }
+        self.0.now()
+    }
+
+    fn sleep_until(&self, deadline: SimTime) {
+        self.0.sleep_until(deadline);
+    }
+}
+
+/// More keep-alive connections than the host has hardware threads, split
+/// over two tenants, post closed-loop: the first requests scan on their
+/// connection threads, the overflow queues and is batched, and every
+/// request is accounted for once.
+#[test]
+fn an_http_flood_past_the_caller_scan_cap_conserves_requests_and_shuts_down() {
+    let corpus = corpus();
+    let mut config = ServeConfig::small();
+    let tenant = TenantSpec {
+        weight: 1,
+        queue_capacity: 1024,
+        slo_search: 0.05,
+    };
+    config.tenants = vec![tenant.clone(), tenant];
+    let clock = Arc::new(SlowConnectionClock::default());
+    let server = RagServer::start_with_clock(&corpus, config.clone(), clock).expect("starts");
+    let frontend = HttpFrontend::bind(server, &config.http).expect("frontend binds");
+    let addr = frontend.addr();
+
+    let connections = std::thread::available_parallelism().map_or(1, |n| n.get()) + 2;
+    // Each request leaves a request tree and at most one batch trace:
+    // stay well inside the recent-trace store so none is evicted.
+    let per_connection = (TRACE_CAPACITY / 4 / connections).max(2);
+    let barrier = Arc::new(Barrier::new(connections));
+    let clients: Vec<_> = (0..connections)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            let bodies: Vec<String> = (0..per_connection)
+                .map(|i| search_body(corpus.vectors.get(c * per_connection + i)))
+                .collect();
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr).expect("client connects");
+                let tenant = (c % 2).to_string();
+                barrier.wait();
+                bodies
+                    .iter()
+                    .map(|body| {
+                        let response =
+                            (client.post_json("/v1/search", &[("X-Tenant", &tenant)], body))
+                                .expect("exchange");
+                        let trace = (response.json().ok())
+                            .and_then(|json| json.get("trace_id")?.as_str().map(String::from));
+                        (c % 2, response.status, trace)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let replies: Vec<(usize, u16, Option<String>)> = clients
+        .into_iter()
+        .flat_map(|h| h.join().expect("client thread"))
+        .collect();
+    assert_eq!(replies.len(), connections * per_connection);
+
+    // One request tree per reply.
+    let mut client = HttpClient::connect(addr).expect("client connects");
+    for (_, status, trace) in &replies {
+        assert_eq!(*status, 200, "no request fails");
+        let trace = trace.as_deref().expect("a trace id");
+        let doc = client.get(&format!("/v1/trace/{trace}")).expect("exchange");
+        assert_eq!(doc.status, 200, "trace {trace} is held");
+        let spans = doc.json().expect("trace JSON");
+        let spans = spans.get("spans").and_then(Json::as_array).expect("spans");
+        let roots = spans
+            .iter()
+            .filter(|s| s.get("name").and_then(Json::as_str) == Some("request"))
+            .count();
+        assert_eq!(roots, 1, "trace {trace}");
+    }
+    drop(client);
+
+    let report = frontend.shutdown();
+    assert_eq!(report.deadline_sheds, [0; 3], "no deadline: nothing shed");
+    for (t, row) in report.tenants.iter().enumerate() {
+        let failed = (replies.iter())
+            .filter(|(tenant, status, _)| *tenant == t && *status != 200)
+            .count() as u64;
+        assert_eq!(
+            row.admitted,
+            row.completed + failed,
+            "tenant {t}: admitted = completed + shed + failed"
+        );
+    }
+    assert_eq!(report.admitted, replies.len() as u64);
+    assert!(report.caller_thread_scans >= 1, "the first request scans");
+    assert!(
+        report.peak_queue_depth > 0,
+        "the overflow was queued and batched ({} caller-thread scans)",
+        report.caller_thread_scans
+    );
 }
 
 #[test]

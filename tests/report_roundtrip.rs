@@ -68,6 +68,7 @@ fn co_scheduled_report() -> ServeReport {
         batches: 77,
         mean_batch: 25.7,
         max_batch: 64,
+        caller_thread_scans: 12,
         mean_hit_rate: 0.633,
         tenants: vec![tenant(0, 0.002), tenant(1, 0.003)],
         repartitions: vec![RepartitionEvent {
@@ -172,6 +173,7 @@ fn json_round_trips_exactly_including_ttft_fields() {
     assert_eq!(num(&repartitions[0], "at_request"), 512.0);
     assert_eq!(num(&repartitions[0], "triggered_by"), 1.0);
     assert_eq!(num(&json, "gen_sheds"), 7.0);
+    assert_eq!(num(&json, "caller_thread_scans"), 12.0);
 
     // The deadline-budget section round-trips: per-stage sheds,
     // degradation counters, attainment, and burn summaries.

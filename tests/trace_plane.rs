@@ -26,7 +26,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -37,8 +37,8 @@ use vectorlite_rag::serve::http::json::Json;
 use vectorlite_rag::serve::http::{wire, HttpClient, HttpFrontend};
 use vectorlite_rag::serve::trace::{KEPT_CAPACITY, TRACE_CAPACITY};
 use vectorlite_rag::serve::{
-    GenerationConfig, GenerationTimings, RagServer, RequestOutcome, RequestTimings, ServeConfig,
-    TenantId, TraceConfig, TraceId, TracePlane, VirtualClock,
+    Clock, GenerationConfig, GenerationTimings, RagServer, RequestOutcome, RequestTimings,
+    ServeConfig, TenantId, TraceConfig, TraceId, TracePlane, VirtualClock,
 };
 use vectorlite_rag::sim::{SimDuration, SimTime};
 use vectorlite_rag::workload::{CorpusConfig, SyntheticCorpus};
@@ -133,186 +133,232 @@ fn assert_pinned_to_tick(doc: &Json, tick_s: f64, what: &str) {
     }
 }
 
+/// A [`VirtualClock`] whose reads on the batcher thread can be held at a
+/// gate. While the gate is shut, the batcher blocks at its first clock
+/// read of a batch — the batch's formation — so a test can line requests
+/// up in the queue behind a batch in flight.
+#[derive(Debug, Default)]
+struct GatedClock {
+    clock: VirtualClock,
+    /// (gate shut, a batcher read is held at it)
+    gate: Mutex<(bool, bool)>,
+    moved: Condvar,
+}
+
+impl GatedClock {
+    fn shut(&self) {
+        self.gate.lock().unwrap().0 = true;
+    }
+
+    fn open(&self) {
+        self.gate.lock().unwrap().0 = false;
+        self.moved.notify_all();
+    }
+
+    /// Blocks until the batcher is held at the shut gate.
+    fn wait_held(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        while !gate.1 {
+            gate = self.moved.wait(gate).unwrap();
+        }
+    }
+}
+
+impl Clock for GatedClock {
+    fn now(&self) -> SimTime {
+        // The runtime names its batcher thread `vlite-batcher`.
+        if std::thread::current().name() == Some("vlite-batcher") {
+            let mut gate = self.gate.lock().unwrap();
+            while gate.0 {
+                gate.1 = true;
+                self.moved.notify_all();
+                gate = self.moved.wait(gate).unwrap();
+            }
+            gate.1 = false;
+        }
+        self.clock.now()
+    }
+
+    fn sleep_until(&self, deadline: SimTime) {
+        self.clock.sleep_until(deadline);
+    }
+}
+
 #[test]
 fn co_batched_requests_share_a_batch_span_pinned_to_exact_ticks() {
     let corpus = corpus();
     let config = config();
-    let clock = Arc::new(VirtualClock::new());
+    let clock = Arc::new(GatedClock::default());
     let server =
         RagServer::start_with_clock(&corpus, config.clone(), clock.clone()).expect("starts");
     let frontend = HttpFrontend::bind(server, &config.http).expect("frontend binds");
     let addr = frontend.addr();
     let body = wire::search_request_to_json(corpus.vectors.get(0)).render();
 
-    // Co-batching two independent sockets is a race the one-batch-in-flight
-    // protocol makes likely but not certain: an in-process "plug" occupies
-    // the batch slot while both clients post behind a barrier, so the two
-    // requests usually queue together and drain into the next batch as one.
-    // Each round runs on a fresh exact tick; retry until a round wins.
-    let mut won = false;
-    for round in 1..=40u64 {
-        let tick = clock.advance(SimDuration::from_millis(5.0));
-        let tick_s = tick.as_nanos() as f64 / 1e9;
-        let ids = [
-            (0xAAAA_u128 << 64) | u128::from(round),
-            (0xBBBB_u128 << 64) | u128::from(round),
-        ];
-        let plug = frontend
-            .server()
-            .submit(corpus.vectors.get(1).to_vec())
-            .expect("plug admitted");
-        let barrier = Arc::new(Barrier::new(2));
-        let handles: Vec<_> = ids
-            .iter()
-            .map(|&id| {
-                let barrier = Arc::clone(&barrier);
-                let body = body.clone();
-                std::thread::spawn(move || {
-                    let mut client = HttpClient::connect(addr).expect("client connects");
-                    let parent = format!("00-{id:032x}-00000000000000aa-01");
-                    barrier.wait();
-                    client
-                        .post_json("/v1/search", &[("traceparent", &parent)], &body)
-                        .expect("exchange")
-                })
+    // The co-batch is forced: an in-process "plug" is drained into a batch
+    // that the shut gate holds at formation, both clients post behind a
+    // barrier and queue behind it (a busy batcher sends an HTTP request
+    // through the queue, never onto its connection thread), and only once
+    // both are queued does the gate open — the plug's batch ends, and the
+    // two requests drain into the next batch as one, on a fresh exact tick.
+    let tick = clock.clock.advance(SimDuration::from_millis(5.0));
+    let tick_s = tick.as_nanos() as f64 / 1e9;
+    let ids = [(0xAAAA_u128 << 64) | 1, (0xBBBB_u128 << 64) | 1];
+    clock.shut();
+    let plug = frontend
+        .server()
+        .submit(corpus.vectors.get(1).to_vec())
+        .expect("plug admitted");
+    clock.wait_held();
+    let barrier = Arc::new(Barrier::new(2));
+    let handles: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            let barrier = Arc::clone(&barrier);
+            let body = body.clone();
+            std::thread::spawn(move || {
+                let mut client = HttpClient::connect(addr).expect("client connects");
+                let parent = format!("00-{id:032x}-00000000000000aa-01");
+                barrier.wait();
+                client
+                    .post_json("/v1/search", &[("traceparent", &parent)], &body)
+                    .expect("exchange")
             })
-            .collect();
-        let responses: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        plug.wait().expect("plug completes");
+        })
+        .collect();
+    while frontend.server().queue_depth() < 2 {
+        std::thread::yield_now();
+    }
+    clock.open();
+    let responses: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("client thread"))
+        .collect();
+    plug.wait().expect("plug completes");
 
-        let mut client = HttpClient::connect(addr).expect("client connects");
-        let mut batch_ids = Vec::new();
-        for (&id, response) in ids.iter().zip(&responses) {
-            assert_eq!(response.status, 200, "search must succeed");
-            let id_hex = format!("{id:032x}");
-            // The response propagates the client's trace id in both the
-            // W3C header and the JSON body.
-            let echoed = response.header("traceparent").expect("traceparent header");
-            assert_eq!(
-                echoed.split('-').nth(1),
-                Some(id_hex.as_str()),
-                "response traceparent must carry the client's trace id"
-            );
-            let body_json = response.json().expect("search response JSON");
-            assert_eq!(
-                body_json.get("trace_id").and_then(Json::as_str),
-                Some(id_hex.as_str()),
-                "search body must carry the client's trace id"
-            );
-            let doc = poll_trace(&mut client, &id_hex, "search");
-            let search = find_span(&doc, "search").expect("search span");
-            let links = search
-                .get("links")
-                .and_then(Json::as_array)
-                .expect("search span links");
-            assert_eq!(links.len(), 1, "search links exactly its batch trace");
-            batch_ids.push((
-                id_hex,
-                links[0].as_str().expect("batch link is hex").to_string(),
-                doc,
-            ));
-        }
-
-        if batch_ids[0].1 != batch_ids[1].1 {
-            continue; // the race lost this round; retry on the next tick
-        }
-
-        // The shared batch span: root of its own trace, linking every
-        // member, with the per-shard scan spans nested beneath it.
-        let batch_hex = batch_ids[0].1.clone();
-        let batch_doc = poll_trace(&mut client, &batch_hex, "batch");
-        let batch_span = find_span(&batch_doc, "batch").expect("batch span");
-        assert!(
-            batch_span.get("parent_id") == Some(&Json::Null),
-            "the batch span is a root span"
+    let mut client = HttpClient::connect(addr).expect("client connects");
+    let mut batch_ids = Vec::new();
+    for (&id, response) in ids.iter().zip(&responses) {
+        assert_eq!(response.status, 200, "search must succeed");
+        let id_hex = format!("{id:032x}");
+        // The response propagates the client's trace id in both the
+        // W3C header and the JSON body.
+        let echoed = response.header("traceparent").expect("traceparent header");
+        assert_eq!(
+            echoed.split('-').nth(1),
+            Some(id_hex.as_str()),
+            "response traceparent must carry the client's trace id"
         );
-        let batch_span_id = batch_span.get("span_id").and_then(Json::as_u64).unwrap();
-        let batch_links: Vec<&str> = batch_span
+        let body_json = response.json().expect("search response JSON");
+        assert_eq!(
+            body_json.get("trace_id").and_then(Json::as_str),
+            Some(id_hex.as_str()),
+            "search body must carry the client's trace id"
+        );
+        let doc = poll_trace(&mut client, &id_hex, "search");
+        let search = find_span(&doc, "search").expect("search span");
+        let links = search
             .get("links")
             .and_then(Json::as_array)
-            .expect("batch links")
-            .iter()
-            .filter_map(Json::as_str)
-            .collect();
-        for (id_hex, _, _) in &batch_ids {
+            .expect("search span links");
+        assert_eq!(links.len(), 1, "search links exactly its batch trace");
+        batch_ids.push((
+            id_hex,
+            links[0].as_str().expect("batch link is hex").to_string(),
+            doc,
+        ));
+    }
+
+    assert_eq!(
+        batch_ids[0].1, batch_ids[1].1,
+        "the gate co-batches the two socket requests"
+    );
+
+    // The shared batch span: root of its own trace, linking every
+    // member, with the per-shard scan spans nested beneath it.
+    let batch_hex = batch_ids[0].1.clone();
+    let batch_doc = poll_trace(&mut client, &batch_hex, "batch");
+    let batch_span = find_span(&batch_doc, "batch").expect("batch span");
+    assert!(
+        batch_span.get("parent_id") == Some(&Json::Null),
+        "the batch span is a root span"
+    );
+    let batch_span_id = batch_span.get("span_id").and_then(Json::as_u64).unwrap();
+    let batch_links: Vec<&str> = batch_span
+        .get("links")
+        .and_then(Json::as_array)
+        .expect("batch links")
+        .iter()
+        .filter_map(Json::as_str)
+        .collect();
+    for (id_hex, _, _) in &batch_ids {
+        assert!(
+            batch_links.contains(&id_hex.as_str()),
+            "batch span must link member {id_hex} (links: {batch_links:?})"
+        );
+    }
+    let scan_names: Vec<&str> = spans_of(&batch_doc)
+        .iter()
+        .filter(|s| {
+            s.get("name")
+                .and_then(Json::as_str)
+                .is_some_and(|n| n.starts_with("scan:"))
+        })
+        .map(|s| {
+            assert_eq!(
+                s.get("parent_id").and_then(Json::as_u64),
+                Some(batch_span_id),
+                "scan spans nest under the batch span"
+            );
+            s.get("name").and_then(Json::as_str).unwrap()
+        })
+        .collect();
+    assert!(
+        scan_names.iter().any(|n| n.starts_with("scan:shard")),
+        "expected per-shard scan children, got {scan_names:?}"
+    );
+
+    // Every boundary — in both request trees and the batch tree — is
+    // the launch tick, exactly: admission, batch launch, merge, and
+    // completion all happened at the same virtual instant.
+    assert_pinned_to_tick(&batch_doc, tick_s, "batch");
+    for (id_hex, _, doc) in &batch_ids {
+        assert_pinned_to_tick(doc, tick_s, "request");
+        for name in ["request", "queue"] {
             assert!(
-                batch_links.contains(&id_hex.as_str()),
-                "batch span must link member {id_hex} (links: {batch_links:?})"
+                find_span(doc, name).is_some(),
+                "request tree {id_hex} missing `{name}` span"
             );
         }
-        let scan_names: Vec<&str> = spans_of(&batch_doc)
-            .iter()
-            .filter(|s| {
-                s.get("name")
-                    .and_then(Json::as_str)
-                    .is_some_and(|n| n.starts_with("scan:"))
-            })
-            .map(|s| {
-                assert_eq!(
-                    s.get("parent_id").and_then(Json::as_u64),
-                    Some(batch_span_id),
-                    "scan spans nest under the batch span"
-                );
-                s.get("name").and_then(Json::as_str).unwrap()
-            })
-            .collect();
-        assert!(
-            scan_names.iter().any(|n| n.starts_with("scan:shard")),
-            "expected per-shard scan children, got {scan_names:?}"
-        );
-
-        // Every boundary — in both request trees and the batch tree — is
-        // the launch tick, exactly: admission, batch launch, merge, and
-        // completion all happened at the same virtual instant.
-        assert_pinned_to_tick(&batch_doc, tick_s, "batch");
-        for (id_hex, _, doc) in &batch_ids {
-            assert_pinned_to_tick(doc, tick_s, "request");
-            for name in ["request", "queue"] {
-                assert!(
-                    find_span(doc, name).is_some(),
-                    "request tree {id_hex} missing `{name}` span"
-                );
-            }
-        }
-
-        // The Chrome trace_event export of the same trace.
-        let chrome = get_json(
-            &mut client,
-            &format!("/v1/trace/{batch_hex}?format=chrome"),
-            200,
-        );
-        let events = chrome
-            .get("traceEvents")
-            .and_then(Json::as_array)
-            .expect("traceEvents array");
-        assert!(!events.is_empty(), "chrome export must carry events");
-        for event in events {
-            assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(event.get("args").and_then(|a| a.get("trace_id")).is_some());
-        }
-
-        // Error surface: malformed ids 400, unknown ids 404, bad formats 400.
-        let bad = client.get("/v1/trace/not-hex").expect("exchange");
-        assert_eq!(bad.status, 400);
-        let missing = client
-            .get(&format!("/v1/trace/{}", "f".repeat(32)))
-            .expect("exchange");
-        assert_eq!(missing.status, 404);
-        let format = client
-            .get(&format!("/v1/trace/{batch_hex}?format=bogus"))
-            .expect("exchange");
-        assert_eq!(format.status, 400);
-
-        won = true;
-        break;
     }
-    assert!(
-        won,
-        "no round co-batched the two socket requests in 40 tries"
+
+    // The Chrome trace_event export of the same trace.
+    let chrome = get_json(
+        &mut client,
+        &format!("/v1/trace/{batch_hex}?format=chrome"),
+        200,
     );
+    let events = chrome
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array");
+    assert!(!events.is_empty(), "chrome export must carry events");
+    for event in events {
+        assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
+        assert!(event.get("args").and_then(|a| a.get("trace_id")).is_some());
+    }
+
+    // Error surface: malformed ids 400, unknown ids 404, bad formats 400.
+    let bad = client.get("/v1/trace/not-hex").expect("exchange");
+    assert_eq!(bad.status, 400);
+    let missing = client
+        .get(&format!("/v1/trace/{}", "f".repeat(32)))
+        .expect("exchange");
+    assert_eq!(missing.status, 404);
+    let format = client
+        .get(&format!("/v1/trace/{batch_hex}?format=bogus"))
+        .expect("exchange");
+    assert_eq!(format.status, 400);
     frontend.shutdown();
 }
 
